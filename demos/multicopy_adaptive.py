@@ -2,8 +2,8 @@
 
 Local measurements with the right angle schedule match the collective
 n-copy quantum bound exactly.  The script shows three independent routes to
-the same number: the closed-form bound, brute-force enumeration of every
-outcome sequence, and a seeded Monte Carlo run.  It then verifies that the
+the same number: the closed-form bound, an exact copy-by-copy recursion
+over the strategy's provisional decision, and a seeded Monte Carlo run.  It then verifies that the
 unrolled strategy is a genuine projective measure (identity Gram matrix)
 and walks the copy-by-copy posterior recursion.
 """
@@ -36,7 +36,7 @@ def main() -> None:
     theta = QubitPair.from_overlap(args.chi).theta
     print(f"q0 = {args.q0}, overlap = {args.chi}, angle theta = {theta:.6f}\n")
 
-    print(f"{'n':>3} {'bound':>16} {'enumeration':>16} {'difference':>12}")
+    print(f"{'n':>3} {'bound':>16} {'strategy':>16} {'difference':>12}")
     for n in range(1, args.copies + 1):
         bound = multicopy_bound(pr, args.chi, n)
         exact = exact_adaptive_pc(pr, theta, n)

@@ -21,7 +21,6 @@ from .statemath import (
     simplified_dolinar_pc,
 )
 from .multicopy import (
-    MAX_ENUM_COPIES,
     MAX_VECTOR_COPIES,
     McEstimate,
     OutcomeSequence,
@@ -80,7 +79,6 @@ __all__ = [
     "improved_kennedy_pc",
     "simplified_dolinar_pc",
     # multicopy
-    "MAX_ENUM_COPIES",
     "MAX_VECTOR_COPIES",
     "OutcomeSequence",
     "ProductVector",

@@ -25,6 +25,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,27 +66,6 @@ EXIT_INVALID_SPEC = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_SINGULAR_CONTROL = 4
 
-# Canonical column order; selections preserve this order, not the flag order.
-FIG1_SCHEMES = (
-    "helstrom",
-    "kennedy",
-    "improved_kennedy",
-    "simplified_dolinar",
-    "dolinar_ode",
-    "dolinar_mc",
-)
-FIG3_SCHEMES = ("kennedy", "improved_kennedy", "simplified_dolinar")
-SIM_SCHEMES = ("dolinar_mc", "multicopy")
-KNOWN_SCHEMES = (
-    "helstrom",
-    "kennedy",
-    "improved_kennedy",
-    "simplified_dolinar",
-    "dolinar_ode",
-    "dolinar_mc",
-    "multicopy",
-)
-MC_SCHEMES = ("dolinar_mc", "multicopy")
 CONTROL_KINDS = ("dolinar_optimal", "constant", "capped_dolinar")
 
 DEFAULTS = {
@@ -133,11 +113,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.schemes) == 0:
             raise ValueError("scheme list must not be empty")
-        unknown = [s for s in self.schemes if s not in KNOWN_SCHEMES]
+        unknown = [s for s in self.schemes if s not in SCHEMES]
         if unknown:
-            raise ValueError(
-                f"unknown scheme(s) {unknown}; known: {', '.join(KNOWN_SCHEMES)}"
-            )
+            raise ValueError(f"unknown scheme(s) {unknown}; known: {', '.join(SCHEMES)}")
         if self.command in ("fig1", "fig3"):
             if not 0.0 < self.gamma_sq_min < self.gamma_sq_max:
                 raise ValueError(
@@ -148,7 +126,7 @@ class SweepSpec:
                 raise ValueError(f"points must be >= 2, got {self.points}")
             if self.spacing not in ("log", "linear"):
                 raise ValueError(f"spacing must be log or linear, got {self.spacing}")
-        if any(s in MC_SCHEMES for s in self.schemes) and self.trials < 1:
+        if any(s in SIM_SCHEMES for s in self.schemes) and self.trials < 1:
             raise ValueError(f"trials must be >= 1 for Monte Carlo schemes")
         if not 0.0 <= self.q0 <= 1.0:
             raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
@@ -196,14 +174,10 @@ def _write_csv(path: str, header: list[str], rows: list[dict]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_json(path: str, spec: SweepSpec, rows: list[dict]) -> None:
-    rounded = [
-        {k: (_sig12(v) if isinstance(v, float) else v) for k, v in row.items()}
-        for row in rows
-    ]
+def _write_json(path: str, spec: SweepSpec, key: str, records: list) -> None:
     doc = {
         "spec": spec.public_dict(),
-        "rows": rounded,
+        key: records,
         "tool_version": __version__,
         "seed": spec.seed,
     }
@@ -216,24 +190,25 @@ def _write_rows(path: str, spec: SweepSpec, header: list[str], rows: list[dict])
     if spec.format == "csv":
         _write_csv(path, header, rows)
     else:
-        _write_json(path, spec, rows)
+        rounded = [
+            {k: (_sig12(v) if isinstance(v, float) else v) for k, v in row.items()}
+            for row in rows
+        ]
+        _write_json(path, spec, "rows", rounded)
 
 
 def _dolinar_law(spec: SweepSpec, priors: Priors, psi: float) -> ControlLaw:
     kind = spec.control or "dolinar_optimal"
+    if kind not in CONTROL_KINDS:
+        raise ValueError(f"unknown control kind {kind!r}; known: {', '.join(CONTROL_KINDS)}")
     if kind == "constant":
         if spec.beta is None:
             raise ValueError("control=constant requires --beta")
         return ControlLaw.constant(spec.beta)
-    if kind == "capped_dolinar":
-        if spec.u_max is None:
-            raise ValueError("control=capped_dolinar requires --u-max")
-        return ControlLaw.capped_dolinar(priors, psi, spec.u_max, t_floor=spec.t_floor)
-    if kind == "dolinar_optimal":
-        return ControlLaw.dolinar_optimal(
-            priors, psi, t_floor=spec.t_floor, u_max=spec.u_max
-        )
-    raise ValueError(f"unknown control kind {kind!r}; known: {', '.join(CONTROL_KINDS)}")
+    if kind == "capped_dolinar" and spec.u_max is None:
+        raise ValueError("control=capped_dolinar requires --u-max")
+    # A capped law is the optimal law with u_max set.
+    return ControlLaw.dolinar_optimal(priors, psi, t_floor=spec.t_floor, u_max=spec.u_max)
 
 
 def _row_seeds(seed: int, n: int) -> list[int]:
@@ -241,71 +216,124 @@ def _row_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, np.uint64)]
 
 
-def cmd_fig1(spec: SweepSpec, output: str) -> list[dict]:
-    """Error-probability sweep: one row per gamma_sq value."""
-    bad = [s for s in spec.schemes if s not in FIG1_SCHEMES]
-    if bad:
-        raise ValueError(f"fig1 supports {', '.join(FIG1_SCHEMES)}; got {bad}")
+def _simulate_dolinar_mc(spec: SweepSpec, keep_trajectories: bool):
+    if spec.psi is None:
+        raise ValueError("dolinar_mc requires --psi")
     priors = spec.priors
-    schemes = [s for s in FIG1_SCHEMES if s in spec.schemes]
-    seeds = _row_seeds(spec.seed, spec.points)
+    law = _dolinar_law(spec, priors, spec.psi)
+    result = simulate_telegraph(
+        priors, spec.psi, law, spec.T, spec.trials, spec.seed, keep_trajectories
+    )
+    # Closed forms hold only for the law they were derived for; a time
+    # floor changes the optimal law, so that case goes through the ODE.
+    if law.kind == "constant":
+        analytic = simplified_dolinar_pc(priors, spec.psi, spec.beta, spec.T)
+    elif law.kind == "dolinar_optimal" and not law.t_floor:
+        analytic = helstrom_trajectory(priors, spec.psi, spec.T)
+    else:
+        analytic = evolve_pc(priors, spec.psi, law, spec.T).final.pc(priors)
+    return result.estimate, result.stderr, analytic, result.trajectories
+
+
+def _simulate_multicopy(spec: SweepSpec, keep_trajectories: bool):
+    if keep_trajectories:
+        raise ValueError("--trajectories applies only to dolinar_mc")
+    if spec.theta is None:
+        raise ValueError("multicopy requires --theta or --chi")
+    if spec.copies is None:
+        raise ValueError("multicopy requires --copies")
+    priors = spec.priors
+    estimate, stderr = simulate_adaptive(
+        priors, spec.theta, spec.copies, spec.trials, spec.seed
+    )
+    return estimate, stderr, exact_adaptive_pc(priors, spec.theta, spec.copies), None
+
+
+class _Point(NamedTuple):
+    """One sweep point, as the fig1 and fig3 columns see it."""
+
+    spec: SweepSpec
+    priors: Priors
+    g: float  # the axis value gamma_sq itself
+    psi: float
+    gamma: float
+    T: float
+    seed: int | None  # row seed of fig1's Monte Carlo column
+
+
+def _dolinar_ode_pc(p: _Point) -> float:
+    law = _dolinar_law(p.spec, p.priors, p.psi)
+    return evolve_pc(p.priors, p.psi, law, p.T).final.pc(p.priors)
+
+
+def _dolinar_mc_pc(p: _Point) -> float:
+    law = _dolinar_law(p.spec, p.priors, p.psi)
+    return simulate_telegraph(p.priors, p.psi, law, p.T, p.spec.trials, p.seed).estimate
+
+
+# One entry per scheme, in canonical column order (selections keep this
+# order, not the flag order).  "pc" (fig1) and "beta_sq" (fig3) map a _Point
+# to a number; "simulate" maps (spec, keep_trajectories) to (estimate,
+# stderr, analytic, trajectories).  Entries look library functions up as
+# module globals at call time, so a wrapper set on a qsdr.cli attribute
+# sees every call.
+SCHEMES = {
+    "helstrom": {"pc": lambda p: helstrom_bound(p.priors, coherent_overlap(p.g))},
+    # Exact nulling: fig3's reference line.
+    "kennedy": {"pc": lambda p: kennedy_pc(p.priors, p.g), "beta_sq": lambda p: p.g},
+    "improved_kennedy": {
+        "pc": lambda p: improved_kennedy_pc(p.priors, p.gamma, optimal_beta_ik(p.priors, p.gamma)),
+        "beta_sq": lambda p: optimal_beta_ik(p.priors, p.gamma) ** 2,
+    },
+    "simplified_dolinar": {
+        "pc": lambda p: simplified_dolinar_pc(
+            p.priors, p.psi, optimal_beta_sd(p.priors, p.psi, p.T), p.T
+        ),
+        "beta_sq": lambda p: optimal_beta_sd(p.priors, p.psi, p.T) ** 2,
+    },
+    "dolinar_ode": {"pc": _dolinar_ode_pc},
+    "dolinar_mc": {"pc": _dolinar_mc_pc, "simulate": _simulate_dolinar_mc},
+    "multicopy": {"simulate": _simulate_multicopy},
+}
+FIG1_SCHEMES = tuple(name for name, s in SCHEMES.items() if "pc" in s)
+FIG3_SCHEMES = tuple(name for name, s in SCHEMES.items() if "beta_sq" in s)
+SIM_SCHEMES = tuple(name for name, s in SCHEMES.items() if "simulate" in s)
+
+
+def _sweep(spec: SweepSpec, output: str, kind: str, suffix: str) -> list[dict]:
+    # One row per gamma_sq value, one column per selected scheme.
+    columns = {name: s[kind] for name, s in SCHEMES.items() if kind in s}
+    bad = [s for s in spec.schemes if s not in columns]
+    if bad:
+        raise ValueError(f"{spec.command} supports {', '.join(columns)}; got {bad}")
+    selected = [s for s in columns if s in spec.schemes]
+    # Row seeds feed fig1's Monte Carlo column; fig3 is analytic and never
+    # derives them, so it accepts any seed.
+    seeds = _row_seeds(spec.seed, spec.points) if kind == "pc" else [None] * spec.points
+    priors = spec.priors
     rows = []
-    for i, g in enumerate(spec.axis()):
+    for g, seed in zip(spec.axis(), seeds):
         g = float(g)
         source = CoherentBinary.from_mean_photons(g, spec.T)
+        point = _Point(spec, priors, g, source.psi, source.gamma, spec.T, seed)
         row: dict = {"gamma_sq": g}
-        for scheme in schemes:
-            if scheme == "helstrom":
-                pc = helstrom_bound(priors, coherent_overlap(g))
-            elif scheme == "kennedy":
-                pc = kennedy_pc(priors, g)
-            elif scheme == "improved_kennedy":
-                beta = optimal_beta_ik(priors, source.gamma)
-                pc = improved_kennedy_pc(priors, source.gamma, beta)
-            elif scheme == "simplified_dolinar":
-                beta = optimal_beta_sd(priors, source.psi, spec.T)
-                pc = simplified_dolinar_pc(priors, source.psi, beta, spec.T)
-            elif scheme == "dolinar_ode":
-                law = ControlLaw.dolinar_optimal(
-                    priors, source.psi, t_floor=spec.t_floor, u_max=spec.u_max
-                )
-                pc = evolve_pc(priors, source.psi, law, spec.T).final.pc(priors)
-            else:  # dolinar_mc
-                law = _dolinar_law(spec, priors, source.psi)
-                pc = simulate_telegraph(
-                    priors, source.psi, law, spec.T, spec.trials, seeds[i]
-                ).estimate
-            row[f"{scheme}_pe"] = 1.0 - pc
+        for name in selected:
+            value = columns[name](point)
+            row[f"{name}_{suffix}"] = 1.0 - value if kind == "pc" else value
         rows.append(row)
-    header = ["gamma_sq"] + [f"{s}_pe" for s in schemes]
+    header = ["gamma_sq"] + [f"{s}_{suffix}" for s in selected]
     _write_rows(output, spec, header, rows)
     return rows
+
+
+def cmd_fig1(spec: SweepSpec, output: str) -> list[dict]:
+    """Error-probability sweep: one row per gamma_sq value."""
+    return _sweep(spec, output, "pc", "pe")
 
 
 def cmd_fig3(spec: SweepSpec, output: str) -> list[dict]:
     """Optimal displacement intensity sweep: |beta|**2 per gamma_sq value."""
-    bad = [s for s in spec.schemes if s not in FIG3_SCHEMES]
-    if bad:
-        raise ValueError(f"fig3 supports {', '.join(FIG3_SCHEMES)}; got {bad}")
-    priors = spec.priors
-    schemes = [s for s in FIG3_SCHEMES if s in spec.schemes]
-    rows = []
-    for g in spec.axis():
-        g = float(g)
-        source = CoherentBinary.from_mean_photons(g, spec.T)
-        row: dict = {"gamma_sq": g}
-        for scheme in schemes:
-            if scheme == "kennedy":
-                beta_sq = g  # exact nulling: the reference line
-            elif scheme == "improved_kennedy":
-                beta_sq = optimal_beta_ik(priors, source.gamma) ** 2
-            else:  # simplified_dolinar
-                beta_sq = optimal_beta_sd(priors, source.psi, spec.T) ** 2
-            row[f"{scheme}_beta_sq"] = beta_sq
-        rows.append(row)
-    header = ["gamma_sq"] + [f"{s}_beta_sq" for s in schemes]
-    _write_rows(output, spec, header, rows)
-    return rows
+    return _sweep(spec, output, "beta_sq", "beta_sq")
 
 
 def cmd_simulate(
@@ -315,40 +343,9 @@ def cmd_simulate(
     if len(spec.schemes) != 1 or spec.schemes[0] not in SIM_SCHEMES:
         raise ValueError(f"simulate runs exactly one of {', '.join(SIM_SCHEMES)}")
     scheme = spec.schemes[0]
-    priors = spec.priors
-    trajectories = None
-    if scheme == "dolinar_mc":
-        if spec.psi is None:
-            raise ValueError("dolinar_mc requires --psi")
-        law = _dolinar_law(spec, priors, spec.psi)
-        result = simulate_telegraph(
-            priors,
-            spec.psi,
-            law,
-            spec.T,
-            spec.trials,
-            spec.seed,
-            keep_trajectories=trajectories_path is not None,
-        )
-        estimate, stderr = result.estimate, result.stderr
-        trajectories = result.trajectories
-        if law.kind == "constant":
-            analytic = simplified_dolinar_pc(priors, spec.psi, spec.beta, spec.T)
-        elif law.kind == "dolinar_optimal":
-            analytic = helstrom_trajectory(priors, spec.psi, spec.T)
-        else:
-            analytic = evolve_pc(priors, spec.psi, law, spec.T).final.pc(priors)
-    else:
-        if trajectories_path is not None:
-            raise ValueError("--trajectories applies only to dolinar_mc")
-        if spec.theta is None:
-            raise ValueError("multicopy requires --theta or --chi")
-        if spec.copies is None:
-            raise ValueError("multicopy requires --copies")
-        estimate, stderr = simulate_adaptive(
-            priors, spec.theta, spec.copies, spec.trials, spec.seed
-        )
-        analytic = exact_adaptive_pc(priors, spec.theta, spec.copies)
+    estimate, stderr, analytic, trajectories = SCHEMES[scheme]["simulate"](
+        spec, trajectories_path is not None
+    )
     diff = abs(estimate - analytic)
     if diff == 0.0:
         z = 0.0
@@ -367,7 +364,7 @@ def cmd_simulate(
     }
     header = ["scheme", "estimate", "stderr", "trials", "seed", "analytic", "z_score"]
     _write_rows(output, spec, header, [row])
-    if trajectories_path is not None and trajectories is not None:
+    if trajectories_path is not None:
         _write_trajectories(trajectories_path, spec, trajectories)
     return row
 
@@ -389,15 +386,7 @@ def _write_trajectories(path: str, spec: SweepSpec, trajectories) -> None:
             }
             for i, tr in enumerate(trajectories)
         ]
-        doc = {
-            "spec": spec.public_dict(),
-            "trajectories": records,
-            "tool_version": __version__,
-            "seed": spec.seed,
-        }
-        with open(path, "w", newline="") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
+        _write_json(path, spec, "trajectories", records)
 
 
 def read_config(path: str) -> dict[str, str]:

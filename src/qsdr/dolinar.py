@@ -32,7 +32,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .statemath import Priors
+from .statemath import Priors, coherent_overlap, helstrom_bound
 
 __all__ = [
     "SingularControlError",
@@ -105,16 +105,16 @@ def rates(psi: float, u: float) -> RatePair:
 def helstrom_trajectory(priors: Priors, psi: float, t: float) -> float:
     """Instantaneous two-state Helstrom bound of the partly observed pulse.
 
-    ``(1 + sqrt(1 - 4*q0*q1*exp(-4*psi**2*t))) / 2``: the best possible
-    success probability using the first ``t`` seconds of the pulse.  The
+    The first ``t`` seconds of the pulse are coherent states of overlap
+    ``exp(-2*psi**2*t)``, so this is ``(1 + sqrt(1 - 4*q0*q1*exp(-4*psi**2*t)))
+    / 2``: the best possible success probability at time ``t``.  The
     optimally controlled receiver's P_c(t) rides this curve exactly.
     """
     if psi < 0.0:
         raise ValueError(f"psi must be >= 0, got {psi}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    radicand = 1.0 - 4.0 * priors.q0 * priors.q1 * math.exp(-4.0 * psi * psi * t)
-    return 0.5 * (1.0 + math.sqrt(max(radicand, 0.0)))
+    return helstrom_bound(priors, coherent_overlap(psi * psi * t))
 
 
 @dataclass(frozen=True)
@@ -285,23 +285,34 @@ def _initial_conditionals(priors: Priors) -> tuple[float, float]:
     return (1.0, 0.0) if priors.start_bit == 0 else (0.0, 1.0)
 
 
-def _segment_edges(breakpoints: tuple[float, ...], T: float) -> list[float]:
-    inner = sorted(b for b in breakpoints if 0.0 < b < T)
-    return [0.0, *inner, T]
-
-
-def _integrate(
+def _evolve(
+    priors: Priors,
+    psi: float,
     rhs: Callable[[float, np.ndarray], tuple[float, float]],
-    edges: list[float],
-    y0: tuple[float, float],
+    breakpoints: tuple[float, ...],
+    T: float,
     tol: float,
-    sample_times: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    sample_times: np.ndarray | None,
+) -> EvolveResult:
+    # Shared by both ODE entry points: validation, one RK45 solve per
+    # segment between breakpoints, dense-output sampling, result assembly.
+    if psi < 0.0:
+        raise ValueError(f"psi must be >= 0, got {psi}")
+    if T <= 0.0:
+        raise ValueError(f"T must be > 0, got {T}")
+    if sample_times is None:
+        sample_times = np.linspace(0.0, T, 201)
+    else:
+        sample_times = np.asarray(sample_times, dtype=float)
+        if sample_times.size and not (
+            sample_times.min() >= 0.0 and sample_times.max() <= T
+        ):
+            raise ValueError("sample times must lie within [0, T]")
     rtol = max(tol, 1e-13)
     atol = max(tol * 1e-2, 1e-14)
-    y = np.asarray(y0, dtype=float)
+    edges = [0.0, *sorted(b for b in breakpoints if 0.0 < b < T), T]
+    y = np.asarray(_initial_conditionals(priors), dtype=float)
     samples = np.empty((2, sample_times.size))
-    filled = np.zeros(sample_times.size, dtype=bool)
     for a, b in zip(edges, edges[1:]):
         sol = solve_ivp(
             rhs, (a, b), y, method="RK45", rtol=rtol, atol=atol, dense_output=True
@@ -311,14 +322,14 @@ def _integrate(
                 f"integration stalled at t={sol.t[-1]!r}: {sol.message}"
             )
         # Half-open ownership [a, b) per segment; the last segment takes b.
-        mask = (sample_times >= a) & ((sample_times < b) | (b == edges[-1]))
+        mask = (sample_times >= a) & ((sample_times < b) | (b == T))
         if mask.any():
             samples[:, mask] = sol.sol(sample_times[mask])
-            filled |= mask
         y = sol.y[:, -1]
-    if not filled.all():
-        raise ValueError("sample times must lie within [0, T]")
-    return y, samples[0], samples[1]
+    p0s, p1s = samples
+    final = PcState(float(y[0]), float(y[1]), T)
+    pc = priors.q0 * p0s + priors.q1 * p1s
+    return EvolveResult(final, sample_times, p0s, p1s, pc)
 
 
 def evolve_pc(
@@ -335,24 +346,13 @@ def evolve_pc(
     ``lam = (psi - u0)**2`` and ``mu = (psi + u0)**2``, starting from the
     start-bit initial condition.  ``tol`` is the local error tolerance of
     the adaptive integrator; the trajectory is sampled on ``sample_times``
-    (default: 201 equally spaced points) through dense output.
+    (default: 201 equally spaced points, all within [0, T]) through dense
+    output.
 
     The control must be finite on [0, T]: for equal priors the exact
     optimal law must carry a cap or time floor, otherwise the first rate
     evaluation raises :class:`SingularControlError`.
     """
-    if psi < 0.0:
-        raise ValueError(f"psi must be >= 0, got {psi}")
-    if T <= 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
-    if sample_times is None:
-        sample_times = np.linspace(0.0, T, 201)
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
-        if sample_times.size and (
-            sample_times.min() < 0.0 or sample_times.max() > T
-        ):
-            raise ValueError("sample times must lie within [0, T]")
 
     def rhs(t: float, y: np.ndarray):
         u = control.u0(t)
@@ -361,12 +361,7 @@ def evolve_pc(
         tot = lam + mu
         return (mu - tot * y[0], mu - tot * y[1])
 
-    y0 = _initial_conditionals(priors)
-    edges = _segment_edges(control.breakpoints, T)
-    y, p0s, p1s = _integrate(rhs, edges, y0, tol, sample_times)
-    final = PcState(float(y[0]), float(y[1]), T)
-    pc = priors.q0 * p0s + priors.q1 * p1s
-    return EvolveResult(final, sample_times, p0s, p1s, pc)
+    return _evolve(priors, psi, rhs, control.breakpoints, T, tol, sample_times)
 
 
 def evolve_pc_general(
@@ -386,16 +381,9 @@ def evolve_pc_general(
         p1' = mu~ - (lam~ + mu~) * p1, lam~ = (psi + u1)**2, mu~ = (psi + u0)**2
 
     (rates of the incoming field ``-psi`` written with signs absorbed).
-    With ``u1 = -u0`` this reduces to :func:`evolve_pc`.
+    With ``u1 = -u0`` this reduces to :func:`evolve_pc`; validation and
+    sampling are the same.
     """
-    if psi < 0.0:
-        raise ValueError(f"psi must be >= 0, got {psi}")
-    if T <= 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
-    if sample_times is None:
-        sample_times = np.linspace(0.0, T, 201)
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
 
     def rhs(t: float, y: np.ndarray):
         a0 = u0(t)
@@ -406,11 +394,7 @@ def evolve_pc_general(
         mu_m = (psi + a0) ** 2
         return (mu - (lam + mu) * y[0], mu_m - (lam_m + mu_m) * y[1])
 
-    y0 = _initial_conditionals(priors)
-    y, p0s, p1s = _integrate(rhs, [0.0, T], y0, tol, sample_times)
-    final = PcState(float(y[0]), float(y[1]), T)
-    pc = priors.q0 * p0s + priors.q1 * p1s
-    return EvolveResult(final, sample_times, p0s, p1s, pc)
+    return _evolve(priors, psi, rhs, (), T, tol, sample_times)
 
 
 def segmented_pc(

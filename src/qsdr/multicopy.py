@@ -6,8 +6,9 @@ provisional decision flips, and its final provisional bit matches the
 collective (entangled) optimum: the n-copy Helstrom bound.  This module
 provides
 
-* exact evaluation of the strategy's success probability by enumerating all
-  2**n outcome sequences (the independent check against the closed form),
+* exact evaluation of the strategy's success probability by a two-state
+  recursion over the provisional bit (the independent check against the
+  closed form),
 * a seeded Monte Carlo simulation of the same strategy,
 * the explicit product measurement vectors, whose Gram matrix is the
   identity on the n-qubit space,
@@ -27,7 +28,6 @@ import numpy as np
 from .statemath import AngleSchedule, Priors, angle_schedule, helstrom_bound
 
 __all__ = [
-    "MAX_ENUM_COPIES",
     "MAX_VECTOR_COPIES",
     "OutcomeSequence",
     "ProductVector",
@@ -39,9 +39,8 @@ __all__ = [
     "posterior_update",
 ]
 
-# Enumeration works leaf-by-leaf over 2**n sequences; these caps keep the
-# arrays (and the kron products for vectors) at desk scale.
-MAX_ENUM_COPIES = 20
+# measurement_vectors lists all 2**n sequences; this cap keeps the list (and
+# the kron products) at desk scale.
 MAX_VECTOR_COPIES = 10
 
 
@@ -128,43 +127,45 @@ def local_outcome_probs(a: int, theta: float, phi: float) -> tuple[float, float]
     return (p0, 1.0 - p0)
 
 
-def _branch_p0(a: int, theta: float, eff_angles: np.ndarray) -> np.ndarray:
-    # Vectorized form of local_outcome_probs' first component.
-    delta = theta - eff_angles if a == 0 else theta + eff_angles
-    return np.cos(delta) ** 2
+def _outcome0_table(priors: Priors, theta: float, n: int) -> list[list[tuple[float, ...]]]:
+    # table[a][k - 1][z] = P[outcome 0 at copy k | symbol a, previous bit z].
+    if n < 1:
+        raise ValueError(f"copy count must be >= 1, got {n}")
+    schedule = angle_schedule(priors, theta, n)
+    return [
+        [
+            tuple(
+                local_outcome_probs(a, theta, schedule.effective_angle(k, z))[0]
+                for z in (0, 1)
+            )
+            for k in range(1, n + 1)
+        ]
+        for a in (0, 1)
+    ]
 
 
 def exact_adaptive_pc(priors: Priors, theta: float, n: int) -> float:
-    """Exact success probability of the adaptive strategy, by enumeration.
+    """Exact success probability of the adaptive strategy.
 
-    Sums, over all 2**n outcome sequences, the product of local outcome
-    probabilities along the branch, using the angle flip rule of
-    :class:`qsdr.statemath.AngleSchedule`, and credits the sequences whose
-    final bit equals the true hypothesis.  This deliberately retraces the
-    strategy itself rather than the closed form, so agreement with
-    :func:`qsdr.statemath.multicopy_bound` is a genuine two-route check.
+    Each copy only updates the two-valued provisional bit, so the
+    probability of every (bit, symbol) pair after copy k follows from the
+    pair after copy k-1 through the local outcome probabilities and the
+    angle flip rule of :class:`qsdr.statemath.AngleSchedule`; the final
+    bit is credited when it equals the true hypothesis.  Cost is O(n).
+    This deliberately retraces the strategy itself rather than the closed
+    form, so agreement with :func:`qsdr.statemath.multicopy_bound` is a
+    genuine two-route check.
     """
-    if not 1 <= n <= MAX_ENUM_COPIES:
-        raise ValueError(f"copy count must lie in 1..{MAX_ENUM_COPIES}, got {n}")
-    schedule = angle_schedule(priors, theta, n)
-    phis = np.asarray(schedule.phis)
+    table = _outcome0_table(priors, theta, n)
     total = 0.0
     for a, qa in ((0, priors.q0), (1, priors.q1)):
-        # probs[i] is the running product along the branch whose outcome
-        # prefix is the bits of i (latest outcome in the least significant
-        # bit); prev holds that latest outcome.
-        probs = np.array([1.0])
-        prev = np.array([priors.start_bit], dtype=np.int8)
-        for k in range(1, n + 1):
-            eff = np.where(prev == 0, phis[k - 1], 0.5 * math.pi - phis[k - 1])
-            p0 = _branch_p0(a, theta, eff)
-            nxt = np.empty(2 * probs.size)
-            nxt[0::2] = probs * p0
-            nxt[1::2] = probs * (1.0 - p0)
-            probs = nxt
-            prev = np.tile(np.array([0, 1], dtype=np.int8), probs.size // 2)
-        # Sequences ending in bit a are decided correctly.
-        total += qa * probs[a::2].sum()
+        # w[z]: probability that the provisional bit is z, given symbol a.
+        w = [0.0, 0.0]
+        w[priors.start_bit] = 1.0
+        for p0 in table[a]:
+            zero = w[0] * p0[0] + w[1] * p0[1]
+            w = [zero, w[0] + w[1] - zero]
+        total += qa * w[a]
     return float(total)
 
 
@@ -182,22 +183,16 @@ def simulate_adaptive(
     index)``, so the estimate is reproducible bit-for-bit regardless of how
     trials are batched or parallelized.
     """
-    if not 1 <= n <= MAX_ENUM_COPIES:
-        raise ValueError(f"copy count must lie in 1..{MAX_ENUM_COPIES}, got {n}")
+    table = _outcome0_table(priors, theta, n)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    schedule = angle_schedule(priors, theta, n)
-    half_pi = 0.5 * math.pi
     hits = 0
     for child in np.random.SeedSequence(seed).spawn(trials):
         rng = np.random.default_rng(child)
         a = 0 if rng.random() < priors.q0 else 1
         z = priors.start_bit
-        for k in range(1, n + 1):
-            eff = schedule.phis[k - 1] if z == 0 else half_pi - schedule.phis[k - 1]
-            delta = theta - eff if a == 0 else theta + eff
-            p0 = math.cos(delta) ** 2
-            z = 0 if rng.random() < p0 else 1
+        for p0 in table[a]:
+            z = 0 if rng.random() < p0[z] else 1
         hits += z == a
     p = hits / trials
     return McEstimate(p, math.sqrt(p * (1.0 - p) / trials))

@@ -224,18 +224,10 @@ def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) 
             = psi*(psi**2 - beta**2) * sinh(s*T)
 
     the first-order condition of
-    :func:`qsdr.statemath.simplified_dolinar_pc` in ``beta``.
+    :func:`qsdr.statemath.simplified_dolinar_pc` in ``beta``.  Both sides
+    are multiplied through by ``exp(-s*T)`` so that wide search brackets
+    cannot overflow ``sinh``; the roots and signs are unchanged.
     """
-    s = psi * psi + beta * beta
-    st = s * T
-    lhs = beta * T * s * ((2.0 * priors.q0 - 1.0) * s - 2.0 * psi * beta) * math.exp(-st)
-    rhs = psi * (psi * psi - beta * beta) * math.sinh(st)
-    return lhs - rhs
-
-
-def _sd_residual_scaled(priors: Priors, psi: float, T: float, beta: float) -> float:
-    # Same roots as sd_displacement_residual, multiplied through by
-    # exp(-s*T) so wide search brackets cannot overflow sinh.
     s = psi * psi + beta * beta
     st = s * T
     lhs = beta * T * s * ((2.0 * priors.q0 - 1.0) * s - 2.0 * psi * beta) * math.exp(
@@ -270,7 +262,7 @@ def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
         return simplified_dolinar_pc(priors, psi, b, T)
 
     def resid(b: float) -> float:
-        return _sd_residual_scaled(priors, psi, T, b)
+        return sd_displacement_residual(priors, psi, T, b)
 
     hi = 10.0 * psi + 5.0 / math.sqrt(T)
     grid = np.linspace(hi * 1e-6, hi, 2001)

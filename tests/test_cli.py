@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -20,6 +21,14 @@ TRAJ_HEADER = b"trial,a,z_final,click_times\n"
 # Frozen end-to-end row at gamma_sq = 0.2 (q0 = 0.5, T = 1), 12 significant
 # digits as the CSV contract specifies.
 ROW_AT_02 = "0.2,0.12896393845,0.224664482059,0.16302271365,0.152981466615"
+
+
+def child_env():
+    """Environment whose interpreters import the qsdr under test, installed or not."""
+    env = dict(os.environ)
+    src = str(Path(qsdr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def read_rows(path):
@@ -72,6 +81,20 @@ class TestFig1:
         assert header == ["gamma_sq", "helstrom_pe", "dolinar_ode_pe"]
         for cells in rows:
             assert abs(float(cells[1]) - float(cells[2])) < 1e-6
+
+    def test_both_dolinar_columns_run_the_configured_law(self, tmp_path):
+        cfg = tmp_path / "law.cfg"
+        cfg.write_text("control = constant\nbeta = 1.2\n")
+        out = tmp_path / "f.csv"
+        argv = ["fig1", "--config", str(cfg), "--q0", "0.7", "--gamma-sq-min", "0.01",
+                "--gamma-sq-max", "1", "--points", "2", "--schemes", "dolinar_ode,dolinar_mc",
+                "--trials", "4000", "-o", str(out)]
+        assert main(argv) == 0
+        _, rows = read_rows(out)
+        for _, ode, mc in rows:
+            ode, mc = float(ode), float(mc)
+            sigma = math.sqrt(mc * (1.0 - mc) / 4000)
+            assert abs(mc - ode) <= 4.0 * sigma
 
     def test_monte_carlo_column_reruns_identically(self, tmp_path):
         args = [
@@ -137,6 +160,28 @@ class TestSimulate:
         assert cells[5] == "0.889481706887"
         assert abs(float(cells[1]) - float(cells[5])) < 5.0 * float(cells[2])
         assert float(cells[6]) < 5.0
+
+    def test_multicopy_beyond_twenty_copies(self, tmp_path):
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--scheme", "multicopy", "--q0", "0.7", "--theta", "0.2",
+                "--copies", "25", "--trials", "200", "-o", str(out)]
+        assert main(argv) == 0
+        _, (cells,) = read_rows(out)
+        bound = qsdr.multicopy_bound(qsdr.Priors(0.7), qsdr.QubitPair(0.2).chi, 25)
+        assert abs(float(cells[5]) - bound) < 1e-12
+
+    def test_time_floor_analytic_follows_the_floored_law(self, tmp_path):
+        # The floor changes the law, so the Helstrom curve is no reference.
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--t-floor", "0.2",
+                "--trials", "200", "-o", str(out)]
+        assert main(argv) == 0
+        _, (cells,) = read_rows(out)
+        pr = qsdr.Priors(0.5)
+        law = qsdr.ControlLaw.dolinar_optimal(pr, 1.0, t_floor=0.2)
+        ode = qsdr.evolve_pc(pr, 1.0, law, 1.0).final.pc(pr)
+        assert abs(float(cells[5]) - ode) < 1e-9
+        assert abs(ode - qsdr.helstrom_trajectory(pr, 1.0, 1.0)) > 1e-3
 
     def test_dolinar_reruns_identically(self, tmp_path):
         args = [
@@ -372,6 +417,7 @@ class TestEntryPoint:
                 "fig1", "--points", "2", "--schemes", "kennedy", "-o", str(out),
             ],
             capture_output=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert out.read_bytes().startswith(b"gamma_sq,kennedy_pe\n")
@@ -401,6 +447,7 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-c", wrapper, "fig3", "--points", "2", "-o", str(out)],
             capture_output=True,
+            env=child_env(),
         )
         assert proc.returncode == 0
         assert out.read_bytes().startswith(FIG3_HEADER)

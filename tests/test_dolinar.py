@@ -250,6 +250,15 @@ class TestEvolvePcGeneral:
         assert gen.final.pc(pr) == pytest.approx(sym.final.pc(pr), abs=1e-12)
         assert np.max(np.abs(gen.pc - sym.pc)) < 1e-12
 
+    def test_rejects_sample_times_outside_horizon(self):
+        # Dense output would silently extrapolate past T.
+        for times in ([0.5, 1.0, 3.0], [-0.1, 0.5]):
+            with pytest.raises(ValueError, match="within"):
+                evolve_pc_general(
+                    Priors(0.7), 1.0, lambda t: 0.8, lambda t: -0.8, 1.0,
+                    sample_times=times,
+                )
+
 
 class TestSegmentedPc:
     def test_single_slot_equals_constant_law(self):

@@ -1,4 +1,4 @@
-"""Finite-copy adaptive measurement: exact enumeration, sampling, geometry."""
+"""Finite-copy adaptive measurement: exact evaluation, sampling, geometry."""
 
 import itertools
 import math
@@ -86,6 +86,9 @@ class TestExactAdaptivePc:
         theta3 = QubitPair.from_overlap(0.45).theta
         got3 = exact_adaptive_pc(Priors(0.7), theta3, 3)
         assert got3 == pytest.approx(_enum_reference(Priors(0.7), theta3, 3), abs=1e-13)
+        theta10 = QubitPair.from_overlap(0.9).theta
+        got10 = exact_adaptive_pc(Priors(0.65), theta10, 10)
+        assert got10 == pytest.approx(_enum_reference(Priors(0.65), theta10, 10), abs=1e-13)
 
     @pytest.mark.parametrize("q0", [0.5, 0.75])
     @pytest.mark.parametrize("chi", [0.3, 0.8])
@@ -110,8 +113,12 @@ class TestExactAdaptivePc:
     def test_copy_count_limits(self):
         with pytest.raises(ValueError):
             exact_adaptive_pc(Priors(0.6), 0.3, 0)
-        with pytest.raises(ValueError):
-            exact_adaptive_pc(Priors(0.6), 0.3, 21)
+        # The recursion costs O(n), so many copies carry no cap.
+        chi = QubitPair(0.3).chi
+        for n in (25, 200):
+            assert exact_adaptive_pc(Priors(0.6), 0.3, n) == pytest.approx(
+                multicopy_bound(Priors(0.6), chi, n), abs=1e-12
+            )
 
 
 class TestSimulateAdaptive:
