@@ -87,8 +87,9 @@ class SweepSpec:
     """Fully resolved parameters of one CLI invocation.
 
     Sweep fields apply to fig1/fig3; the optional tail fields configure the
-    Monte Carlo schemes of ``simulate``.  ``seed`` feeds every stochastic
-    scheme; analytic sweeps ignore it but still record it in JSON output.
+    Monte Carlo schemes of ``simulate``.  ``seed`` (non-negative) feeds
+    every stochastic scheme; analytic sweeps ignore it but still record it
+    in JSON output.
     """
 
     command: str
@@ -132,6 +133,10 @@ class SweepSpec:
             raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
         if self.T <= 0.0:
             raise ValueError(f"T must be > 0, got {self.T}")
+        # Checked here, whatever the command, so --seed and QSDR_SEED fail
+        # the same way before any scheme runs.
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format}")
 
@@ -182,18 +187,23 @@ def _write_json(path: str, spec: SweepSpec, key: str, records: list) -> None:
         "seed": spec.seed,
     }
     with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, indent=2)
+        json.dump(doc, fh, indent=2, allow_nan=False)
         fh.write("\n")
+
+
+def _json_value(v):
+    # The CSV's 12-digit rounding; strict JSON has no infinity, so a
+    # non-finite float (z_score at zero standard error) is written as null.
+    if not isinstance(v, float):
+        return v
+    return _sig12(v) if math.isfinite(v) else None
 
 
 def _write_rows(path: str, spec: SweepSpec, header: list[str], rows: list[dict]) -> None:
     if spec.format == "csv":
         _write_csv(path, header, rows)
     else:
-        rounded = [
-            {k: (_sig12(v) if isinstance(v, float) else v) for k, v in row.items()}
-            for row in rows
-        ]
+        rounded = [{k: _json_value(v) for k, v in row.items()} for row in rows]
         _write_json(path, spec, "rows", rounded)
 
 

@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._streams import TrialStreams
 from .statemath import AngleSchedule, Priors, angle_schedule, helstrom_bound
 
 __all__ = [
@@ -179,21 +180,23 @@ def simulate_adaptive(
     Returns the frequency of correct final decisions and its binomial
     standard error.
 
-    Every trial consumes its own random stream spawned from ``(seed, trial
-    index)``, so the estimate is reproducible bit-for-bit regardless of how
-    trials are batched or parallelized.
+    Trial i reads the counter-based uniforms of ``(seed, i)`` (see
+    :mod:`qsdr._streams`): draw 0 picks the symbol, draw k the outcome of
+    copy k.  All trials of a chunk advance together, one array step per
+    copy, so the estimate is reproducible bit for bit however the trials
+    are chunked, and memory does not grow with ``trials``.
     """
-    table = _outcome0_table(priors, theta, n)
+    # p0[k, 2*a + z] = P[outcome 0 at copy k+1 | symbol a, previous bit z].
+    p0 = np.array(_outcome0_table(priors, theta, n)).transpose(1, 0, 2).reshape(n, 4)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     hits = 0
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(child)
-        a = 0 if rng.random() < priors.q0 else 1
-        z = priors.start_bit
-        for p0 in table[a]:
-            z = 0 if rng.random() < p0[z] else 1
-        hits += z == a
+    for _, u in TrialStreams(seed).chunks(trials, n + 1):
+        a = (u[:, 0] >= priors.q0).astype(np.intp)
+        z = np.full(len(a), priors.start_bit, dtype=np.intp)
+        for k in range(n):
+            z = (u[:, k + 1] >= p0[k, 2 * a + z]).astype(np.intp)
+        hits += int(np.count_nonzero(z == a))
     p = hits / trials
     return McEstimate(p, math.sqrt(p * (1.0 - p) / trials))
 

@@ -277,6 +277,32 @@ class TestJsonFormat:
                 assert float(cell) == rec[col]  # same 12-digit rounding
 
 
+    def test_infinite_z_score_is_strict_json_null(self, tmp_path):
+        # Every trial right against an analytic value below one: zero
+        # standard error and an infinite z_score.
+        base = [
+            "simulate",
+            "--scheme", "multicopy",
+            "--q0", "0.7",
+            "--theta", "0.2",
+            "--copies", "20",
+            "--trials", "20",
+            "--seed", "1",
+        ]
+        json_p, csv_p = tmp_path / "o.json", tmp_path / "o.csv"
+        assert main(base + ["--format", "json", "-o", str(json_p)]) == 0
+        assert main(base + ["-o", str(csv_p)]) == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        (row,) = json.loads(json_p.read_text(), parse_constant=reject)["rows"]
+        assert row["stderr"] == 0.0 and row["estimate"] == 1.0
+        assert row["z_score"] is None
+        assert csv_p.read_bytes().startswith(SIM_HEADER)
+        assert read_rows(csv_p)[1][0][6] == "inf"
+
+
 class TestResolution:
     def _seed_of(self, tmp_path, extra, name):
         out = tmp_path / f"{name}.json"
@@ -304,6 +330,24 @@ class TestResolution:
         assert main(["fig1", "--points", "2", "-o", str(out)]) == 2
         # an explicit seed shields the run from the bad variable
         assert main(["fig1", "--points", "2", "--seed", "1", "-o", str(out)]) == 0
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fig1", "--points", "2"],
+            ["fig3", "--points", "2"],
+            ["simulate", "--scheme", "multicopy", "--theta", "0.2", "--copies", "2",
+             "--trials", "5"],
+        ],
+    )
+    def test_negative_seed_is_rejected(self, args, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "o.csv"
+        assert main(args + ["--seed", "-1", "-o", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        monkeypatch.setenv("QSDR_SEED", "-1")
+        assert main(args + ["-o", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file(self, tmp_path):
         out = tmp_path / "from_config.csv"
@@ -406,6 +450,45 @@ class TestExitCodes:
         )
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
+
+
+class TestMemory:
+    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+    SCRIPT = (
+        "import resource, sys\n"
+        "from qsdr.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+
+    def _peak_mb(self, tmp_path, trials):
+        out = tmp_path / f"m{trials}.csv"
+        proc = subprocess.run(
+            [
+                sys.executable, "-c", self.SCRIPT,
+                "simulate",
+                "--scheme", "multicopy",
+                "--q0", "0.7",
+                "--theta", "0.2",
+                "--copies", "20",
+                "--trials", str(trials),
+                "--seed", "1",
+                "-o", str(out),
+            ],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=300,
+        )
+        rc, peak = proc.stdout.split()
+        assert rc == "0", proc.stderr
+        return int(peak) / (2**20 if sys.platform == "darwin" else 2**10)
+
+    def test_multicopy_peak_rss_is_flat_in_trials(self, tmp_path):
+        # Each run in a fresh interpreter, so each peak is that run's own.
+        small = self._peak_mb(tmp_path, 10_000)
+        large = self._peak_mb(tmp_path, 1_000_000)
+        assert large - small < 10.0, (small, large)
 
 
 class TestEntryPoint:
