@@ -20,44 +20,49 @@ from collections.abc import Iterator
 
 import numpy as np
 
-# Trials per chunk, and uniforms per chunk.  Small chunks keep the working
-# set (and the peak RSS of the telegraph sampler, which prefetches wide
-# rows) low; the uniform budget (8 MB of doubles) only cuts in above about
-# 1000 draws per trial, which bounds memory for many-copy runs as well.
-CHUNK = 1024
-CHUNK_UNIFORMS = 1 << 20
+# Uniforms fetched per chunk (1 MB of doubles).  A small budget keeps the
+# working set, and the peak RSS of the telegraph sampler's 128-wide rows
+# (1024 trials a chunk), low.
+CHUNK_UNIFORMS = 1 << 17
 
 
 class TrialStreams:
     """Uniform draws of every trial of one seeded run."""
 
     def __init__(self, seed: int) -> None:
-        self.key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        key = np.random.SeedSequence(seed).generate_state(2, np.uint64)
+        self._bits = np.random.Philox(key=key)
+        self._random = np.random.Generator(self._bits).random
+        # A fresh generator's state (empty output buffer); each fetch
+        # restores it with a new counter, which costs about a quarter of
+        # building a new Philox.
+        self._state = self._bits.state
 
-    def _block(self, i0: int, j: int, m: int) -> np.ndarray:
-        # Draws 4j .. 4j+3 of trials i0 .. i0+m-1, shape (m, 4).
-        bits = np.random.Philox(key=self.key, counter=[i0, j, 0, 0])
-        return np.random.Generator(bits).random(4 * m).reshape(m, 4)
+    def block(self, i0: int, j: int, m: int) -> np.ndarray:
+        """Draws ``4j .. 4j+3`` of trials ``i0 .. i0+m-1``, shape ``(m, 4)``."""
+        self._state["state"]["counter"][:] = (i0, j, 0, 0)
+        self._bits.state = self._state
+        return self._random(4 * m).reshape(m, 4)
 
     def chunks(self, trials: int, draws: int) -> Iterator[tuple[int, np.ndarray]]:
         """Yield ``(i0, u)`` with ``u[r, d]`` draw ``d`` of trial ``i0 + r``.
 
-        Chunks hold ``draws`` columns and at most :data:`CHUNK` trials (fewer
-        when that would exceed :data:`CHUNK_UNIFORMS`), and cover trials
+        Chunks hold ``draws`` columns and as many trials (at least one) as
+        fit in :data:`CHUNK_UNIFORMS` fetched uniforms, and cover trials
         ``0 .. trials-1`` in order.
         """
         blocks = -(-draws // 4)
-        rows = max(1, min(CHUNK, CHUNK_UNIFORMS // (4 * blocks)))
+        rows = max(1, CHUNK_UNIFORMS // (4 * blocks))
         for i0 in range(0, trials, rows):
             m = min(rows, trials - i0)
             u = np.empty((m, 4 * blocks))
             for j in range(blocks):
-                u[:, 4 * j : 4 * j + 4] = self._block(i0, j, m)
+                u[:, 4 * j : 4 * j + 4] = self.block(i0, j, m)
             yield i0, u[:, :draws]
 
     def tail(self, i: int, start: int) -> Iterator[float]:
         """Draws ``start, start + 1, ...`` of trial ``i``, without end."""
         j, skip = divmod(start, 4)
         while True:
-            yield from self._block(i, j, 1)[0, skip:].tolist()
+            yield from self.block(i, j, 1)[0, skip:].tolist()
             j, skip = j + 1, 0

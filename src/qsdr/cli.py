@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -112,6 +112,11 @@ class SweepSpec:
     copies: int | None = None
 
     def __post_init__(self) -> None:
+        # argparse and float() accept inf and nan; no parameter takes them.
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"{f.name} must be finite, got {v}")
         if len(self.schemes) == 0:
             raise ValueError("scheme list must not be empty")
         unknown = [s for s in self.schemes if s not in SCHEMES]
@@ -186,9 +191,10 @@ def _write_json(path: str, spec: SweepSpec, key: str, records: list) -> None:
         "tool_version": __version__,
         "seed": spec.seed,
     }
+    # Serialized first so a value strict JSON cannot hold leaves no file.
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     with open(path, "w", newline="") as fh:
-        json.dump(doc, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _json_value(v):
@@ -317,8 +323,7 @@ def _sweep(spec: SweepSpec, output: str, kind: str, suffix: str) -> list[dict]:
     if bad:
         raise ValueError(f"{spec.command} supports {', '.join(columns)}; got {bad}")
     selected = [s for s in columns if s in spec.schemes]
-    # Row seeds feed fig1's Monte Carlo column; fig3 is analytic and never
-    # derives them, so it accepts any seed.
+    # Row seeds feed fig1's Monte Carlo column; fig3 has none.
     seeds = _row_seeds(spec.seed, spec.points) if kind == "pc" else [None] * spec.points
     priors = spec.priors
     rows = []

@@ -191,11 +191,17 @@ def simulate_adaptive(
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     hits = 0
-    for _, u in TrialStreams(seed).chunks(trials, n + 1):
+    streams = TrialStreams(seed)
+    # Only the current Philox block of each trial is held, so a chunk's
+    # memory does not grow with n either.
+    for i0, u in streams.chunks(trials, 4):
         a = (u[:, 0] >= priors.q0).astype(np.intp)
         z = np.full(len(a), priors.start_bit, dtype=np.intp)
-        for k in range(n):
-            z = (u[:, k + 1] >= p0[k, 2 * a + z]).astype(np.intp)
+        for d in range(1, n + 1):
+            j, w = divmod(d, 4)
+            if w == 0:
+                u = streams.block(i0, j, len(a))
+            z = (u[:, w] >= p0[d - 1, 2 * a + z]).astype(np.intp)
         hits += int(np.count_nonzero(z == a))
     p = hits / trials
     return McEstimate(p, math.sqrt(p * (1.0 - p) / trials))

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import qsdr
+import qsdr.cli as cli
 from qsdr.cli import main
 
 FIG1_HEADER = b"gamma_sq,helstrom_pe,kennedy_pe,improved_kennedy_pe,simplified_dolinar_pe\n"
@@ -303,6 +304,14 @@ class TestJsonFormat:
         assert read_rows(csv_p)[1][0][6] == "inf"
 
 
+    def test_unserializable_record_leaves_no_file(self, tmp_path):
+        spec = cli.SweepSpec("fig3", ("kennedy",), 0.1, 1.0, 2, "log", 0.5, 1.0, 0, 1, "json")
+        out = tmp_path / "o.json"
+        with pytest.raises(ValueError):
+            cli._write_json(str(out), spec, "rows", [{"x": math.inf}])
+        assert not out.exists()
+
+
 class TestResolution:
     def _seed_of(self, tmp_path, extra, name):
         out = tmp_path / f"{name}.json"
@@ -347,6 +356,25 @@ class TestResolution:
         monkeypatch.setenv("QSDR_SEED", "-1")
         assert main(args + ["-o", str(out)]) == 2
         assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args,field",
+        [
+            (["simulate", "--scheme", "multicopy", "--theta", "0.2", "--copies", "2",
+              "--trials", "5", "--beta", "inf", "--format", "json"], "beta"),
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--trials", "5",
+              "--u-max", "inf"], "u_max"),
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--trials", "5",
+              "--psi", "nan"], "psi"),
+            (["fig3", "--points", "2", "--T", "inf"], "T"),
+            (["fig1", "--points", "2", "--gamma-sq-max", "inf"], "gamma_sq_max"),
+        ],
+    )
+    def test_non_finite_value_is_rejected(self, args, field, tmp_path, capsys):
+        out = tmp_path / "o.out"
+        assert main(args + ["-o", str(out)]) == 2
+        assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
     def test_config_file(self, tmp_path):

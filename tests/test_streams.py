@@ -32,6 +32,11 @@ def reference_draw(seed, i, d):
     return (word >> 11) * 2.0**-53
 
 
+def budget(rows, draws):
+    """The uniform budget that gives chunks of ``rows`` trials (None: the default)."""
+    return streams_mod.CHUNK_UNIFORMS if rows is None else rows * 4 * -(-draws // 4)
+
+
 def all_draws(seed, trials, draws):
     return np.vstack([u for _, u in TrialStreams(seed).chunks(trials, draws)])
 
@@ -45,7 +50,7 @@ class TestLayout:
                 assert u[i, d] == reference_draw(seed, i, d)
 
     def test_chunk_and_block_boundaries(self, monkeypatch):
-        monkeypatch.setattr(streams_mod, "CHUNK", 5)
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", 5 * 12)  # 12 fetched per trial
         seed = 3
         chunks = list(TrialStreams(seed).chunks(12, 10))
         assert [i0 for i0, _ in chunks] == [0, 5, 10]
@@ -63,12 +68,13 @@ class TestLayout:
         assert len(list(TrialStreams(3).chunks(8, 10))) == 8
         assert np.array_equal(np.vstack([u for _, u in chunks]), all_draws(3, 8, 10))
 
+    @pytest.mark.parametrize("trial", [7, 2**40])
     @pytest.mark.parametrize("start", [0, 3, 4, 6, 10])
-    def test_tail_continues_the_trial(self, start):
+    def test_tail_continues_the_trial(self, start, trial):
         seed = 11
-        tail = TrialStreams(seed).tail(7, start)
+        tail = TrialStreams(seed).tail(trial, start)
         got = [next(tail) for _ in range(9)]
-        assert got == [reference_draw(seed, 7, d) for d in range(start, start + 9)]
+        assert got == [reference_draw(seed, trial, d) for d in range(start, start + 9)]
 
     def test_trial_depends_only_on_seed_and_index(self):
         a = all_draws(5, 2000, 6)
@@ -92,30 +98,31 @@ def loop_adaptive(priors, theta, n, trials, seed):
 
 
 class TestSamplersUseTheLayout:
-    @pytest.mark.parametrize("q0,theta,n", [(0.7, 0.2, 20), (0.3, 0.5, 3), (0.5, 0.1, 1)])
+    @pytest.mark.parametrize("q0,theta,n", [(0.7, 0.2, 20), (0.3, 0.5, 3), (0.6, 0.3, 4), (0.5, 0.1, 1)])
     def test_adaptive_matches_scalar_loop(self, q0, theta, n):
         trials = 1500
         res = simulate_adaptive(Priors(q0), theta, n, trials, seed=4)
         assert res.estimate == loop_adaptive(Priors(q0), theta, n, trials, seed=4) / trials
 
-    @pytest.mark.parametrize("chunk", [1, 7, streams_mod.CHUNK])
-    def test_adaptive_is_independent_of_chunking(self, chunk, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_adaptive_is_independent_of_chunking(self, rows, monkeypatch):
         want = simulate_adaptive(Priors(0.6), 0.3, 5, 1100, seed=8)
-        monkeypatch.setattr(streams_mod, "CHUNK", chunk)
+        # simulate_adaptive fetches the first block (four draws) per chunk.
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows, 4))
         assert simulate_adaptive(Priors(0.6), 0.3, 5, 1100, seed=8) == want
 
-    def test_many_copies_under_the_uniform_budget(self, monkeypatch):
-        # 200 copies under a 1,000-uniform budget: chunks of 4 trials.
+    def test_many_copies_in_small_chunks(self, monkeypatch):
+        # 200 copies: 51 blocks per trial, walked in chunks of 7 trials.
         want = simulate_adaptive(Priors(0.6), 0.1, 200, 50, seed=8)
-        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", 1000)
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(7, 4))
         assert simulate_adaptive(Priors(0.6), 0.1, 200, 50, seed=8) == want
 
-    @pytest.mark.parametrize("chunk", [1, 7, streams_mod.CHUNK])
-    def test_telegraph_is_independent_of_chunking(self, chunk, monkeypatch):
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    def test_telegraph_is_independent_of_chunking(self, rows, monkeypatch):
         pr = Priors(0.5)
         law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0)
         want = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6, keep_trajectories=True)
-        monkeypatch.setattr(streams_mod, "CHUNK", chunk)
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows, dolinar_mod._PREFETCH))
         got = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6, keep_trajectories=True)
         assert got == want
 
