@@ -4,8 +4,8 @@ The exact feedback law keeps the running success probability on the
 instantaneous two-state bound at every moment, not just at the horizon.
 The script integrates the success-probability ODE under that law, compares
 against the bound curve, then runs the actual stochastic click process (an
-inhomogeneous telegraph process sampled by thinning) and checks statistical
-agreement.  Equal priors make the law diverge at t = 0; a cap on the
+inhomogeneous telegraph process, each click drawn exactly by inverting the
+law's closed-form integrated click rate) and checks statistical agreement.  Equal priors make the law diverge at t = 0; a cap on the
 feedback magnitude tames it, and tighter caps approach the bound from
 below.
 """

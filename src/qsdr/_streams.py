@@ -20,10 +20,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
-# Uniforms fetched per chunk (1 MB of doubles).  A small budget keeps the
-# working set, and the peak RSS of the telegraph sampler's 128-wide rows
-# (1024 trials a chunk), low.
-CHUNK_UNIFORMS = 1 << 17
+# Uniforms fetched per chunk (256 kB of doubles): both samplers hold one
+# block of four draws per trial, so a chunk is 8,192 trials.  The telegraph
+# sampler keeps about four times that per trial in working arrays, so the
+# budget bounds its peak memory near that of 1 MB of uniforms.
+CHUNK_UNIFORMS = 1 << 15
 
 
 class TrialStreams:
@@ -59,10 +60,3 @@ class TrialStreams:
             for j in range(blocks):
                 u[:, 4 * j : 4 * j + 4] = self.block(i0, j, m)
             yield i0, u[:, :draws]
-
-    def tail(self, i: int, start: int) -> Iterator[float]:
-        """Draws ``start, start + 1, ...`` of trial ``i``, without end."""
-        j, skip = divmod(start, 4)
-        while True:
-            yield from self.block(i, j, 1)[0, skip:].tolist()
-            j, skip = j + 1, 0

@@ -33,7 +33,6 @@ from . import __version__
 from .dolinar import (
     ControlLaw,
     IntegrationError,
-    MajorantError,
     SingularControlError,
     evolve_pc,
     helstrom_trajectory,
@@ -244,7 +243,7 @@ def _simulate_dolinar_mc(spec: SweepSpec, keep_trajectories: bool):
     # floor changes the optimal law, so that case goes through the ODE.
     if law.kind == "constant":
         analytic = simplified_dolinar_pc(priors, spec.psi, spec.beta, spec.T)
-    elif law.kind == "dolinar_optimal" and not law.t_floor:
+    elif law.kind == "dolinar_optimal" and not law.values:
         analytic = helstrom_trajectory(priors, spec.psi, spec.T)
     else:
         analytic = evolve_pc(priors, spec.psi, law, spec.T).final.pc(priors)
@@ -270,6 +269,7 @@ class _Point(NamedTuple):
 
     spec: SweepSpec
     priors: Priors
+    ranked: Priors  # relabeled so that q0 >= q1, for the optimized receivers
     g: float  # the axis value gamma_sq itself
     psi: float
     gamma: float
@@ -297,15 +297,16 @@ SCHEMES = {
     "helstrom": {"pc": lambda p: helstrom_bound(p.priors, coherent_overlap(p.g))},
     # Exact nulling: fig3's reference line.
     "kennedy": {"pc": lambda p: kennedy_pc(p.priors, p.g), "beta_sq": lambda p: p.g},
+    # The optimized receivers need q0 >= q1; pc and |beta|**2 ignore labels.
     "improved_kennedy": {
-        "pc": lambda p: improved_kennedy_pc(p.priors, p.gamma, optimal_beta_ik(p.priors, p.gamma)),
-        "beta_sq": lambda p: optimal_beta_ik(p.priors, p.gamma) ** 2,
+        "pc": lambda p: improved_kennedy_pc(p.ranked, p.gamma, optimal_beta_ik(p.ranked, p.gamma)),
+        "beta_sq": lambda p: optimal_beta_ik(p.ranked, p.gamma) ** 2,
     },
     "simplified_dolinar": {
         "pc": lambda p: simplified_dolinar_pc(
-            p.priors, p.psi, optimal_beta_sd(p.priors, p.psi, p.T), p.T
+            p.ranked, p.psi, optimal_beta_sd(p.ranked, p.psi, p.T), p.T
         ),
-        "beta_sq": lambda p: optimal_beta_sd(p.priors, p.psi, p.T) ** 2,
+        "beta_sq": lambda p: optimal_beta_sd(p.ranked, p.psi, p.T) ** 2,
     },
     "dolinar_ode": {"pc": _dolinar_ode_pc},
     "dolinar_mc": {"pc": _dolinar_mc_pc, "simulate": _simulate_dolinar_mc},
@@ -326,11 +327,12 @@ def _sweep(spec: SweepSpec, output: str, kind: str, suffix: str) -> list[dict]:
     # Row seeds feed fig1's Monte Carlo column; fig3 has none.
     seeds = _row_seeds(spec.seed, spec.points) if kind == "pc" else [None] * spec.points
     priors = spec.priors
+    ranked = priors.dominant()
     rows = []
     for g, seed in zip(spec.axis(), seeds):
         g = float(g)
         source = CoherentBinary.from_mean_photons(g, spec.T)
-        point = _Point(spec, priors, g, source.psi, source.gamma, spec.T, seed)
+        point = _Point(spec, priors, ranked, g, source.psi, source.gamma, spec.T, seed)
         row: dict = {"gamma_sq": g}
         for name in selected:
             value = columns[name](point)
@@ -554,7 +556,7 @@ def main(argv=None) -> int:
     except SingularControlError as exc:
         print(f"qsdr: singular control: {exc}", file=sys.stderr)
         return EXIT_SINGULAR_CONTROL
-    except (BracketError, ConvergenceError, IntegrationError, MajorantError) as exc:
+    except (BracketError, ConvergenceError, IntegrationError) as exc:
         print(f"qsdr: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     except (ValueError, OSError) as exc:

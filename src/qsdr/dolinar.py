@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,7 +38,6 @@ from .statemath import Priors, coherent_overlap, helstrom_bound
 __all__ = [
     "SingularControlError",
     "IntegrationError",
-    "MajorantError",
     "RatePair",
     "ControlLaw",
     "PcState",
@@ -63,10 +61,6 @@ class SingularControlError(ValueError):
 
 class IntegrationError(RuntimeError):
     """ODE solver failed to reach the horizon."""
-
-
-class MajorantError(RuntimeError):
-    """Thinning majorant exceeded even after sub-slicing the interval."""
 
 
 class RatePair(NamedTuple):
@@ -123,25 +117,41 @@ def helstrom_trajectory(priors: Priors, psi: float, t: float) -> float:
 class ControlLaw:
     """Feedback envelope ``u0(t)`` with the symmetric flip ``u1 = -u0``.
 
-    Built through the factory classmethods; ``kind`` records which one.
-    ``breakpoints`` lists interior times where ``u0`` may jump; between
-    consecutive breakpoints (and between clicks) every built-in law gives
-    monotone click rates, which the telegraph sampler's thinning majorant
-    relies on.  Custom evaluators must preserve that property or accept
-    sub-sliced sampling.
+    Segment ``i`` of [0, inf) starts at ``starts[i]`` (``starts[0] == 0``).
+    The first ``len(values)`` segments hold the constants ``values``; if
+    ``optimal = (priors, psi)`` is set, a last segment follows on which
+    ``u0 = feedback_amplitude(priors, psi, t)``.  A cap or time floor is a
+    constant prefix slot.  Each segment has a closed-form integrated click
+    rate, which :func:`simulate_telegraph` inverts exactly; the rates need
+    not be monotone.  Built by the factories; ``kind`` names which one.
     """
 
     kind: str
-    evaluator: Callable[[float], float] = field(repr=False)
-    breakpoints: tuple[float, ...] = ()
-    t_floor: float | None = None
-    u_max: float | None = None
+    starts: tuple[float, ...]
+    values: tuple[float, ...]
+    optimal: tuple[Priors, float] | None = None
+
+    def __post_init__(self) -> None:
+        n, s = len(self.values) + (self.optimal is not None), self.starts
+        if n == 0 or len(s) != n or s[0] != 0.0 or any(b <= a for a, b in zip(s, s[1:])):
+            raise ValueError(f"{n} segment(s) need as many starts rising from 0, got {s}")
+
+    @property
+    def breakpoints(self) -> tuple[float, ...]:
+        """Interior segment edges, where ``u0`` may jump or kink."""
+        return self.starts[1:]
 
     def u0(self, t: float) -> float:
-        return self.evaluator(t)
+        values = self.values
+        if values:
+            i = bisect_right(self.starts, t) - 1
+            if i < len(values):
+                return values[i] if i >= 0 else values[0]  # t < 0: first slot
+        priors, psi = self.optimal
+        return feedback_amplitude(priors, psi, t)
 
     def u1(self, t: float) -> float:
-        return -self.evaluator(t)
+        return -self.u0(t)
 
     @classmethod
     def dolinar_optimal(
@@ -157,25 +167,32 @@ class ControlLaw:
         ``t_floor`` freezes the law below that time at its ``t_floor``
         value; ``u_max`` clamps the magnitude.  Either one tames the equal-
         priors divergence; with neither, evaluation at the singular point
-        raises :class:`SingularControlError`.
+        raises :class:`SingularControlError`.  The law ``psi / R(t)``
+        decreases in t, so both become one constant slot that lasts until
+        the floor ends or the law falls to the cap, whichever is later.
         """
         if t_floor is not None and t_floor < 0.0:
             raise ValueError(f"t_floor must be >= 0, got {t_floor}")
         if u_max is not None and u_max <= 0.0:
             raise ValueError(f"u_max must be > 0, got {u_max}")
-
-        def ev(t: float) -> float:
-            tt = t if t_floor is None else max(t, t_floor)
-            try:
-                u = feedback_amplitude(priors, psi, tt)
-            except SingularControlError:
-                if u_max is None:
-                    raise
-                return u_max
-            return u if u_max is None else min(u, u_max)
-
         kind = "dolinar_optimal" if u_max is None else "capped_dolinar"
-        return cls(kind, ev, (), t_floor, u_max)
+        switch = t_floor or 0.0
+        try:
+            value = feedback_amplitude(priors, psi, switch)
+        except SingularControlError:
+            # Only a cap regularizes; uncapped, the law raises where evaluated.
+            value, switch = math.inf, 0.0
+        if u_max is not None and value > u_max:
+            # psi / R(t) = u_max where 4*q0*q1*exp(-4*psi**2*t) = g.
+            value = u_max
+            g = 1.0 - (psi / u_max) ** 2
+            if g <= 0.0 or psi == 0.0:
+                return cls(kind, (0.0,), (u_max,))
+            c = 4.0 * priors.q0 * priors.q1
+            switch = max(switch, math.log(c / g) / (4.0 * psi * psi))
+        if switch <= 0.0:
+            return cls(kind, (0.0,), (), (priors, psi))
+        return cls(kind, (0.0, switch), (value,), (priors, psi))
 
     @classmethod
     def capped_dolinar(
@@ -187,29 +204,22 @@ class ControlLaw:
     @classmethod
     def constant(cls, beta: float) -> "ControlLaw":
         """Constant envelope (the simplified receiver's law)."""
-        return cls("constant", lambda t: beta)
+        return cls("constant", (0.0,), (beta,))
 
     @classmethod
     def piecewise_constant(cls, values, T: float) -> "ControlLaw":
         """n equal slots over [0, T], slot i holding ``values[i]``.
 
         Slots are left-closed: the value at an interior breakpoint belongs
-        to the slot that starts there.
+        to the slot that starts there.  The last slot extends past T.
         """
         vals = tuple(float(v) for v in values)
         if len(vals) == 0:
             raise ValueError("piecewise law needs at least one slot value")
         if T <= 0.0:
             raise ValueError(f"T must be > 0, got {T}")
-        n = len(vals)
-        h = T / n
-
-        def ev(t: float) -> float:
-            i = int(t / h)
-            return vals[min(max(i, 0), n - 1)]
-
-        bps = tuple(i * h for i in range(1, n))
-        return cls("piecewise_constant", ev, bps)
+        h = T / len(vals)
+        return cls("piecewise_constant", tuple(i * h for i in range(len(vals))), vals)
 
 
 @dataclass(frozen=True)
@@ -440,98 +450,88 @@ def segmented_pc(
     return priors.q0 * p0 + priors.q1 * p1
 
 
-# Uniforms fetched per telegraph trial in the chunk arrays.  A trial takes
-# one plus two per thinning proposal: with the capped equal-priors law
-# (u_max = 8, psi = 1, T = 1) about 54 on average, 132 at the 99th
-# percentile and under 200 at most; the rare longer trials continue block
-# by block.
-_PREFETCH = 128
+class _Hazard:
+    """Integrated click rates of a law's two branches on [0, T].
 
+    ``lam[b, i]`` integrates branch ``b`` (0: matched, rate ``(psi - u0)**2``;
+    1: mismatched, ``(psi + u0)**2``) from 0 to ``edges[i]``.  It grows
+    linearly on a constant segment and, on the optimal-law segment, with
+    ``k = 4*psi**2``, ``c = 4*q0*q1`` and ``R = sqrt(1 - c*exp(-k*t))``, as
 
-def _thin_window(uniforms, rate, t0: float, t1: float, majorant: float):
-    """One thinning pass over [t0, t1); returns a click time or None.
+        F_0 = ln(R)/2 - ln(1 + R),    F_1 = k*t + ln(R)/2 + ln(1 + R),
 
-    ``uniforms`` iterates over draws on [0, 1): each proposal takes one for
-    its exponential gap (by inversion) and one for its acceptance.  A rate
-    above the majorant at a proposal raises :class:`_MajorantViolation`
-    (handled by the caller via sub-slicing).
+    which invert in closed form through ``sqrt(R)``.
     """
-    t = t0
-    while True:
-        t -= math.log1p(-next(uniforms)) / majorant
-        if t >= t1:
-            return None
-        r = rate(t)
-        if r > majorant:
-            raise _MajorantViolation(t, r, majorant)
-        if next(uniforms) * majorant < r:
-            return t
 
+    def __init__(self, control: ControlLaw, psi: float, T: float) -> None:
+        starts = [s for s in control.starts if s < T]
+        values = list(control.values[: len(starts)])
+        self.curved = None
+        if len(starts) > len(values):  # the optimal-law segment starts before T
+            priors, law_psi = control.optimal
+            # Raises SingularControlError where the law diverges.
+            values.append(feedback_amplitude(priors, law_psi, starts[-1]))
+            c = 4.0 * priors.q0 * priors.q1
+            if c > 0.0 and law_psi > 0.0:  # else u0 is constant there
+                if law_psi != psi:
+                    raise ValueError(f"optimal law built for psi={law_psi}, not {psi}")
+                self.curved = (math.log(c), 4.0 * psi * psi)
+        self.edges = np.array([*starts, T])
+        self.last = len(starts) - 1
+        self.rate = np.array(rates(psi, np.array(values)))
+        steps = self.rate * np.diff(self.edges)
+        if self.curved:
+            self.rate[:, -1] = 0.0
+            self.f0 = self._f(self.edges[-2], np.array([0, 1]))
+            steps[:, -1] = self._f(T, np.array([0, 1])) - self.f0
+        self.lam = np.zeros((2, len(self.edges)))
+        np.cumsum(steps, axis=1, out=self.lam[:, 1:])
 
-class _MajorantViolation(Exception):
-    def __init__(self, t, r, m):
-        self.t, self.r, self.m = t, r, m
+    def _f(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
+        lnc, k = self.curved
+        r = np.sqrt(-np.expm1(lnc - k * t))
+        return b * k * t + 0.5 * np.log(r) + (2 * b - 1) * np.log1p(r)
 
+    def _f_inverse(self, f: np.ndarray, b: np.ndarray) -> np.ndarray:
+        lnc, k = self.curved
+        t = np.empty_like(f)
+        m = b == 0
+        # Matched: e**F = x/(1 + x*x), x = sqrt(R); s = sqrt(1 - 4e**2F)
+        # gives R = (1 - s)/(1 + s) and 1 - R*R = 4s/(1 + s)**2.
+        s = np.sqrt(-np.expm1(2.0 * f[m] + 2.0 * math.log(2.0)))
+        t[m] = (lnc - np.log(4.0 * s) + 2.0 * np.log1p(s)) / k
+        # Mismatched: c * e**-F = w = (1 - x*x) / x.
+        f1 = f[~m]
+        w = np.exp(lnc - f1)
+        x = 2.0 / (w + np.sqrt(w * w + 4.0))
+        t[~m] = (f1 - np.log(x) - np.log1p(x * x)) / k
+        return t
 
-def _next_click(uniforms, rate, t0: float, t_end: float):
-    """First accepted click of the inhomogeneous process on (t0, t_end).
+    def at(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Integrated rate of branch ``b[r]`` from 0 to ``t[r]`` (in [0, T])."""
+        i = np.minimum(np.searchsorted(self.edges, t, "right") - 1, self.last)
+        y = self.lam[b, i] + self.rate[b, i] * (t - self.edges[i])
+        if self.curved:
+            on = i == self.last
+            y[on] += self._f(t[on], b[on]) - self.f0[b[on]]
+        return y
 
-    The majorant over a window is 1.01 times the larger of the rate at the
-    window's ends, valid whenever the rate is monotone there (true between
-    breakpoints for every built-in law).  A violated majorant triggers
-    halving of the window; persistent violations raise MajorantError.
-    """
-    t = t0
-    w = t_end
-    shrinks = 0
-    while t < t_end:
-        r_end = rate(math.nextafter(w, t))
-        majorant = 1.01 * max(rate(t), r_end)
-        if majorant <= 0.0:
-            t, w = w, t_end
-            continue
-        try:
-            click = _thin_window(uniforms, rate, t, w, majorant)
-        except _MajorantViolation as v:
-            shrinks += 1
-            if shrinks > 64:
-                raise MajorantError(
-                    f"rate {v.r} exceeded majorant {v.m} at t={v.t} even after "
-                    f"{shrinks} window halvings; rate not monotone?"
-                ) from None
-            w = t + 0.5 * (w - t)
-            continue
-        if click is not None:
-            return click
-        t, w = w, t_end
-    return None
-
-
-def _one_trajectory(uniforms, priors: Priors, psi: float, control: ControlLaw, T: float):
-    # The trial's first uniform picks the symbol.
-    a = 0 if next(uniforms) < priors.q0 else 1
-    z = priors.start_bit
-    clicks: list[float] = []
-    bps = sorted(b for b in control.breakpoints if 0.0 < b < T)
-    t = 0.0
-    while t < T:
-        j = bisect_right(bps, t)
-        seg_end = bps[j] if j < len(bps) else T
-        matched = z == a
-
-        def rate(tt: float, _m: bool = matched) -> float:
-            u = control.u0(tt)
-            d = psi - u if _m else psi + u
-            return d * d
-
-        click = _next_click(uniforms, rate, t, seg_end)
-        if click is None:
-            t = seg_end
-        else:
-            clicks.append(click)
-            z ^= 1
-            t = click
-    return a, clicks, z
+    def inverse(self, y: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Times at which ``at`` reaches ``y[r] < lam[b[r], -1]``."""
+        i = np.where(
+            b == 1,
+            np.searchsorted(self.lam[1], y, "right"),
+            np.searchsorted(self.lam[0], y, "right"),
+        ) - 1
+        dy = y - self.lam[b, i]
+        # The optimal-law segment's table rate is 0; its times come below.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = self.edges[i] + dy / self.rate[b, i]
+        if self.curved:
+            on = i == self.last
+            t[on] = self._f_inverse(self.f0[b[on]] + dy[on], b[on])
+        # The closed forms may round below their segment's start.
+        return np.maximum(t, self.edges[i])
 
 
 def simulate_telegraph(
@@ -545,19 +545,22 @@ def simulate_telegraph(
 ) -> TelegraphResult:
     """Monte Carlo of the click-driven telegraph process.
 
-    Each trial draws the true symbol from the priors and samples the click
-    process by thinning: the instantaneous rate is ``(psi - u0)**2`` while
-    the provisional bit matches the symbol and ``(psi + u0)**2`` otherwise,
-    and every click flips the bit.  Returns the frequency of trials ending
-    with the bit on the true symbol, its binomial standard error, and (on
-    request) the per-trial trajectories.
+    Each trial draws the true symbol from the priors, then samples its
+    clicks exactly by time rescaling.  The click rate is ``(psi - u0)**2``
+    while the provisional bit matches the symbol and ``(psi + u0)**2``
+    otherwise; each click flips the bit and comes where the integrated rate
+    of the current branch has grown by an Exp(1) gap.  Those integrals are
+    closed forms on each segment of the law (see :class:`ControlLaw`), so
+    nothing is solved numerically; an optimal-law segment must be built for
+    this ``psi``.  Returns the frequency of trials ending on the true
+    symbol, its binomial standard error and, on request, the trajectories.
 
     Trial i reads the counter-based uniforms of ``(seed, i)`` (see
-    :mod:`qsdr._streams`) in order: the symbol, then two per thinning
-    proposal.  The first ``_PREFETCH`` of them come in chunk-wide arrays,
-    later ones one Philox block at a time, so the result is independent of
-    chunking, and memory does not grow with ``trials`` unless trajectories
-    are kept.
+    :mod:`qsdr._streams`): draw 0 picks the symbol, draw ``d >= 1`` is the
+    d-th gap ``-log1p(-u)``, and the first gap reaching past T ends the
+    trial.  A chunk's trials advance together, one array step per gap, so
+    results do not depend on chunking, and memory does not grow with
+    ``trials`` unless trajectories are kept.
     """
     if psi < 0.0:
         raise ValueError(f"psi must be >= 0, got {psi}")
@@ -565,19 +568,44 @@ def simulate_telegraph(
         raise ValueError(f"T must be > 0, got {T}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    hazard = _Hazard(control, psi, T)
+    end = hazard.lam[:, -1]
     hits = 0
     trajectories: list[TelegraphTrajectory] | None = [] if keep_trajectories else None
     z0 = priors.start_bit
     streams = TrialStreams(seed)
-    for i0, u in streams.chunks(trials, _PREFETCH):
-        for i, row in enumerate(u, start=i0):
-            draws = chain(row.tolist(), streams.tail(i, _PREFETCH))
-            a, clicks, z_final = _one_trajectory(draws, priors, psi, control, T)
-            hits += z_final == a
-            if trajectories is not None:
-                trajectories.append(
-                    TelegraphTrajectory(a, z0, tuple(clicks), z_final)
-                )
+    for i0, u in streams.chunks(trials, 4):
+        n = len(u)
+        a = (u[:, 0] >= priors.q0).astype(np.intp)
+        z = np.full(n, z0, dtype=np.intp)
+        t = np.zeros(n)
+        live = np.arange(n)
+        clicks = [[] for _ in range(n)] if trajectories is not None else None
+        d = 0
+        while live.size:
+            d += 1
+            j, w = divmod(d, 4)
+            if w == 0:
+                u = streams.block(i0, j, n)
+            b = z[live] ^ a[live]
+            y = hazard.at(t[live], b) - np.log1p(-u[live, w])
+            go = y < end[b]
+            live = live[go]
+            # Rounding may not move a click past T or back onto the last one.
+            tau = np.minimum(
+                np.maximum(hazard.inverse(y[go], b[go]), np.nextafter(t[live], T)), T
+            )
+            t[live] = tau
+            z[live] ^= 1
+            if clicks is not None:
+                for r, c in zip(live.tolist(), tau.tolist()):
+                    clicks[r].append(c)
+        hits += int(np.count_nonzero(z == a))
+        if clicks is not None:
+            trajectories.extend(
+                TelegraphTrajectory(ar, z0, tuple(c), zr)
+                for ar, zr, c in zip(a.tolist(), z.tolist(), clicks)
+            )
     p = hits / trials
     return TelegraphResult(p, math.sqrt(p * (1.0 - p) / trials), trajectories)
 

@@ -137,6 +137,39 @@ class TestFig3:
             assert excess(rows[0], col) > excess(rows[-1], col) > 0.0
 
 
+class TestMinorityPrior:
+    """q0 < 1/2: every column but exact nulling is label-blind."""
+
+    @pytest.mark.parametrize(
+        "command,schemes",
+        [
+            ("fig1", "helstrom,kennedy,improved_kennedy,simplified_dolinar,dolinar_ode"),
+            ("fig3", "kennedy,improved_kennedy,simplified_dolinar"),
+        ],
+    )
+    def test_columns_equal_the_relabeled_run(self, command, schemes, tmp_path):
+        cols = {}
+        for q0 in ("0.3", "0.7"):
+            out = tmp_path / f"{command}_{q0}.csv"
+            argv = [command, "--q0", q0, "--schemes", schemes, "--points", "5",
+                    "--gamma-sq-max", "4", "-o", str(out)]
+            assert main(argv) == 0
+            header, rows = read_rows(out)
+            cols[q0] = {h: [r[i] for r in rows] for i, h in enumerate(header)}
+        assert cols["0.3"].keys() == cols["0.7"].keys()
+        for name, low in cols["0.3"].items():
+            if name.startswith("kennedy"):
+                continue  # nulls hypothesis 0 by definition
+            # Priors(0.3) relabeled is (0.7, 0.3), not Priors(0.7) = (0.7,
+            # 0.30000000000000004); beyond that ulp the columns agree.
+            high = [float(v) for v in cols["0.7"][name]]
+            assert [float(v) for v in low] == pytest.approx(high, abs=1e-14), name
+        if command == "fig1":
+            # Nulling the unlikely hypothesis errs more often.
+            low, high = (list(map(float, cols[q]["kennedy_pe"])) for q in ("0.3", "0.7"))
+            assert all(a > b for a, b in zip(low, high))
+
+
 class TestSimulate:
     def test_multicopy_run(self, tmp_path):
         out = tmp_path / "s.csv"
@@ -230,6 +263,20 @@ class TestSimulate:
         args2 = args[:-3] + [str(out2), "--trajectories", str(traj2)]
         assert main(args2) == 0
         assert traj2.read_bytes() == data
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_dolinar_output_is_independent_of_chunking(self, rows, tmp_path, monkeypatch):
+        import qsdr._streams as streams_mod
+
+        args = ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
+                "--trials", "50", "--seed", "3"]
+        files = []
+        for budget in (streams_mod.CHUNK_UNIFORMS, 4 * rows):
+            monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget)
+            out, traj = tmp_path / f"s{budget}.csv", tmp_path / f"t{budget}.csv"
+            assert main(args + ["-o", str(out), "--trajectories", str(traj)]) == 0
+            files.append((out.read_bytes(), traj.read_bytes()))
+        assert files[0] == files[1]
 
     def test_trajectory_json_export(self, tmp_path):
         out, traj = tmp_path / "s.json", tmp_path / "t.json"

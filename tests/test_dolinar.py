@@ -1,10 +1,12 @@
 """Continuous feedback receiver: control laws, ODE, telegraph sampling."""
 
-import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from qsdr import (
     ControlLaw,
@@ -25,7 +27,7 @@ from qsdr import (
     simulate_telegraph,
     verify_control_identity,
 )
-from qsdr.dolinar import _MajorantViolation, _thin_window
+from qsdr.dolinar import _Hazard
 
 HEL_TRAJ_711 = 0.99613880702215365   # frozen: q0=0.7, psi=1, t=1
 HELSTROM_HALF_02 = 0.87103606155021455
@@ -159,6 +161,51 @@ class TestControlLaw:
             ControlLaw.dolinar_optimal(Priors(0.5), 1.0, t_floor=-1.0)
         with pytest.raises(ValueError):
             ControlLaw.dolinar_optimal(Priors(0.5), 1.0, u_max=0.0)
+        with pytest.raises(ValueError):
+            ControlLaw.dolinar_optimal(Priors(0.5), -1.0, u_max=2.0)
+
+    def test_cap_and_floor_are_a_constant_prefix_slot(self):
+        pr = Priors(0.5)
+        capped = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0)
+        (t_cap,) = capped.breakpoints
+        assert capped.values == (8.0,) and capped.optimal == (pr, 1.0)
+        assert feedback_amplitude(pr, 1.0, t_cap) == pytest.approx(8.0, rel=1e-12)
+        assert ControlLaw.dolinar_optimal(pr, 1.0, t_floor=0.05).breakpoints == (0.05,)
+        # The cap outlasts a short floor, so one slot covers both.
+        both = ControlLaw.dolinar_optimal(pr, 1.0, u_max=4.0, t_floor=0.01)
+        assert both.values == (4.0,) and both.breakpoints[0] > 0.01
+        assert ControlLaw.dolinar_optimal(Priors(0.7), 1.0).breakpoints == ()
+        # u_max below psi binds everywhere: a constant law throughout.
+        assert ControlLaw.dolinar_optimal(Priors(0.7), 3.0, u_max=2.0) == ControlLaw(
+            "capped_dolinar", (0.0,), (2.0,)
+        )
+
+    @pytest.mark.parametrize(
+        "q0,psi,t_floor,u_max",
+        [(0.5, 1.0, None, 8.0), (0.5, 1.0, 0.05, None), (0.5, 1.0, 0.01, 4.0),
+         (0.7, 1.0, 0.3, 2.2), (0.7, 3.0, None, 2.0), (0.5, 0.0, 0.1, 3.0)],
+    )
+    def test_u0_is_the_clamped_floored_law(self, q0, psi, t_floor, u_max):
+        pr = Priors(q0)
+        law = ControlLaw.dolinar_optimal(pr, psi, t_floor=t_floor, u_max=u_max)
+
+        def want(t):
+            try:
+                u = feedback_amplitude(pr, psi, max(t, t_floor or 0.0))
+            except SingularControlError:
+                return u_max
+            return u if u_max is None else min(u, u_max)
+
+        for t in np.linspace(0.0, 1.0, 101):
+            assert law.u0(float(t)) == pytest.approx(want(float(t)), rel=1e-12)
+
+    def test_record_validation(self):
+        with pytest.raises(ValueError):
+            ControlLaw("constant", (0.0, 1.0), (1.0,))
+        with pytest.raises(ValueError):
+            ControlLaw("constant", (0.5,), (1.0,))
+        with pytest.raises(ValueError):
+            ControlLaw("piecewise_constant", (0.0, 0.0), (1.0, 2.0))
 
 
 class TestStateTypes:
@@ -378,6 +425,46 @@ class TestSimulateTelegraph:
         res = simulate_telegraph(pr, 1.0, ControlLaw.constant(0.0), 1.0, 2000, seed=29)
         assert abs(res.estimate - 0.5) < 4.0 * res.stderr
 
+    @pytest.mark.parametrize(
+        "law,seed",
+        [
+            (ControlLaw.dolinar_optimal(Priors(0.5), 1.0, t_floor=0.02), 41),
+            (ControlLaw.dolinar_optimal(Priors(0.5), 1.0, u_max=6.0, t_floor=0.05), 43),
+            (ControlLaw.piecewise_constant(
+                [feedback_amplitude(Priors(0.5), 1.0, max(0.1 * i, 0.02)) for i in range(10)],
+                1.0,
+            ), 47),
+        ],
+        ids=["floored", "capped_and_floored", "ten_slots"],
+    )
+    def test_regularized_and_slotted_laws_agree_with_ode(self, law, seed):
+        pr = Priors(0.5)
+        res = simulate_telegraph(pr, 1.0, law, 1.0, 4000, seed=seed)
+        want = evolve_pc(pr, 1.0, law, 1.0, tol=1e-12).final.pc(pr)
+        assert abs(res.estimate - want) < 4.0 * max(res.stderr, 1e-12)
+
+    def test_uncapped_balanced_law_is_singular(self):
+        # The CLI maps this to exit 4 (test_cli.py::TestExitCodes).
+        pr = Priors(0.5)
+        with pytest.raises(SingularControlError):
+            simulate_telegraph(pr, 1.0, ControlLaw.dolinar_optimal(pr, 1.0), 1.0, 10, seed=0)
+
+    def test_law_is_never_evaluated_per_trial(self, monkeypatch):
+        pr = Priors(0.5)
+        law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0)
+
+        def refuse(self, t):
+            raise AssertionError("sampler evaluated the law")
+
+        monkeypatch.setattr(ControlLaw, "u0", refuse)
+        res = simulate_telegraph(pr, 1.0, law, 1.0, 500, seed=3, keep_trajectories=True)
+        assert sum(len(t.click_times) for t in res.trajectories) > 0
+
+    def test_optimal_segment_must_match_the_signal(self):
+        law = ControlLaw.dolinar_optimal(Priors(0.7), 1.0)
+        with pytest.raises(ValueError, match="psi"):
+            simulate_telegraph(Priors(0.7), 2.0, law, 1.0, 5, seed=0)
+
     def test_validation(self):
         law = ControlLaw.constant(1.0)
         with pytest.raises(ValueError):
@@ -408,8 +495,101 @@ class TestControlIdentity:
             verify_control_identity(Priors(0.7), 1.0, np.array([-0.1, 0.5]))
 
 
-class TestThinningGuard:
-    def test_rate_above_majorant_is_detected(self):
-        uniforms = itertools.repeat(0.5)
-        with pytest.raises(_MajorantViolation):
-            _thin_window(uniforms, lambda t: 5.0, 0.0, 10.0, 1.0)
+def integrated_rate(law, psi, branch, t0, t1):
+    """Integral of the branch's click rate through the scalar ``u0``, by quad.
+
+    The interval is split at the law's edges and on a geometric grid, so
+    quad also resolves the sharp rise near t = 0 of nearly equal priors.
+    """
+    sign = -1.0 if branch == 0 else 1.0
+    cuts = [*law.breakpoints, *(10.0**-k for k in range(1, 16))]
+    grid = [t0, *sorted(c for c in cuts if t0 < c < t1), t1]
+    total = 0.0
+    for a, b in zip(grid, grid[1:]):
+        total += quad(lambda t: (psi + sign * law.u0(t)) ** 2, a, b,
+                      epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+    return total
+
+
+def regularized_laws():
+    for q0 in (0.5, 0.7, 0.9, 1.0):
+        for psi in (0.0, 0.3, 1.0, 3.0):
+            kws = [{"u_max": 8.0}, {"t_floor": 0.05}, {"u_max": 4.0, "t_floor": 0.01}]
+            if psi > 0.0:
+                kws.append({"u_max": 0.5 * psi})  # below psi: constant throughout
+            if q0 != 0.5:
+                kws.append({})
+            for kw in kws:
+                name = ",".join(f"{k}={v}" for k, v in kw.items()) or "exact"
+                yield pytest.param(q0, psi, kw, id=f"q0={q0}-psi={psi}-{name}")
+
+
+class TestHazard:
+    """The sampler's closed-form integrated rates and their inverses."""
+
+    @pytest.mark.parametrize("q0,psi,kw", list(regularized_laws()))
+    def test_matches_quad_and_inverts(self, q0, psi, kw):
+        pr, T = Priors(q0), 1.0
+        law = ControlLaw.dolinar_optimal(pr, psi, **kw)
+        if psi == 0.0 and q0 == 0.5 and "u_max" not in kw:
+            # Singular everywhere: no floor helps without a signal.
+            with pytest.raises(SingularControlError):
+                _Hazard(law, psi, T)
+            return
+        hazard = _Hazard(law, psi, T)
+        ts = np.linspace(0.0, T, 11)
+        for b in (0, 1):
+            bs = np.full(ts.size, b)
+            lam = hazard.at(ts, bs)
+            want = [integrated_rate(law, psi, b, 0.0, float(t)) for t in ts]
+            assert lam == pytest.approx(want, rel=1e-11, abs=1e-13)
+            assert lam[-1] == hazard.lam[b, -1]
+            if lam[-1] == 0.0:
+                continue  # the branch never clicks
+            # Lambda -> t -> Lambda over the reachable range.
+            ys = lam[-1] * np.linspace(0.0, 1.0, 11)[:-1]
+            back = hazard.at(hazard.inverse(ys, bs[:-1]), bs[:-1])
+            assert back == pytest.approx(ys, rel=1e-12, abs=1e-13)
+            # t -> Lambda -> t wherever the branch clicks at all.
+            sign = -1.0 if b == 0 else 1.0
+            for t, y in zip(ts[:-1], lam[:-1]):
+                rate = (psi + sign * law.u0(float(t))) ** 2
+                if rate > 1e-6:
+                    t_back = hazard.inverse(np.array([y]), np.array([b]))[0]
+                    assert abs(t_back - t) * rate <= 1e-12 * max(1.0, y)
+
+
+@st.composite
+def telegraph_laws(draw):
+    """(law, psi, T) across the documented domain: exact, capped, floored, slotted."""
+    psi = draw(st.floats(0.0, 3.0))
+    T = draw(st.floats(0.05, 2.0))
+    if draw(st.booleans()):
+        values = draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8))
+        return ControlLaw.piecewise_constant(values, draw(st.floats(0.05, 2.0))), psi, T
+    q0 = draw(st.floats(0.0, 1.0))
+    u_max = draw(st.none() | st.floats(0.05, 30.0))
+    t_floor = draw(st.none() | st.just(0.0) | st.floats(1e-4, 0.5))
+    return ControlLaw.dolinar_optimal(Priors(q0), psi, t_floor=t_floor, u_max=u_max), psi, T
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=telegraph_laws(), cut=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
+def test_structured_hazard_agrees_with_the_scalar_law(law, cut, seed):
+    law, psi, T = law
+    try:
+        hazard = _Hazard(law, psi, T)
+    except SingularControlError:
+        with pytest.raises(SingularControlError):
+            law.u0(0.0)
+        return
+    t0, t1 = cut * T / 2.0, T
+    for b in (0, 1):
+        got = np.diff(hazard.at(np.array([t0, t1]), np.array([b, b])))[0]
+        want = integrated_rate(law, psi, b, t0, t1)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
+    res = simulate_telegraph(Priors(0.5), psi, law, T, 20, seed, keep_trajectories=True)
+    for tr in res.trajectories:
+        times = tr.click_times
+        assert all(0.0 < t <= T for t in times)
+        assert all(a < b for a, b in zip(times, times[1:]))

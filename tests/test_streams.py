@@ -4,9 +4,16 @@ import numpy as np
 import pytest
 
 import qsdr._streams as streams_mod
-import qsdr.dolinar as dolinar_mod
-from qsdr import ControlLaw, Priors, simulate_adaptive, simulate_telegraph
+from qsdr import (
+    ControlLaw,
+    Priors,
+    TelegraphTrajectory,
+    feedback_amplitude,
+    simulate_adaptive,
+    simulate_telegraph,
+)
 from qsdr._streams import TrialStreams
+from qsdr.dolinar import _Hazard
 from qsdr.multicopy import _outcome0_table
 
 MASK64 = (1 << 64) - 1
@@ -68,14 +75,6 @@ class TestLayout:
         assert len(list(TrialStreams(3).chunks(8, 10))) == 8
         assert np.array_equal(np.vstack([u for _, u in chunks]), all_draws(3, 8, 10))
 
-    @pytest.mark.parametrize("trial", [7, 2**40])
-    @pytest.mark.parametrize("start", [0, 3, 4, 6, 10])
-    def test_tail_continues_the_trial(self, start, trial):
-        seed = 11
-        tail = TrialStreams(seed).tail(trial, start)
-        got = [next(tail) for _ in range(9)]
-        assert got == [reference_draw(seed, trial, d) for d in range(start, start + 9)]
-
     def test_trial_depends_only_on_seed_and_index(self):
         a = all_draws(5, 2000, 6)
         b = all_draws(5, 1500, 6)
@@ -95,6 +94,46 @@ def loop_adaptive(priors, theta, n, trials, seed):
             z = 0 if row[k] < p0[z] else 1
         hits += z == a
     return hits
+
+
+def loop_telegraph(priors, psi, law, T, trials, seed, draws=200):
+    """Scalar per-trial replay of simulate_telegraph on the same draws.
+
+    Draw 0 picks the symbol; draw d >= 1 is the d-th Exp(1) gap of the
+    integrated rate of the current branch, and the first gap that reaches
+    past T ends the trial.
+    """
+    hazard = _Hazard(law, psi, T)
+    out = []
+    for row in all_draws(seed, trials, draws):
+        a = 0 if row[0] < priors.q0 else 1
+        z, t, clicks = priors.start_bit, 0.0, []
+        for u in row[1:]:
+            b = np.array([z ^ a])
+            y = hazard.at(np.array([t]), b) - np.log1p(-u)
+            if y[0] >= hazard.lam[b[0], -1]:
+                break
+            t = float(min(max(hazard.inverse(y, b)[0], np.nextafter(t, T)), T))
+            clicks.append(t)
+            z ^= 1
+        else:
+            raise AssertionError("replay needs more draws per trial")
+        out.append(TelegraphTrajectory(a, priors.start_bit, tuple(clicks), z))
+    return out
+
+
+TELEGRAPH_LAWS = [
+    pytest.param(0.5, ControlLaw.dolinar_optimal(Priors(0.5), 1.0, u_max=8.0), id="capped"),
+    pytest.param(0.7, ControlLaw.dolinar_optimal(Priors(0.7), 1.0), id="exact"),
+    pytest.param(0.3, ControlLaw.constant(-0.5), id="constant"),
+    pytest.param(
+        0.5,
+        ControlLaw.piecewise_constant(
+            [feedback_amplitude(Priors(0.5), 1.0, max(0.1 * i, 0.02)) for i in range(10)], 1.0
+        ),
+        id="ten_slots",
+    ),
+]
 
 
 class TestSamplersUseTheLayout:
@@ -122,20 +161,20 @@ class TestSamplersUseTheLayout:
         pr = Priors(0.5)
         law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0)
         want = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6, keep_trajectories=True)
-        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows, dolinar_mod._PREFETCH))
+        # simulate_telegraph fetches one block (four draws) per trial at a time.
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows, 4))
         got = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6, keep_trajectories=True)
         assert got == want
 
-    @pytest.mark.parametrize("prefetch", [1, 2, 5])
-    def test_telegraph_is_independent_of_prefetch_width(self, prefetch, monkeypatch):
-        # Narrow rows push nearly every draw through the per-trial tail.
-        pr = Priors(0.7)
-        law = ControlLaw.dolinar_optimal(pr, 1.0)
-        want = simulate_telegraph(pr, 1.0, law, 1.0, 30, seed=2, keep_trajectories=True)
-        assert max(len(t.click_times) for t in want.trajectories) >= 1
-        monkeypatch.setattr(dolinar_mod, "_PREFETCH", prefetch)
-        got = simulate_telegraph(pr, 1.0, law, 1.0, 30, seed=2, keep_trajectories=True)
-        assert got == want
+    @pytest.mark.parametrize("q0,law", TELEGRAPH_LAWS)
+    def test_telegraph_matches_scalar_replay(self, q0, law):
+        pr = Priors(q0)
+        res = simulate_telegraph(pr, 1.0, law, 1.0, 300, seed=12, keep_trajectories=True)
+        replay = loop_telegraph(pr, 1.0, law, 1.0, 300, seed=12)
+        assert res.trajectories == replay
+        assert res.estimate == sum(tr.z_final == tr.a for tr in replay) / 300
+        # Some trial crosses a block edge (its fourth gap).
+        assert max(len(tr.click_times) for tr in replay) >= 3
 
     def test_telegraph_symbol_is_the_first_draw(self):
         pr = Priors(0.6)
