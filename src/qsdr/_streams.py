@@ -45,18 +45,11 @@ class TrialStreams:
         self._bits.state = self._state
         return self._random(4 * m).reshape(m, 4)
 
-    def chunks(self, trials: int, draws: int) -> Iterator[tuple[int, np.ndarray]]:
-        """Yield ``(i0, u)`` with ``u[r, d]`` draw ``d`` of trial ``i0 + r``.
-
-        Chunks hold ``draws`` columns and as many trials (at least one) as
-        fit in :data:`CHUNK_UNIFORMS` fetched uniforms, and cover trials
-        ``0 .. trials-1`` in order.
+    def chunks(self, trials: int) -> Iterator[tuple[int, np.ndarray]]:
+        """Yield ``(i0, block(i0, 0, m))`` for chunks of ``m`` trials covering
+        ``0 .. trials-1`` in order, as many (at least one) as fit in
+        :data:`CHUNK_UNIFORMS` uniforms; later draws come from :meth:`block`.
         """
-        blocks = -(-draws // 4)
-        rows = max(1, CHUNK_UNIFORMS // (4 * blocks))
+        rows = max(1, CHUNK_UNIFORMS // 4)
         for i0 in range(0, trials, rows):
-            m = min(rows, trials - i0)
-            u = np.empty((m, 4 * blocks))
-            for j in range(blocks):
-                u[:, 4 * j : 4 * j + 4] = self.block(i0, j, m)
-            yield i0, u[:, :draws]
+            yield i0, self.block(i0, 0, min(rows, trials - i0))

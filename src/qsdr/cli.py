@@ -30,14 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .dolinar import (
-    ControlLaw,
-    IntegrationError,
-    SingularControlError,
-    evolve_pc,
-    helstrom_trajectory,
-    simulate_telegraph,
-)
+from .dolinar import ControlLaw, SingularControlError, evolve_pc, simulate_telegraph
+from .dolinar import helstrom_trajectory  # not called here; perfbench/spans.py traces it
 from .multicopy import exact_adaptive_pc, simulate_adaptive
 from .rootfind import (
     BracketError,
@@ -50,7 +44,8 @@ from .statemath import (
     Priors,
     QubitPair,
     coherent_overlap,
-    helstrom_bound,
+    helstrom_bound,  # not called here; perfbench/spans.py traces it
+    helstrom_error,
     improved_kennedy_pc,
     kennedy_pc,
     simplified_dolinar_pc,
@@ -239,14 +234,7 @@ def _simulate_dolinar_mc(spec: SweepSpec, keep_trajectories: bool):
     result = simulate_telegraph(
         priors, spec.psi, law, spec.T, spec.trials, spec.seed, keep_trajectories
     )
-    # Closed forms hold only for the law they were derived for; a time
-    # floor changes the optimal law, so that case goes through the ODE.
-    if law.kind == "constant":
-        analytic = simplified_dolinar_pc(priors, spec.psi, spec.beta, spec.T)
-    elif law.kind == "dolinar_optimal" and not law.values:
-        analytic = helstrom_trajectory(priors, spec.psi, spec.T)
-    else:
-        analytic = evolve_pc(priors, spec.psi, law, spec.T).final.pc(priors)
+    analytic = evolve_pc(priors, spec.psi, law, spec.T, sample_times=()).final.pc(priors)
     return result.estimate, result.stderr, analytic, result.trajectories
 
 
@@ -277,55 +265,55 @@ class _Point(NamedTuple):
     seed: int | None  # row seed of fig1's Monte Carlo column
 
 
-def _dolinar_ode_pc(p: _Point) -> float:
+def _dolinar_ode_pe(p: _Point) -> float:
     law = _dolinar_law(p.spec, p.priors, p.psi)
-    return evolve_pc(p.priors, p.psi, law, p.T).final.pc(p.priors)
+    return evolve_pc(p.priors, p.psi, law, p.T, sample_times=()).final.pe(p.priors)
 
 
-def _dolinar_mc_pc(p: _Point) -> float:
+def _dolinar_mc_pe(p: _Point) -> float:
     law = _dolinar_law(p.spec, p.priors, p.psi)
-    return simulate_telegraph(p.priors, p.psi, law, p.T, p.spec.trials, p.seed).estimate
+    return 1.0 - simulate_telegraph(p.priors, p.psi, law, p.T, p.spec.trials, p.seed).estimate
 
 
 # One entry per scheme, in canonical column order (selections keep this
-# order, not the flag order).  "pc" (fig1) and "beta_sq" (fig3) map a _Point
-# to a number; "simulate" maps (spec, keep_trajectories) to (estimate,
-# stderr, analytic, trajectories).  Entries look library functions up as
+# order, not the flag order).  "pe" (fig1) and "beta_sq" (fig3) map a _Point
+# to the column's value; "simulate" maps (spec, keep_trajectories) to
+# (estimate, stderr, analytic, trajectories).  Entries look library functions up as
 # module globals at call time, so a wrapper set on a qsdr.cli attribute
 # sees every call.
 SCHEMES = {
-    "helstrom": {"pc": lambda p: helstrom_bound(p.priors, coherent_overlap(p.g))},
+    "helstrom": {"pe": lambda p: helstrom_error(p.priors, coherent_overlap(p.g))},
     # Exact nulling: fig3's reference line.
-    "kennedy": {"pc": lambda p: kennedy_pc(p.priors, p.g), "beta_sq": lambda p: p.g},
-    # The optimized receivers need q0 >= q1; pc and |beta|**2 ignore labels.
+    "kennedy": {"pe": lambda p: 1.0 - kennedy_pc(p.priors, p.g), "beta_sq": lambda p: p.g},
+    # The optimized receivers need q0 >= q1; pe and |beta|**2 ignore labels.
     "improved_kennedy": {
-        "pc": lambda p: improved_kennedy_pc(p.ranked, p.gamma, optimal_beta_ik(p.ranked, p.gamma)),
+        "pe": lambda p: 1.0
+        - improved_kennedy_pc(p.ranked, p.gamma, optimal_beta_ik(p.ranked, p.gamma)),
         "beta_sq": lambda p: optimal_beta_ik(p.ranked, p.gamma) ** 2,
     },
     "simplified_dolinar": {
-        "pc": lambda p: simplified_dolinar_pc(
-            p.ranked, p.psi, optimal_beta_sd(p.ranked, p.psi, p.T), p.T
-        ),
+        "pe": lambda p: 1.0
+        - simplified_dolinar_pc(p.ranked, p.psi, optimal_beta_sd(p.ranked, p.psi, p.T), p.T),
         "beta_sq": lambda p: optimal_beta_sd(p.ranked, p.psi, p.T) ** 2,
     },
-    "dolinar_ode": {"pc": _dolinar_ode_pc},
-    "dolinar_mc": {"pc": _dolinar_mc_pc, "simulate": _simulate_dolinar_mc},
+    "dolinar_ode": {"pe": _dolinar_ode_pe},
+    "dolinar_mc": {"pe": _dolinar_mc_pe, "simulate": _simulate_dolinar_mc},
     "multicopy": {"simulate": _simulate_multicopy},
 }
-FIG1_SCHEMES = tuple(name for name, s in SCHEMES.items() if "pc" in s)
+FIG1_SCHEMES = tuple(name for name, s in SCHEMES.items() if "pe" in s)
 FIG3_SCHEMES = tuple(name for name, s in SCHEMES.items() if "beta_sq" in s)
 SIM_SCHEMES = tuple(name for name, s in SCHEMES.items() if "simulate" in s)
 
 
-def _sweep(spec: SweepSpec, output: str, kind: str, suffix: str) -> list[dict]:
-    # One row per gamma_sq value, one column per selected scheme.
+def _sweep(spec: SweepSpec, output: str, kind: str) -> list[dict]:
+    # One row per gamma_sq value, one column <scheme>_<kind> per selected scheme.
     columns = {name: s[kind] for name, s in SCHEMES.items() if kind in s}
     bad = [s for s in spec.schemes if s not in columns]
     if bad:
         raise ValueError(f"{spec.command} supports {', '.join(columns)}; got {bad}")
     selected = [s for s in columns if s in spec.schemes]
     # Row seeds feed fig1's Monte Carlo column; fig3 has none.
-    seeds = _row_seeds(spec.seed, spec.points) if kind == "pc" else [None] * spec.points
+    seeds = _row_seeds(spec.seed, spec.points) if kind == "pe" else [None] * spec.points
     priors = spec.priors
     ranked = priors.dominant()
     rows = []
@@ -335,22 +323,21 @@ def _sweep(spec: SweepSpec, output: str, kind: str, suffix: str) -> list[dict]:
         point = _Point(spec, priors, ranked, g, source.psi, source.gamma, spec.T, seed)
         row: dict = {"gamma_sq": g}
         for name in selected:
-            value = columns[name](point)
-            row[f"{name}_{suffix}"] = 1.0 - value if kind == "pc" else value
+            row[f"{name}_{kind}"] = columns[name](point)
         rows.append(row)
-    header = ["gamma_sq"] + [f"{s}_{suffix}" for s in selected]
+    header = ["gamma_sq"] + [f"{s}_{kind}" for s in selected]
     _write_rows(output, spec, header, rows)
     return rows
 
 
 def cmd_fig1(spec: SweepSpec, output: str) -> list[dict]:
     """Error-probability sweep: one row per gamma_sq value."""
-    return _sweep(spec, output, "pc", "pe")
+    return _sweep(spec, output, "pe")
 
 
 def cmd_fig3(spec: SweepSpec, output: str) -> list[dict]:
     """Optimal displacement intensity sweep: |beta|**2 per gamma_sq value."""
-    return _sweep(spec, output, "beta_sq", "beta_sq")
+    return _sweep(spec, output, "beta_sq")
 
 
 def cmd_simulate(
@@ -556,7 +543,7 @@ def main(argv=None) -> int:
     except SingularControlError as exc:
         print(f"qsdr: singular control: {exc}", file=sys.stderr)
         return EXIT_SINGULAR_CONTROL
-    except (BracketError, ConvergenceError, IntegrationError) as exc:
+    except (BracketError, ConvergenceError) as exc:
         print(f"qsdr: solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     except (ValueError, OSError) as exc:

@@ -15,11 +15,12 @@ every time, so the receiver is optimal at every horizon, not only at T.
 For equal priors that law diverges at t = 0; the divergence is integrable
 in effect but must be handled explicitly (cap or floor, below).
 
-This module provides the feedback law, ODE evolution of the correct-
-decision probability (also in the general asymmetric form), a seeded
-telegraph Monte Carlo of the click process, the closed-form piecewise-
-constant (segmented) approximation, and a residual check of the algebraic
-identity that certifies the optimal law.
+This module provides the feedback law, closed-form evolution of the
+correct-decision probability on the segments of a structured law, an RK45
+integration of the general asymmetric form (for opaque laws, and as the
+oracle of the closed forms), a seeded telegraph Monte Carlo of the click
+process, the piecewise-constant (segmented) approximation, and a residual
+check of the algebraic identity that certifies the optimal law.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ class ControlLaw:
     The first ``len(values)`` segments hold the constants ``values``; if
     ``optimal = (priors, psi)`` is set, a last segment follows on which
     ``u0 = feedback_amplitude(priors, psi, t)``.  A cap or time floor is a
-    constant prefix slot.  Each segment has a closed-form integrated click
-    rate, which :func:`simulate_telegraph` inverts exactly; the rates need
-    not be monotone.  Built by the factories; ``kind`` names which one.
+    constant prefix slot.  On each segment the integrated click rate, which
+    :func:`simulate_telegraph` inverts, and the success probability, which
+    :func:`evolve_pc` propagates, are closed forms; the rates need not be
+    monotone.  Built by the factories; ``kind`` names which one.
     """
 
     kind: str
@@ -224,22 +226,34 @@ class ControlLaw:
 
 @dataclass(frozen=True)
 class PcState:
-    """Conditional success probabilities at time ``t``.
+    """Conditional error probabilities at time ``t``.
 
-    ``p0 = P[z(t) = 0 | symbol 0]`` and ``p1 = P[z(t) = 1 | symbol 1]``;
-    the unconditional success probability is ``q0*p0 + q1*p1``.
+    ``e0 = P[z(t) = 1 | symbol 0]`` and ``e1 = P[z(t) = 0 | symbol 1]``;
+    ``p0`` and ``p1`` are their complements.  ``pe`` mixes the errors
+    themselves, so a small error probability keeps its digits.
     """
 
-    p0: float
-    p1: float
+    e0: float
+    e1: float
     t: float
 
     def __post_init__(self) -> None:
-        for name, v in (("p0", self.p0), ("p1", self.p1)):
+        for name, v in (("e0", self.e0), ("e1", self.e1)):
             if not -1e-8 <= v <= 1.0 + 1e-8:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.t < 0.0:
             raise ValueError(f"t must be >= 0, got {self.t}")
+
+    @property
+    def p0(self) -> float:
+        return 1.0 - self.e0
+
+    @property
+    def p1(self) -> float:
+        return 1.0 - self.e1
+
+    def pe(self, priors: Priors) -> float:
+        return priors.q0 * self.e0 + priors.q1 * self.e1
 
     def pc(self, priors: Priors) -> float:
         return priors.q0 * self.p0 + priors.q1 * self.p1
@@ -274,9 +288,7 @@ class TelegraphTrajectory:
             raise ValueError("a, z0 and z_final must be bits")
         if any(t <= 0.0 for t in self.click_times):
             raise ValueError("click times must be positive")
-        if any(
-            b <= a for a, b in zip(self.click_times, self.click_times[1:])
-        ):
+        if any(b <= a for a, b in zip(self.click_times, self.click_times[1:])):
             raise ValueError("click times must be strictly increasing")
         if self.z_final != self.z0 ^ (len(self.click_times) & 1):
             raise ValueError(
@@ -291,89 +303,53 @@ class TelegraphResult(NamedTuple):
     trajectories: list[TelegraphTrajectory] | None
 
 
-def _initial_conditionals(priors: Priors) -> tuple[float, float]:
+def _initial_errors(priors: Priors) -> tuple[float, float]:
     # Start bit fixes which conditional starts right: z0 = 0 means the
-    # symbol-0 branch is already correct (p0 = 1) and symbol-1 is not.
-    return (1.0, 0.0) if priors.start_bit == 0 else (0.0, 1.0)
+    # symbol-0 branch is already correct (e0 = 0) and symbol-1 is not.
+    return (0.0, 1.0) if priors.start_bit == 0 else (1.0, 0.0)
 
 
-def _evolve(
-    priors: Priors,
-    psi: float,
-    rhs: Callable[[float, np.ndarray], tuple[float, float]],
-    breakpoints: tuple[float, ...],
-    T: float,
-    tol: float,
-    sample_times: np.ndarray | None,
-) -> EvolveResult:
-    # Shared by both ODE entry points: validation, one RK45 solve per
-    # segment between breakpoints, dense-output sampling, result assembly.
+def _sample_times(psi: float, T: float, sample_times) -> np.ndarray:
+    # Validation shared by both evolution routes.
     if psi < 0.0:
         raise ValueError(f"psi must be >= 0, got {psi}")
     if T <= 0.0:
         raise ValueError(f"T must be > 0, got {T}")
     if sample_times is None:
-        sample_times = np.linspace(0.0, T, 201)
-    else:
-        sample_times = np.asarray(sample_times, dtype=float)
-        if sample_times.size and not (
-            sample_times.min() >= 0.0 and sample_times.max() <= T
-        ):
-            raise ValueError("sample times must lie within [0, T]")
-    rtol = max(tol, 1e-13)
-    atol = max(tol * 1e-2, 1e-14)
-    edges = [0.0, *sorted(b for b in breakpoints if 0.0 < b < T), T]
-    y = np.asarray(_initial_conditionals(priors), dtype=float)
-    samples = np.empty((2, sample_times.size))
-    for a, b in zip(edges, edges[1:]):
-        sol = solve_ivp(
-            rhs, (a, b), y, method="RK45", rtol=rtol, atol=atol, dense_output=True
-        )
-        if not sol.success:
-            raise IntegrationError(
-                f"integration stalled at t={sol.t[-1]!r}: {sol.message}"
-            )
-        # Half-open ownership [a, b) per segment; the last segment takes b.
-        mask = (sample_times >= a) & ((sample_times < b) | (b == T))
-        if mask.any():
-            samples[:, mask] = sol.sol(sample_times[mask])
-        y = sol.y[:, -1]
-    p0s, p1s = samples
-    final = PcState(float(y[0]), float(y[1]), T)
+        return np.linspace(0.0, T, 201)
+    times = np.asarray(sample_times, dtype=float)
+    if times.size and not (times.min() >= 0.0 and times.max() <= T):
+        raise ValueError("sample times must lie within [0, T]")
+    return times
+
+
+def _result(priors: Priors, T: float, times: np.ndarray, e: np.ndarray) -> EvolveResult:
+    # e: conditional errors at each of the times, then at T.
+    p0s, p1s = 1.0 - e[:, :-1]
     pc = priors.q0 * p0s + priors.q1 * p1s
-    return EvolveResult(final, sample_times, p0s, p1s, pc)
+    return EvolveResult(PcState(float(e[0, -1]), float(e[1, -1]), T), times, p0s, p1s, pc)
 
 
 def evolve_pc(
-    priors: Priors,
-    psi: float,
-    control: ControlLaw,
-    T: float,
-    tol: float = 1e-10,
-    sample_times: np.ndarray | None = None,
+    priors: Priors, psi: float, control: ControlLaw, T: float, sample_times=None
 ) -> EvolveResult:
-    """Integrate the success probability ODE under a symmetric control law.
+    """Success probability under a symmetric control law, in closed form.
 
     Both conditionals obey ``p' = mu(t) - (lam(t) + mu(t)) * p``  with
     ``lam = (psi - u0)**2`` and ``mu = (psi + u0)**2``, starting from the
-    start-bit initial condition.  ``tol`` is the local error tolerance of
-    the adaptive integrator; the trajectory is sampled on ``sample_times``
-    (default: 201 equally spaced points, all within [0, T]) through dense
-    output.
+    start-bit initial condition.  The equation is linear, so each segment
+    of the law (see :class:`ControlLaw`) maps the errors ``e = 1 - p`` in
+    closed form, at T and at ``sample_times`` (default: 201 equally spaced
+    points, all within [0, T]); nothing is integrated numerically.
 
-    The control must be finite on [0, T]: for equal priors the exact
-    optimal law must carry a cap or time floor, otherwise the first rate
-    evaluation raises :class:`SingularControlError`.
+    For equal priors the exact optimal law must carry a cap or time floor,
+    otherwise :class:`SingularControlError` is raised.  An optimal-law
+    segment must be built for this ``psi``; :func:`evolve_pc_general`
+    integrates any other law.
     """
-
-    def rhs(t: float, y: np.ndarray):
-        u = control.u0(t)
-        lam = (psi - u) ** 2
-        mu = (psi + u) ** 2
-        tot = lam + mu
-        return (mu - tot * y[0], mu - tot * y[1])
-
-    return _evolve(priors, psi, rhs, control.breakpoints, T, tol, sample_times)
+    times = _sample_times(psi, T, sample_times)
+    e = _Segments(control, psi, T).errors(np.array(_initial_errors(priors)), times)
+    return _result(priors, T, times, e)
 
 
 def evolve_pc_general(
@@ -383,80 +359,70 @@ def evolve_pc_general(
     u1: Callable[[float], float],
     T: float,
     tol: float = 1e-10,
-    sample_times: np.ndarray | None = None,
+    sample_times=None,
 ) -> EvolveResult:
-    """ODE evolution without the symmetry assumption ``u1 = -u0``.
+    """RK45 evolution of any law, without the symmetry ``u1 = -u0``.
 
     The two conditionals then see different displaced fields:
 
         p0' = mu - (lam + mu) * p0,   lam = (psi - u0)**2,  mu = (psi - u1)**2
         p1' = mu~ - (lam~ + mu~) * p1, lam~ = (psi + u1)**2, mu~ = (psi + u0)**2
 
-    (rates of the incoming field ``-psi`` written with signs absorbed).
-    With ``u1 = -u0`` this reduces to :func:`evolve_pc`; validation and
-    sampling are the same.
+    (rates of the incoming field ``-psi`` written with signs absorbed).  One
+    adaptive solve for ``e = 1 - p`` over [0, T], at local tolerance ``tol``
+    and sampled through dense output, serves opaque callables and is the
+    oracle of :func:`evolve_pc` (pass ``law.u0``, ``law.u1``).
     """
+    times = _sample_times(psi, T, sample_times)
 
-    def rhs(t: float, y: np.ndarray):
-        a0 = u0(t)
-        a1 = u1(t)
-        lam = (psi - a0) ** 2
-        mu = (psi - a1) ** 2
-        lam_m = (psi + a1) ** 2
-        mu_m = (psi + a0) ** 2
-        return (mu - (lam + mu) * y[0], mu_m - (lam_m + mu_m) * y[1])
+    def rhs(t: float, e: np.ndarray):
+        a0, a1 = u0(t), u1(t)
+        lam, mu, lam_m, mu_m = (psi - a0) ** 2, (psi - a1) ** 2, (psi + a1) ** 2, (psi + a0) ** 2
+        return (lam - (lam + mu) * e[0], lam_m - (lam_m + mu_m) * e[1])
 
-    return _evolve(priors, psi, rhs, (), T, tol, sample_times)
+    sol = solve_ivp(
+        rhs, (0.0, T), _initial_errors(priors), method="RK45",
+        rtol=max(tol, 1e-13), atol=max(tol * 1e-2, 1e-14), dense_output=True,
+    )
+    if not sol.success:
+        raise IntegrationError(f"integration stalled at t={sol.t[-1]!r}: {sol.message}")
+    return _result(priors, T, times, sol.sol(np.append(times, T)))
 
 
-def segmented_pc(
-    priors: Priors,
-    psi: float,
-    T: float,
-    n: int,
-    *,
-    midpoint: bool = False,
-) -> float:
+def segmented_pc(priors: Priors, psi: float, T: float, n: int, *, midpoint: bool = False) -> float:
     """Success probability with the optimal law frozen over n equal slots.
 
     Each slot holds the optimal feedback value sampled at the slot start
-    (midpoint with ``midpoint=True``); within a slot the rates are constant
-    and the linear ODE propagates in closed form, so no integrator error
+    (midpoint with ``midpoint=True``); :func:`evolve_pc` propagates the
+    resulting piecewise-constant law in closed form, so no integrator error
     enters.  Converges to the optimal-receiver value as n grows.
 
     Slot-start sampling is floored at ``T * 1e-9`` so the equal-priors
     divergence at t = 0 turns into one large but finite first-slot value.
     """
-    if psi < 0.0:
-        raise ValueError(f"psi must be >= 0, got {psi}")
     if T <= 0.0:
         raise ValueError(f"T must be > 0, got {T}")
     if n < 1:
         raise ValueError(f"slot count must be >= 1, got {n}")
-    t_floor = T * 1e-9
     h = T / n
-    p0, p1 = _initial_conditionals(priors)
-    for i in range(n):
-        ts = (i + 0.5) * h if midpoint else i * h
-        u = feedback_amplitude(priors, psi, max(ts, t_floor))
-        lam = (psi - u) ** 2
-        mu = (psi + u) ** 2
-        tot = lam + mu
-        if tot > 0.0:
-            p_inf = mu / tot
-            decay = math.exp(-tot * h)
-            p0 = p_inf + (p0 - p_inf) * decay
-            p1 = p_inf + (p1 - p_inf) * decay
-    return priors.q0 * p0 + priors.q1 * p1
+    shift = 0.5 if midpoint else 0.0
+    values = [feedback_amplitude(priors, psi, max((i + shift) * h, T * 1e-9)) for i in range(n)]
+    law = ControlLaw.piecewise_constant(values, T)
+    return evolve_pc(priors, psi, law, T, sample_times=()).final.pc(priors)
 
 
-class _Hazard:
-    """Integrated click rates of a law's two branches on [0, T].
+class _Segments:
+    """One law's segments on [0, T] for a signal of amplitude ``psi``.
 
-    ``lam[b, i]`` integrates branch ``b`` (0: matched, rate ``(psi - u0)**2``;
-    1: mismatched, ``(psi + u0)**2``) from 0 to ``edges[i]``.  It grows
-    linearly on a constant segment and, on the optimal-law segment, with
-    ``k = 4*psi**2``, ``c = 4*q0*q1`` and ``R = sqrt(1 - c*exp(-k*t))``, as
+    ``edges`` are the law's starts below T, then T.  Constant segment ``i``
+    has the click rates ``rate[0, i] = (psi - u0)**2`` (matched branch) and
+    ``rate[1, i] = (psi + u0)**2`` (mismatched).  If ``curved = (ln c, k)``
+    is set, the last segment follows ``u0 = psi/R`` with ``k = 4*psi**2``,
+    ``c = 4*q0*q1`` and ``R = sqrt(1 - c*exp(-k*t))``; its table rates are
+    0.  :func:`simulate_telegraph` and :func:`evolve_pc` both read it.
+
+    ``lam[b, i]`` integrates branch ``b``'s rate from 0 to ``edges[i]``; on
+    the optimal-law segment it grows as
 
         F_0 = ln(R)/2 - ln(1 + R),    F_1 = k*t + ln(R)/2 + ln(1 + R),
 
@@ -474,7 +440,10 @@ class _Hazard:
             c = 4.0 * priors.q0 * priors.q1
             if c > 0.0 and law_psi > 0.0:  # else u0 is constant there
                 if law_psi != psi:
-                    raise ValueError(f"optimal law built for psi={law_psi}, not {psi}")
+                    raise ValueError(
+                        f"optimal law built for psi={law_psi}, not {psi}; "
+                        "evolve_pc_general(..., law.u0, law.u1, ...) integrates it"
+                    )
                 self.curved = (math.log(c), 4.0 * psi * psi)
         self.edges = np.array([*starts, T])
         self.last = len(starts) - 1
@@ -486,6 +455,43 @@ class _Hazard:
             steps[:, -1] = self._f(T, np.array([0, 1])) - self.f0
         self.lam = np.zeros((2, len(self.edges)))
         np.cumsum(steps, axis=1, out=self.lam[:, 1:])
+
+    def _relax(self, i: int, e: np.ndarray, t):
+        """Errors at ``t`` in segment ``i`` from ``e`` at its start ``a``.
+
+        Both conditionals obey ``e' = lam - (lam + mu) * e``, so a constant
+        segment relaxes toward ``lam / (lam + mu)``.  On the optimal-law
+        segment ``F = exp(k*t) * R`` is an integrating factor, and ``lam*F =
+        d/dt[-(1 - R) * exp(k*t) / 2]``.  With ``x = c*exp(-k*t) = 1 - R**2``
+        and ``g = exp(-k*(t - a))`` that gives, free of cancellation,
+
+            e_t*R_t = e_a*g*R_a + x_a*x_t*(1 - g) / (2*(R_a + R_t)*(1 + R_a)*(1 + R_t)).
+        """
+        a = self.edges[i]
+        if self.curved and i == self.last:
+            lnc, k = self.curved
+            h = -k * (t - a)
+            ra, rt = np.sqrt(-np.expm1(lnc - k * a)), np.sqrt(-np.expm1(lnc - k * t))
+            gain = -0.5 * np.exp(2.0 * lnc - k * (a + t)) * np.expm1(h)
+            return (e * np.exp(h) * ra + gain / ((ra + rt) * (1.0 + ra) * (1.0 + rt))) / rt
+        lam, mu = self.rate[:, i]
+        tot = lam + mu
+        d = -tot * (t - a)
+        return e * np.exp(d) - (lam / tot if tot else 0.0) * np.expm1(d)
+
+    def errors(self, e: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Conditional errors at the times ``t`` (in [0, T]), then at T,
+        from the errors ``e`` at time 0; shape ``(2, len(t) + 1)``."""
+        t = np.append(t, self.edges[-1])
+        seg = np.minimum(np.searchsorted(self.edges, t, "right") - 1, self.last)
+        out = np.empty((2, t.size))
+        for i in range(self.last + 1):
+            on = seg == i
+            if on.any():
+                out[:, on] = self._relax(i, e[:, None], t[on])
+            if i < self.last:
+                e = self._relax(i, e, self.edges[i + 1])
+        return out
 
     def _f(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
         lnc, k = self.curved
@@ -568,13 +574,13 @@ def simulate_telegraph(
         raise ValueError(f"T must be > 0, got {T}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    hazard = _Hazard(control, psi, T)
+    hazard = _Segments(control, psi, T)
     end = hazard.lam[:, -1]
     hits = 0
     trajectories: list[TelegraphTrajectory] | None = [] if keep_trajectories else None
     z0 = priors.start_bit
     streams = TrialStreams(seed)
-    for i0, u in streams.chunks(trials, 4):
+    for i0, u in streams.chunks(trials):
         n = len(u)
         a = (u[:, 0] >= priors.q0).astype(np.intp)
         z = np.full(n, z0, dtype=np.intp)

@@ -194,7 +194,7 @@ def simulate_adaptive(
     streams = TrialStreams(seed)
     # Only the current Philox block of each trial is held, so a chunk's
     # memory does not grow with n either.
-    for i0, u in streams.chunks(trials, 4):
+    for i0, u in streams.chunks(trials):
         a = (u[:, 0] >= priors.q0).astype(np.intp)
         z = np.full(len(a), priors.start_bit, dtype=np.intp)
         for d in range(1, n + 1):

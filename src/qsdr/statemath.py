@@ -20,7 +20,8 @@ Conventions
 
 All routines are pure scalar functions of plain floats, safe to call from
 any thread.  Probabilities returned are probabilities of a *correct*
-decision; subtract from 1 for error rates.
+decision, except ``helstrom_error``, the bound's error probability in a
+form that keeps its digits where ``1 - helstrom_bound`` would cancel.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "CoherentBinary",
     "AngleSchedule",
     "helstrom_bound",
+    "helstrom_error",
     "coherent_overlap",
     "multicopy_bound",
     "angle_schedule",
@@ -223,6 +225,14 @@ def helstrom_bound(priors: Priors, overlap: float) -> float:
     x = _clip_unit(overlap, "overlap")
     radicand = 1.0 - 4.0 * priors.q0 * priors.q1 * x * x
     return 0.5 * (1.0 + math.sqrt(max(radicand, 0.0)))
+
+
+def helstrom_error(priors: Priors, overlap: float) -> float:
+    """Least possible error probability ``c / (2*(1 + sqrt(1 - c)))``, with
+    ``c = 4*q0*q1*overlap**2``: ``1 - helstrom_bound`` without the cancellation."""
+    x = _clip_unit(overlap, "overlap")
+    c = 4.0 * priors.q0 * priors.q1 * x * x
+    return c / (2.0 * (1.0 + math.sqrt(max(1.0 - c, 0.0))))
 
 
 def coherent_overlap(gamma_sq: float) -> float:

@@ -213,7 +213,7 @@ class TestSimulate:
         _, (cells,) = read_rows(out)
         pr = qsdr.Priors(0.5)
         law = qsdr.ControlLaw.dolinar_optimal(pr, 1.0, t_floor=0.2)
-        ode = qsdr.evolve_pc(pr, 1.0, law, 1.0).final.pc(pr)
+        ode = qsdr.evolve_pc_general(pr, 1.0, law.u0, law.u1, 1.0, tol=1e-12).final.pc(pr)
         assert abs(float(cells[5]) - ode) < 1e-9
         assert abs(ode - qsdr.helstrom_trajectory(pr, 1.0, 1.0)) > 1e-3
 
@@ -525,6 +525,30 @@ class TestExitCodes:
         )
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
+
+
+class TestNoNumericalIntegration:
+    """Every CLI path computes P_c in closed form; RK45 is only the oracle."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--schemes", "helstrom,dolinar_ode", "--q0", "0.7", "--points", "4"],
+            ["fig1", "--schemes", "dolinar_ode", "--q0", "0.5", "--u-max", "8", "--points", "4"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--t-floor", "0.02"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--control", "constant",
+             "--beta", "0.8"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.7"],
+        ],
+        ids=["fig1", "fig1_cap", "cap", "floor", "constant", "exact"],
+    )
+    def test_solve_ivp_is_never_called(self, argv, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr(qsdr.dolinar, "solve_ivp", refuse)
+        assert main([*argv, "--trials", "200", "-o", str(tmp_path / "o.csv")]) == 0
 
 
 class TestMemory:

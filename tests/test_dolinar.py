@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import mpmath
+from mpmath import mpf
 from scipy.integrate import quad
 
 from qsdr import (
@@ -27,7 +29,8 @@ from qsdr import (
     simulate_telegraph,
     verify_control_identity,
 )
-from qsdr.dolinar import _Hazard
+import qsdr.dolinar as dolinar_mod
+from qsdr.dolinar import _Segments
 
 HEL_TRAJ_711 = 0.99613880702215365   # frozen: q0=0.7, psi=1, t=1
 HELSTROM_HALF_02 = 0.87103606155021455
@@ -40,6 +43,11 @@ SEG_DEV = {
     100: 2.8671353052809172e-06,
     1000: 2.7214267378352391e-08,
 }
+
+
+def rk45(priors, psi, law, T, sample_times=None):
+    """The RK45 oracle of evolve_pc: the law as two opaque callables."""
+    return evolve_pc_general(priors, psi, law.u0, law.u1, T, tol=1e-12, sample_times=sample_times)
 
 
 class TestFeedbackAmplitude:
@@ -210,8 +218,10 @@ class TestControlLaw:
 
 class TestStateTypes:
     def test_pc_state_mixes_conditionals(self):
-        st = PcState(0.9, 0.7, 1.0)
+        st = PcState(0.1, 0.3, 1.0)  # conditional errors
+        assert (st.p0, st.p1) == (0.9, 0.7)
         assert st.pc(Priors(0.7)) == pytest.approx(0.7 * 0.9 + 0.3 * 0.7, abs=1e-15)
+        assert st.pe(Priors(0.7)) == pytest.approx(0.7 * 0.1 + 0.3 * 0.3, abs=1e-15)
 
     def test_pc_state_validation(self):
         with pytest.raises(ValueError):
@@ -236,24 +246,25 @@ class TestStateTypes:
 
 class TestEvolvePc:
     def test_constant_law_matches_closed_form(self):
+        law = ControlLaw.constant(0.6)
         for q0 in (0.5, 0.7):
             pr = Priors(q0)
-            res = evolve_pc(pr, 1.0, ControlLaw.constant(0.6), 1.0, tol=1e-12)
             want = simplified_dolinar_pc(pr, 1.0, 0.6, 1.0)
-            assert res.final.pc(pr) == pytest.approx(want, abs=1e-10)
+            for res in (evolve_pc(pr, 1.0, law, 1.0), rk45(pr, 1.0, law, 1.0)):
+                assert res.final.pc(pr) == pytest.approx(want, abs=1e-10)
 
     def test_optimal_law_rides_the_bound(self):
         pr = Priors(0.7)
         law = ControlLaw.dolinar_optimal(pr, 1.0)
         times = np.linspace(0.0, 1.0, 52)
-        res = evolve_pc(pr, 1.0, law, 1.0, tol=1e-12, sample_times=times)
-        for t, pc in zip(res.times[1:-1], res.pc[1:-1]):
-            assert abs(pc - helstrom_trajectory(pr, 1.0, float(t))) < 1e-6
-        assert res.final.pc(pr) == pytest.approx(HEL_TRAJ_711, abs=1e-8)
+        for res in (evolve_pc(pr, 1.0, law, 1.0, times), rk45(pr, 1.0, law, 1.0, times)):
+            for t, pc in zip(res.times[1:-1], res.pc[1:-1]):
+                assert abs(pc - helstrom_trajectory(pr, 1.0, float(t))) < 1e-6
+            assert res.final.pc(pr) == pytest.approx(HEL_TRAJ_711, abs=1e-8)
 
     def test_zero_control_learns_nothing_at_equal_priors(self):
         pr = Priors(0.5)
-        res = evolve_pc(pr, 1.0, ControlLaw.constant(0.0), 1.0, tol=1e-12)
+        res = evolve_pc(pr, 1.0, ControlLaw.constant(0.0), 1.0)
         assert np.max(np.abs(res.pc - 0.5)) < 1e-9
 
     def test_returns_requested_samples(self):
@@ -286,12 +297,129 @@ class TestEvolvePc:
         with pytest.raises(SingularControlError):
             evolve_pc(pr, 1.0, law, 1.0)
 
+    def test_optimal_segment_must_match_the_signal(self):
+        # The closed form needs the signal's psi; RK45 integrates the mismatch.
+        pr = Priors(0.7)
+        law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=2.0)
+        with pytest.raises(ValueError, match=r"evolve_pc_general\(.*law\.u0, law\.u1"):
+            evolve_pc(pr, 2.0, law, 1.0)
+        assert 0.5 < rk45(pr, 2.0, law, 1.0).final.pc(pr) < 1.0
+        # Before the optimal segment starts the law is a constant slot, fit for any signal.
+        (switch,) = law.breakpoints
+        got = evolve_pc(pr, 2.0, law, 0.5 * switch).final.pc(pr)
+        assert got == pytest.approx(rk45(pr, 2.0, law, 0.5 * switch).final.pc(pr), abs=1e-12)
+
+    def test_never_integrates_numerically(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("solve_ivp called")
+
+        monkeypatch.setattr(dolinar_mod, "solve_ivp", refuse)
+        pr = Priors(0.5)
+        law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0, t_floor=0.01)
+        assert evolve_pc(pr, 1.0, law, 1.0).final.pc(pr) > 0.99
+        assert segmented_pc(pr, 1.0, 1.0, 10) > 0.99
+
+
+def reference_pe(priors, psi, law, T):
+    """Error probability at T by the integrating factor, with mpmath at 50 digits.
+
+    Both conditionals obey ``e' = lam - (lam + mu) * e``, so with ``Lambda`` the
+    integral of ``lam + mu`` from 0, ``pe(T) = exp(-Lambda(T)) * (pe(0) +
+    integral of lam * exp(Lambda) over [0, T])``.  The integral is taken by
+    ``mpmath.quad`` segment by segment, each integrand scaled to order one
+    (quad's tolerance is absolute).  ``Lambda`` is linear on a constant slot;
+    on the optimal-law segment it is ``ln(exp(k*t) * R)``, which
+    ``test_integrating_factor`` checks against quad.
+    """
+    with mpmath.workdps(50):
+        psi, T = mpf(psi), mpf(T)
+        edges = [mpf(s) for s in law.starts if s < T] + [T]
+        slots = len(law.values)
+        if law.optimal is not None:
+            opt, law_psi = law.optimal
+            c, k, law_psi = 4 * mpf(opt.q0) * mpf(opt.q1), 4 * mpf(law_psi) ** 2, mpf(law_psi)
+
+        def x(t):
+            return c * mpmath.exp(-k * t)
+
+        def integrand(i, b):
+            # lam(s) * exp(Lambda(s) - Lambda(b)) on segment i, ending at b.
+            if i < slots:
+                u = mpf(law.values[i])
+                return lambda s: (psi - u) ** 2 * mpmath.exp(2 * (psi**2 + u**2) * (s - b))
+            xb, rb = x(b), mpmath.sqrt(1 - x(b))
+
+            def f(s):
+                xs = x(s)
+                r = mpmath.sqrt(1 - xs)
+                # psi - law_psi/R, free of cancellation as R -> 1.
+                d = psi - law_psi + law_psi * xs / ((1 + r) * r)
+                return d * d * (xb / xs) * (r / rb)
+
+            return f
+
+        def growth(i, a, b):  # Lambda(b) - Lambda(a) on segment i
+            if i < slots:
+                return 2 * (psi**2 + mpf(law.values[i]) ** 2) * (b - a)
+            return k * (b - a) + mpmath.log((1 - x(b)) / (1 - x(a))) / 2
+
+        gained, decay = mpf(0), mpf(1)
+        for i, (a, b) in enumerate(zip(edges, edges[1:])):
+            f = integrand(i, b)
+            scale = max(f(a), f(b)) or 1
+            g = mpmath.exp(-growth(i, a, b))
+            gained = gained * g + scale * mpmath.quad(lambda s: f(s) / scale, [a, b])
+            decay *= g
+        q0, q1 = mpf(priors.q0), mpf(priors.q1)
+        e0, e1 = (0, 1) if priors.start_bit == 0 else (1, 0)
+        return (q0 * e0 + q1 * e1) * decay + (q0 + q1) * gained
+
+
+def oracle_laws():
+    for q0 in (0.3, 0.5, 0.7, 0.99):
+        for psi in (0.3, 1.0, 3.0, 5.0):
+            for T in (0.5, 1.0, 3.0):
+                pr = Priors(q0)
+                laws = {
+                    "constant": ControlLaw.constant(1.0),
+                    "cap": ControlLaw.dolinar_optimal(pr, psi, u_max=2.0 * psi),
+                    "floor": ControlLaw.dolinar_optimal(pr, psi, t_floor=0.05),
+                    "cap_floor": ControlLaw.dolinar_optimal(pr, psi, u_max=3.0 * psi, t_floor=0.02),
+                    "exact": ControlLaw.dolinar_optimal(pr, psi),
+                    "ten_slots": ControlLaw.piecewise_constant(
+                        [feedback_amplitude(pr, psi, (0.1 * i or 0.02) * T) for i in range(10)], T
+                    ),
+                }
+                if q0 == 0.5:
+                    del laws["exact"]  # singular at t = 0
+                for name, law in laws.items():
+                    yield pytest.param(pr, psi, law, T, id=f"q0={q0}-psi={psi}-T={T}-{name}")
+
+
+class TestClosedFormAgainstMpmath:
+    @pytest.mark.parametrize("priors,psi,law,T", list(oracle_laws()))
+    def test_error_probability(self, priors, psi, law, T):
+        got = evolve_pc(priors, psi, law, T, sample_times=()).final.pe(priors)
+        want = reference_pe(priors, psi, law, T)
+        assert abs(got - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("q0", [0.3, 0.5, 0.99])
+    @pytest.mark.parametrize("psi", [0.3, 1.0, 5.0])
+    def test_integrating_factor(self, q0, psi):
+        # d/dt ln(exp(k*t) * R) = lam + mu under u0 = psi/R, checked by quadrature.
+        with mpmath.workdps(50):
+            c, k, psi = 4 * mpf(q0) * (1 - mpf(q0)), 4 * mpf(psi) ** 2, mpf(psi)
+            R = lambda t: mpmath.sqrt(1 - c * mpmath.exp(-k * t))
+            a, b = mpf("0.01"), mpf(1)
+            total = mpmath.quad(lambda t: 2 * psi**2 * (1 + 1 / R(t) ** 2), [a, b])
+            assert abs(total - (k * (b - a) + mpmath.log(R(b) / R(a)))) < mpf(10) ** -40
+
 
 class TestEvolvePcGeneral:
     def test_reduces_to_symmetric_form(self):
         pr = Priors(0.7)
         times = np.linspace(0.0, 1.0, 11)
-        sym = evolve_pc(pr, 1.0, ControlLaw.constant(0.8), 1.0, tol=1e-12, sample_times=times)
+        sym = evolve_pc(pr, 1.0, ControlLaw.constant(0.8), 1.0, sample_times=times)
         gen = evolve_pc_general(
             pr, 1.0, lambda t: 0.8, lambda t: -0.8, 1.0, tol=1e-12, sample_times=times
         )
@@ -312,7 +440,7 @@ class TestSegmentedPc:
     def test_single_slot_equals_constant_law(self):
         pr = Priors(0.7)
         u = feedback_amplitude(pr, 1.0, 1e-9)
-        res = evolve_pc(pr, 1.0, ControlLaw.constant(u), 1.0, tol=1e-12)
+        res = rk45(pr, 1.0, ControlLaw.constant(u), 1.0)
         assert segmented_pc(pr, 1.0, 1.0, 1) == pytest.approx(
             res.final.pc(pr), abs=1e-10
         )
@@ -323,7 +451,7 @@ class TestSegmentedPc:
         h = T / n
         vals = [feedback_amplitude(pr, 1.0, max(i * h, T * 1e-9)) for i in range(n)]
         law = ControlLaw.piecewise_constant(vals, T)
-        res = evolve_pc(pr, 1.0, law, T, tol=1e-12)
+        res = rk45(pr, 1.0, law, T)
         assert segmented_pc(pr, 1.0, T, n) == pytest.approx(
             res.final.pc(pr), abs=1e-9
         )
@@ -366,7 +494,7 @@ class TestCappedConvergence:
         finals = []
         for u_max in (5.0, 20.0, 100.0):
             law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=u_max)
-            finals.append(evolve_pc(pr, 1.0, law, 1.0, tol=1e-12).final.pc(pr))
+            finals.append(evolve_pc(pr, 1.0, law, 1.0).final.pc(pr))
         assert all(b >= a for a, b in zip(finals, finals[1:]))
         gaps = [hel - f for f in finals]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -411,7 +539,7 @@ class TestSimulateTelegraph:
         pr = Priors(0.5)
         law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=10.0)
         res = simulate_telegraph(pr, 1.0, law, 1.0, 4000, seed=17)
-        want = evolve_pc(pr, 1.0, law, 1.0, tol=1e-12).final.pc(pr)
+        want = rk45(pr, 1.0, law, 1.0).final.pc(pr)
         assert abs(res.estimate - want) < 4.0 * max(res.stderr, 1e-12)
 
     def test_matched_envelope_agrees_with_nulling_form(self):
@@ -440,7 +568,7 @@ class TestSimulateTelegraph:
     def test_regularized_and_slotted_laws_agree_with_ode(self, law, seed):
         pr = Priors(0.5)
         res = simulate_telegraph(pr, 1.0, law, 1.0, 4000, seed=seed)
-        want = evolve_pc(pr, 1.0, law, 1.0, tol=1e-12).final.pc(pr)
+        want = rk45(pr, 1.0, law, 1.0).final.pc(pr)
         assert abs(res.estimate - want) < 4.0 * max(res.stderr, 1e-12)
 
     def test_uncapped_balanced_law_is_singular(self):
@@ -534,9 +662,9 @@ class TestHazard:
         if psi == 0.0 and q0 == 0.5 and "u_max" not in kw:
             # Singular everywhere: no floor helps without a signal.
             with pytest.raises(SingularControlError):
-                _Hazard(law, psi, T)
+                _Segments(law, psi, T)
             return
-        hazard = _Hazard(law, psi, T)
+        hazard = _Segments(law, psi, T)
         ts = np.linspace(0.0, T, 11)
         for b in (0, 1):
             bs = np.full(ts.size, b)
@@ -578,7 +706,7 @@ def telegraph_laws(draw):
 def test_structured_hazard_agrees_with_the_scalar_law(law, cut, seed):
     law, psi, T = law
     try:
-        hazard = _Hazard(law, psi, T)
+        hazard = _Segments(law, psi, T)
     except SingularControlError:
         with pytest.raises(SingularControlError):
             law.u0(0.0)

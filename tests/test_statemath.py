@@ -6,6 +6,7 @@ precision and pasted here as double literals.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,6 +18,7 @@ from qsdr import (
     angle_schedule,
     coherent_overlap,
     helstrom_bound,
+    helstrom_error,
     improved_kennedy_pc,
     kennedy_pc,
     multicopy_bound,
@@ -151,6 +153,29 @@ class TestHelstromBound:
             helstrom_bound(Priors(0.5), 1.001)
         # float slop just outside [0, 1] is clipped, not rejected
         assert helstrom_bound(Priors(0.5), 1.0 + 1e-13) == 0.5
+
+
+class TestHelstromError:
+    def test_complements_the_bound(self):
+        for q0 in (0.5, 0.7, 0.99):
+            for overlap in (0.0, 0.3, 0.67, 1.0):
+                pe = helstrom_error(Priors(q0), overlap)
+                assert pe + helstrom_bound(Priors(q0), overlap) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("q0", [0.5, 0.7, 1.0 - 1e-6])
+    @pytest.mark.parametrize("gamma_sq", [0.01, 1.0, 3.915, 15.3, 60.0])
+    def test_keeps_its_digits_against_mpmath(self, q0, gamma_sq):
+        # 1 - helstrom_bound rounds to 0 from gamma_sq ~ 9; this form does not.
+        pr = Priors(q0)
+        got = helstrom_error(pr, coherent_overlap(gamma_sq))
+        with mpmath.workdps(150):  # the plain form, with digits to spare for 1 - sqrt
+            c = 4 * mpmath.mpf(pr.q0) * mpmath.mpf(pr.q1) * mpmath.exp(-4 * mpmath.mpf(gamma_sq))
+            want = (1 - mpmath.sqrt(1 - c)) / 2
+            assert abs(got - want) <= 1e-14 * want
+
+    def test_domain_checks(self):
+        with pytest.raises(ValueError):
+            helstrom_error(Priors(0.5), 1.5)
 
 
 class TestCoherentOverlap:

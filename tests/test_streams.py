@@ -13,7 +13,7 @@ from qsdr import (
     simulate_telegraph,
 )
 from qsdr._streams import TrialStreams
-from qsdr.dolinar import _Hazard
+from qsdr.dolinar import _Segments
 from qsdr.multicopy import _outcome0_table
 
 MASK64 = (1 << 64) - 1
@@ -39,13 +39,16 @@ def reference_draw(seed, i, d):
     return (word >> 11) * 2.0**-53
 
 
-def budget(rows, draws):
+def budget(rows):
     """The uniform budget that gives chunks of ``rows`` trials (None: the default)."""
-    return streams_mod.CHUNK_UNIFORMS if rows is None else rows * 4 * -(-draws // 4)
+    return streams_mod.CHUNK_UNIFORMS if rows is None else 4 * rows
 
 
 def all_draws(seed, trials, draws):
-    return np.vstack([u for _, u in TrialStreams(seed).chunks(trials, draws)])
+    """Draws 0 .. draws-1 of trials 0 .. trials-1, one block of four at a time."""
+    streams = TrialStreams(seed)
+    blocks = [streams.block(0, j, trials) for j in range(-(-draws // 4))]
+    return np.hstack(blocks)[:, :draws]
 
 
 class TestLayout:
@@ -57,23 +60,22 @@ class TestLayout:
                 assert u[i, d] == reference_draw(seed, i, d)
 
     def test_chunk_and_block_boundaries(self, monkeypatch):
-        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", 5 * 12)  # 12 fetched per trial
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(5))
         seed = 3
-        chunks = list(TrialStreams(seed).chunks(12, 10))
+        streams = TrialStreams(seed)
+        chunks = list(streams.chunks(12))
         assert [i0 for i0, _ in chunks] == [0, 5, 10]
-        assert [u.shape for _, u in chunks] == [(5, 10), (5, 10), (2, 10)]
-        u = np.vstack([u for _, u in chunks])
+        assert [u.shape for _, u in chunks] == [(5, 4), (5, 4), (2, 4)]
+        # Each chunk's first block, then later blocks walked as the samplers do.
+        walked = [
+            np.hstack([u, *(streams.block(i0, j, len(u)) for j in (1, 2))]) for i0, u in chunks
+        ]
+        u = np.vstack(walked)
         for i in (0, 4, 5, 9, 10, 11):  # both sides of each chunk edge
-            for d in (0, 3, 4, 7, 8, 9):  # both sides of each block edge
+            for d in (0, 3, 4, 7, 8, 11):  # both sides of each block edge
                 assert u[i, d] == reference_draw(seed, i, d)
-
-    def test_wide_rows_shrink_the_chunk(self, monkeypatch):
-        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", 40)
-        chunks = list(TrialStreams(3).chunks(8, 10))  # 12 uniforms fetched per trial
-        assert [u.shape for _, u in chunks] == [(3, 10), (3, 10), (2, 10)]
-        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", 1)
-        assert len(list(TrialStreams(3).chunks(8, 10))) == 8
-        assert np.array_equal(np.vstack([u for _, u in chunks]), all_draws(3, 8, 10))
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", 1)  # at least one trial a chunk
+        assert [len(u) for _, u in TrialStreams(seed).chunks(3)] == [1, 1, 1]
 
     def test_trial_depends_only_on_seed_and_index(self):
         a = all_draws(5, 2000, 6)
@@ -103,7 +105,7 @@ def loop_telegraph(priors, psi, law, T, trials, seed, draws=200):
     integrated rate of the current branch, and the first gap that reaches
     past T ends the trial.
     """
-    hazard = _Hazard(law, psi, T)
+    hazard = _Segments(law, psi, T)
     out = []
     for row in all_draws(seed, trials, draws):
         a = 0 if row[0] < priors.q0 else 1
@@ -147,13 +149,13 @@ class TestSamplersUseTheLayout:
     def test_adaptive_is_independent_of_chunking(self, rows, monkeypatch):
         want = simulate_adaptive(Priors(0.6), 0.3, 5, 1100, seed=8)
         # simulate_adaptive fetches the first block (four draws) per chunk.
-        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows, 4))
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
         assert simulate_adaptive(Priors(0.6), 0.3, 5, 1100, seed=8) == want
 
     def test_many_copies_in_small_chunks(self, monkeypatch):
         # 200 copies: 51 blocks per trial, walked in chunks of 7 trials.
         want = simulate_adaptive(Priors(0.6), 0.1, 200, 50, seed=8)
-        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(7, 4))
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(7))
         assert simulate_adaptive(Priors(0.6), 0.1, 200, 50, seed=8) == want
 
     @pytest.mark.parametrize("rows", [1, 7, None])
@@ -162,7 +164,7 @@ class TestSamplersUseTheLayout:
         law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0)
         want = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6, keep_trajectories=True)
         # simulate_telegraph fetches one block (four draws) per trial at a time.
-        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows, 4))
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
         got = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6, keep_trajectories=True)
         assert got == want
 
