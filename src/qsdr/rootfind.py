@@ -1,18 +1,19 @@
 """Bracketed root finding and the optimal receiver displacements.
 
 Generic utilities (a safeguarded bracketed solver and a golden-section
-maximizer) plus the two displacement optimizations built on them:
+maximizer) plus the two displacement optimizations, each a single
+bracketed solve of its stationarity equation:
 
 * ``optimal_beta_ik``: displacement of the optimized Kennedy receiver,
-  stationary point of :func:`qsdr.statemath.improved_kennedy_pc`,
+  stationary point of :func:`qsdr.statemath.improved_kennedy_pc`.  Its
+  residual is strictly monotone and has an analytic bracket, so the root is
+  the global maximum for every ``gamma > 0``.
 * ``optimal_beta_sd``: envelope magnitude of the simplified Dolinar
   receiver, stationary point of :func:`qsdr.statemath.simplified_dolinar_pc`.
-
-Both solvers locate the global maximum on a coarse grid first and only then
-polish the matching root of the stationarity equation, because a
-stationarity equation alone cannot distinguish the global maximum from any
-other critical point.  Global optimality is therefore certified against a
-finite grid, not proved.
+  A stationarity equation alone cannot tell the global maximum from any
+  other critical point, so the bracket is taken around the maximum of a
+  coarse grid; global optimality is certified against that finite grid,
+  not proved.
 """
 
 from __future__ import annotations
@@ -37,6 +38,12 @@ __all__ = [
     "optimal_beta_sd",
     "sd_displacement_residual",
 ]
+
+
+# An absolute root tolerance below the float spacing of any root the
+# optimizers solve for, so that Brent's method stops at its relative floor
+# of four machine epsilons instead.
+_TOL_FLOOR = 1e-300
 
 
 class BracketError(ValueError):
@@ -149,62 +156,58 @@ def golden_max(
     return 0.5 * (a + b)
 
 
-def _expand_to_sign_change(
-    f: Callable[[float], float],
-    lo: float,
-    hi0: float,
-    anchor: float,
-    cap: float,
-) -> Bracket:
-    """Grow [lo, hi] by doubling hi's offset from ``anchor`` until f flips sign."""
-    f_lo = f(lo)
-    hi = hi0
-    while True:
-        f_hi = f(hi)
-        b = Bracket(lo, hi, f_lo, f_hi)
-        if b.has_sign_change:
-            return b
-        if hi >= cap:
-            raise BracketError(
-                f"no sign change found while expanding [{lo}, {hi}] (cap {cap})"
-            )
-        hi = min(anchor + 2.0 * (hi - anchor), cap)
+def _ik_log_residual(log_odds: float, gamma: float, u: float) -> float:
+    # ln(q0/q1) - ln((beta+gamma)/(beta-gamma)) + 4*beta*gamma at beta - gamma = e**u.
+    e = math.exp(u)
+    return log_odds + u - math.log(2.0 * gamma + e) + 4.0 * gamma * (gamma + e)
 
 
 def ik_displacement_residual(priors: Priors, gamma: float, beta: float) -> float:
     """Stationarity residual of the optimized Kennedy displacement.
 
-    Zero exactly when ``q0/q1 = (beta + gamma)/(beta - gamma) *
-    exp(-4*beta*gamma)``, the first-order condition of
-    :func:`qsdr.statemath.improved_kennedy_pc` on ``beta > gamma``.
+    ``ln(q0/q1) - ln((beta + gamma)/(beta - gamma)) + 4*beta*gamma``: zero
+    exactly at the first-order condition of
+    :func:`qsdr.statemath.improved_kennedy_pc` on ``beta > gamma``, negative
+    below its root and positive above it.  Requires ``q1 > 0``.
     """
     if beta <= gamma:
         raise ValueError(f"residual defined for beta > gamma, got beta={beta}")
-    return priors.q0 / priors.q1 - (beta + gamma) / (beta - gamma) * math.exp(
-        -4.0 * beta * gamma
+    return _ik_log_residual(
+        math.log(priors.q0 / priors.q1), gamma, math.log(beta - gamma)
     )
 
 
 def optimal_beta_ik(priors: Priors, gamma: float) -> float:
     """Displacement maximizing the optimized Kennedy receiver.
 
-    Solves the stationarity condition on ``beta > gamma`` (the success
-    probability is strictly increasing up to ``gamma``, and the residual is
-    strictly monotone beyond it, so the unique root is the global maximum).
-    Requires ``q0 >= q1``; for the opposite ordering swap the hypothesis
-    labels (``priors.swapped()``) and negate the displacement.
+    The success probability is strictly increasing up to ``gamma``, and on
+    ``beta > gamma`` the stationarity residual, written in ``u = ln(beta -
+    gamma)``, is strictly increasing (its derivative is ``2*gamma/(2*gamma +
+    e**u) + 4*gamma*e**u > 0``), so its unique root is the global maximum.
+    The residual is negative at ``u = ln(2*gamma) - ln(q0/q1) - 4*gamma**2 -
+    1`` and positive at ``u = -ln(gamma)``, which brackets the root for every
+    ``gamma > 0``; solving in ``u`` keeps the excess ``beta - gamma`` exact
+    when it falls below the spacing of floats near ``gamma``.  With ``q1 =
+    0`` the success probability is ``exp(-(beta - gamma)**2)`` and the
+    optimum is ``gamma`` itself.  Requires ``q0 >= q1``; for the opposite
+    ordering swap the hypothesis labels (``priors.swapped()``) and negate
+    the displacement.
     """
     if gamma <= 0.0:
         raise ValueError(f"gamma must be > 0, got {gamma}")
     if priors.q0 < priors.q1:
         raise ValueError("optimal_beta_ik requires q0 >= q1; swap the labels first")
+    if priors.q1 == 0.0:
+        return gamma
+    log_odds = math.log(priors.q0 / priors.q1)
 
-    def resid(b: float) -> float:
-        return ik_displacement_residual(priors, gamma, b)
+    def resid(u: float) -> float:
+        return _ik_log_residual(log_odds, gamma, u)
 
-    lo = gamma * (1.0 + 1e-9)
-    bracket = _expand_to_sign_change(resid, lo, gamma + 1.0, gamma, gamma + 1e3)
-    beta = solve_bracketed(resid, bracket, tol_x=1e-14, tol_f=1e-12, max_iter=200)
+    lo = math.log(2.0 * gamma) - log_odds - 4.0 * gamma * gamma - 1.0
+    bracket = Bracket.from_function(resid, lo, -math.log(gamma))
+    u = solve_bracketed(resid, bracket, tol_x=_TOL_FLOOR, tol_f=1e-12, max_iter=200)
+    beta = gamma + math.exp(u)
     # The displaced receiver must beat plain nulling, else the solve went wrong.
     if improved_kennedy_pc(priors, gamma, beta) < improved_kennedy_pc(
         priors, gamma, gamma
@@ -225,8 +228,8 @@ def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) 
 
     the first-order condition of
     :func:`qsdr.statemath.simplified_dolinar_pc` in ``beta``.  Both sides
-    are multiplied through by ``exp(-s*T)`` so that wide search brackets
-    cannot overflow ``sinh``; the roots and signs are unchanged.
+    are multiplied through by ``exp(-s*T)`` so that large ``beta`` cannot
+    overflow ``sinh``; the roots and signs are unchanged.
     """
     s = psi * psi + beta * beta
     st = s * T
@@ -240,16 +243,16 @@ def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) 
 def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
     """Envelope magnitude maximizing the simplified Dolinar receiver.
 
-    Scans a coarse grid for the global maximum of the closed-form success
-    probability, then polishes the matching root of the stationarity
-    equation with Brent's method.  ``beta = psi`` (which reproduces the
-    Kennedy receiver) is kept as an explicit candidate floor.  Requires
+    Evaluates the closed-form success probability on a 2001-point grid in
+    one array call, then polishes the root of the stationarity equation
+    between the neighbours of the grid maximum with Brent's method.  The
+    result is checked afterwards against the grid maximum and against
+    ``beta = psi`` (which reproduces the Kennedy receiver).  Requires
     ``psi > 0``, ``T > 0`` and ``q0 >= q1``.
 
-    The search interval is ``(0, 10*psi + 5/sqrt(T)]``: for strong signals
-    the optimum hugs ``psi``, while for weak ones it settles near an
-    absolute scale ~``0.8/sqrt(T)``, so a purely multiplicative cap would
-    miss it.
+    The grid spans ``(0, 10*psi + 5/sqrt(T)]``: for strong signals the
+    optimum hugs ``psi``, while for weak ones it settles near an absolute
+    scale ~``0.8/sqrt(T)``, so a purely multiplicative cap would miss it.
     """
     if psi <= 0.0:
         raise ValueError(f"psi must be > 0, got {psi}")
@@ -258,36 +261,23 @@ def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
     if priors.q0 < priors.q1:
         raise ValueError("optimal_beta_sd requires q0 >= q1; swap the labels first")
 
-    def pc(b: float) -> float:
-        return simplified_dolinar_pc(priors, psi, b, T)
-
     def resid(b: float) -> float:
         return sd_displacement_residual(priors, psi, T, b)
 
     hi = 10.0 * psi + 5.0 / math.sqrt(T)
     grid = np.linspace(hi * 1e-6, hi, 2001)
-    values = [pc(b) for b in grid]
-    i = int(np.argmax(values))
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, len(grid) - 1)]
-    b_star = golden_max(pc, a, b, tol_x=1e-12)
-
-    # Polish on the stationarity equation; the residual changes sign across
-    # a maximum (negative before, positive after).
-    delta = max(1e-8 * hi, 1e-12)
-    lo_p, hi_p = b_star - delta, b_star + delta
-    for _ in range(80):
-        if lo_p > 0.0 and (resid(lo_p) < 0.0) != (resid(hi_p) < 0.0):
-            break
-        delta *= 2.0
-        lo_p, hi_p = max(b_star - delta, grid[0] * 0.5), b_star + delta
-    bracket = Bracket.from_function(resid, lo_p, hi_p)
-    beta = solve_bracketed(resid, bracket, tol_x=1e-14, tol_f=1e-13, max_iter=200)
-    if pc(beta) < pc(b_star) - 1e-12:
+    i = int(np.argmax(simplified_dolinar_pc(priors, psi, grid, T)))
+    i = min(max(i, 1), len(grid) - 2)
+    b_star = float(grid[i])
+    # The residual is negative before a maximum and positive after it.
+    bracket = Bracket.from_function(resid, float(grid[i - 1]), float(grid[i + 1]))
+    beta = solve_bracketed(resid, bracket, tol_x=_TOL_FLOOR, tol_f=1e-13, max_iter=200)
+    pc = simplified_dolinar_pc(priors, psi, beta, T)
+    if pc < simplified_dolinar_pc(priors, psi, b_star, T) - 1e-12:
         raise ConvergenceError(
             f"polished root {beta} lost probability against grid maximum {b_star}"
         )
-    if pc(beta) < pc(psi) - 1e-12:
+    if pc < simplified_dolinar_pc(priors, psi, psi, T) - 1e-12:
         raise ConvergenceError(
             f"stationary point {beta} does not improve on the Kennedy point {psi}"
         )

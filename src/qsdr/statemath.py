@@ -18,16 +18,20 @@ Conventions
   ``gamma_sq = psi**2 * T`` and the overlap of the two coherent states is
   ``exp(-2*gamma_sq)``.
 
-All routines are pure scalar functions of plain floats, safe to call from
-any thread.  Probabilities returned are probabilities of a *correct*
-decision, except ``helstrom_error``, the bound's error probability in a
-form that keeps its digits where ``1 - helstrom_bound`` would cancel.
+All routines are pure functions of plain floats, safe to call from any
+thread; ``simplified_dolinar_pc`` also takes an array ``beta`` and then
+returns an array of the same shape.  Probabilities returned are
+probabilities of a *correct* decision, except ``helstrom_error``, the
+bound's error probability in a form that keeps its digits where
+``1 - helstrom_bound`` would cancel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Priors",
@@ -325,7 +329,9 @@ def improved_kennedy_pc(priors: Priors, gamma: float, beta: float) -> float:
     return priors.q0 * math.exp(-d0 * d0) + priors.q1 * (1.0 - math.exp(-d1 * d1))
 
 
-def simplified_dolinar_pc(priors: Priors, psi: float, beta: float, T: float) -> float:
+def simplified_dolinar_pc(
+    priors: Priors, psi: float, beta: float | np.ndarray, T: float
+) -> float | np.ndarray:
     """Success probability of the constant-envelope feedback receiver.
 
     The receiver adds a local field of fixed magnitude ``beta`` whose sign
@@ -336,14 +342,13 @@ def simplified_dolinar_pc(priors: Priors, psi: float, beta: float, T: float) -> 
 
     ``beta = psi`` reproduces :func:`kennedy_pc` at ``gamma_sq = psi**2*T``;
     ``T = 0`` returns ``q0`` (no light observed yet); ``psi = beta = 0``
-    degenerates to ``q0``.
+    degenerates to ``q0``.  ``beta`` may be a numpy array, which evaluates
+    every envelope magnitude in one call.
     """
     if psi < 0.0:
         raise ValueError(f"psi must be >= 0, got {psi}")
     if T < 0.0:
         raise ValueError(f"T must be >= 0, got {T}")
     s = psi * psi + beta * beta
-    if s == 0.0:
-        return priors.q0
-    drift = psi * beta / s
-    return 0.5 + drift + (priors.q0 - 0.5 - drift) * math.exp(-2.0 * s * T)
+    drift = psi * beta / s if psi > 0.0 else 0.0
+    return 0.5 + drift + (priors.q0 - 0.5 - drift) * np.exp(-2.0 * s * T)

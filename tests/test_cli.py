@@ -12,6 +12,7 @@ import pytest
 
 import qsdr
 import qsdr.cli as cli
+from qsdr import BracketError
 from qsdr.cli import main
 
 FIG1_HEADER = b"gamma_sq,helstrom_pe,kennedy_pe,improved_kennedy_pe,simplified_dolinar_pe\n"
@@ -512,19 +513,47 @@ class TestExitCodes:
         assert rc == 4
         assert "singular" in capsys.readouterr().err
 
-    def test_solver_failure(self, tmp_path, capsys):
+    def test_solver_failure(self, tmp_path, capsys, monkeypatch):
+        def no_bracket(priors, gamma):
+            raise BracketError("no sign change")
+
+        # SCHEMES looks the optimizer up at call time, so the patch is seen.
+        monkeypatch.setattr(cli, "optimal_beta_ik", no_bracket)
         out = tmp_path / "o.csv"
-        rc = main(
-            [
-                "fig1",
-                "--schemes", "improved_kennedy",
-                "--q0", "0.9999999999",
-                "--points", "2",
-                "-o", str(out),
-            ]
-        )
+        rc = main(["fig1", "--schemes", "improved_kennedy", "--points", "2", "-o", str(out)])
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
+
+
+class TestWholeDomain:
+    """Sweeps over strong signals and extreme or certain priors complete."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["fig1", "--schemes", "improved_kennedy", "--q0", "0.9999999999", "--points", "2"],
+            ["fig3", "--q0", "0.7", "--gamma-sq-min", "0.5", "--gamma-sq-max", "100",
+             "--points", "40"],
+            ["fig3", "--q0", "0.999999"],
+            ["fig1", "--q0", "1", "--schemes", "improved_kennedy"],
+        ],
+    )
+    def test_sweep_exits_zero(self, args, tmp_path):
+        assert main(args + ["-o", str(tmp_path / "o.csv")]) == 0
+
+    @pytest.mark.parametrize("q0", ["0", "1"])
+    def test_certain_prior_nulls_the_certain_hypothesis(self, q0, tmp_path):
+        # With one prior zero, P_c = exp(-(beta - gamma)**2): beta = gamma is optimal.
+        out = tmp_path / "f3.csv"
+        assert main(["fig3", "--q0", q0, "-o", str(out)]) == 0
+        header, rows = read_rows(out)
+        for row in rows:
+            assert row[header.index("improved_kennedy_beta_sq")] == row[0]
+        out = tmp_path / "f1.csv"
+        assert main(["fig1", "--q0", q0, "-o", str(out)]) == 0
+        header, rows = read_rows(out)
+        for row in rows:
+            assert float(row[header.index("improved_kennedy_pe")]) == 0.0
 
 
 class TestNoNumericalIntegration:

@@ -2,6 +2,10 @@
 
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import mpmath
+from mpmath import mpf
 import numpy as np
 import pytest
 
@@ -163,6 +167,16 @@ class TestOptimalBetaIk:
         strong = optimal_beta_ik(pr, math.sqrt(2.0)) - math.sqrt(2.0)
         assert 0.0 < strong < weak
 
+    def test_certain_prior_keeps_the_nulling_point(self):
+        # q1 = 0: P_c = exp(-(beta - gamma)**2), largest at beta = gamma.
+        for g in (1e-3, 0.5, 20.0):
+            assert optimal_beta_ik(Priors(1.0), g) == g
+
+    def test_excess_below_float_spacing_returns_gamma(self):
+        # beta - gamma ~ 2*gamma*(q1/q0)*exp(-4*gamma**2) vanishes next to gamma.
+        g = math.sqrt(400.0)
+        assert optimal_beta_ik(Priors(1.0 - 1e-6), g) == g
+
     def test_validation(self):
         with pytest.raises(ValueError):
             optimal_beta_ik(Priors(0.5), 0.0)
@@ -287,3 +301,71 @@ class TestWeakSignalGapShape:
         # absolute gap: peaks between 1.0 and 0.01, shrinking on the weak tail
         assert abs01 > abs001
         assert abs1 < abs01
+
+
+def _ik_root_mp(q0: float, gamma: float):
+    """Optimal Kennedy displacement at 50 digits: root of the log residual in
+    ``u = ln(beta - gamma)`` on its analytic bracket."""
+    with mpmath.workdps(50):
+        g = mpf(gamma)
+        log_odds = mpmath.log(mpf(q0) / mpf(1.0 - q0))  # the float q1 Priors holds
+
+        def resid(u):
+            e = mpmath.exp(u)
+            return log_odds + u - mpmath.log(2 * g + e) + 4 * g * (g + e)
+
+        lo = mpmath.log(2 * g) - log_odds - 4 * g * g - 1
+        u = mpmath.findroot(resid, (lo, -mpmath.log(g)), solver="anderson")
+        return g + mpmath.exp(u)
+
+
+def _sd_root_mp(q0: float, psi: float, T: float, near: float):
+    """Root of the simplified Dolinar residual at 50 digits, within 1e-6
+    relative of ``near``; the residual must change sign across that interval."""
+    with mpmath.workdps(50):
+        q0, psi, T = mpf(q0), mpf(psi), mpf(T)
+
+        def resid(b):
+            s = psi * psi + b * b
+            lhs = b * T * s * ((2 * q0 - 1) * s - 2 * psi * b) * mpmath.exp(-2 * s * T)
+            return lhs - psi * (psi * psi - b * b) * (1 - mpmath.exp(-2 * s * T)) / 2
+
+        lo, hi = mpf(near) * (1 - mpf("1e-6")), mpf(near) * (1 + mpf("1e-6"))
+        assert resid(lo) < 0 < resid(hi)
+        return mpmath.findroot(resid, (lo, hi), solver="anderson")
+
+
+class TestOptimizersAgainstMpmath:
+    @pytest.mark.parametrize("q0", [0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6])
+    def test_improved_kennedy(self, q0):
+        for g_sq in np.geomspace(1e-4, 400.0, 40):
+            g = math.sqrt(float(g_sq))
+            want = _ik_root_mp(q0, g)
+            assert abs(mpf(optimal_beta_ik(Priors(q0), g)) - want) <= mpf(1e-14) * want
+
+    @pytest.mark.parametrize("q0", [0.5, 0.7, 0.9, 1.0 - 1e-6])
+    @pytest.mark.parametrize("T", [0.2, 1.0, 4.0])
+    def test_simplified_dolinar(self, q0, T):
+        for g_sq in np.geomspace(1e-3, 100.0, 20):
+            psi = math.sqrt(float(g_sq) / T)
+            got = optimal_beta_sd(Priors(q0), psi, T)
+            want = _sd_root_mp(q0, psi, T, got)
+            assert abs(mpf(got) - want) <= mpf(1e-14) * want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    q0=st.floats(0.5, 1.0),
+    gamma_sq=st.floats(1e-6, 500.0),
+    T=st.floats(0.03, 30.0),
+)
+def test_optimizers_return_and_beat_kennedy_over_the_domain(q0, gamma_sq, T):
+    pr = Priors(q0)
+    g = math.sqrt(gamma_sq)
+    beta = optimal_beta_ik(pr, g)
+    assert improved_kennedy_pc(pr, g, beta) >= improved_kennedy_pc(pr, g, g) - 1e-12
+    psi = math.sqrt(gamma_sq / T)
+    beta = optimal_beta_sd(pr, psi, T)
+    assert simplified_dolinar_pc(pr, psi, beta, T) >= (
+        simplified_dolinar_pc(pr, psi, psi, T) - 1e-12
+    )

@@ -362,6 +362,15 @@ class TestSimplifiedDolinar:
     def test_fully_degenerate(self):
         assert simplified_dolinar_pc(Priors(0.6), 0.0, 0.0, 1.0) == 0.6
 
+    def test_array_beta_matches_scalar_calls(self):
+        # The optimizer's grid is one array call; its argmax must be the scalar one's.
+        pr = Priors(0.7)
+        for psi, T in ((1.0, 1.0), (0.05, 30.0), (12.0, 0.03), (0.0, 1.0)):
+            grid = np.linspace(0.0, 10.0 * psi + 5.0 / math.sqrt(T), 2001)
+            got = simplified_dolinar_pc(pr, psi, grid, T)
+            want = [simplified_dolinar_pc(pr, psi, float(b), T) for b in grid]
+            assert got.tolist() == want
+
     def test_never_beats_helstrom(self):
         for q0 in (0.5, 0.7):
             pr = Priors(q0)
