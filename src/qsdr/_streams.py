@@ -20,6 +20,10 @@ from collections.abc import Iterator
 
 import numpy as np
 
+# numpy 2.x loads numpy.random lazily, on first use.  Load it with the
+# package instead, so that its ~12 ms is not paid inside the first seeded run.
+import numpy.random  # noqa: F401
+
 # Uniforms fetched per chunk (256 kB of doubles): both samplers hold one
 # block of four draws per trial, so a chunk is 8,192 trials.  The telegraph
 # sampler keeps about four times that per trial in working arrays, so the

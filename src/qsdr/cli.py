@@ -127,7 +127,7 @@ class SweepSpec:
             if self.spacing not in ("log", "linear"):
                 raise ValueError(f"spacing must be log or linear, got {self.spacing}")
         if any(s in SIM_SCHEMES for s in self.schemes) and self.trials < 1:
-            raise ValueError(f"trials must be >= 1 for Monte Carlo schemes")
+            raise ValueError(f"trials must be >= 1 for Monte Carlo schemes, got {self.trials}")
         if not 0.0 <= self.q0 <= 1.0:
             raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
         if self.T <= 0.0:
@@ -496,6 +496,8 @@ def _resolve(ns, cfg: dict[str, str]):
     if chi is not None:
         if theta is not None:
             raise ValueError("give either --theta or --chi, not both")
+        if not chi < 1.0:
+            raise ValueError(f"chi must be < 1 (at 1 the states are identical), got {chi}")
         theta = QubitPair.from_overlap(chi).theta
 
     spec = SweepSpec(

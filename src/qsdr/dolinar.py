@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from ._streams import TrialStreams
 from .statemath import Priors, coherent_overlap, helstrom_bound
@@ -197,13 +196,6 @@ class ControlLaw:
         return cls(kind, (0.0, switch), (value,), (priors, psi))
 
     @classmethod
-    def capped_dolinar(
-        cls, priors: Priors, psi: float, u_max: float, *, t_floor: float | None = None
-    ) -> "ControlLaw":
-        """Optimal law clamped to ``|u| <= u_max``."""
-        return cls.dolinar_optimal(priors, psi, t_floor=t_floor, u_max=u_max)
-
-    @classmethod
     def constant(cls, beta: float) -> "ControlLaw":
         """Constant envelope (the simplified receiver's law)."""
         return cls("constant", (0.0,), (beta,))
@@ -350,6 +342,13 @@ def evolve_pc(
     times = _sample_times(psi, T, sample_times)
     e = _Segments(control, psi, T).errors(np.array(_initial_errors(priors)), times)
     return _result(priors, T, times, e)
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first call because no CLI
+    path integrates; a module attribute so that tracers and tests can patch it."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(*args, **kwargs)
 
 
 def evolve_pc_general(

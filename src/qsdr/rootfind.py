@@ -1,8 +1,8 @@
 """Bracketed root finding and the optimal receiver displacements.
 
-Generic utilities (a safeguarded bracketed solver and a golden-section
-maximizer) plus the two displacement optimizations, each a single
-bracketed solve of its stationarity equation:
+Generic utilities (Brent's root finder, in plain Python so that no scipy
+is imported, and a golden-section maximizer) plus the two displacement
+optimizations, each a single bracketed solve of its stationarity equation:
 
 * ``optimal_beta_ik``: displacement of the optimized Kennedy receiver,
   stationary point of :func:`qsdr.statemath.improved_kennedy_pc`.  Its
@@ -19,16 +19,13 @@ bracketed solve of its stationarity equation:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .statemath import Priors, improved_kennedy_pc, simplified_dolinar_pc
 
 __all__ = [
-    "Bracket",
     "BracketError",
     "ConvergenceError",
     "solve_bracketed",
@@ -40,10 +37,13 @@ __all__ = [
 ]
 
 
-# An absolute root tolerance below the float spacing of any root the
-# optimizers solve for, so that Brent's method stops at its relative floor
-# of four machine epsilons instead.
+# Brent stops at x within (_TOL_FLOOR + _RTOL*|x|)/2.  The absolute floor is
+# below the float spacing of any nonzero root the optimizers solve for, so
+# four machine epsilons decide; it only keeps the tolerance positive at 0.
 _TOL_FLOOR = 1e-300
+_RTOL = 4.0 * math.ulp(1.0)
+# Iterations before giving up; both optimizers need fewer than 100.
+_MAX_ITER = 200
 
 
 class BracketError(ValueError):
@@ -54,83 +54,73 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching tolerance."""
 
 
-@dataclass(frozen=True)
-class Bracket:
-    """Interval [lo, hi] with the function values at its ends."""
+def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Root of ``f`` on [lo, hi] by Brent's method.
 
-    lo: float
-    hi: float
-    f_lo: float
-    f_hi: float
+    Each step is an inverse quadratic or secant step when that lands well
+    inside the bracket and a bisection otherwise (Brent 1973, ch. 4, with
+    the step rule and tolerances of ``scipy.optimize``'s Brent solver at
+    ``xtol=1e-300``), so the result lies within ``4*eps*|root|`` of a sign
+    change of ``f`` and never leaves [lo, hi].  An end where ``f`` is
+    exactly zero is returned as it is.  ``f`` must be finite on [lo, hi].
 
-    def __post_init__(self) -> None:
-        if not self.lo < self.hi:
-            raise ValueError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
-
-    @property
-    def has_sign_change(self) -> bool:
-        return self.f_lo == 0.0 or self.f_hi == 0.0 or (self.f_lo < 0.0) != (self.f_hi < 0.0)
-
-    @classmethod
-    def from_function(cls, f: Callable[[float], float], lo: float, hi: float) -> "Bracket":
-        return cls(lo, hi, f(lo), f(hi))
-
-
-def solve_bracketed(
-    f: Callable[[float], float],
-    bracket: Bracket,
-    tol_x: float = 1e-12,
-    tol_f: float = 1e-10,
-    max_iter: int = 100,
-) -> float:
-    """Root of ``f`` inside ``bracket`` via Brent's method.
-
-    Convergence is declared when the bracket width shrinks below ``tol_x``
-    or ``|f(root)| <= tol_f``; the returned point never leaves the original
-    bracket (bisection fallback guarantees progress even when the
-    interpolating step misbehaves).
-
-    Raises :class:`BracketError` when the bracket carries no sign change and
-    :class:`ConvergenceError` when ``max_iter`` iterations do not suffice.
+    Raises :class:`BracketError` when ``f`` has the same sign at both ends
+    and :class:`ConvergenceError` after :data:`_MAX_ITER` steps.
     """
-    if not bracket.has_sign_change:
+    if not lo < hi:
+        raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+    # cur: best iterate; blk: the other end of the bracket; pre: last iterate.
+    x_pre, x_cur = lo, hi
+    f_pre, f_cur = f(lo), f(hi)
+    if f_pre == 0.0:
+        return lo
+    if f_cur == 0.0:
+        return hi
+    if (f_pre < 0.0) == (f_cur < 0.0):
         raise BracketError(
-            f"f has no sign change on [{bracket.lo}, {bracket.hi}]: "
-            f"f(lo)={bracket.f_lo!r}, f(hi)={bracket.f_hi!r}"
+            f"f has no sign change on [{lo}, {hi}]: f(lo)={f_pre!r}, f(hi)={f_cur!r}"
         )
-    if bracket.f_lo == 0.0:
-        return bracket.lo
-    if bracket.f_hi == 0.0:
-        return bracket.hi
-    try:
-        root, info = brentq(
-            f,
-            bracket.lo,
-            bracket.hi,
-            xtol=tol_x,
-            maxiter=max_iter,
-            full_output=True,
-            disp=False,
-        )
-    except ValueError as exc:  # pragma: no cover - sign change checked above
-        raise BracketError(str(exc)) from exc
-    if not info.converged and abs(f(root)) > tol_f:
-        raise ConvergenceError(
-            f"no convergence within {max_iter} iterations on "
-            f"[{bracket.lo}, {bracket.hi}]; last iterate {root!r}"
-        )
-    # Brent never steps outside the bracket; clamp to be explicit about it.
-    return min(max(root, bracket.lo), bracket.hi)
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_MAX_ITER):
+        if (f_pre < 0.0) != (f_cur < 0.0):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (_TOL_FLOOR + _RTOL * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        s_try = math.inf  # fails the step test below: bisect
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                num, den = -f_cur * (x_cur - x_pre), f_cur - f_pre
+            else:  # inverse quadratic
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                num = -f_cur * (f_blk * d_blk - f_pre * d_pre)
+                den = d_blk * d_pre * (f_blk - f_pre)
+            # C divides an underflowed 0 into inf or nan, which the step test
+            # rejects; Python would raise instead.
+            if den != 0.0:
+                s_try = num / den
+        if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise ConvergenceError(
+        f"no convergence within {_MAX_ITER} iterations on [{lo}, {hi}]; "
+        f"last iterate {x_cur!r}"
+    )
 
 
-def golden_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol_x: float = 1e-10,
-    max_iter: int = 200,
-) -> float:
-    """Abscissa of a maximum of ``f`` on [lo, hi] by golden-section search.
+def golden_max(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """Abscissa of a maximum of ``f`` on [lo, hi] by golden-section search,
+    to within 1e-10.
 
     Assumes ``f`` is unimodal on the interval; on a multimodal stretch the
     result is only guaranteed to be a local maximum.
@@ -142,8 +132,8 @@ def golden_max(
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
-        if b - a <= tol_x:
+    for _ in range(_MAX_ITER):
+        if b - a <= 1e-10:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -205,8 +195,7 @@ def optimal_beta_ik(priors: Priors, gamma: float) -> float:
         return _ik_log_residual(log_odds, gamma, u)
 
     lo = math.log(2.0 * gamma) - log_odds - 4.0 * gamma * gamma - 1.0
-    bracket = Bracket.from_function(resid, lo, -math.log(gamma))
-    u = solve_bracketed(resid, bracket, tol_x=_TOL_FLOOR, tol_f=1e-12, max_iter=200)
+    u = solve_bracketed(resid, lo, -math.log(gamma))
     beta = gamma + math.exp(u)
     # The displaced receiver must beat plain nulling, else the solve went wrong.
     if improved_kennedy_pc(priors, gamma, beta) < improved_kennedy_pc(
@@ -270,8 +259,7 @@ def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
     i = min(max(i, 1), len(grid) - 2)
     b_star = float(grid[i])
     # The residual is negative before a maximum and positive after it.
-    bracket = Bracket.from_function(resid, float(grid[i - 1]), float(grid[i + 1]))
-    beta = solve_bracketed(resid, bracket, tol_x=_TOL_FLOOR, tol_f=1e-13, max_iter=200)
+    beta = solve_bracketed(resid, float(grid[i - 1]), float(grid[i + 1]))
     pc = simplified_dolinar_pc(priors, psi, beta, T)
     if pc < simplified_dolinar_pc(priors, psi, b_star, T) - 1e-12:
         raise ConvergenceError(

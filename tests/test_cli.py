@@ -425,6 +425,22 @@ class TestResolution:
         assert f"{field} must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["simulate", "--scheme", "multicopy", "--theta", "0.2", "--copies", "2",
+              "--trials", "0"], "trials must be >= 1 for Monte Carlo schemes, got 0"),
+            (["simulate", "--scheme", "multicopy", "--chi", "1", "--copies", "2",
+              "--trials", "5"], "chi must be < 1"),
+        ],
+        ids=["trials", "chi"],
+    )
+    def test_message_names_the_value_given(self, args, message, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main(args + ["-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file(self, tmp_path):
         out = tmp_path / "from_config.csv"
         cfg = tmp_path / "sweep.cfg"
@@ -578,6 +594,49 @@ class TestNoNumericalIntegration:
 
         monkeypatch.setattr(qsdr.dolinar, "solve_ivp", refuse)
         assert main([*argv, "--trials", "200", "-o", str(tmp_path / "o.csv")]) == 0
+
+
+class TestNoScipy:
+    """No CLI path imports scipy; only the RK45 oracle needs it."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "import qsdr.cli\n"
+        "report = {'numpy.random': 'numpy.random' in sys.modules, 'runs': []}\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    rc = qsdr.cli.main(argv)\n"
+        "    scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    report['runs'].append([argv, rc, scipy])\n"
+        "print(json.dumps(report))\n"
+    )
+
+    def test_cli_runs_never_import_scipy(self, tmp_path):
+        analytic = "helstrom,kennedy,improved_kennedy,simplified_dolinar,dolinar_ode"
+        runs = [
+            ["fig1"],
+            ["fig1", "--schemes", analytic, "--q0", "0.7"],
+            ["fig1", "--schemes", analytic, "--q0", "0.5", "--u-max", "8"],
+            ["fig3"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
+             "--trials", "200", "--trajectories", str(tmp_path / "traj.csv")],
+            ["simulate", "--scheme", "multicopy", "--q0", "0.7", "--theta", "0.2",
+             "--copies", "20", "--trials", "200"],
+        ]
+        argvs = [[*argv, "-o", str(tmp_path / f"o{i}.csv")] for i, argv in enumerate(runs)]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, json.dumps(argvs)],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        # Loaded with the package, not inside the first seeded run.
+        assert report["numpy.random"]
+        for argv, rc, scipy in report["runs"]:
+            assert rc == 0, argv
+            assert scipy == [], (argv, scipy[:5])
 
 
 class TestMemory:

@@ -160,7 +160,7 @@ class TestControlLaw:
         law = ControlLaw.dolinar_optimal(Priors(0.5), 1.0, u_max=10.0)
         assert law.kind == "capped_dolinar"
         assert law.u0(0.0) == 10.0
-        law7 = ControlLaw.capped_dolinar(Priors(0.7), 1.0, 2.0)
+        law7 = ControlLaw.dolinar_optimal(Priors(0.7), 1.0, u_max=2.0)
         assert law7.u0(0.0) == 2.0  # clamps the 2.5 start value
         assert law7.u0(3.0) == feedback_amplitude(Priors(0.7), 1.0, 3.0)
 

@@ -1,5 +1,6 @@
 """Bracketed solving and the two displacement optimizations."""
 
+import contextlib
 import math
 
 from hypothesis import given, settings
@@ -8,9 +9,10 @@ import mpmath
 from mpmath import mpf
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from qsdr import rootfind
 from qsdr import (
-    Bracket,
     BracketError,
     ConvergenceError,
     Priors,
@@ -40,52 +42,89 @@ BETA_SD_7 = 1.0417084362468743       # q0=0.7, psi=1, T=1
 SD_AT_OPT_7 = 0.99495507865023162
 
 
-class TestBracket:
-    def test_orders_endpoints(self):
-        with pytest.raises(ValueError):
-            Bracket(2.0, 1.0, -1.0, 1.0)
-        with pytest.raises(ValueError):
-            Bracket(1.0, 1.0, -1.0, 1.0)
+def brentq_oracle(f, lo, hi):
+    """scipy's Brent at the tolerances :func:`solve_bracketed` ports."""
+    return brentq(f, lo, hi, xtol=1e-300, maxiter=200)
 
-    def test_sign_change_detection(self):
-        assert Bracket(0.0, 1.0, -1.0, 2.0).has_sign_change
-        assert Bracket(0.0, 1.0, 0.0, 2.0).has_sign_change
-        assert Bracket(0.0, 1.0, 2.0, 0.0).has_sign_change
-        assert not Bracket(0.0, 1.0, 1.0, 2.0).has_sign_change
-        assert not Bracket(0.0, 1.0, -1.0, -2.0).has_sign_change
 
-    def test_from_function(self):
-        br = Bracket.from_function(lambda x: x * x - 2.0, 1.0, 2.0)
-        assert br.f_lo == -1.0 and br.f_hi == 2.0
-        assert br.has_sign_change
+@contextlib.contextmanager
+def solves_checked_against_scipy():
+    """Within it, every solve of the optimizers asserts that its root equals
+    scipy's bit for bit; yields the list of roots found."""
+    port = rootfind.solve_bracketed
+    roots = []
+
+    def checked(f, lo, hi):
+        root = port(f, lo, hi)
+        assert root == brentq_oracle(f, lo, hi), (lo, hi)
+        roots.append(root)
+        return root
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rootfind, "solve_bracketed", checked)
+        yield roots
 
 
 class TestSolveBracketed:
     def test_sqrt_two(self):
-        br = Bracket.from_function(lambda x: x * x - 2.0, 1.0, 2.0)
-        root = solve_bracketed(lambda x: x * x - 2.0, br)
-        assert root == pytest.approx(SQRT2, abs=1e-12)
+        root = solve_bracketed(lambda x: x * x - 2.0, 1.0, 2.0)
+        assert root == pytest.approx(SQRT2, abs=1e-15)
         assert 1.0 <= root <= 2.0
 
     def test_linear(self):
-        br = Bracket.from_function(lambda x: x, -1.0, 1.0)
-        assert solve_bracketed(lambda x: x, br) == pytest.approx(0.0, abs=1e-12)
+        assert solve_bracketed(lambda x: x, -1.0, 1.0) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "f,lo,hi",
+        [
+            (lambda x: x * x - 2.0, 1.0, 2.0),
+            (lambda x: x**3 - 5.0, 1.0, 2.0),
+            (lambda x: math.tanh(x) - 0.3, -3.0, 3.0),
+            (lambda x: x - 1.0, 1.0, 2.0),  # exact zero at lo
+            (lambda x: x - 1.0, 0.0, 1.0),  # exact zero at hi
+            (lambda x: x, -1.0, 2.0),  # root at 0: only the absolute floor stops it
+            # Underflowing slopes make an interpolation denominator exactly 0.
+            (lambda x: math.exp(x) - 1e-200, -1000.0, 1.0),
+        ],
+        ids=["sqrt2", "cubic", "tanh", "zero_at_lo", "zero_at_hi", "root_at_0",
+             "zero_denominator"],
+    )
+    def test_matches_scipy_bitwise(self, f, lo, hi):
+        assert solve_bracketed(f, lo, hi) == brentq_oracle(f, lo, hi)
 
     def test_exact_zero_at_endpoint(self):
         f = lambda x: x - 1.0
-        assert solve_bracketed(f, Bracket.from_function(f, 1.0, 2.0)) == 1.0
-        assert solve_bracketed(f, Bracket(0.0, 1.0, -1.0, 0.0)) == 1.0
+        assert solve_bracketed(f, 1.0, 2.0) == 1.0
+        assert solve_bracketed(f, 0.0, 1.0) == 1.0
 
     def test_no_sign_change_raises(self):
-        br = Bracket(1.0, 2.0, 1.0, 4.0)
         with pytest.raises(BracketError):
-            solve_bracketed(lambda x: x * x, br)
+            solve_bracketed(lambda x: x * x, 1.0, 2.0)
+        with pytest.raises(BracketError):
+            solve_bracketed(lambda x: -x * x - 1.0, -1.0, 1.0)
 
-    def test_iteration_budget(self):
+    def test_rejects_unordered_ends(self):
+        with pytest.raises(ValueError):
+            solve_bracketed(lambda x: x, 1.0, -1.0)
+        with pytest.raises(ValueError):
+            solve_bracketed(lambda x: x, 1.0, 1.0)
+
+    def test_iteration_budget(self, monkeypatch):
         f = lambda x: x**3 - 5.0
-        br = Bracket.from_function(f, 1.0, 2.0)
+        monkeypatch.setattr(rootfind, "_MAX_ITER", 2)
         with pytest.raises(ConvergenceError):
-            solve_bracketed(f, br, tol_x=1e-15, tol_f=0.0, max_iter=2)
+            solve_bracketed(f, 1.0, 2.0)
+
+    @pytest.mark.parametrize("q0", [0.5, 0.7, 0.9, 1.0 - 1e-6])
+    def test_optimizers_match_scipy_on_the_sweep_axis(self, q0):
+        # fig1/fig3's log axis; the sd solve at T = 1, where psi**2 = gamma_sq.
+        pr = Priors(q0)
+        with solves_checked_against_scipy() as roots:
+            for g_sq in np.geomspace(0.01, 4.0, 300):
+                g = math.sqrt(float(g_sq))
+                optimal_beta_ik(pr, g)
+                optimal_beta_sd(pr, g, 1.0)
+        assert len(roots) == 600
 
 
 class TestGoldenMax:
@@ -360,12 +399,14 @@ class TestOptimizersAgainstMpmath:
     T=st.floats(0.03, 30.0),
 )
 def test_optimizers_return_and_beat_kennedy_over_the_domain(q0, gamma_sq, T):
+    # Each solve also matches scipy's Brent bit for bit.
     pr = Priors(q0)
     g = math.sqrt(gamma_sq)
-    beta = optimal_beta_ik(pr, g)
-    assert improved_kennedy_pc(pr, g, beta) >= improved_kennedy_pc(pr, g, g) - 1e-12
     psi = math.sqrt(gamma_sq / T)
-    beta = optimal_beta_sd(pr, psi, T)
-    assert simplified_dolinar_pc(pr, psi, beta, T) >= (
+    with solves_checked_against_scipy():
+        beta_ik = optimal_beta_ik(pr, g)
+        beta_sd = optimal_beta_sd(pr, psi, T)
+    assert improved_kennedy_pc(pr, g, beta_ik) >= improved_kennedy_pc(pr, g, g) - 1e-12
+    assert simplified_dolinar_pc(pr, psi, beta_sd, T) >= (
         simplified_dolinar_pc(pr, psi, psi, T) - 1e-12
     )
