@@ -68,7 +68,7 @@ DEFAULTS = {
     "points": 30,
     "spacing": "log",
     "q0": 0.5,
-    "big_t": 1.0,
+    "T": 1.0,
     "trials": 10000,
     "format": "csv",
     "psi": 1.0,
@@ -374,23 +374,19 @@ def cmd_simulate(
 
 
 def _write_trajectories(path: str, spec: SweepSpec, trajectories) -> None:
-    if spec.format == "csv":
-        with open(path, "w", newline="") as fh:
-            fh.write("trial,a,z_final,click_times\n")
-            for i, tr in enumerate(trajectories):
-                times = ";".join(f"{t:.12g}" for t in tr.click_times)
-                fh.write(f"{i},{tr.a},{tr.z_final},{times}\n")
-    else:
+    a, z, offsets, times = (col.tolist() for col in trajectories)
+    spans = enumerate(zip(a, z, offsets, offsets[1:]))
+    if spec.format == "json":
         records = [
-            {
-                "trial": i,
-                "a": tr.a,
-                "z_final": tr.z_final,
-                "click_times": [_sig12(t) for t in tr.click_times],
-            }
-            for i, tr in enumerate(trajectories)
+            {"trial": i, "a": ai, "z_final": zi, "click_times": [_sig12(t) for t in times[lo:hi]]}
+            for i, (ai, zi, lo, hi) in spans
         ]
-        _write_json(path, spec, "trajectories", records)
+        return _write_json(path, spec, "trajectories", records)
+    # Line by line: the whole file as one string would raise peak memory.
+    with open(path, "w", newline="") as fh:
+        fh.write("trial,a,z_final,click_times\n")
+        for i, (ai, zi, lo, hi) in spans:
+            fh.write(f"{i},{ai},{zi},{';'.join(f'{t:.12g}' for t in times[lo:hi])}\n")
 
 
 def read_config(path: str) -> dict[str, str]:
@@ -422,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--q0", type=float, default=None)
-        p.add_argument("--T", type=float, default=None, dest="big_t")
+        p.add_argument("--T", type=float, default=None)
 
     def add_sweep(p: argparse.ArgumentParser) -> None:
         add_common(p)
@@ -461,9 +457,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(ns, cfg: dict[str, str]):
-    """Merge CLI > config > env (seed) > defaults into a SweepSpec."""
+    """Merge CLI > config > env (seed) > defaults into a SweepSpec; a config
+    key that names no option of the command is rejected, not ignored."""
+    picked = set()
 
     def pick(name: str, cast, default=None):
+        picked.add(name)
         v = getattr(ns, name, None)
         if v is not None:
             return v
@@ -508,7 +507,7 @@ def _resolve(ns, cfg: dict[str, str]):
         points=pick("points", int, DEFAULTS["points"]),
         spacing=pick("spacing", str, DEFAULTS["spacing"]),
         q0=pick("q0", float, DEFAULTS["q0"]),
-        T=pick("big_t", float, DEFAULTS["big_t"]),
+        T=pick("T", float, DEFAULTS["T"]),
         seed=seed,
         trials=pick("trials", int, DEFAULTS["trials"]),
         format=pick("format", str, DEFAULTS["format"]),
@@ -524,6 +523,9 @@ def _resolve(ns, cfg: dict[str, str]):
     if output is None:
         raise ValueError("an output path is required (--output or config)")
     trajectories = pick("trajectories", str)
+    unknown = sorted(set(cfg) - picked)
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}")
     return spec, output, trajectories
 
 

@@ -42,7 +42,7 @@ __all__ = [
     "ControlLaw",
     "PcState",
     "EvolveResult",
-    "TelegraphTrajectory",
+    "Trajectories",
     "TelegraphResult",
     "feedback_amplitude",
     "rates",
@@ -184,13 +184,15 @@ class ControlLaw:
             # Only a cap regularizes; uncapped, the law raises where evaluated.
             value, switch = math.inf, 0.0
         if u_max is not None and value > u_max:
-            # psi / R(t) = u_max where 4*q0*q1*exp(-4*psi**2*t) = g.
-            value = u_max
-            g = 1.0 - (psi / u_max) ** 2
-            if g <= 0.0 or psi == 0.0:
+            # psi / R(t) >= psi, so a cap at or below psi holds for all t.
+            if u_max <= psi or psi == 0.0:
                 return cls(kind, (0.0,), (u_max,))
-            c = 4.0 * priors.q0 * priors.q1
-            switch = max(switch, math.log(c / g) / (4.0 * psi * psi))
+            # psi / R(t) = u_max where 4*q0*q1*exp(-k*t) = g, k = 4*psi**2.  An
+            # underflowed k takes the limit 1/(4*u_max**2) of q0*q1 = 1/4; for
+            # other priors u_max < 1e-154 then, and both times exceed 1e307.
+            value, g, k = u_max, 1.0 - (psi / u_max) ** 2, 4.0 * psi * psi
+            c_over_g = 4.0 * priors.q0 * priors.q1 / g
+            switch = max(switch, math.log(c_over_g) / k if k else 0.25 / u_max / u_max)
         if switch <= 0.0:
             return cls(kind, (0.0,), (), (priors, psi))
         return cls(kind, (0.0, switch), (value,), (priors, psi))
@@ -262,37 +264,25 @@ class EvolveResult:
     pc: np.ndarray
 
 
-@dataclass(frozen=True)
-class TelegraphTrajectory:
-    """One simulated run: symbol, start bit, click times, final bit.
+class Trajectories(NamedTuple):
+    """Click records of all trials, one column each.
 
-    The final bit is determined by click parity: each click toggles the
-    provisional decision, so ``z_final = z0 XOR (number of clicks mod 2)``.
+    Trial ``i`` drew the symbol ``a[i]``, started on ``Priors.start_bit``,
+    clicked at ``times[offsets[i]:offsets[i + 1]]`` (strictly increasing,
+    in (0, T]) and ended on ``z_final[i]``.  Each click toggles the
+    provisional bit, so ``z_final = start_bit ^ (clicks & 1)``.
     """
 
-    a: int
-    z0: int
-    click_times: tuple[float, ...]
-    z_final: int
-
-    def __post_init__(self) -> None:
-        if self.a not in (0, 1) or self.z0 not in (0, 1) or self.z_final not in (0, 1):
-            raise ValueError("a, z0 and z_final must be bits")
-        if any(t <= 0.0 for t in self.click_times):
-            raise ValueError("click times must be positive")
-        if any(b <= a for a, b in zip(self.click_times, self.click_times[1:])):
-            raise ValueError("click times must be strictly increasing")
-        if self.z_final != self.z0 ^ (len(self.click_times) & 1):
-            raise ValueError(
-                f"z_final={self.z_final} inconsistent with z0={self.z0} "
-                f"and {len(self.click_times)} clicks"
-            )
+    a: np.ndarray
+    z_final: np.ndarray
+    offsets: np.ndarray
+    times: np.ndarray
 
 
 class TelegraphResult(NamedTuple):
     estimate: float
     stderr: float
-    trajectories: list[TelegraphTrajectory] | None
+    trajectories: Trajectories | None
 
 
 def _initial_errors(priors: Priors) -> tuple[float, float]:
@@ -558,7 +548,8 @@ def simulate_telegraph(
     closed forms on each segment of the law (see :class:`ControlLaw`), so
     nothing is solved numerically; an optimal-law segment must be built for
     this ``psi``.  Returns the frequency of trials ending on the true
-    symbol, its binomial standard error and, on request, the trajectories.
+    symbol, its binomial standard error and, on request, the click records
+    (:class:`Trajectories`).
 
     Trial i reads the counter-based uniforms of ``(seed, i)`` (see
     :mod:`qsdr._streams`): draw 0 picks the symbol, draw ``d >= 1`` is the
@@ -576,16 +567,14 @@ def simulate_telegraph(
     hazard = _Segments(control, psi, T)
     end = hazard.lam[:, -1]
     hits = 0
-    trajectories: list[TelegraphTrajectory] | None = [] if keep_trajectories else None
-    z0 = priors.start_bit
+    symbols, finals, rows, taus = kept = ([], [], [], [])  # click records
     streams = TrialStreams(seed)
     for i0, u in streams.chunks(trials):
         n = len(u)
         a = (u[:, 0] >= priors.q0).astype(np.intp)
-        z = np.full(n, z0, dtype=np.intp)
+        z = np.full(n, priors.start_bit, dtype=np.intp)
         t = np.zeros(n)
         live = np.arange(n)
-        clicks = [[] for _ in range(n)] if trajectories is not None else None
         d = 0
         while live.size:
             d += 1
@@ -602,16 +591,21 @@ def simulate_telegraph(
             )
             t[live] = tau
             z[live] ^= 1
-            if clicks is not None:
-                for r, c in zip(live.tolist(), tau.tolist()):
-                    clicks[r].append(c)
+            if keep_trajectories:
+                rows.append(i0 + live)
+                taus.append(tau)
         hits += int(np.count_nonzero(z == a))
-        if clicks is not None:
-            trajectories.extend(
-                TelegraphTrajectory(ar, z0, tuple(c), zr)
-                for ar, zr, c in zip(a.tolist(), z.tolist(), clicks)
-            )
+        if keep_trajectories:
+            symbols.append(a)
+            finals.append(z)
     p = hits / trials
+    trajectories = None
+    if keep_trajectories:
+        # Steps come in time order and chunks in trial order, so a stable
+        # sort by trial keeps each trial's clicks in time order.
+        a, z, trial, times = (np.concatenate(k) for k in kept)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(trial, minlength=trials))))
+        trajectories = Trajectories(a, z, offsets, times[np.argsort(trial, kind="stable")])
     return TelegraphResult(p, math.sqrt(p * (1.0 - p) / trials), trajectories)
 
 

@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .statemath import Priors, improved_kennedy_pc, simplified_dolinar_pc
+from .statemath import Priors, improved_kennedy_pc
+from .statemath import simplified_dolinar_pc  # not called here; perfbench/spans.py counts it
 
 __all__ = [
     "BracketError",
@@ -225,23 +226,23 @@ def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) 
     lhs = beta * T * s * ((2.0 * priors.q0 - 1.0) * s - 2.0 * psi * beta) * math.exp(
         -2.0 * st
     )
-    rhs = psi * (psi * psi - beta * beta) * 0.5 * (1.0 - math.exp(-2.0 * st))
+    rhs = psi * (psi * psi - beta * beta) * 0.5 * -math.expm1(-2.0 * st)
     return lhs - rhs
 
 
 def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
     """Envelope magnitude maximizing the simplified Dolinar receiver.
 
-    Evaluates the closed-form success probability on a 2001-point grid in
-    one array call, then polishes the root of the stationarity equation
-    between the neighbours of the grid maximum with Brent's method.  The
-    result is checked afterwards against the grid maximum and against
-    ``beta = psi`` (which reproduces the Kennedy receiver).  Requires
-    ``psi > 0``, ``T > 0`` and ``q0 >= q1``.
-
-    The grid spans ``(0, 10*psi + 5/sqrt(T)]``: for strong signals the
-    optimum hugs ``psi``, while for weak ones it settles near an absolute
-    scale ~``0.8/sqrt(T)``, so a purely multiplicative cap would miss it.
+    ``P_c`` depends only on ``gamma = psi*sqrt(T)`` and ``b = beta*sqrt(T)``,
+    so the solve runs in those units and returns ``b/sqrt(T)``.  The gain
+    over guessing, ``P_c - q0 = (gamma*b/s - q0 + 1/2) * (1 - exp(-2*s))``
+    with ``s = gamma**2 + b**2``, has both factors smaller below the Kennedy
+    point ``b = gamma`` than at it.  One array call scans the gain, which
+    keeps its digits where ``P_c`` rounds to ``q0``, on a 2001-point log grid
+    from ``gamma`` to ``10*gamma + 5``; Brent's method polishes the root of
+    the stationarity equation between the neighbours of the grid maximum,
+    and the result is checked against that maximum.  Requires ``psi > 0``,
+    ``T > 0`` and ``q0 >= q1``.
     """
     if psi <= 0.0:
         raise ValueError(f"psi must be > 0, got {psi}")
@@ -249,24 +250,26 @@ def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
         raise ValueError(f"T must be > 0, got {T}")
     if priors.q0 < priors.q1:
         raise ValueError("optimal_beta_sd requires q0 >= q1; swap the labels first")
+    root_t = math.sqrt(T)
+    gamma, c = psi * root_t, priors.q0 - 0.5
 
-    def resid(b: float) -> float:
-        return sd_displacement_residual(priors, psi, T, b)
+    def gain(b):
+        s = gamma * gamma + b * b
+        return (gamma * b / s - c) * -np.expm1(-2.0 * s)
 
-    hi = 10.0 * psi + 5.0 / math.sqrt(T)
-    grid = np.linspace(hi * 1e-6, hi, 2001)
-    i = int(np.argmax(simplified_dolinar_pc(priors, psi, grid, T)))
-    i = min(max(i, 1), len(grid) - 2)
-    b_star = float(grid[i])
+    grid = gamma * np.exp(np.linspace(0.0, math.log(10.0 + 5.0 / gamma), 2001))
+    gains = gain(grid)
+    i = min(max(int(np.argmax(gains)), 1), len(grid) - 2)
+    # The residual at (gamma/2**k, T = 4**k, b/2**k) is 2**(-3k) times the
+    # one at (gamma, 1, b), exactly, so Brent takes the same steps; on weak
+    # signals k near log2 of the bracket keeps its products from underflowing.
+    k = min(math.frexp(grid[i + 1])[1], 0)
+    scaled = (priors, math.ldexp(gamma, -k), math.ldexp(1.0, 2 * k))
     # The residual is negative before a maximum and positive after it.
-    beta = solve_bracketed(resid, float(grid[i - 1]), float(grid[i + 1]))
-    pc = simplified_dolinar_pc(priors, psi, beta, T)
-    if pc < simplified_dolinar_pc(priors, psi, b_star, T) - 1e-12:
-        raise ConvergenceError(
-            f"polished root {beta} lost probability against grid maximum {b_star}"
-        )
-    if pc < simplified_dolinar_pc(priors, psi, psi, T) - 1e-12:
-        raise ConvergenceError(
-            f"stationary point {beta} does not improve on the Kennedy point {psi}"
-        )
-    return beta
+    lo, hi = math.ldexp(grid[i - 1], -k), math.ldexp(grid[i + 1], -k)
+    b = math.ldexp(solve_bracketed(lambda x: sd_displacement_residual(*scaled, x), lo, hi), k)
+    # A gain is uncertain by a few eps * (1 - exp(-2*s)); allow 1e4 times that.
+    if gain(b) < gains.max() - 1e-12 * -math.expm1(-2.0 * (gamma * gamma + b * b)):
+        raise ConvergenceError(f"polished root {b / root_t} lost probability "
+                               "against the grid maximum")
+    return b / root_t

@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsdr
 import qsdr.cli as cli
@@ -473,6 +475,26 @@ class TestResolution:
         assert doc["spec"]["q0"] == 0.7
         assert doc["spec"]["points"] == 2
 
+    def test_config_key_T_is_the_T_option(self, tmp_path):
+        cfg = tmp_path / "long.cfg"
+        cfg.write_text("T = 4\n")
+        # fig3's simplified_dolinar_beta_sq is an envelope intensity, so it
+        # depends on T; every fig1 column depends on gamma_sq alone.
+        args = ["fig3", "--points", "3", "--q0", "0.7"]
+        assert main(args + ["--config", str(cfg), "-o", str(tmp_path / "a.csv")]) == 0
+        assert main(args + ["--T", "4", "-o", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert main(args + ["-o", str(tmp_path / "c.csv")]) == 0
+        assert (tmp_path / "c.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
+
+    def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("points = 2\ngamma_sq_mn = 0.2\n")
+        out = tmp_path / "o.csv"
+        assert main(["fig1", "--config", str(cfg), "-o", str(out)]) == 2
+        assert "gamma_sq_mn" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("points 2\n")
@@ -542,7 +564,8 @@ class TestExitCodes:
 
 
 class TestWholeDomain:
-    """Sweeps over strong signals and extreme or certain priors complete."""
+    """Runs at the edges of the domain complete or exit with a documented code:
+    strong and weak signals, extreme or certain priors, extreme T and caps."""
 
     @pytest.mark.parametrize(
         "args",
@@ -552,10 +575,31 @@ class TestWholeDomain:
              "--points", "40"],
             ["fig3", "--q0", "0.999999"],
             ["fig1", "--q0", "1", "--schemes", "improved_kennedy"],
+            # Weak signals and long pulses, where P_c rounds to q0 and the sd
+            # optimum sits near 2.5 psi at q0 = 0.7.
+            ["fig1", "--schemes", "simplified_dolinar", "--q0", "0.7",
+             "--gamma-sq-min", "1e-12", "--gamma-sq-max", "1e-10"],
+            ["fig3", "--q0", "0.7", "--gamma-sq-min", "1e-12", "--gamma-sq-max", "1e-10"],
+            ["fig1", "--spacing", "linear", "--gamma-sq-min", "1e-300", "--points", "3"],
+            ["fig3", "--q0", "0.7", "--T", "1e300", "--points", "3"],
         ],
     )
     def test_sweep_exits_zero(self, args, tmp_path):
         assert main(args + ["-o", str(tmp_path / "o.csv")]) == 0
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            # A cap at or below psi is a constant law.
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "1e-300"], 0),
+            (["fig1", "--schemes", "dolinar_ode", "--q0", "0.5", "--u-max", "1e-300"], 0),
+            # psi**2 underflows: the switch time is finite, the law beyond it is not.
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--psi", "1e-200",
+              "--u-max", "1"], 4),
+        ],
+    )
+    def test_extreme_caps_exit_with_a_documented_code(self, args, code, tmp_path):
+        assert main(args + ["--trials", "50", "-o", str(tmp_path / "o.csv")]) == code
 
     @pytest.mark.parametrize("q0", ["0", "1"])
     def test_certain_prior_nulls_the_certain_hypothesis(self, q0, tmp_path):
@@ -570,6 +614,44 @@ class TestWholeDomain:
         header, rows = read_rows(out)
         for row in rows:
             assert float(row[header.index("improved_kennedy_pe")]) == 0.0
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def domain_argv(draw):
+    """A fig1, fig3 or dolinar_mc run anywhere in the documented domain."""
+    command = draw(st.sampled_from(["fig1", "fig3", "simulate"]))
+    T = draw(log_uniform(1e-12, 1e12))
+    argv = [command, "--q0", repr(draw(st.floats(0.0, 1.0))), "--T", repr(T)]
+    cap = draw(st.none() | log_uniform(1e-300, 1e3))
+    if cap is not None:
+        argv += ["--u-max", repr(cap)]
+    if command == "simulate":
+        argv += ["--scheme", "dolinar_mc", "--trials", "50"]
+        # The photon number psi**2 * T (psi = 1 by default) stays within the
+        # domain, so the number of clicks per trial stays small.
+        if T > 400.0 or draw(st.booleans()):
+            argv += ["--psi", repr(math.sqrt(draw(log_uniform(1e-300, 400.0)) / T))]
+        floor = draw(st.none() | log_uniform(1e-12, 1e12))
+        if floor is not None:
+            argv += ["--t-floor", repr(floor)]
+    else:
+        lo, hi = sorted(draw(st.lists(log_uniform(1e-300, 400.0), min_size=2, max_size=2,
+                                      unique=True)))
+        argv += ["--gamma-sq-min", repr(lo), "--gamma-sq-max", repr(hi), "--points", "3"]
+        if command == "fig1":
+            argv += ["--schemes", "helstrom,kennedy,improved_kennedy,simplified_dolinar,dolinar_ode"]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=domain_argv())
+def test_every_run_in_the_domain_exits_with_a_documented_code(argv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("domain") / "o.csv"
+    assert main(argv + ["-o", str(out)]) in (0, 2, 3, 4)
 
 
 class TestNoNumericalIntegration:

@@ -7,7 +7,7 @@ import qsdr._streams as streams_mod
 from qsdr import (
     ControlLaw,
     Priors,
-    TelegraphTrajectory,
+    Trajectories,
     feedback_amplitude,
     simulate_adaptive,
     simulate_telegraph,
@@ -103,25 +103,34 @@ def loop_telegraph(priors, psi, law, T, trials, seed, draws=200):
 
     Draw 0 picks the symbol; draw d >= 1 is the d-th Exp(1) gap of the
     integrated rate of the current branch, and the first gap that reaches
-    past T ends the trial.
+    past T ends the trial.  Returns the click records as arrays.
     """
     hazard = _Segments(law, psi, T)
-    out = []
+    symbols, finals, offsets, times = [], [], [0], []
     for row in all_draws(seed, trials, draws):
         a = 0 if row[0] < priors.q0 else 1
-        z, t, clicks = priors.start_bit, 0.0, []
+        z, t = priors.start_bit, 0.0
         for u in row[1:]:
             b = np.array([z ^ a])
             y = hazard.at(np.array([t]), b) - np.log1p(-u)
             if y[0] >= hazard.lam[b[0], -1]:
                 break
             t = float(min(max(hazard.inverse(y, b)[0], np.nextafter(t, T)), T))
-            clicks.append(t)
+            times.append(t)
             z ^= 1
         else:
             raise AssertionError("replay needs more draws per trial")
-        out.append(TelegraphTrajectory(a, priors.start_bit, tuple(clicks), z))
-    return out
+        symbols.append(a)
+        finals.append(z)
+        offsets.append(len(times))
+    return Trajectories(*map(np.array, (symbols, finals, offsets, times)))
+
+
+def same_records(x, y):
+    """Click records equal column by column, values and dtype kinds alike."""
+    return all(
+        np.array_equal(p, q) and p.dtype.kind == q.dtype.kind for p, q in zip(x, y, strict=True)
+    )
 
 
 TELEGRAPH_LAWS = [
@@ -166,17 +175,35 @@ class TestSamplersUseTheLayout:
         # simulate_telegraph fetches one block (four draws) per trial at a time.
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
         got = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6, keep_trajectories=True)
-        assert got == want
+        assert got[:2] == want[:2]
+        assert same_records(got.trajectories, want.trajectories)
+
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("q0,law", TELEGRAPH_LAWS)
+    def test_telegraph_records_are_consistent(self, q0, law, rows, monkeypatch):
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
+        pr = Priors(q0)
+        tr = simulate_telegraph(pr, 1.0, law, 1.0, 60, seed=2, keep_trajectories=True).trajectories
+        counts = np.diff(tr.offsets)
+        assert tr.offsets[0] == 0 and tr.offsets[-1] == len(tr.times) and np.all(counts >= 0)
+        assert len(tr.a) == len(tr.z_final) == len(counts) == 60
+        assert np.isin(tr.a, (0, 1)).all() and np.isin(tr.z_final, (0, 1)).all()
+        assert np.all((0.0 < tr.times) & (tr.times <= 1.0))
+        # Strictly increasing within a trial: only a trial's first click may drop.
+        first = np.zeros(len(tr.times), dtype=bool)
+        first[tr.offsets[:-1][counts > 0]] = True
+        assert np.all(np.diff(tr.times)[~first[1:]] > 0.0)
+        assert np.array_equal(tr.z_final, pr.start_bit ^ (counts & 1))
 
     @pytest.mark.parametrize("q0,law", TELEGRAPH_LAWS)
     def test_telegraph_matches_scalar_replay(self, q0, law):
         pr = Priors(q0)
         res = simulate_telegraph(pr, 1.0, law, 1.0, 300, seed=12, keep_trajectories=True)
         replay = loop_telegraph(pr, 1.0, law, 1.0, 300, seed=12)
-        assert res.trajectories == replay
-        assert res.estimate == sum(tr.z_final == tr.a for tr in replay) / 300
+        assert same_records(res.trajectories, replay)
+        assert res.estimate == np.count_nonzero(replay.z_final == replay.a) / 300
         # Some trial crosses a block edge (its fourth gap).
-        assert max(len(tr.click_times) for tr in replay) >= 3
+        assert np.diff(replay.offsets).max() >= 3
 
     def test_telegraph_symbol_is_the_first_draw(self):
         pr = Priors(0.6)
@@ -184,4 +211,4 @@ class TestSamplersUseTheLayout:
             pr, 1.0, ControlLaw.constant(1.0), 1.0, 300, seed=9, keep_trajectories=True
         )
         first = all_draws(9, 300, 1)[:, 0]
-        assert [t.a for t in res.trajectories] == [0 if u < pr.q0 else 1 for u in first]
+        assert res.trajectories.a.tolist() == [0 if u < pr.q0 else 1 for u in first]
