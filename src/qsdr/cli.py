@@ -20,6 +20,7 @@ Exit codes: 0 success, 2 invalid spec or I/O failure, 3 solver failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -30,7 +31,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .dolinar import ControlLaw, SingularControlError, evolve_pc, simulate_telegraph
+from .dolinar import (
+    ControlLaw,
+    SingularControlError,
+    TelegraphResult,
+    evolve_pc,
+    simulate_telegraph,
+    telegraph_chunks,
+)
 from .dolinar import helstrom_trajectory  # not called here; perfbench/spans.py traces it
 from .multicopy import exact_adaptive_pc, simulate_adaptive
 from .rootfind import (
@@ -47,7 +55,8 @@ from .statemath import (
     helstrom_bound,  # not called here; perfbench/spans.py traces it
     helstrom_error,
     improved_kennedy_pc,
-    kennedy_pc,
+    kennedy_error,
+    kennedy_pc,  # not called here; perfbench/spans.py traces it
     simplified_dolinar_pc,
 )
 
@@ -178,15 +187,19 @@ def _write_csv(path: str, header: list[str], rows: list[dict]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_json(path: str, spec: SweepSpec, key: str, records: list) -> None:
+def _json_text(spec: SweepSpec, key: str, records: list) -> str:
     doc = {
         "spec": spec.public_dict(),
         key: records,
         "tool_version": __version__,
         "seed": spec.seed,
     }
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+
+
+def _write_json(path: str, spec: SweepSpec, key: str, records: list) -> None:
     # Serialized first so a value strict JSON cannot hold leaves no file.
-    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    text = _json_text(spec, key, records)
     with open(path, "w", newline="") as fh:
         fh.write(text)
 
@@ -226,21 +239,18 @@ def _row_seeds(seed: int, n: int) -> list[int]:
     return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, np.uint64)]
 
 
-def _simulate_dolinar_mc(spec: SweepSpec, keep_trajectories: bool):
+def _simulate_dolinar_mc(spec: SweepSpec, export):
     if spec.psi is None:
         raise ValueError("dolinar_mc requires --psi")
     priors = spec.priors
     law = _dolinar_law(spec, priors, spec.psi)
-    result = simulate_telegraph(
-        priors, spec.psi, law, spec.T, spec.trials, spec.seed, keep_trajectories
-    )
+    chunks = telegraph_chunks(priors, spec.psi, law, spec.T, spec.trials, spec.seed)
+    result = TelegraphResult.from_chunks(chunks if export is None else export(chunks))
     analytic = evolve_pc(priors, spec.psi, law, spec.T, sample_times=()).final.pc(priors)
-    return result.estimate, result.stderr, analytic, result.trajectories
+    return result.estimate, result.stderr, analytic
 
 
-def _simulate_multicopy(spec: SweepSpec, keep_trajectories: bool):
-    if keep_trajectories:
-        raise ValueError("--trajectories applies only to dolinar_mc")
+def _simulate_multicopy(spec: SweepSpec, export):
     if spec.theta is None:
         raise ValueError("multicopy requires --theta or --chi")
     if spec.copies is None:
@@ -249,7 +259,7 @@ def _simulate_multicopy(spec: SweepSpec, keep_trajectories: bool):
     estimate, stderr = simulate_adaptive(
         priors, spec.theta, spec.copies, spec.trials, spec.seed
     )
-    return estimate, stderr, exact_adaptive_pc(priors, spec.theta, spec.copies), None
+    return estimate, stderr, exact_adaptive_pc(priors, spec.theta, spec.copies)
 
 
 class _Point(NamedTuple):
@@ -277,14 +287,15 @@ def _dolinar_mc_pe(p: _Point) -> float:
 
 # One entry per scheme, in canonical column order (selections keep this
 # order, not the flag order).  "pe" (fig1) and "beta_sq" (fig3) map a _Point
-# to the column's value; "simulate" maps (spec, keep_trajectories) to
-# (estimate, stderr, analytic, trajectories).  Entries look library functions up as
+# to the column's value; "simulate" maps (spec, export) to (estimate,
+# stderr, analytic), where export, if not None (dolinar_mc only), passes
+# the sampler's chunks on and writes their click records.  Entries look library functions up as
 # module globals at call time, so a wrapper set on a qsdr.cli attribute
 # sees every call.
 SCHEMES = {
     "helstrom": {"pe": lambda p: helstrom_error(p.priors, coherent_overlap(p.g))},
     # Exact nulling: fig3's reference line.
-    "kennedy": {"pe": lambda p: 1.0 - kennedy_pc(p.priors, p.g), "beta_sq": lambda p: p.g},
+    "kennedy": {"pe": lambda p: kennedy_error(p.priors, p.g), "beta_sq": lambda p: p.g},
     # The optimized receivers need q0 >= q1; pe and |beta|**2 ignore labels.
     "improved_kennedy": {
         "pe": lambda p: 1.0
@@ -347,46 +358,92 @@ def cmd_simulate(
     if len(spec.schemes) != 1 or spec.schemes[0] not in SIM_SCHEMES:
         raise ValueError(f"simulate runs exactly one of {', '.join(SIM_SCHEMES)}")
     scheme = spec.schemes[0]
-    estimate, stderr, analytic, trajectories = SCHEMES[scheme]["simulate"](
-        spec, trajectories_path is not None
-    )
-    diff = abs(estimate - analytic)
-    if diff == 0.0:
-        z = 0.0
-    elif stderr > 0.0:
-        z = diff / stderr
-    else:
-        z = math.inf
-    row = {
-        "scheme": scheme,
-        "estimate": estimate,
-        "stderr": stderr,
-        "trials": spec.trials,
-        "seed": spec.seed,
-        "analytic": analytic,
-        "z_score": z,
-    }
-    header = ["scheme", "estimate", "stderr", "trials", "seed", "analytic", "z_score"]
-    _write_rows(output, spec, header, [row])
-    if trajectories_path is not None:
-        _write_trajectories(trajectories_path, spec, trajectories)
+    if trajectories_path is not None and scheme != "dolinar_mc":
+        raise ValueError("--trajectories applies only to dolinar_mc")
+    with _trajectory_export(trajectories_path, spec) as export:
+        estimate, stderr, analytic = SCHEMES[scheme]["simulate"](spec, export)
+        diff = abs(estimate - analytic)
+        if diff == 0.0:
+            z = 0.0
+        elif stderr > 0.0:
+            z = diff / stderr
+        else:
+            z = math.inf
+        row = {
+            "scheme": scheme,
+            "estimate": estimate,
+            "stderr": stderr,
+            "trials": spec.trials,
+            "seed": spec.seed,
+            "analytic": analytic,
+            "z_score": z,
+        }
+        header = ["scheme", "estimate", "stderr", "trials", "seed", "analytic", "z_score"]
+        _write_rows(output, spec, header, [row])
     return row
 
 
-def _write_trajectories(path: str, spec: SweepSpec, trajectories) -> None:
-    a, z, offsets, times = (col.tolist() for col in trajectories)
-    spans = enumerate(zip(a, z, offsets, offsets[1:]))
-    if spec.format == "json":
-        records = [
-            {"trial": i, "a": ai, "z_final": zi, "click_times": [_sig12(t) for t in times[lo:hi]]}
-            for i, (ai, zi, lo, hi) in spans
-        ]
-        return _write_json(path, spec, "trajectories", records)
-    # Line by line: the whole file as one string would raise peak memory.
-    with open(path, "w", newline="") as fh:
-        fh.write("trial,a,z_final,click_times\n")
-        for i, (ai, zi, lo, hi) in spans:
-            fh.write(f"{i},{ai},{zi},{';'.join(f'{t:.12g}' for t in times[lo:hi])}\n")
+@contextlib.contextmanager
+def _trajectory_export(path: str | None, spec: SweepSpec):
+    """Open the trajectory file before the run starts and yield the filter
+    that streams the sampler's chunks into it (None without a path).  A run
+    that fails removes the partial file."""
+    if path is None:
+        yield None
+        return
+    fh = open(path, "w", newline="")
+    try:
+        with fh:  # a failed flush at close also removes the file
+            yield lambda chunks: _stream_trajectories(fh, spec, chunks)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(path)
+        raise
+
+
+# Trials formatted per write: one batch's text is all the export holds.
+_BATCH = 1024
+
+
+def _stream_trajectories(fh, spec: SweepSpec, chunks):
+    """Write each chunk's click records, then pass the chunk on.
+
+    A batch of trials is one template, filled by one ``%`` call with the
+    batch's click times: ``'%.12g' % t`` is ``f"{t:.12g}"``, and ``'%r'`` of
+    the 12-digit float is what ``json.dumps`` writes.  A trial's line after
+    its number is built once per key ``4*clicks + 2*a + z_final``.  The JSON
+    document is the one :func:`_write_json` writes, framing included.
+    """
+    if spec.format == "csv":
+        head, tail, sep, opener = "trial,a,z_final,click_times\n", "", "", ""
+        line = lambda a, z, k: f",{a},{z},{';'.join(['%.12g'] * k)}\n"
+        values = tuple
+    else:
+        mark = "\0"  # stands for the records in the document's framing
+        head, tail = _json_text(spec, "trajectories", [mark]).split(json.dumps(mark))
+        sep, opener = ",\n    ", '{\n      "trial": '
+        line = lambda a, z, k: (
+            f',\n      "a": {a},\n      "z_final": {z},\n      "click_times": '
+            + ("[\n        " + ",\n        ".join(["%r"] * k) + "\n      ]" if k else "[]")
+            + "\n    }"
+        )
+        values = lambda ts: tuple(map(_sig12, ts))
+    fh.write(head)
+    lead, lines = "", {}
+    for i0, tr in chunks:
+        edges = tr.offsets.tolist()
+        keys = (4 * np.diff(tr.offsets) + 2 * tr.a + tr.z_final).tolist()
+        for k in set(keys).difference(lines):
+            lines[k] = line(k >> 1 & 1, k & 1, k >> 2)
+        for lo in range(0, len(keys), _BATCH):
+            hi = min(lo + _BATCH, len(keys))
+            text = sep.join(
+                [f"{opener}{i}{lines[k]}" for i, k in zip(range(i0 + lo, i0 + hi), keys[lo:hi])]
+            )
+            fh.write(lead + text % values(tr.times[edges[lo]:edges[hi]].tolist()))
+            lead = sep
+        yield i0, tr
+    fh.write(tail)
 
 
 def read_config(path: str) -> dict[str, str]:

@@ -19,14 +19,16 @@ This module provides the feedback law, closed-form evolution of the
 correct-decision probability on the segments of a structured law, an RK45
 integration of the general asymmetric form (for opaque laws, and as the
 oracle of the closed forms), a seeded telegraph Monte Carlo of the click
-process, the piecewise-constant (segmented) approximation, and a residual
-check of the algebraic identity that certifies the optimal law.
+process (streamed chunk by chunk, or reduced to one result), the
+piecewise-constant (segmented) approximation, and a residual check of the
+algebraic identity that certifies the optimal law.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -51,6 +53,7 @@ __all__ = [
     "evolve_pc_general",
     "segmented_pc",
     "simulate_telegraph",
+    "telegraph_chunks",
     "verify_control_identity",
 ]
 
@@ -265,7 +268,8 @@ class EvolveResult:
 
 
 class Trajectories(NamedTuple):
-    """Click records of all trials, one column each.
+    """Click records of a run's trials (or of one chunk of them), one
+    column each.
 
     Trial ``i`` drew the symbol ``a[i]``, started on ``Priors.start_bit``,
     clicked at ``times[offsets[i]:offsets[i + 1]]`` (strictly increasing,
@@ -283,6 +287,31 @@ class TelegraphResult(NamedTuple):
     estimate: float
     stderr: float
     trajectories: Trajectories | None
+
+    @classmethod
+    def from_chunks(
+        cls, chunks: Iterable[tuple[int, Trajectories]], keep_trajectories: bool = False
+    ) -> "TelegraphResult":
+        """Reduce the chunks of :func:`telegraph_chunks`: the frequency of
+        trials ending on the true symbol, its binomial standard error and,
+        on request, the chunks' records joined into one."""
+        hits = trials = 0
+        kept = []
+        for _, tr in chunks:
+            hits += int(np.count_nonzero(tr.z_final == tr.a))
+            trials += len(tr.a)
+            if keep_trajectories:
+                kept.append(tr)
+        p = hits / trials
+        trajectories = None
+        if keep_trajectories:
+            a, z, offsets, times = zip(*kept)
+            counts = np.concatenate([np.diff(o) for o in offsets])
+            offsets = np.concatenate(([0], np.cumsum(counts)))
+            trajectories = Trajectories(
+                np.concatenate(a), np.concatenate(z), offsets, np.concatenate(times)
+            )
+        return cls(p, math.sqrt(p * (1.0 - p) / trials), trajectories)
 
 
 def _initial_errors(priors: Priors) -> tuple[float, float]:
@@ -529,16 +558,10 @@ class _Segments:
         return np.maximum(t, self.edges[i])
 
 
-def simulate_telegraph(
-    priors: Priors,
-    psi: float,
-    control: ControlLaw,
-    T: float,
-    trials: int,
-    seed: int,
-    keep_trajectories: bool = False,
-) -> TelegraphResult:
-    """Monte Carlo of the click-driven telegraph process.
+def telegraph_chunks(
+    priors: Priors, psi: float, control: ControlLaw, T: float, trials: int, seed: int
+) -> Iterator[tuple[int, Trajectories]]:
+    """Monte Carlo of the click-driven telegraph process, one chunk at a time.
 
     Each trial draws the true symbol from the priors, then samples its
     clicks exactly by time rescaling.  The click rate is ``(psi - u0)**2``
@@ -547,16 +570,17 @@ def simulate_telegraph(
     of the current branch has grown by an Exp(1) gap.  Those integrals are
     closed forms on each segment of the law (see :class:`ControlLaw`), so
     nothing is solved numerically; an optimal-law segment must be built for
-    this ``psi``.  Returns the frequency of trials ending on the true
-    symbol, its binomial standard error and, on request, the click records
-    (:class:`Trajectories`).
+    this ``psi``.
 
     Trial i reads the counter-based uniforms of ``(seed, i)`` (see
     :mod:`qsdr._streams`): draw 0 picks the symbol, draw ``d >= 1`` is the
     d-th gap ``-log1p(-u)``, and the first gap reaching past T ends the
     trial.  A chunk's trials advance together, one array step per gap, so
-    results do not depend on chunking, and memory does not grow with
-    ``trials`` unless trajectories are kept.
+    results do not depend on chunking.  Yields ``(i0, records)`` for each
+    chunk of trials ``i0, i0 + 1, ...``, in order, where ``records`` (see
+    :class:`Trajectories`) indexes the chunk's trials from 0.  Nothing is
+    kept across chunks, so memory does not grow with ``trials``.  The
+    arguments are checked when the first chunk is requested.
     """
     if psi < 0.0:
         raise ValueError(f"psi must be >= 0, got {psi}")
@@ -566,8 +590,6 @@ def simulate_telegraph(
         raise ValueError(f"trials must be >= 1, got {trials}")
     hazard = _Segments(control, psi, T)
     end = hazard.lam[:, -1]
-    hits = 0
-    symbols, finals, rows, taus = kept = ([], [], [], [])  # click records
     streams = TrialStreams(seed)
     for i0, u in streams.chunks(trials):
         n = len(u)
@@ -575,6 +597,7 @@ def simulate_telegraph(
         z = np.full(n, priors.start_bit, dtype=np.intp)
         t = np.zeros(n)
         live = np.arange(n)
+        rows, taus = [], []  # (trial, time) of each gap step's clicks
         d = 0
         while live.size:
             d += 1
@@ -591,22 +614,32 @@ def simulate_telegraph(
             )
             t[live] = tau
             z[live] ^= 1
-            if keep_trajectories:
-                rows.append(i0 + live)
-                taus.append(tau)
-        hits += int(np.count_nonzero(z == a))
-        if keep_trajectories:
-            symbols.append(a)
-            finals.append(z)
-    p = hits / trials
-    trajectories = None
-    if keep_trajectories:
-        # Steps come in time order and chunks in trial order, so a stable
-        # sort by trial keeps each trial's clicks in time order.
-        a, z, trial, times = (np.concatenate(k) for k in kept)
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(trial, minlength=trials))))
-        trajectories = Trajectories(a, z, offsets, times[np.argsort(trial, kind="stable")])
-    return TelegraphResult(p, math.sqrt(p * (1.0 - p) / trials), trajectories)
+            rows.append(live)
+            taus.append(tau)
+        # Steps come in time order, so a stable sort by trial keeps each
+        # trial's clicks in time order.
+        trial = np.concatenate(rows)
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(trial, minlength=n))))
+        yield i0, Trajectories(a, z, offsets, np.concatenate(taus)[np.argsort(trial, kind="stable")])
+
+
+def simulate_telegraph(
+    priors: Priors,
+    psi: float,
+    control: ControlLaw,
+    T: float,
+    trials: int,
+    seed: int,
+    keep_trajectories: bool = False,
+) -> TelegraphResult:
+    """Frequency of trials ending on the true symbol, its binomial standard
+    error and, on request, the click records of all trials: the reduction
+    (:meth:`TelegraphResult.from_chunks`) of :func:`telegraph_chunks`.
+    Memory does not grow with ``trials`` unless trajectories are kept;
+    iterate :func:`telegraph_chunks` to handle the records chunk by chunk.
+    """
+    chunks = telegraph_chunks(priors, psi, control, T, trials, seed)
+    return TelegraphResult.from_chunks(chunks, keep_trajectories)
 
 
 def verify_control_identity(

@@ -147,6 +147,12 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
+def _log_odds(priors: Priors) -> float:
+    # ln(q0/q1); the ratio overflows when q1 is subnormal, the difference does not.
+    ratio = priors.q0 / priors.q1
+    return math.log(ratio) if math.isfinite(ratio) else math.log(priors.q0) - math.log(priors.q1)
+
+
 def _ik_log_residual(log_odds: float, gamma: float, u: float) -> float:
     # ln(q0/q1) - ln((beta+gamma)/(beta-gamma)) + 4*beta*gamma at beta - gamma = e**u.
     e = math.exp(u)
@@ -163,9 +169,7 @@ def ik_displacement_residual(priors: Priors, gamma: float, beta: float) -> float
     """
     if beta <= gamma:
         raise ValueError(f"residual defined for beta > gamma, got beta={beta}")
-    return _ik_log_residual(
-        math.log(priors.q0 / priors.q1), gamma, math.log(beta - gamma)
-    )
+    return _ik_log_residual(_log_odds(priors), gamma, math.log(beta - gamma))
 
 
 def optimal_beta_ik(priors: Priors, gamma: float) -> float:
@@ -190,7 +194,7 @@ def optimal_beta_ik(priors: Priors, gamma: float) -> float:
         raise ValueError("optimal_beta_ik requires q0 >= q1; swap the labels first")
     if priors.q1 == 0.0:
         return gamma
-    log_odds = math.log(priors.q0 / priors.q1)
+    log_odds = _log_odds(priors)
 
     def resid(u: float) -> float:
         return _ik_log_residual(log_odds, gamma, u)

@@ -44,6 +44,7 @@ __all__ = [
     "multicopy_bound",
     "angle_schedule",
     "kennedy_pc",
+    "kennedy_error",
     "improved_kennedy_pc",
     "simplified_dolinar_pc",
 ]
@@ -308,6 +309,15 @@ def kennedy_pc(priors: Priors, gamma_sq: float) -> float:
     if gamma_sq < 0.0:
         raise ValueError(f"gamma_sq must be >= 0, got {gamma_sq}")
     return priors.q0 + priors.q1 * (1.0 - math.exp(-4.0 * gamma_sq))
+
+
+def kennedy_error(priors: Priors, gamma_sq: float) -> float:
+    """Error probability ``q1 * exp(-4*gamma_sq)`` of the Kennedy receiver:
+    ``1 - kennedy_pc`` without the cancellation (only hypothesis 1 is ever
+    mistaken, when no photon arrives)."""
+    if gamma_sq < 0.0:
+        raise ValueError(f"gamma_sq must be >= 0, got {gamma_sq}")
+    return priors.q1 * math.exp(-4.0 * gamma_sq)
 
 
 def improved_kennedy_pc(priors: Priors, gamma: float, beta: float) -> float:

@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsdr
+import qsdr._streams as streams_mod
 import qsdr.cli as cli
-from qsdr import BracketError
+from qsdr import BracketError, Priors, SingularControlError, simulate_telegraph
 from qsdr.cli import main
+from test_streams import TELEGRAPH_LAWS, budget
 
 FIG1_HEADER = b"gamma_sq,helstrom_pe,kennedy_pe,improved_kennedy_pe,simplified_dolinar_pe\n"
 FIG3_HEADER = b"gamma_sq,kennedy_beta_sq,improved_kennedy_beta_sq,simplified_dolinar_beta_sq\n"
@@ -38,6 +40,26 @@ def child_env():
 def read_rows(path):
     lines = path.read_bytes().decode().splitlines()
     return lines[0].split(","), [l.split(",") for l in lines[1:]]
+
+
+def render_trajectories(spec, trajectories) -> bytes:
+    """The trajectory file as the in-memory writer of earlier releases
+    rendered it from all of a run's click records at once."""
+    a, z, offsets, times = (col.tolist() for col in trajectories)
+    spans = enumerate(zip(a, z, offsets, offsets[1:]))
+    if spec.format == "json":
+        records = [
+            {"trial": i, "a": ai, "z_final": zi,
+             "click_times": [float(f"{t:.12g}") for t in times[lo:hi]]}
+            for i, (ai, zi, lo, hi) in spans
+        ]
+        doc = {"spec": spec.public_dict(), "trajectories": records,
+               "tool_version": qsdr.__version__, "seed": spec.seed}
+        return (json.dumps(doc, indent=2, allow_nan=False) + "\n").encode()
+    lines = ["trial,a,z_final,click_times\n"]
+    for i, (ai, zi, lo, hi) in spans:
+        lines.append(f"{i},{ai},{zi},{';'.join(f'{t:.12g}' for t in times[lo:hi])}\n")
+    return "".join(lines).encode()
 
 
 class TestFig1:
@@ -269,17 +291,37 @@ class TestSimulate:
 
     @pytest.mark.parametrize("rows", [1, 7])
     def test_dolinar_output_is_independent_of_chunking(self, rows, tmp_path, monkeypatch):
-        import qsdr._streams as streams_mod
+        for fmt in ("csv", "json"):
+            args = ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
+                    "--trials", "50", "--seed", "3", "--format", fmt]
+            files = []
+            for budget in (streams_mod.CHUNK_UNIFORMS, 4 * rows):
+                monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget)
+                out, traj = tmp_path / f"s{budget}.{fmt}", tmp_path / f"t{budget}.{fmt}"
+                assert main(args + ["-o", str(out), "--trajectories", str(traj)]) == 0
+                files.append((out.read_bytes(), traj.read_bytes()))
+            assert files[0] == files[1], fmt
 
-        args = ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
-                "--trials", "50", "--seed", "3"]
-        files = []
-        for budget in (streams_mod.CHUNK_UNIFORMS, 4 * rows):
-            monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget)
-            out, traj = tmp_path / f"s{budget}.csv", tmp_path / f"t{budget}.csv"
-            assert main(args + ["-o", str(out), "--trajectories", str(traj)]) == 0
-            files.append((out.read_bytes(), traj.read_bytes()))
-        assert files[0] == files[1]
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("q0,law", TELEGRAPH_LAWS)
+    def test_streamed_export_matches_the_in_memory_writer(
+        self, q0, law, fmt, rows, tmp_path, monkeypatch
+    ):
+        args = ["simulate", "--scheme", "dolinar_mc", "--q0", str(q0), "--trials", "60",
+                "--seed", "4", "--format", fmt]
+        traj = tmp_path / f"t.{fmt}"
+        spec, _, _ = cli._resolve(cli._build_parser().parse_args(
+            args + ["-o", "o", "--trajectories", str(traj)]), {})
+        pr = Priors(q0)
+        want = render_trajectories(
+            spec, simulate_telegraph(pr, 1.0, law, 1.0, 60, 4, keep_trajectories=True).trajectories
+        )
+        # TELEGRAPH_LAWS holds laws the options cannot spell (ten slots).
+        monkeypatch.setattr(cli, "_dolinar_law", lambda spec, priors, psi: law)
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
+        assert main(args + ["-o", str(tmp_path / f"o.{fmt}"), "--trajectories", str(traj)]) == 0
+        assert traj.read_bytes() == want
 
     def test_trajectory_json_export(self, tmp_path):
         out, traj = tmp_path / "s.json", tmp_path / "t.json"
@@ -536,6 +578,43 @@ class TestExitCodes:
         missing = tmp_path / "no" / "such" / "dir" / "o.csv"
         assert main(["fig1", "--points", "2", "-o", str(missing)]) == 2
 
+    def test_unwritable_trajectory_file_fails_before_the_run(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(cli, "telegraph_chunks", refuse, raising=False)
+        monkeypatch.setattr(cli, "simulate_telegraph", refuse)
+        out = tmp_path / "ok.csv"
+        rc = main(["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
+                   "--trials", "50", "-o", str(out),
+                   "--trajectories", str(tmp_path / "missing_dir" / "t.csv")])
+        assert rc == 2
+        assert "invalid spec" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_removes_its_partial_trajectory_file(self, tmp_path, monkeypatch, capsys):
+        args = ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
+                "--trials", "50", "--trajectories", str(tmp_path / "t.csv")]
+        # A scheme without click records fails before the file is opened.
+        multicopy = ["--scheme", "multicopy", "--chi", "0.8", "--copies", "2"]
+        assert main(args + multicopy + ["-o", str(tmp_path / "o.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        # The run file cannot be written once the records are.
+        assert main(args + ["-o", str(tmp_path / "missing_dir" / "o.csv")]) == 2
+        assert list(tmp_path.iterdir()) == []
+        # The sampler fails after its first chunk was written.
+        chunks = cli.telegraph_chunks
+
+        def fail_after_one(*a, **kw):
+            yield next(chunks(*a, **kw))
+            raise SingularControlError("stop")
+
+        monkeypatch.setattr(cli, "telegraph_chunks", fail_after_one)
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(7))
+        assert main(args + ["-o", str(tmp_path / "o.csv")]) == 4
+        assert list(tmp_path.iterdir()) == []
+        capsys.readouterr()
+
     def test_singular_control(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         rc = main(
@@ -582,6 +661,9 @@ class TestWholeDomain:
             ["fig3", "--q0", "0.7", "--gamma-sq-min", "1e-12", "--gamma-sq-max", "1e-10"],
             ["fig1", "--spacing", "linear", "--gamma-sq-min", "1e-300", "--points", "3"],
             ["fig3", "--q0", "0.7", "--T", "1e300", "--points", "3"],
+            # A subnormal minority prior: q0/q1 overflows, ln q0 - ln q1 does not.
+            ["fig1", "--q0", "5e-324", "--gamma-sq-min", "1", "--gamma-sq-max", "10",
+             "--points", "3"],
         ],
     )
     def test_sweep_exits_zero(self, args, tmp_path):
@@ -722,24 +804,28 @@ class TestNoScipy:
 
 
 class TestMemory:
-    # ru_maxrss is in kilobytes on Linux and in bytes on macOS.
+    # The child's own peak is VmHWM, where /proc has it: Linux carries
+    # ru_maxrss across exec, so there it would also cover the RSS of this
+    # test process at the fork.  ru_maxrss is in kilobytes on Linux and in
+    # bytes on macOS.
     SCRIPT = (
         "import resource, sys\n"
         "from qsdr.cli import main\n"
         "rc = main(sys.argv[1:])\n"
-        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+        "try:\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        peak = next(int(l.split()[1]) for l in fh if l.startswith('VmHWM:'))\n"
+        "except (OSError, StopIteration):\n"
+        "    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "    peak //= 1024 if sys.platform == 'darwin' else 1\n"
+        "print(rc, peak)\n"
     )
 
-    def _peak_mb(self, tmp_path, trials):
+    def _peak_mb(self, tmp_path, argv, trials):
         out = tmp_path / f"m{trials}.csv"
         proc = subprocess.run(
             [
-                sys.executable, "-c", self.SCRIPT,
-                "simulate",
-                "--scheme", "multicopy",
-                "--q0", "0.7",
-                "--theta", "0.2",
-                "--copies", "20",
+                sys.executable, "-c", self.SCRIPT, *argv,
                 "--trials", str(trials),
                 "--seed", "1",
                 "-o", str(out),
@@ -751,13 +837,23 @@ class TestMemory:
         )
         rc, peak = proc.stdout.split()
         assert rc == "0", proc.stderr
-        return int(peak) / (2**20 if sys.platform == "darwin" else 2**10)
+        return int(peak) / 2**10
 
     def test_multicopy_peak_rss_is_flat_in_trials(self, tmp_path):
         # Each run in a fresh interpreter, so each peak is that run's own.
-        small = self._peak_mb(tmp_path, 10_000)
-        large = self._peak_mb(tmp_path, 1_000_000)
+        argv = ["simulate", "--scheme", "multicopy", "--q0", "0.7", "--theta", "0.2",
+                "--copies", "20"]
+        small = self._peak_mb(tmp_path, argv, 10_000)
+        large = self._peak_mb(tmp_path, argv, 1_000_000)
         assert large - small < 10.0, (small, large)
+
+    def test_telegraph_peak_rss_is_flat_in_trials_with_trajectories(self, tmp_path):
+        for fmt in ("csv", "json"):
+            argv = ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
+                    "--format", fmt, "--trajectories", str(tmp_path / f"t.{fmt}")]
+            small = self._peak_mb(tmp_path, argv, 10_000)
+            large = self._peak_mb(tmp_path, argv, 100_000)
+            assert large - small < 10.0, (fmt, small, large)
 
 
 class TestEntryPoint:

@@ -211,6 +211,18 @@ class TestOptimalBetaIk:
         for g in (1e-3, 0.5, 20.0):
             assert optimal_beta_ik(Priors(1.0), g) == g
 
+    @pytest.mark.parametrize("g_sq", [1.0, 5.5, 10.0])
+    def test_subnormal_minority_prior_keeps_the_nulling_point(self, g_sq):
+        # q0/q1 overflows; ln q0 - ln q1 = 744.4 does not, and the excess
+        # beta - gamma ~ exp(-744) vanishes next to gamma.
+        pr = Priors(5e-324).dominant()
+        assert pr.q1 == 5e-324 and math.isinf(pr.q0 / pr.q1)
+        g = math.sqrt(g_sq)
+        assert optimal_beta_ik(pr, g) == g
+        assert ik_displacement_residual(pr, g, 2.0 * g) == pytest.approx(
+            -math.log(5e-324) - math.log(3.0) + 8.0 * g_sq, rel=1e-12
+        )
+
     def test_excess_below_float_spacing_returns_gamma(self):
         # beta - gamma ~ 2*gamma*(q1/q0)*exp(-4*gamma**2) vanishes next to gamma.
         g = math.sqrt(400.0)

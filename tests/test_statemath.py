@@ -20,6 +20,7 @@ from qsdr import (
     helstrom_bound,
     helstrom_error,
     improved_kennedy_pc,
+    kennedy_error,
     kennedy_pc,
     multicopy_bound,
     simplified_dolinar_pc,
@@ -294,6 +295,31 @@ class TestKennedy:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             kennedy_pc(Priors(0.5), -0.2)
+
+
+class TestKennedyError:
+    def test_complements_the_success_probability(self):
+        for q0 in (0.3, 0.5, 0.7):
+            for gamma_sq in (0.0, 0.2, 1.0):
+                pr = Priors(q0)
+                assert kennedy_error(pr, gamma_sq) + kennedy_pc(pr, gamma_sq) == pytest.approx(
+                    1.0, abs=1e-15
+                )
+
+    @pytest.mark.parametrize("q0", [0.0, 0.3, 0.5, 0.7, 1.0 - 1e-6, 1.0])
+    @pytest.mark.parametrize("gamma_sq", [0.0, 0.01, 1.0, 3.915, 15.3, 60.0, 170.0, 177.0, 400.0])
+    def test_keeps_its_digits_against_mpmath(self, q0, gamma_sq):
+        # 1 - kennedy_pc rounds to 0 from gamma_sq ~ 9; this form does not.
+        # Below the normal range no double is nearer than the subnormal spacing.
+        pr = Priors(q0)
+        got = kennedy_error(pr, gamma_sq)
+        with mpmath.workdps(50):
+            want = mpmath.mpf(pr.q1) * mpmath.exp(-4 * mpmath.mpf(gamma_sq))
+            assert abs(got - want) <= max(1e-14 * want, 2.0**-1074)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError):
+            kennedy_error(Priors(0.5), -0.2)
 
 
 class TestImprovedKennedy:
