@@ -18,28 +18,29 @@ import numpy as np
 from qsdr import (
     Priors,
     coherent_overlap,
-    helstrom_bound,
-    improved_kennedy_pc,
-    kennedy_pc,
+    helstrom_error,
+    improved_kennedy_error,
+    kennedy_error,
     optimal_beta_ik,
     optimal_beta_sd,
-    simplified_dolinar_pc,
+    simplified_dolinar_error,
 )
 
 
 def sweep(q0: float, points: int) -> dict[str, np.ndarray]:
-    pr = Priors(q0)
+    # The optimizers need q0 >= q1; no column depends on the labels.
+    pr = Priors(q0).dominant()
     g_sqs = np.geomspace(0.01, 2.0, points)
     out = {"gamma_sq": g_sqs}
     rows = {"helstrom": [], "kennedy": [], "improved_kennedy": [], "simplified_dolinar": []}
     for g_sq in g_sqs:
         g = math.sqrt(g_sq)
-        rows["helstrom"].append(1.0 - helstrom_bound(pr, coherent_overlap(g_sq)))
-        rows["kennedy"].append(1.0 - kennedy_pc(pr, g_sq))
+        rows["helstrom"].append(helstrom_error(pr, coherent_overlap(g_sq)))
+        rows["kennedy"].append(kennedy_error(pr, g_sq))
         beta = optimal_beta_ik(pr, g)
-        rows["improved_kennedy"].append(1.0 - improved_kennedy_pc(pr, g, beta))
+        rows["improved_kennedy"].append(improved_kennedy_error(pr, g, beta))
         beta = optimal_beta_sd(pr, g, 1.0)  # T = 1, so psi = gamma
-        rows["simplified_dolinar"].append(1.0 - simplified_dolinar_pc(pr, g, beta, 1.0))
+        rows["simplified_dolinar"].append(simplified_dolinar_error(pr, g, beta, 1.0))
     out.update({k: np.array(v) for k, v in rows.items()})
     return out
 

@@ -54,10 +54,12 @@ from .statemath import (
     coherent_overlap,
     helstrom_bound,  # not called here; perfbench/spans.py traces it
     helstrom_error,
-    improved_kennedy_pc,
+    improved_kennedy_error,
+    improved_kennedy_pc,  # not called here; perfbench/spans.py traces it
     kennedy_error,
     kennedy_pc,  # not called here; perfbench/spans.py traces it
-    simplified_dolinar_pc,
+    simplified_dolinar_error,
+    simplified_dolinar_pc,  # not called here; perfbench/spans.py traces it
 )
 
 __all__ = ["main", "SweepSpec", "cmd_fig1", "cmd_fig3", "cmd_simulate", "SEED_ENV_VAR"]
@@ -267,7 +269,7 @@ class _Point(NamedTuple):
 
     spec: SweepSpec
     priors: Priors
-    ranked: Priors  # relabeled so that q0 >= q1, for the optimized receivers
+    ranked: Priors  # relabeled so that q0 >= q1, for the photon-counting receivers
     g: float  # the axis value gamma_sq itself
     psi: float
     gamma: float
@@ -294,17 +296,19 @@ def _dolinar_mc_pe(p: _Point) -> float:
 # sees every call.
 SCHEMES = {
     "helstrom": {"pe": lambda p: helstrom_error(p.priors, coherent_overlap(p.g))},
-    # Exact nulling: fig3's reference line.
-    "kennedy": {"pe": lambda p: kennedy_error(p.priors, p.g), "beta_sq": lambda p: p.g},
+    # Nulls the likelier hypothesis; fig3's reference line.
+    "kennedy": {"pe": lambda p: kennedy_error(p.ranked, p.g), "beta_sq": lambda p: p.g},
     # The optimized receivers need q0 >= q1; pe and |beta|**2 ignore labels.
     "improved_kennedy": {
-        "pe": lambda p: 1.0
-        - improved_kennedy_pc(p.ranked, p.gamma, optimal_beta_ik(p.ranked, p.gamma)),
+        "pe": lambda p: improved_kennedy_error(
+            p.ranked, p.gamma, optimal_beta_ik(p.ranked, p.gamma)
+        ),
         "beta_sq": lambda p: optimal_beta_ik(p.ranked, p.gamma) ** 2,
     },
     "simplified_dolinar": {
-        "pe": lambda p: 1.0
-        - simplified_dolinar_pc(p.ranked, p.psi, optimal_beta_sd(p.ranked, p.psi, p.T), p.T),
+        "pe": lambda p: simplified_dolinar_error(
+            p.ranked, p.psi, optimal_beta_sd(p.ranked, p.psi, p.T), p.T
+        ),
         "beta_sq": lambda p: optimal_beta_sd(p.ranked, p.psi, p.T) ** 2,
     },
     "dolinar_ode": {"pe": _dolinar_ode_pe},

@@ -2,26 +2,22 @@
 
 Generic utilities (Brent's root finder, in plain Python so that no scipy
 is imported, and a golden-section maximizer) plus the two displacement
-optimizations, each a single bracketed solve of its stationarity equation:
+optimizations, each one Brent solve of its stationarity residual on an
+analytic bracket that provably holds the maximum:
 
-* ``optimal_beta_ik``: displacement of the optimized Kennedy receiver,
-  stationary point of :func:`qsdr.statemath.improved_kennedy_pc`.  Its
-  residual is strictly monotone and has an analytic bracket, so the root is
-  the global maximum for every ``gamma > 0``.
-* ``optimal_beta_sd``: envelope magnitude of the simplified Dolinar
-  receiver, stationary point of :func:`qsdr.statemath.simplified_dolinar_pc`.
-  A stationarity equation alone cannot tell the global maximum from any
-  other critical point, so the bracket is taken around the maximum of a
-  coarse grid; global optimality is certified against that finite grid,
-  not proved.
+* ``optimal_beta_ik``: displacement of the optimized Kennedy receiver
+  (:func:`qsdr.statemath.improved_kennedy_pc`), whose residual is strictly
+  monotone, so its root is the global maximum for every ``gamma > 0``.
+* ``optimal_beta_sd``: envelope magnitude of the simplified Dolinar receiver
+  (:func:`qsdr.statemath.simplified_dolinar_pc`).  That the maximum is the
+  only critical point in its bracket is checked at 50 digits by a property
+  test, not proved.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable
-
-import numpy as np
 
 from .statemath import Priors, improved_kennedy_pc
 from .statemath import simplified_dolinar_pc  # not called here; perfbench/spans.py counts it
@@ -215,38 +211,51 @@ def optimal_beta_ik(priors: Priors, gamma: float) -> float:
 def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) -> float:
     """Stationarity residual of the simplified Dolinar envelope magnitude.
 
-    With ``s = psi**2 + beta**2``, zero exactly when::
-
-        beta*T*s*((2*q0 - 1)*s - 2*psi*beta) * exp(-s*T)
-            = psi*(psi**2 - beta**2) * sinh(s*T)
-
-    the first-order condition of
-    :func:`qsdr.statemath.simplified_dolinar_pc` in ``beta``.  Both sides
-    are multiplied through by ``exp(-s*T)`` so that large ``beta`` cannot
-    overflow ``sinh``; the roots and signs are unchanged.
+    In the units ``gamma = psi*sqrt(T)``, ``b = beta*sqrt(T)`` and with ``s``,
+    ``A``, ``B`` and ``c`` as in :func:`optimal_beta_sd`, it is ``-G'(b)``
+    divided by the positive ``gamma*B/s``, so it has the sign of
+    ``-dP_c/dbeta``: ``(b**2 - gamma**2)/s - 2*w*(b/gamma)*A`` with ``w =
+    2*s/(exp(2*s) - 1)`` in ``(0, 1]``.  It is evaluated in the ratios ``g =
+    gamma/sqrt(s)`` and ``u = b/sqrt(s)``, as ``(u - g)*(u + g)`` and ``A =
+    g*u - c``, or ``q1 - (u - g)**2/2`` where ``g*u >= 1/4``, so that nothing
+    cancels, overflows or underflows; at ``b = gamma`` it is exactly
+    ``-2*w*q1``.  Requires ``psi > 0``.
     """
-    s = psi * psi + beta * beta
-    st = s * T
-    lhs = beta * T * s * ((2.0 * priors.q0 - 1.0) * s - 2.0 * psi * beta) * math.exp(
-        -2.0 * st
-    )
-    rhs = psi * (psi * psi - beta * beta) * 0.5 * -math.expm1(-2.0 * st)
-    return lhs - rhs
+    root_t = math.sqrt(T)
+    gamma, b = psi * root_t, beta * root_t
+    h = math.hypot(gamma, b)  # sqrt(s), without squaring gamma or b
+    g, u = gamma / h, b / h
+    x = 2.0 * h * h
+    w = x * math.exp(-x) / -math.expm1(-x) if x > 0.0 else 1.0
+    a = g * u - (priors.q0 - 0.5) if g * u < 0.25 else priors.q1 - 0.5 * (u - g) ** 2
+    return (u - g) * (u + g) - 2.0 * w * (b / gamma) * a
 
 
 def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
     """Envelope magnitude maximizing the simplified Dolinar receiver.
 
     ``P_c`` depends only on ``gamma = psi*sqrt(T)`` and ``b = beta*sqrt(T)``,
-    so the solve runs in those units and returns ``b/sqrt(T)``.  The gain
-    over guessing, ``P_c - q0 = (gamma*b/s - q0 + 1/2) * (1 - exp(-2*s))``
-    with ``s = gamma**2 + b**2``, has both factors smaller below the Kennedy
-    point ``b = gamma`` than at it.  One array call scans the gain, which
-    keeps its digits where ``P_c`` rounds to ``q0``, on a 2001-point log grid
-    from ``gamma`` to ``10*gamma + 5``; Brent's method polishes the root of
-    the stationarity equation between the neighbours of the grid maximum,
-    and the result is checked against that maximum.  Requires ``psi > 0``,
-    ``T > 0`` and ``q0 >= q1``.
+    so the solve runs in those units (``T = 1``) and returns ``b/sqrt(T)``.
+    With ``s = gamma**2 + b**2`` and ``c = q0 - 1/2 >= 0``, the gain over
+    guessing is ``G = P_c - q0 = A*B``, ``A = gamma*b/s - c``, ``B = 1 -
+    exp(-2*s)``, so ``A' = gamma*(gamma**2 - b**2)/s**2`` and ``B' =
+    4*b*exp(-2*s)``.  The maximum over ``b >= 0`` lies in ``[gamma, b_hi]``,
+    ``b_hi = max(sqrt(3)*gamma, sqrt(2))``, where the residual (of the sign
+    of ``-G'``) is negative at ``gamma`` and positive at ``b_hi``:
+
+    * Below ``gamma`` both ``A`` and ``B`` increase, up to ``A = q1 >= 0``,
+      so ``G(b) < G(gamma)``.  At ``gamma``, ``A' = 0`` and ``G' = A*B' =
+      4*q1*gamma*exp(-4*gamma**2) > 0`` when ``q1 > 0``.
+    * From ``b_hi`` on, ``b**2 >= 3*gamma**2`` gives ``|A'|*B >=
+      gamma*B/(2*s)``, and ``s >= b**2 >= 2`` gives ``exp(2*s) - 1 > 8*b**2``,
+      so ``gamma*B/(2*s) > (gamma*b/s)*B'``.  As ``A <= gamma*b/s``, ``G' =
+      A*B' - |A'|*B < 0``: ``G`` strictly decreases.
+
+    Once ``exp(-4*gamma**2)`` underflows (``gamma`` above about 13.6) the
+    residual at ``gamma`` is zero and ``gamma`` is returned: the true excess,
+    about ``8*q1*gamma**3*exp(-4*gamma**2)``, is far below one ulp.  With
+    ``q1 = 0``, ``G = -(b - gamma)**2*B/(2*s)`` peaks at ``gamma``, which is
+    returned.  Requires ``psi > 0``, ``T > 0`` and ``q0 >= q1``.
     """
     if psi <= 0.0:
         raise ValueError(f"psi must be > 0, got {psi}")
@@ -254,26 +263,9 @@ def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
         raise ValueError(f"T must be > 0, got {T}")
     if priors.q0 < priors.q1:
         raise ValueError("optimal_beta_sd requires q0 >= q1; swap the labels first")
-    root_t = math.sqrt(T)
-    gamma, c = psi * root_t, priors.q0 - 0.5
-
-    def gain(b):
-        s = gamma * gamma + b * b
-        return (gamma * b / s - c) * -np.expm1(-2.0 * s)
-
-    grid = gamma * np.exp(np.linspace(0.0, math.log(10.0 + 5.0 / gamma), 2001))
-    gains = gain(grid)
-    i = min(max(int(np.argmax(gains)), 1), len(grid) - 2)
-    # The residual at (gamma/2**k, T = 4**k, b/2**k) is 2**(-3k) times the
-    # one at (gamma, 1, b), exactly, so Brent takes the same steps; on weak
-    # signals k near log2 of the bracket keeps its products from underflowing.
-    k = min(math.frexp(grid[i + 1])[1], 0)
-    scaled = (priors, math.ldexp(gamma, -k), math.ldexp(1.0, 2 * k))
-    # The residual is negative before a maximum and positive after it.
-    lo, hi = math.ldexp(grid[i - 1], -k), math.ldexp(grid[i + 1], -k)
-    b = math.ldexp(solve_bracketed(lambda x: sd_displacement_residual(*scaled, x), lo, hi), k)
-    # A gain is uncertain by a few eps * (1 - exp(-2*s)); allow 1e4 times that.
-    if gain(b) < gains.max() - 1e-12 * -math.expm1(-2.0 * (gamma * gamma + b * b)):
-        raise ConvergenceError(f"polished root {b / root_t} lost probability "
-                               "against the grid maximum")
-    return b / root_t
+    if priors.q1 == 0.0:
+        return psi
+    gamma = psi * math.sqrt(T)
+    hi = max(math.sqrt(3.0) * gamma, math.sqrt(2.0))
+    b = solve_bracketed(lambda b: sd_displacement_residual(priors, gamma, 1.0, b), gamma, hi)
+    return b / math.sqrt(T)

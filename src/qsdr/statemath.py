@@ -19,19 +19,15 @@ Conventions
   ``exp(-2*gamma_sq)``.
 
 All routines are pure functions of plain floats, safe to call from any
-thread; ``simplified_dolinar_pc`` also takes an array ``beta`` and then
-returns an array of the same shape.  Probabilities returned are
-probabilities of a *correct* decision, except ``helstrom_error``, the
-bound's error probability in a form that keeps its digits where
-``1 - helstrom_bound`` would cancel.
+thread.  Probabilities returned are probabilities of a *correct* decision,
+except the ``*_error`` functions: error probabilities in forms that keep
+their digits where ``1 - P_c`` would cancel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 __all__ = [
     "Priors",
@@ -46,7 +42,9 @@ __all__ = [
     "kennedy_pc",
     "kennedy_error",
     "improved_kennedy_pc",
+    "improved_kennedy_error",
     "simplified_dolinar_pc",
+    "simplified_dolinar_error",
 ]
 
 # Slack for validating user-supplied probabilities and overlaps that were
@@ -306,9 +304,7 @@ def kennedy_pc(priors: Priors, gamma_sq: float) -> float:
 
     Dark counts and sub-unit efficiency are not modelled.
     """
-    if gamma_sq < 0.0:
-        raise ValueError(f"gamma_sq must be >= 0, got {gamma_sq}")
-    return priors.q0 + priors.q1 * (1.0 - math.exp(-4.0 * gamma_sq))
+    return 1.0 - kennedy_error(priors, gamma_sq)
 
 
 def kennedy_error(priors: Priors, gamma_sq: float) -> float:
@@ -332,16 +328,20 @@ def improved_kennedy_pc(priors: Priors, gamma: float, beta: float) -> float:
     ``gamma`` (see :func:`qsdr.rootfind.optimal_beta_ik`).  ``beta`` is an
     unrestricted real.
     """
+    return 1.0 - improved_kennedy_error(priors, gamma, beta)
+
+
+def improved_kennedy_error(priors: Priors, gamma: float, beta: float) -> float:
+    """Error probability ``q0*(1 - exp(-(gamma - beta)**2)) + q1*exp(-(gamma +
+    beta)**2)`` of the Kennedy receiver displaced by ``beta``:
+    ``1 - improved_kennedy_pc`` without the cancellation."""
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    d0 = gamma - beta
-    d1 = gamma + beta
-    return priors.q0 * math.exp(-d0 * d0) + priors.q1 * (1.0 - math.exp(-d1 * d1))
+    d0, d1 = gamma - beta, gamma + beta
+    return -priors.q0 * math.expm1(-d0 * d0) + priors.q1 * math.exp(-d1 * d1)
 
 
-def simplified_dolinar_pc(
-    priors: Priors, psi: float, beta: float | np.ndarray, T: float
-) -> float | np.ndarray:
+def simplified_dolinar_pc(priors: Priors, psi: float, beta: float, T: float) -> float:
     """Success probability of the constant-envelope feedback receiver.
 
     The receiver adds a local field of fixed magnitude ``beta`` whose sign
@@ -352,13 +352,20 @@ def simplified_dolinar_pc(
 
     ``beta = psi`` reproduces :func:`kennedy_pc` at ``gamma_sq = psi**2*T``;
     ``T = 0`` returns ``q0`` (no light observed yet); ``psi = beta = 0``
-    degenerates to ``q0``.  ``beta`` may be a numpy array, which evaluates
-    every envelope magnitude in one call.
+    degenerates to ``q0``.
     """
+    return 1.0 - simplified_dolinar_error(priors, psi, beta, T)
+
+
+def simplified_dolinar_error(priors: Priors, psi: float, beta: float, T: float) -> float:
+    """Error probability ``D*(1 - E) + q1*E`` of the constant-envelope
+    feedback receiver, with ``s = psi**2 + beta**2``, ``D = (psi -
+    beta)**2/(2*s)`` and ``E = exp(-2*s*T)``: ``1 - simplified_dolinar_pc``
+    without the cancellation (``1/2 - psi*beta/s = D``)."""
     if psi < 0.0:
         raise ValueError(f"psi must be >= 0, got {psi}")
     if T < 0.0:
         raise ValueError(f"T must be >= 0, got {T}")
     s = psi * psi + beta * beta
-    drift = psi * beta / s if psi > 0.0 else 0.0
-    return 0.5 + drift + (priors.q0 - 0.5 - drift) * np.exp(-2.0 * s * T)
+    d = (psi - beta) ** 2 / (2.0 * s) if s > 0.0 else 0.0
+    return -d * math.expm1(-2.0 * s * T) + priors.q1 * math.exp(-2.0 * s * T)

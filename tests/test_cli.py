@@ -91,6 +91,17 @@ class TestFig1:
             for c in range(1, len(cells)):
                 assert float(cells[c]) >= floor - 1e-9
 
+    def test_strong_signal_columns_stay_above_the_bound(self, tmp_path):
+        # 1 - P_c rounds to 0 here, below Helstrom's 5.5e-28 and 1.2e-105.
+        out = tmp_path / "f.csv"
+        argv = ["fig1", "--q0", "0.7", "--gamma-sq-min", "15.3", "--gamma-sq-max", "60",
+                "--points", "2", "-o", str(out)]
+        assert main(argv) == 0
+        header, rows = read_rows(out)
+        for row in rows:
+            h, k, ik, sd = map(float, row[1:])
+            assert 0.0 < h <= ik <= k and h <= sd <= k
+
     def test_ode_receiver_rides_the_bound(self, tmp_path):
         out = tmp_path / "f.csv"
         rc = main(
@@ -163,7 +174,7 @@ class TestFig3:
 
 
 class TestMinorityPrior:
-    """q0 < 1/2: every column but exact nulling is label-blind."""
+    """q0 < 1/2: every column is label-blind; Kennedy nulls the likelier hypothesis."""
 
     @pytest.mark.parametrize(
         "command,schemes",
@@ -183,16 +194,21 @@ class TestMinorityPrior:
             cols[q0] = {h: [r[i] for r in rows] for i, h in enumerate(header)}
         assert cols["0.3"].keys() == cols["0.7"].keys()
         for name, low in cols["0.3"].items():
-            if name.startswith("kennedy"):
-                continue  # nulls hypothesis 0 by definition
             # Priors(0.3) relabeled is (0.7, 0.3), not Priors(0.7) = (0.7,
             # 0.30000000000000004); beyond that ulp the columns agree.
             high = [float(v) for v in cols["0.7"][name]]
             assert [float(v) for v in low] == pytest.approx(high, abs=1e-14), name
-        if command == "fig1":
-            # Nulling the unlikely hypothesis errs more often.
-            low, high = (list(map(float, cols[q]["kennedy_pe"])) for q in ("0.3", "0.7"))
-            assert all(a > b for a, b in zip(low, high))
+
+    def test_kennedy_never_errs_more_than_guessing(self, tmp_path):
+        out = tmp_path / "f.csv"
+        argv = ["fig1", "--q0", "0.3", "--gamma-sq-min", "0.01", "--gamma-sq-max", "0.1",
+                "--points", "2", "--schemes", "helstrom,kennedy,improved_kennedy", "-o", str(out)]
+        assert main(argv) == 0
+        header, rows = read_rows(out)
+        for row in rows:
+            h, k, ik = (float(row[header.index(f"{s}_pe")])
+                        for s in ("helstrom", "kennedy", "improved_kennedy"))
+            assert h <= ik <= k <= 0.3
 
 
 class TestSimulate:

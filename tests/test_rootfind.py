@@ -370,20 +370,35 @@ def _ik_root_mp(q0: float, gamma: float):
         return g + mpmath.exp(u)
 
 
-def _sd_root_mp(q0: float, psi: float, T: float, near: float):
-    """Root of the simplified Dolinar residual at 50 digits, within 1e-6
-    relative of ``near``; the residual must change sign across that interval."""
+def _sd_max_mp(q0: float, psi: float, T: float, n: int = 48):
+    """Global maximizer in ``beta`` of the simplified Dolinar ``P_c`` at 50
+    digits, and the number of sign changes of its stationarity residual on
+    an ``n``-point geometric grid over ``[gamma, max(sqrt(3)*gamma, sqrt(2))]``,
+    the bracket that :func:`optimal_beta_sd` proves holds the maximum.  Each
+    sign change is solved for, and the root of largest ``P_c`` is returned."""
     with mpmath.workdps(50):
-        q0, psi, T = mpf(q0), mpf(psi), mpf(T)
+        q0 = mpf(q0)
+        c, g = q0 - mpf(0.5), mpf(psi) * mpmath.sqrt(mpf(T))
 
         def resid(b):
-            s = psi * psi + b * b
-            lhs = b * T * s * ((2 * q0 - 1) * s - 2 * psi * b) * mpmath.exp(-2 * s * T)
-            return lhs - psi * (psi * psi - b * b) * (1 - mpmath.exp(-2 * s * T)) / 2
+            s = g * g + b * b
+            return (b * b - g * g) / s - 4 * b * (b - c * s / g) / mpmath.expm1(2 * s)
 
-        lo, hi = mpf(near) * (1 - mpf("1e-6")), mpf(near) * (1 + mpf("1e-6"))
-        assert resid(lo) < 0 < resid(hi)
-        return mpmath.findroot(resid, (lo, hi), solver="anderson")
+        def pc(b):
+            s = g * g + b * b
+            return 0.5 + g * b / s + (q0 - 0.5 - g * b / s) * mpmath.exp(-2 * s)
+
+        hi = max(mpmath.sqrt(3) * g, mpmath.sqrt(2))
+        grid = [g * (hi / g) ** (mpf(k) / n) for k in range(n + 1)]
+        signs = [resid(b) > 0 for b in grid]
+        assert not signs[0] and signs[-1]
+        cells = [k for k in range(n) if signs[k] != signs[k + 1]]
+        roots = [mpmath.findroot(resid, (grid[k], grid[k + 1]), solver="anderson") for k in cells]
+        return max(roots, key=pc) / mpmath.sqrt(mpf(T)), len(cells)
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
 
 
 class TestOptimizersAgainstMpmath:
@@ -399,9 +414,37 @@ class TestOptimizersAgainstMpmath:
     def test_simplified_dolinar(self, q0, T):
         for g_sq in np.geomspace(1e-3, 100.0, 20):
             psi = math.sqrt(float(g_sq) / T)
-            got = optimal_beta_sd(Priors(q0), psi, T)
-            want = _sd_root_mp(q0, psi, T, got)
-            assert abs(mpf(got) - want) <= mpf(1e-14) * want
+            want, _ = _sd_max_mp(q0, psi, T)
+            assert abs(mpf(optimal_beta_sd(Priors(q0), psi, T)) - want) <= mpf(1e-14) * want
+
+    @pytest.mark.parametrize("gamma", [1e-200, 1e-150, 13.0, 13.6, 14.0, 20.0, 40.0])
+    @pytest.mark.parametrize("T", [1e-12, 1.0, 1e12])
+    def test_simplified_dolinar_at_a_near_certain_prior(self, gamma, T):
+        # At 1e-200, 2*s underflows to 0 near gamma and w takes its limit 1;
+        # past gamma ~ 13.6 the residual at gamma rounds to 0 and gamma is
+        # returned, within an ulp of the optimum.
+        psi = gamma / math.sqrt(T)
+        want, _ = _sd_max_mp(1.0 - 1e-9, psi, T)
+        got = optimal_beta_sd(Priors(1.0 - 1e-9), psi, T)
+        assert abs(mpf(got) - want) <= mpf(1e-14) * want
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    q0=st.floats(0.5, 1.0, exclude_max=True),
+    gamma_sq=log_uniform(1e-300, 400.0),
+    T=log_uniform(1e-12, 1e12),
+)
+def test_sd_bracket_holds_the_one_maximum_over_the_domain(q0, gamma_sq, T):
+    pr = Priors(q0)
+    psi = math.sqrt(gamma_sq / T)
+    gamma = psi * math.sqrt(T)  # the solver's units, T = 1
+    hi = max(math.sqrt(3.0) * gamma, math.sqrt(2.0))
+    assert sd_displacement_residual(pr, gamma, 1.0, gamma) <= 0.0
+    assert sd_displacement_residual(pr, gamma, 1.0, hi) > 0.0
+    want, sign_changes = _sd_max_mp(q0, psi, T)
+    assert sign_changes == 1
+    assert abs(mpf(optimal_beta_sd(pr, psi, T)) - want) <= mpf(1e-14) * want
 
 
 @settings(max_examples=200, deadline=None)

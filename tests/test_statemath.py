@@ -19,10 +19,14 @@ from qsdr import (
     coherent_overlap,
     helstrom_bound,
     helstrom_error,
+    improved_kennedy_error,
     improved_kennedy_pc,
     kennedy_error,
     kennedy_pc,
     multicopy_bound,
+    optimal_beta_ik,
+    optimal_beta_sd,
+    simplified_dolinar_error,
     simplified_dolinar_pc,
 )
 
@@ -33,6 +37,7 @@ KENNEDY_07_02 = 0.86520131076483352
 IK_EXAMPLE = 0.82147055579754036          # q0=0.5, gamma=0.447214, beta=0.6
 MULTICOPY_06_08_2 = 0.8894817068874994    # q0=0.6, chi=0.8, n=2
 PHI1_06_PI8 = 0.68670038347250793         # = atan(5)/2
+EPS = math.ulp(1.0)
 
 
 class TestPriors:
@@ -302,9 +307,8 @@ class TestKennedyError:
         for q0 in (0.3, 0.5, 0.7):
             for gamma_sq in (0.0, 0.2, 1.0):
                 pr = Priors(q0)
-                assert kennedy_error(pr, gamma_sq) + kennedy_pc(pr, gamma_sq) == pytest.approx(
-                    1.0, abs=1e-15
-                )
+                pc = q0 + pr.q1 * (1.0 - math.exp(-4.0 * gamma_sq))
+                assert kennedy_error(pr, gamma_sq) + pc == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("q0", [0.0, 0.3, 0.5, 0.7, 1.0 - 1e-6, 1.0])
     @pytest.mark.parametrize("gamma_sq", [0.0, 0.01, 1.0, 3.915, 15.3, 60.0, 170.0, 177.0, 400.0])
@@ -360,6 +364,34 @@ class TestImprovedKennedy:
             improved_kennedy_pc(Priors(0.5), -0.1, 0.5)
 
 
+class TestImprovedKennedyError:
+    def test_complements_the_success_probability(self):
+        for q0 in (0.3, 0.5, 0.7):
+            for g, beta in ((0.0, 0.0), (0.447214, 0.6), (1.0, 1.2), (1.0, -0.5)):
+                pr = Priors(q0)
+                pc = q0 * math.exp(-((g - beta) ** 2)) + pr.q1 * (1 - math.exp(-((g + beta) ** 2)))
+                assert improved_kennedy_error(pr, g, beta) + pc == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("q0", [0.5, 0.7, 0.99, 1.0 - 1e-6])
+    @pytest.mark.parametrize("gamma_sq", [1e-4, 0.01, 1.0, 3.915, 15.3, 60.0, 170.0, 400.0])
+    def test_keeps_its_digits_against_mpmath(self, q0, gamma_sq):
+        # 1 - improved_kennedy_pc rounds to 0 at the optimum from gamma_sq ~ 9.
+        pr = Priors(q0)
+        g = math.sqrt(gamma_sq)
+        for beta in (0.0, 0.5 * g, g, optimal_beta_ik(pr, g), g + 0.1, 2.0 * g):
+            got = improved_kennedy_error(pr, g, beta)
+            with mpmath.workdps(50):
+                q0m, q1m, gm, bm = map(mpmath.mpf, (pr.q0, pr.q1, g, beta))
+                want = -q0m * mpmath.expm1(-((gm - bm) ** 2)) + q1m * mpmath.exp(-((gm + bm) ** 2))
+            # exp(-x) magnifies the rounding of x = (gamma +- beta)**2 by x.
+            tol = 4.0 * EPS * (1.0 + (g - beta) ** 2 + (g + beta) ** 2)
+            assert abs(got - want) <= max(tol * want, 2.0**-1074), beta
+
+    def test_rejects_negative_gamma(self):
+        with pytest.raises(ValueError):
+            improved_kennedy_error(Priors(0.5), -0.1, 0.5)
+
+
 class TestSimplifiedDolinar:
     def test_matched_envelope_recovers_kennedy(self):
         # beta = psi kills the aligned click rate, exactly the nulling receiver
@@ -388,15 +420,6 @@ class TestSimplifiedDolinar:
     def test_fully_degenerate(self):
         assert simplified_dolinar_pc(Priors(0.6), 0.0, 0.0, 1.0) == 0.6
 
-    def test_array_beta_matches_scalar_calls(self):
-        # The optimizer's grid is one array call; its argmax must be the scalar one's.
-        pr = Priors(0.7)
-        for psi, T in ((1.0, 1.0), (0.05, 30.0), (12.0, 0.03), (0.0, 1.0)):
-            grid = np.linspace(0.0, 10.0 * psi + 5.0 / math.sqrt(T), 2001)
-            got = simplified_dolinar_pc(pr, psi, grid, T)
-            want = [simplified_dolinar_pc(pr, psi, float(b), T) for b in grid]
-            assert got.tolist() == want
-
     def test_never_beats_helstrom(self):
         for q0 in (0.5, 0.7):
             pr = Priors(q0)
@@ -418,3 +441,43 @@ class TestSimplifiedDolinar:
             simplified_dolinar_pc(Priors(0.5), -1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             simplified_dolinar_pc(Priors(0.5), 1.0, 0.5, -1.0)
+
+
+class TestSimplifiedDolinarError:
+    def test_complements_the_success_probability(self):
+        for q0 in (0.3, 0.5, 0.7):
+            for psi, beta, T in ((1.0, 1.0, 0.2), (1.0, 0.8, 0.0), (1.0, 0.0, 1.0),
+                                 (0.5, 1.3, 3.0), (0.0, 0.0, 1.0), (0.0, 0.7, 1.0)):
+                pr = Priors(q0)
+                s = psi * psi + beta * beta
+                drift = psi * beta / s if s > 0.0 else 0.0
+                pc = 0.5 + drift + (q0 - 0.5 - drift) * math.exp(-2.0 * s * T)
+                pe = simplified_dolinar_error(pr, psi, beta, T)
+                assert pe + pc == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("q0", [0.5, 0.7, 0.99, 1.0 - 1e-6])
+    @pytest.mark.parametrize("gamma_sq", [1e-4, 0.01, 1.0, 3.915, 15.3, 60.0, 170.0, 400.0])
+    @pytest.mark.parametrize("T", [0.2, 1.0, 30.0])
+    def test_keeps_its_digits_against_mpmath(self, q0, gamma_sq, T):
+        # 1 - simplified_dolinar_pc rounds to 0 at the optimum from gamma_sq ~ 9.
+        pr = Priors(q0)
+        psi = math.sqrt(gamma_sq / T)
+        for beta in (0.0, 0.5 * psi, psi, optimal_beta_sd(pr, psi, T), psi + 0.1, 2.0 * psi):
+            got = simplified_dolinar_error(pr, psi, beta, T)
+            with mpmath.workdps(50):
+                q1m, pm, bm, tm = map(mpmath.mpf, (pr.q1, psi, beta, T))
+                s = pm * pm + bm * bm
+                e = mpmath.exp(-2 * s * tm)
+                want = (pm - bm) ** 2 / (2 * s) * (1 - e) + q1m * e
+            # exp(-x) magnifies the rounding of x = 2*s*T by x.
+            tol = 8.0 * EPS * (1.0 + 2.0 * (psi * psi + beta * beta) * T)
+            assert abs(got - want) <= max(tol * want, 2.0**-1074), beta
+
+    def test_fully_degenerate(self):
+        assert simplified_dolinar_error(Priors(0.6), 0.0, 0.0, 1.0) == 0.4
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            simplified_dolinar_error(Priors(0.5), -1.0, 0.5, 1.0)
+        with pytest.raises(ValueError):
+            simplified_dolinar_error(Priors(0.5), 1.0, 0.5, -1.0)
