@@ -22,18 +22,16 @@ def main() -> None:
     ap.add_argument("--plot", action="store_true")
     args = ap.parse_args()
 
-    pr = Priors(args.q0)
+    # The optimizers need q0 >= q1; |beta|^2 does not depend on the labels.
+    pr = Priors(args.q0).dominant()
     g_sqs = np.geomspace(0.05, 2.0, args.points)
-    ik_sq, sd_sq = [], []
+    g = np.sqrt(g_sqs)
+    ik_sq = optimal_beta_ik(pr, g) ** 2  # one solve over the whole axis
+    sd_sq = optimal_beta_sd(pr, g, 1.0) ** 2
     print(f"optimal displacement intensity at q0 = {args.q0} (T = 1)")
     print(f"{'gamma_sq':>9} {'nulling':>10} {'opt displ':>10} {'feedback':>10}")
-    for g_sq in g_sqs:
-        g = math.sqrt(g_sq)
-        b_ik = optimal_beta_ik(pr, g)
-        b_sd = optimal_beta_sd(pr, g, 1.0)
-        ik_sq.append(b_ik * b_ik)
-        sd_sq.append(b_sd * b_sd)
-        print(f"{g_sq:9.4f} {g_sq:10.5f} {ik_sq[-1]:10.5f} {sd_sq[-1]:10.5f}")
+    for g_sq, ik, sd in zip(g_sqs, ik_sq, sd_sq):
+        print(f"{g_sq:9.4f} {g_sq:10.5f} {ik:10.5f} {sd:10.5f}")
 
     weak = math.sqrt(ik_sq[0]) - math.sqrt(g_sqs[0])
     strong = math.sqrt(ik_sq[-1]) - math.sqrt(g_sqs[-1])

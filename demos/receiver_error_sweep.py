@@ -11,7 +11,6 @@ as the signal strengthens.  Run with --plot for the classic log-log figure.
 """
 
 import argparse
-import math
 
 import numpy as np
 
@@ -30,19 +29,17 @@ from qsdr import (
 def sweep(q0: float, points: int) -> dict[str, np.ndarray]:
     # The optimizers need q0 >= q1; no column depends on the labels.
     pr = Priors(q0).dominant()
+    # Every column is one call over the whole axis.
     g_sqs = np.geomspace(0.01, 2.0, points)
-    out = {"gamma_sq": g_sqs}
-    rows = {"helstrom": [], "kennedy": [], "improved_kennedy": [], "simplified_dolinar": []}
-    for g_sq in g_sqs:
-        g = math.sqrt(g_sq)
-        rows["helstrom"].append(helstrom_error(pr, coherent_overlap(g_sq)))
-        rows["kennedy"].append(kennedy_error(pr, g_sq))
-        beta = optimal_beta_ik(pr, g)
-        rows["improved_kennedy"].append(improved_kennedy_error(pr, g, beta))
-        beta = optimal_beta_sd(pr, g, 1.0)  # T = 1, so psi = gamma
-        rows["simplified_dolinar"].append(simplified_dolinar_error(pr, g, beta, 1.0))
-    out.update({k: np.array(v) for k, v in rows.items()})
-    return out
+    g = np.sqrt(g_sqs)
+    return {
+        "gamma_sq": g_sqs,
+        "helstrom": helstrom_error(pr, coherent_overlap(g_sqs)),
+        "kennedy": kennedy_error(pr, g_sqs),
+        "improved_kennedy": improved_kennedy_error(pr, g, optimal_beta_ik(pr, g)),
+        # T = 1, so psi = gamma
+        "simplified_dolinar": simplified_dolinar_error(pr, g, optimal_beta_sd(pr, g, 1.0), 1.0),
+    }
 
 
 def main() -> None:

@@ -36,9 +36,10 @@ from .dolinar import (
     SingularControlError,
     TelegraphResult,
     evolve_pc,
-    simulate_telegraph,
+    evolve_pe,
     telegraph_chunks,
 )
+from .dolinar import simulate_telegraph  # not called here; perfbench/spans.py traces it
 from .dolinar import helstrom_trajectory  # not called here; perfbench/spans.py traces it
 from .multicopy import exact_adaptive_pc, simulate_adaptive
 from .rootfind import (
@@ -48,7 +49,6 @@ from .rootfind import (
     optimal_beta_sd,
 )
 from .statemath import (
-    CoherentBinary,
     Priors,
     QubitPair,
     coherent_overlap,
@@ -171,22 +171,17 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        raise TypeError("no boolean columns")
-    if isinstance(x, str):
-        return x
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{x:.12g}"
-
-
-def _write_csv(path: str, header: list[str], rows: list[dict]) -> None:
-    # Assemble first so a formatting error cannot leave a partial file.
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(row[c]) for c in header) for row in rows)
+def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    # One template for the whole file, filled by one % call: the cells'
+    # types are those of the first row, and '%.12g' % x is f"{x:.12g}".
+    # Assembled first so a formatting error cannot leave a partial file.
+    codes = ["%s" if isinstance(v, str) else "%d" if isinstance(v, int) else "%.12g"
+             for v in rows[0]]
+    text = ",".join(header) + "\n" + (",".join(codes) + "\n") * len(rows) % tuple(
+        v for row in rows for v in row
+    )
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _json_text(spec: SweepSpec, key: str, records: list) -> str:
@@ -214,11 +209,11 @@ def _json_value(v):
     return _sig12(v) if math.isfinite(v) else None
 
 
-def _write_rows(path: str, spec: SweepSpec, header: list[str], rows: list[dict]) -> None:
+def _write_rows(path: str, spec: SweepSpec, header: list[str], rows: list[list]) -> None:
     if spec.format == "csv":
         _write_csv(path, header, rows)
     else:
-        rounded = [{k: _json_value(v) for k, v in row.items()} for row in rows]
+        rounded = [{k: _json_value(v) for k, v in zip(header, row)} for row in rows]
         _write_json(path, spec, "rows", rounded)
 
 
@@ -264,52 +259,66 @@ def _simulate_multicopy(spec: SweepSpec, export):
     return estimate, stderr, exact_adaptive_pc(priors, spec.theta, spec.copies)
 
 
-class _Point(NamedTuple):
-    """One sweep point, as the fig1 and fig3 columns see it."""
+class _Axis(NamedTuple):
+    """The sweep axis, as the fig1 and fig3 columns see it: one lane per
+    gamma_sq value."""
 
     spec: SweepSpec
     priors: Priors
     ranked: Priors  # relabeled so that q0 >= q1, for the photon-counting receivers
-    g: float  # the axis value gamma_sq itself
-    psi: float
-    gamma: float
+    g: np.ndarray  # the axis values gamma_sq themselves
+    psi: np.ndarray
+    gamma: np.ndarray
     T: float
-    seed: int | None  # row seed of fig1's Monte Carlo column
 
 
-def _dolinar_ode_pe(p: _Point) -> float:
-    law = _dolinar_law(p.spec, p.priors, p.psi)
-    return evolve_pc(p.priors, p.psi, law, p.T, sample_times=()).final.pe(p.priors)
+def _axis(spec: SweepSpec) -> _Axis:
+    g = spec.axis()
+    psi = np.sqrt(g / spec.T)  # CoherentBinary.from_mean_photons, lane-wise
+    priors = spec.priors
+    return _Axis(spec, priors, priors.dominant(), g, psi, psi * np.sqrt(spec.T), spec.T)
 
 
-def _dolinar_mc_pe(p: _Point) -> float:
-    law = _dolinar_law(p.spec, p.priors, p.psi)
-    return 1.0 - simulate_telegraph(p.priors, p.psi, law, p.T, p.spec.trials, p.seed).estimate
+def _dolinar_ode_pe(ax: _Axis) -> np.ndarray:
+    laws = [_dolinar_law(ax.spec, ax.priors, psi) for psi in ax.psi.tolist()]
+    return evolve_pe(ax.priors, ax.psi, laws, ax.T)
+
+
+def _dolinar_mc_pe(ax: _Axis) -> np.ndarray:
+    # Each point is its own seeded run; its error frequency is counted, not
+    # taken as 1 - estimate.
+    spec, pe = ax.spec, []
+    for psi, seed in zip(ax.psi.tolist(), _row_seeds(spec.seed, spec.points)):
+        law = _dolinar_law(spec, ax.priors, psi)
+        chunks = telegraph_chunks(ax.priors, psi, law, ax.T, spec.trials, seed)
+        misses = sum(int(np.count_nonzero(tr.z_final != tr.a)) for _, tr in chunks)
+        pe.append(misses / spec.trials)
+    return np.array(pe)
 
 
 # One entry per scheme, in canonical column order (selections keep this
-# order, not the flag order).  "pe" (fig1) and "beta_sq" (fig3) map a _Point
-# to the column's value; "simulate" maps (spec, export) to (estimate,
-# stderr, analytic), where export, if not None (dolinar_mc only), passes
-# the sampler's chunks on and writes their click records.  Entries look library functions up as
-# module globals at call time, so a wrapper set on a qsdr.cli attribute
-# sees every call.
+# order, not the flag order).  "pe" (fig1) and "beta_sq" (fig3) map the
+# _Axis to the column's values, all points in one call; "simulate" maps
+# (spec, export) to (estimate, stderr, analytic), where export, if not None
+# (dolinar_mc only), passes the sampler's chunks on and writes their click
+# records.  Entries look library functions up as module globals at call
+# time, so a wrapper set on a qsdr.cli attribute sees every call.
 SCHEMES = {
-    "helstrom": {"pe": lambda p: helstrom_error(p.priors, coherent_overlap(p.g))},
+    "helstrom": {"pe": lambda ax: helstrom_error(ax.priors, coherent_overlap(ax.g))},
     # Nulls the likelier hypothesis; fig3's reference line.
-    "kennedy": {"pe": lambda p: kennedy_error(p.ranked, p.g), "beta_sq": lambda p: p.g},
+    "kennedy": {"pe": lambda ax: kennedy_error(ax.ranked, ax.g), "beta_sq": lambda ax: ax.g},
     # The optimized receivers need q0 >= q1; pe and |beta|**2 ignore labels.
     "improved_kennedy": {
-        "pe": lambda p: improved_kennedy_error(
-            p.ranked, p.gamma, optimal_beta_ik(p.ranked, p.gamma)
+        "pe": lambda ax: improved_kennedy_error(
+            ax.ranked, ax.gamma, optimal_beta_ik(ax.ranked, ax.gamma)
         ),
-        "beta_sq": lambda p: optimal_beta_ik(p.ranked, p.gamma) ** 2,
+        "beta_sq": lambda ax: optimal_beta_ik(ax.ranked, ax.gamma) ** 2,
     },
     "simplified_dolinar": {
-        "pe": lambda p: simplified_dolinar_error(
-            p.ranked, p.psi, optimal_beta_sd(p.ranked, p.psi, p.T), p.T
+        "pe": lambda ax: simplified_dolinar_error(
+            ax.ranked, ax.psi, optimal_beta_sd(ax.ranked, ax.psi, ax.T), ax.T
         ),
-        "beta_sq": lambda p: optimal_beta_sd(p.ranked, p.psi, p.T) ** 2,
+        "beta_sq": lambda ax: optimal_beta_sd(ax.ranked, ax.psi, ax.T) ** 2,
     },
     "dolinar_ode": {"pe": _dolinar_ode_pe},
     "dolinar_mc": {"pe": _dolinar_mc_pe, "simulate": _simulate_dolinar_mc},
@@ -320,38 +329,29 @@ FIG3_SCHEMES = tuple(name for name, s in SCHEMES.items() if "beta_sq" in s)
 SIM_SCHEMES = tuple(name for name, s in SCHEMES.items() if "simulate" in s)
 
 
-def _sweep(spec: SweepSpec, output: str, kind: str) -> list[dict]:
-    # One row per gamma_sq value, one column <scheme>_<kind> per selected scheme.
+def _sweep(spec: SweepSpec, output: str, kind: str) -> dict[str, np.ndarray]:
+    # One row per gamma_sq value, one column <scheme>_<kind> per selected
+    # scheme, each computed over the whole axis in one call.
     columns = {name: s[kind] for name, s in SCHEMES.items() if kind in s}
     bad = [s for s in spec.schemes if s not in columns]
     if bad:
         raise ValueError(f"{spec.command} supports {', '.join(columns)}; got {bad}")
-    selected = [s for s in columns if s in spec.schemes]
-    # Row seeds feed fig1's Monte Carlo column; fig3 has none.
-    seeds = _row_seeds(spec.seed, spec.points) if kind == "pe" else [None] * spec.points
-    priors = spec.priors
-    ranked = priors.dominant()
-    rows = []
-    for g, seed in zip(spec.axis(), seeds):
-        g = float(g)
-        source = CoherentBinary.from_mean_photons(g, spec.T)
-        point = _Point(spec, priors, ranked, g, source.psi, source.gamma, spec.T, seed)
-        row: dict = {"gamma_sq": g}
-        for name in selected:
-            row[f"{name}_{kind}"] = columns[name](point)
-        rows.append(row)
-    header = ["gamma_sq"] + [f"{s}_{kind}" for s in selected]
-    _write_rows(output, spec, header, rows)
-    return rows
+    axis = _axis(spec)
+    table = {"gamma_sq": axis.g}
+    for name in columns:
+        if name in spec.schemes:
+            table[f"{name}_{kind}"] = columns[name](axis)
+    _write_rows(output, spec, list(table), np.column_stack(list(table.values())).tolist())
+    return table
 
 
-def cmd_fig1(spec: SweepSpec, output: str) -> list[dict]:
-    """Error-probability sweep: one row per gamma_sq value."""
+def cmd_fig1(spec: SweepSpec, output: str) -> dict[str, np.ndarray]:
+    """Error-probability sweep: one column per scheme, one row per gamma_sq value."""
     return _sweep(spec, output, "pe")
 
 
-def cmd_fig3(spec: SweepSpec, output: str) -> list[dict]:
-    """Optimal displacement intensity sweep: |beta|**2 per gamma_sq value."""
+def cmd_fig3(spec: SweepSpec, output: str) -> dict[str, np.ndarray]:
+    """Optimal displacement intensity sweep: |beta|**2 per scheme and gamma_sq value."""
     return _sweep(spec, output, "beta_sq")
 
 
@@ -382,8 +382,7 @@ def cmd_simulate(
             "analytic": analytic,
             "z_score": z,
         }
-        header = ["scheme", "estimate", "stderr", "trials", "seed", "analytic", "z_score"]
-        _write_rows(output, spec, header, [row])
+        _write_rows(output, spec, list(row), [list(row.values())])
     return row
 
 

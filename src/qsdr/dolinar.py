@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._streams import TrialStreams
-from .statemath import Priors, coherent_overlap, helstrom_bound
+from .statemath import Priors, _reject, coherent_overlap, helstrom_bound
 
 __all__ = [
     "SingularControlError",
@@ -50,6 +50,7 @@ __all__ = [
     "rates",
     "helstrom_trajectory",
     "evolve_pc",
+    "evolve_pe",
     "evolve_pc_general",
     "segmented_pc",
     "simulate_telegraph",
@@ -363,6 +364,42 @@ def evolve_pc(
     return _result(priors, T, times, e)
 
 
+def evolve_pe(priors: Priors, psi, laws: Iterable[ControlLaw], T: float) -> np.ndarray:
+    """Error probability at T of each point of a sweep: amplitude ``psi[i]``
+    under the law ``laws[i]``.
+
+    Lane ``i`` equals ``evolve_pc(priors, psi[i], laws[i], T,
+    sample_times=()).final.pe(priors)`` bit for bit, but all points cross
+    their segments together: one constant-segment kernel call per constant
+    slot (a point without that slot gets zero rates over zero length, which
+    leaves its errors exactly as they are), then one optimal-law kernel call
+    for the points whose last segment follows the optimal law's curve.
+    """
+    psi = np.asarray(psi, dtype=float)
+    _reject(psi < 0.0, psi, "psi must be >= 0")
+    _reject(T <= 0.0, T, "T must be > 0")
+    tables = [_segment_table(law, p, T) for law, p in zip(laws, psi.tolist())]
+    e = np.repeat(np.array(_initial_errors(priors))[:, None], len(tables), axis=1)
+    # Each point's constant slots, then perhaps the optimal law's curve.
+    edges = [starts + [T] for starts, _, _ in tables]
+    slots = [values[: len(values) - (curved is not None)] for _, values, curved in tables]
+    for j in range(max(map(len, slots), default=0)):
+        on = np.array([j < len(u) for u in slots])
+        u0 = np.array([u[j] if j < len(u) else 0.0 for u in slots])
+        a, t = np.array([x[j: j + 2] if j < len(u) else [0.0, 0.0] for x, u in zip(edges, slots)]).T
+        lam, mu = rates(psi, u0)
+        e = _relax_constant(e, np.where(on, lam, 0.0), np.where(on, mu, 0.0), a, t)
+    on = np.array([curved is not None for _, _, curved in tables], dtype=bool)
+    if on.any():
+        lnc, k = np.array([curved for _, _, curved in tables if curved]).T
+        a = np.array([starts[-1] for starts, _, curved in tables if curved])
+        e[:, on] = _relax_optimal(e[:, on], lnc, k, a, T)
+    bad = ~((e >= -1e-8) & (e <= 1.0 + 1e-8)).all(axis=0)
+    for i in np.flatnonzero(bad)[:1]:
+        PcState(float(e[0, i]), float(e[1, i]), T)  # raises its range error
+    return priors.q0 * e[0] + priors.q1 * e[1]
+
+
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on first call because no CLI
     path integrates; a module attribute so that tracers and tests can patch it."""
@@ -429,6 +466,60 @@ def segmented_pc(priors: Priors, psi: float, T: float, n: int, *, midpoint: bool
     return evolve_pc(priors, psi, law, T, sample_times=()).final.pc(priors)
 
 
+def _segment_table(control: ControlLaw, psi: float, T: float):
+    """A law's segments on [0, T] for a signal of amplitude ``psi``: their
+    starts below T, the constant ``u0`` of each (of the optimal-law
+    segment, its value at the segment's start) and, when the last segment
+    follows the optimal law's curve, ``(ln c, k)`` as in :class:`_Segments`
+    (else None)."""
+    starts = [s for s in control.starts if s < T]
+    values = list(control.values[: len(starts)])
+    curved = None
+    if len(starts) > len(values):  # the optimal-law segment starts before T
+        priors, law_psi = control.optimal
+        # Raises SingularControlError where the law diverges.
+        values.append(feedback_amplitude(priors, law_psi, starts[-1]))
+        c = 4.0 * priors.q0 * priors.q1
+        if c > 0.0 and law_psi > 0.0:  # else u0 is constant there
+            if law_psi != psi:
+                raise ValueError(
+                    f"optimal law built for psi={law_psi}, not {psi}; "
+                    "evolve_pc_general(..., law.u0, law.u1, ...) integrates it"
+                )
+            curved = (math.log(c), 4.0 * psi * psi)
+    return starts, values, curved
+
+
+# The two segment kernels: errors ``e`` at the segment's start ``a`` carried
+# to ``t``.  Both conditionals obey ``e' = lam - (lam + mu) * e``.  All
+# arguments broadcast, so one call serves many times or many laws.
+
+
+def _relax_constant(e, lam, mu, a, t):
+    """Constant segment with rates ``lam``, ``mu``: relaxes toward ``lam /
+    (lam + mu)``.  ``lam = mu = 0`` leaves ``e`` as it is, and so does a
+    segment of length 0 (``e*1 - x*(-0.0) = e``)."""
+    tot = lam + mu
+    d = -tot * (t - a)
+    # tot = 0 only where lam = mu = 0; lam/1 is then the 0 the limit takes.
+    return e * np.exp(d) - lam / np.where(tot != 0.0, tot, 1.0) * np.expm1(d)
+
+
+def _relax_optimal(e, lnc, k, a, t):
+    """Optimal-law segment ``u0 = psi/R``, ``R = sqrt(1 - c*exp(-k*t))``.
+
+    ``F = exp(k*t) * R`` is an integrating factor, and ``lam*F =
+    d/dt[-(1 - R) * exp(k*t) / 2]``.  With ``x = c*exp(-k*t) = 1 - R**2``
+    and ``g = exp(-k*(t - a))`` that gives, free of cancellation,
+
+        e_t*R_t = e_a*g*R_a + x_a*x_t*(1 - g) / (2*(R_a + R_t)*(1 + R_a)*(1 + R_t)).
+    """
+    h = -k * (t - a)
+    ra, rt = np.sqrt(-np.expm1(lnc - k * a)), np.sqrt(-np.expm1(lnc - k * t))
+    gain = -0.5 * np.exp(2.0 * lnc - k * (a + t)) * np.expm1(h)
+    return (e * np.exp(h) * ra + gain / ((ra + rt) * (1.0 + ra) * (1.0 + rt))) / rt
+
+
 class _Segments:
     """One law's segments on [0, T] for a signal of amplitude ``psi``.
 
@@ -448,21 +539,7 @@ class _Segments:
     """
 
     def __init__(self, control: ControlLaw, psi: float, T: float) -> None:
-        starts = [s for s in control.starts if s < T]
-        values = list(control.values[: len(starts)])
-        self.curved = None
-        if len(starts) > len(values):  # the optimal-law segment starts before T
-            priors, law_psi = control.optimal
-            # Raises SingularControlError where the law diverges.
-            values.append(feedback_amplitude(priors, law_psi, starts[-1]))
-            c = 4.0 * priors.q0 * priors.q1
-            if c > 0.0 and law_psi > 0.0:  # else u0 is constant there
-                if law_psi != psi:
-                    raise ValueError(
-                        f"optimal law built for psi={law_psi}, not {psi}; "
-                        "evolve_pc_general(..., law.u0, law.u1, ...) integrates it"
-                    )
-                self.curved = (math.log(c), 4.0 * psi * psi)
+        starts, values, self.curved = _segment_table(control, psi, T)
         self.edges = np.array([*starts, T])
         self.last = len(starts) - 1
         self.rate = np.array(rates(psi, np.array(values)))
@@ -475,27 +552,10 @@ class _Segments:
         np.cumsum(steps, axis=1, out=self.lam[:, 1:])
 
     def _relax(self, i: int, e: np.ndarray, t):
-        """Errors at ``t`` in segment ``i`` from ``e`` at its start ``a``.
-
-        Both conditionals obey ``e' = lam - (lam + mu) * e``, so a constant
-        segment relaxes toward ``lam / (lam + mu)``.  On the optimal-law
-        segment ``F = exp(k*t) * R`` is an integrating factor, and ``lam*F =
-        d/dt[-(1 - R) * exp(k*t) / 2]``.  With ``x = c*exp(-k*t) = 1 - R**2``
-        and ``g = exp(-k*(t - a))`` that gives, free of cancellation,
-
-            e_t*R_t = e_a*g*R_a + x_a*x_t*(1 - g) / (2*(R_a + R_t)*(1 + R_a)*(1 + R_t)).
-        """
-        a = self.edges[i]
+        """Errors at ``t`` in segment ``i`` from ``e`` at its start."""
         if self.curved and i == self.last:
-            lnc, k = self.curved
-            h = -k * (t - a)
-            ra, rt = np.sqrt(-np.expm1(lnc - k * a)), np.sqrt(-np.expm1(lnc - k * t))
-            gain = -0.5 * np.exp(2.0 * lnc - k * (a + t)) * np.expm1(h)
-            return (e * np.exp(h) * ra + gain / ((ra + rt) * (1.0 + ra) * (1.0 + rt))) / rt
-        lam, mu = self.rate[:, i]
-        tot = lam + mu
-        d = -tot * (t - a)
-        return e * np.exp(d) - (lam / tot if tot else 0.0) * np.expm1(d)
+            return _relax_optimal(e, *self.curved, self.edges[i], t)
+        return _relax_constant(e, *self.rate[:, i], self.edges[i], t)
 
     def errors(self, e: np.ndarray, t: np.ndarray) -> np.ndarray:
         """Conditional errors at the times ``t`` (in [0, T]), then at T,

@@ -1,9 +1,10 @@
 """Bracketed root finding and the optimal receiver displacements.
 
-Generic utilities (Brent's root finder, in plain Python so that no scipy
-is imported, and a golden-section maximizer) plus the two displacement
-optimizations, each one Brent solve of its stationarity residual on an
-analytic bracket that provably holds the maximum:
+Generic utilities (Brent's root finder, lane-wise over arrays of brackets
+in numpy so that no scipy is imported and one call solves a whole sweep,
+and a golden-section maximizer) plus the two displacement optimizations,
+each one Brent solve of its stationarity residual on an analytic bracket
+that provably holds the maximum, for a float or an array of signals:
 
 * ``optimal_beta_ik``: displacement of the optimized Kennedy receiver
   (:func:`qsdr.statemath.improved_kennedy_pc`), whose residual is strictly
@@ -19,7 +20,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .statemath import Priors, improved_kennedy_pc
+import numpy as np
+
+from .statemath import Priors, _out, _reject, improved_kennedy_pc
 from .statemath import simplified_dolinar_pc  # not called here; perfbench/spans.py counts it
 
 __all__ = [
@@ -51,67 +54,91 @@ class ConvergenceError(RuntimeError):
     """Iteration budget exhausted before reaching tolerance."""
 
 
-def solve_bracketed(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of ``f`` on [lo, hi] by Brent's method.
+def _lane(mask: np.ndarray) -> tuple[int, str]:
+    # Flat index of the first lane where mask holds, and its name for messages.
+    i = int(np.flatnonzero(mask)[0])
+    return i, f"lane {i}: " if mask.ndim else ""
 
+
+def solve_bracketed(f: Callable[[np.ndarray], np.ndarray], lo, hi):
+    """Roots of ``f`` on the brackets [lo, hi] by Brent's method, lane-wise.
+
+    ``lo`` and ``hi`` broadcast to one array of brackets, and ``f`` maps an
+    array of abscissae of that shape to the residuals of each lane (lane
+    ``i`` of the result may depend only on lane ``i`` of its argument).
     Each step is an inverse quadratic or secant step when that lands well
     inside the bracket and a bisection otherwise (Brent 1973, ch. 4, with
     the step rule and tolerances of ``scipy.optimize``'s Brent solver at
-    ``xtol=1e-300``), so the result lies within ``4*eps*|root|`` of a sign
-    change of ``f`` and never leaves [lo, hi].  An end where ``f`` is
-    exactly zero is returned as it is.  ``f`` must be finite on [lo, hi].
+    ``xtol=1e-300``), so every lane takes the steps that solver takes on
+    its own residual, and its root lies within ``4*eps*|root|`` of a sign
+    change of ``f`` and never leaves [lo, hi].  A lane that has converged
+    is frozen, so ``f`` is only ever evaluated inside each lane's bracket.
+    An end where ``f`` is exactly zero is returned as it is.  ``f`` must be
+    finite on [lo, hi].  Scalar ends give a float, arrays an array.
 
     Raises :class:`BracketError` when ``f`` has the same sign at both ends
-    and :class:`ConvergenceError` after :data:`_MAX_ITER` steps.
+    of a lane and :class:`ConvergenceError` when a lane is still open after
+    :data:`_MAX_ITER` steps; the message names the first such lane.
     """
-    if not lo < hi:
-        raise ValueError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    bad = ~(lo < hi)
+    if bad.any():
+        i, lane = _lane(bad)
+        raise ValueError(f"{lane}bracket requires lo < hi, got [{lo.flat[i]}, {hi.flat[i]}]")
     # cur: best iterate; blk: the other end of the bracket; pre: last iterate.
     x_pre, x_cur = lo, hi
-    f_pre, f_cur = f(lo), f(hi)
-    if f_pre == 0.0:
-        return lo
-    if f_cur == 0.0:
-        return hi
-    if (f_pre < 0.0) == (f_cur < 0.0):
+    f_pre, f_cur = np.asarray(f(lo), dtype=float), np.asarray(f(hi), dtype=float)
+    root = np.where(f_pre == 0.0, lo, hi)
+    live = (f_pre != 0.0) & (f_cur != 0.0)
+    bad = live & ((f_pre < 0.0) == (f_cur < 0.0))
+    if bad.any():
+        i, lane = _lane(bad)
         raise BracketError(
-            f"f has no sign change on [{lo}, {hi}]: f(lo)={f_pre!r}, f(hi)={f_cur!r}"
+            f"{lane}f has no sign change on [{lo.flat[i]}, {hi.flat[i]}]: "
+            f"f(lo)={float(f_pre.flat[i])!r}, f(hi)={float(f_cur.flat[i])!r}"
         )
-    x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(_MAX_ITER):
-        if (f_pre < 0.0) != (f_cur < 0.0):
-            x_blk, f_blk = x_pre, f_pre
-            s_pre = s_cur = x_cur - x_pre
-        if abs(f_blk) < abs(f_cur):
-            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
-            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (_TOL_FLOOR + _RTOL * abs(x_cur)) / 2.0
-        s_bis = (x_blk - x_cur) / 2.0
-        if f_cur == 0.0 or abs(s_bis) < delta:
-            return x_cur
-        s_try = math.inf  # fails the step test below: bisect
-        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
-            if x_pre == x_blk:  # secant
-                num, den = -f_cur * (x_cur - x_pre), f_cur - f_pre
-            else:  # inverse quadratic
-                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
-                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                num = -f_cur * (f_blk * d_blk - f_pre * d_pre)
-                den = d_blk * d_pre * (f_blk - f_pre)
-            # C divides an underflowed 0 into inf or nan, which the step test
-            # rejects; Python would raise instead.
-            if den != 0.0:
-                s_try = num / den
-        if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
-            s_pre, s_cur = s_cur, s_try
-        else:
-            s_pre = s_cur = s_bis
-        x_pre, f_pre = x_cur, f_cur
-        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
-        f_cur = f(x_cur)
+    x_blk = f_blk = s_pre = s_cur = np.zeros(lo.shape)
+    # Finished lanes and the branches np.where discards may divide by zero.
+    with np.errstate(all="ignore"):
+        for _ in range(_MAX_ITER):
+            # Finished lanes take no branch: every x of theirs stays put.
+            flip = live & ((f_pre < 0.0) != (f_cur < 0.0))
+            x_blk, f_blk = np.where(flip, x_pre, x_blk), np.where(flip, f_pre, f_blk)
+            s_pre, s_cur = np.where(flip, x_cur - x_pre, s_pre), np.where(flip, x_cur - x_pre, s_cur)
+            swap = live & (np.abs(f_blk) < np.abs(f_cur))
+            x_pre, x_cur, x_blk = (
+                np.where(swap, x_cur, x_pre), np.where(swap, x_blk, x_cur), np.where(swap, x_cur, x_blk)
+            )
+            f_pre, f_cur, f_blk = (
+                np.where(swap, f_cur, f_pre), np.where(swap, f_blk, f_cur), np.where(swap, f_cur, f_blk)
+            )
+            delta = (_TOL_FLOOR + _RTOL * np.abs(x_cur)) / 2.0
+            s_bis = (x_blk - x_cur) / 2.0
+            done = live & ((f_cur == 0.0) | (np.abs(s_bis) < delta))
+            root = np.where(done, x_cur, root)
+            live = live & ~done
+            if not live.any():
+                return _out(root)
+            # Secant where pre and blk coincide, else inverse quadratic.  C
+            # divides an underflowed 0 into inf or nan, which the step test
+            # below rejects, as it rejects a lane that does not interpolate.
+            d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+            d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+            secant = x_pre == x_blk
+            num = np.where(secant, -f_cur * (x_cur - x_pre), -f_cur * (f_blk * d_blk - f_pre * d_pre))
+            den = np.where(secant, f_cur - f_pre, d_blk * d_pre * (f_blk - f_pre))
+            interp = (np.abs(s_pre) > delta) & (np.abs(f_cur) < np.abs(f_pre))
+            s_try = np.where(interp, num / den, np.inf)
+            take = 2.0 * np.abs(s_try) < np.minimum(np.abs(s_pre), 3.0 * np.abs(s_bis) - delta)
+            s_pre, s_cur = np.where(take, s_cur, s_bis), np.where(take, s_try, s_bis)
+            x_pre, f_pre = x_cur, f_cur
+            step = np.where(np.abs(s_cur) > delta, s_cur, np.copysign(delta, s_bis))
+            x_cur = np.where(live, x_cur + step, x_cur)
+            f_cur = np.asarray(f(x_cur), dtype=float)
+    i, lane = _lane(live)
     raise ConvergenceError(
-        f"no convergence within {_MAX_ITER} iterations on [{lo}, {hi}]; "
-        f"last iterate {x_cur!r}"
+        f"{lane}no convergence within {_MAX_ITER} iterations on [{lo.flat[i]}, {hi.flat[i]}]; "
+        f"last iterate {float(x_cur.flat[i])!r}"
     )
 
 
@@ -149,10 +176,10 @@ def _log_odds(priors: Priors) -> float:
     return math.log(ratio) if math.isfinite(ratio) else math.log(priors.q0) - math.log(priors.q1)
 
 
-def _ik_log_residual(log_odds: float, gamma: float, u: float) -> float:
+def _ik_log_residual(log_odds: float, gamma, u):
     # ln(q0/q1) - ln((beta+gamma)/(beta-gamma)) + 4*beta*gamma at beta - gamma = e**u.
-    e = math.exp(u)
-    return log_odds + u - math.log(2.0 * gamma + e) + 4.0 * gamma * (gamma + e)
+    e = np.exp(u)
+    return log_odds + u - np.log(2.0 * gamma + e) + 4.0 * gamma * (gamma + e)
 
 
 def ik_displacement_residual(priors: Priors, gamma: float, beta: float) -> float:
@@ -163,9 +190,8 @@ def ik_displacement_residual(priors: Priors, gamma: float, beta: float) -> float
     :func:`qsdr.statemath.improved_kennedy_pc` on ``beta > gamma``, negative
     below its root and positive above it.  Requires ``q1 > 0``.
     """
-    if beta <= gamma:
-        raise ValueError(f"residual defined for beta > gamma, got beta={beta}")
-    return _ik_log_residual(_log_odds(priors), gamma, math.log(beta - gamma))
+    _reject(beta <= gamma, beta, "residual defined for beta > gamma")
+    return _out(_ik_log_residual(_log_odds(priors), gamma, np.log(beta - gamma)))
 
 
 def optimal_beta_ik(priors: Priors, gamma: float) -> float:
@@ -182,30 +208,26 @@ def optimal_beta_ik(priors: Priors, gamma: float) -> float:
     0`` the success probability is ``exp(-(beta - gamma)**2)`` and the
     optimum is ``gamma`` itself.  Requires ``q0 >= q1``; for the opposite
     ordering swap the hypothesis labels (``priors.swapped()``) and negate
-    the displacement.
+    the displacement.  An array of ``gamma`` is one lane-wise solve.
     """
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be > 0, got {gamma}")
+    gamma = np.asarray(gamma, dtype=float)
+    _reject(gamma <= 0.0, gamma, "gamma must be > 0")
     if priors.q0 < priors.q1:
         raise ValueError("optimal_beta_ik requires q0 >= q1; swap the labels first")
     if priors.q1 == 0.0:
-        return gamma
+        return _out(gamma)
     log_odds = _log_odds(priors)
-
-    def resid(u: float) -> float:
-        return _ik_log_residual(log_odds, gamma, u)
-
-    lo = math.log(2.0 * gamma) - log_odds - 4.0 * gamma * gamma - 1.0
-    u = solve_bracketed(resid, lo, -math.log(gamma))
-    beta = gamma + math.exp(u)
+    lo = np.log(2.0 * gamma) - log_odds - 4.0 * gamma * gamma - 1.0
+    u = solve_bracketed(lambda u: _ik_log_residual(log_odds, gamma, u), lo, -np.log(gamma))
+    beta = gamma + np.exp(u)
     # The displaced receiver must beat plain nulling, else the solve went wrong.
-    if improved_kennedy_pc(priors, gamma, beta) < improved_kennedy_pc(
-        priors, gamma, gamma
-    ) - 1e-12:
+    worse = improved_kennedy_pc(priors, gamma, beta) < improved_kennedy_pc(priors, gamma, gamma) - 1e-12
+    if np.any(worse):
+        i = int(np.flatnonzero(worse)[0])
         raise ConvergenceError(
-            f"stationary point {beta} does not improve on the Kennedy point {gamma}"
+            f"stationary point {beta.flat[i]} does not improve on the Kennedy point {gamma.flat[i]}"
         )
-    return beta
+    return _out(beta)
 
 
 def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) -> float:
@@ -221,14 +243,16 @@ def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) 
     cancels, overflows or underflows; at ``b = gamma`` it is exactly
     ``-2*w*q1``.  Requires ``psi > 0``.
     """
-    root_t = math.sqrt(T)
+    root_t = np.sqrt(T)
     gamma, b = psi * root_t, beta * root_t
-    h = math.hypot(gamma, b)  # sqrt(s), without squaring gamma or b
+    h = np.hypot(gamma, b)  # sqrt(s), without squaring gamma or b
     g, u = gamma / h, b / h
     x = 2.0 * h * h
-    w = x * math.exp(-x) / -math.expm1(-x) if x > 0.0 else 1.0
-    a = g * u - (priors.q0 - 0.5) if g * u < 0.25 else priors.q1 - 0.5 * (u - g) ** 2
-    return (u - g) * (u + g) - 2.0 * w * (b / gamma) * a
+    with np.errstate(divide="ignore", invalid="ignore"):  # the branch where x = 0
+        w = np.where(x > 0.0, x * np.exp(-x) / -np.expm1(-x), 1.0)
+    gu = g * u
+    a = np.where(gu < 0.25, gu - (priors.q0 - 0.5), priors.q1 - 0.5 * (u - g) ** 2)
+    return _out((u - g) * (u + g) - 2.0 * w * (b / gamma) * a)
 
 
 def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
@@ -255,17 +279,18 @@ def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
     residual at ``gamma`` is zero and ``gamma`` is returned: the true excess,
     about ``8*q1*gamma**3*exp(-4*gamma**2)``, is far below one ulp.  With
     ``q1 = 0``, ``G = -(b - gamma)**2*B/(2*s)`` peaks at ``gamma``, which is
-    returned.  Requires ``psi > 0``, ``T > 0`` and ``q0 >= q1``.
+    returned.  Requires ``psi > 0``, ``T > 0`` and ``q0 >= q1``.  An array
+    of ``psi`` is one lane-wise solve.
     """
-    if psi <= 0.0:
-        raise ValueError(f"psi must be > 0, got {psi}")
-    if T <= 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
+    psi = np.asarray(psi, dtype=float)
+    _reject(psi <= 0.0, psi, "psi must be > 0")
+    _reject(T <= 0.0, T, "T must be > 0")
     if priors.q0 < priors.q1:
         raise ValueError("optimal_beta_sd requires q0 >= q1; swap the labels first")
     if priors.q1 == 0.0:
-        return psi
-    gamma = psi * math.sqrt(T)
-    hi = max(math.sqrt(3.0) * gamma, math.sqrt(2.0))
+        return _out(psi)
+    root_t = np.sqrt(T)
+    gamma = psi * root_t
+    hi = np.maximum(math.sqrt(3.0) * gamma, math.sqrt(2.0))
     b = solve_bracketed(lambda b: sd_displacement_residual(priors, gamma, 1.0, b), gamma, hi)
-    return b / math.sqrt(T)
+    return _out(b / root_t)

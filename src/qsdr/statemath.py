@@ -18,16 +18,22 @@ Conventions
   ``gamma_sq = psi**2 * T`` and the overlap of the two coherent states is
   ``exp(-2*gamma_sq)``.
 
-All routines are pure functions of plain floats, safe to call from any
-thread.  Probabilities returned are probabilities of a *correct* decision,
-except the ``*_error`` functions: error probabilities in forms that keep
-their digits where ``1 - P_c`` would cancel.
+All routines are pure functions, safe to call from any thread.  The
+closed forms of the BPSK receivers and the bounds take a float or an array
+for each signal argument (``gamma_sq``, ``gamma``, ``psi``, ``beta``,
+``overlap``), broadcast them, and return a float for scalar arguments and
+an array otherwise; one sweep is then one call.  ``Priors`` stays scalar.
+Probabilities returned are probabilities of a *correct* decision, except
+the ``*_error`` functions: error probabilities in forms that keep their
+digits where ``1 - P_c`` would cancel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "Priors",
@@ -205,11 +211,23 @@ class AngleSchedule:
         return self.angle(k) if prev_bit == 0 else self.flipped(k)
 
 
-def _clip_unit(x: float, name: str) -> float:
+def _out(x):
+    """A 0-d result as a float, an array as it is."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _reject(bad, x, what: str) -> None:
+    """Raise ``ValueError`` naming the first value of ``x`` where ``bad`` holds."""
+    bad = np.asarray(bad)
+    if bad.any():
+        raise ValueError(f"{what}, got {np.broadcast_to(x, bad.shape)[bad].flat[0]}")
+
+
+def _clip_unit(x, name: str):
     # Accept tiny numerical excursions outside [0, 1], reject real ones.
-    if not -_RANGE_TOL <= x <= 1.0 + _RANGE_TOL:
-        raise ValueError(f"{name} must lie in [0, 1], got {x}")
-    return min(max(x, 0.0), 1.0)
+    x = np.asarray(x, dtype=float)
+    _reject(~((x >= -_RANGE_TOL) & (x <= 1.0 + _RANGE_TOL)), x, f"{name} must lie in [0, 1]")
+    return _out(np.minimum(np.maximum(x, 0.0), 1.0))
 
 
 def helstrom_bound(priors: Priors, overlap: float) -> float:
@@ -227,7 +245,7 @@ def helstrom_bound(priors: Priors, overlap: float) -> float:
     """
     x = _clip_unit(overlap, "overlap")
     radicand = 1.0 - 4.0 * priors.q0 * priors.q1 * x * x
-    return 0.5 * (1.0 + math.sqrt(max(radicand, 0.0)))
+    return _out(0.5 * (1.0 + np.sqrt(np.maximum(radicand, 0.0))))
 
 
 def helstrom_error(priors: Priors, overlap: float) -> float:
@@ -235,14 +253,13 @@ def helstrom_error(priors: Priors, overlap: float) -> float:
     ``c = 4*q0*q1*overlap**2``: ``1 - helstrom_bound`` without the cancellation."""
     x = _clip_unit(overlap, "overlap")
     c = 4.0 * priors.q0 * priors.q1 * x * x
-    return c / (2.0 * (1.0 + math.sqrt(max(1.0 - c, 0.0))))
+    return _out(c / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - c, 0.0)))))
 
 
 def coherent_overlap(gamma_sq: float) -> float:
     """Inner product ``exp(-2*gamma_sq)`` of the two BPSK coherent states."""
-    if gamma_sq < 0.0:
-        raise ValueError(f"gamma_sq must be >= 0, got {gamma_sq}")
-    return math.exp(-2.0 * gamma_sq)
+    _reject(gamma_sq < 0.0, gamma_sq, "gamma_sq must be >= 0")
+    return _out(np.exp(-2.0 * gamma_sq))
 
 
 def multicopy_bound(priors: Priors, chi: float, n: int) -> float:
@@ -311,9 +328,8 @@ def kennedy_error(priors: Priors, gamma_sq: float) -> float:
     """Error probability ``q1 * exp(-4*gamma_sq)`` of the Kennedy receiver:
     ``1 - kennedy_pc`` without the cancellation (only hypothesis 1 is ever
     mistaken, when no photon arrives)."""
-    if gamma_sq < 0.0:
-        raise ValueError(f"gamma_sq must be >= 0, got {gamma_sq}")
-    return priors.q1 * math.exp(-4.0 * gamma_sq)
+    _reject(gamma_sq < 0.0, gamma_sq, "gamma_sq must be >= 0")
+    return _out(priors.q1 * np.exp(-4.0 * gamma_sq))
 
 
 def improved_kennedy_pc(priors: Priors, gamma: float, beta: float) -> float:
@@ -335,10 +351,9 @@ def improved_kennedy_error(priors: Priors, gamma: float, beta: float) -> float:
     """Error probability ``q0*(1 - exp(-(gamma - beta)**2)) + q1*exp(-(gamma +
     beta)**2)`` of the Kennedy receiver displaced by ``beta``:
     ``1 - improved_kennedy_pc`` without the cancellation."""
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    _reject(gamma < 0.0, gamma, "gamma must be >= 0")
     d0, d1 = gamma - beta, gamma + beta
-    return -priors.q0 * math.expm1(-d0 * d0) + priors.q1 * math.exp(-d1 * d1)
+    return _out(-priors.q0 * np.expm1(-d0 * d0) + priors.q1 * np.exp(-d1 * d1))
 
 
 def simplified_dolinar_pc(priors: Priors, psi: float, beta: float, T: float) -> float:
@@ -362,10 +377,9 @@ def simplified_dolinar_error(priors: Priors, psi: float, beta: float, T: float) 
     feedback receiver, with ``s = psi**2 + beta**2``, ``D = (psi -
     beta)**2/(2*s)`` and ``E = exp(-2*s*T)``: ``1 - simplified_dolinar_pc``
     without the cancellation (``1/2 - psi*beta/s = D``)."""
-    if psi < 0.0:
-        raise ValueError(f"psi must be >= 0, got {psi}")
-    if T < 0.0:
-        raise ValueError(f"T must be >= 0, got {T}")
+    _reject(psi < 0.0, psi, "psi must be >= 0")
+    _reject(T < 0.0, T, "T must be >= 0")
     s = psi * psi + beta * beta
-    d = (psi - beta) ** 2 / (2.0 * s) if s > 0.0 else 0.0
-    return -d * math.expm1(-2.0 * s * T) + priors.q1 * math.exp(-2.0 * s * T)
+    # s = 0 only at psi = beta = 0, where the limit of D is 0.
+    d = (psi - beta) ** 2 / (2.0 * np.where(s > 0.0, s, math.inf))
+    return _out(-d * np.expm1(-2.0 * s * T) + priors.q1 * np.exp(-2.0 * s * T))

@@ -1,13 +1,17 @@
 """Command-line interface: formats, determinism, resolution, exit codes."""
 
+import hashlib
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import warnings
+from decimal import Decimal
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +19,7 @@ from hypothesis import strategies as st
 import qsdr
 import qsdr._streams as streams_mod
 import qsdr.cli as cli
+import qsdr.rootfind as rootfind_mod
 from qsdr import BracketError, Priors, SingularControlError, simulate_telegraph
 from qsdr.cli import main
 from test_streams import TELEGRAPH_LAWS, budget
@@ -148,6 +153,98 @@ class TestFig1:
         assert a.read_bytes() == b.read_bytes()
         header, _ = read_rows(a)
         assert header == ["gamma_sq", "helstrom_pe", "dolinar_mc_pe"]
+
+
+# The benchmark's sweep workload, and the sha256 of the CSV files the
+# point-by-point sweep of earlier releases wrote for it; the column-wise
+# sweep must write the same bytes.
+SWEEP_AXIS = ["--q0", "0.7", "--gamma-sq-min", "0.01", "--gamma-sq-max", "4"]
+ANALYTIC_FIG1 = "helstrom,kennedy,improved_kennedy,simplified_dolinar,dolinar_ode"
+SWEEP_ARGV = {
+    "fig1": ["fig1", *SWEEP_AXIS, "--schemes", ANALYTIC_FIG1, "--points", "100"],
+    "fig3": ["fig3", *SWEEP_AXIS, "--points", "300"],
+}
+SWEEP_SHA256 = {
+    "fig1": "3bbfbbfcb1215bfa298bd2f795209a5517b10df964b2485cdf9826e6251f4ea0",
+    "fig3": "276b8f117d3f2f528cf25fbff546600b935423a31bc8f83d6f32e75df59c855c",
+}
+
+
+def resolved(argv):
+    spec, _, _ = cli._resolve(cli._build_parser().parse_args([*argv, "-o", "unused"]), {})
+    return spec
+
+
+class TestColumnwiseSweep:
+    """fig1 and fig3 compute each column over the whole axis in one call."""
+
+    @pytest.mark.parametrize("command", ["fig1", "fig3"])
+    def test_benchmark_sweep_writes_the_pinned_bytes(self, command, tmp_path):
+        out = tmp_path / "o.csv"
+        assert main([*SWEEP_ARGV[command], "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[command]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["fig3", *SWEEP_AXIS, "--points", "300"],
+         ["fig1", *SWEEP_AXIS, "--schemes", ANALYTIC_FIG1, "--points", "300"]],
+        ids=["fig3", "fig1"],
+    )
+    def test_one_solve_per_optimizer_column(self, argv, tmp_path, monkeypatch):
+        solve, calls = rootfind_mod.solve_bracketed, []
+
+        def counted(f, lo, hi):
+            calls.append(np.shape(lo))
+            return solve(f, lo, hi)
+
+        monkeypatch.setattr(rootfind_mod, "solve_bracketed", counted)
+        assert main([*argv, "-o", str(tmp_path / "o.csv")]) == 0
+        assert calls == [(300,), (300,)]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig1", "--q0", "0.7", "--gamma-sq-min", "1e-6", "--gamma-sq-max", "40",
+             "--schemes", ANALYTIC_FIG1],
+            ["fig1", "--q0", "0.5", "--u-max", "1.5", "--T", "0.3", "--gamma-sq-min", "1e-4",
+             "--gamma-sq-max", "30", "--schemes", ANALYTIC_FIG1],
+            ["fig3", "--q0", "0.2", "--T", "3", "--gamma-sq-min", "1e-6", "--gamma-sq-max", "40"],
+        ],
+        ids=["fig1", "fig1_cap", "fig3"],
+    )
+    def test_columns_are_lane_independent(self, argv, tmp_path):
+        # Each column over 300 points equals the column computed point by point.
+        spec = resolved([*argv, "--points", "300"])
+        kind = "pe" if spec.command == "fig1" else "beta_sq"
+        table = cli._sweep(spec, str(tmp_path / "o.csv"), kind)
+        axis = cli._axis(spec)
+        points = [axis._replace(g=axis.g[i:i + 1], psi=axis.psi[i:i + 1],
+                                gamma=axis.gamma[i:i + 1]) for i in range(300)]
+        assert len(table) == len(spec.schemes) + 1
+        for scheme in spec.schemes:
+            column = cli.SCHEMES[scheme][kind]
+            one = [column(point)[0] for point in points]
+            assert table[f"{scheme}_{kind}"].tolist() == one, scheme
+
+    def test_monte_carlo_column_writes_its_error_frequency(self, tmp_path):
+        # One miss in 2e5 trials is 5e-06, not 1 - (1 - 5e-06).
+        out = tmp_path / "f.csv"
+        argv = ["fig1", "--schemes", "helstrom,dolinar_mc", "--q0", "0.9", "--gamma-sq-min", "2",
+                "--gamma-sq-max", "2.6", "--points", "4", "--trials", "200000", "--seed", "1",
+                "-o", str(out)]
+        assert main(argv) == 0
+        _, rows = read_rows(out)
+        assert [row[2] for row in rows] == ["4e-05", "3e-05", "5e-06", "0"]
+        for row in rows:
+            misses = Decimal(row[2]) * 200000
+            assert misses == misses.to_integral_value()
+
+    def test_analytic_sweeps_draw_no_seeds(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SeedSequence called")
+
+        monkeypatch.setattr(np.random, "SeedSequence", refuse)
+        assert main([*SWEEP_ARGV["fig1"], "-o", str(tmp_path / "o.csv")]) == 0
 
 
 class TestFig3:
@@ -748,8 +845,11 @@ def domain_argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(argv=domain_argv())
 def test_every_run_in_the_domain_exits_with_a_documented_code(argv, tmp_path_factory):
+    # ... and prints no numpy RuntimeWarning on the way.
     out = tmp_path_factory.mktemp("domain") / "o.csv"
-    assert main(argv + ["-o", str(out)]) in (0, 2, 3, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["-o", str(out)]) in (0, 2, 3, 4)
 
 
 class TestNoNumericalIntegration:

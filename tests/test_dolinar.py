@@ -18,6 +18,7 @@ from qsdr import (
     SingularControlError,
     evolve_pc,
     evolve_pc_general,
+    evolve_pe,
     feedback_amplitude,
     helstrom_bound,
     helstrom_trajectory,
@@ -380,6 +381,68 @@ def oracle_laws():
                     del laws["exact"]  # singular at t = 0
                 for name, law in laws.items():
                     yield pytest.param(pr, psi, law, T, id=f"q0={q0}-psi={psi}-T={T}-{name}")
+
+
+def law_shape(law: ControlLaw, T: float) -> str:
+    """Which of the shapes ``ControlLaw.dolinar_optimal`` (or ``constant``) builds."""
+    if law.kind == "constant":
+        return "constant"
+    if law.optimal is None:
+        return "cap at or below psi"
+    if len(law.starts) == 1:
+        return "uncapped"
+    if law.kind == "dolinar_optimal":
+        return "time floor"
+    return "switch inside T" if law.starts[1] < T else "switch past T"
+
+
+class TestEvolvePe:
+    """The batched evolution of a sweep equals evolve_pc point by point."""
+
+    # Sweeps whose points together cross every law shape; psi spans 1e-3 to 5.5.
+    SWEEPS = [
+        (0.7, 1.0, {}),
+        (0.7, 1.0, {"u_max": 1.5}),
+        (0.5, 0.3, {"u_max": 1.5}),
+        (0.2, 3.0, {"u_max": 1.2}),
+        (0.5, 1.0, {"t_floor": 0.01}),
+        (0.6, 1.0, {"t_floor": 0.5, "u_max": 2.0}),
+        (1.0, 1.0, {"t_floor": 0.2}),  # q1 = 0: the optimal segment is a constant
+        (0.7, 1.0, {"beta": 1.2}),
+    ]
+
+    @staticmethod
+    def _laws(priors, psi, kw):
+        if "beta" in kw:
+            return [ControlLaw.constant(kw["beta"]) for _ in psi]
+        return [ControlLaw.dolinar_optimal(priors, p, **kw) for p in psi.tolist()]
+
+    def test_equals_evolve_pc_bit_for_bit_over_every_law_shape(self):
+        shapes = set()
+        for q0, T, kw in self.SWEEPS:
+            pr = Priors(q0)
+            psi = np.sqrt(np.geomspace(1e-6, 30.0, 300) / T)
+            laws = self._laws(pr, psi, kw)
+            want = [evolve_pc(pr, p, law, T, sample_times=()).final.pe(pr)
+                    for p, law in zip(psi.tolist(), laws)]
+            got = evolve_pe(pr, psi, laws, T)
+            assert got.tolist() == want, (q0, T, kw)
+            shapes.update(law_shape(law, T) for law in laws)
+        assert shapes == {"uncapped", "switch inside T", "switch past T",
+                          "cap at or below psi", "time floor", "constant"}
+
+    def test_uncapped_balanced_law_is_singular(self):
+        pr = Priors(0.5)
+        psi = np.array([0.5, 1.0])
+        with pytest.raises(SingularControlError):
+            evolve_pe(pr, psi, [ControlLaw.dolinar_optimal(pr, p) for p in psi.tolist()], 1.0)
+
+    def test_validation(self):
+        law = [ControlLaw.constant(0.5)]
+        with pytest.raises(ValueError, match="psi"):
+            evolve_pe(Priors(0.7), np.array([-1.0]), law, 1.0)
+        with pytest.raises(ValueError, match="T"):
+            evolve_pe(Priors(0.7), np.array([1.0]), law, 0.0)
 
 
 class TestClosedFormAgainstMpmath:

@@ -47,16 +47,37 @@ def brentq_oracle(f, lo, hi):
     return brentq(f, lo, hi, xtol=1e-300, maxiter=200)
 
 
+def lane_residual(f, lo, hi, i):
+    """Lane ``i`` of the lane-wise residual ``f`` on the brackets [lo, hi],
+    as a function of one float; the other lanes sit at their lower ends."""
+    x = np.array(np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))[0])
+
+    def fi(v):
+        x.flat[i] = v
+        return float(np.asarray(f(x)).flat[i])
+
+    return fi
+
+
+def assert_lanes_match_scipy(f, lo, hi, root):
+    """Each lane of ``root`` equals scipy's Brent on that lane's own residual."""
+    los, his = np.broadcast_arrays(np.asarray(lo, float), np.asarray(hi, float))
+    for i in range(los.size):
+        want = brentq_oracle(lane_residual(f, los, his, i), los.flat[i], his.flat[i])
+        assert np.asarray(root).flat[i] == want, (i, los.flat[i], his.flat[i])
+
+
 @contextlib.contextmanager
 def solves_checked_against_scipy():
-    """Within it, every solve of the optimizers asserts that its root equals
-    scipy's bit for bit; yields the list of roots found."""
+    """Within it, every lane of every solve of the optimizers asserts that
+    its root equals scipy's on that lane's own residual, bit for bit;
+    yields the list of (lane-wise) roots found."""
     port = rootfind.solve_bracketed
     roots = []
 
     def checked(f, lo, hi):
         root = port(f, lo, hi)
-        assert root == brentq_oracle(f, lo, hi), (lo, hi)
+        assert_lanes_match_scipy(f, lo, hi, root)
         roots.append(root)
         return root
 
@@ -117,14 +138,73 @@ class TestSolveBracketed:
 
     @pytest.mark.parametrize("q0", [0.5, 0.7, 0.9, 1.0 - 1e-6])
     def test_optimizers_match_scipy_on_the_sweep_axis(self, q0):
-        # fig1/fig3's log axis; the sd solve at T = 1, where psi**2 = gamma_sq.
+        # fig1/fig3's log axis, one solve per optimizer; the sd solve at
+        # T = 1, where psi**2 = gamma_sq.
         pr = Priors(q0)
+        g = np.sqrt(np.geomspace(0.01, 4.0, 300))
         with solves_checked_against_scipy() as roots:
-            for g_sq in np.geomspace(0.01, 4.0, 300):
-                g = math.sqrt(float(g_sq))
-                optimal_beta_ik(pr, g)
-                optimal_beta_sd(pr, g, 1.0)
-        assert len(roots) == 600
+            optimal_beta_ik(pr, g)
+            optimal_beta_sd(pr, g, 1.0)
+        assert [np.shape(r) for r in roots] == [(300,), (300,)]
+
+    @pytest.mark.parametrize("q0", [0.5, 0.6, 0.8, 0.99, 1.0 - 1e-9])
+    def test_sd_lanes_match_scipy_from_weak_to_strong(self, q0):
+        # 400 lanes from 1e-6 to 40 photons: some stop at an end, the rest
+        # after different numbers of steps, while finished lanes stay frozen.
+        with solves_checked_against_scipy() as roots:
+            optimal_beta_sd(Priors(q0), np.sqrt(np.geomspace(1e-6, 40.0, 400)), 1.0)
+        assert np.shape(roots[0]) == (400,)
+
+    def test_lanes_match_scipy_bitwise(self):
+        c = np.array([2.0, 5.0, 0.3, 1e-200, 1.0, 7.0])
+        lo = np.array([1.0, 1.0, -3.0, -1000.0, 1.0, 0.0])
+        hi = np.array([2.0, 2.0, 3.0, 1.0, 2.0, 7.0])
+        kind = np.array([0, 1, 2, 3, 4, 4])  # 4: exact zeros at lo, then at hi
+
+        def f(x):
+            return np.select(
+                [kind == 0, kind == 1, kind == 2, kind == 3],
+                [x * x - c, x**3 - c, np.tanh(x) - c, np.exp(x) - c],
+                x - c,
+            )
+
+        root = solve_bracketed(f, lo, hi)
+        assert isinstance(root, np.ndarray) and root.shape == (6,)
+        assert root[4] == 1.0 and root[5] == 7.0
+        assert_lanes_match_scipy(f, lo, hi, root)
+
+    def test_residual_is_only_evaluated_inside_each_bracket(self):
+        lo, hi = np.array([0.0, 1.0, 10.0]), np.array([1.0, 3.0, 20.0])
+        seen = []
+
+        def f(x):
+            seen.append(x.copy())
+            return x * x - np.array([0.5, 1.0, 150.0])  # lane 1: exact zero at lo
+
+        root = solve_bracketed(f, lo, hi)
+        assert root[1] == 1.0
+        seen = np.array(seen)
+        assert np.all((lo <= seen) & (seen <= hi))
+        # Lane 1 is finished from the start and stays at its upper end.
+        assert np.all(seen[1:, 1] == 3.0)
+
+    def test_scalar_ends_give_a_float_and_broadcast_ends_an_array(self):
+        assert isinstance(solve_bracketed(lambda x: x * x - 2.0, 1.0, 2.0), float)
+        roots = solve_bracketed(lambda x: x * x - np.array([2.0, 3.0]), 1.0, np.array([2.0, 2.0]))
+        assert roots.tolist() == [
+            solve_bracketed(lambda x: x * x - 2.0, 1.0, 2.0),
+            solve_bracketed(lambda x: x * x - 3.0, 1.0, 2.0),
+        ]
+
+    def test_errors_name_the_first_lane_at_fault(self, monkeypatch):
+        f = lambda x: x * x - np.array([2.0, 9.0, 16.0])
+        with pytest.raises(BracketError, match=r"^lane 1: .*\[1\.0, 2\.0\]"):
+            solve_bracketed(f, 1.0, np.array([2.0, 2.0, 2.0]))
+        with pytest.raises(ValueError, match=r"^lane 2: bracket requires lo < hi"):
+            solve_bracketed(f, 1.0, np.array([2.0, 4.0, 1.0]))
+        monkeypatch.setattr(rootfind, "_MAX_ITER", 2)
+        with pytest.raises(ConvergenceError, match=r"^lane 0: "):
+            solve_bracketed(f, 1.0, np.array([2.0, 4.0, 5.0]))
 
 
 class TestGoldenMax:
@@ -450,18 +530,19 @@ def test_sd_bracket_holds_the_one_maximum_over_the_domain(q0, gamma_sq, T):
 @settings(max_examples=200, deadline=None)
 @given(
     q0=st.floats(0.5, 1.0),
-    gamma_sq=st.floats(1e-6, 500.0),
+    gamma_sq=st.lists(st.floats(1e-6, 500.0), min_size=1, max_size=8),
     T=st.floats(0.03, 30.0),
 )
 def test_optimizers_return_and_beat_kennedy_over_the_domain(q0, gamma_sq, T):
-    # Each solve also matches scipy's Brent bit for bit.
+    # One lane-wise solve per optimizer; each lane also matches scipy's
+    # Brent on its own residual bit for bit.
     pr = Priors(q0)
-    g = math.sqrt(gamma_sq)
-    psi = math.sqrt(gamma_sq / T)
+    g = np.sqrt(gamma_sq)
+    psi = np.sqrt(np.array(gamma_sq) / T)
     with solves_checked_against_scipy():
         beta_ik = optimal_beta_ik(pr, g)
         beta_sd = optimal_beta_sd(pr, psi, T)
-    assert improved_kennedy_pc(pr, g, beta_ik) >= improved_kennedy_pc(pr, g, g) - 1e-12
-    assert simplified_dolinar_pc(pr, psi, beta_sd, T) >= (
-        simplified_dolinar_pc(pr, psi, psi, T) - 1e-12
+    assert np.all(improved_kennedy_pc(pr, g, beta_ik) >= improved_kennedy_pc(pr, g, g) - 1e-12)
+    assert np.all(
+        simplified_dolinar_pc(pr, psi, beta_sd, T) >= simplified_dolinar_pc(pr, psi, psi, T) - 1e-12
     )

@@ -19,6 +19,7 @@ from qsdr import (
     coherent_overlap,
     helstrom_bound,
     helstrom_error,
+    ik_displacement_residual,
     improved_kennedy_error,
     improved_kennedy_pc,
     kennedy_error,
@@ -26,6 +27,7 @@ from qsdr import (
     multicopy_bound,
     optimal_beta_ik,
     optimal_beta_sd,
+    sd_displacement_residual,
     simplified_dolinar_error,
     simplified_dolinar_pc,
 )
@@ -481,3 +483,55 @@ class TestSimplifiedDolinarError:
             simplified_dolinar_error(Priors(0.5), -1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             simplified_dolinar_error(Priors(0.5), 1.0, 0.5, -1.0)
+
+
+class TestArrays:
+    """Each closed form maps arrays lane by lane, and floats to floats."""
+
+    G_SQ = np.geomspace(1e-6, 400.0, 97)
+    PR = Priors(0.7)
+
+    def _cases(self):
+        g_sq, pr = self.G_SQ, self.PR
+        g = np.sqrt(g_sq)
+        beta = 1.3 * g + 0.1
+        return {
+            "coherent_overlap": (coherent_overlap, (g_sq,)),
+            "helstrom_bound": (lambda x: helstrom_bound(pr, x), (np.exp(-2.0 * g_sq),)),
+            "helstrom_error": (lambda x: helstrom_error(pr, x), (np.exp(-2.0 * g_sq),)),
+            "kennedy_error": (lambda x: kennedy_error(pr, x), (g_sq,)),
+            "improved_kennedy_error": (lambda a, b: improved_kennedy_error(pr, a, b), (g, beta)),
+            "improved_kennedy_pc": (lambda a, b: improved_kennedy_pc(pr, a, b), (g, beta)),
+            "simplified_dolinar_error": (
+                lambda a, b: simplified_dolinar_error(pr, a, b, 0.7), (g, beta)),
+            "ik_displacement_residual": (
+                lambda a, b: ik_displacement_residual(pr, a, b), (g, beta)),
+            "sd_displacement_residual": (
+                lambda a, b: sd_displacement_residual(pr, a, 0.7, b), (g, beta)),
+            "optimal_beta_ik": (lambda a: optimal_beta_ik(pr, a), (g,)),
+            "optimal_beta_sd": (lambda a: optimal_beta_sd(pr, a, 0.7), (g,)),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "coherent_overlap", "helstrom_bound", "helstrom_error", "kennedy_error",
+        "improved_kennedy_error", "improved_kennedy_pc", "simplified_dolinar_error",
+        "ik_displacement_residual", "sd_displacement_residual", "optimal_beta_ik",
+        "optimal_beta_sd",
+    ])
+    def test_lanes_equal_scalar_calls(self, name):
+        fn, args = self._cases()[name]
+        lanes = fn(*args)
+        assert isinstance(lanes, np.ndarray) and lanes.shape == self.G_SQ.shape
+        one = [fn(*(float(a[i]) for a in args)) for i in range(self.G_SQ.size)]
+        assert all(type(v) is float for v in one)
+        assert lanes.tolist() == one
+
+    def test_validation_names_the_first_bad_value(self):
+        with pytest.raises(ValueError, match=r"gamma_sq must be >= 0, got -2\.0"):
+            coherent_overlap(np.array([1.0, -2.0, -3.0]))
+        with pytest.raises(ValueError, match=r"overlap must lie in \[0, 1\], got 1\.5"):
+            helstrom_error(Priors(0.5), np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match=r"overlap must lie in \[0, 1\], got nan"):
+            helstrom_error(Priors(0.5), math.nan)
+        with pytest.raises(ValueError, match=r"psi must be > 0, got 0\.0"):
+            optimal_beta_sd(Priors(0.5), np.array([1.0, 0.0]), 1.0)
