@@ -6,12 +6,14 @@ fig1      error probability of each receiver vs mean photon number
 fig3      optimal displacement intensity of each receiver vs mean photon number
 simulate  one seeded Monte Carlo run cross-checked against its analytic value
 
-Outputs are deterministic functions of the resolved spec and the seed: CSV
-with an exact documented header, LF line endings and 12 significant digits,
-or JSON carrying the same numbers plus the spec and tool version.  Option
-values resolve as command line > config file > environment (seed only) >
-built-in defaults; the config file is flat ``key = value`` text (see
-README).
+Options are ``--name VALUE``, ``--name=VALUE`` or ``-o FILE``, names exact;
+``qsdr COMMAND --help`` lists a command's options, which are also its config
+keys.  Option values resolve as command line > config file > environment
+(seed only) > built-in defaults; the config file is flat ``key = value`` text
+(see README).  Outputs are deterministic functions of the resolved spec and
+the seed: CSV with an exact documented header, LF line endings and 12
+significant digits, or JSON carrying the same numbers plus the spec and tool
+version.
 
 Exit codes: 0 success, 2 invalid spec or I/O failure, 3 solver failure,
 4 singular control request (equal priors with an uncapped optimal law).
@@ -19,9 +21,7 @@ Exit codes: 0 success, 2 invalid spec or I/O failure, 3 solver failure,
 
 from __future__ import annotations
 
-import argparse
 import contextlib
-import json
 import math
 import os
 import sys
@@ -86,6 +86,24 @@ DEFAULTS = {
     "control": "dolinar_optimal",
 }
 
+# Each command's options, declared once: key -> cast.  On the command line a
+# key is --key with hyphens for underscores (and -o is --output); in a config
+# file it is the key itself.  Both sources share the cast and the key check.
+_COMMON = {"config": str, "output": str, "format": str, "seed": int, "q0": float, "T": float}
+_LAW = {"trials": int, "u_max": float, "t_floor": float}
+_SWEEP = {"gamma_sq_min": float, "gamma_sq_max": float, "points": int, "spacing": str,
+          "schemes": str, **_LAW}
+OPTIONS = {
+    # The dolinar_ode and dolinar_mc columns run the law control and beta set.
+    "fig1": {**_COMMON, **_SWEEP, "control": str, "beta": float},
+    "fig3": {**_COMMON, **_SWEEP},
+    "simulate": {**_COMMON, "scheme": str, **_LAW, "psi": float, "control": str,
+                 "beta": float, "theta": float, "chi": float, "copies": int,
+                 "trajectories": str},
+}
+# What a value must be, in help and in the message for one that fails its cast.
+_METAVAR = {int: "an integer", float: "a number", str: "text"}
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -117,7 +135,7 @@ class SweepSpec:
     copies: int | None = None
 
     def __post_init__(self) -> None:
-        # argparse and float() accept inf and nan; no parameter takes them.
+        # float() accepts inf and nan; no parameter takes them.
         for f in fields(self):
             v = getattr(self, f.name)
             if isinstance(v, float) and not math.isfinite(v):
@@ -149,6 +167,9 @@ class SweepSpec:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format}")
+        if self.control is not None and self.control not in CONTROL_KINDS:
+            known = ", ".join(CONTROL_KINDS)
+            raise ValueError(f"control must be one of {known}, got {self.control}")
 
     @property
     def priors(self) -> Priors:
@@ -185,6 +206,8 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _json_text(spec: SweepSpec, key: str, records: list) -> str:
+    import json  # only JSON output pays for the import
+
     doc = {
         "spec": spec.public_dict(),
         key: records,
@@ -219,8 +242,6 @@ def _write_rows(path: str, spec: SweepSpec, header: list[str], rows: list[list])
 
 def _dolinar_law(spec: SweepSpec, priors: Priors, psi: float) -> ControlLaw:
     kind = spec.control or "dolinar_optimal"
-    if kind not in CONTROL_KINDS:
-        raise ValueError(f"unknown control kind {kind!r}; known: {', '.join(CONTROL_KINDS)}")
     if kind == "constant":
         if spec.beta is None:
             raise ValueError("control=constant requires --beta")
@@ -422,6 +443,8 @@ def _stream_trajectories(fh, spec: SweepSpec, chunks):
         line = lambda a, z, k: f",{a},{z},{';'.join(['%.12g'] * k)}\n"
         values = tuple
     else:
+        import json
+
         mark = "\0"  # stands for the records in the document's framing
         head, tail = _json_text(spec, "trajectories", [mark]).split(json.dumps(mark))
         sep, opener = ",\n    ", '{\n      "trial": '
@@ -464,73 +487,72 @@ def read_config(path: str) -> dict[str, str]:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qsdr",
-        description="Binary quantum-state discrimination receivers.",
-        epilog=f"Seeds default to ${SEED_ENV_VAR} when set. See README for formats.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--output", "-o", help="output file path (required)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--q0", type=float, default=None)
-        p.add_argument("--T", type=float, default=None)
-
-    def add_sweep(p: argparse.ArgumentParser) -> None:
-        add_common(p)
-        p.add_argument("--gamma-sq-min", type=float, default=None)
-        p.add_argument("--gamma-sq-max", type=float, default=None)
-        p.add_argument("--points", type=int, default=None)
-        p.add_argument("--spacing", choices=("log", "linear"), default=None)
-        p.add_argument("--schemes", default=None, help="comma separated scheme list")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--u-max", type=float, default=None)
-        p.add_argument("--t-floor", type=float, default=None)
-
-    p1 = sub.add_parser("fig1", help="error probability vs mean photon number")
-    add_sweep(p1)
-    p3 = sub.add_parser("fig3", help="optimal displacement intensity sweep")
-    add_sweep(p3)
-
-    ps = sub.add_parser("simulate", help="seeded Monte Carlo with analytic cross-check")
-    add_common(ps)
-    ps.add_argument("--scheme", choices=SIM_SCHEMES, default=None)
-    ps.add_argument("--trials", type=int, default=None)
-    ps.add_argument("--psi", type=float, default=None)
-    ps.add_argument(
-        "--control", choices=CONTROL_KINDS, default=None, help="dolinar_mc law"
-    )
-    ps.add_argument("--beta", type=float, default=None)
-    ps.add_argument("--u-max", type=float, default=None)
-    ps.add_argument("--t-floor", type=float, default=None)
-    ps.add_argument("--theta", type=float, default=None)
-    ps.add_argument("--chi", type=float, default=None)
-    ps.add_argument("--copies", type=int, default=None)
-    ps.add_argument(
-        "--trajectories", default=None, help="also export per-trial click records"
-    )
-    return parser
+def _usage(command: str | None) -> str:
+    """Help built from the option table: one command's, or every command's
+    after the module summary."""
+    if command is None:
+        return f"usage: qsdr {{{','.join(OPTIONS)}}} [options]\n{__doc__ or ''}\n" + "\n".join(
+            _usage(c) for c in OPTIONS
+        )
+    lines = [f"usage: qsdr {command} [--name VALUE | --name=VALUE]...",
+             "options (and config keys, the same names without the dashes):"]
+    for key, cast in OPTIONS[command].items():
+        flag = "--output/-o" if key == "output" else "--" + key.replace("_", "-")
+        lines.append(f"  {flag:<16} {_METAVAR[cast]}")
+    return "\n".join(lines) + "\n"
 
 
-def _resolve(ns, cfg: dict[str, str]):
-    """Merge CLI > config > env (seed) > defaults into a SweepSpec; a config
-    key that names no option of the command is rejected, not ignored."""
-    picked = set()
+def _is_flag(token: str) -> bool:
+    # '-' alone and negative numbers ('-1', '-.5') are values, not flags.
+    return len(token) > 1 and token[0] == "-" and not (token[1].isdigit() or token[1] == ".")
 
-    def pick(name: str, cast, default=None):
-        picked.add(name)
-        v = getattr(ns, name, None)
-        if v is not None:
-            return v
-        if name in cfg:
-            return cast(cfg[name])
-        return default
 
-    seed = pick("seed", int)
+def _split(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:
+    """Split argv into the command and its options as ``{key: text}``, the
+    form :func:`read_config` returns.  Options are ``--name VALUE``,
+    ``--name=VALUE`` and ``-o VALUE`` with exact names, the last occurrence
+    winning.  The options are None when ``-h``/``--help`` asks for usage;
+    the command is None too when it comes first."""
+    if argv[:1] in (["-h"], ["--help"]):
+        return None, None
+    if not argv or argv[0] not in OPTIONS:
+        got = repr(argv[0]) if argv else "none"
+        raise ValueError(f"the command must be one of {', '.join(OPTIONS)}, got {got}")
+    command, tokens, args = argv[0], iter(argv[1:]), {}
+    names = {"--" + key.replace("_", "-"): key for key in OPTIONS[command]}
+    names["-o"] = "output"
+    for token in tokens:
+        if token in ("-h", "--help"):
+            return command, None
+        if not _is_flag(token):
+            raise ValueError(f"unexpected argument {token!r}")
+        flag, eq, value = token.partition("=")
+        if flag not in names:
+            raise ValueError(f"{command} has no option {flag}; see qsdr {command} --help")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or _is_flag(value):
+                raise ValueError(f"option {flag} needs a value")
+        args[names[flag]] = value
+    return command, args
+
+
+def _resolve(command: str, args: dict[str, str], cfg: dict[str, str]):
+    """Merge argv > config > env (seed) > defaults into a SweepSpec.  Both
+    sources are ``{key: text}`` checked against the command's option table
+    (a config file cannot name another) and cast once, through the table."""
+    options = OPTIONS[command]
+    unknown = sorted(k for k in cfg if k not in options or k == "config")
+    if unknown:
+        raise ValueError(f"unknown config key(s) {', '.join(unknown)}")
+    v = {}
+    for key, text in {**cfg, **args}.items():
+        try:
+            v[key] = options[key](text)
+        except ValueError:
+            raise ValueError(f"{key} must be {_METAVAR[options[key]]}, got {text!r}") from None
+
+    seed = v.get("seed")
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
         try:
@@ -538,20 +560,16 @@ def _resolve(ns, cfg: dict[str, str]):
         except ValueError as exc:
             raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
 
-    if ns.command == "simulate":
-        scheme = pick("scheme", str)
-        if scheme is None:
+    if command == "simulate":
+        if "scheme" not in v:
             raise ValueError("simulate requires --scheme")
-        schemes = (scheme,)
+        schemes = (v["scheme"],)
+    elif "schemes" in v:
+        schemes = tuple(s.strip() for s in v["schemes"].split(",") if s.strip())
     else:
-        raw = pick("schemes", str)
-        if raw is None:
-            schemes = FIG1_SCHEMES[:4] if ns.command == "fig1" else FIG3_SCHEMES
-        else:
-            schemes = tuple(s.strip() for s in raw.split(",") if s.strip())
+        schemes = FIG1_SCHEMES[:4] if command == "fig1" else FIG3_SCHEMES
 
-    theta = pick("theta", float)
-    chi = pick("chi", float)
+    theta, chi = v.get("theta"), v.get("chi")
     if chi is not None:
         if theta is not None:
             raise ValueError("give either --theta or --chi, not both")
@@ -559,45 +577,23 @@ def _resolve(ns, cfg: dict[str, str]):
             raise ValueError(f"chi must be < 1 (at 1 the states are identical), got {chi}")
         theta = QubitPair.from_overlap(chi).theta
 
-    spec = SweepSpec(
-        command=ns.command,
-        schemes=schemes,
-        gamma_sq_min=pick("gamma_sq_min", float, DEFAULTS["gamma_sq_min"]),
-        gamma_sq_max=pick("gamma_sq_max", float, DEFAULTS["gamma_sq_max"]),
-        points=pick("points", int, DEFAULTS["points"]),
-        spacing=pick("spacing", str, DEFAULTS["spacing"]),
-        q0=pick("q0", float, DEFAULTS["q0"]),
-        T=pick("T", float, DEFAULTS["T"]),
-        seed=seed,
-        trials=pick("trials", int, DEFAULTS["trials"]),
-        format=pick("format", str, DEFAULTS["format"]),
-        u_max=pick("u_max", float),
-        t_floor=pick("t_floor", float),
-        control=pick("control", str, DEFAULTS["control"]),
-        beta=pick("beta", float),
-        psi=pick("psi", float, DEFAULTS["psi"]),
-        theta=theta,
-        copies=pick("copies", int),
-    )
-    output = pick("output", str)
-    if output is None:
+    # Fields the command has no option for keep their defaults.
+    values = {f.name: v.get(f.name, DEFAULTS.get(f.name)) for f in fields(SweepSpec)}
+    values.update(command=command, schemes=schemes, seed=seed, theta=theta)
+    spec = SweepSpec(**values)
+    if "output" not in v:
         raise ValueError("an output path is required (--output or config)")
-    trajectories = pick("trajectories", str)
-    unknown = sorted(set(cfg) - picked)
-    if unknown:
-        raise ValueError(f"unknown config key(s) {', '.join(unknown)}")
-    return spec, output, trajectories
+    return spec, v["output"], v.get("trajectories")
 
 
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else EXIT_INVALID_SPEC
-        return EXIT_OK if code == 0 else EXIT_INVALID_SPEC
-    try:
-        cfg = read_config(ns.config) if ns.config else {}
-        spec, output, trajectories = _resolve(ns, cfg)
+        command, args = _split(sys.argv[1:] if argv is None else list(argv))
+        if args is None:
+            print(_usage(command), end="")
+            return EXIT_OK
+        config = args.pop("config", None)
+        spec, output, trajectories = _resolve(command, args, read_config(config) if config else {})
         if spec.command == "fig1":
             cmd_fig1(spec, output)
         elif spec.command == "fig3":

@@ -171,7 +171,7 @@ SWEEP_SHA256 = {
 
 
 def resolved(argv):
-    spec, _, _ = cli._resolve(cli._build_parser().parse_args([*argv, "-o", "unused"]), {})
+    spec, _, _ = cli._resolve(*cli._split([*argv, "-o", "unused"]), {})
     return spec
 
 
@@ -424,8 +424,7 @@ class TestSimulate:
         args = ["simulate", "--scheme", "dolinar_mc", "--q0", str(q0), "--trials", "60",
                 "--seed", "4", "--format", fmt]
         traj = tmp_path / f"t.{fmt}"
-        spec, _, _ = cli._resolve(cli._build_parser().parse_args(
-            args + ["-o", "o", "--trajectories", str(traj)]), {})
+        spec, _, _ = cli._resolve(*cli._split(args + ["-o", "o", "--trajectories", str(traj)]), {})
         pr = Priors(q0)
         want = render_trajectories(
             spec, simulate_telegraph(pr, 1.0, law, 1.0, 60, 4, keep_trajectories=True).trajectories
@@ -515,6 +514,10 @@ class TestJsonFormat:
         with pytest.raises(ValueError):
             cli._write_json(str(out), spec, "rows", [{"x": math.inf}])
         assert not out.exists()
+
+
+MULTICOPY_ARGS = ["simulate", "--scheme", "multicopy", "--chi", "0.8", "--copies", "2",
+                  "--trials", "5"]
 
 
 class TestResolution:
@@ -642,13 +645,47 @@ class TestResolution:
         assert main(args + ["-o", str(tmp_path / "c.csv")]) == 0
         assert (tmp_path / "c.csv").read_bytes() != (tmp_path / "b.csv").read_bytes()
 
-    def test_unknown_config_key_is_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "args,key",
+        [
+            (["fig1"], "gamma_sq_mn"),
+            # Keys of another command's options, which an earlier release ignored.
+            (["fig1"], "psi"),
+            (["fig1"], "chi"),
+            (["fig1"], "copies"),
+            (["fig1"], "trajectories"),
+            (MULTICOPY_ARGS, "gamma_sq_min"),
+            (MULTICOPY_ARGS, "points"),
+            # A config file cannot name another.
+            (["fig1"], "config"),
+        ],
+    )
+    def test_unknown_config_key_is_rejected(self, args, key, tmp_path, capsys):
         cfg = tmp_path / "typo.cfg"
-        cfg.write_text("points = 2\ngamma_sq_mn = 0.2\n")
+        cfg.write_text(f"points = 2\n{key} = 0.2\n" if args == ["fig1"] else f"{key} = 2\n")
         out = tmp_path / "o.csv"
-        assert main(["fig1", "--config", str(cfg), "-o", str(out)]) == 2
-        assert "gamma_sq_mn" in capsys.readouterr().err
+        assert main([*args, "--config", str(cfg), "-o", str(out)]) == 2
+        assert f"unknown config key(s) {key}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("control", "bogus",
+             "control must be one of dolinar_optimal, constant, capped_dolinar, got bogus"),
+            ("q0", "abc", "q0 must be a number, got 'abc'"),
+            ("seed", "2.5", "seed must be an integer, got '2.5'"),
+        ],
+    )
+    def test_bad_value_fails_alike_from_argv_and_config(self, key, value, message, tmp_path,
+                                                        capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "o.csv"
+        for extra in (["--" + key, value], ["--config", str(cfg)]):
+            assert main([*MULTICOPY_ARGS, *extra, "-o", str(out)]) == 2
+            assert capsys.readouterr().err == f"qsdr: invalid spec: {message}\n"
+            assert not out.exists()
 
     def test_malformed_config(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
@@ -657,6 +694,105 @@ class TestResolution:
 
     def test_output_required(self, tmp_path):
         assert main(["fig1", "--points", "2"]) == 2
+
+
+# A valid value of each option, for the route-agreement test.
+OPTION_VALUES = {
+    "output": "out.csv", "format": "json", "seed": "7", "q0": "0.3", "T": "2",
+    "gamma_sq_min": "0.1", "gamma_sq_max": "3", "points": "5", "spacing": "linear",
+    "schemes": "kennedy,helstrom", "trials": "50", "u_max": "4", "t_floor": "0.1",
+    "control": "constant", "beta": "1.2", "scheme": "dolinar_mc", "psi": "0.8",
+    "theta": "0.3", "chi": "0.5", "copies": "3", "trajectories": "t.csv",
+}
+# What every run needs besides the option under test.
+ROUTE_BASE = {"output": "base.csv", "scheme": "multicopy"}
+
+
+class TestGrammar:
+    """argv and config files are two spellings of one option table."""
+
+    @pytest.fixture
+    def spec_of(self, monkeypatch, capsys):
+        # main's outcome: what the command would run with, or its message.
+        def record(spec, output, trajectories=None):
+            runs.append((spec, output, trajectories))
+
+        runs = []
+        for name in ("cmd_fig1", "cmd_fig3", "cmd_simulate"):
+            monkeypatch.setattr(cli, name, record)
+
+        def outcome(argv):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            return runs.pop() if rc == 0 else (rc, err)
+
+        return outcome
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [(c, k) for c, options in cli.OPTIONS.items() for k in options if k != "config"],
+    )
+    def test_argv_and_config_resolve_alike(self, command, key, spec_of, tmp_path):
+        flag = "--" + key.replace("_", "-")
+        base = [command]
+        for k, v in ROUTE_BASE.items():
+            if k != key and k in cli.OPTIONS[command]:
+                base += ["--" + k, v]
+        cfg = tmp_path / "one.cfg"
+        for value in (OPTION_VALUES[key], "abc", "-1"):
+            cfg.write_text(f"{key} = {value}\n")
+            routes = [[*base, flag, value], [*base, f"{flag}={value}"],
+                      [*base, "--config", str(cfg)]]
+            first, *rest = [spec_of(argv) for argv in routes]
+            assert rest == [first, first], (key, value)
+            if value == OPTION_VALUES[key]:
+                spec, output, trajectories = first
+                # The value lands where it belongs.
+                got = {"output": output, "trajectories": trajectories,
+                       "scheme": spec.schemes[0], "schemes": ",".join(spec.schemes),
+                       "chi": spec.theta and round(math.cos(2.0 * spec.theta), 12)}
+                landed = got[key] if key in got else getattr(spec, key)
+                assert str(landed) == value or landed == float(value), (key, landed)
+
+    def test_last_occurrence_wins(self, spec_of):
+        spec, output, _ = spec_of(["fig1", "--points", "3", "-o", "a", "--points=4",
+                                   "--output", "b", "--q0=0.2", "--q0", "0.3"])
+        assert (spec.points, spec.q0, output) == (4, 0.3, "b")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["fig1", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            (["fig1", "--points"], "option --points needs a value"),
+            (["fig1", "--points", "--q0", "0.3"], "option --points needs a value"),
+            (["fig1", "--psi", "0.5"], "fig1 has no option --psi"),
+            (["fig3", "--control", "constant"], "fig3 has no option --control"),
+            (["simulate", "--scheme", "multicopy", "--points", "3"],
+             "simulate has no option --points"),
+            (["fig1", "--points", "3", "4"], "unexpected argument '4'"),
+            (["fig1", "stray"], "unexpected argument 'stray'"),
+            # Names match exactly: no abbreviations, no underscores.
+            (["fig1", "--gamma-sq-mi", "0.1"], "fig1 has no option --gamma-sq-mi"),
+            (["fig1", "--gamma_sq_min", "0.1"], "fig1 has no option --gamma_sq_min"),
+            (["fig2"], "the command must be one of fig1, fig3, simulate, got 'fig2'"),
+            ([], "the command must be one of fig1, fig3, simulate, got none"),
+        ],
+    )
+    def test_bad_argv_exits_2_naming_the_token(self, argv, message, spec_of):
+        rc, err = spec_of([*argv, "-o", "unused"] if argv[1:] else argv)
+        assert rc == 2
+        assert err.startswith(f"qsdr: invalid spec: {message}")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"], *([c, "--help"] for c in cli.OPTIONS),
+                                      ["simulate", "--scheme", "multicopy", "-h", "--bogus"]])
+    def test_help_lists_the_options(self, argv, capsys):
+        assert main(argv) == 0
+        text = capsys.readouterr().out
+        for command, options in cli.OPTIONS.items():
+            if command in argv or argv[0].startswith("-"):
+                assert f"qsdr {command}" in text
+                for key in options:
+                    assert "--" + key.replace("_", "-") in text, key
 
 
 class TestExitCodes:
@@ -877,16 +1013,20 @@ class TestNoNumericalIntegration:
 
 
 class TestNoScipy:
-    """No CLI path imports scipy; only the RK45 oracle needs it."""
+    """No CLI path imports scipy (only the RK45 oracle needs it), argparse or locale."""
 
+    # json is imported after qsdr.cli, which loads it only for JSON output.
     SCRIPT = (
-        "import json, sys\n"
+        "import sys\n"
         "import qsdr.cli\n"
-        "report = {'numpy.random': 'numpy.random' in sys.modules, 'runs': []}\n"
+        "report = {'numpy.random': 'numpy.random' in sys.modules, 'json': 'json' in sys.modules,\n"
+        "          'runs': []}\n"
+        "import json\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    rc = qsdr.cli.main(argv)\n"
-        "    scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "    report['runs'].append([argv, rc, scipy])\n"
+        "    banned = sorted(m for m in sys.modules\n"
+        "                    if m.split('.')[0] in ('scipy', 'argparse', 'gettext', 'locale'))\n"
+        "    report['runs'].append([argv, rc, banned])\n"
         "print(json.dumps(report))\n"
     )
 
@@ -914,9 +1054,11 @@ class TestNoScipy:
         report = json.loads(proc.stdout)
         # Loaded with the package, not inside the first seeded run.
         assert report["numpy.random"]
-        for argv, rc, scipy in report["runs"]:
+        assert not report["json"]
+        # Nor does the option parsing load argparse, or locale through gettext.
+        for argv, rc, banned in report["runs"]:
             assert rc == 0, argv
-            assert scipy == [], (argv, scipy[:5])
+            assert banned == [], (argv, banned[:5])
 
 
 class TestMemory:
@@ -985,6 +1127,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.read_bytes().startswith(b"gamma_sq,kennedy_pe\n")
+
+    def test_module_prints_help(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsdr.cli", "fig1", "--help"],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "--gamma-sq-min" in proc.stdout
 
     @pytest.mark.skipif(
         shutil.which("qsdr") is None,
