@@ -26,6 +26,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -33,6 +34,7 @@ import numpy as np
 from . import __version__
 from .dolinar import (
     ControlLaw,
+    LawFamily,
     SingularControlError,
     TelegraphResult,
     evolve_pc,
@@ -45,9 +47,12 @@ from .multicopy import exact_adaptive_pc, simulate_adaptive
 from .rootfind import (
     BracketError,
     ConvergenceError,
-    optimal_beta_ik,
-    optimal_beta_sd,
+    beta_ik_problem,
+    beta_sd_problem,
+    solve_jointly,
 )
+from .rootfind import optimal_beta_ik  # not called here; perfbench/spans.py traces it
+from .rootfind import optimal_beta_sd  # not called here; perfbench/spans.py traces it
 from .statemath import (
     Priors,
     QubitPair,
@@ -92,10 +97,10 @@ DEFAULTS = {
 _COMMON = {"config": str, "output": str, "format": str, "seed": int, "q0": float, "T": float}
 _LAW = {"trials": int, "u_max": float, "t_floor": float}
 _SWEEP = {"gamma_sq_min": float, "gamma_sq_max": float, "points": int, "spacing": str,
-          "schemes": str, **_LAW}
+          "schemes": str}
 OPTIONS = {
-    # The dolinar_ode and dolinar_mc columns run the law control and beta set.
-    "fig1": {**_COMMON, **_SWEEP, "control": str, "beta": float},
+    # The dolinar_ode and dolinar_mc columns run the law these options set.
+    "fig1": {**_COMMON, **_SWEEP, **_LAW, "control": str, "beta": float},
     "fig3": {**_COMMON, **_SWEEP},
     "simulate": {**_COMMON, "scheme": str, **_LAW, "psi": float, "control": str,
                  "beta": float, "theta": float, "chi": float, "copies": int,
@@ -192,14 +197,15 @@ def _sig12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    # One template for the whole file, filled by one % call: the cells'
-    # types are those of the first row, and '%.12g' % x is f"{x:.12g}".
+def _write_csv(path: str, header: list[str], columns: list[list]) -> None:
+    # One template for the whole file, filled by one % call: a column's
+    # cells have the type of its first, and '%.12g' % x is f"{x:.12g}".
+    # The cells are read row by row from the columns, with no list per row.
     # Assembled first so a formatting error cannot leave a partial file.
-    codes = ["%s" if isinstance(v, str) else "%d" if isinstance(v, int) else "%.12g"
-             for v in rows[0]]
-    text = ",".join(header) + "\n" + (",".join(codes) + "\n") * len(rows) % tuple(
-        v for row in rows for v in row
+    codes = ["%s" if isinstance(c[0], str) else "%d" if isinstance(c[0], int) else "%.12g"
+             for c in columns]
+    text = ",".join(header) + "\n" + (",".join(codes) + "\n") * len(columns[0]) % tuple(
+        chain.from_iterable(zip(*columns))
     )
     with open(path, "w", newline="") as fh:
         fh.write(text)
@@ -232,24 +238,29 @@ def _json_value(v):
     return _sig12(v) if math.isfinite(v) else None
 
 
-def _write_rows(path: str, spec: SweepSpec, header: list[str], rows: list[list]) -> None:
+def _write_rows(path: str, spec: SweepSpec, header: list[str], columns: list[list]) -> None:
+    # One row per index of the equally long columns, one column per header.
     if spec.format == "csv":
-        _write_csv(path, header, rows)
+        _write_csv(path, header, columns)
     else:
-        rounded = [{k: _json_value(v) for k, v in zip(header, row)} for row in rows]
+        rounded = [{k: _json_value(v) for k, v in zip(header, row)} for row in zip(*columns)]
         _write_json(path, spec, "rows", rounded)
 
 
-def _dolinar_law(spec: SweepSpec, priors: Priors, psi: float) -> ControlLaw:
+def _law_family(spec: SweepSpec) -> LawFamily:
     kind = spec.control or "dolinar_optimal"
     if kind == "constant":
         if spec.beta is None:
             raise ValueError("control=constant requires --beta")
-        return ControlLaw.constant(spec.beta)
+        return LawFamily(beta=spec.beta)
     if kind == "capped_dolinar" and spec.u_max is None:
         raise ValueError("control=capped_dolinar requires --u-max")
     # A capped law is the optimal law with u_max set.
-    return ControlLaw.dolinar_optimal(priors, psi, t_floor=spec.t_floor, u_max=spec.u_max)
+    return LawFamily(t_floor=spec.t_floor, u_max=spec.u_max)
+
+
+def _dolinar_law(spec: SweepSpec, priors: Priors, psi: float) -> ControlLaw:
+    return _law_family(spec).law(priors, psi)
 
 
 def _row_seeds(seed: int, n: int) -> list[int]:
@@ -291,18 +302,36 @@ class _Axis(NamedTuple):
     psi: np.ndarray
     gamma: np.ndarray
     T: float
+    beta: dict  # optimizer name -> its displacements, when _sweep solved them
 
 
 def _axis(spec: SweepSpec) -> _Axis:
     g = spec.axis()
     psi = np.sqrt(g / spec.T)  # CoherentBinary.from_mean_photons, lane-wise
     priors = spec.priors
-    return _Axis(spec, priors, priors.dominant(), g, psi, psi * np.sqrt(spec.T), spec.T)
+    return _Axis(spec, priors, priors.dominant(), g, psi, psi * np.sqrt(spec.T), spec.T, {})
+
+
+# The optimized receivers' displacement solves.  They need q0 >= q1; pe and
+# |beta|**2 ignore the labels.
+OPTIMIZERS = {
+    "improved_kennedy": lambda ax: beta_ik_problem(ax.ranked, ax.gamma),
+    "simplified_dolinar": lambda ax: beta_sd_problem(ax.ranked, ax.psi, ax.T),
+}
+
+
+def _betas(ax: _Axis, names) -> dict[str, np.ndarray]:
+    # The named optimizers' displacements, all in one Brent solve.
+    return dict(zip(names, solve_jointly(*(OPTIMIZERS[name](ax) for name in names))))
+
+
+def _beta(ax: _Axis, name: str) -> np.ndarray:
+    # The sweep's joint solve, or this optimizer's own on an axis without it.
+    return ax.beta[name] if name in ax.beta else _betas(ax, [name])[name]
 
 
 def _dolinar_ode_pe(ax: _Axis) -> np.ndarray:
-    laws = [_dolinar_law(ax.spec, ax.priors, psi) for psi in ax.psi.tolist()]
-    return evolve_pe(ax.priors, ax.psi, laws, ax.T)
+    return evolve_pe(ax.priors, ax.psi, _law_family(ax.spec), ax.T)
 
 
 def _dolinar_mc_pe(ax: _Axis) -> np.ndarray:
@@ -328,18 +357,17 @@ SCHEMES = {
     "helstrom": {"pe": lambda ax: helstrom_error(ax.priors, coherent_overlap(ax.g))},
     # Nulls the likelier hypothesis; fig3's reference line.
     "kennedy": {"pe": lambda ax: kennedy_error(ax.ranked, ax.g), "beta_sq": lambda ax: ax.g},
-    # The optimized receivers need q0 >= q1; pe and |beta|**2 ignore labels.
     "improved_kennedy": {
         "pe": lambda ax: improved_kennedy_error(
-            ax.ranked, ax.gamma, optimal_beta_ik(ax.ranked, ax.gamma)
+            ax.ranked, ax.gamma, _beta(ax, "improved_kennedy")
         ),
-        "beta_sq": lambda ax: optimal_beta_ik(ax.ranked, ax.gamma) ** 2,
+        "beta_sq": lambda ax: _beta(ax, "improved_kennedy") ** 2,
     },
     "simplified_dolinar": {
         "pe": lambda ax: simplified_dolinar_error(
-            ax.ranked, ax.psi, optimal_beta_sd(ax.ranked, ax.psi, ax.T), ax.T
+            ax.ranked, ax.psi, _beta(ax, "simplified_dolinar"), ax.T
         ),
-        "beta_sq": lambda ax: optimal_beta_sd(ax.ranked, ax.psi, ax.T) ** 2,
+        "beta_sq": lambda ax: _beta(ax, "simplified_dolinar") ** 2,
     },
     "dolinar_ode": {"pe": _dolinar_ode_pe},
     "dolinar_mc": {"pe": _dolinar_mc_pe, "simulate": _simulate_dolinar_mc},
@@ -352,17 +380,19 @@ SIM_SCHEMES = tuple(name for name, s in SCHEMES.items() if "simulate" in s)
 
 def _sweep(spec: SweepSpec, output: str, kind: str) -> dict[str, np.ndarray]:
     # One row per gamma_sq value, one column <scheme>_<kind> per selected
-    # scheme, each computed over the whole axis in one call.
+    # scheme, each computed over the whole axis in one call, and the
+    # optimized columns' displacements in one solve for all of them.
     columns = {name: s[kind] for name, s in SCHEMES.items() if kind in s}
     bad = [s for s in spec.schemes if s not in columns]
     if bad:
         raise ValueError(f"{spec.command} supports {', '.join(columns)}; got {bad}")
     axis = _axis(spec)
+    axis = axis._replace(beta=_betas(axis, [name for name in OPTIMIZERS if name in spec.schemes]))
     table = {"gamma_sq": axis.g}
     for name in columns:
         if name in spec.schemes:
             table[f"{name}_{kind}"] = columns[name](axis)
-    _write_rows(output, spec, list(table), np.column_stack(list(table.values())).tolist())
+    _write_rows(output, spec, list(table), [column.tolist() for column in table.values()])
     return table
 
 
@@ -403,7 +433,7 @@ def cmd_simulate(
             "analytic": analytic,
             "z_score": z,
         }
-        _write_rows(output, spec, list(row), [list(row.values())])
+        _write_rows(output, spec, list(row), [[v] for v in row.values()])
     return row
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "IntegrationError",
     "RatePair",
     "ControlLaw",
+    "LawFamily",
     "PcState",
     "EvolveResult",
     "Trajectories",
@@ -87,12 +88,20 @@ def feedback_amplitude(priors: Priors, psi: float, t: float) -> float:
         raise ValueError(f"psi must be >= 0, got {psi}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    radicand = 1.0 - 4.0 * priors.q0 * priors.q1 * math.exp(-4.0 * psi * psi * t)
+    radicand = _radicand(4.0 * priors.q0 * priors.q1, psi, t)
     if radicand <= 0.0:
-        raise SingularControlError(
-            f"optimal feedback diverges at t={t} for q0={priors.q0}"
-        )
+        _diverges(priors, t)
     return psi / math.sqrt(radicand)
+
+
+def _radicand(c: float, psi: float, t: float) -> float:
+    # R(t)**2 with c = 4*q0*q1, by math.exp in every caller: numpy's exp
+    # may round the last bit differently, and the routes must agree.
+    return 1.0 - c * math.exp(-4.0 * psi * psi * t)
+
+
+def _diverges(priors: Priors, t: float):
+    raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
 
 
 def rates(psi: float, u: float) -> RatePair:
@@ -174,29 +183,14 @@ class ControlLaw:
         priors divergence; with neither, evaluation at the singular point
         raises :class:`SingularControlError`.  The law ``psi / R(t)``
         decreases in t, so both become one constant slot that lasts until
-        the floor ends or the law falls to the cap, whichever is later.
+        the floor ends or the law falls to the cap, whichever is later
+        (:meth:`LawFamily.slots` is the rule, for one lane here).
         """
-        if t_floor is not None and t_floor < 0.0:
-            raise ValueError(f"t_floor must be >= 0, got {t_floor}")
-        if u_max is not None and u_max <= 0.0:
-            raise ValueError(f"u_max must be > 0, got {u_max}")
+        family = LawFamily(t_floor=t_floor, u_max=u_max)
+        (switch,), (value,) = (x.tolist() for x in family.slots(priors, np.array([psi], float)))
         kind = "dolinar_optimal" if u_max is None else "capped_dolinar"
-        switch = t_floor or 0.0
-        try:
-            value = feedback_amplitude(priors, psi, switch)
-        except SingularControlError:
-            # Only a cap regularizes; uncapped, the law raises where evaluated.
-            value, switch = math.inf, 0.0
-        if u_max is not None and value > u_max:
-            # psi / R(t) >= psi, so a cap at or below psi holds for all t.
-            if u_max <= psi or psi == 0.0:
-                return cls(kind, (0.0,), (u_max,))
-            # psi / R(t) = u_max where 4*q0*q1*exp(-k*t) = g, k = 4*psi**2.  An
-            # underflowed k takes the limit 1/(4*u_max**2) of q0*q1 = 1/4; for
-            # other priors u_max < 1e-154 then, and both times exceed 1e307.
-            value, g, k = u_max, 1.0 - (psi / u_max) ** 2, 4.0 * psi * psi
-            c_over_g = 4.0 * priors.q0 * priors.q1 / g
-            switch = max(switch, math.log(c_over_g) / k if k else 0.25 / u_max / u_max)
+        if switch == math.inf:
+            return cls(kind, (0.0,), (value,))
         if switch <= 0.0:
             return cls(kind, (0.0,), (), (priors, psi))
         return cls(kind, (0.0, switch), (value,), (priors, psi))
@@ -220,6 +214,68 @@ class ControlLaw:
             raise ValueError(f"T must be > 0, got {T}")
         h = T / len(vals)
         return cls("piecewise_constant", tuple(i * h for i in range(len(vals))), vals)
+
+
+class LawFamily(NamedTuple):
+    """The law of every point of a sweep, the point of amplitude ``psi``
+    following the constant envelope ``beta`` if that is set, else
+    ``ControlLaw.dolinar_optimal(priors, psi, t_floor=t_floor,
+    u_max=u_max)``.  :func:`evolve_pe` takes it whole, so no law is built
+    per point."""
+
+    beta: float | None = None
+    t_floor: float | None = None
+    u_max: float | None = None
+
+    def law(self, priors: Priors, psi: float) -> ControlLaw:
+        """The law of the point of amplitude ``psi``."""
+        if self.beta is not None:
+            return ControlLaw.constant(self.beta)
+        return ControlLaw.dolinar_optimal(priors, psi, t_floor=self.t_floor, u_max=self.u_max)
+
+    def slots(self, priors: Priors, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The shape of each point's law, lane-wise: ``(switch, value)``.
+
+        The law holds ``value[i]`` on ``[0, switch[i])`` and follows the
+        optimal law ``psi[i] / R(t)`` from ``switch[i]`` on: ``switch`` 0
+        means no constant slot, ``inf`` no optimal-law segment (a constant
+        envelope, or a cap at or below ``psi``, which ``psi / R >= psi``
+        meets everywhere).  Otherwise the slot is the law's value at the
+        floor, or the cap, until the law falls to it at ``ln(c/g)/k``, with
+        ``c = 4*q0*q1``, ``g = 1 - (psi/u_max)**2`` and ``k = 4*psi**2``.
+        Where the law diverges at the floor only a cap regularizes; uncapped
+        the slot is dropped and evolving the law raises
+        :class:`SingularControlError`.  The transcendentals are ``math``
+        calls, one per lane that needs one: none without floor or cap.
+        """
+        if self.beta is not None:
+            return np.full(psi.shape, math.inf), np.full(psi.shape, float(self.beta))
+        t_floor, u_max = self.t_floor, self.u_max
+        if t_floor is not None and t_floor < 0.0:
+            raise ValueError(f"t_floor must be >= 0, got {t_floor}")
+        if u_max is not None and u_max <= 0.0:
+            raise ValueError(f"u_max must be > 0, got {u_max}")
+        _reject(psi < 0.0, psi, "psi must be >= 0")
+        c, t0 = 4.0 * priors.q0 * priors.q1, t_floor or 0.0
+        if t0:
+            r2 = np.array([_radicand(c, p, t0) for p in psi.tolist()])
+        else:  # exp(-0.0) is 1
+            r2 = np.full(psi.shape, 1.0 - c)
+        live = r2 > 0.0
+        value = np.where(live, psi / np.sqrt(np.where(live, r2, 1.0)), math.inf)
+        switch = np.where(live, t0, 0.0)
+        if u_max is not None:
+            over = value > u_max
+            flat = over & ((u_max <= psi) | (psi == 0.0))
+            switch[flat] = math.inf
+            for i in np.flatnonzero(over & ~flat).tolist():
+                # An underflowed k takes the limit 1/(4*u_max**2) of q0*q1 = 1/4; for
+                # other priors u_max < 1e-154 then, and both times exceed 1e307.
+                p = float(psi[i])
+                g, k = 1.0 - (p / u_max) ** 2, 4.0 * p * p
+                switch[i] = max(switch[i], math.log(c / g) / k if k else 0.25 / u_max / u_max)
+            value[over] = u_max
+        return switch, value
 
 
 @dataclass(frozen=True)
@@ -364,40 +420,62 @@ def evolve_pc(
     return _result(priors, T, times, e)
 
 
-def evolve_pe(priors: Priors, psi, laws: Iterable[ControlLaw], T: float) -> np.ndarray:
+def evolve_pe(priors: Priors, psi, laws, T: float) -> np.ndarray:
     """Error probability at T of each point of a sweep: amplitude ``psi[i]``
-    under the law ``laws[i]``.
+    under its law, from a :class:`LawFamily` or the sequence ``laws`` of
+    :meth:`ControlLaw.dolinar_optimal` (built for these priors) and
+    :meth:`ControlLaw.constant` laws.
 
-    Lane ``i`` equals ``evolve_pc(priors, psi[i], laws[i], T,
+    Lane ``i`` equals ``evolve_pc(priors, psi[i], law_i, T,
     sample_times=()).final.pe(priors)`` bit for bit, but all points cross
-    their segments together: one constant-segment kernel call per constant
-    slot (a point without that slot gets zero rates over zero length, which
-    leaves its errors exactly as they are), then one optimal-law kernel call
-    for the points whose last segment follows the optimal law's curve.
+    their segments together, each law being at most one constant slot and
+    then the optimal law (see :meth:`LawFamily.slots`): one constant-segment
+    kernel call for the slots (a point without one gets zero rates, which
+    leave its errors exactly as they are), then one kernel call for the
+    points whose law switches before T.  With ``q1 = 0`` the optimal law is
+    the constant ``psi`` past its switch, so that call is a constant one.
     """
     psi = np.asarray(psi, dtype=float)
     _reject(psi < 0.0, psi, "psi must be >= 0")
     _reject(T <= 0.0, T, "T must be > 0")
-    tables = [_segment_table(law, p, T) for law, p in zip(laws, psi.tolist())]
-    e = np.repeat(np.array(_initial_errors(priors))[:, None], len(tables), axis=1)
-    # Each point's constant slots, then perhaps the optimal law's curve.
-    edges = [starts + [T] for starts, _, _ in tables]
-    slots = [values[: len(values) - (curved is not None)] for _, values, curved in tables]
-    for j in range(max(map(len, slots), default=0)):
-        on = np.array([j < len(u) for u in slots])
-        u0 = np.array([u[j] if j < len(u) else 0.0 for u in slots])
-        a, t = np.array([x[j: j + 2] if j < len(u) else [0.0, 0.0] for x, u in zip(edges, slots)]).T
-        lam, mu = rates(psi, u0)
-        e = _relax_constant(e, np.where(on, lam, 0.0), np.where(on, mu, 0.0), a, t)
-    on = np.array([curved is not None for _, _, curved in tables], dtype=bool)
-    if on.any():
-        lnc, k = np.array([curved for _, _, curved in tables if curved]).T
-        a = np.array([starts[-1] for starts, _, curved in tables if curved])
-        e[:, on] = _relax_optimal(e[:, on], lnc, k, a, T)
+    family = isinstance(laws, LawFamily)
+    switch, value = laws.slots(priors, psi) if family else _slots_of(laws, priors, psi)
+    c = 4.0 * priors.q0 * priors.q1
+    tail = np.flatnonzero(switch < T)
+    if c >= 1.0:  # else R**2 > 0 at every time
+        for p, t in zip(psi[tail].tolist(), switch[tail].tolist()):
+            if _radicand(c, p, t) <= 0.0:
+                _diverges(priors, t)
+    e = np.repeat(np.array(_initial_errors(priors))[:, None], psi.size, axis=1)
+    slot = switch > 0.0
+    lam, mu = rates(psi, np.where(slot, value, 0.0))
+    end = np.minimum(switch, T)
+    e = _relax_constant(e, np.where(slot, lam, 0.0), np.where(slot, mu, 0.0), 0.0, end)
+    p, a = psi[tail], switch[tail]
+    if c == 0.0:
+        e[:, tail] = _relax_constant(e[:, tail], *rates(p, p), a, T)
+    else:  # a point of psi = 0 keeps its errors: its rates are 0
+        on = p > 0.0
+        tail, p, a = tail[on], p[on], a[on]
+        e[:, tail] = _relax_optimal(e[:, tail], math.log(c), 4.0 * p * p, a, T)
     bad = ~((e >= -1e-8) & (e <= 1.0 + 1e-8)).all(axis=0)
     for i in np.flatnonzero(bad)[:1]:
         PcState(float(e[0, i]), float(e[1, i]), T)  # raises its range error
     return priors.q0 * e[0] + priors.q1 * e[1]
+
+
+def _slots_of(laws, priors: Priors, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The (switch, value) of each law, as LawFamily.slots gives them.
+    switch, value = [], []
+    for law, p in zip(laws, psi.tolist()):
+        if law.optimal is None and len(law.values) == 1:
+            switch.append(math.inf)
+        elif law.optimal == (priors, p) and len(law.values) <= 1:
+            switch.append(law.starts[-1])
+        else:
+            raise ValueError(f"evolve_pe takes one slot and the optimal law for psi={p}, got {law}")
+        value.append(law.values[0] if law.values else 0.0)
+    return np.array(switch), np.array(value)
 
 
 def solve_ivp(*args, **kwargs):

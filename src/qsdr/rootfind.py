@@ -3,7 +3,7 @@
 Generic utilities (Brent's root finder, lane-wise over arrays of brackets
 in numpy so that no scipy is imported and one call solves a whole sweep,
 and a golden-section maximizer) plus the two displacement optimizations,
-each one Brent solve of its stationarity residual on an analytic bracket
+each a Brent solve of its stationarity residual on an analytic bracket
 that provably holds the maximum, for a float or an array of signals:
 
 * ``optimal_beta_ik``: displacement of the optimized Kennedy receiver
@@ -13,12 +13,18 @@ that provably holds the maximum, for a float or an array of signals:
   (:func:`qsdr.statemath.simplified_dolinar_pc`).  That the maximum is the
   only critical point in its bracket is checked at 50 digits by a property
   test, not proved.
+
+Each is the one-problem case of :func:`solve_jointly`, which runs the
+residuals of several problems (``beta_ik_problem``, ``beta_sd_problem``) as
+the lanes of a single Brent solve: a sweep that wants both displacements
+pays for one solver loop.  Lanes are independent, so every lane takes the
+steps it takes alone.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +36,12 @@ __all__ = [
     "ConvergenceError",
     "solve_bracketed",
     "golden_max",
+    "Problem",
+    "solve_jointly",
+    "beta_ik_problem",
     "optimal_beta_ik",
     "ik_displacement_residual",
+    "beta_sd_problem",
     "optimal_beta_sd",
     "sd_displacement_residual",
 ]
@@ -170,6 +180,42 @@ def golden_max(f: Callable[[float], float], lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
+class Problem(NamedTuple):
+    """One optimizer's lane-wise solve: the residual ``f`` on the brackets
+    ``[lo, hi]`` (arrays of one shape, no lanes at all where the answer
+    needs no solve), and ``finish``, which maps the roots, in that shape,
+    to the answer and checks it."""
+
+    f: Callable[[np.ndarray], np.ndarray] | None
+    lo: np.ndarray
+    hi: np.ndarray
+    finish: Callable[[np.ndarray], object]
+
+
+def _answer(result) -> Problem:
+    # A problem whose answer is known without a solve.
+    none = np.empty(0)
+    return Problem(None, none, none, lambda _: result)
+
+
+def solve_jointly(*problems: Problem) -> list:
+    """The answers of ``problems``, their residuals solved as the lanes of
+    one :func:`solve_bracketed` call (none if no problem has a lane).  A
+    lane depends only on its own residual, so each answer is the one its
+    problem gets solved alone; an error names the lane in the joint solve."""
+    cuts = np.cumsum([0] + [p.lo.size for p in problems]).tolist()
+    lanes = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    roots = np.empty(0)
+    if cuts[-1]:
+        def f(x):
+            return np.concatenate([np.ravel(p.f(x[s].reshape(p.lo.shape)))
+                                   for p, s in zip(problems, lanes) if p.f is not None])
+
+        lo = np.concatenate([np.ravel(p.lo) for p in problems])
+        roots = solve_bracketed(f, lo, np.concatenate([np.ravel(p.hi) for p in problems]))
+    return [p.finish(roots[s].reshape(p.lo.shape)) for p, s in zip(problems, lanes)]
+
+
 def _log_odds(priors: Priors) -> float:
     # ln(q0/q1); the ratio overflows when q1 is subnormal, the difference does not.
     ratio = priors.q0 / priors.q1
@@ -210,24 +256,32 @@ def optimal_beta_ik(priors: Priors, gamma: float) -> float:
     ordering swap the hypothesis labels (``priors.swapped()``) and negate
     the displacement.  An array of ``gamma`` is one lane-wise solve.
     """
+    return solve_jointly(beta_ik_problem(priors, gamma))[0]
+
+
+def beta_ik_problem(priors: Priors, gamma) -> Problem:
+    """:func:`optimal_beta_ik` as a :class:`Problem` for :func:`solve_jointly`."""
     gamma = np.asarray(gamma, dtype=float)
     _reject(gamma <= 0.0, gamma, "gamma must be > 0")
     if priors.q0 < priors.q1:
         raise ValueError("optimal_beta_ik requires q0 >= q1; swap the labels first")
     if priors.q1 == 0.0:
-        return _out(gamma)
+        return _answer(_out(gamma))
     log_odds = _log_odds(priors)
     lo = np.log(2.0 * gamma) - log_odds - 4.0 * gamma * gamma - 1.0
-    u = solve_bracketed(lambda u: _ik_log_residual(log_odds, gamma, u), lo, -np.log(gamma))
-    beta = gamma + np.exp(u)
-    # The displaced receiver must beat plain nulling, else the solve went wrong.
-    worse = improved_kennedy_pc(priors, gamma, beta) < improved_kennedy_pc(priors, gamma, gamma) - 1e-12
-    if np.any(worse):
-        i = int(np.flatnonzero(worse)[0])
-        raise ConvergenceError(
-            f"stationary point {beta.flat[i]} does not improve on the Kennedy point {gamma.flat[i]}"
-        )
-    return _out(beta)
+
+    def finish(u):
+        beta = gamma + np.exp(u)
+        # The displaced receiver must beat plain nulling, else the solve went wrong.
+        nulling = improved_kennedy_pc(priors, gamma, gamma)
+        worse = improved_kennedy_pc(priors, gamma, beta) < nulling - 1e-12
+        if np.any(worse):
+            i = int(np.flatnonzero(worse)[0])
+            raise ConvergenceError(f"stationary point {beta.flat[i]} does not improve "
+                                   f"on the Kennedy point {gamma.flat[i]}")
+        return _out(beta)
+
+    return Problem(lambda u: _ik_log_residual(log_odds, gamma, u), lo, -np.log(gamma), finish)
 
 
 def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) -> float:
@@ -282,15 +336,22 @@ def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
     returned.  Requires ``psi > 0``, ``T > 0`` and ``q0 >= q1``.  An array
     of ``psi`` is one lane-wise solve.
     """
+    return solve_jointly(beta_sd_problem(priors, psi, T))[0]
+
+
+def beta_sd_problem(priors: Priors, psi, T: float) -> Problem:
+    """:func:`optimal_beta_sd` as a :class:`Problem` for :func:`solve_jointly`."""
     psi = np.asarray(psi, dtype=float)
     _reject(psi <= 0.0, psi, "psi must be > 0")
     _reject(T <= 0.0, T, "T must be > 0")
     if priors.q0 < priors.q1:
         raise ValueError("optimal_beta_sd requires q0 >= q1; swap the labels first")
     if priors.q1 == 0.0:
-        return _out(psi)
+        return _answer(_out(psi))
     root_t = np.sqrt(T)
     gamma = psi * root_t
     hi = np.maximum(math.sqrt(3.0) * gamma, math.sqrt(2.0))
-    b = solve_bracketed(lambda b: sd_displacement_residual(priors, gamma, 1.0, b), gamma, hi)
-    return _out(b / root_t)
+    return Problem(
+        lambda b: sd_displacement_residual(priors, gamma, 1.0, b), gamma, hi,
+        lambda b: _out(b / root_t),
+    )

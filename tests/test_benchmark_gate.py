@@ -1,10 +1,12 @@
-"""The benchmark's ``sweep`` workload passes the benchmark's own output checks.
+"""Every benchmark workload passes the benchmark's own output checks.
 
 ``perfbench/run.py`` compares every analytic ``fig1``/``fig3`` cell with a
 stored reference to 1e-9 and checks each error column against the quantum
-bound.  Running the same argv and the same checks here makes a drift past
-that gate fail the test suite, not only a benchmark run.  The module is
-loaded from its file and only read.
+bound; it checks each ``simulate`` run's z-score against its analytic value,
+the trajectory file's record count and the multi-copy bound.  Running the
+same argv and the same checks here, at seed 0, makes a drift past that gate
+fail the test suite, not only a benchmark run.  The module is loaded from
+its file and only read.
 """
 
 import importlib.util
@@ -27,10 +29,13 @@ def _benchmark(monkeypatch):
     return run
 
 
-@pytest.mark.parametrize("name", ["fig1", "fig3"])
-def test_sweep_outputs_pass_the_benchmark_checks(name, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "workload,name",
+    [("sweep", "fig1"), ("sweep", "fig3"), ("telegraph", "telegraph"), ("multicopy", "multicopy")],
+)
+def test_workload_outputs_pass_the_benchmark_checks(workload, name, tmp_path, monkeypatch):
     run = _benchmark(monkeypatch)
-    (inv,) = [inv for inv in run.WORKLOADS["sweep"] if inv.name == name]
+    (inv,) = [inv for inv in run.WORKLOADS[workload] if inv.name == name]
     out = tmp_path / f"{name}.csv"
     assert main(inv.full_argv(0, out)) == 0
     inv.check(out, 0)

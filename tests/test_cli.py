@@ -168,6 +168,22 @@ SWEEP_SHA256 = {
     "fig1": "3bbfbbfcb1215bfa298bd2f795209a5517b10df964b2485cdf9826e6251f4ea0",
     "fig3": "276b8f117d3f2f528cf25fbff546600b935423a31bc8f83d6f32e75df59c855c",
 }
+# The dolinar_ode column under each law shape of TestEvolvePe.SWEEPS, as the
+# per-point laws wrote it: (argv beyond LAW_SHAPE_AXIS, sha256).
+LAW_SHAPE_AXIS = ["fig1", "--schemes", "dolinar_ode", "--points", "300",
+                  "--gamma-sq-min", "1e-6", "--gamma-sq-max", "30"]
+LAW_SHAPE_SHA256 = {
+    "uncapped_and_cap_inside_T": (["--q0", "0.7", "--u-max", "1.5"],
+                                  "f6312225dfed159dc1fec24cae1290fa0dbcaaf43fd473c2235d5e138d1abb5e"),
+    "cap_at_or_below_psi": (["--q0", "0.2", "--T", "3", "--u-max", "1.2"],
+                            "82cb07540185f6361ebe98fe92f0ab242fb6ce8f41b1e773fc43d04a2c876808"),
+    "time_floor": (["--q0", "0.6", "--t-floor", "0.5", "--u-max", "2"],
+                   "4043ed49a53802bbd65ebbbfef08cad2c248174e0e9e82cfd622d5b75c75e6d2"),
+    "q1_zero": (["--q0", "1", "--t-floor", "0.2"],
+                "ef3173d15e470a8eae183d4a49592e72977199195ac7e19f846e23c3f588481b"),
+    "constant": (["--q0", "0.7", "--control", "constant", "--beta", "1.2"],
+                 "8e571387384236817db08c4f45014cc95455d6721a8f2f4b0076e37b272b6826"),
+}
 
 
 def resolved(argv):
@@ -184,13 +200,26 @@ class TestColumnwiseSweep:
         assert main([*SWEEP_ARGV[command], "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[command]
 
+    @pytest.mark.parametrize("shape", LAW_SHAPE_SHA256)
+    def test_law_shapes_write_the_pinned_bytes(self, shape, tmp_path):
+        extra, digest = LAW_SHAPE_SHA256[shape]
+        out = tmp_path / "o.csv"
+        assert main([*LAW_SHAPE_AXIS, *extra, "-o", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize(
-        "argv",
-        [["fig3", *SWEEP_AXIS, "--points", "300"],
-         ["fig1", *SWEEP_AXIS, "--schemes", ANALYTIC_FIG1, "--points", "300"]],
-        ids=["fig3", "fig1"],
+        "argv,lanes",
+        [(["fig3", *SWEEP_AXIS, "--points", "300"], [(600,)]),
+         (["fig1", *SWEEP_AXIS, "--schemes", ANALYTIC_FIG1, "--points", "300"], [(600,)]),
+         (["fig3", *SWEEP_AXIS, "--points", "300", "--schemes", "kennedy,improved_kennedy"],
+          [(300,)]),
+         (["fig1", *SWEEP_AXIS, "--points", "300", "--schemes", "helstrom,simplified_dolinar"],
+          [(300,)]),
+         (["fig1", *SWEEP_AXIS, "--points", "300", "--schemes", "helstrom,dolinar_ode"], [])],
+        ids=["fig3", "fig1", "fig3_ik", "fig1_sd", "fig1_none"],
     )
-    def test_one_solve_per_optimizer_column(self, argv, tmp_path, monkeypatch):
+    def test_one_solve_per_command(self, argv, lanes, tmp_path, monkeypatch):
+        # Both optimized columns are the two halves of one solve.
         solve, calls = rootfind_mod.solve_bracketed, []
 
         def counted(f, lo, hi):
@@ -199,7 +228,7 @@ class TestColumnwiseSweep:
 
         monkeypatch.setattr(rootfind_mod, "solve_bracketed", counted)
         assert main([*argv, "-o", str(tmp_path / "o.csv")]) == 0
-        assert calls == [(300,), (300,)]
+        assert calls == lanes
 
     @pytest.mark.parametrize(
         "argv",
@@ -656,6 +685,10 @@ class TestResolution:
             (["fig1"], "trajectories"),
             (MULTICOPY_ARGS, "gamma_sq_min"),
             (MULTICOPY_ARGS, "points"),
+            # No fig3 column runs a law or a Monte Carlo.
+            (["fig3"], "trials"),
+            (["fig3"], "u_max"),
+            (["fig3"], "t_floor"),
             # A config file cannot name another.
             (["fig1"], "config"),
         ],
@@ -767,6 +800,9 @@ class TestGrammar:
             (["fig1", "--points", "--q0", "0.3"], "option --points needs a value"),
             (["fig1", "--psi", "0.5"], "fig1 has no option --psi"),
             (["fig3", "--control", "constant"], "fig3 has no option --control"),
+            (["fig3", "--trials", "0"], "fig3 has no option --trials"),
+            (["fig3", "--u-max", "5"], "fig3 has no option --u-max"),
+            (["fig3", "--t-floor=3"], "fig3 has no option --t-floor"),
             (["simulate", "--scheme", "multicopy", "--points", "3"],
              "simulate has no option --points"),
             (["fig1", "--points", "3", "4"], "unexpected argument '4'"),
@@ -880,11 +916,11 @@ class TestExitCodes:
         assert "singular" in capsys.readouterr().err
 
     def test_solver_failure(self, tmp_path, capsys, monkeypatch):
-        def no_bracket(priors, gamma):
+        def no_bracket(f, lo, hi):
             raise BracketError("no sign change")
 
-        # SCHEMES looks the optimizer up at call time, so the patch is seen.
-        monkeypatch.setattr(cli, "optimal_beta_ik", no_bracket)
+        # The optimizers look the solver up at call time, so the patch is seen.
+        monkeypatch.setattr(rootfind_mod, "solve_bracketed", no_bracket)
         out = tmp_path / "o.csv"
         rc = main(["fig1", "--schemes", "improved_kennedy", "--points", "2", "-o", str(out)])
         assert rc == 3
@@ -958,7 +994,7 @@ def domain_argv(draw):
     T = draw(log_uniform(1e-12, 1e12))
     argv = [command, "--q0", repr(draw(st.floats(0.0, 1.0))), "--T", repr(T)]
     cap = draw(st.none() | log_uniform(1e-300, 1e3))
-    if cap is not None:
+    if cap is not None and command != "fig3":
         argv += ["--u-max", repr(cap)]
     if command == "simulate":
         argv += ["--scheme", "dolinar_mc", "--trials", "50"]

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from qsdr import (
     ControlLaw,
     EvolveResult,
+    LawFamily,
     PcState,
     Priors,
     SingularControlError,
@@ -431,11 +432,42 @@ class TestEvolvePe:
         assert shapes == {"uncapped", "switch inside T", "switch past T",
                           "cap at or below psi", "time floor", "constant"}
 
+    def test_law_family_equals_its_laws_bit_for_bit(self):
+        for q0, T, kw in self.SWEEPS:
+            pr = Priors(q0)
+            psi = np.sqrt(np.geomspace(1e-6, 30.0, 300) / T)
+            family = LawFamily(**kw)
+            assert [family.law(pr, p) for p in psi.tolist()] == self._laws(pr, psi, kw)
+            got = evolve_pe(pr, psi, family, T)
+            assert got.tolist() == evolve_pe(pr, psi, self._laws(pr, psi, kw), T).tolist()
+
+    def test_law_family_never_builds_a_law_per_point(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-point law")
+
+        for name in ("feedback_amplitude", "_segment_table"):
+            monkeypatch.setattr(dolinar_mod, name, refuse)
+        monkeypatch.setattr(ControlLaw, "dolinar_optimal", refuse)
+        psi = np.sqrt(np.geomspace(1e-6, 30.0, 50))
+        for q0, T, kw in self.SWEEPS:
+            assert evolve_pe(Priors(q0), psi, LawFamily(**kw), T).shape == (50,)
+
+    def test_other_laws_are_refused(self):
+        pr, psi = Priors(0.7), np.array([1.0, 2.0])
+        slotted = ControlLaw.piecewise_constant([1.0, 2.0], 1.0)
+        with pytest.raises(ValueError, match="one slot and the optimal law"):
+            evolve_pe(pr, psi, [ControlLaw.constant(1.0), slotted], 1.0)
+        with pytest.raises(ValueError, match="one slot and the optimal law"):
+            evolve_pe(pr, psi, [ControlLaw.dolinar_optimal(pr, p) for p in (2.0, 1.0)], 1.0)
+
     def test_uncapped_balanced_law_is_singular(self):
         pr = Priors(0.5)
         psi = np.array([0.5, 1.0])
         with pytest.raises(SingularControlError):
             evolve_pe(pr, psi, [ControlLaw.dolinar_optimal(pr, p) for p in psi.tolist()], 1.0)
+        for family in (LawFamily(), LawFamily(t_floor=1e-300)):
+            with pytest.raises(SingularControlError):
+                evolve_pe(pr, psi, family, 1.0)
 
     def test_validation(self):
         law = [ControlLaw.constant(0.5)]

@@ -16,6 +16,8 @@ from qsdr import (
     BracketError,
     ConvergenceError,
     Priors,
+    beta_ik_problem,
+    beta_sd_problem,
     coherent_overlap,
     golden_max,
     helstrom_bound,
@@ -27,6 +29,7 @@ from qsdr import (
     sd_displacement_residual,
     simplified_dolinar_pc,
     solve_bracketed,
+    solve_jointly,
 )
 
 SQRT2 = 1.4142135623730951
@@ -205,6 +208,46 @@ class TestSolveBracketed:
         monkeypatch.setattr(rootfind, "_MAX_ITER", 2)
         with pytest.raises(ConvergenceError, match=r"^lane 0: "):
             solve_bracketed(f, 1.0, np.array([2.0, 4.0, 5.0]))
+
+
+class TestSolveJointly:
+    """Several optimizers in one lane-wise solve answer as each alone."""
+
+    @pytest.mark.parametrize("q0", [0.5, 0.7, 0.999999, 1.0])
+    def test_joint_answers_equal_the_single_ones_in_one_solve(self, q0, monkeypatch):
+        pr = Priors(q0)
+        psi = np.sqrt(np.geomspace(1e-6, 40.0, 200) / 2.0)
+        gamma = psi * math.sqrt(2.0)
+        alone = [optimal_beta_ik(pr, gamma), optimal_beta_sd(pr, psi, 2.0)]
+        solve, lanes = rootfind.solve_bracketed, []
+
+        def counted(f, lo, hi):
+            lanes.append(np.shape(lo))
+            return solve(f, lo, hi)
+
+        monkeypatch.setattr(rootfind, "solve_bracketed", counted)
+        joint = solve_jointly(beta_ik_problem(pr, gamma), beta_sd_problem(pr, psi, 2.0))
+        assert [x.tolist() for x in joint] == [x.tolist() for x in alone]
+        # With q1 = 0 both answers are known without a solve.
+        assert lanes == ([] if q0 == 1.0 else [(400,)])
+
+    def test_scalars_and_no_problems(self):
+        pr = Priors(0.7)
+        ik, sd = solve_jointly(beta_ik_problem(pr, 0.5), beta_sd_problem(pr, 0.5, 1.0))
+        assert type(ik) is float and ik == optimal_beta_ik(pr, 0.5)
+        assert type(sd) is float and sd == optimal_beta_sd(pr, 0.5, 1.0)
+        assert solve_jointly() == []
+
+    def test_each_half_keeps_its_checks(self, monkeypatch):
+        with pytest.raises(ValueError, match="gamma must be > 0"):
+            beta_ik_problem(Priors(0.7), np.array([1.0, -1.0]))
+        with pytest.raises(ValueError, match="requires q0 >= q1"):
+            beta_sd_problem(Priors(0.3), 1.0, 1.0)
+        # A root worse than nulling fails the optimized-Kennedy half alone.
+        monkeypatch.setattr(rootfind, "solve_bracketed", lambda f, lo, hi: lo + 10.0)
+        pr = Priors(0.7)
+        with pytest.raises(ConvergenceError, match="does not improve on the Kennedy point"):
+            solve_jointly(beta_sd_problem(pr, 1.0, 1.0), beta_ik_problem(pr, 1.0))
 
 
 class TestGoldenMax:
