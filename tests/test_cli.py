@@ -168,6 +168,30 @@ SWEEP_SHA256 = {
     "fig1": "3bbfbbfcb1215bfa298bd2f795209a5517b10df964b2485cdf9826e6251f4ea0",
     "fig3": "276b8f117d3f2f528cf25fbff546600b935423a31bc8f83d6f32e75df59c855c",
 }
+# JSON outputs whose bytes, spec included, are pinned: {name: (argv, {file: sha256})}.
+# The file "o" is the -o output; "t" is the --trajectories file of the run.
+TELEGRAPH_ARGV = ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
+                  "--trials", "20000"]
+MULTICOPY_ARGV = ["simulate", "--scheme", "multicopy", "--q0", "0.7", "--theta", "0.2",
+                  "--copies", "20", "--trials", "20000"]
+JSON_SHA256 = {
+    "fig1": (["fig1"],
+             {"o": "47cdc271e7df33d14367fb143b52d232963078257a1be4b661e6996ba23c8094"}),
+    "fig3": (["fig3"],
+             {"o": "bd36cc7743f4515560850929644da76ed908b91a083b416cfbc595007ddf4d49"}),
+    "sweep_fig1": (SWEEP_ARGV["fig1"],
+                   {"o": "338e05317a6b62b475e4828eabdb3cb00d33a0ce8e13bbf5fdae3315a9fb5cd6"}),
+    "sweep_fig3": (SWEEP_ARGV["fig3"],
+                   {"o": "b7ef211d898f2054dc5bb82598d7e60d146e885779b447ceded9c0a6d37e7a80"}),
+    "constant": (["fig1", "--q0", "0.7", "--schemes", "dolinar_ode", "--control", "constant",
+                  "--beta", "1.2"],
+                 {"o": "ce07be09b309689c95fb5fa6a3c0758c1e9ade83a05009e7fc9f36d582a246f8"}),
+    "telegraph": ([*TELEGRAPH_ARGV, "--seed", "1"],
+                  {"o": "4faed2b2788fcfeb31d72e13ee483036bb82e18e24d4cb17baa5b8c918b96ad8",
+                   "t": "f693a0265de391626d372071eec47bb913e9b946d1d882a7a91ca570ba8a6f17"}),
+    "multicopy": ([*MULTICOPY_ARGV, "--seed", "1"],
+                  {"o": "d418d33bc88c73bcab436a97b534105ac0330f06d1378a344b099903b815dd00"}),
+}
 # The dolinar_ode column under each law shape of TestEvolvePe.SWEEPS, as the
 # per-point laws wrote it: (argv beyond LAW_SHAPE_AXIS, sha256).
 LAW_SHAPE_AXIS = ["fig1", "--schemes", "dolinar_ode", "--points", "300",
@@ -199,6 +223,15 @@ class TestColumnwiseSweep:
         out = tmp_path / "o.csv"
         assert main([*SWEEP_ARGV[command], "-o", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[command]
+
+    @pytest.mark.parametrize("name", JSON_SHA256)
+    def test_json_outputs_write_the_pinned_bytes(self, name, tmp_path):
+        argv, digests = JSON_SHA256[name]
+        files = {key: tmp_path / key for key in digests}
+        extra = ["--trajectories", str(files["t"])] if "t" in files else []
+        assert main([*argv, "--format", "json", "-o", str(files["o"]), *extra]) == 0
+        got = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items()}
+        assert got == digests
 
     @pytest.mark.parametrize("shape", LAW_SHAPE_SHA256)
     def test_law_shapes_write_the_pinned_bytes(self, shape, tmp_path):
