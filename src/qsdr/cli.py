@@ -76,8 +76,6 @@ EXIT_INVALID_SPEC = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_SINGULAR_CONTROL = 4
 
-CONTROL_KINDS = ("dolinar_optimal", "constant", "capped_dolinar")
-
 DEFAULTS = {
     "gamma_sq_min": 0.01,
     "gamma_sq_max": 2.0,
@@ -88,23 +86,22 @@ DEFAULTS = {
     "trials": 10000,
     "format": "csv",
     "psi": 1.0,
-    "control": "dolinar_optimal",
 }
 
 # Each command's options, declared once: key -> cast.  On the command line a
 # key is --key with hyphens for underscores (and -o is --output); in a config
 # file it is the key itself.  Both sources share the cast and the key check.
 _COMMON = {"config": str, "output": str, "format": str, "seed": int, "q0": float, "T": float}
-_LAW = {"trials": int, "u_max": float, "t_floor": float}
+# The law is LawFamily(beta, t_floor, u_max): --beta, or the capped, floored optimal law.
+_LAW = {"trials": int, "u_max": float, "t_floor": float, "beta": float}
 _SWEEP = {"gamma_sq_min": float, "gamma_sq_max": float, "points": int, "spacing": str,
           "schemes": str}
 OPTIONS = {
     # The dolinar_ode and dolinar_mc columns run the law these options set.
-    "fig1": {**_COMMON, **_SWEEP, **_LAW, "control": str, "beta": float},
+    "fig1": {**_COMMON, **_SWEEP, **_LAW},
     "fig3": {**_COMMON, **_SWEEP},
-    "simulate": {**_COMMON, "scheme": str, **_LAW, "psi": float, "control": str,
-                 "beta": float, "theta": float, "chi": float, "copies": int,
-                 "trajectories": str},
+    "simulate": {**_COMMON, "scheme": str, **_LAW, "psi": float, "theta": float,
+                 "chi": float, "copies": int, "trajectories": str},
 }
 # What a value must be, in help and in the message for one that fails its cast.
 _METAVAR = {int: "an integer", float: "a number", str: "text"}
@@ -172,9 +169,6 @@ class SweepSpec:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format}")
-        if self.control is not None and self.control not in CONTROL_KINDS:
-            known = ", ".join(CONTROL_KINDS)
-            raise ValueError(f"control must be one of {known}, got {self.control}")
 
     @property
     def priors(self) -> Priors:
@@ -248,15 +242,7 @@ def _write_rows(path: str, spec: SweepSpec, header: list[str], columns: list[lis
 
 
 def _law_family(spec: SweepSpec) -> LawFamily:
-    kind = spec.control or "dolinar_optimal"
-    if kind == "constant":
-        if spec.beta is None:
-            raise ValueError("control=constant requires --beta")
-        return LawFamily(beta=spec.beta)
-    if kind == "capped_dolinar" and spec.u_max is None:
-        raise ValueError("control=capped_dolinar requires --u-max")
-    # A capped law is the optimal law with u_max set.
-    return LawFamily(t_floor=spec.t_floor, u_max=spec.u_max)
+    return LawFamily(spec.beta, spec.t_floor, spec.u_max)
 
 
 def _dolinar_law(spec: SweepSpec, priors: Priors, psi: float) -> ControlLaw:
@@ -302,14 +288,16 @@ class _Axis(NamedTuple):
     psi: np.ndarray
     gamma: np.ndarray
     T: float
-    beta: dict  # optimizer name -> its displacements, when _sweep solved them
+    beta: dict  # each selected optimizer's name -> its displacements
 
 
 def _axis(spec: SweepSpec) -> _Axis:
+    # The selected optimizers' displacements come from one solve for all of them.
     g = spec.axis()
     psi = np.sqrt(g / spec.T)  # CoherentBinary.from_mean_photons, lane-wise
     priors = spec.priors
-    return _Axis(spec, priors, priors.dominant(), g, psi, psi * np.sqrt(spec.T), spec.T, {})
+    axis = _Axis(spec, priors, priors.dominant(), g, psi, psi * np.sqrt(spec.T), spec.T, {})
+    return axis._replace(beta=_betas(axis, [name for name in OPTIMIZERS if name in spec.schemes]))
 
 
 # The optimized receivers' displacement solves.  They need q0 >= q1; pe and
@@ -323,11 +311,6 @@ OPTIMIZERS = {
 def _betas(ax: _Axis, names) -> dict[str, np.ndarray]:
     # The named optimizers' displacements, all in one Brent solve.
     return dict(zip(names, solve_jointly(*(OPTIMIZERS[name](ax) for name in names))))
-
-
-def _beta(ax: _Axis, name: str) -> np.ndarray:
-    # The sweep's joint solve, or this optimizer's own on an axis without it.
-    return ax.beta[name] if name in ax.beta else _betas(ax, [name])[name]
 
 
 def _dolinar_ode_pe(ax: _Axis) -> np.ndarray:
@@ -359,15 +342,15 @@ SCHEMES = {
     "kennedy": {"pe": lambda ax: kennedy_error(ax.ranked, ax.g), "beta_sq": lambda ax: ax.g},
     "improved_kennedy": {
         "pe": lambda ax: improved_kennedy_error(
-            ax.ranked, ax.gamma, _beta(ax, "improved_kennedy")
+            ax.ranked, ax.gamma, ax.beta["improved_kennedy"]
         ),
-        "beta_sq": lambda ax: _beta(ax, "improved_kennedy") ** 2,
+        "beta_sq": lambda ax: ax.beta["improved_kennedy"] ** 2,
     },
     "simplified_dolinar": {
         "pe": lambda ax: simplified_dolinar_error(
-            ax.ranked, ax.psi, _beta(ax, "simplified_dolinar"), ax.T
+            ax.ranked, ax.psi, ax.beta["simplified_dolinar"], ax.T
         ),
-        "beta_sq": lambda ax: _beta(ax, "simplified_dolinar") ** 2,
+        "beta_sq": lambda ax: ax.beta["simplified_dolinar"] ** 2,
     },
     "dolinar_ode": {"pe": _dolinar_ode_pe},
     "dolinar_mc": {"pe": _dolinar_mc_pe, "simulate": _simulate_dolinar_mc},
@@ -387,7 +370,6 @@ def _sweep(spec: SweepSpec, output: str, kind: str) -> dict[str, np.ndarray]:
     if bad:
         raise ValueError(f"{spec.command} supports {', '.join(columns)}; got {bad}")
     axis = _axis(spec)
-    axis = axis._replace(beta=_betas(axis, [name for name in OPTIMIZERS if name in spec.schemes]))
     table = {"gamma_sq": axis.g}
     for name in columns:
         if name in spec.schemes:
@@ -413,8 +395,12 @@ def cmd_simulate(
     if len(spec.schemes) != 1 or spec.schemes[0] not in SIM_SCHEMES:
         raise ValueError(f"simulate runs exactly one of {', '.join(SIM_SCHEMES)}")
     scheme = spec.schemes[0]
-    if trajectories_path is not None and scheme != "dolinar_mc":
-        raise ValueError("--trajectories applies only to dolinar_mc")
+    if trajectories_path is not None:
+        if scheme != "dolinar_mc":
+            raise ValueError("--trajectories applies only to dolinar_mc")
+        # Checked before either file is opened: one would overwrite the other.
+        if os.path.realpath(trajectories_path) == os.path.realpath(output):
+            raise ValueError(f"--trajectories names the --output file {output!r}")
     with _trajectory_export(trajectories_path, spec) as export:
         estimate, stderr, analytic = SCHEMES[scheme]["simulate"](spec, export)
         diff = abs(estimate - analytic)
@@ -607,10 +593,13 @@ def _resolve(command: str, args: dict[str, str], cfg: dict[str, str]):
             raise ValueError(f"chi must be < 1 (at 1 the states are identical), got {chi}")
         theta = QubitPair.from_overlap(chi).theta
 
-    # Fields the command has no option for keep their defaults.
+    # Fields the command has no option for keep their defaults; control
+    # records which law the law options name.
     values = {f.name: v.get(f.name, DEFAULTS.get(f.name)) for f in fields(SweepSpec)}
-    values.update(command=command, schemes=schemes, seed=seed, theta=theta)
+    values.update(command=command, schemes=schemes, seed=seed, theta=theta,
+                  control="dolinar_optimal" if v.get("beta") is None else "constant")
     spec = SweepSpec(**values)
+    _law_family(spec)  # refuses law options that name two laws, whatever the schemes
     if "output" not in v:
         raise ValueError("an output path is required (--output or config)")
     return spec, v["output"], v.get("trajectories")

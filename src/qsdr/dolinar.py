@@ -137,10 +137,10 @@ class ControlLaw:
     constant prefix slot.  On each segment the integrated click rate, which
     :func:`simulate_telegraph` inverts, and the success probability, which
     :func:`evolve_pc` propagates, are closed forms; the rates need not be
-    monotone.  Built by the factories; ``kind`` names which one.
+    monotone.  A law is its segments, so equal laws compare equal however
+    they were built.
     """
 
-    kind: str
     starts: tuple[float, ...]
     values: tuple[float, ...]
     optimal: tuple[Priors, float] | None = None
@@ -181,24 +181,16 @@ class ControlLaw:
         ``t_floor`` freezes the law below that time at its ``t_floor``
         value; ``u_max`` clamps the magnitude.  Either one tames the equal-
         priors divergence; with neither, evaluation at the singular point
-        raises :class:`SingularControlError`.  The law ``psi / R(t)``
-        decreases in t, so both become one constant slot that lasts until
-        the floor ends or the law falls to the cap, whichever is later
-        (:meth:`LawFamily.slots` is the rule, for one lane here).
+        raises :class:`SingularControlError`.  Both become one constant
+        slot; this is ``LawFamily(t_floor=t_floor, u_max=u_max).law(priors,
+        psi)``.
         """
-        family = LawFamily(t_floor=t_floor, u_max=u_max)
-        (switch,), (value,) = (x.tolist() for x in family.slots(priors, np.array([psi], float)))
-        kind = "dolinar_optimal" if u_max is None else "capped_dolinar"
-        if switch == math.inf:
-            return cls(kind, (0.0,), (value,))
-        if switch <= 0.0:
-            return cls(kind, (0.0,), (), (priors, psi))
-        return cls(kind, (0.0, switch), (value,), (priors, psi))
+        return LawFamily(t_floor=t_floor, u_max=u_max).law(priors, psi)
 
     @classmethod
     def constant(cls, beta: float) -> "ControlLaw":
         """Constant envelope (the simplified receiver's law)."""
-        return cls("constant", (0.0,), (beta,))
+        return cls((0.0,), (beta,))
 
     @classmethod
     def piecewise_constant(cls, values, T: float) -> "ControlLaw":
@@ -213,25 +205,39 @@ class ControlLaw:
         if T <= 0.0:
             raise ValueError(f"T must be > 0, got {T}")
         h = T / len(vals)
-        return cls("piecewise_constant", tuple(i * h for i in range(len(vals))), vals)
+        return cls(tuple(i * h for i in range(len(vals))), vals)
 
 
-class LawFamily(NamedTuple):
-    """The law of every point of a sweep, the point of amplitude ``psi``
-    following the constant envelope ``beta`` if that is set, else
-    ``ControlLaw.dolinar_optimal(priors, psi, t_floor=t_floor,
-    u_max=u_max)``.  :func:`evolve_pe` takes it whole, so no law is built
-    per point."""
+@dataclass(frozen=True)
+class LawFamily:
+    """The law of every point of a sweep: the constant envelope ``beta`` if
+    that is set, else the optimal law ``psi / R(t)``, capped at ``u_max``
+    and frozen below ``t_floor`` where those are set.  A constant envelope
+    takes neither, so ``beta`` with ``t_floor`` or ``u_max`` is refused.
+    :func:`evolve_pe` takes it whole, so no law is built per point;
+    :meth:`law` builds the law of one point."""
 
     beta: float | None = None
     t_floor: float | None = None
     u_max: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.beta is not None and (self.t_floor is not None or self.u_max is not None):
+            raise ValueError("beta sets a constant law; it takes no t_floor or u_max")
+        if self.t_floor is not None and self.t_floor < 0.0:
+            raise ValueError(f"t_floor must be >= 0, got {self.t_floor}")
+        if self.u_max is not None and self.u_max <= 0.0:
+            raise ValueError(f"u_max must be > 0, got {self.u_max}")
+
     def law(self, priors: Priors, psi: float) -> ControlLaw:
-        """The law of the point of amplitude ``psi``."""
-        if self.beta is not None:
-            return ControlLaw.constant(self.beta)
-        return ControlLaw.dolinar_optimal(priors, psi, t_floor=self.t_floor, u_max=self.u_max)
+        """The law of the point of amplitude ``psi``: its :meth:`slots` as
+        segments."""
+        (switch,), (value,) = (x.tolist() for x in self.slots(priors, np.array([psi], float)))
+        if switch == math.inf:
+            return ControlLaw((0.0,), (value,))
+        if switch <= 0.0:
+            return ControlLaw((0.0,), (), (priors, psi))
+        return ControlLaw((0.0, switch), (value,), (priors, psi))
 
     def slots(self, priors: Priors, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The shape of each point's law, lane-wise: ``(switch, value)``.
@@ -251,10 +257,6 @@ class LawFamily(NamedTuple):
         if self.beta is not None:
             return np.full(psi.shape, math.inf), np.full(psi.shape, float(self.beta))
         t_floor, u_max = self.t_floor, self.u_max
-        if t_floor is not None and t_floor < 0.0:
-            raise ValueError(f"t_floor must be >= 0, got {t_floor}")
-        if u_max is not None and u_max <= 0.0:
-            raise ValueError(f"u_max must be > 0, got {u_max}")
         _reject(psi < 0.0, psi, "psi must be >= 0")
         c, t0 = 4.0 * priors.q0 * priors.q1, t_floor or 0.0
         if t0:
@@ -420,17 +422,16 @@ def evolve_pc(
     return _result(priors, T, times, e)
 
 
-def evolve_pe(priors: Priors, psi, laws, T: float) -> np.ndarray:
+def evolve_pe(priors: Priors, psi, family: LawFamily, T: float) -> np.ndarray:
     """Error probability at T of each point of a sweep: amplitude ``psi[i]``
-    under its law, from a :class:`LawFamily` or the sequence ``laws`` of
-    :meth:`ControlLaw.dolinar_optimal` (built for these priors) and
-    :meth:`ControlLaw.constant` laws.
+    under the law ``family.law(priors, psi[i])``.
 
-    Lane ``i`` equals ``evolve_pc(priors, psi[i], law_i, T,
-    sample_times=()).final.pe(priors)`` bit for bit, but all points cross
-    their segments together, each law being at most one constant slot and
-    then the optimal law (see :meth:`LawFamily.slots`): one constant-segment
-    kernel call for the slots (a point without one gets zero rates, which
+    Lane ``i`` equals ``evolve_pc(priors, psi[i], family.law(priors,
+    psi[i]), T, sample_times=()).final.pe(priors)`` bit for bit, but no law
+    is built per point: all points cross their segments together, each law
+    being at most one constant slot and then the optimal law (see
+    :meth:`LawFamily.slots`): one constant-segment kernel call for the
+    slots (a point without one gets zero rates, which
     leave its errors exactly as they are), then one kernel call for the
     points whose law switches before T.  With ``q1 = 0`` the optimal law is
     the constant ``psi`` past its switch, so that call is a constant one.
@@ -438,8 +439,7 @@ def evolve_pe(priors: Priors, psi, laws, T: float) -> np.ndarray:
     psi = np.asarray(psi, dtype=float)
     _reject(psi < 0.0, psi, "psi must be >= 0")
     _reject(T <= 0.0, T, "T must be > 0")
-    family = isinstance(laws, LawFamily)
-    switch, value = laws.slots(priors, psi) if family else _slots_of(laws, priors, psi)
+    switch, value = family.slots(priors, psi)
     c = 4.0 * priors.q0 * priors.q1
     tail = np.flatnonzero(switch < T)
     if c >= 1.0:  # else R**2 > 0 at every time
@@ -462,20 +462,6 @@ def evolve_pe(priors: Priors, psi, laws, T: float) -> np.ndarray:
     for i in np.flatnonzero(bad)[:1]:
         PcState(float(e[0, i]), float(e[1, i]), T)  # raises its range error
     return priors.q0 * e[0] + priors.q1 * e[1]
-
-
-def _slots_of(laws, priors: Priors, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The (switch, value) of each law, as LawFamily.slots gives them.
-    switch, value = [], []
-    for law, p in zip(laws, psi.tolist()):
-        if law.optimal is None and len(law.values) == 1:
-            switch.append(math.inf)
-        elif law.optimal == (priors, p) and len(law.values) <= 1:
-            switch.append(law.starts[-1])
-        else:
-            raise ValueError(f"evolve_pe takes one slot and the optimal law for psi={p}, got {law}")
-        value.append(law.values[0] if law.values else 0.0)
-    return np.array(switch), np.array(value)
 
 
 def solve_ivp(*args, **kwargs):

@@ -330,8 +330,7 @@ def test_13_byte_identical_reruns(tmp_path):
         (
             "sim.csv",
             [
-                "simulate", "--scheme", "dolinar_mc", "--q0", "0.5",
-                "--control", "capped_dolinar", "--u-max", "8",
+                "simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
                 "--trials", "500", "--seed", "11",
             ],
         ),

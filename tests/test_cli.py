@@ -126,7 +126,7 @@ class TestFig1:
 
     def test_both_dolinar_columns_run_the_configured_law(self, tmp_path):
         cfg = tmp_path / "law.cfg"
-        cfg.write_text("control = constant\nbeta = 1.2\n")
+        cfg.write_text("beta = 1.2\n")
         out = tmp_path / "f.csv"
         argv = ["fig1", "--config", str(cfg), "--q0", "0.7", "--gamma-sq-min", "0.01",
                 "--gamma-sq-max", "1", "--points", "2", "--schemes", "dolinar_ode,dolinar_mc",
@@ -183,8 +183,7 @@ JSON_SHA256 = {
                    {"o": "338e05317a6b62b475e4828eabdb3cb00d33a0ce8e13bbf5fdae3315a9fb5cd6"}),
     "sweep_fig3": (SWEEP_ARGV["fig3"],
                    {"o": "b7ef211d898f2054dc5bb82598d7e60d146e885779b447ceded9c0a6d37e7a80"}),
-    "constant": (["fig1", "--q0", "0.7", "--schemes", "dolinar_ode", "--control", "constant",
-                  "--beta", "1.2"],
+    "constant": (["fig1", "--q0", "0.7", "--schemes", "dolinar_ode", "--beta", "1.2"],
                  {"o": "ce07be09b309689c95fb5fa6a3c0758c1e9ade83a05009e7fc9f36d582a246f8"}),
     "telegraph": ([*TELEGRAPH_ARGV, "--seed", "1"],
                   {"o": "4faed2b2788fcfeb31d72e13ee483036bb82e18e24d4cb17baa5b8c918b96ad8",
@@ -205,7 +204,7 @@ LAW_SHAPE_SHA256 = {
                    "4043ed49a53802bbd65ebbbfef08cad2c248174e0e9e82cfd622d5b75c75e6d2"),
     "q1_zero": (["--q0", "1", "--t-floor", "0.2"],
                 "ef3173d15e470a8eae183d4a49592e72977199195ac7e19f846e23c3f588481b"),
-    "constant": (["--q0", "0.7", "--control", "constant", "--beta", "1.2"],
+    "constant": (["--q0", "0.7", "--beta", "1.2"],
                  "8e571387384236817db08c4f45014cc95455d6721a8f2f4b0076e37b272b6826"),
 }
 
@@ -279,9 +278,11 @@ class TestColumnwiseSweep:
         spec = resolved([*argv, "--points", "300"])
         kind = "pe" if spec.command == "fig1" else "beta_sq"
         table = cli._sweep(spec, str(tmp_path / "o.csv"), kind)
-        axis = cli._axis(spec)
+        axis, names = cli._axis(spec), [s for s in cli.OPTIMIZERS if s in spec.schemes]
         points = [axis._replace(g=axis.g[i:i + 1], psi=axis.psi[i:i + 1],
                                 gamma=axis.gamma[i:i + 1]) for i in range(300)]
+        # Each point's displacements from its own solve.
+        points = [point._replace(beta=cli._betas(point, names)) for point in points]
         assert len(table) == len(spec.schemes) + 1
         for scheme in spec.schemes:
             column = cli.SCHEMES[scheme][kind]
@@ -422,7 +423,6 @@ class TestSimulate:
             "simulate",
             "--scheme", "dolinar_mc",
             "--q0", "0.5",
-            "--control", "capped_dolinar",
             "--u-max", "8",
             "--trials", "300",
             "--seed", "13",
@@ -603,6 +603,45 @@ class TestResolution:
         monkeypatch.delenv("QSDR_SEED")
         assert self._seed_of(tmp_path, [], "d") == 0
 
+    @pytest.mark.parametrize(
+        "command,law",
+        [("fig1", ["--beta", "1.2", "--u-max", "8"]),
+         ("fig1", ["--beta", "1.2", "--t-floor", "0.1"]),
+         ("simulate", ["--beta", "0", "--t-floor", "0", "--u-max", "8"]),
+         ("multicopy", ["--beta", "1.2", "--u-max", "8"])],
+    )
+    def test_beta_with_cap_or_floor_is_refused(self, command, law, tmp_path, capsys):
+        # --beta is the constant envelope, which takes no cap or floor; every
+        # scheme refuses the pair, from argv and config alike.
+        base = {"fig1": ["fig1", "--points", "2", "--schemes", "dolinar_ode"],
+                "simulate": ["simulate", "--scheme", "dolinar_mc", "--trials", "5"],
+                "multicopy": MULTICOPY_ARGS}[command]
+        cfg = tmp_path / "law.cfg"
+        cfg.write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(law[::2], law[1::2])))
+        out = tmp_path / "o.csv"
+        for extra in (law, ["--config", str(cfg)]):
+            assert main([*base, *extra, "-o", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "qsdr: invalid spec: beta sets a constant law; it takes no t_floor or u_max\n"
+            )
+            assert not out.exists()
+
+    def test_beta_alone_runs_the_constant_law(self, tmp_path):
+        # And the spec records it as the constant law.
+        argv = ["fig1", "--q0", "0.7", "--points", "3", "--schemes", "dolinar_ode",
+                "--format", "json"]
+        assert main([*argv, "--beta", "1.2", "-o", str(tmp_path / "b.json")]) == 0
+        assert main([*argv, "-o", str(tmp_path / "o.json")]) == 0
+        constant, optimal = (json.loads((tmp_path / f).read_text()) for f in ("b.json", "o.json"))
+        assert constant["spec"]["control"] == "constant" and constant["spec"]["beta"] == 1.2
+        assert optimal["spec"]["control"] == "dolinar_optimal"
+        pr, law = Priors(0.7), qsdr.ControlLaw.constant(1.2)
+        for row in constant["rows"]:
+            psi = math.sqrt(row["gamma_sq"])
+            pe = qsdr.evolve_pc(pr, psi, law, 1.0, sample_times=()).final.pe(pr)
+            assert row["dolinar_ode_pe"] == float(f"{pe:.12g}")
+        assert constant["rows"] != optimal["rows"]
+
     def test_invalid_seed_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QSDR_SEED", "not-a-number")
         out = tmp_path / "o.csv"
@@ -654,8 +693,10 @@ class TestResolution:
               "--trials", "0"], "trials must be >= 1 for Monte Carlo schemes, got 0"),
             (["simulate", "--scheme", "multicopy", "--chi", "1", "--copies", "2",
               "--trials", "5"], "chi must be < 1"),
+            # Checked whatever the schemes, as the conflict of beta with it is.
+            (["fig1", "--points", "2", "--u-max", "-1"], "u_max must be > 0, got -1.0"),
         ],
-        ids=["trials", "chi"],
+        ids=["trials", "chi", "u_max"],
     )
     def test_message_names_the_value_given(self, args, message, tmp_path, capsys):
         out = tmp_path / "o.csv"
@@ -716,6 +757,9 @@ class TestResolution:
             (["fig1"], "chi"),
             (["fig1"], "copies"),
             (["fig1"], "trajectories"),
+            # The law is set by beta, u_max and t_floor alone.
+            (["fig1"], "control"),
+            (MULTICOPY_ARGS, "control"),
             (MULTICOPY_ARGS, "gamma_sq_min"),
             (MULTICOPY_ARGS, "points"),
             # No fig3 column runs a law or a Monte Carlo.
@@ -737,8 +781,7 @@ class TestResolution:
     @pytest.mark.parametrize(
         "key,value,message",
         [
-            ("control", "bogus",
-             "control must be one of dolinar_optimal, constant, capped_dolinar, got bogus"),
+            ("format", "xml", "format must be csv or json, got xml"),
             ("q0", "abc", "q0 must be a number, got 'abc'"),
             ("seed", "2.5", "seed must be an integer, got '2.5'"),
         ],
@@ -767,7 +810,7 @@ OPTION_VALUES = {
     "output": "out.csv", "format": "json", "seed": "7", "q0": "0.3", "T": "2",
     "gamma_sq_min": "0.1", "gamma_sq_max": "3", "points": "5", "spacing": "linear",
     "schemes": "kennedy,helstrom", "trials": "50", "u_max": "4", "t_floor": "0.1",
-    "control": "constant", "beta": "1.2", "scheme": "dolinar_mc", "psi": "0.8",
+    "beta": "1.2", "scheme": "dolinar_mc", "psi": "0.8",
     "theta": "0.3", "chi": "0.5", "copies": "3", "trajectories": "t.csv",
 }
 # What every run needs besides the option under test.
@@ -832,7 +875,9 @@ class TestGrammar:
             (["fig1", "--points"], "option --points needs a value"),
             (["fig1", "--points", "--q0", "0.3"], "option --points needs a value"),
             (["fig1", "--psi", "0.5"], "fig1 has no option --psi"),
-            (["fig3", "--control", "constant"], "fig3 has no option --control"),
+            # The law is set by --beta, --u-max and --t-floor alone.
+            (["fig1", "--control", "constant"], "fig1 has no option --control"),
+            (["simulate", "--control=capped_dolinar"], "simulate has no option --control"),
             (["fig3", "--trials", "0"], "fig3 has no option --trials"),
             (["fig3", "--u-max", "5"], "fig3 has no option --u-max"),
             (["fig3", "--t-floor=3"], "fig3 has no option --t-floor"),
@@ -908,6 +953,19 @@ class TestExitCodes:
                    "--trajectories", str(tmp_path / "missing_dir" / "t.csv")])
         assert rc == 2
         assert "invalid spec" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_trajectory_file_naming_the_output_is_refused(self, tmp_path, monkeypatch, capsys):
+        # Both writers would open one file, and one output would be lost.
+        # Spelled another way, it is still the same file.
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
+                   "--trials", "5", "-o", "same.csv",
+                   "--trajectories", str(tmp_path / "." / "same.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "qsdr: invalid spec: --trajectories names the --output file 'same.csv'\n"
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_removes_its_partial_trajectory_file(self, tmp_path, monkeypatch, capsys):
@@ -1067,8 +1125,7 @@ class TestNoNumericalIntegration:
             ["fig1", "--schemes", "dolinar_ode", "--q0", "0.5", "--u-max", "8", "--points", "4"],
             ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8"],
             ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--t-floor", "0.02"],
-            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--control", "constant",
-             "--beta", "0.8"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--beta", "0.8"],
             ["simulate", "--scheme", "dolinar_mc", "--q0", "0.7"],
         ],
         ids=["fig1", "fig1_cap", "cap", "floor", "constant", "exact"],

@@ -119,14 +119,13 @@ class TestHelstromTrajectory:
 class TestControlLaw:
     def test_constant(self):
         law = ControlLaw.constant(0.8)
-        assert law.kind == "constant"
+        assert law == ControlLaw((0.0,), (0.8,)) == LawFamily(beta=0.8).law(Priors(0.5), 3.0)
         assert law.u0(0.0) == 0.8 and law.u0(5.0) == 0.8
         assert law.u1(2.0) == -0.8
         assert law.breakpoints == ()
 
     def test_piecewise_slots_are_left_closed(self):
         law = ControlLaw.piecewise_constant([2.0, 3.0], 1.0)
-        assert law.kind == "piecewise_constant"
         assert law.breakpoints == (0.5,)
         assert law.u0(0.0) == 2.0
         assert law.u0(0.49) == 2.0
@@ -141,7 +140,7 @@ class TestControlLaw:
 
     def test_optimal_law_unequal_priors(self):
         law = ControlLaw.dolinar_optimal(Priors(0.7), 1.0)
-        assert law.kind == "dolinar_optimal"
+        assert law == ControlLaw((0.0,), (), (Priors(0.7), 1.0))
         assert law.u0(0.0) == pytest.approx(2.5, abs=1e-12)
         assert law.u1(0.0) == pytest.approx(-2.5, abs=1e-12)
 
@@ -159,7 +158,7 @@ class TestControlLaw:
 
     def test_cap(self):
         law = ControlLaw.dolinar_optimal(Priors(0.5), 1.0, u_max=10.0)
-        assert law.kind == "capped_dolinar"
+        assert law.values == (10.0,) and law.optimal == (Priors(0.5), 1.0)
         assert law.u0(0.0) == 10.0
         law7 = ControlLaw.dolinar_optimal(Priors(0.7), 1.0, u_max=2.0)
         assert law7.u0(0.0) == 2.0  # clamps the 2.5 start value
@@ -185,9 +184,7 @@ class TestControlLaw:
         assert both.values == (4.0,) and both.breakpoints[0] > 0.01
         assert ControlLaw.dolinar_optimal(Priors(0.7), 1.0).breakpoints == ()
         # u_max below psi binds everywhere: a constant law throughout.
-        assert ControlLaw.dolinar_optimal(Priors(0.7), 3.0, u_max=2.0) == ControlLaw(
-            "capped_dolinar", (0.0,), (2.0,)
-        )
+        assert ControlLaw.dolinar_optimal(Priors(0.7), 3.0, u_max=2.0) == ControlLaw.constant(2.0)
 
     @pytest.mark.parametrize(
         "q0,psi,t_floor,u_max",
@@ -210,11 +207,13 @@ class TestControlLaw:
 
     def test_record_validation(self):
         with pytest.raises(ValueError):
-            ControlLaw("constant", (0.0, 1.0), (1.0,))
+            ControlLaw((0.0, 1.0), (1.0,))
         with pytest.raises(ValueError):
-            ControlLaw("constant", (0.5,), (1.0,))
+            ControlLaw((0.5,), (1.0,))
         with pytest.raises(ValueError):
-            ControlLaw("piecewise_constant", (0.0, 0.0), (1.0, 2.0))
+            ControlLaw((0.0, 0.0), (1.0, 2.0))
+        with pytest.raises(ValueError):
+            ControlLaw((0.0,), ())
 
 
 class TestStateTypes:
@@ -384,15 +383,15 @@ def oracle_laws():
                     yield pytest.param(pr, psi, law, T, id=f"q0={q0}-psi={psi}-T={T}-{name}")
 
 
-def law_shape(law: ControlLaw, T: float) -> str:
-    """Which of the shapes ``ControlLaw.dolinar_optimal`` (or ``constant``) builds."""
-    if law.kind == "constant":
+def law_shape(family: LawFamily, law: ControlLaw, T: float) -> str:
+    """Which of the shapes of ``family``'s laws ``law`` has."""
+    if family.beta is not None:
         return "constant"
     if law.optimal is None:
         return "cap at or below psi"
     if len(law.starts) == 1:
         return "uncapped"
-    if law.kind == "dolinar_optimal":
+    if family.u_max is None:
         return "time floor"
     return "switch inside T" if law.starts[1] < T else "switch past T"
 
@@ -412,34 +411,20 @@ class TestEvolvePe:
         (0.7, 1.0, {"beta": 1.2}),
     ]
 
-    @staticmethod
-    def _laws(priors, psi, kw):
-        if "beta" in kw:
-            return [ControlLaw.constant(kw["beta"]) for _ in psi]
-        return [ControlLaw.dolinar_optimal(priors, p, **kw) for p in psi.tolist()]
-
     def test_equals_evolve_pc_bit_for_bit_over_every_law_shape(self):
         shapes = set()
         for q0, T, kw in self.SWEEPS:
             pr = Priors(q0)
             psi = np.sqrt(np.geomspace(1e-6, 30.0, 300) / T)
-            laws = self._laws(pr, psi, kw)
+            family = LawFamily(**kw)
+            laws = [family.law(pr, p) for p in psi.tolist()]
             want = [evolve_pc(pr, p, law, T, sample_times=()).final.pe(pr)
                     for p, law in zip(psi.tolist(), laws)]
-            got = evolve_pe(pr, psi, laws, T)
+            got = evolve_pe(pr, psi, family, T)
             assert got.tolist() == want, (q0, T, kw)
-            shapes.update(law_shape(law, T) for law in laws)
+            shapes.update(law_shape(family, law, T) for law in laws)
         assert shapes == {"uncapped", "switch inside T", "switch past T",
                           "cap at or below psi", "time floor", "constant"}
-
-    def test_law_family_equals_its_laws_bit_for_bit(self):
-        for q0, T, kw in self.SWEEPS:
-            pr = Priors(q0)
-            psi = np.sqrt(np.geomspace(1e-6, 30.0, 300) / T)
-            family = LawFamily(**kw)
-            assert [family.law(pr, p) for p in psi.tolist()] == self._laws(pr, psi, kw)
-            got = evolve_pe(pr, psi, family, T)
-            assert got.tolist() == evolve_pe(pr, psi, self._laws(pr, psi, kw), T).tolist()
 
     def test_law_family_never_builds_a_law_per_point(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -448,33 +433,41 @@ class TestEvolvePe:
         for name in ("feedback_amplitude", "_segment_table"):
             monkeypatch.setattr(dolinar_mod, name, refuse)
         monkeypatch.setattr(ControlLaw, "dolinar_optimal", refuse)
+        monkeypatch.setattr(LawFamily, "law", refuse)
         psi = np.sqrt(np.geomspace(1e-6, 30.0, 50))
         for q0, T, kw in self.SWEEPS:
             assert evolve_pe(Priors(q0), psi, LawFamily(**kw), T).shape == (50,)
 
-    def test_other_laws_are_refused(self):
-        pr, psi = Priors(0.7), np.array([1.0, 2.0])
-        slotted = ControlLaw.piecewise_constant([1.0, 2.0], 1.0)
-        with pytest.raises(ValueError, match="one slot and the optimal law"):
-            evolve_pe(pr, psi, [ControlLaw.constant(1.0), slotted], 1.0)
-        with pytest.raises(ValueError, match="one slot and the optimal law"):
-            evolve_pe(pr, psi, [ControlLaw.dolinar_optimal(pr, p) for p in (2.0, 1.0)], 1.0)
-
     def test_uncapped_balanced_law_is_singular(self):
         pr = Priors(0.5)
         psi = np.array([0.5, 1.0])
-        with pytest.raises(SingularControlError):
-            evolve_pe(pr, psi, [ControlLaw.dolinar_optimal(pr, p) for p in psi.tolist()], 1.0)
         for family in (LawFamily(), LawFamily(t_floor=1e-300)):
             with pytest.raises(SingularControlError):
                 evolve_pe(pr, psi, family, 1.0)
 
     def test_validation(self):
-        law = [ControlLaw.constant(0.5)]
+        family = LawFamily(beta=0.5)
         with pytest.raises(ValueError, match="psi"):
-            evolve_pe(Priors(0.7), np.array([-1.0]), law, 1.0)
+            evolve_pe(Priors(0.7), np.array([-1.0]), family, 1.0)
         with pytest.raises(ValueError, match="T"):
-            evolve_pe(Priors(0.7), np.array([1.0]), law, 0.0)
+            evolve_pe(Priors(0.7), np.array([1.0]), family, 0.0)
+
+
+class TestLawFamily:
+    """One description of a law: a constant envelope, or the optimal law
+    with its cap and floor."""
+
+    @pytest.mark.parametrize("kw", [{"beta": 1.2, "u_max": 2.0}, {"beta": 1.2, "t_floor": 0.1},
+                                    {"beta": 0.0, "t_floor": 0.0, "u_max": 8.0}])
+    def test_beta_with_cap_or_floor_is_refused(self, kw):
+        with pytest.raises(ValueError, match="^beta sets a constant law; it takes no t_floor"):
+            LawFamily(**kw)
+
+    @pytest.mark.parametrize("kw,message", [({"t_floor": -1.0}, "t_floor must be >= 0"),
+                                            ({"u_max": 0.0}, "u_max must be > 0")])
+    def test_bad_cap_or_floor_is_refused_when_built(self, kw, message):
+        with pytest.raises(ValueError, match=message):
+            LawFamily(**kw)
 
 
 class TestClosedFormAgainstMpmath:
