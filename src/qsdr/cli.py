@@ -285,26 +285,24 @@ class _Axis(NamedTuple):
     priors: Priors
     ranked: Priors  # relabeled so that q0 >= q1, for the photon-counting receivers
     g: np.ndarray  # the axis values gamma_sq themselves
-    psi: np.ndarray
     gamma: np.ndarray
-    T: float
     beta: dict  # each selected optimizer's name -> its displacements
 
 
 def _axis(spec: SweepSpec) -> _Axis:
     # The selected optimizers' displacements come from one solve for all of them.
     g = spec.axis()
-    psi = np.sqrt(g / spec.T)  # CoherentBinary.from_mean_photons, lane-wise
     priors = spec.priors
-    axis = _Axis(spec, priors, priors.dominant(), g, psi, psi * np.sqrt(spec.T), spec.T, {})
+    axis = _Axis(spec, priors, priors.dominant(), g, np.sqrt(g), {})
     return axis._replace(beta=_betas(axis, [name for name in OPTIMIZERS if name in spec.schemes]))
 
 
-# The optimized receivers' displacement solves.  They need q0 >= q1; pe and
-# |beta|**2 ignore the labels.
+# The optimized receivers' displacement solves, in photon-number units
+# (at T = 1), which are all the errors depend on.  They need q0 >= q1; pe
+# and |beta|**2 ignore the labels.
 OPTIMIZERS = {
     "improved_kennedy": lambda ax: beta_ik_problem(ax.ranked, ax.gamma),
-    "simplified_dolinar": lambda ax: beta_sd_problem(ax.ranked, ax.psi, ax.T),
+    "simplified_dolinar": lambda ax: beta_sd_problem(ax.ranked, ax.gamma, 1.0),
 }
 
 
@@ -313,17 +311,22 @@ def _betas(ax: _Axis, names) -> dict[str, np.ndarray]:
     return dict(zip(names, solve_jointly(*(OPTIMIZERS[name](ax) for name in names))))
 
 
+def _psi(ax: _Axis) -> np.ndarray:
+    # The envelope amplitude of each point, for the columns that run a law.
+    return np.sqrt(ax.g / ax.spec.T)
+
+
 def _dolinar_ode_pe(ax: _Axis) -> np.ndarray:
-    return evolve_pe(ax.priors, ax.psi, _law_family(ax.spec), ax.T)
+    return evolve_pe(ax.priors, _psi(ax), _law_family(ax.spec), ax.spec.T)
 
 
 def _dolinar_mc_pe(ax: _Axis) -> np.ndarray:
     # Each point is its own seeded run; its error frequency is counted, not
     # taken as 1 - estimate.
     spec, pe = ax.spec, []
-    for psi, seed in zip(ax.psi.tolist(), _row_seeds(spec.seed, spec.points)):
+    for psi, seed in zip(_psi(ax).tolist(), _row_seeds(spec.seed, spec.points)):
         law = _dolinar_law(spec, ax.priors, psi)
-        chunks = telegraph_chunks(ax.priors, psi, law, ax.T, spec.trials, seed)
+        chunks = telegraph_chunks(ax.priors, psi, law, spec.T, spec.trials, seed)
         misses = sum(int(np.count_nonzero(tr.z_final != tr.a)) for _, tr in chunks)
         pe.append(misses / spec.trials)
     return np.array(pe)
@@ -346,11 +349,12 @@ SCHEMES = {
         ),
         "beta_sq": lambda ax: ax.beta["improved_kennedy"] ** 2,
     },
+    # Its beta_sq is the envelope intensity b**2/T of the feedback field.
     "simplified_dolinar": {
         "pe": lambda ax: simplified_dolinar_error(
-            ax.ranked, ax.psi, ax.beta["simplified_dolinar"], ax.T
+            ax.ranked, ax.gamma, ax.beta["simplified_dolinar"], 1.0
         ),
-        "beta_sq": lambda ax: ax.beta["simplified_dolinar"] ** 2,
+        "beta_sq": lambda ax: ax.beta["simplified_dolinar"] ** 2 / ax.spec.T,
     },
     "dolinar_ode": {"pe": _dolinar_ode_pe},
     "dolinar_mc": {"pe": _dolinar_mc_pe, "simulate": _simulate_dolinar_mc},

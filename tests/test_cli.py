@@ -279,8 +279,8 @@ class TestColumnwiseSweep:
         kind = "pe" if spec.command == "fig1" else "beta_sq"
         table = cli._sweep(spec, str(tmp_path / "o.csv"), kind)
         axis, names = cli._axis(spec), [s for s in cli.OPTIMIZERS if s in spec.schemes]
-        points = [axis._replace(g=axis.g[i:i + 1], psi=axis.psi[i:i + 1],
-                                gamma=axis.gamma[i:i + 1]) for i in range(300)]
+        points = [axis._replace(g=axis.g[i:i + 1], gamma=axis.gamma[i:i + 1])
+                  for i in range(300)]
         # Each point's displacements from its own solve.
         points = [point._replace(beta=cli._betas(point, names)) for point in points]
         assert len(table) == len(spec.schemes) + 1
@@ -308,6 +308,44 @@ class TestColumnwiseSweep:
 
         monkeypatch.setattr(np.random, "SeedSequence", refuse)
         assert main([*SWEEP_ARGV["fig1"], "-o", str(tmp_path / "o.csv")]) == 0
+
+
+class TestPhotonNumberUnits:
+    """The fig1 columns depend on gamma_sq alone, so they are computed in the
+    units gamma = sqrt(gamma_sq), with no round trip through psi and T."""
+
+    AXIS = ["fig1", "--q0", "0.7", "--gamma-sq-min", "1e-3", "--gamma-sq-max", "50",
+            "--points", "400"]
+    # gamma_sq and the four analytic columns of plain fig1 on AXIS, as the
+    # release before this layout wrote them at T = 1.
+    ANALYTIC_SHA256 = "2529038ea56e5577f3cde489042f02151dfa9fe8631acdb279c350493502600e"
+
+    @staticmethod
+    def _analytic_digest(path):
+        lines = path.read_bytes().split(b"\n")
+        return hashlib.sha256(b"\n".join(b",".join(l.split(b",")[:5]) for l in lines)).hexdigest()
+
+    def test_analytic_columns_do_not_depend_on_T(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert main([*self.AXIS, "-o", str(out)]) == 0
+        assert self._analytic_digest(out) == self.ANALYTIC_SHA256
+        # dolinar_ode reads --T; the columns before it must not move.
+        for T in ("1", "1e-6", "0.356", "7", "1e6"):
+            assert main([*self.AXIS, "--schemes", ANALYTIC_FIG1, "--T", T, "-o", str(out)]) == 0
+            assert self._analytic_digest(out) == self.ANALYTIC_SHA256, T
+
+    def test_simplified_dolinar_never_errs_more_than_nulling(self, tmp_path):
+        # At q0 = 1e-300 the error is below 1e-300; a psi - beta a few ulps
+        # from gamma - b once wrote 4.2e-33 on the last row.
+        out = tmp_path / "o.csv"
+        argv = ["fig1", "--q0", "1e-300", "--gamma-sq-min", "2.0838065814409403",
+                "--gamma-sq-max", "66.61098998751947", "--T", "0.35593586358449797",
+                "--points", "7", "--schemes", ANALYTIC_FIG1, "-o", str(out)]
+        assert main(argv) == 0
+        header, rows = read_rows(out)
+        k, sd = header.index("kennedy_pe"), header.index("simplified_dolinar_pe")
+        for row in rows:
+            assert float(row[sd]) <= float(row[k]), row
 
 
 class TestFig3:
