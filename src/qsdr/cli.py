@@ -8,8 +8,10 @@ simulate  one seeded Monte Carlo run cross-checked against its analytic value
 
 Options are ``--name VALUE``, ``--name=VALUE`` or ``-o FILE``, names exact;
 ``qsdr COMMAND --help`` lists a command's options, which are also its config
-keys.  Option values resolve as command line > config file > environment
-(seed only) > built-in defaults; the config file is flat ``key = value`` text
+keys, and names the schemes that read each option not every run reads; a
+run refuses any option that neither its command nor its schemes read.
+Option values resolve as command line > config file > environment (seed
+only) > built-in defaults; the config file is flat ``key = value`` text
 (see README).  Outputs are deterministic functions of the resolved spec and
 the seed: CSV with an exact documented header, LF line endings and 12
 significant digits, or JSON carrying the same numbers plus the spec and tool
@@ -25,7 +27,7 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import KW_ONLY, asdict, dataclass, fields
 from itertools import chain
 from typing import NamedTuple
 
@@ -88,20 +90,18 @@ DEFAULTS = {
     "psi": 1.0,
 }
 
-# Each command's options, declared once: key -> cast.  On the command line a
-# key is --key with hyphens for underscores (and -o is --output); in a config
-# file it is the key itself.  Both sources share the cast and the key check.
-_COMMON = {"config": str, "output": str, "format": str, "seed": int, "q0": float, "T": float}
-# The law is LawFamily(beta, t_floor, u_max): --beta, or the capped, floored optimal law.
-_LAW = {"trials": int, "u_max": float, "t_floor": float, "beta": float}
+# Options as key -> cast.  On the command line a key is --key with hyphens
+# for underscores (and -o is --output); in a config file it is the key
+# itself.  Both sources share the cast and the key check.  Each command runs
+# one kind of SCHEMES entry and reads its own options; READS adds those of
+# each selected column or run.
+_EVERY = {"config": str, "output": str, "format": str, "seed": int, "q0": float}
 _SWEEP = {"gamma_sq_min": float, "gamma_sq_max": float, "points": int, "spacing": str,
           "schemes": str}
-OPTIONS = {
-    # The dolinar_ode and dolinar_mc columns run the law these options set.
-    "fig1": {**_COMMON, **_SWEEP, **_LAW},
-    "fig3": {**_COMMON, **_SWEEP},
-    "simulate": {**_COMMON, "scheme": str, **_LAW, "psi": float, "theta": float,
-                 "chi": float, "copies": int, "trajectories": str},
+COMMANDS = {
+    "fig1": ("pe", {**_EVERY, **_SWEEP}),
+    "fig3": ("beta_sq", {**_EVERY, **_SWEEP}),
+    "simulate": ("simulate", {**_EVERY, "scheme": str}),
 }
 # What a value must be, in help and in the message for one that fails its cast.
 _METAVAR = {int: "an integer", float: "a number", str: "text"}
@@ -109,28 +109,28 @@ _METAVAR = {int: "an integer", float: "a number", str: "text"}
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Fully resolved parameters of one CLI invocation.
+    """The parameters one CLI invocation read.
 
-    Sweep fields apply to fig1/fig3; the optional tail fields configure the
-    Monte Carlo schemes of ``simulate``.  ``seed`` (non-negative) feeds
-    every stochastic scheme; analytic sweeps ignore it but still record it
-    in JSON output.
+    ``command``, ``schemes``, ``seed``, ``format`` and ``q0`` are always
+    set; every other field is None unless the command or a selected scheme
+    reads it.  ``seed`` (non-negative) feeds every stochastic scheme;
+    analytic sweeps ignore it but still record it in JSON output.
     """
 
     command: str
     schemes: tuple[str, ...]
-    gamma_sq_min: float
-    gamma_sq_max: float
-    points: int
-    spacing: str
+    _: KW_ONLY
+    gamma_sq_min: float | None = None
+    gamma_sq_max: float | None = None
+    points: int | None = None
+    spacing: str | None = None
     q0: float
-    T: float
+    T: float | None = None
     seed: int
-    trials: int
+    trials: int | None = None
     format: str
     u_max: float | None = None
     t_floor: float | None = None
-    control: str | None = None
     beta: float | None = None
     psi: float | None = None
     theta: float | None = None
@@ -144,9 +144,7 @@ class SweepSpec:
                 raise ValueError(f"{f.name} must be finite, got {v}")
         if len(self.schemes) == 0:
             raise ValueError("scheme list must not be empty")
-        unknown = [s for s in self.schemes if s not in SCHEMES]
-        if unknown:
-            raise ValueError(f"unknown scheme(s) {unknown}; known: {', '.join(SCHEMES)}")
+        _reads(self.command, self.schemes)  # refuses a scheme the command cannot run
         if self.command in ("fig1", "fig3"):
             if not 0.0 < self.gamma_sq_min < self.gamma_sq_max:
                 raise ValueError(
@@ -157,11 +155,11 @@ class SweepSpec:
                 raise ValueError(f"points must be >= 2, got {self.points}")
             if self.spacing not in ("log", "linear"):
                 raise ValueError(f"spacing must be log or linear, got {self.spacing}")
-        if any(s in SIM_SCHEMES for s in self.schemes) and self.trials < 1:
+        if self.trials is not None and self.trials < 1:
             raise ValueError(f"trials must be >= 1 for Monte Carlo schemes, got {self.trials}")
         if not 0.0 <= self.q0 <= 1.0:
             raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
-        if self.T <= 0.0:
+        if self.T is not None and self.T <= 0.0:
             raise ValueError(f"T must be > 0, got {self.T}")
         # Checked here, whatever the command, so --seed and QSDR_SEED fail
         # the same way before any scheme runs.
@@ -255,8 +253,6 @@ def _row_seeds(seed: int, n: int) -> list[int]:
 
 
 def _simulate_dolinar_mc(spec: SweepSpec, export):
-    if spec.psi is None:
-        raise ValueError("dolinar_mc requires --psi")
     priors = spec.priors
     law = _dolinar_law(spec, priors, spec.psi)
     chunks = telegraph_chunks(priors, spec.psi, law, spec.T, spec.trials, spec.seed)
@@ -311,20 +307,16 @@ def _betas(ax: _Axis, names) -> dict[str, np.ndarray]:
     return dict(zip(names, solve_jointly(*(OPTIMIZERS[name](ax) for name in names))))
 
 
-def _psi(ax: _Axis) -> np.ndarray:
-    # The envelope amplitude of each point, for the columns that run a law.
-    return np.sqrt(ax.g / ax.spec.T)
-
-
 def _dolinar_ode_pe(ax: _Axis) -> np.ndarray:
-    return evolve_pe(ax.priors, _psi(ax), _law_family(ax.spec), ax.spec.T)
+    # The law runs on the envelope amplitude psi = sqrt(gamma_sq/T).
+    return evolve_pe(ax.priors, np.sqrt(ax.g / ax.spec.T), _law_family(ax.spec), ax.spec.T)
 
 
 def _dolinar_mc_pe(ax: _Axis) -> np.ndarray:
     # Each point is its own seeded run; its error frequency is counted, not
     # taken as 1 - estimate.
     spec, pe = ax.spec, []
-    for psi, seed in zip(_psi(ax).tolist(), _row_seeds(spec.seed, spec.points)):
+    for psi, seed in zip(np.sqrt(ax.g / spec.T).tolist(), _row_seeds(spec.seed, spec.points)):
         law = _dolinar_law(spec, ax.priors, psi)
         chunks = telegraph_chunks(ax.priors, psi, law, spec.T, spec.trials, seed)
         misses = sum(int(np.count_nonzero(tr.z_final != tr.a)) for _, tr in chunks)
@@ -360,9 +352,33 @@ SCHEMES = {
     "dolinar_mc": {"pe": _dolinar_mc_pe, "simulate": _simulate_dolinar_mc},
     "multicopy": {"simulate": _simulate_multicopy},
 }
-FIG1_SCHEMES = tuple(name for name, s in SCHEMES.items() if "pe" in s)
-FIG3_SCHEMES = tuple(name for name, s in SCHEMES.items() if "beta_sq" in s)
-SIM_SCHEMES = tuple(name for name, s in SCHEMES.items() if "simulate" in s)
+# The options each column or run reads beyond its command's, keyed (scheme,
+# kind); the others read none.  The law is LawFamily(beta, t_floor, u_max):
+# --beta, or the capped, floored optimal law.
+_LAW = {"T": float, "beta": float, "u_max": float, "t_floor": float}
+READS = {
+    ("dolinar_ode", "pe"): _LAW,
+    ("dolinar_mc", "pe"): {**_LAW, "trials": int},
+    ("simplified_dolinar", "beta_sq"): {"T": float},
+    ("dolinar_mc", "simulate"): {**_LAW, "trials": int, "psi": float, "trajectories": str},
+    ("multicopy", "simulate"): {"trials": int, "theta": float, "chi": float, "copies": int},
+}
+
+
+def _reads(command: str, schemes) -> dict:
+    """The options a run of the command over the schemes reads, refusing a
+    scheme the command has no column or run for."""
+    kind, own = COMMANDS[command]
+    runs = [name for name, s in SCHEMES.items() if kind in s]
+    bad = [s for s in schemes if s not in runs]
+    if bad:
+        raise ValueError(f"{command} supports {', '.join(runs)}; got {bad}")
+    return {**own, **{k: c for s in schemes for k, c in READS.get((s, kind), {}).items()}}
+
+
+# What some run of each command reads: what help lists and a config file may name.
+OPTIONS = {c: _reads(c, [s for s in SCHEMES if kind in SCHEMES[s]])
+           for c, (kind, _) in COMMANDS.items()}
 
 
 def _sweep(spec: SweepSpec, output: str, kind: str) -> dict[str, np.ndarray]:
@@ -370,9 +386,6 @@ def _sweep(spec: SweepSpec, output: str, kind: str) -> dict[str, np.ndarray]:
     # scheme, each computed over the whole axis in one call, and the
     # optimized columns' displacements in one solve for all of them.
     columns = {name: s[kind] for name, s in SCHEMES.items() if kind in s}
-    bad = [s for s in spec.schemes if s not in columns]
-    if bad:
-        raise ValueError(f"{spec.command} supports {', '.join(columns)}; got {bad}")
     axis = _axis(spec)
     table = {"gamma_sq": axis.g}
     for name in columns:
@@ -396,13 +409,9 @@ def cmd_simulate(
     spec: SweepSpec, output: str, trajectories_path: str | None = None
 ) -> dict:
     """One Monte Carlo run with its analytic cross-check."""
-    if len(spec.schemes) != 1 or spec.schemes[0] not in SIM_SCHEMES:
-        raise ValueError(f"simulate runs exactly one of {', '.join(SIM_SCHEMES)}")
-    scheme = spec.schemes[0]
+    (scheme,) = spec.schemes
+    # Checked before either file is opened: one would overwrite the other.
     if trajectories_path is not None:
-        if scheme != "dolinar_mc":
-            raise ValueError("--trajectories applies only to dolinar_mc")
-        # Checked before either file is opened: one would overwrite the other.
         if os.path.realpath(trajectories_path) == os.path.realpath(output):
             raise ValueError(f"--trajectories names the --output file {output!r}")
     with _trajectory_export(trajectories_path, spec) as export:
@@ -515,10 +524,14 @@ def _usage(command: str | None) -> str:
             _usage(c) for c in OPTIONS
         )
     lines = [f"usage: qsdr {command} [--name VALUE | --name=VALUE]...",
-             "options (and config keys, the same names without the dashes):"]
+             "options (and config keys, the same names without the dashes); one that",
+             "names schemes is read by those alone, and any other run exits 2 on it:"]
+    kind = COMMANDS[command][0]
     for key, cast in OPTIONS[command].items():
         flag = "--output/-o" if key == "output" else "--" + key.replace("_", "-")
-        lines.append(f"  {flag:<16} {_METAVAR[cast]}")
+        readers = [name for (name, of), reads in READS.items() if of == kind and key in reads]
+        mark = f" ({', '.join(readers)})" if readers else ""
+        lines.append(f"  {flag:<16} {_METAVAR[cast]}{mark}")
     return "\n".join(lines) + "\n"
 
 
@@ -558,9 +571,10 @@ def _split(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:
 
 
 def _resolve(command: str, args: dict[str, str], cfg: dict[str, str]):
-    """Merge argv > config > env (seed) > defaults into a SweepSpec.  Both
-    sources are ``{key: text}`` checked against the command's option table
-    (a config file cannot name another) and cast once, through the table."""
+    """Merge argv > config > env (seed) > defaults into a SweepSpec of the
+    options the run reads.  Both sources are ``{key: text}`` checked against
+    the command's option table (a config file cannot name another), cast
+    once, through the table, and refused where no selected scheme reads them."""
     options = OPTIONS[command]
     unknown = sorted(k for k in cfg if k not in options or k == "config")
     if unknown:
@@ -587,7 +601,13 @@ def _resolve(command: str, args: dict[str, str], cfg: dict[str, str]):
     elif "schemes" in v:
         schemes = tuple(s.strip() for s in v["schemes"].split(",") if s.strip())
     else:
-        schemes = FIG1_SCHEMES[:4] if command == "fig1" else FIG3_SCHEMES
+        schemes = {"fig1": ("helstrom", "kennedy", "improved_kennedy", "simplified_dolinar"),
+                   "fig3": ("kennedy", "improved_kennedy", "simplified_dolinar")}[command]
+    reads = _reads(command, schemes)
+    unread = ["--" + k.replace("_", "-") for k in options if k in v and k not in reads]
+    if unread:
+        which = "--scheme " if command == "simulate" else "--schemes "
+        raise ValueError(f"{command} {which}{','.join(schemes)} does not read {', '.join(unread)}")
 
     theta, chi = v.get("theta"), v.get("chi")
     if chi is not None:
@@ -597,13 +617,12 @@ def _resolve(command: str, args: dict[str, str], cfg: dict[str, str]):
             raise ValueError(f"chi must be < 1 (at 1 the states are identical), got {chi}")
         theta = QubitPair.from_overlap(chi).theta
 
-    # Fields the command has no option for keep their defaults; control
-    # records which law the law options name.
-    values = {f.name: v.get(f.name, DEFAULTS.get(f.name)) for f in fields(SweepSpec)}
-    values.update(command=command, schemes=schemes, seed=seed, theta=theta,
-                  control="dolinar_optimal" if v.get("beta") is None else "constant")
+    # Only the fields the run reads are set.
+    values = {f.name: v.get(f.name, DEFAULTS.get(f.name)) for f in fields(SweepSpec)
+              if f.name in reads}
+    values.update(command=command, schemes=schemes, seed=seed, theta=theta)
     spec = SweepSpec(**values)
-    _law_family(spec)  # refuses law options that name two laws, whatever the schemes
+    _law_family(spec)  # refuses law options that name two laws
     if "output" not in v:
         raise ValueError("an output path is required (--output or config)")
     return spec, v["output"], v.get("trajectories")

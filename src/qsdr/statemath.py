@@ -38,7 +38,6 @@ import numpy as np
 __all__ = [
     "Priors",
     "QubitPair",
-    "CoherentBinary",
     "AngleSchedule",
     "helstrom_bound",
     "helstrom_error",
@@ -95,10 +94,6 @@ class Priors:
         """
         return 0 if self.q0 >= 0.5 else 1
 
-    @property
-    def is_symmetric(self) -> bool:
-        return abs(self.q0 - self.q1) <= _SUM_TOL
-
     def swapped(self) -> "Priors":
         """Relabel the hypotheses (swap q0 and q1)."""
         return Priors(self.q1, self.q0)
@@ -133,40 +128,6 @@ class QubitPair:
             raise ValueError(f"overlap must lie in [0, 1], got {chi}")
         chi = min(max(chi, 0.0), 1.0)
         return cls(0.5 * math.acos(chi))
-
-
-@dataclass(frozen=True)
-class CoherentBinary:
-    """BPSK coherent source: amplitudes ``+-psi`` over a pulse of duration ``T``.
-
-    ``gamma_sq = psi**2 * T`` is the mean photon number of one pulse and the
-    only quantity the closed-form error rates depend on.
-    """
-
-    psi: float
-    T: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.psi < 0.0:
-            raise ValueError(f"psi must be >= 0, got {self.psi}")
-        if self.T <= 0.0:
-            raise ValueError(f"T must be > 0, got {self.T}")
-
-    @property
-    def gamma_sq(self) -> float:
-        return self.psi * self.psi * self.T
-
-    @property
-    def gamma(self) -> float:
-        return self.psi * math.sqrt(self.T)
-
-    @classmethod
-    def from_mean_photons(cls, gamma_sq: float, T: float = 1.0) -> "CoherentBinary":
-        if gamma_sq < 0.0:
-            raise ValueError(f"gamma_sq must be >= 0, got {gamma_sq}")
-        if T <= 0.0:
-            raise ValueError(f"T must be > 0, got {T}")
-        return cls(math.sqrt(gamma_sq / T), T)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from decimal import Decimal
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -170,26 +171,27 @@ SWEEP_SHA256 = {
 }
 # JSON outputs whose bytes, spec included, are pinned: {name: (argv, {file: sha256})}.
 # The file "o" is the -o output; "t" is the --trajectories file of the run.
+# The spec holds only the options the run read.
 TELEGRAPH_ARGV = ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
                   "--trials", "20000"]
 MULTICOPY_ARGV = ["simulate", "--scheme", "multicopy", "--q0", "0.7", "--theta", "0.2",
                   "--copies", "20", "--trials", "20000"]
 JSON_SHA256 = {
     "fig1": (["fig1"],
-             {"o": "47cdc271e7df33d14367fb143b52d232963078257a1be4b661e6996ba23c8094"}),
+             {"o": "b3fd1499a1715ab0407a3bf9ed3340de353be07fdae9e7a88e5e32eb6dd77b86"}),
     "fig3": (["fig3"],
-             {"o": "bd36cc7743f4515560850929644da76ed908b91a083b416cfbc595007ddf4d49"}),
+             {"o": "d7d8045a4784a77e6962a9a3b45a9679f1f5d33b7ee5a4f989ef0212151fd23b"}),
     "sweep_fig1": (SWEEP_ARGV["fig1"],
-                   {"o": "338e05317a6b62b475e4828eabdb3cb00d33a0ce8e13bbf5fdae3315a9fb5cd6"}),
+                   {"o": "d21befa3bbf4201c907ce3b17a7d8f47853a4d5d50a0b031141f5482b372c513"}),
     "sweep_fig3": (SWEEP_ARGV["fig3"],
-                   {"o": "b7ef211d898f2054dc5bb82598d7e60d146e885779b447ceded9c0a6d37e7a80"}),
+                   {"o": "4d6a1996e20dc7846ab27472f84a8b672a5362c374cc697c01f0dd5f94e59d85"}),
     "constant": (["fig1", "--q0", "0.7", "--schemes", "dolinar_ode", "--beta", "1.2"],
-                 {"o": "ce07be09b309689c95fb5fa6a3c0758c1e9ade83a05009e7fc9f36d582a246f8"}),
+                 {"o": "6896680c5e4836ee2b55c77af0e5719d83198107b507c829e6edbcd2764a21b3"}),
     "telegraph": ([*TELEGRAPH_ARGV, "--seed", "1"],
-                  {"o": "4faed2b2788fcfeb31d72e13ee483036bb82e18e24d4cb17baa5b8c918b96ad8",
-                   "t": "f693a0265de391626d372071eec47bb913e9b946d1d882a7a91ca570ba8a6f17"}),
+                  {"o": "33f46e21c98df620a46517ef3b9477e770cae30996a3395b998211064abb8c73",
+                   "t": "aea56950b3dd113dcdfceaab488a3263b743994dc88bf172f8919a9a472609a7"}),
     "multicopy": ([*MULTICOPY_ARGV, "--seed", "1"],
-                  {"o": "d418d33bc88c73bcab436a97b534105ac0330f06d1378a344b099903b815dd00"}),
+                  {"o": "de67a7a6a7c0fd0daab544b25fef3ed2f39db46fd7826679e25e575d8a600ed8"}),
 }
 # The dolinar_ode column under each law shape of TestEvolvePe.SWEEPS, as the
 # per-point laws wrote it: (argv beyond LAW_SHAPE_AXIS, sha256).
@@ -609,7 +611,8 @@ class TestJsonFormat:
 
 
     def test_unserializable_record_leaves_no_file(self, tmp_path):
-        spec = cli.SweepSpec("fig3", ("kennedy",), 0.1, 1.0, 2, "log", 0.5, 1.0, 0, 1, "json")
+        spec = cli.SweepSpec("fig3", ("kennedy",), gamma_sq_min=0.1, gamma_sq_max=1.0, points=2,
+                             spacing="log", q0=0.5, seed=0, format="json")
         out = tmp_path / "o.json"
         with pytest.raises(ValueError):
             cli._write_json(str(out), spec, "rows", [{"x": math.inf}])
@@ -646,14 +649,14 @@ class TestResolution:
         [("fig1", ["--beta", "1.2", "--u-max", "8"]),
          ("fig1", ["--beta", "1.2", "--t-floor", "0.1"]),
          ("simulate", ["--beta", "0", "--t-floor", "0", "--u-max", "8"]),
-         ("multicopy", ["--beta", "1.2", "--u-max", "8"])],
+         ("fig1_mc", ["--beta", "1.2", "--u-max", "8"])],
     )
     def test_beta_with_cap_or_floor_is_refused(self, command, law, tmp_path, capsys):
         # --beta is the constant envelope, which takes no cap or floor; every
-        # scheme refuses the pair, from argv and config alike.
+        # scheme that runs a law refuses the pair, from argv and config alike.
         base = {"fig1": ["fig1", "--points", "2", "--schemes", "dolinar_ode"],
                 "simulate": ["simulate", "--scheme", "dolinar_mc", "--trials", "5"],
-                "multicopy": MULTICOPY_ARGS}[command]
+                "fig1_mc": ["fig1", "--points", "2", "--schemes", "dolinar_mc"]}[command]
         cfg = tmp_path / "law.cfg"
         cfg.write_text("".join(f"{k[2:]} = {v}\n" for k, v in zip(law[::2], law[1::2])))
         out = tmp_path / "o.csv"
@@ -665,14 +668,13 @@ class TestResolution:
             assert not out.exists()
 
     def test_beta_alone_runs_the_constant_law(self, tmp_path):
-        # And the spec records it as the constant law.
+        # And the spec records beta only when it is given.
         argv = ["fig1", "--q0", "0.7", "--points", "3", "--schemes", "dolinar_ode",
                 "--format", "json"]
         assert main([*argv, "--beta", "1.2", "-o", str(tmp_path / "b.json")]) == 0
         assert main([*argv, "-o", str(tmp_path / "o.json")]) == 0
         constant, optimal = (json.loads((tmp_path / f).read_text()) for f in ("b.json", "o.json"))
-        assert constant["spec"]["control"] == "constant" and constant["spec"]["beta"] == 1.2
-        assert optimal["spec"]["control"] == "dolinar_optimal"
+        assert constant["spec"]["beta"] == 1.2 and "beta" not in optimal["spec"]
         pr, law = Priors(0.7), qsdr.ControlLaw.constant(1.2)
         for row in constant["rows"]:
             psi = math.sqrt(row["gamma_sq"])
@@ -708,8 +710,8 @@ class TestResolution:
     @pytest.mark.parametrize(
         "args,field",
         [
-            (["simulate", "--scheme", "multicopy", "--theta", "0.2", "--copies", "2",
-              "--trials", "5", "--beta", "inf", "--format", "json"], "beta"),
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--trials", "5",
+              "--beta", "inf", "--format", "json"], "beta"),
             (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--trials", "5",
               "--u-max", "inf"], "u_max"),
             (["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--trials", "5",
@@ -731,8 +733,8 @@ class TestResolution:
               "--trials", "0"], "trials must be >= 1 for Monte Carlo schemes, got 0"),
             (["simulate", "--scheme", "multicopy", "--chi", "1", "--copies", "2",
               "--trials", "5"], "chi must be < 1"),
-            # Checked whatever the schemes, as the conflict of beta with it is.
-            (["fig1", "--points", "2", "--u-max", "-1"], "u_max must be > 0, got -1.0"),
+            (["fig1", "--points", "2", "--schemes", "dolinar_ode", "--u-max", "-1"],
+             "u_max must be > 0, got -1.0"),
         ],
         ids=["trials", "chi", "u_max"],
     )
@@ -777,8 +779,9 @@ class TestResolution:
     def test_config_key_T_is_the_T_option(self, tmp_path):
         cfg = tmp_path / "long.cfg"
         cfg.write_text("T = 4\n")
-        # fig3's simplified_dolinar_beta_sq is an envelope intensity, so it
-        # depends on T; every fig1 column depends on gamma_sq alone.
+        # fig3's simplified_dolinar_beta_sq is the envelope intensity b**2/T,
+        # so it depends on T; the analytic fig1 columns depend on gamma_sq
+        # alone (TestPhotonNumberUnits).
         args = ["fig3", "--points", "3", "--q0", "0.7"]
         assert main(args + ["--config", str(cfg), "-o", str(tmp_path / "a.csv")]) == 0
         assert main(args + ["--T", "4", "-o", str(tmp_path / "b.csv")]) == 0
@@ -843,16 +846,50 @@ class TestResolution:
         assert main(["fig1", "--points", "2"]) == 2
 
 
+# The options each command reads whatever its schemes, and what each column
+# or run reads beyond them.
+EVERY = {"config", "output", "format", "seed", "q0"}
+SWEEP = EVERY | {"gamma_sq_min", "gamma_sq_max", "points", "spacing", "schemes"}
+COMMAND_READS = {"fig1": SWEEP, "fig3": SWEEP, "simulate": EVERY | {"scheme"}}
+LAW = {"T", "beta", "u_max", "t_floor"}
+RUN_READS = {
+    ("fig1", "helstrom"): set(),
+    ("fig1", "kennedy"): set(),
+    ("fig1", "improved_kennedy"): set(),
+    ("fig1", "simplified_dolinar"): set(),
+    ("fig1", "dolinar_ode"): LAW,
+    ("fig1", "dolinar_mc"): LAW | {"trials"},
+    ("fig3", "kennedy"): set(),
+    ("fig3", "improved_kennedy"): set(),
+    ("fig3", "simplified_dolinar"): {"T"},
+    ("simulate", "dolinar_mc"): LAW | {"trials", "psi", "trajectories"},
+    ("simulate", "multicopy"): {"trials", "theta", "chi", "copies"},
+}
+# Options that are not spec fields: paths, the scheme selection, chi (as theta).
+NOT_IN_SPEC = {"config", "output", "trajectories", "scheme", "chi"}
+
+
 # A valid value of each option, for the route-agreement test.
 OPTION_VALUES = {
     "output": "out.csv", "format": "json", "seed": "7", "q0": "0.3", "T": "2",
     "gamma_sq_min": "0.1", "gamma_sq_max": "3", "points": "5", "spacing": "linear",
-    "schemes": "kennedy,helstrom", "trials": "50", "u_max": "4", "t_floor": "0.1",
+    "schemes": "kennedy,improved_kennedy", "trials": "50", "u_max": "4", "t_floor": "0.1",
     "beta": "1.2", "scheme": "dolinar_mc", "psi": "0.8",
     "theta": "0.3", "chi": "0.5", "copies": "3", "trajectories": "t.csv",
 }
-# What every run needs besides the option under test.
-ROUTE_BASE = {"output": "base.csv", "scheme": "multicopy"}
+
+
+def route_base(command, key):
+    """argv of a run of the command that reads the option, the option itself
+    left out: the output and, for an option only some schemes read, one of
+    those schemes (simulate needs a scheme whatever the option)."""
+    readers = [s for (c, s), reads in RUN_READS.items() if c == command and key in reads]
+    base = {"output": "base.csv", "scheme": readers[0] if readers else "multicopy"}
+    if readers:
+        base["schemes"] = readers[0]
+    return [command, *chain.from_iterable(
+        ("--" + k, v) for k, v in base.items() if k != key and k in cli.OPTIONS[command]
+    )]
 
 
 class TestGrammar:
@@ -881,10 +918,7 @@ class TestGrammar:
     )
     def test_argv_and_config_resolve_alike(self, command, key, spec_of, tmp_path):
         flag = "--" + key.replace("_", "-")
-        base = [command]
-        for k, v in ROUTE_BASE.items():
-            if k != key and k in cli.OPTIONS[command]:
-                base += ["--" + k, v]
+        base = route_base(command, key)
         cfg = tmp_path / "one.cfg"
         for value in (OPTION_VALUES[key], "abc", "-1"):
             cfg.write_text(f"{key} = {value}\n")
@@ -945,6 +979,82 @@ class TestGrammar:
                 assert f"qsdr {command}" in text
                 for key in options:
                     assert "--" + key.replace("_", "-") in text, key
+
+
+def select(command, scheme):
+    return [command, "--scheme" if command == "simulate" else "--schemes", scheme]
+
+
+class TestReadTable:
+    """A run takes only the options its command and its schemes read."""
+
+    def test_each_run_reads_its_table(self):
+        runs = {(c, name) for c in cli.COMMANDS for name, s in cli.SCHEMES.items()
+                if cli.COMMANDS[c][0] in s}
+        assert runs == set(RUN_READS)
+        for (command, scheme), reads in RUN_READS.items():
+            assert set(cli._reads(command, (scheme,))) == COMMAND_READS[command] | reads
+        for command, own in COMMAND_READS.items():
+            union = own.union(*(r for (c, _), r in RUN_READS.items() if c == command))
+            assert set(cli.OPTIONS[command]) == union
+
+    @pytest.mark.parametrize(
+        "command,scheme,key",
+        [(c, s, k) for (c, s), reads in RUN_READS.items() for k in cli.OPTIONS[c]
+         if k not in COMMAND_READS[c] | reads],
+    )
+    def test_unread_option_exits_2(self, command, scheme, key, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # where a relative --trajectories path would land
+        cfg = tmp_path / "one.cfg"
+        cfg.write_text(f"{key} = {OPTION_VALUES[key]}\n")
+        flag = "--" + key.replace("_", "-")
+        for extra in ([flag, OPTION_VALUES[key]], ["--config", str(cfg)]):
+            assert main([*select(command, scheme), *extra, "-o", "o.csv"]) == 2
+            selection = "--scheme" if command == "simulate" else "--schemes"
+            assert capsys.readouterr().err == (
+                f"qsdr: invalid spec: {command} {selection} {scheme} does not read {flag}\n"
+            )
+            assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_refusal_names_every_unread_option(self, capsys):
+        argv = ["simulate", "--scheme", "multicopy", "--psi", "3", "--u-max", "8",
+                "--t-floor", "2", "--T", "5", "-o", "unused"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == ("qsdr: invalid spec: simulate --scheme multicopy "
+                                           "does not read --T, --u-max, --t-floor, --psi\n")
+        assert main(["fig1", "--beta", "1.2", "--trials", "7", "-o", "unused"]) == 2
+        assert capsys.readouterr().err == (
+            "qsdr: invalid spec: fig1 --schemes helstrom,kennedy,improved_kennedy,"
+            "simplified_dolinar does not read --beta, --trials\n"
+        )
+
+    @pytest.mark.parametrize("command", COMMAND_READS)
+    def test_help_names_the_schemes_that_read_an_option(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("  -")}
+        for key in cli.OPTIONS[command]:
+            line = lines["--output/-o" if key == "output" else "--" + key.replace("_", "-")]
+            readers = [s for (c, s), reads in RUN_READS.items() if c == command and key in reads]
+            if key in COMMAND_READS[command]:
+                assert "(" not in line, line
+            else:
+                assert line.endswith(f" ({', '.join(readers)})"), line
+
+    @pytest.mark.parametrize("command,scheme", RUN_READS)
+    def test_json_spec_holds_what_the_run_read(self, command, scheme, tmp_path):
+        # Every option the run reads is given or has a default, but --beta,
+        # which excludes --u-max and --t-floor.
+        given = {"u_max": "8", "t_floor": "0.01", "trials": "20", "theta": "0.2", "copies": "2"}
+        reads = COMMAND_READS[command] | RUN_READS[command, scheme]
+        argv = [*select(command, scheme), "--q0", "0.7", "--format", "json"]
+        argv += ["--points", "2"] if command != "simulate" else []
+        for key in reads & given.keys():
+            argv += ["--" + key.replace("_", "-"), given[key]]
+        out = tmp_path / "o.json"
+        assert main([*argv, "-o", str(out)]) == 0
+        spec = json.loads(out.read_text())["spec"]
+        assert set(spec) == reads - NOT_IN_SPEC - {"beta"} | {"command", "schemes"}
 
 
 class TestExitCodes:
@@ -1009,7 +1119,7 @@ class TestExitCodes:
     def test_failed_run_removes_its_partial_trajectory_file(self, tmp_path, monkeypatch, capsys):
         args = ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
                 "--trials", "50", "--trajectories", str(tmp_path / "t.csv")]
-        # A scheme without click records fails before the file is opened.
+        # A scheme without click records does not read --trajectories.
         multicopy = ["--scheme", "multicopy", "--chi", "0.8", "--copies", "2"]
         assert main(args + multicopy + ["-o", str(tmp_path / "o.csv")]) == 2
         assert list(tmp_path.iterdir()) == []
@@ -1087,15 +1197,16 @@ class TestWholeDomain:
         "args,code",
         [
             # A cap at or below psi is a constant law.
-            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "1e-300"], 0),
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "1e-300",
+              "--trials", "50"], 0),
             (["fig1", "--schemes", "dolinar_ode", "--q0", "0.5", "--u-max", "1e-300"], 0),
             # psi**2 underflows: the switch time is finite, the law beyond it is not.
             (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--psi", "1e-200",
-              "--u-max", "1"], 4),
+              "--u-max", "1", "--trials", "50"], 4),
         ],
     )
     def test_extreme_caps_exit_with_a_documented_code(self, args, code, tmp_path):
-        assert main(args + ["--trials", "50", "-o", str(tmp_path / "o.csv")]) == code
+        assert main(args + ["-o", str(tmp_path / "o.csv")]) == code
 
     @pytest.mark.parametrize("q0", ["0", "1"])
     def test_certain_prior_nulls_the_certain_hypothesis(self, q0, tmp_path):
@@ -1161,10 +1272,13 @@ class TestNoNumericalIntegration:
         [
             ["fig1", "--schemes", "helstrom,dolinar_ode", "--q0", "0.7", "--points", "4"],
             ["fig1", "--schemes", "dolinar_ode", "--q0", "0.5", "--u-max", "8", "--points", "4"],
-            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8"],
-            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--t-floor", "0.02"],
-            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--beta", "0.8"],
-            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.7"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
+             "--trials", "200"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--t-floor", "0.02",
+             "--trials", "200"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--beta", "0.8",
+             "--trials", "200"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--trials", "200"],
         ],
         ids=["fig1", "fig1_cap", "cap", "floor", "constant", "exact"],
     )
@@ -1173,7 +1287,7 @@ class TestNoNumericalIntegration:
             raise AssertionError("solve_ivp called")
 
         monkeypatch.setattr(qsdr.dolinar, "solve_ivp", refuse)
-        assert main([*argv, "--trials", "200", "-o", str(tmp_path / "o.csv")]) == 0
+        assert main([*argv, "-o", str(tmp_path / "o.csv")]) == 0
 
 
 class TestNoScipy:

@@ -12,7 +12,6 @@ import pytest
 
 from qsdr import (
     AngleSchedule,
-    CoherentBinary,
     Priors,
     QubitPair,
     angle_schedule,
@@ -72,10 +71,6 @@ class TestPriors:
         assert Priors(0.7).dominant() is not None
         assert Priors(0.7).dominant().q0 == 0.7
 
-    def test_is_symmetric(self):
-        assert Priors(0.5).is_symmetric
-        assert not Priors(0.5000001).is_symmetric
-
 
 class TestQubitPair:
     def test_chi_is_cos_of_double_angle(self):
@@ -99,29 +94,6 @@ class TestQubitPair:
     def test_rejects_bad_overlap(self):
         with pytest.raises(ValueError):
             QubitPair.from_overlap(1.001)
-
-
-class TestCoherentBinary:
-    def test_mean_photons(self):
-        src = CoherentBinary(2.0, 0.25)
-        assert src.gamma_sq == 1.0
-        assert src.gamma == 1.0
-
-    def test_default_duration(self):
-        assert CoherentBinary(1.0).T == 1.0
-
-    def test_from_mean_photons_roundtrip(self):
-        src = CoherentBinary.from_mean_photons(0.2, 2.0)
-        assert src.gamma_sq == pytest.approx(0.2, rel=1e-15)
-        assert src.T == 2.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CoherentBinary(-1.0)
-        with pytest.raises(ValueError):
-            CoherentBinary(1.0, 0.0)
-        with pytest.raises(ValueError):
-            CoherentBinary.from_mean_photons(-0.1)
 
 
 class TestHelstromBound:
