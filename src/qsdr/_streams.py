@@ -26,8 +26,9 @@ import numpy.random  # noqa: F401
 
 # Uniforms fetched per chunk (256 kB of doubles): both samplers hold one
 # block of four draws per trial, so a chunk is 8,192 trials.  The telegraph
-# sampler keeps about four times that per trial in working arrays, so the
-# budget bounds its peak memory near that of 1 MB of uniforms.
+# sampler's per-step arrays cover only its live trials; with its click
+# records a chunk peaks near four times its uniforms (0.96 MB at 1.3 clicks
+# per trial), so the budget bounds its peak memory near 1 MB.
 CHUNK_UNIFORMS = 1 << 15
 
 

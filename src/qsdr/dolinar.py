@@ -504,7 +504,7 @@ def evolve_pc_general(
         rtol=max(tol, 1e-13), atol=max(tol * 1e-2, 1e-14), dense_output=True,
     )
     if not sol.success:
-        raise IntegrationError(f"integration stalled at t={sol.t[-1]!r}: {sol.message}")
+        raise IntegrationError(f"integration stalled at t={float(sol.t[-1])!r}: {sol.message}")
     return _result(priors, T, times, sol.sol(np.append(times, T)))
 
 
@@ -718,9 +718,8 @@ def telegraph_chunks(
     for i0, u in streams.chunks(trials):
         n = len(u)
         a = (u[:, 0] >= priors.q0).astype(np.intp)
-        z = np.full(n, priors.start_bit, dtype=np.intp)
-        t = np.zeros(n)
-        live = np.arange(n)
+        # The live trials: their index, branch (1 while the bit is wrong) and last click.
+        live, b, t = np.arange(n), a ^ priors.start_bit, np.zeros(n)
         rows, taus = [], []  # (trial, time) of each gap step's clicks
         d = 0
         while live.size:
@@ -728,23 +727,21 @@ def telegraph_chunks(
             j, w = divmod(d, 4)
             if w == 0:
                 u = streams.block(i0, j, n)
-            b = z[live] ^ a[live]
-            y = hazard.at(t[live], b) - np.log1p(-u[live, w])
+            y = hazard.at(t, b) - np.log1p(-u[live, w])
             go = y < end[b]
-            live = live[go]
+            live, b, y = live[go], b[go], y[go]
             # Rounding may not move a click past T or back onto the last one.
-            tau = np.minimum(
-                np.maximum(hazard.inverse(y[go], b[go]), np.nextafter(t[live], T)), T
-            )
-            t[live] = tau
-            z[live] ^= 1
+            t = np.minimum(np.maximum(hazard.inverse(y, b), np.nextafter(t[go], T)), T)
+            b ^= 1
             rows.append(live)
-            taus.append(tau)
+            taus.append(t)
         # Steps come in time order, so a stable sort by trial keeps each
         # trial's clicks in time order.
         trial = np.concatenate(rows)
-        offsets = np.concatenate(([0], np.cumsum(np.bincount(trial, minlength=n))))
-        yield i0, Trajectories(a, z, offsets, np.concatenate(taus)[np.argsort(trial, kind="stable")])
+        clicks = np.bincount(trial, minlength=n)
+        offsets = np.concatenate(([0], np.cumsum(clicks)))
+        times = np.concatenate(taus)[np.argsort(trial, kind="stable")]
+        yield i0, Trajectories(a, priors.start_bit ^ (clicks & 1), offsets, times)
 
 
 def simulate_telegraph(

@@ -196,12 +196,12 @@ def simulate_adaptive(
     # memory does not grow with n either.
     for i0, u in streams.chunks(trials):
         a = (u[:, 0] >= priors.q0).astype(np.intp)
-        z = np.full(len(a), priors.start_bit, dtype=np.intp)
+        z = priors.start_bit  # then each copy's outcome, a boolean column
         for d in range(1, n + 1):
             j, w = divmod(d, 4)
             if w == 0:
                 u = streams.block(i0, j, len(a))
-            z = (u[:, w] >= p0[d - 1, 2 * a + z]).astype(np.intp)
+            z = u[:, w] >= p0[d - 1, 2 * a + z]
         hits += int(np.count_nonzero(z == a))
     p = hits / trials
     return McEstimate(p, math.sqrt(p * (1.0 - p) / trials))

@@ -28,7 +28,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .statemath import Priors, _out, _reject, improved_kennedy_pc
+from .statemath import Priors, _out, _reject, improved_kennedy_pc, simplified_dolinar_error
 from .statemath import simplified_dolinar_pc  # not called here; perfbench/spans.py counts it
 
 __all__ = [
@@ -216,6 +216,15 @@ def solve_jointly(*problems: Problem) -> list:
     return [p.finish(roots[s].reshape(p.lo.shape)) for p, s in zip(problems, lanes)]
 
 
+def _no_worse_than_kennedy(worse, root, gamma) -> None:
+    # An optimum that does worse than the Kennedy point b = gamma means the solve went wrong.
+    worse = np.asarray(worse)
+    if worse.any():
+        i, lane = _lane(worse)
+        raise ConvergenceError(f"{lane}stationary point {root.flat[i]} does not improve "
+                               f"on the Kennedy point {gamma.flat[i]}")
+
+
 def _log_odds(priors: Priors) -> float:
     # ln(q0/q1); the ratio overflows when q1 is subnormal, the difference does not.
     ratio = priors.q0 / priors.q1
@@ -272,13 +281,9 @@ def beta_ik_problem(priors: Priors, gamma) -> Problem:
 
     def finish(u):
         beta = gamma + np.exp(u)
-        # The displaced receiver must beat plain nulling, else the solve went wrong.
         nulling = improved_kennedy_pc(priors, gamma, gamma)
-        worse = improved_kennedy_pc(priors, gamma, beta) < nulling - 1e-12
-        if np.any(worse):
-            i = int(np.flatnonzero(worse)[0])
-            raise ConvergenceError(f"stationary point {beta.flat[i]} does not improve "
-                                   f"on the Kennedy point {gamma.flat[i]}")
+        _no_worse_than_kennedy(improved_kennedy_pc(priors, gamma, beta) < nulling - 1e-12,
+                               beta, gamma)
         return _out(beta)
 
     return Problem(lambda u: _ik_log_residual(log_odds, gamma, u), lo, -np.log(gamma), finish)
@@ -351,7 +356,11 @@ def beta_sd_problem(priors: Priors, psi, T: float) -> Problem:
     root_t = np.sqrt(T)
     gamma = psi * root_t
     hi = np.maximum(math.sqrt(3.0) * gamma, math.sqrt(2.0))
-    return Problem(
-        lambda b: sd_displacement_residual(priors, gamma, 1.0, b), gamma, hi,
-        lambda b: _out(b / root_t),
-    )
+
+    def finish(b):
+        kennedy = simplified_dolinar_error(priors, gamma, gamma, 1.0)
+        _no_worse_than_kennedy(simplified_dolinar_error(priors, gamma, b, 1.0) > kennedy + 1e-12,
+                               b, gamma)
+        return _out(b / root_t)
+
+    return Problem(lambda b: sd_displacement_residual(priors, gamma, 1.0, b), gamma, hi, finish)

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -209,11 +210,46 @@ LAW_SHAPE_SHA256 = {
     "constant": (["--q0", "0.7", "--beta", "1.2"],
                  "8e571387384236817db08c4f45014cc95455d6721a8f2f4b0076e37b272b6826"),
 }
+# The CSV files of sampler runs beyond the benchmark's, as the chunk-wide
+# sampler arrays wrote them: {name: (argv, {file: sha256})}, files as in
+# JSON_SHA256.  The dolinar_mc runs cross the law shapes of LAW_SHAPE_SHA256.
+SAMPLER_ARGV = ["simulate", "--scheme", "dolinar_mc", "--trials", "2000", "--seed", "3"]
+SAMPLER_SHA256 = {
+    "optimal_from_0": ([*SAMPLER_ARGV, "--q0", "0.7"],
+                       {"o": "2b3a7e06d774e4e3dbcc3ba91a143f75c2b5e4b37b5cf60e3704c42e92f504ec",
+                        "t": "e1244fdce535c8a28f22d1c2e4b22f9254ebbb05a5e02ab1adda21c57dee0132"}),
+    "time_floor": ([*SAMPLER_ARGV, "--q0", "0.6", "--t-floor", "0.5", "--u-max", "2"],
+                   {"o": "b127c401bbc6d2c4e373d0bd2b8e01c87ea5e196cf21846ba58b30e4a16ac03f",
+                    "t": "7d131a9743ecfdbc0025a0ee4f2205fb7c9c987e7a89cc700e9a71e1af2b35bf"}),
+    "constant": ([*SAMPLER_ARGV, "--q0", "0.7", "--beta", "1.2"],
+                 {"o": "914b1179e3f9cbf32ecc3867a58f5d00d61b0cc4296bfbcf8cbb29ac0a601e9b",
+                  "t": "fc069629bf15ad432470c65bff28b39ede9d0f539ae3f4c3065f8421cfc4169c"}),
+    "q1_zero": ([*SAMPLER_ARGV, "--q0", "1", "--t-floor", "0.2"],
+                {"o": "641e4c635e388ac4973c8696f8a80d69e558070b8fc05a555b5e8e945f740cd6",
+                 "t": "7b88afdb2707394e10a514f9261f66829f336889f52e85e27b8861e9e0de0c1c"}),
+    "cap_below_psi": ([*SAMPLER_ARGV, "--q0", "0.2", "--T", "3", "--psi", "1.5",
+                       "--u-max", "1.2"],
+                      {"o": "1752e3c5bbd19b55265f02d9064a8deec9d517294d3b472afde645e38211423f",
+                       "t": "82456b16e46dba7f3f02c0c5e42e26f34e8f56848e4f93d82a11624f52ceb9c8"}),
+    # Start bit 1: q0 < 1/2.
+    "multicopy_start_1": (["simulate", "--scheme", "multicopy", "--q0", "0.3", "--chi", "0.9",
+                           "--copies", "7", "--trials", "5000", "--seed", "2"],
+                          {"o": "e6fc28a40f89840c14f43e8a2eb8d60b8ada9e3f34ef24e0d663d76703c6d06b"}),
+}
 
 
 def resolved(argv):
     spec, _, _ = cli._resolve(*cli._split([*argv, "-o", "unused"]), {})
     return spec
+
+
+def pinned_run_digests(argv, files, tmp_path) -> dict:
+    # Run argv writing -o to "o" and, if files names it, --trajectories to
+    # "t"; return the sha256 of each file named.
+    paths = {key: tmp_path / key for key in files}
+    extra = ["--trajectories", str(paths["t"])] if "t" in paths else []
+    assert main([*argv, "-o", str(paths["o"]), *extra]) == 0
+    return {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in paths.items()}
 
 
 class TestColumnwiseSweep:
@@ -228,11 +264,12 @@ class TestColumnwiseSweep:
     @pytest.mark.parametrize("name", JSON_SHA256)
     def test_json_outputs_write_the_pinned_bytes(self, name, tmp_path):
         argv, digests = JSON_SHA256[name]
-        files = {key: tmp_path / key for key in digests}
-        extra = ["--trajectories", str(files["t"])] if "t" in files else []
-        assert main([*argv, "--format", "json", "-o", str(files["o"]), *extra]) == 0
-        got = {key: hashlib.sha256(path.read_bytes()).hexdigest() for key, path in files.items()}
-        assert got == digests
+        assert pinned_run_digests([*argv, "--format", "json"], digests, tmp_path) == digests
+
+    @pytest.mark.parametrize("name", SAMPLER_SHA256)
+    def test_sampler_runs_write_the_pinned_bytes(self, name, tmp_path):
+        argv, digests = SAMPLER_SHA256[name]
+        assert pinned_run_digests(argv, digests, tmp_path) == digests
 
     @pytest.mark.parametrize("shape", LAW_SHAPE_SHA256)
     def test_law_shapes_write_the_pinned_bytes(self, shape, tmp_path):
@@ -457,6 +494,15 @@ class TestSimulate:
         ode = qsdr.evolve_pc_general(pr, 1.0, law.u0, law.u1, 1.0, tol=1e-12).final.pc(pr)
         assert abs(float(cells[5]) - ode) < 1e-9
         assert abs(ode - qsdr.helstrom_trajectory(pr, 1.0, 1.0)) > 1e-3
+
+    def test_exact_agreement_scores_zero(self, tmp_path):
+        # With q1 = 0 every trial ends on the symbol, and the analytic value is 1.
+        out = tmp_path / "s.csv"
+        argv = ["simulate", "--scheme", "dolinar_mc", "--q0", "1", "--t-floor", "0.2",
+                "--trials", "200", "-o", str(out)]
+        assert main(argv) == 0
+        _, (cells,) = read_rows(out)
+        assert (cells[1], cells[2], cells[5], cells[6]) == ("1", "0", "1", "0")
 
     def test_dolinar_reruns_identically(self, tmp_path):
         args = [
@@ -1085,6 +1131,19 @@ class TestExitCodes:
         assert main(args + ["-o", str(out)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["fig1", "--schemes", ","], "scheme list must not be empty"),
+            (["simulate", "--scheme", "multicopy", "--copies", "3"],
+             "multicopy requires --theta or --chi"),
+        ],
+    )
+    def test_refusals_name_their_cause(self, args, message, tmp_path, capsys):
+        assert main(args + ["-o", str(tmp_path / "o.csv")]) == 2
+        assert capsys.readouterr().err == f"qsdr: invalid spec: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_unwritable_output(self, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "o.csv"
         assert main(["fig1", "--points", "2", "-o", str(missing)]) == 2
@@ -1164,6 +1223,19 @@ class TestExitCodes:
         rc = main(["fig1", "--schemes", "improved_kennedy", "--points", "2", "-o", str(out)])
         assert rc == 3
         assert "solver failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scheme", ["improved_kennedy", "simplified_dolinar"])
+    def test_a_root_worse_than_the_kennedy_point_is_a_solver_failure(
+        self, scheme, tmp_path, capsys, monkeypatch
+    ):
+        # Far above the bracket, either receiver errs about as often as guessing.
+        monkeypatch.setattr(rootfind_mod, "solve_bracketed",
+                            lambda f, lo, hi: np.full(np.shape(lo), 50.0))
+        out = tmp_path / "o.csv"
+        assert main(["fig1", "--schemes", scheme, "--points", "2", "-o", str(out)]) == 3
+        assert re.fullmatch(r"qsdr: solver failure: lane 0: stationary point \S+ does not "
+                            r"improve on the Kennedy point 0\.1\n", capsys.readouterr().err)
+        assert not out.exists()
 
 
 class TestWholeDomain:
@@ -1257,7 +1329,9 @@ def domain_argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(argv=domain_argv())
 def test_every_run_in_the_domain_exits_with_a_documented_code(argv, tmp_path_factory):
-    # ... and prints no numpy RuntimeWarning on the way.
+    # ... and prints no numpy RuntimeWarning on the way.  Exit 2 may come
+    # from the run, never from the spec: every generated argv resolves.
+    resolved(argv)
     out = tmp_path_factory.mktemp("domain") / "o.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")

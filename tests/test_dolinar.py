@@ -1,6 +1,7 @@
 """Continuous feedback receiver: control laws, ODE, telegraph sampling."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.integrate import quad
 from qsdr import (
     ControlLaw,
     EvolveResult,
+    IntegrationError,
     LawFamily,
     PcState,
     Priors,
@@ -452,6 +454,12 @@ class TestEvolvePe:
         with pytest.raises(ValueError, match="T"):
             evolve_pe(Priors(0.7), np.array([1.0]), family, 0.0)
 
+    def test_an_error_out_of_range_is_refused(self, monkeypatch):
+        # The range check of PcState, on the first point whose errors leave [0, 1].
+        monkeypatch.setattr(dolinar_mod, "_relax_constant", lambda e, *args: e + 2.0)
+        with pytest.raises(ValueError, match=r"^e0 must lie in \[0, 1\], got 2\.0$"):
+            evolve_pe(Priors(0.7), np.array([0.5, 1.0]), LawFamily(beta=0.5), 1.0)
+
 
 class TestLawFamily:
     """One description of a law: a constant envelope, or the optimal law
@@ -508,6 +516,12 @@ class TestEvolvePcGeneral:
                     Priors(0.7), 1.0, lambda t: 0.8, lambda t: -0.8, 1.0,
                     sample_times=times,
                 )
+
+    def test_a_stalled_integration_raises(self, monkeypatch):
+        stalled = SimpleNamespace(success=False, t=np.array([0.0, 0.25]), message="step too small")
+        monkeypatch.setattr(dolinar_mod, "solve_ivp", lambda *args, **kwargs: stalled)
+        with pytest.raises(IntegrationError, match=r"^integration stalled at t=0\.25: step too small$"):
+            evolve_pc_general(Priors(0.7), 1.0, lambda t: 0.8, lambda t: -0.8, 1.0)
 
 
 class TestSegmentedPc:

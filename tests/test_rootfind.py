@@ -243,11 +243,17 @@ class TestSolveJointly:
             beta_ik_problem(Priors(0.7), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="requires q0 >= q1"):
             beta_sd_problem(Priors(0.3), 1.0, 1.0)
-        # A root worse than nulling fails the optimized-Kennedy half alone.
+        # A root worse than the Kennedy point fails either half, naming its lane.
         monkeypatch.setattr(rootfind, "solve_bracketed", lambda f, lo, hi: lo + 10.0)
         pr = Priors(0.7)
-        with pytest.raises(ConvergenceError, match="does not improve on the Kennedy point"):
-            solve_jointly(beta_sd_problem(pr, 1.0, 1.0), beta_ik_problem(pr, 1.0))
+        for problem in (beta_sd_problem(pr, 1.0, 1.0), beta_ik_problem(pr, 1.0)):
+            with pytest.raises(ConvergenceError, match="^stationary point .* does not improve "
+                                                       "on the Kennedy point 1.0$"):
+                solve_jointly(problem)
+        psi = np.array([0.5, 1.0])
+        for problem in (beta_sd_problem(pr, psi, 1.0), beta_ik_problem(pr, psi)):
+            with pytest.raises(ConvergenceError, match="^lane 0: .* Kennedy point 0.5$"):
+                solve_jointly(problem)
 
 
 class TestGoldenMax:
