@@ -27,13 +27,13 @@ import contextlib
 import math
 import os
 import sys
-from dataclasses import KW_ONLY, asdict, dataclass, fields
 from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
+from ._record import Record
 from .dolinar import (
     ControlLaw,
     LawFamily,
@@ -107,41 +107,49 @@ COMMANDS = {
 _METAVAR = {int: "an integer", float: "a number", str: "text"}
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(Record):
     """The parameters one CLI invocation read.
 
     ``command``, ``schemes``, ``seed``, ``format`` and ``q0`` are always
     set; every other field is None unless the command or a selected scheme
     reads it.  ``seed`` (non-negative) feeds every stochastic scheme;
-    analytic sweeps ignore it but still record it in JSON output.
+    analytic sweeps ignore it but still record it in JSON output.  The
+    fields are keyword-only after ``schemes``, and their order is that of
+    the JSON ``spec``.
     """
 
-    command: str
-    schemes: tuple[str, ...]
-    _: KW_ONLY
-    gamma_sq_min: float | None = None
-    gamma_sq_max: float | None = None
-    points: int | None = None
-    spacing: str | None = None
-    q0: float
-    T: float | None = None
-    seed: int
-    trials: int | None = None
-    format: str
-    u_max: float | None = None
-    t_floor: float | None = None
-    beta: float | None = None
-    psi: float | None = None
-    theta: float | None = None
-    copies: int | None = None
+    __slots__ = ("command", "schemes", "gamma_sq_min", "gamma_sq_max", "points", "spacing",
+                 "q0", "T", "seed", "trials", "format", "u_max", "t_floor", "beta", "psi",
+                 "theta", "copies")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        command: str,
+        schemes: tuple[str, ...],
+        *,
+        gamma_sq_min: float | None = None,
+        gamma_sq_max: float | None = None,
+        points: int | None = None,
+        spacing: str | None = None,
+        q0: float,
+        T: float | None = None,
+        seed: int,
+        trials: int | None = None,
+        format: str,
+        u_max: float | None = None,
+        t_floor: float | None = None,
+        beta: float | None = None,
+        psi: float | None = None,
+        theta: float | None = None,
+        copies: int | None = None,
+    ) -> None:
+        self._set(command, schemes, gamma_sq_min, gamma_sq_max, points, spacing, q0, T, seed,
+                  trials, format, u_max, t_floor, beta, psi, theta, copies)
         # float() accepts inf and nan; no parameter takes them.
-        for f in fields(self):
-            v = getattr(self, f.name)
+        for name in self.__slots__:
+            v = getattr(self, name)
             if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v}")
+                raise ValueError(f"{name} must be finite, got {v}")
         if len(self.schemes) == 0:
             raise ValueError("scheme list must not be empty")
         _reads(self.command, self.schemes)  # refuses a scheme the command cannot run
@@ -179,7 +187,7 @@ class SweepSpec:
 
     def public_dict(self) -> dict:
         """Spec fields for embedding in output files (None entries dropped)."""
-        d = asdict(self)
+        d = {name: getattr(self, name) for name in self.__slots__}
         d["schemes"] = list(self.schemes)
         return {k: v for k, v in d.items() if v is not None}
 
@@ -618,8 +626,8 @@ def _resolve(command: str, args: dict[str, str], cfg: dict[str, str]):
         theta = QubitPair.from_overlap(chi).theta
 
     # Only the fields the run reads are set.
-    values = {f.name: v.get(f.name, DEFAULTS.get(f.name)) for f in fields(SweepSpec)
-              if f.name in reads}
+    values = {name: v.get(name, DEFAULTS.get(name)) for name in SweepSpec.__slots__
+              if name in reads}
     values.update(command=command, schemes=schemes, seed=seed, theta=theta)
     spec = SweepSpec(**values)
     _law_family(spec)  # refuses law options that name two laws

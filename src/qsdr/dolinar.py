@@ -29,11 +29,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from ._streams import TrialStreams
 from .statemath import Priors, _reject, coherent_overlap, helstrom_bound
 
@@ -126,8 +126,7 @@ def helstrom_trajectory(priors: Priors, psi: float, t: float) -> float:
     return helstrom_bound(priors, coherent_overlap(psi * psi * t))
 
 
-@dataclass(frozen=True)
-class ControlLaw:
+class ControlLaw(Record):
     """Feedback envelope ``u0(t)`` with the symmetric flip ``u1 = -u0``.
 
     Segment ``i`` of [0, inf) starts at ``starts[i]`` (``starts[0] == 0``).
@@ -141,19 +140,18 @@ class ControlLaw:
     they were built.
     """
 
-    starts: tuple[float, ...]
-    values: tuple[float, ...]
-    optimal: tuple[Priors, float] | None = None
+    __slots__ = ("starts", "values", "optimal")
 
-    def __post_init__(self) -> None:
-        n, s = len(self.values) + (self.optimal is not None), self.starts
+    def __init__(
+        self,
+        starts: tuple[float, ...],
+        values: tuple[float, ...],
+        optimal: tuple[Priors, float] | None = None,
+    ) -> None:
+        n, s = len(values) + (optimal is not None), starts
         if n == 0 or len(s) != n or s[0] != 0.0 or any(b <= a for a, b in zip(s, s[1:])):
             raise ValueError(f"{n} segment(s) need as many starts rising from 0, got {s}")
-
-    @property
-    def breakpoints(self) -> tuple[float, ...]:
-        """Interior segment edges, where ``u0`` may jump or kink."""
-        return self.starts[1:]
+        self._set(starts, values, optimal)
 
     def u0(self, t: float) -> float:
         values = self.values
@@ -208,8 +206,7 @@ class ControlLaw:
         return cls(tuple(i * h for i in range(len(vals))), vals)
 
 
-@dataclass(frozen=True)
-class LawFamily:
+class LawFamily(Record):
     """The law of every point of a sweep: the constant envelope ``beta`` if
     that is set, else the optimal law ``psi / R(t)``, capped at ``u_max``
     and frozen below ``t_floor`` where those are set.  A constant envelope
@@ -217,17 +214,18 @@ class LawFamily:
     :func:`evolve_pe` takes it whole, so no law is built per point;
     :meth:`law` builds the law of one point."""
 
-    beta: float | None = None
-    t_floor: float | None = None
-    u_max: float | None = None
+    __slots__ = ("beta", "t_floor", "u_max")
 
-    def __post_init__(self) -> None:
-        if self.beta is not None and (self.t_floor is not None or self.u_max is not None):
+    def __init__(
+        self, beta: float | None = None, t_floor: float | None = None, u_max: float | None = None
+    ) -> None:
+        if beta is not None and (t_floor is not None or u_max is not None):
             raise ValueError("beta sets a constant law; it takes no t_floor or u_max")
-        if self.t_floor is not None and self.t_floor < 0.0:
-            raise ValueError(f"t_floor must be >= 0, got {self.t_floor}")
-        if self.u_max is not None and self.u_max <= 0.0:
-            raise ValueError(f"u_max must be > 0, got {self.u_max}")
+        if t_floor is not None and t_floor < 0.0:
+            raise ValueError(f"t_floor must be >= 0, got {t_floor}")
+        if u_max is not None and u_max <= 0.0:
+            raise ValueError(f"u_max must be > 0, got {u_max}")
+        self._set(beta, t_floor, u_max)
 
     def law(self, priors: Priors, psi: float) -> ControlLaw:
         """The law of the point of amplitude ``psi``: its :meth:`slots` as
@@ -280,50 +278,42 @@ class LawFamily:
         return switch, value
 
 
-@dataclass(frozen=True)
-class PcState:
+class PcState(Record):
     """Conditional error probabilities at time ``t``.
 
-    ``e0 = P[z(t) = 1 | symbol 0]`` and ``e1 = P[z(t) = 0 | symbol 1]``;
-    ``p0`` and ``p1`` are their complements.  ``pe`` mixes the errors
-    themselves, so a small error probability keeps its digits.
+    ``e0 = P[z(t) = 1 | symbol 0]`` and ``e1 = P[z(t) = 0 | symbol 1]``.
+    ``pe`` mixes the errors themselves, so a small error probability keeps
+    its digits; ``pc`` mixes their complements.
     """
 
-    e0: float
-    e1: float
-    t: float
+    __slots__ = ("e0", "e1", "t")
 
-    def __post_init__(self) -> None:
-        for name, v in (("e0", self.e0), ("e1", self.e1)):
+    def __init__(self, e0: float, e1: float, t: float) -> None:
+        for name, v in (("e0", e0), ("e1", e1)):
             if not -1e-8 <= v <= 1.0 + 1e-8:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.t < 0.0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
-
-    @property
-    def p0(self) -> float:
-        return 1.0 - self.e0
-
-    @property
-    def p1(self) -> float:
-        return 1.0 - self.e1
+        if t < 0.0:
+            raise ValueError(f"t must be >= 0, got {t}")
+        self._set(e0, e1, t)
 
     def pe(self, priors: Priors) -> float:
         return priors.q0 * self.e0 + priors.q1 * self.e1
 
     def pc(self, priors: Priors) -> float:
-        return priors.q0 * self.p0 + priors.q1 * self.p1
+        return priors.q0 * (1.0 - self.e0) + priors.q1 * (1.0 - self.e1)
 
 
-@dataclass
-class EvolveResult:
-    """ODE solution: final state plus a sampled trajectory."""
+class EvolveResult(Record):
+    """ODE solution: the ``final`` state plus a trajectory sampled at
+    ``times``, the conditional success probabilities ``p0``, ``p1`` and
+    their mix ``pc``."""
 
-    final: PcState
-    times: np.ndarray
-    p0: np.ndarray
-    p1: np.ndarray
-    pc: np.ndarray
+    __slots__ = ("final", "times", "p0", "p1", "pc")
+
+    def __init__(
+        self, final: PcState, times: np.ndarray, p0: np.ndarray, p1: np.ndarray, pc: np.ndarray
+    ) -> None:
+        self._set(final, times, p0, p1, pc)
 
 
 class Trajectories(NamedTuple):

@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
+from ._record import Record
 from ._streams import TrialStreams
 from .statemath import AngleSchedule, Priors, angle_schedule, helstrom_bound
 
@@ -45,17 +45,17 @@ __all__ = [
 MAX_VECTOR_COPIES = 10
 
 
-@dataclass(frozen=True)
-class OutcomeSequence:
-    """Ordered provisional decisions z_1 .. z_n of one adaptive run."""
+class OutcomeSequence(Record):
+    """Ordered provisional decisions z_1 .. z_n of one adaptive run, ``bits``."""
 
-    bits: tuple[int, ...]
+    __slots__ = ("bits",)
 
-    def __post_init__(self) -> None:
-        if len(self.bits) == 0:
+    def __init__(self, bits: tuple[int, ...]) -> None:
+        if len(bits) == 0:
             raise ValueError("outcome sequence must contain at least one bit")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"outcome bits must be 0 or 1, got {self.bits}")
+        if any(b not in (0, 1) for b in bits):
+            raise ValueError(f"outcome bits must be 0 or 1, got {bits}")
+        self._set(bits)
 
     def __len__(self) -> int:
         return len(self.bits)
@@ -66,8 +66,7 @@ class OutcomeSequence:
         return self.bits[-1]
 
 
-@dataclass(frozen=True)
-class ProductVector:
+class ProductVector(Record):
     """One product measurement vector of the adaptive strategy.
 
     ``angles[k]`` is the effective detector angle used at copy k+1 along
@@ -80,12 +79,12 @@ class ProductVector:
         outcome 1 -> (sin a, -cos a)
     """
 
-    outcome: OutcomeSequence
-    angles: tuple[float, ...]
+    __slots__ = ("outcome", "angles")
 
-    def __post_init__(self) -> None:
-        if len(self.angles) != len(self.outcome):
+    def __init__(self, outcome: OutcomeSequence, angles: tuple[float, ...]) -> None:
+        if len(angles) != len(outcome):
             raise ValueError("one angle per measured copy required")
+        self._set(outcome, angles)
 
     @property
     def factors(self) -> np.ndarray:

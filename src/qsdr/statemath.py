@@ -31,9 +31,10 @@ digits where ``1 - P_c`` would cancel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = [
     "Priors",
@@ -58,9 +59,8 @@ _SUM_TOL = 1e-15
 _RANGE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class Priors:
-    """Prior probabilities of the two hypotheses.
+class Priors(Record):
+    """Prior probabilities ``q0``, ``q1`` of the two hypotheses.
 
     ``Priors(q0)`` fills in ``q1 = 1 - q0``.  Passing both values checks
     that they sum to one within 1e-15.  The convention ``q0 >= q1`` used by
@@ -68,18 +68,16 @@ class Priors:
     relabeled pair when an operation requires it.
     """
 
-    q0: float
-    q1: float | None = None
+    __slots__ = ("q0", "q1")
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.q0 <= 1.0:
-            raise ValueError(f"q0 must lie in [0, 1], got {self.q0}")
-        if self.q1 is None:
-            object.__setattr__(self, "q1", 1.0 - self.q0)
-        elif abs(self.q0 + self.q1 - 1.0) > _SUM_TOL:
-            raise ValueError(
-                f"priors must sum to 1 within {_SUM_TOL}, got q0+q1={self.q0 + self.q1!r}"
-            )
+    def __init__(self, q0: float, q1: float | None = None) -> None:
+        if not 0.0 <= q0 <= 1.0:
+            raise ValueError(f"q0 must lie in [0, 1], got {q0}")
+        if q1 is None:
+            q1 = 1.0 - q0
+        elif abs(q0 + q1 - 1.0) > _SUM_TOL:
+            raise ValueError(f"priors must sum to 1 within {_SUM_TOL}, got q0+q1={q0 + q1!r}")
+        self._set(q0, q1)
 
     @property
     def max_prior(self) -> float:
@@ -103,19 +101,19 @@ class Priors:
         return self if self.q0 >= self.q1 else self.swapped()
 
 
-@dataclass(frozen=True)
-class QubitPair:
+class QubitPair(Record):
     """Two equally shaped pure qubit states separated by half-angle ``theta``.
 
     The two states are ``cos(theta)|x> +- sin(theta)|y>`` in some orthonormal
     plane basis, so their inner product is ``chi = cos(2*theta) >= 0``.
     """
 
-    theta: float
+    __slots__ = ("theta",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.theta <= math.pi / 4 + _RANGE_TOL:
-            raise ValueError(f"theta must lie in [0, pi/4], got {self.theta}")
+    def __init__(self, theta: float) -> None:
+        if not 0.0 <= theta <= math.pi / 4 + _RANGE_TOL:
+            raise ValueError(f"theta must lie in [0, pi/4], got {theta}")
+        self._set(theta)
 
     @property
     def chi(self) -> float:
@@ -130,8 +128,7 @@ class QubitPair:
         return cls(0.5 * math.acos(chi))
 
 
-@dataclass(frozen=True)
-class AngleSchedule:
+class AngleSchedule(Record):
     """Measurement angles ``phi_1 .. phi_n`` for the adaptive local strategy.
 
     ``angle(k)`` is the angle used at copy ``k`` (1-based) while the previous
@@ -144,14 +141,15 @@ class AngleSchedule:
     where "previous bit" for k = 1 is ``Priors.start_bit``.
     """
 
-    phis: tuple[float, ...]
+    __slots__ = ("phis",)
 
-    def __post_init__(self) -> None:
-        if len(self.phis) == 0:
+    def __init__(self, phis: tuple[float, ...]) -> None:
+        if len(phis) == 0:
             raise ValueError("schedule must contain at least one angle")
-        for p in self.phis:
+        for p in phis:
             if not 0.0 < p < math.pi / 2:
                 raise ValueError(f"angles must lie in (0, pi/2), got {p}")
+        self._set(phis)
 
     def __len__(self) -> int:
         return len(self.phis)

@@ -1365,20 +1365,21 @@ class TestNoNumericalIntegration:
 
 
 class TestNoScipy:
-    """No CLI path imports scipy (only the RK45 oracle needs it), argparse or locale."""
+    """No CLI path imports scipy (only the RK45 oracle needs it), argparse or
+    locale, and neither the import nor a run loads dataclasses or copy."""
 
     # json is imported after qsdr.cli, which loads it only for JSON output.
     SCRIPT = (
         "import sys\n"
+        "BANNED = ('scipy', 'argparse', 'gettext', 'locale', 'dataclasses', 'copy')\n"
+        "banned = lambda: sorted(m for m in sys.modules if m.split('.')[0] in BANNED)\n"
         "import qsdr.cli\n"
         "report = {'numpy.random': 'numpy.random' in sys.modules, 'json': 'json' in sys.modules,\n"
-        "          'runs': []}\n"
+        "          'import': banned(), 'runs': []}\n"
         "import json\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    rc = qsdr.cli.main(argv)\n"
-        "    banned = sorted(m for m in sys.modules\n"
-        "                    if m.split('.')[0] in ('scipy', 'argparse', 'gettext', 'locale'))\n"
-        "    report['runs'].append([argv, rc, banned])\n"
+        "    report['runs'].append([argv, rc, banned()])\n"
         "print(json.dumps(report))\n"
     )
 
@@ -1393,6 +1394,8 @@ class TestNoScipy:
              "--trials", "200", "--trajectories", str(tmp_path / "traj.csv")],
             ["simulate", "--scheme", "multicopy", "--q0", "0.7", "--theta", "0.2",
              "--copies", "20", "--trials", "200"],
+            ["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8",
+             "--trials", "200", "--format", "json", "--trajectories", str(tmp_path / "traj.json")],
         ]
         argvs = [[*argv, "-o", str(tmp_path / f"o{i}.csv")] for i, argv in enumerate(runs)]
         proc = subprocess.run(
@@ -1407,6 +1410,7 @@ class TestNoScipy:
         # Loaded with the package, not inside the first seeded run.
         assert report["numpy.random"]
         assert not report["json"]
+        assert report["import"] == []
         # Nor does the option parsing load argparse, or locale through gettext.
         for argv, rc, banned in report["runs"]:
             assert rc == 0, argv

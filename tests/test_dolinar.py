@@ -124,11 +124,11 @@ class TestControlLaw:
         assert law == ControlLaw((0.0,), (0.8,)) == LawFamily(beta=0.8).law(Priors(0.5), 3.0)
         assert law.u0(0.0) == 0.8 and law.u0(5.0) == 0.8
         assert law.u1(2.0) == -0.8
-        assert law.breakpoints == ()
+        assert law.starts[1:] == ()
 
     def test_piecewise_slots_are_left_closed(self):
         law = ControlLaw.piecewise_constant([2.0, 3.0], 1.0)
-        assert law.breakpoints == (0.5,)
+        assert law.starts[1:] == (0.5,)
         assert law.u0(0.0) == 2.0
         assert law.u0(0.49) == 2.0
         assert law.u0(0.5) == 3.0
@@ -177,14 +177,14 @@ class TestControlLaw:
     def test_cap_and_floor_are_a_constant_prefix_slot(self):
         pr = Priors(0.5)
         capped = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0)
-        (t_cap,) = capped.breakpoints
+        (t_cap,) = capped.starts[1:]
         assert capped.values == (8.0,) and capped.optimal == (pr, 1.0)
         assert feedback_amplitude(pr, 1.0, t_cap) == pytest.approx(8.0, rel=1e-12)
-        assert ControlLaw.dolinar_optimal(pr, 1.0, t_floor=0.05).breakpoints == (0.05,)
+        assert ControlLaw.dolinar_optimal(pr, 1.0, t_floor=0.05).starts[1:] == (0.05,)
         # The cap outlasts a short floor, so one slot covers both.
         both = ControlLaw.dolinar_optimal(pr, 1.0, u_max=4.0, t_floor=0.01)
-        assert both.values == (4.0,) and both.breakpoints[0] > 0.01
-        assert ControlLaw.dolinar_optimal(Priors(0.7), 1.0).breakpoints == ()
+        assert both.values == (4.0,) and both.starts[1] > 0.01
+        assert ControlLaw.dolinar_optimal(Priors(0.7), 1.0).starts[1:] == ()
         # u_max below psi binds everywhere: a constant law throughout.
         assert ControlLaw.dolinar_optimal(Priors(0.7), 3.0, u_max=2.0) == ControlLaw.constant(2.0)
 
@@ -221,9 +221,13 @@ class TestControlLaw:
 class TestStateTypes:
     def test_pc_state_mixes_conditionals(self):
         st = PcState(0.1, 0.3, 1.0)  # conditional errors
-        assert (st.p0, st.p1) == (0.9, 0.7)
         assert st.pc(Priors(0.7)) == pytest.approx(0.7 * 0.9 + 0.3 * 0.7, abs=1e-15)
         assert st.pe(Priors(0.7)) == pytest.approx(0.7 * 0.1 + 0.3 * 0.3, abs=1e-15)
+
+    def test_evolve_result_is_immutable(self):
+        res = evolve_pc(Priors(0.7), 1.0, ControlLaw.constant(0.8), 1.0, sample_times=(0.5,))
+        with pytest.raises(AttributeError):
+            res.final = res.final
 
     def test_pc_state_validation(self):
         with pytest.raises(ValueError):
@@ -294,7 +298,7 @@ class TestEvolvePc:
             evolve_pc(pr, 2.0, law, 1.0)
         assert 0.5 < rk45(pr, 2.0, law, 1.0).final.pc(pr) < 1.0
         # Before the optimal segment starts the law is a constant slot, fit for any signal.
-        (switch,) = law.breakpoints
+        (switch,) = law.starts[1:]
         got = evolve_pc(pr, 2.0, law, 0.5 * switch).final.pc(pr)
         assert got == pytest.approx(rk45(pr, 2.0, law, 0.5 * switch).final.pc(pr), abs=1e-12)
 
@@ -725,7 +729,7 @@ def integrated_rate(law, psi, branch, t0, t1):
     quad also resolves the sharp rise near t = 0 of nearly equal priors.
     """
     sign = -1.0 if branch == 0 else 1.0
-    cuts = [*law.breakpoints, *(10.0**-k for k in range(1, 16))]
+    cuts = [*law.starts[1:], *(10.0**-k for k in range(1, 16))]
     grid = [t0, *sorted(c for c in cuts if t0 < c < t1), t1]
     total = 0.0
     for a, b in zip(grid, grid[1:]):
