@@ -79,29 +79,32 @@ def feedback_amplitude(priors: Priors, psi: float, t: float) -> float:
     """Optimal feedback magnitude ``psi / R(t)`` at time ``t``.
 
     ``R(t) = sqrt(1 - 4*q0*q1*exp(-4*psi**2*t))`` is the running Helstrom
-    margin; the law starts at ``psi / |q0 - q1|`` and decreases toward
-    ``psi``.  For equal priors ``R(0) = 0`` and the law diverges; querying
-    that point raises :class:`SingularControlError` (use a cap or a time
-    floor, see :meth:`ControlLaw.dolinar_optimal`).
+    margin (:func:`_margin_sq`); the law starts at ``psi / |q0 - q1|`` and
+    decreases toward ``psi``.  For equal priors ``R(0) = 0`` and the law
+    diverges there, and where ``4*psi**2*t`` underflows; querying such a
+    point raises :class:`SingularControlError` (use a cap or a time floor,
+    see :meth:`ControlLaw.dolinar_optimal`).
     """
-    if psi < 0.0:
-        raise ValueError(f"psi must be >= 0, got {psi}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    radicand = _radicand(4.0 * priors.q0 * priors.q1, psi, t)
-    if radicand <= 0.0:
-        _diverges(priors, t)
-    return psi / math.sqrt(radicand)
+    _reject(psi < 0.0, psi, "psi must be >= 0")
+    _reject(t < 0.0, t, "t must be >= 0")
+    r2 = _margin_sq(_log_c(priors), 4.0 * psi * psi, t)
+    if r2 <= 0.0:
+        raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
+    return psi / math.sqrt(r2)
 
 
-def _radicand(c: float, psi: float, t: float) -> float:
-    # R(t)**2 with c = 4*q0*q1, by math.exp in every caller: numpy's exp
-    # may round the last bit differently, and the routes must agree.
-    return 1.0 - c * math.exp(-4.0 * psi * psi * t)
+def _log_c(priors: Priors) -> float:
+    # ln c of the margin, c = 4*q0*q1; -inf where a prior is 0.
+    c = 4.0 * priors.q0 * priors.q1
+    return math.log(c) if c else -math.inf
 
 
-def _diverges(priors: Priors, t: float):
-    raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
+def _margin_sq(lnc, k, t):
+    """The running Helstrom margin ``R(t)**2 = 1 - c*exp(-k*t)`` (``c = 4*q0*q1``,
+    ``k = 4*psi**2``) of floats and arrays alike, as ``-expm1(ln c - k*t)``, which keeps
+    the digits the subtraction loses at equal priors.  Every route forms ``R`` here, by
+    numpy, so all agree bit for bit: numpy's scalar and array results agree, ``math``'s may not."""
+    return -np.expm1(lnc - k * t)
 
 
 def rates(psi: float, u: float) -> RatePair:
@@ -119,10 +122,8 @@ def helstrom_trajectory(priors: Priors, psi: float, t: float) -> float:
     / 2``: the best possible success probability at time ``t``.  The
     optimally controlled receiver's P_c(t) rides this curve exactly.
     """
-    if psi < 0.0:
-        raise ValueError(f"psi must be >= 0, got {psi}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _reject(psi < 0.0, psi, "psi must be >= 0")
+    _reject(t < 0.0, t, "t must be >= 0")
     return helstrom_bound(priors, coherent_overlap(psi * psi * t))
 
 
@@ -245,35 +246,32 @@ class LawFamily(Record):
         means no constant slot, ``inf`` no optimal-law segment (a constant
         envelope, or a cap at or below ``psi``, which ``psi / R >= psi``
         meets everywhere).  Otherwise the slot is the law's value at the
-        floor, or the cap, until the law falls to it at ``ln(c/g)/k``, with
-        ``c = 4*q0*q1``, ``g = 1 - (psi/u_max)**2`` and ``k = 4*psi**2``.
+        floor, or the cap, until the law falls to it at ``(ln c -
+        log1p(-(psi/u_max)**2))/k`` (``c = 4*q0*q1``, ``k = 4*psi**2``),
+        which keeps its digits however far the cap lies above ``psi``.
         Where the law diverges at the floor only a cap regularizes; uncapped
         the slot is dropped and evolving the law raises
-        :class:`SingularControlError`.  The transcendentals are ``math``
-        calls, one per lane that needs one: none without floor or cap.
+        :class:`SingularControlError`.  No lane is computed on its own.
         """
         if self.beta is not None:
             return np.full(psi.shape, math.inf), np.full(psi.shape, float(self.beta))
-        t_floor, u_max = self.t_floor, self.u_max
+        t0, u_max = self.t_floor or 0.0, self.u_max
         _reject(psi < 0.0, psi, "psi must be >= 0")
-        c, t0 = 4.0 * priors.q0 * priors.q1, t_floor or 0.0
-        if t0:
-            r2 = np.array([_radicand(c, p, t0) for p in psi.tolist()])
-        else:  # exp(-0.0) is 1
-            r2 = np.full(psi.shape, 1.0 - c)
+        lnc, k = _log_c(priors), 4.0 * psi * psi
+        r2 = _margin_sq(lnc, k, t0)
         live = r2 > 0.0
         value = np.where(live, psi / np.sqrt(np.where(live, r2, 1.0)), math.inf)
         switch = np.where(live, t0, 0.0)
         if u_max is not None:
             over = value > u_max
             flat = over & ((u_max <= psi) | (psi == 0.0))
-            switch[flat] = math.inf
-            for i in np.flatnonzero(over & ~flat).tolist():
-                # An underflowed k takes the limit 1/(4*u_max**2) of q0*q1 = 1/4; for
-                # other priors u_max < 1e-154 then, and both times exceed 1e307.
-                p = float(psi[i])
-                g, k = 1.0 - (p / u_max) ** 2, 4.0 * p * p
-                switch[i] = max(switch[i], math.log(c / g) / k if k else 0.25 / u_max / u_max)
+            bent = over & ~flat
+            x = np.where(bent, psi / u_max, 0.0)
+            # An underflowed k takes the limit 1/(4*u_max**2) of q0*q1 = 1/4; for
+            # other priors u_max < 1e-154 then, and both times exceed 1e307.
+            fall = np.where(k > 0.0, (lnc - np.log1p(-x * x)) / np.where(k > 0.0, k, 1.0),
+                            0.25 / u_max / u_max)
+            switch = np.where(flat, math.inf, np.where(bent, np.maximum(switch, fall), switch))
             value[over] = u_max
         return switch, value
 
@@ -314,6 +312,13 @@ class EvolveResult(Record):
         self, final: PcState, times: np.ndarray, p0: np.ndarray, p1: np.ndarray, pc: np.ndarray
     ) -> None:
         self._set(final, times, p0, p1, pc)
+
+    def __eq__(self, other):
+        # numpy's == is element-wise, so the arrays are compared whole.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        arrays = zip(self._values()[1:], other._values()[1:])
+        return self.final == other.final and all(np.array_equal(a, b) for a, b in arrays)
 
 
 class Trajectories(NamedTuple):
@@ -421,33 +426,28 @@ def evolve_pe(priors: Priors, psi, family: LawFamily, T: float) -> np.ndarray:
     is built per point: all points cross their segments together, each law
     being at most one constant slot and then the optimal law (see
     :meth:`LawFamily.slots`): one constant-segment kernel call for the
-    slots (a point without one gets zero rates, which
-    leave its errors exactly as they are), then one kernel call for the
-    points whose law switches before T.  With ``q1 = 0`` the optimal law is
-    the constant ``psi`` past its switch, so that call is a constant one.
+    slots (a point without one gets zero rates, which leave its errors
+    exactly as they are), then one optimal-law kernel call for the points
+    whose law switches before T.  With ``q1 = 0``, ``ln c = -inf`` makes
+    ``R = 1`` in that kernel: the law is the constant ``psi`` there.
     """
     psi = np.asarray(psi, dtype=float)
     _reject(psi < 0.0, psi, "psi must be >= 0")
     _reject(T <= 0.0, T, "T must be > 0")
     switch, value = family.slots(priors, psi)
-    c = 4.0 * priors.q0 * priors.q1
+    lnc = _log_c(priors)
     tail = np.flatnonzero(switch < T)
-    if c >= 1.0:  # else R**2 > 0 at every time
-        for p, t in zip(psi[tail].tolist(), switch[tail].tolist()):
-            if _radicand(c, p, t) <= 0.0:
-                _diverges(priors, t)
+    p, a = psi[tail], switch[tail]
+    k = 4.0 * p * p
+    for i in np.flatnonzero(_margin_sq(lnc, k, a) <= 0.0)[:1]:
+        feedback_amplitude(priors, float(p[i]), float(a[i]))  # raises SingularControlError
     e = np.repeat(np.array(_initial_errors(priors))[:, None], psi.size, axis=1)
     slot = switch > 0.0
     lam, mu = rates(psi, np.where(slot, value, 0.0))
     end = np.minimum(switch, T)
     e = _relax_constant(e, np.where(slot, lam, 0.0), np.where(slot, mu, 0.0), 0.0, end)
-    p, a = psi[tail], switch[tail]
-    if c == 0.0:
-        e[:, tail] = _relax_constant(e[:, tail], *rates(p, p), a, T)
-    else:  # a point of psi = 0 keeps its errors: its rates are 0
-        on = p > 0.0
-        tail, p, a = tail[on], p[on], a[on]
-        e[:, tail] = _relax_optimal(e[:, tail], math.log(c), 4.0 * p * p, a, T)
+    on = p > 0.0  # a point of psi = 0 keeps its errors: its rates are 0
+    e[:, tail[on]] = _relax_optimal(e[:, tail[on]], lnc, k[on], a[on], T)
     bad = ~((e >= -1e-8) & (e <= 1.0 + 1e-8)).all(axis=0)
     for i in np.flatnonzero(bad)[:1]:
         PcState(float(e[0, i]), float(e[1, i]), T)  # raises its range error
@@ -533,14 +533,14 @@ def _segment_table(control: ControlLaw, psi: float, T: float):
         priors, law_psi = control.optimal
         # Raises SingularControlError where the law diverges.
         values.append(feedback_amplitude(priors, law_psi, starts[-1]))
-        c = 4.0 * priors.q0 * priors.q1
-        if c > 0.0 and law_psi > 0.0:  # else u0 is constant there
+        lnc = _log_c(priors)
+        if lnc > -math.inf and law_psi > 0.0:  # else u0 is constant there
             if law_psi != psi:
                 raise ValueError(
                     f"optimal law built for psi={law_psi}, not {psi}; "
                     "evolve_pc_general(..., law.u0, law.u1, ...) integrates it"
                 )
-            curved = (math.log(c), 4.0 * psi * psi)
+            curved = (lnc, 4.0 * psi * psi)
     return starts, values, curved
 
 
@@ -569,7 +569,7 @@ def _relax_optimal(e, lnc, k, a, t):
         e_t*R_t = e_a*g*R_a + x_a*x_t*(1 - g) / (2*(R_a + R_t)*(1 + R_a)*(1 + R_t)).
     """
     h = -k * (t - a)
-    ra, rt = np.sqrt(-np.expm1(lnc - k * a)), np.sqrt(-np.expm1(lnc - k * t))
+    ra, rt = np.sqrt(_margin_sq(lnc, k, a)), np.sqrt(_margin_sq(lnc, k, t))
     gain = -0.5 * np.exp(2.0 * lnc - k * (a + t)) * np.expm1(h)
     return (e * np.exp(h) * ra + gain / ((ra + rt) * (1.0 + ra) * (1.0 + rt))) / rt
 
@@ -627,7 +627,7 @@ class _Segments:
 
     def _f(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
         lnc, k = self.curved
-        r = np.sqrt(-np.expm1(lnc - k * t))
+        r = np.sqrt(_margin_sq(lnc, k, t))
         return b * k * t + 0.5 * np.log(r) + (2 * b - 1) * np.log1p(r)
 
     def _f_inverse(self, f: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -773,7 +773,7 @@ def verify_control_identity(
         raise ValueError("t_grid must be non-empty")
     if t.min() < 0.0:
         raise ValueError("t_grid must be non-negative")
-    r_sq = 1.0 - 4.0 * priors.q0 * priors.q1 * np.exp(-4.0 * psi * psi * t)
+    r_sq = _margin_sq(_log_c(priors), 4.0 * psi * psi, t)
     if np.any(r_sq <= 0.0):
         raise SingularControlError("t_grid touches a point where R(t) = 0")
     R = np.sqrt(r_sq)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsdr
@@ -190,7 +190,7 @@ JSON_SHA256 = {
                  {"o": "6896680c5e4836ee2b55c77af0e5719d83198107b507c829e6edbcd2764a21b3"}),
     "telegraph": ([*TELEGRAPH_ARGV, "--seed", "1"],
                   {"o": "33f46e21c98df620a46517ef3b9477e770cae30996a3395b998211064abb8c73",
-                   "t": "aea56950b3dd113dcdfceaab488a3263b743994dc88bf172f8919a9a472609a7"}),
+                   "t": "18481ad287fcf1dd801f6fdf0448c4e570ba90aed58bfddb9e367121834ca4e1"}),
     "multicopy": ([*MULTICOPY_ARGV, "--seed", "1"],
                   {"o": "de67a7a6a7c0fd0daab544b25fef3ed2f39db46fd7826679e25e575d8a600ed8"}),
 }
@@ -1275,6 +1275,12 @@ class TestWholeDomain:
             # psi**2 underflows: the switch time is finite, the law beyond it is not.
             (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--psi", "1e-200",
               "--u-max", "1", "--trials", "50"], 4),
+            # (psi/u_max)**2 lies below the float spacing of 1, 4*psi**2 is normal:
+            # the law falls to the cap at t = 1/4 and is finite from there on.
+            (["fig1", "--q0", "0.5", "--schemes", "helstrom,dolinar_ode", "--u-max", "1",
+              "--gamma-sq-min", "1e-18", "--gamma-sq-max", "1", "--points", "3"], 0),
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--psi", "1e-9",
+              "--u-max", "1", "--trials", "50"], 0),
         ],
     )
     def test_extreme_caps_exit_with_a_documented_code(self, args, code, tmp_path):
@@ -1328,14 +1334,23 @@ def domain_argv(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(argv=domain_argv())
+@example(argv=["simulate", "--q0", "0.5", "--T", "1.0", "--u-max", "1.0", "--scheme",
+               "dolinar_mc", "--trials", "50", "--psi", "1e-09"])
 def test_every_run_in_the_domain_exits_with_a_documented_code(argv, tmp_path_factory):
     # ... and prints no numpy RuntimeWarning on the way.  Exit 2 may come
     # from the run, never from the spec: every generated argv resolves.
-    resolved(argv)
+    # Exit 4 is for an uncapped optimal law: a capped law is finite wherever
+    # each point's 4*psi**2 is a normal float.
+    spec = resolved(argv)
     out = tmp_path_factory.mktemp("domain") / "o.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert main(argv + ["-o", str(out)]) in (0, 2, 3, 4)
+        code = main(argv + ["-o", str(out)])
+    assert code in (0, 2, 3, 4)
+    if spec.u_max is not None:
+        psi = np.sqrt(spec.axis() / spec.T) if spec.command == "fig1" else np.array([spec.psi])
+        if np.all(4.0 * psi * psi >= sys.float_info.min):
+            assert code != 4
 
 
 class TestNoNumericalIntegration:

@@ -19,11 +19,13 @@ from qsdr import (
     PcState,
     Priors,
     SingularControlError,
+    coherent_overlap,
     evolve_pc,
     evolve_pc_general,
     evolve_pe,
     feedback_amplitude,
     helstrom_bound,
+    helstrom_error,
     helstrom_trajectory,
     kennedy_pc,
     rates,
@@ -34,6 +36,7 @@ from qsdr import (
 )
 import qsdr.dolinar as dolinar_mod
 from qsdr.dolinar import _Segments
+from test_cli import log_uniform
 
 HEL_TRAJ_711 = 0.99613880702215365   # frozen: q0=0.7, psi=1, t=1
 HELSTROM_HALF_02 = 0.87103606155021455
@@ -368,6 +371,26 @@ def reference_pe(priors, psi, law, T):
         return (q0 * e0 + q1 * e1) * decay + (q0 + q1) * gained
 
 
+def floored_reference_pe(psi, law, T):
+    """:func:`reference_pe` at equal priors for a floor so short that
+    ``1 - exp(-k*t)`` rounds to 0 at 50 digits: ``R**2 = -expm1(-k*t)``.
+
+    Both conditionals then obey one equation, so ``pe`` starts at 1/2, the
+    floor's slot relaxes it in closed form, and on the optimal-law segment
+    ``exp(Lambda) = exp(k*t) * R`` weights the quadrature, which is cut on a
+    geometric grid so that it resolves the ``1/sqrt(t)`` rise after the floor.
+    """
+    with mpmath.workdps(50):
+        p, u, a, T = mpf(psi), mpf(law.values[0]), mpf(law.starts[1]), mpf(T)
+        k = 4 * p * p
+        R = lambda t: mpmath.sqrt(-mpmath.expm1(-k * t))
+        s = 2 * (p * p + u * u)
+        pe_a = mpmath.exp(-s * a) / 2 - (p - u) ** 2 / s * mpmath.expm1(-s * a)
+        f = lambda t: p * p * (R(t) - 1) ** 2 / (R(t) * R(T)) * mpmath.exp(-k * (T - t))
+        cuts = [a, *(mpf(10) ** -e for e in range(290, 0, -10)), T]
+        return pe_a * mpmath.exp(-k * (T - a)) * R(a) / R(T) + mpmath.quad(f, cuts)
+
+
 def oracle_laws():
     for q0 in (0.3, 0.5, 0.7, 0.99):
         for psi in (0.3, 1.0, 3.0, 5.0):
@@ -447,9 +470,26 @@ class TestEvolvePe:
     def test_uncapped_balanced_law_is_singular(self):
         pr = Priors(0.5)
         psi = np.array([0.5, 1.0])
-        for family in (LawFamily(), LawFamily(t_floor=1e-300)):
+        for family in (LawFamily(), LawFamily(t_floor=0.0)):
             with pytest.raises(SingularControlError):
                 evolve_pe(pr, psi, family, 1.0)
+        # A floor of 1e-300 regularizes: R**2 is 4*psi**2*1e-300 > 0 there.
+        family = LawFamily(t_floor=1e-300)
+        pe = evolve_pe(pr, psi, family, 1.0)
+        helstrom = np.array([helstrom_error(pr, coherent_overlap(p * p)) for p in psi.tolist()])
+        assert np.all((pe >= helstrom * (1.0 - 1e-12)) & (pe <= 0.5))
+        want = floored_reference_pe(1.0, family.law(pr, 1.0), 1.0)
+        assert abs(pe[1] - want) <= 1e-12 * want
+
+    def test_weak_capped_signal_matches_mpmath(self):
+        # (psi/u_max)**2 = 1e-18 lies below the float spacing of 1: the cap's
+        # switch is 1/4 only if the margin keeps its digits.
+        pr, family = Priors(0.5), LawFamily(u_max=1.0)
+        law = family.law(pr, 1e-9)
+        assert law.starts[1] == pytest.approx(0.25, rel=1e-15)
+        (got,) = evolve_pe(pr, np.array([1e-9]), family, 1.0)
+        want = reference_pe(pr, 1e-9, law, 1.0)
+        assert abs(got - want) <= 1e-12 * want
 
     def test_validation(self):
         family = LawFamily(beta=0.5)
@@ -480,6 +520,57 @@ class TestLawFamily:
     def test_bad_cap_or_floor_is_refused_when_built(self, kw, message):
         with pytest.raises(ValueError, match=message):
             LawFamily(**kw)
+
+
+def dyadic_q0(bits: int):
+    """Priors ``n / 2**bits``, often equal ones; with ``bits <=
+    26``, ``4*q0*q1`` is exact, so the margin is a function of exact inputs."""
+    return (st.just(0.5) | st.integers(0, 2**bits).map(lambda n: n / 2**bits)).map(Priors)
+
+
+def ulps(got: float, want) -> float:
+    """Relative error of ``got`` in units of ``2**-52``: ulps as at the bottom
+    of ``want``'s binade, so that a bound summed from rounding errors holds
+    anywhere in the binade."""
+    return float(abs(mpf(got) - want) / abs(want) * 2**52)
+
+
+@st.composite
+def capped_weak_and_strong(draw):
+    """A capped law whose cap binds at t = 0: ``psi``, ``u_max >= 2*psi`` and
+    priors so near 1/2 that ``-ln c`` is at most a sixteenth of ``-log1p(-x**2)``,
+    ``x = psi/u_max``.  The switch time is then well conditioned in its inputs,
+    however small ``x`` is, and its roundings (``x``, ``x**2``, ``log1p``,
+    ``ln c``, the difference, ``k`` and the quotient) sum to under 4 units."""
+    psi = draw(log_uniform(1e-150, 1e3))
+    u_max = psi * draw(log_uniform(2.0, 1e150))
+    m = draw(st.integers(0, min(2**23, int(psi / u_max * 2**23))))
+    return Priors(0.5 - m / 2**26), psi, u_max
+
+
+class TestMarginAgainstMpmath:
+    """The optimal law and the cap's switch time keep their digits at weak
+    signals, where ``1 - c*exp(-k*t)`` and ``log(c/g)`` lose them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_q0(26), log_uniform(1e-150, 1e3), log_uniform(1e-6, 1e6))
+    def test_feedback_amplitude_within_4_ulp(self, priors, psi, t):
+        with mpmath.workdps(50):
+            # 1 - c*exp(-k*t), its terms apart: 50 digits do not hold 1 - 1e-300.
+            c = 4 * mpf(priors.q0) * mpf(priors.q1)
+            want = psi / mpmath.sqrt(1 - c - c * mpmath.expm1(-4 * mpf(psi) ** 2 * t))
+            assert ulps(feedback_amplitude(priors, psi, t), want) <= 4.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(capped_weak_and_strong())
+    def test_switch_time_within_4_ulp(self, case):
+        priors, psi, u_max = case
+        (switch,), (value,) = LawFamily(u_max=u_max).slots(priors, np.array([psi]))
+        assert value == u_max
+        with mpmath.workdps(50):
+            c, x = 4 * mpf(priors.q0) * mpf(priors.q1), mpf(psi) / mpf(u_max)
+            want = (mpmath.log(c) - mpmath.log1p(-x * x)) / (4 * mpf(psi) ** 2)
+            assert ulps(switch, want) <= 4.0
 
 
 class TestClosedFormAgainstMpmath:

@@ -19,6 +19,7 @@ from qsdr import (
     Priors,
     ProductVector,
     QubitPair,
+    evolve_pc,
 )
 from qsdr.cli import SweepSpec
 
@@ -166,6 +167,17 @@ def test_evolve_result_compares_by_field_and_does_not_hash():
     assert a == b
     with pytest.raises(TypeError):
         hash(a)
+
+
+def test_evolve_results_of_equal_runs_compare_equal():
+    # Two runs build equal arrays, not the same ones; numpy's == is element-wise.
+    def run(T):
+        return evolve_pc(Priors(0.7), 1.0, ControlLaw.constant(0.8), T)
+
+    a, b = run(1.0), run(1.0)
+    assert a.times is not b.times
+    assert a == b
+    assert run(1.0) != run(2.0)
 
 
 @pytest.mark.parametrize("cls", list(EQUAL), ids=lambda c: c.__name__)
