@@ -78,15 +78,16 @@ class RatePair(NamedTuple):
 def feedback_amplitude(priors: Priors, psi: float, t: float) -> float:
     """Optimal feedback magnitude ``psi / R(t)`` at time ``t``.
 
-    ``R(t) = sqrt(1 - 4*q0*q1*exp(-4*psi**2*t))`` is the running Helstrom
-    margin (:func:`_margin_sq`); the law starts at ``psi / |q0 - q1|`` and
-    decreases toward ``psi``.  For equal priors ``R(0) = 0`` and the law
-    diverges there, and where ``4*psi**2*t`` underflows; querying such a
-    point raises :class:`SingularControlError` (use a cap or a time floor,
-    see :meth:`ControlLaw.dolinar_optimal`).
+    ``R(t) = sqrt(1 - 4*q0*q1*exp(-4*psi**2*t))`` is the running Helstrom margin
+    (:func:`_margin_sq`); the law starts at ``psi / |q0 - q1|`` and decreases toward
+    ``psi``.  For equal priors it diverges at t = 0, and wherever ``4*psi**2*t``
+    underflows; querying there raises :class:`SingularControlError` (use a cap or
+    a time floor, see :meth:`ControlLaw.dolinar_optimal`).
     """
-    _reject(psi < 0.0, psi, "psi must be >= 0")
-    _reject(t < 0.0, t, "t must be >= 0")
+    if psi < 0.0:
+        raise ValueError(f"psi must be >= 0, got {psi}")
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
     r2 = _margin_sq(_log_c(priors), 4.0 * psi * psi, t)
     if r2 <= 0.0:
         raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
@@ -122,8 +123,10 @@ def helstrom_trajectory(priors: Priors, psi: float, t: float) -> float:
     / 2``: the best possible success probability at time ``t``.  The
     optimally controlled receiver's P_c(t) rides this curve exactly.
     """
-    _reject(psi < 0.0, psi, "psi must be >= 0")
-    _reject(t < 0.0, t, "t must be >= 0")
+    if psi < 0.0:
+        raise ValueError(f"psi must be >= 0, got {psi}")
+    if t < 0.0:
+        raise ValueError(f"t must be >= 0, got {t}")
     return helstrom_bound(priors, coherent_overlap(psi * psi * t))
 
 
@@ -251,7 +254,7 @@ class LawFamily(Record):
         which keeps its digits however far the cap lies above ``psi``.
         Where the law diverges at the floor only a cap regularizes; uncapped
         the slot is dropped and evolving the law raises
-        :class:`SingularControlError`.  No lane is computed on its own.
+        :class:`SingularControlError`.  Only the lanes the cap bends compute a fall.
         """
         if self.beta is not None:
             return np.full(psi.shape, math.inf), np.full(psi.shape, float(self.beta))
@@ -265,13 +268,13 @@ class LawFamily(Record):
         if u_max is not None:
             over = value > u_max
             flat = over & ((u_max <= psi) | (psi == 0.0))
-            bent = over & ~flat
-            x = np.where(bent, psi / u_max, 0.0)
+            switch[flat] = math.inf
+            i = np.flatnonzero(over & ~flat)
             # An underflowed k takes the limit 1/(4*u_max**2) of q0*q1 = 1/4; for
             # other priors u_max < 1e-154 then, and both times exceed 1e307.
-            fall = np.where(k > 0.0, (lnc - np.log1p(-x * x)) / np.where(k > 0.0, k, 1.0),
-                            0.25 / u_max / u_max)
-            switch = np.where(flat, math.inf, np.where(bent, np.maximum(switch, fall), switch))
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                fall = (lnc - np.log1p(-(psi[i] / u_max) ** 2)) / k[i]
+            switch[i] = np.maximum(switch[i], np.where(k[i] > 0.0, fall, 0.25 / u_max / u_max))
             value[over] = u_max
         return switch, value
 
@@ -632,18 +635,21 @@ class _Segments:
 
     def _f_inverse(self, f: np.ndarray, b: np.ndarray) -> np.ndarray:
         lnc, k = self.curved
-        t = np.empty_like(f)
-        m = b == 0
+        m, x, kt = b == 0, np.empty_like(f), np.empty_like(f)
         # Matched: e**F = x/(1 + x*x), x = sqrt(R); s = sqrt(1 - 4e**2F)
-        # gives R = (1 - s)/(1 + s) and 1 - R*R = 4s/(1 + s)**2.
+        # gives x = 2e**F/(1 + s) and 1 - R*R = 4s/(1 + s)**2.
         s = np.sqrt(-np.expm1(2.0 * f[m] + 2.0 * math.log(2.0)))
-        t[m] = (lnc - np.log(4.0 * s) + 2.0 * np.log1p(s)) / k
+        x[m] = 2.0 * np.exp(f[m]) / (1.0 + s)
+        kt[m] = lnc - np.log(4.0 * s) + 2.0 * np.log1p(s)
         # Mismatched: c * e**-F = w = (1 - x*x) / x.
-        f1 = f[~m]
-        w = np.exp(lnc - f1)
-        x = 2.0 / (w + np.sqrt(w * w + 4.0))
-        t[~m] = (f1 - np.log(x) - np.log1p(x * x)) / k
-        return t
+        w = np.exp(lnc - f[~m])
+        x1 = x[~m] = 2.0 / (w + np.sqrt(w * w + 4.0))
+        kt[~m] = f[~m] - np.log(x1) - np.log1p(x1 * x1)
+        # Those differences of O(1) logs lose kt (to about eps) where R = x*x is
+        # small; below R = 1/2, where log1p(-R*R) keeps it, that is used instead.
+        small = x * x < 0.5
+        kt[small] = lnc - np.log1p(-x[small] ** 4)
+        return kt / k
 
     def at(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Integrated rate of branch ``b[r]`` from 0 to ``t[r]`` (in [0, T])."""

@@ -190,7 +190,7 @@ JSON_SHA256 = {
                  {"o": "6896680c5e4836ee2b55c77af0e5719d83198107b507c829e6edbcd2764a21b3"}),
     "telegraph": ([*TELEGRAPH_ARGV, "--seed", "1"],
                   {"o": "33f46e21c98df620a46517ef3b9477e770cae30996a3395b998211064abb8c73",
-                   "t": "18481ad287fcf1dd801f6fdf0448c4e570ba90aed58bfddb9e367121834ca4e1"}),
+                   "t": "4e862a405e4a5366a1263d0461856b0aeaba1631b710c9f7d3f7adcf28f2a177"}),
     "multicopy": ([*MULTICOPY_ARGV, "--seed", "1"],
                   {"o": "de67a7a6a7c0fd0daab544b25fef3ed2f39db46fd7826679e25e575d8a600ed8"}),
 }
@@ -1286,6 +1286,17 @@ class TestWholeDomain:
     def test_extreme_caps_exit_with_a_documented_code(self, args, code, tmp_path):
         assert main(args + ["-o", str(tmp_path / "o.csv")]) == code
 
+    @pytest.mark.parametrize("psi", ["1e-9", "3e-9"])
+    def test_weak_capped_signal_estimate_agrees_with_the_analytic_value(self, psi, tmp_path):
+        # Below psi = 1e-8 the click times keep their digits only where the
+        # sampler's inverse forms ln(1 - R*R) as log1p(-R*R): the differences of
+        # logarithms it used before lost them to about eps/(4*psi**2), z = 6.
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--psi", psi,
+                     "--u-max", "1", "--trials", "20000", "-o", str(out)]) == 0
+        header, (row,) = read_rows(out)
+        assert abs(float(row[header.index("z_score")])) < 3.0
+
     @pytest.mark.parametrize("q0", ["0", "1"])
     def test_certain_prior_nulls_the_certain_hypothesis(self, q0, tmp_path):
         # With one prior zero, P_c = exp(-(beta - gamma)**2): beta = gamma is optimal.
@@ -1336,6 +1347,9 @@ def domain_argv(draw):
 @given(argv=domain_argv())
 @example(argv=["simulate", "--q0", "0.5", "--T", "1.0", "--u-max", "1.0", "--scheme",
                "dolinar_mc", "--trials", "50", "--psi", "1e-09"])
+# The cap's switch of a lane below the cap would overflow: only capped lanes get one.
+@example(argv=["fig1", "--q0", "0.7", "--T", "1e12", "--u-max", "1", "--gamma-sq-min", "1e-300",
+               "--gamma-sq-max", "1e-299", "--points", "3", "--schemes", "dolinar_ode"])
 def test_every_run_in_the_domain_exits_with_a_documented_code(argv, tmp_path_factory):
     # ... and prints no numpy RuntimeWarning on the way.  Exit 2 may come
     # from the run, never from the spec: every generated argv resolves.

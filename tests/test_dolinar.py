@@ -470,9 +470,8 @@ class TestEvolvePe:
     def test_uncapped_balanced_law_is_singular(self):
         pr = Priors(0.5)
         psi = np.array([0.5, 1.0])
-        for family in (LawFamily(), LawFamily(t_floor=0.0)):
-            with pytest.raises(SingularControlError):
-                evolve_pe(pr, psi, family, 1.0)
+        with pytest.raises(SingularControlError):  # a floor of 0 is no floor
+            evolve_pe(pr, psi, LawFamily(t_floor=0.0), 1.0)
         # A floor of 1e-300 regularizes: R**2 is 4*psi**2*1e-300 > 0 there.
         family = LawFamily(t_floor=1e-300)
         pe = evolve_pe(pr, psi, family, 1.0)
@@ -875,6 +874,33 @@ class TestHazard:
                 if rate > 1e-6:
                     t_back = hazard.inverse(np.array([y]), np.array([b]))[0]
                     assert abs(t_back - t) * rate <= 1e-12 * max(1.0, y)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dyadic_q0(26).filter(lambda p: 0.0 < p.q0 < 1.0), log_uniform(1e-150, 1e3),
+           log_uniform(1e-300, 30.0), st.integers(0, 1))
+    def test_optimal_segment_inverse_against_mpmath(self, priors, psi, kt, b):
+        # The time at which branch b's F reaches a float f, against its 50-digit
+        # inverse at that same f.  An error dt moves F by rate*dt, and f itself is
+        # only known to eps*|f|: the inverse may lose no more than a few of those,
+        # where R is small (weak signals, early times) as where it nears 1.
+        lnc, k = math.log(4.0 * priors.q0 * priors.q1), 4.0 * psi * psi
+        segment = SimpleNamespace(curved=(lnc, k))
+        t = np.array([kt / k])
+        if not -math.expm1(lnc - kt) > 0.0:
+            return  # the margin is 0 there: no click time to invert
+        f = _Segments._f(segment, t, b)
+        (got,) = _Segments._f_inverse(segment, f, np.array([b]))
+        with mpmath.workdps(50):
+            e, w = mpmath.exp(mpf(f[0])), mpmath.exp(mpf(lnc) - mpf(f[0]))
+            if b == 0 and 4 * e * e >= 1:
+                return  # F rounded onto its limit -ln 2 (R = 1): no time reaches it
+            # x = sqrt(R) from f in closed form, derived as in the sampler.
+            x = 2 * e / (1 + mpmath.sqrt(1 - 4 * e * e)) if b == 0 else (
+                2 / (w + mpmath.sqrt(w * w + 4)))
+            want = (mpf(lnc) - mpmath.log1p(-x**4)) / mpf(k)  # R = x**2, 1 - R*R = c*exp(-k*t)
+            r = mpmath.sqrt(-mpmath.expm1(mpf(lnc) - mpf(k) * want))
+            rate = (psi + (2 * b - 1) * psi / r) ** 2
+            assert abs(got - want) * rate <= 8 * 2.0**-52 * max(1.0, abs(f[0]))
 
 
 @st.composite
