@@ -16,9 +16,10 @@ For equal priors that law diverges at t = 0; the divergence is integrable
 in effect but must be handled explicitly (cap or floor, below).
 
 This module provides the feedback law, closed-form evolution of the
-correct-decision probability on the segments of a structured law, an RK45
-integration of the general asymmetric form (for opaque laws, and as the
-oracle of the closed forms), a seeded telegraph Monte Carlo of the click
+correct-decision probability across a structured law's segments (one
+lane-wise walk, whose lanes are one law's sample times or a sweep's points),
+an RK45 integration of the general asymmetric form (for opaque laws, and as
+the oracle of the closed forms), a seeded telegraph Monte Carlo of the click
 process (streamed chunk by chunk, or reduced to one result), the
 piecewise-constant (segmented) approximation, and a residual check of the
 algebraic identity that certifies the optimal law.
@@ -408,7 +409,8 @@ def evolve_pc(
     start-bit initial condition.  The equation is linear, so each segment
     of the law (see :class:`ControlLaw`) maps the errors ``e = 1 - p`` in
     closed form, at T and at ``sample_times`` (default: 201 equally spaced
-    points, all within [0, T]); nothing is integrated numerically.
+    points, all within [0, T]); nothing is integrated numerically.  A
+    sample at ``t`` is the evolution to the horizon ``t``.
 
     For equal priors the exact optimal law must carry a cap or time floor,
     otherwise :class:`SingularControlError` is raised.  An optimal-law
@@ -416,8 +418,8 @@ def evolve_pc(
     integrates any other law.
     """
     times = _sample_times(psi, T, sample_times)
-    e = _Segments(control, psi, T).errors(np.array(_initial_errors(priors)), times)
-    return _result(priors, T, times, e)
+    starts, values, curve = _segment_table(control, psi, T)
+    return _result(priors, T, times, _walk(priors, psi, starts, values, curve, np.append(times, T)))
 
 
 def evolve_pe(priors: Priors, psi, family: LawFamily, T: float) -> np.ndarray:
@@ -426,34 +428,16 @@ def evolve_pe(priors: Priors, psi, family: LawFamily, T: float) -> np.ndarray:
 
     Lane ``i`` equals ``evolve_pc(priors, psi[i], family.law(priors,
     psi[i]), T, sample_times=()).final.pe(priors)`` bit for bit, but no law
-    is built per point: all points cross their segments together, each law
-    being at most one constant slot and then the optimal law (see
-    :meth:`LawFamily.slots`): one constant-segment kernel call for the
-    slots (a point without one gets zero rates, which leave its errors
-    exactly as they are), then one optimal-law kernel call for the points
-    whose law switches before T.  With ``q1 = 0``, ``ln c = -inf`` makes
-    ``R = 1`` in that kernel: the law is the constant ``psi`` there.
+    is built per point: each is at most one constant slot, then the optimal
+    law (see :meth:`LawFamily.slots`), and all points cross their segments
+    in one walk, as :func:`evolve_pc`'s samples do.  With ``q1 = 0``, ``ln
+    c = -inf`` makes ``R = 1``: the optimal law is the constant ``psi``.
     """
     psi = np.asarray(psi, dtype=float)
     _reject(psi < 0.0, psi, "psi must be >= 0")
     _reject(T <= 0.0, T, "T must be > 0")
     switch, value = family.slots(priors, psi)
-    lnc = _log_c(priors)
-    tail = np.flatnonzero(switch < T)
-    p, a = psi[tail], switch[tail]
-    k = 4.0 * p * p
-    for i in np.flatnonzero(_margin_sq(lnc, k, a) <= 0.0)[:1]:
-        feedback_amplitude(priors, float(p[i]), float(a[i]))  # raises SingularControlError
-    e = np.repeat(np.array(_initial_errors(priors))[:, None], psi.size, axis=1)
-    slot = switch > 0.0
-    lam, mu = rates(psi, np.where(slot, value, 0.0))
-    end = np.minimum(switch, T)
-    e = _relax_constant(e, np.where(slot, lam, 0.0), np.where(slot, mu, 0.0), 0.0, end)
-    on = p > 0.0  # a point of psi = 0 keeps its errors: its rates are 0
-    e[:, tail[on]] = _relax_optimal(e[:, tail[on]], lnc, k[on], a[on], T)
-    bad = ~((e >= -1e-8) & (e <= 1.0 + 1e-8)).all(axis=0)
-    for i in np.flatnonzero(bad)[:1]:
-        PcState(float(e[0, i]), float(e[1, i]), T)  # raises its range error
+    e = _walk(priors, psi, (0.0, switch), (value,), priors, np.full(psi.shape, T, dtype=float))
     return priors.q0 * e[0] + priors.q1 * e[1]
 
 
@@ -525,26 +509,57 @@ def segmented_pc(priors: Priors, psi: float, T: float, n: int, *, midpoint: bool
 
 def _segment_table(control: ControlLaw, psi: float, T: float):
     """A law's segments on [0, T] for a signal of amplitude ``psi``: their
-    starts below T, the constant ``u0`` of each (of the optimal-law
-    segment, its value at the segment's start) and, when the last segment
-    follows the optimal law's curve, ``(ln c, k)`` as in :class:`_Segments`
-    (else None)."""
+    starts below T, the ``u0`` of each constant one and, if the last follows
+    the optimal law's curve, that law's priors (else None).  Where a prior
+    is 0, ``R = 1`` makes the optimal law the constant ``psi``."""
     starts = [s for s in control.starts if s < T]
     values = list(control.values[: len(starts)])
-    curved = None
-    if len(starts) > len(values):  # the optimal-law segment starts before T
-        priors, law_psi = control.optimal
-        # Raises SingularControlError where the law diverges.
-        values.append(feedback_amplitude(priors, law_psi, starts[-1]))
-        lnc = _log_c(priors)
-        if lnc > -math.inf and law_psi > 0.0:  # else u0 is constant there
-            if law_psi != psi:
-                raise ValueError(
-                    f"optimal law built for psi={law_psi}, not {psi}; "
-                    "evolve_pc_general(..., law.u0, law.u1, ...) integrates it"
-                )
-            curved = (lnc, 4.0 * psi * psi)
-    return starts, values, curved
+    if len(starts) == len(values):
+        return starts, values, None
+    priors, law_psi = control.optimal
+    if _log_c(priors) == -math.inf:
+        return starts, [*values, law_psi], None
+    if law_psi != psi:
+        raise ValueError(
+            f"optimal law built for psi={law_psi}, not {psi}; "
+            "evolve_pc_general(..., law.u0, law.u1, ...) integrates it"
+        )
+    return starts, values, priors
+
+
+def _curve(priors: Priors, psi, a):
+    """``(ln c, k = 4*psi**2)`` of the optimal law on segments starting at
+    ``a``; the first start where ``R = 0``, so the law diverges, raises."""
+    lnc, k = _log_c(priors), 4.0 * psi * psi
+    for t in np.asarray(a)[_margin_sq(lnc, k, a) <= 0.0][:1]:
+        raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
+    return lnc, k
+
+
+def _walk(priors: Priors, psi, edges, values, curve: Priors | None, h: np.ndarray) -> np.ndarray:
+    """Conditional errors at the horizons ``h``, shape ``(2, h.size)``, from
+    the start-bit errors of ``priors``: lane ``i``'s law holds ``values[j]``
+    on ``[edges[j], edges[j + 1])``, then from any further edge the optimal
+    law ``psi/R`` of the priors ``curve`` (``psi``, edges, values: floats or
+    lane arrays).  Each segment is cut at its lane's horizon, and one cut to
+    nothing leaves the errors exactly as they are.  A diverging law raises
+    :class:`SingularControlError`, errors out of [0, 1] :class:`PcState`'s."""
+    e = np.repeat(np.array(_initial_errors(priors))[:, None], h.size, axis=1)
+    edges = [np.minimum(x, h) for x in (*edges, math.inf)]
+    for a, b, value in zip(edges, edges[1:], values):
+        # A slot cut to nothing gets zero rates, so its value may be inf.
+        lam, mu = (np.where(b > a, r, 0.0) for r in rates(psi, value))
+        e = _relax_constant(e, lam, mu, a, b)
+    a, psi = np.broadcast_arrays(edges[len(values)], psi)
+    tail = np.flatnonzero(a < h)
+    if tail.size:
+        lnc, k = _curve(curve, psi[tail], a[tail])
+        on = psi[tail] > 0.0  # a law for psi = 0 is 0, and so are its rates
+        i = tail[on]
+        e[:, i] = _relax_optimal(e[:, i], lnc, k[on], a[i], h[i])
+    for i in np.flatnonzero(~((e >= -1e-8) & (e <= 1.0 + 1e-8)).all(axis=0))[:1]:
+        PcState(float(e[0, i]), float(e[1, i]), float(h[i]))  # raises its range error
+    return e
 
 
 # The two segment kernels: errors ``e`` at the segment's start ``a`` carried
@@ -578,14 +593,14 @@ def _relax_optimal(e, lnc, k, a, t):
 
 
 class _Segments:
-    """One law's segments on [0, T] for a signal of amplitude ``psi``.
+    """The telegraph sampler's hazard: one law's segments on [0, T] for a
+    signal of amplitude ``psi``, and their integrated click rates.
 
     ``edges`` are the law's starts below T, then T.  Constant segment ``i``
     has the click rates ``rate[0, i] = (psi - u0)**2`` (matched branch) and
     ``rate[1, i] = (psi + u0)**2`` (mismatched).  If ``curved = (ln c, k)``
     is set, the last segment follows ``u0 = psi/R`` with ``k = 4*psi**2``,
-    ``c = 4*q0*q1`` and ``R = sqrt(1 - c*exp(-k*t))``; its table rates are
-    0.  :func:`simulate_telegraph` and :func:`evolve_pc` both read it.
+    ``c = 4*q0*q1`` and ``R = sqrt(1 - c*exp(-k*t))``; its table rates are 0.
 
     ``lam[b, i]`` integrates branch ``b``'s rate from 0 to ``edges[i]``; on
     the optimal-law segment it grows as
@@ -596,37 +611,19 @@ class _Segments:
     """
 
     def __init__(self, control: ControlLaw, psi: float, T: float) -> None:
-        starts, values, self.curved = _segment_table(control, psi, T)
+        starts, values, curve = _segment_table(control, psi, T)
         self.edges = np.array([*starts, T])
         self.last = len(starts) - 1
-        self.rate = np.array(rates(psi, np.array(values)))
+        self.rate = np.zeros((2, len(starts)))
+        self.rate[:, : len(values)] = rates(psi, np.array(values))
         steps = self.rate * np.diff(self.edges)
-        if self.curved:
-            self.rate[:, -1] = 0.0
+        self.curved = None
+        if curve is not None:
+            self.curved = _curve(curve, psi, starts[-1])
             self.f0 = self._f(self.edges[-2], np.array([0, 1]))
             steps[:, -1] = self._f(T, np.array([0, 1])) - self.f0
         self.lam = np.zeros((2, len(self.edges)))
         np.cumsum(steps, axis=1, out=self.lam[:, 1:])
-
-    def _relax(self, i: int, e: np.ndarray, t):
-        """Errors at ``t`` in segment ``i`` from ``e`` at its start."""
-        if self.curved and i == self.last:
-            return _relax_optimal(e, *self.curved, self.edges[i], t)
-        return _relax_constant(e, *self.rate[:, i], self.edges[i], t)
-
-    def errors(self, e: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Conditional errors at the times ``t`` (in [0, T]), then at T,
-        from the errors ``e`` at time 0; shape ``(2, len(t) + 1)``."""
-        t = np.append(t, self.edges[-1])
-        seg = np.minimum(np.searchsorted(self.edges, t, "right") - 1, self.last)
-        out = np.empty((2, t.size))
-        for i in range(self.last + 1):
-            on = seg == i
-            if on.any():
-                out[:, on] = self._relax(i, e[:, None], t[on])
-            if i < self.last:
-                e = self._relax(i, e, self.edges[i + 1])
-        return out
 
     def _f(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
         lnc, k = self.curved
@@ -640,7 +637,9 @@ class _Segments:
         # gives x = 2e**F/(1 + s) and 1 - R*R = 4s/(1 + s)**2.
         s = np.sqrt(-np.expm1(2.0 * f[m] + 2.0 * math.log(2.0)))
         x[m] = 2.0 * np.exp(f[m]) / (1.0 + s)
-        kt[m] = lnc - np.log(4.0 * s) + 2.0 * np.log1p(s)
+        # Where 4e**2F rounds to 1 (R = 1), s = 0 and kt = inf: a time past T, clamped to T.
+        with np.errstate(divide="ignore"):
+            kt[m] = lnc - np.log(4.0 * s) + 2.0 * np.log1p(s)
         # Mismatched: c * e**-F = w = (1 - x*x) / x.
         w = np.exp(lnc - f[~m])
         x1 = x[~m] = 2.0 / (w + np.sqrt(w * w + 4.0))

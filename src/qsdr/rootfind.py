@@ -233,8 +233,12 @@ def _log_odds(priors: Priors) -> float:
 
 def _ik_log_residual(log_odds: float, gamma, u):
     # ln(q0/q1) - ln((beta+gamma)/(beta-gamma)) + 4*beta*gamma at beta - gamma = e**u.
-    e = np.exp(u)
-    return log_odds + u - np.log(2.0 * gamma + e) + 4.0 * gamma * (gamma + e)
+    # u - ln(2*gamma + e**u) cancels where e**u >= 2*gamma: there it is taken as
+    # -log1p(2*gamma/e**u), whose quotient is kept finite on the other lanes.
+    e, g2 = np.exp(u), 2.0 * gamma
+    near = log_odds - np.log1p(g2 / np.maximum(e, g2))
+    head = np.where(e >= g2, near, log_odds + u - np.log(g2 + e))
+    return head + 4.0 * gamma * (gamma + e)
 
 
 def ik_displacement_residual(priors: Priors, gamma: float, beta: float) -> float:

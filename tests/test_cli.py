@@ -13,6 +13,7 @@ from decimal import Decimal
 from itertools import chain
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -1296,6 +1297,19 @@ class TestWholeDomain:
                      "--u-max", "1", "--trials", "20000", "-o", str(out)]) == 0
         header, (row,) = read_rows(out)
         assert abs(float(row[header.index("z_score")])) < 3.0
+
+    def test_weak_signal_kennedy_displacement_matches_mpmath(self, tmp_path):
+        # At q0 = 1/2 and gamma**2 = 1e-14 the optimum is beta**2 = 0.500000000000003;
+        # a residual formed by cancelling subtraction wrote 0.499999999951.
+        out = tmp_path / "f3.csv"
+        assert main(["fig3", "--q0", "0.5", "--gamma-sq-min", "1e-14", "--gamma-sq-max", "1",
+                     "--points", "50", "-o", str(out)]) == 0
+        header, rows = read_rows(out)
+        got = float(rows[0][header.index("improved_kennedy_beta_sq")])
+        with mpmath.workdps(50):
+            g = mpmath.mpf(math.sqrt(1e-14))
+            beta = mpmath.findroot(lambda b: 4 * b * g - mpmath.log((b + g) / (b - g)), 0.7)
+            assert abs(got - beta**2) <= 1e-12
 
     @pytest.mark.parametrize("q0", ["0", "1"])
     def test_certain_prior_nulls_the_certain_hypothesis(self, q0, tmp_path):

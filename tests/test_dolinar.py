@@ -305,6 +305,29 @@ class TestEvolvePc:
         got = evolve_pc(pr, 2.0, law, 0.5 * switch).final.pc(pr)
         assert got == pytest.approx(rk45(pr, 2.0, law, 0.5 * switch).final.pc(pr), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "q0,law",
+        [
+            (0.5, {"u_max": 3.0}),
+            (0.7, {"t_floor": 0.05}),
+            (0.6, {"t_floor": 0.3, "u_max": 2.0}),
+            (0.7, {"beta": 1.2}),
+            (1.0, {"t_floor": 0.2}),  # q1 = 0: the optimal segment is a constant
+            (0.7, ControlLaw.piecewise_constant([2.0, 0.5, 1.5, 1.0], 0.8)),
+        ],
+        ids=["capped", "floored", "capped_and_floored", "constant", "q1_zero", "four_slots"],
+    )
+    def test_each_sample_is_the_evolution_to_its_time(self, q0, law):
+        # Bit for bit, at the law's own edges too.
+        pr, T = Priors(q0), 1.0
+        if isinstance(law, dict):
+            law = LawFamily(**law).law(pr, 1.0)
+        times = np.union1d(np.linspace(0.0, T, 41)[1:], [s for s in law.starts if 0.0 < s < T])
+        res = evolve_pc(pr, 1.0, law, T, times)
+        for t, p0, p1 in zip(times.tolist(), res.p0.tolist(), res.p1.tolist()):
+            final = evolve_pc(pr, 1.0, law, t, sample_times=()).final
+            assert (p0, p1) == (1.0 - final.e0, 1.0 - final.e1), t
+
     def test_never_integrates_numerically(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("solve_ivp called")
@@ -874,6 +897,13 @@ class TestHazard:
                 if rate > 1e-6:
                     t_back = hazard.inverse(np.array([y]), np.array([b]))[0]
                     assert abs(t_back - t) * rate <= 1e-12 * max(1.0, y)
+
+    def test_matched_inverse_at_its_limit_is_past_any_horizon(self):
+        # F_0 = -ln 2 is R = 1, which the law reaches only as t -> inf: that is the
+        # time, and it comes without a RuntimeWarning (the test config makes one fail).
+        segment = SimpleNamespace(curved=(math.log(0.84), 4.0))
+        f = np.array([-math.log(2.0)])
+        assert _Segments._f_inverse(segment, f, np.array([0])).tolist() == [math.inf]
 
     @settings(max_examples=300, deadline=None)
     @given(dyadic_q0(26).filter(lambda p: 0.0 < p.q0 < 1.0), log_uniform(1e-150, 1e3),
