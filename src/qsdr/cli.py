@@ -58,9 +58,9 @@ from .rootfind import optimal_beta_sd  # not called here; perfbench/spans.py tra
 from .statemath import (
     Priors,
     QubitPair,
-    coherent_overlap,
+    _helstrom_error,
+    coherent_overlap,  # not called here; perfbench/spans.py traces it
     helstrom_bound,  # not called here; perfbench/spans.py traces it
-    helstrom_error,
     improved_kennedy_error,
     improved_kennedy_pc,  # not called here; perfbench/spans.py traces it
     kennedy_error,
@@ -340,7 +340,10 @@ def _dolinar_mc_pe(ax: _Axis) -> np.ndarray:
 # records.  Entries look library functions up as module globals at call
 # time, so a wrapper set on a qsdr.cli attribute sees every call.
 SCHEMES = {
-    "helstrom": {"pe": lambda ax: helstrom_error(ax.priors, coherent_overlap(ax.g))},
+    # From gamma_sq itself: the overlap exp(-2*gamma_sq) rounds away 1 - overlap**2.
+    "helstrom": {
+        "pe": lambda ax: _helstrom_error(ax.priors, np.exp(-4.0 * ax.g), -np.expm1(-4.0 * ax.g))
+    },
     # Nulls the likelier hypothesis; fig3's reference line.
     "kennedy": {"pe": lambda ax: kennedy_error(ax.ranked, ax.g), "beta_sq": lambda ax: ax.g},
     "improved_kennedy": {

@@ -12,8 +12,8 @@ while it disagrees, and the success probability obeys
 Choosing ``u0(t) = psi / R(t)`` with ``R(t) = sqrt(1 - 4*q0*q1*
 exp(-4*psi**2*t))`` rides the instantaneous two-state Helstrom bound at
 every time, so the receiver is optimal at every horizon, not only at T.
-For equal priors that law diverges at t = 0; the divergence is integrable
-in effect but must be handled explicitly (cap or floor, below).
+For exactly equal priors that law diverges at t = 0; the divergence is
+integrable in effect but must be handled explicitly (cap or floor, below).
 
 This module provides the feedback law, closed-form evolution of the
 correct-decision probability across a structured law's segments (one
@@ -36,7 +36,7 @@ import numpy as np
 
 from ._record import Record
 from ._streams import TrialStreams
-from .statemath import Priors, _reject, coherent_overlap, helstrom_bound
+from .statemath import Priors, _margin_sq, _reject
 
 __all__ = [
     "SingularControlError",
@@ -79,34 +79,25 @@ class RatePair(NamedTuple):
 def feedback_amplitude(priors: Priors, psi: float, t: float) -> float:
     """Optimal feedback magnitude ``psi / R(t)`` at time ``t``.
 
-    ``R(t) = sqrt(1 - 4*q0*q1*exp(-4*psi**2*t))`` is the running Helstrom margin
-    (:func:`_margin_sq`); the law starts at ``psi / |q0 - q1|`` and decreases toward
-    ``psi``.  For equal priors it diverges at t = 0, and wherever ``4*psi**2*t``
-    underflows; querying there raises :class:`SingularControlError` (use a cap or
-    a time floor, see :meth:`ControlLaw.dolinar_optimal`).
+    ``R(t) = sqrt(1 - 4*q0*q1*exp(-4*psi**2*t))`` is the running Helstrom margin (from
+    ``statemath._margin_sq`` by numpy, so every route agrees bit for bit); the law starts at
+    ``psi / |q0 - q1|`` and falls toward ``psi``.  Only at exactly equal priors does it diverge,
+    at t = 0 and where ``4*psi**2*t`` underflows: there it raises :class:`SingularControlError`.
     """
     if psi < 0.0:
         raise ValueError(f"psi must be >= 0, got {psi}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    r2 = _margin_sq(_log_c(priors), 4.0 * psi * psi, t)
+    r2 = _margin_sq(priors, -np.expm1(-4.0 * psi * psi * t))
     if r2 <= 0.0:
         raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
     return psi / math.sqrt(r2)
 
 
 def _log_c(priors: Priors) -> float:
-    # ln c of the margin, c = 4*q0*q1; -inf where a prior is 0.
+    # ln c, c = 4*q0*q1, for the kernels that need it; -inf where a prior is 0.
     c = 4.0 * priors.q0 * priors.q1
     return math.log(c) if c else -math.inf
-
-
-def _margin_sq(lnc, k, t):
-    """The running Helstrom margin ``R(t)**2 = 1 - c*exp(-k*t)`` (``c = 4*q0*q1``,
-    ``k = 4*psi**2``) of floats and arrays alike, as ``-expm1(ln c - k*t)``, which keeps
-    the digits the subtraction loses at equal priors.  Every route forms ``R`` here, by
-    numpy, so all agree bit for bit: numpy's scalar and array results agree, ``math``'s may not."""
-    return -np.expm1(lnc - k * t)
 
 
 def rates(psi: float, u: float) -> RatePair:
@@ -120,15 +111,15 @@ def helstrom_trajectory(priors: Priors, psi: float, t: float) -> float:
     """Instantaneous two-state Helstrom bound of the partly observed pulse.
 
     The first ``t`` seconds of the pulse are coherent states of overlap
-    ``exp(-2*psi**2*t)``, so this is ``(1 + sqrt(1 - 4*q0*q1*exp(-4*psi**2*t)))
-    / 2``: the best possible success probability at time ``t``.  The
-    optimally controlled receiver's P_c(t) rides this curve exactly.
+    ``exp(-2*psi**2*t)``, so this is ``(1 + R(t)) / 2`` with the law's own margin
+    ``R(t)`` (:func:`feedback_amplitude`): the best possible success probability at
+    time ``t``.  The optimally controlled receiver's P_c(t) rides this curve exactly.
     """
     if psi < 0.0:
         raise ValueError(f"psi must be >= 0, got {psi}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return helstrom_bound(priors, coherent_overlap(psi * psi * t))
+    return float(0.5 * (1.0 + np.sqrt(_margin_sq(priors, -np.expm1(-4.0 * psi * psi * t)))))
 
 
 class ControlLaw(Record):
@@ -253,16 +244,16 @@ class LawFamily(Record):
         floor, or the cap, until the law falls to it at ``(ln c -
         log1p(-(psi/u_max)**2))/k`` (``c = 4*q0*q1``, ``k = 4*psi**2``),
         which keeps its digits however far the cap lies above ``psi``.
-        Where the law diverges at the floor only a cap regularizes; uncapped
-        the slot is dropped and evolving the law raises
-        :class:`SingularControlError`.  Only the lanes the cap bends compute a fall.
+        Where the law diverges at the floor (exactly equal priors) only a
+        cap regularizes; uncapped the slot is dropped and evolving the law
+        raises :class:`SingularControlError`.  Only the lanes the cap bends compute a fall.
         """
         if self.beta is not None:
             return np.full(psi.shape, math.inf), np.full(psi.shape, float(self.beta))
         t0, u_max = self.t_floor or 0.0, self.u_max
         _reject(psi < 0.0, psi, "psi must be >= 0")
-        lnc, k = _log_c(priors), 4.0 * psi * psi
-        r2 = _margin_sq(lnc, k, t0)
+        k = 4.0 * psi * psi
+        r2 = _margin_sq(priors, -np.expm1(-k * t0))
         live = r2 > 0.0
         value = np.where(live, psi / np.sqrt(np.where(live, r2, 1.0)), math.inf)
         switch = np.where(live, t0, 0.0)
@@ -274,7 +265,7 @@ class LawFamily(Record):
             # An underflowed k takes the limit 1/(4*u_max**2) of q0*q1 = 1/4; for
             # other priors u_max < 1e-154 then, and both times exceed 1e307.
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-                fall = (lnc - np.log1p(-(psi[i] / u_max) ** 2)) / k[i]
+                fall = (_log_c(priors) - np.log1p(-(psi[i] / u_max) ** 2)) / k[i]
             switch[i] = np.maximum(switch[i], np.where(k[i] > 0.0, fall, 0.25 / u_max / u_max))
             value[over] = u_max
         return switch, value
@@ -430,8 +421,8 @@ def evolve_pe(priors: Priors, psi, family: LawFamily, T: float) -> np.ndarray:
     psi[i]), T, sample_times=()).final.pe(priors)`` bit for bit, but no law
     is built per point: each is at most one constant slot, then the optimal
     law (see :meth:`LawFamily.slots`), and all points cross their segments
-    in one walk, as :func:`evolve_pc`'s samples do.  With ``q1 = 0``, ``ln
-    c = -inf`` makes ``R = 1``: the optimal law is the constant ``psi``.
+    in one walk, as :func:`evolve_pc`'s samples do.  Where a prior is 0,
+    ``R = 1`` exactly: the optimal law is the constant ``psi``.
     """
     psi = np.asarray(psi, dtype=float)
     _reject(psi < 0.0, psi, "psi must be >= 0")
@@ -510,15 +501,12 @@ def segmented_pc(priors: Priors, psi: float, T: float, n: int, *, midpoint: bool
 def _segment_table(control: ControlLaw, psi: float, T: float):
     """A law's segments on [0, T] for a signal of amplitude ``psi``: their
     starts below T, the ``u0`` of each constant one and, if the last follows
-    the optimal law's curve, that law's priors (else None).  Where a prior
-    is 0, ``R = 1`` makes the optimal law the constant ``psi``."""
+    the optimal law's curve, that law's priors (else None)."""
     starts = [s for s in control.starts if s < T]
     values = list(control.values[: len(starts)])
     if len(starts) == len(values):
         return starts, values, None
     priors, law_psi = control.optimal
-    if _log_c(priors) == -math.inf:
-        return starts, [*values, law_psi], None
     if law_psi != psi:
         raise ValueError(
             f"optimal law built for psi={law_psi}, not {psi}; "
@@ -528,12 +516,12 @@ def _segment_table(control: ControlLaw, psi: float, T: float):
 
 
 def _curve(priors: Priors, psi, a):
-    """``(ln c, k = 4*psi**2)`` of the optimal law on segments starting at
-    ``a``; the first start where ``R = 0``, so the law diverges, raises."""
-    lnc, k = _log_c(priors), 4.0 * psi * psi
-    for t in np.asarray(a)[_margin_sq(lnc, k, a) <= 0.0][:1]:
+    """``k = 4*psi**2`` of the optimal law of ``priors`` on segments starting
+    at ``a``; the first start where ``R = 0``, so the law diverges, raises."""
+    k = 4.0 * psi * psi
+    for t in np.asarray(a)[_margin_sq(priors, -np.expm1(-k * a)) <= 0.0][:1]:
         raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
-    return lnc, k
+    return k
 
 
 def _walk(priors: Priors, psi, edges, values, curve: Priors | None, h: np.ndarray) -> np.ndarray:
@@ -553,10 +541,10 @@ def _walk(priors: Priors, psi, edges, values, curve: Priors | None, h: np.ndarra
     a, psi = np.broadcast_arrays(edges[len(values)], psi)
     tail = np.flatnonzero(a < h)
     if tail.size:
-        lnc, k = _curve(curve, psi[tail], a[tail])
+        k = _curve(curve, psi[tail], a[tail])
         on = psi[tail] > 0.0  # a law for psi = 0 is 0, and so are its rates
         i = tail[on]
-        e[:, i] = _relax_optimal(e[:, i], lnc, k[on], a[i], h[i])
+        e[:, i] = _relax_optimal(e[:, i], curve, k[on], a[i], h[i])
     for i in np.flatnonzero(~((e >= -1e-8) & (e <= 1.0 + 1e-8)).all(axis=0))[:1]:
         PcState(float(e[0, i]), float(e[1, i]), float(h[i]))  # raises its range error
     return e
@@ -577,8 +565,9 @@ def _relax_constant(e, lam, mu, a, t):
     return e * np.exp(d) - lam / np.where(tot != 0.0, tot, 1.0) * np.expm1(d)
 
 
-def _relax_optimal(e, lnc, k, a, t):
-    """Optimal-law segment ``u0 = psi/R``, ``R = sqrt(1 - c*exp(-k*t))``.
+def _relax_optimal(e, priors, k, a, t):
+    """Optimal-law segment ``u0 = psi/R``, ``R = sqrt(1 - c*exp(-k*t))``, of
+    ``priors`` (``c = 4*q0*q1``).
 
     ``F = exp(k*t) * R`` is an integrating factor, and ``lam*F =
     d/dt[-(1 - R) * exp(k*t) / 2]``.  With ``x = c*exp(-k*t) = 1 - R**2``
@@ -587,8 +576,8 @@ def _relax_optimal(e, lnc, k, a, t):
         e_t*R_t = e_a*g*R_a + x_a*x_t*(1 - g) / (2*(R_a + R_t)*(1 + R_a)*(1 + R_t)).
     """
     h = -k * (t - a)
-    ra, rt = np.sqrt(_margin_sq(lnc, k, a)), np.sqrt(_margin_sq(lnc, k, t))
-    gain = -0.5 * np.exp(2.0 * lnc - k * (a + t)) * np.expm1(h)
+    ra, rt = (np.sqrt(_margin_sq(priors, -np.expm1(-k * s))) for s in (a, t))
+    gain = -0.5 * np.exp(2.0 * _log_c(priors) - k * (a + t)) * np.expm1(h)
     return (e * np.exp(h) * ra + gain / ((ra + rt) * (1.0 + ra) * (1.0 + rt))) / rt
 
 
@@ -598,7 +587,7 @@ class _Segments:
 
     ``edges`` are the law's starts below T, then T.  Constant segment ``i``
     has the click rates ``rate[0, i] = (psi - u0)**2`` (matched branch) and
-    ``rate[1, i] = (psi + u0)**2`` (mismatched).  If ``curved = (ln c, k)``
+    ``rate[1, i] = (psi + u0)**2`` (mismatched).  If ``curved = (priors, k)``
     is set, the last segment follows ``u0 = psi/R`` with ``k = 4*psi**2``,
     ``c = 4*q0*q1`` and ``R = sqrt(1 - c*exp(-k*t))``; its table rates are 0.
 
@@ -619,19 +608,20 @@ class _Segments:
         steps = self.rate * np.diff(self.edges)
         self.curved = None
         if curve is not None:
-            self.curved = _curve(curve, psi, starts[-1])
+            self.curved = curve, _curve(curve, psi, starts[-1])
             self.f0 = self._f(self.edges[-2], np.array([0, 1]))
             steps[:, -1] = self._f(T, np.array([0, 1])) - self.f0
         self.lam = np.zeros((2, len(self.edges)))
         np.cumsum(steps, axis=1, out=self.lam[:, 1:])
 
     def _f(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
-        lnc, k = self.curved
-        r = np.sqrt(_margin_sq(lnc, k, t))
+        priors, k = self.curved
+        r = np.sqrt(_margin_sq(priors, -np.expm1(-k * t)))
         return b * k * t + 0.5 * np.log(r) + (2 * b - 1) * np.log1p(r)
 
     def _f_inverse(self, f: np.ndarray, b: np.ndarray) -> np.ndarray:
-        lnc, k = self.curved
+        priors, k = self.curved
+        lnc, c = _log_c(priors), 4.0 * priors.q0 * priors.q1
         m, x, kt = b == 0, np.empty_like(f), np.empty_like(f)
         # Matched: e**F = x/(1 + x*x), x = sqrt(R); s = sqrt(1 - 4e**2F)
         # gives x = 2e**F/(1 + s) and 1 - R*R = 4s/(1 + s)**2.
@@ -644,10 +634,10 @@ class _Segments:
         w = np.exp(lnc - f[~m])
         x1 = x[~m] = 2.0 / (w + np.sqrt(w * w + 4.0))
         kt[~m] = f[~m] - np.log(x1) - np.log1p(x1 * x1)
-        # Those differences of O(1) logs lose kt (to about eps) where R = x*x is
-        # small; below R = 1/2, where log1p(-R*R) keeps it, that is used instead.
+        # Below R = x*x = 1/2 those differences of O(1) logs lose kt (to about eps), and ln c
+        # loses (q0 - q1)**2 = 1 - c; the margin inverted, c*(1 - e**-kt) = R*R - R(0)**2, does not.
         small = x * x < 0.5
-        kt[small] = lnc - np.log1p(-x[small] ** 4)
+        kt[small] = -np.log1p((_margin_sq(priors, 0.0) - x[small] ** 4) / c)
         return kt / k
 
     def at(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -778,7 +768,7 @@ def verify_control_identity(
         raise ValueError("t_grid must be non-empty")
     if t.min() < 0.0:
         raise ValueError("t_grid must be non-negative")
-    r_sq = _margin_sq(_log_c(priors), 4.0 * psi * psi, t)
+    r_sq = _margin_sq(priors, -np.expm1(-4.0 * psi * psi * t))
     if np.any(r_sq <= 0.0):
         raise SingularControlError("t_grid touches a point where R(t) = 0")
     R = np.sqrt(r_sq)

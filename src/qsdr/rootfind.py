@@ -226,9 +226,10 @@ def _no_worse_than_kennedy(worse, root, gamma) -> None:
 
 
 def _log_odds(priors: Priors) -> float:
-    # ln(q0/q1); the ratio overflows when q1 is subnormal, the difference does not.
-    ratio = priors.q0 / priors.q1
-    return math.log(ratio) if math.isfinite(ratio) else math.log(priors.q0) - math.log(priors.q1)
+    # ln(q0/q1) as log1p of the excess, which keeps its digits near q0 = 1/2; the
+    # quotient overflows when q1 is subnormal, the difference of logs does not.
+    excess = (priors.q0 - priors.q1) / priors.q1
+    return math.log1p(excess) if math.isfinite(excess) else math.log(priors.q0) - math.log(priors.q1)
 
 
 def _ik_log_residual(log_odds: float, gamma, u):

@@ -189,6 +189,21 @@ def _clip_unit(x, name: str):
     return _out(np.minimum(np.maximum(x, 0.0), 1.0))
 
 
+def _margin_sq(priors: Priors, w):
+    """The Helstrom margin ``R**2 = 1 - 4*q0*q1*overlap**2`` as ``(q0 - q1)**2 + 4*q0*q1*w``,
+    two non-negative terms (a prior of 0 gives 1 exactly).  Every margin in the package is
+    formed here; each caller forms ``w = 1 - overlap**2`` from its own exact input:
+    ``(1 - x)*(1 + x)`` for an overlap ``x``, ``-expm1(-4*gamma_sq)`` for coherent states
+    (``psi**2*t`` for the feedback law), ``-expm1(m*ln(chi))`` for ``chi**m``."""
+    d = priors.q0 - priors.q1
+    return d * d + 4.0 * priors.q0 * priors.q1 * w
+
+
+def _helstrom_error(priors: Priors, x2, w):
+    # c*x2 / (2*(1 + R)) for squared overlap x2 = 1 - w: the numerator stays a product.
+    return _out(4.0 * priors.q0 * priors.q1 * x2 / (2.0 * (1.0 + np.sqrt(_margin_sq(priors, w)))))
+
+
 def helstrom_bound(priors: Priors, overlap: float) -> float:
     """Best possible probability of correctly telling two pure states apart.
 
@@ -197,22 +212,20 @@ def helstrom_bound(priors: Priors, overlap: float) -> float:
 
         P_c = (1 + sqrt(1 - 4*q0*q1*overlap**2)) / 2
 
-    The radicand is bounded below by ``(q0 - q1)**2 >= 0``.  At
+    The radicand, :func:`_margin_sq`'s sum, is at least ``(q0 - q1)**2 >= 0``.  At
     ``overlap = 1`` the states carry no information and the bound collapses
     to guessing the likelier hypothesis, ``max(q0, q1)``; at ``overlap = 0``
     it reaches 1.
     """
     x = _clip_unit(overlap, "overlap")
-    radicand = 1.0 - 4.0 * priors.q0 * priors.q1 * x * x
-    return _out(0.5 * (1.0 + np.sqrt(np.maximum(radicand, 0.0))))
+    return _out(0.5 * (1.0 + np.sqrt(_margin_sq(priors, (1.0 - x) * (1.0 + x)))))
 
 
 def helstrom_error(priors: Priors, overlap: float) -> float:
     """Least possible error probability ``c / (2*(1 + sqrt(1 - c)))``, with
     ``c = 4*q0*q1*overlap**2``: ``1 - helstrom_bound`` without the cancellation."""
     x = _clip_unit(overlap, "overlap")
-    c = 4.0 * priors.q0 * priors.q1 * x * x
-    return _out(c / (2.0 * (1.0 + np.sqrt(np.maximum(1.0 - c, 0.0)))))
+    return _helstrom_error(priors, x * x, (1.0 - x) * (1.0 + x))
 
 
 def coherent_overlap(gamma_sq: float) -> float:
@@ -242,12 +255,12 @@ def angle_schedule(priors: Priors, theta: float, n: int) -> AngleSchedule:
     At copy ``k`` (while the running provisional decision is 0) the detector
     is rotated to::
 
-        phi_k = arctan( tan(2*theta) / sqrt(1 - 4*q0*q1*chi**(2*(k-1))) ) / 2
+        phi_k = arctan2( tan(2*theta), sqrt(1 - 4*q0*q1*chi**(2*(k-1))) ) / 2
 
     with ``chi = cos(2*theta)``.  When the previous outcome is 1 the
     strategy uses ``pi/2 - phi_k`` instead (see :class:`AngleSchedule`).
-    For equal priors the k = 1 radicand vanishes and the limit
-    ``phi_1 = pi/4`` applies.
+    For equal priors the k = 1 margin vanishes and ``arctan2`` takes the
+    limit ``phi_1 = pi/4``.
 
     The sequence decreases monotonically toward ``theta``: later copies ride
     on sharper posteriors and measure closer to the states themselves.
@@ -256,18 +269,11 @@ def angle_schedule(priors: Priors, theta: float, n: int) -> AngleSchedule:
         raise ValueError(f"schedule length must be >= 1, got {n}")
     if not 0.0 < theta <= math.pi / 4 + _RANGE_TOL:
         raise ValueError(f"theta must lie in (0, pi/4], got {theta}")
-    tan2t = math.tan(2.0 * theta)
-    chi = math.cos(2.0 * theta)
-    four_q = 4.0 * priors.q0 * priors.q1
-    phis = []
-    for k in range(1, n + 1):
-        radicand = 1.0 - four_q * chi ** (2 * (k - 1))
-        if radicand <= 0.0:
-            # Equal priors, first copy: measure halfway between the states.
-            phis.append(math.pi / 4)
-        else:
-            phis.append(0.5 * math.atan(tan2t / math.sqrt(radicand)))
-    return AngleSchedule(tuple(phis))
+    # w = 1 - chi**(2*(k - 1)) of the copies before copy k; theta within the slack is pi/4.
+    two_theta = 2.0 * min(theta, math.pi / 4)
+    w = -np.expm1(2.0 * np.arange(n, dtype=float) * math.log(math.cos(two_theta)))
+    phis = 0.5 * np.arctan2(math.tan(two_theta), np.sqrt(_margin_sq(priors, w)))
+    return AngleSchedule(tuple(phis.tolist()))
 
 
 def kennedy_pc(priors: Priors, gamma_sq: float) -> float:

@@ -1311,6 +1311,47 @@ class TestWholeDomain:
             beta = mpmath.findroot(lambda b: 4 * b * g - mpmath.log((b + g) / (b - g)), 0.7)
             assert abs(got - beta**2) <= 1e-12
 
+    def test_near_equal_priors_kennedy_displacement_matches_mpmath(self, tmp_path):
+        # ln(q0/q1) is formed as log1p((q0 - q1)/q1): log(q0/q1) kept only the
+        # digits of the rounded ratio, and this cell read 0.00284954437832.
+        out = tmp_path / "f3.csv"
+        assert main(["fig3", "--q0", "0.5000000009313226", "--gamma-sq-min", "1e-20",
+                     "--gamma-sq-max", "1e-14", "--points", "3", "-o", str(out)]) == 0
+        header, rows = read_rows(out)
+        # mpmath: 0.00284954436782618
+        assert rows[0][header.index("improved_kennedy_beta_sq")] == "0.00284954436783"
+
+    @pytest.mark.parametrize(
+        "argv,cells",
+        [(["--q0", "0.5", "--gamma-sq-min", "1e-16", "--gamma-sq-max", "1e-12",
+           "--schemes", "helstrom,kennedy"], ["0.49999999", "0.4999999", "0.499999"]),
+         (["--q0", "0.5000000074505806", "--gamma-sq-min", "1e-18", "--gamma-sq-max", "1e-16",
+           "--schemes", "helstrom,improved_kennedy,simplified_dolinar,dolinar_ode"],
+          ["0.499999992483", "0.499999991906", "0.49999998753"])],
+    )
+    def test_weak_signal_helstrom_column_writes_mpmath_cells(self, argv, cells, tmp_path):
+        # The cells of 50-digit mpmath.  Formed from the overlap exp(-2*gamma_sq),
+        # the column read 0.499999989463, 0.49999990004, 0.499999000011 and
+        # 0.499999992549 (min(q0, q1), as if there were no signal) twice, then 0.499999987095.
+        out = tmp_path / "o.csv"
+        assert main(["fig1", *argv, "--points", "3", "-o", str(out)]) == 0
+        header, rows = read_rows(out)
+        for name in ("helstrom_pe", "dolinar_ode_pe"):
+            if name in header:
+                assert [row[header.index(name)] for row in rows] == cells
+
+    def test_uncapped_law_runs_where_4_q0_q1_rounds_to_1(self, tmp_path):
+        # R(0) = |q0 - q1| is a normal float there: only exactly equal priors are singular.
+        q0 = ["--q0", "0.500000003"]
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--scheme", "dolinar_mc", *q0, "--trials", "2000",
+                     "--seed", "1", "-o", str(out)]) == 0
+        assert main(["fig1", *q0, "--schemes", "helstrom,dolinar_ode", "--points", "3",
+                     "-o", str(out)]) == 0
+        header, rows = read_rows(out)
+        for row in rows:
+            assert row[header.index("dolinar_ode_pe")] == row[header.index("helstrom_pe")]
+
     @pytest.mark.parametrize("q0", ["0", "1"])
     def test_certain_prior_nulls_the_certain_hypothesis(self, q0, tmp_path):
         # With one prior zero, P_c = exp(-(beta - gamma)**2): beta = gamma is optimal.
@@ -1328,6 +1369,14 @@ class TestWholeDomain:
 
 def log_uniform(lo: float, hi: float):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0**e)
+
+
+def edge_priors():
+    """Priors over [0, 1], often 0, 1, 1/2 or 1/2 +- 2**-k, where 4*q0*q1
+    rounds to 1 from k = 27 on."""
+    near_half = st.builds(lambda k, s: 0.5 + s * 2.0**-k,
+                          st.integers(1, 60), st.sampled_from([-1, 1]))
+    return (st.sampled_from([0.0, 0.5, 1.0]) | near_half | st.floats(0.0, 1.0)).map(Priors)
 
 
 @st.composite
@@ -1379,6 +1428,38 @@ def test_every_run_in_the_domain_exits_with_a_documented_code(argv, tmp_path_fac
         psi = np.sqrt(spec.axis() / spec.T) if spec.command == "fig1" else np.array([spec.psi])
         if np.all(4.0 * psi * psi >= sys.float_info.min):
             assert code != 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(priors=edge_priors(), ends=st.lists(log_uniform(1e-20, 1e6), min_size=2, max_size=2,
+                                           unique=True), T=log_uniform(1e-3, 1e3))
+def test_every_column_lies_between_the_bound_and_guessing(priors, ends, T, tmp_path_factory):
+    # pe_helstrom <= pe <= min(q0, q1) to 1e-12 relative for every analytic column
+    # and the uncapped optimal law (laws the user sets may rightly do worse than
+    # guessing), on the library's own helstrom column at full precision, and to a few
+    # units of 2**-1074 where the errors are subnormal and keep no relative digits.  A column
+    # may instead raise what the CLI maps to a documented exit code: only exactly
+    # equal priors make the uncapped law singular (exit 4).
+    lo, hi = sorted(ends)
+    fig1 = ["fig1", "--q0", repr(priors.q0), "--gamma-sq-min", repr(lo),
+            "--gamma-sq-max", repr(hi), "--points", "7"]
+    out = str(tmp_path_factory.mktemp("columns") / "o.csv")
+    helstrom = cli.cmd_fig1(resolved([*fig1, "--schemes", "helstrom"]), out)["helstrom_pe"]
+    guess = min(priors.q0, priors.q1)
+    for scheme in ("kennedy", "improved_kennedy", "simplified_dolinar", "dolinar_ode"):
+        argv = [*fig1, "--schemes", scheme]
+        if scheme == "dolinar_ode":
+            argv += ["--T", repr(T)]
+        try:
+            pe = cli.cmd_fig1(resolved(argv), out)[f"{scheme}_pe"]
+        except SingularControlError:
+            assert scheme == "dolinar_ode" and priors.q0 == priors.q1
+            continue
+        except (BracketError, rootfind_mod.ConvergenceError):
+            continue  # exit 3
+        tiny = 16 * 2.0**-1074
+        assert np.all(pe >= helstrom * (1.0 - 1e-12) - tiny), scheme
+        assert np.all(pe <= guess * (1.0 + 1e-12) + tiny), scheme
 
 
 class TestNoNumericalIntegration:

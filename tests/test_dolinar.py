@@ -36,6 +36,7 @@ from qsdr import (
 )
 import qsdr.dolinar as dolinar_mod
 from qsdr.dolinar import _Segments
+from qsdr.statemath import _margin_sq
 from test_cli import log_uniform
 
 HEL_TRAJ_711 = 0.99613880702215365   # frozen: q0=0.7, psi=1, t=1
@@ -550,6 +551,11 @@ def dyadic_q0(bits: int):
     return (st.just(0.5) | st.integers(0, 2**bits).map(lambda n: n / 2**bits)).map(Priors)
 
 
+def near_half():
+    """Priors ``1/2 + 2**-k``, k = 2..52: ``4*q0*q1`` rounds to 1 from k = 27 on."""
+    return st.integers(2, 52).map(lambda k: Priors(0.5 + 2.0**-k))
+
+
 def ulps(got: float, want) -> float:
     """Relative error of ``got`` in units of ``2**-52``: ulps as at the bottom
     of ``want``'s binade, so that a bound summed from rounding errors holds
@@ -571,17 +577,38 @@ def capped_weak_and_strong(draw):
 
 
 class TestMarginAgainstMpmath:
-    """The optimal law and the cap's switch time keep their digits at weak
-    signals, where ``1 - c*exp(-k*t)`` and ``log(c/g)`` lose them."""
+    """The optimal law, its evolution and the cap's switch time keep their
+    digits at weak signals, where ``1 - c*exp(-k*t)`` and ``log(c/g)`` lose
+    them, and at priors so near 1/2 that ``4*q0*q1`` rounds to 1.  These
+    anchors are independent of :func:`helstrom_trajectory`, which forms its
+    margin as the law does."""
 
     @settings(max_examples=300, deadline=None)
-    @given(dyadic_q0(26), log_uniform(1e-150, 1e3), log_uniform(1e-6, 1e6))
+    @given(dyadic_q0(26) | near_half(), log_uniform(1e-150, 1e3),
+           st.just(0.0) | log_uniform(1e-6, 1e6))
     def test_feedback_amplitude_within_4_ulp(self, priors, psi, t):
+        if priors.q0 == priors.q1 and t == 0.0:
+            return  # the law diverges there (TestFeedbackAmplitude)
         with mpmath.workdps(50):
             # 1 - c*exp(-k*t), its terms apart: 50 digits do not hold 1 - 1e-300.
             c = 4 * mpf(priors.q0) * mpf(priors.q1)
             want = psi / mpmath.sqrt(1 - c - c * mpmath.expm1(-4 * mpf(psi) ** 2 * t))
             assert ulps(feedback_amplitude(priors, psi, t), want) <= 4.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_half(), st.lists(log_uniform(1e-20, 150.0), min_size=1, max_size=8))
+    def test_uncapped_evolve_pe_rides_the_bound(self, priors, gamma_sqs):
+        # The error at T = 1 is the Helstrom error at gamma_sq = psi**2.  The exponents,
+        # of size k*T = 4*psi**2, carry roundings that exp turns into relative errors:
+        # up to 2*k*T ulps (3.5*psi**2 seen, 6.9e-14 near gamma_sq = 130), and a few more.
+        psi = np.sqrt(gamma_sqs)
+        pe = evolve_pe(priors, psi, LawFamily(), 1.0)
+        for got, p in zip(pe.tolist(), psi.tolist()):
+            with mpmath.workdps(50):
+                q0, q1, g = mpf(priors.q0), mpf(priors.q1), mpf(p) ** 2
+                r = mpmath.sqrt((q0 - q1) ** 2 + 4 * q0 * q1 * -mpmath.expm1(-4 * g))
+                want = 4 * q0 * q1 * mpmath.exp(-4 * g) / (2 * (1 + r))
+            assert ulps(got, want) <= 16.0 + 8.0 * p * p
 
     @settings(max_examples=300, deadline=None)
     @given(capped_weak_and_strong())
@@ -901,9 +928,23 @@ class TestHazard:
     def test_matched_inverse_at_its_limit_is_past_any_horizon(self):
         # F_0 = -ln 2 is R = 1, which the law reaches only as t -> inf: that is the
         # time, and it comes without a RuntimeWarning (the test config makes one fail).
-        segment = SimpleNamespace(curved=(math.log(0.84), 4.0))
+        segment = SimpleNamespace(curved=(Priors(0.7), 4.0))  # c = 0.84
         f = np.array([-math.log(2.0)])
         assert _Segments._f_inverse(segment, f, np.array([0])).tolist() == [math.inf]
+
+    @pytest.mark.parametrize("k", [27, 30, 40, 52])
+    def test_inverse_keeps_early_times_where_4_q0_q1_rounds_to_1(self, k):
+        # ln c = 0 there, and an inverse that read it alone put a click at 1e-16 back
+        # at 1.09e-16 (q0 = 0.500000003).  The bound is the one of the mpmath test below.
+        priors = Priors(0.5 + 2.0**-k)
+        segment = SimpleNamespace(curved=(priors, 4.0))  # psi = 1
+        t = np.geomspace(1e-20, 1.0, 41)
+        r = np.sqrt(_margin_sq(priors, -np.expm1(-4.0 * t)))
+        for b in (0, 1):
+            f = _Segments._f(segment, t, b)
+            back = _Segments._f_inverse(segment, f, np.full(t.size, b))
+            rate = (1.0 + (2 * b - 1) / r) ** 2
+            assert np.all(np.abs(back - t) * rate <= 8 * 2.0**-52 * np.maximum(1.0, np.abs(f)))
 
     @settings(max_examples=300, deadline=None)
     @given(dyadic_q0(26).filter(lambda p: 0.0 < p.q0 < 1.0), log_uniform(1e-150, 1e3),
@@ -914,9 +955,9 @@ class TestHazard:
         # only known to eps*|f|: the inverse may lose no more than a few of those,
         # where R is small (weak signals, early times) as where it nears 1.
         lnc, k = math.log(4.0 * priors.q0 * priors.q1), 4.0 * psi * psi
-        segment = SimpleNamespace(curved=(lnc, k))
+        segment = SimpleNamespace(curved=(priors, k))
         t = np.array([kt / k])
-        if not -math.expm1(lnc - kt) > 0.0:
+        if not _margin_sq(priors, -math.expm1(-kt)) > 0.0:
             return  # the margin is 0 there: no click time to invert
         f = _Segments._f(segment, t, b)
         (got,) = _Segments._f_inverse(segment, f, np.array([b]))

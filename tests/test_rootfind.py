@@ -276,6 +276,16 @@ class TestIkResidual:
     def test_zero_at_frozen_optimum(self):
         assert abs(ik_displacement_residual(Priors(0.5), math.sqrt(0.2), BETA_IK_5)) < 1e-12
 
+    def test_log_odds_against_mpmath(self):
+        # log1p((q0 - q1)/q1) keeps the digits near q0 = 1/2 that log(q0/q1) lost
+        # to the rounded ratio: 3.7e-9 relative at q0 = 1/2 + 2**-30.  Where q1 is
+        # subnormal the quotient overflows, and ln q0 - ln q1 is taken instead.
+        priors = [Priors(0.5 + s * 2.0**-k) for k in range(2, 55) for s in (1, -1)]
+        for pr in [*priors, Priors(5e-324).dominant()]:
+            with mpmath.workdps(50):
+                want = mpmath.log(mpf(pr.q0) / mpf(pr.q1))
+            assert abs(rootfind._log_odds(pr) - want) <= 2 * 2.0**-52 * abs(want), pr.q0
+
     def test_requires_beta_beyond_gamma(self):
         with pytest.raises(ValueError):
             ik_displacement_residual(Priors(0.5), 0.5, 0.5)

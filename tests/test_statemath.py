@@ -5,11 +5,16 @@ precision and pasted here as double literals.
 """
 
 import math
+import warnings
+from types import SimpleNamespace
 
+from hypothesis import given, settings
 import mpmath
+from mpmath import mpf
 import numpy as np
 import pytest
 
+import qsdr.cli as cli
 from qsdr import (
     AngleSchedule,
     Priors,
@@ -18,6 +23,7 @@ from qsdr import (
     coherent_overlap,
     helstrom_bound,
     helstrom_error,
+    helstrom_trajectory,
     ik_displacement_residual,
     improved_kennedy_error,
     improved_kennedy_pc,
@@ -30,6 +36,7 @@ from qsdr import (
     simplified_dolinar_error,
     simplified_dolinar_pc,
 )
+from test_cli import edge_priors, log_uniform
 
 OVERLAP_AT_02 = 0.6703200460356393        # exp(-0.4), frozen
 HELSTROM_HALF_02 = 0.87103606155021455    # helstrom, q0=0.5, overlap exp(-0.4)
@@ -157,6 +164,40 @@ class TestHelstromError:
         with pytest.raises(ValueError):
             helstrom_error(Priors(0.5), 1.5)
 
+    @pytest.mark.parametrize("q0", [0.5, 0.5 + 2.0**-30, 0.5 - 2.0**-52, 0.7, 1.0 - 1e-9])
+    def test_keeps_its_digits_as_the_overlap_nears_one(self, q0):
+        # The margin from 1 - overlap**2 = (1 - x)*(1 + x), not from 1 - c*x*x,
+        # which lost the digits the states' difference leaves.
+        pr = Priors(q0)
+        for m in range(1, 53):
+            x = 1.0 - 2.0**-m
+            with mpmath.workdps(50):
+                q0_, q1_, x_ = mpf(pr.q0), mpf(pr.q1), mpf(x)
+                r = mpmath.sqrt((q0_ - q1_) ** 2 + 4 * q0_ * q1_ * (1 - x_) * (1 + x_))
+                want = 4 * q0_ * q1_ * x_ * x_ / (2 * (1 + r))
+            assert abs(helstrom_error(pr, x) - want) <= 1e-15 * want
+
+
+class TestCoherentHelstromAgainstMpmath:
+    """The fig1 ``helstrom`` column and :func:`helstrom_trajectory`, the
+    references the other columns and the feedback law are judged by, form
+    their margin from ``gamma_sq`` itself, so no overlap rounds it away."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_priors(), log_uniform(1e-300, 700.0))
+    def test_within_1e_15_relative(self, priors, gamma_sq):
+        with mpmath.workdps(50):
+            q0, q1, g = mpf(priors.q0), mpf(priors.q1), mpf(gamma_sq)
+            r = mpmath.sqrt((q0 - q1) ** 2 + 4 * q0 * q1 * -mpmath.expm1(-4 * g))
+            pe, pc = 4 * q0 * q1 * mpmath.exp(-4 * g) / (2 * (1 + r)), (1 + r) / 2
+        axis = SimpleNamespace(priors=priors, g=np.array([gamma_sq]))
+        column = cli.SCHEMES["helstrom"]["pe"](axis)
+        if pe == 0:
+            assert column[0] == 0.0
+        elif pe >= 2.0**-1022:  # a normal float
+            assert abs(column[0] - pe) <= 1e-15 * pe
+        assert abs(helstrom_trajectory(priors, 1.0, gamma_sq) - pc) <= 1e-15 * pc
+
 
 class TestCoherentOverlap:
     def test_zero_photons(self):
@@ -225,6 +266,16 @@ class TestAngleSchedule:
         assert all(b <= a + 1e-15 for a, b in zip(phis, phis[1:]))
         assert all(p >= theta - 1e-12 for p in phis)
         assert phis[-1] == pytest.approx(theta, abs=1e-9)
+
+    @pytest.mark.parametrize("q0,theta", [(0.5, math.pi / 4), (0.7, math.pi / 4), (0.5, 1e-3),
+                                          (0.6, math.pi / 4 + 1e-13)])
+    def test_orthogonal_states_or_equal_priors_start_on_the_diagonal(self, q0, theta):
+        # chi = cos(pi/2) and R = |q0 - q1| = 0 are arctan2's limits, reached with no
+        # RuntimeWarning; theta within the slack above pi/4 is pi/4.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sched = angle_schedule(Priors(q0), theta, 5)
+        assert sched.angle(1) == math.pi / 4
 
     def test_flip_rule(self):
         sched = angle_schedule(Priors(0.6), 0.3, 2)
