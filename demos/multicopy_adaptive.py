@@ -52,10 +52,9 @@ def main() -> None:
     )
 
     # The unrolled strategy is one product measurement on all n copies.
-    vecs = measurement_vectors(pr, theta, min(n, 8))
-    mat = np.stack([v.assemble() for v in vecs])
-    gram_err = float(np.max(np.abs(mat @ mat.T - np.eye(len(vecs)))))
-    print(f"Gram matrix deviation from identity: {gram_err:.2e} ({len(vecs)} vectors)")
+    mat = measurement_vectors(pr, theta, min(n, 8))
+    gram_err = float(np.max(np.abs(mat @ mat.T - np.eye(len(mat)))))
+    print(f"Gram matrix deviation from identity: {gram_err:.2e} ({len(mat)} vectors)")
 
     # Copy-by-copy: each further copy applies the one-step bound update.
     pc = pr.max_prior

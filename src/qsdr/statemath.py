@@ -131,14 +131,11 @@ class QubitPair(Record):
 class AngleSchedule(Record):
     """Measurement angles ``phi_1 .. phi_n`` for the adaptive local strategy.
 
-    ``angle(k)`` is the angle used at copy ``k`` (1-based) while the previous
-    provisional decision is 0; ``flipped(k)`` is the angle ``pi/2 - phi_k``
-    used when it is 1.  Truth table of the effective angle:
-
-        previous bit 0  ->  phi_k
-        previous bit 1  ->  pi/2 - phi_k
-
-    where "previous bit" for k = 1 is ``Priors.start_bit``.
+    ``phis[k - 1]`` is the angle used at copy ``k`` while the previous
+    provisional decision is 0; when it is 1 the strategy uses
+    ``pi/2 - phi_k``, and before copy 1 the previous bit is
+    ``Priors.start_bit``.  ``qsdr.multicopy._effective_angles`` holds that
+    truth table as one array.
     """
 
     __slots__ = ("phis",)
@@ -153,21 +150,6 @@ class AngleSchedule(Record):
 
     def __len__(self) -> int:
         return len(self.phis)
-
-    def angle(self, k: int) -> float:
-        """Angle for copy ``k`` (1-based) after a previous outcome 0."""
-        if not 1 <= k <= len(self.phis):
-            raise ValueError(f"copy index must lie in 1..{len(self.phis)}, got {k}")
-        return self.phis[k - 1]
-
-    def flipped(self, k: int) -> float:
-        """Angle for copy ``k`` after a previous outcome 1."""
-        return math.pi / 2 - self.angle(k)
-
-    def effective_angle(self, k: int, prev_bit: int) -> float:
-        if prev_bit not in (0, 1):
-            raise ValueError(f"prev_bit must be 0 or 1, got {prev_bit}")
-        return self.angle(k) if prev_bit == 0 else self.flipped(k)
 
 
 def _out(x):

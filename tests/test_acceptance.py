@@ -81,9 +81,7 @@ def test_02_product_vectors_form_projective_measure():
         for chi in (0.3, 0.8):
             theta = QubitPair.from_overlap(chi).theta
             for n in range(1, 7):
-                mat = np.stack(
-                    [v.assemble() for v in measurement_vectors(Priors(q0), theta, n)]
-                )
+                mat = measurement_vectors(Priors(q0), theta, n)
                 gram = mat @ mat.T
                 worst = max(worst, float(np.max(np.abs(gram - np.eye(2**n)))))
     elapsed = time.perf_counter() - start

@@ -2,74 +2,74 @@
 
 import itertools
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from qsdr import (
-    OutcomeSequence,
     Priors,
-    ProductVector,
     QubitPair,
     angle_schedule,
     exact_adaptive_pc,
-    helstrom_bound,
-    local_outcome_probs,
     measurement_vectors,
     multicopy_bound,
     posterior_update,
     simulate_adaptive,
 )
+from qsdr.multicopy import _outcome0_table
 
 MULTICOPY_06_08_2 = 0.8894817068874994   # frozen: q0=0.6, chi=0.8, n=2
 COS2_PI8 = 0.85355339059327373           # frozen: cos^2(pi/8)
 
 
 def _enum_reference(priors: Priors, theta: float, n: int) -> float:
-    """Slow branch-by-branch average, deliberately unlike the library's path."""
-    sched = angle_schedule(priors, theta, n)
+    """Slow branch-by-branch average, deliberately unlike the library's path.
+
+    Only the schedule's angles come from the library; the flip rule and the
+    outcome probabilities are written out here.
+    """
+    phis = angle_schedule(priors, theta, n).phis
     total = 0.0
     for bits in itertools.product((0, 1), repeat=n):
-        for a in (0, 1):
-            p_branch = priors.q0 if a == 0 else priors.q1
-            prev = 0
-            for k, b in enumerate(bits, start=1):
-                phi = sched.effective_angle(k, prev)
-                p0, p1 = local_outcome_probs(a, theta, phi)
-                p_branch *= p0 if b == 0 else p1
+        for a, p_branch in ((0, priors.q0), (1, priors.q1)):
+            prev = priors.start_bit
+            for phi_k, b in zip(phis, bits):
+                phi = phi_k if prev == 0 else math.pi / 2 - phi_k
+                p0 = math.cos(theta - phi if a == 0 else theta + phi) ** 2
+                p_branch *= p0 if b == 0 else 1.0 - p0
                 prev = b
             if bits[-1] == a:
                 total += p_branch
     return total
 
 
-class TestLocalOutcomeProbs:
+class TestOutcomeTable:
+    def test_layout(self):
+        table = _outcome0_table(Priors(0.6), 0.3, 4)
+        assert table.shape == (2, 4, 2)
+        assert np.all((0.0 <= table) & (table <= 1.0))
+
     def test_aligned_detector_is_deterministic(self):
-        # a=0 hits delta = 0 exactly; a=1 leaves cos(pi/2)^2 ~ 1e-33 of slop
-        assert local_outcome_probs(0, math.pi / 4, math.pi / 4) == (1.0, 0.0)
-        p0, p1 = local_outcome_probs(1, math.pi / 4, math.pi / 4)
-        assert p0 == pytest.approx(0.0, abs=1e-30)
-        assert p1 == pytest.approx(1.0, abs=1e-30)
+        # phi_1 = theta = pi/4: a=0 hits delta = 0 exactly; a=1 leaves
+        # cos(pi/2)^2 ~ 1e-33 of slop.  The flipped angle is pi/4 as well.
+        table = _outcome0_table(Priors(0.5), math.pi / 4, 1)
+        assert table[0, 0, 0] == 1.0 and table[0, 0, 1] == 1.0
+        assert table[1, 0] == pytest.approx([0.0, 0.0], abs=1e-30)
 
     def test_frozen_value(self):
-        p0, _ = local_outcome_probs(0, 0.0, math.pi / 8)
-        assert p0 == pytest.approx(COS2_PI8, abs=1e-15)
-
-    def test_rows_normalized(self):
-        for theta in np.linspace(0.0, math.pi / 4, 7):
-            for phi in np.linspace(0.0, math.pi / 2, 9):
-                for a in (0, 1):
-                    p0, p1 = local_outcome_probs(a, float(theta), float(phi))
-                    assert p0 + p1 == pytest.approx(1.0, abs=1e-14)
-                    assert -1e-15 <= p0 <= 1.0 + 1e-15
+        # Equal priors: phi_1 = pi/4, so symbol 0 meets the detector at -pi/8.
+        table = _outcome0_table(Priors(0.5), math.pi / 8, 1)
+        assert table[0, 0, 0] == pytest.approx(COS2_PI8, abs=1e-15)
+        assert table[1, 0, 0] == pytest.approx(1.0 - COS2_PI8, abs=1e-15)
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="copy count must be >= 1"):
+            _outcome0_table(Priors(0.6), 0.3, 0)
         with pytest.raises(ValueError):
-            local_outcome_probs(2, 0.1, 0.1)
+            _outcome0_table(Priors(0.6), -0.1, 1)
         with pytest.raises(ValueError):
-            local_outcome_probs(0, -0.1, 0.1)
-        with pytest.raises(ValueError):
-            local_outcome_probs(0, 0.1, math.pi / 2 + 1e-6)
+            _outcome0_table(Priors(0.6), math.pi / 4 + 1e-6, 1)
 
 
 class TestExactAdaptivePc:
@@ -89,6 +89,10 @@ class TestExactAdaptivePc:
         theta10 = QubitPair.from_overlap(0.9).theta
         got10 = exact_adaptive_pc(Priors(0.65), theta10, 10)
         assert got10 == pytest.approx(_enum_reference(Priors(0.65), theta10, 10), abs=1e-13)
+        # q0 < 1/2: every branch starts from provisional bit 1.
+        ref3 = _enum_reference(Priors(0.3), theta3, 3)
+        assert exact_adaptive_pc(Priors(0.3), theta3, 3) == pytest.approx(ref3, abs=1e-13)
+        assert ref3 == pytest.approx(multicopy_bound(Priors(0.3), 0.45, 3), abs=1e-13)
 
     @pytest.mark.parametrize("q0", [0.5, 0.75])
     @pytest.mark.parametrize("chi", [0.3, 0.8])
@@ -157,54 +161,54 @@ class TestSimulateAdaptive:
 
 
 class TestMeasurementVectors:
-    @pytest.mark.parametrize("q0", [0.5, 0.65])
+    @pytest.mark.parametrize("q0", [0.3, 0.5, 0.65])
     @pytest.mark.parametrize("n", range(1, 5))
     def test_orthonormal_family(self, q0, n):
-        vecs = measurement_vectors(Priors(q0), 0.35, n)
-        assert len(vecs) == 2**n
-        mat = np.stack([v.assemble() for v in vecs])
+        mat = measurement_vectors(Priors(q0), 0.35, n)
+        assert mat.shape == (2**n, 2**n)
         gram = mat @ mat.T
         assert np.max(np.abs(gram - np.eye(2**n))) < 1e-12
 
-    def test_unit_norms(self):
-        for v in measurement_vectors(Priors(0.6), 0.3, 3):
-            assert np.linalg.norm(v.assemble()) == pytest.approx(1.0, abs=1e-14)
+    @pytest.mark.parametrize("q0", [0.3, 0.5, 0.7])
+    @pytest.mark.parametrize("chi", [0.45, 0.8])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_vectors_realize_the_strategy(self, q0, chi, n):
+        # Row j reports decision j & 1; the product measurement on
+        # (cos theta, +-sin theta)^{(x) n} succeeds as often as the strategy.
+        pr = Priors(q0)
+        theta = QubitPair.from_overlap(chi).theta
+        mat = measurement_vectors(pr, theta, n)
+        decision = np.arange(2**n) & 1
+        pc = 0.0
+        for a, qa in ((0, pr.q0), (1, pr.q1)):
+            state = reduce(np.kron, [np.array([math.cos(theta), (-1) ** a * math.sin(theta)])] * n)
+            pc += qa * float(np.sum((mat @ state)[decision == a] ** 2))
+        assert pc == pytest.approx(exact_adaptive_pc(pr, theta, n), abs=1e-12)
 
     def test_single_copy_pair(self):
+        # Start bit 0: the detector sits at phi_1 = pi/4 for equal priors.
         v0, v1 = measurement_vectors(Priors(0.5), 0.3, 1)
-        a0, a1 = v0.assemble(), v1.assemble()
-        assert abs(a0 @ a1) < 1e-15
-        assert v0.outcome.final == 0 and v1.outcome.final == 1
+        h = math.sqrt(0.5)
+        assert v0 == pytest.approx([h, h], abs=1e-15)
+        assert v1 == pytest.approx([h, -h], abs=1e-15)
 
-    def test_assemble_matches_plain_kron(self):
-        vecs = measurement_vectors(Priors(0.6), 0.3, 3)
-        v = vecs[5]
-        out = np.array([1.0])
-        for f in v.factors:
-            out = np.kron(out, f)
-        assert np.allclose(v.assemble(), out, atol=0.0)
+    def test_rows_are_kron_products_of_the_branch(self):
+        # Row 0b101 of 3 copies: outcomes 1, 0, 1 from start bit 0.
+        pr, theta = Priors(0.6), 0.3
+        phis = angle_schedule(pr, theta, 3).phis
+        angles = (phis[0], math.pi / 2 - phis[1], phis[2])
+        factors = [
+            np.array([math.sin(x), -math.cos(x)]) if b else np.array([math.cos(x), math.sin(x)])
+            for x, b in zip(angles, (1, 0, 1))
+        ]
+        row = measurement_vectors(pr, theta, 3)[0b101]
+        assert row == pytest.approx(reduce(np.kron, factors), abs=1e-15)
 
     def test_copy_count_limit(self):
         with pytest.raises(ValueError):
             measurement_vectors(Priors(0.5), 0.3, 11)
         with pytest.raises(ValueError):
             measurement_vectors(Priors(0.5), 0.3, 0)
-
-
-class TestOutcomeStructures:
-    def test_outcome_sequence(self):
-        seq = OutcomeSequence((0, 1, 1))
-        assert seq.final == 1
-        with pytest.raises(ValueError):
-            OutcomeSequence(())
-        with pytest.raises(ValueError):
-            OutcomeSequence((0, 2))
-
-    def test_product_vector_validation(self):
-        vecs = measurement_vectors(Priors(0.5), 0.3, 2)
-        assert isinstance(vecs[0], ProductVector)
-        with pytest.raises(ValueError):
-            ProductVector(OutcomeSequence((0, 1)), (0.1,))
 
 
 class TestPosteriorUpdate:

@@ -252,12 +252,13 @@ class TestMulticopyBound:
 class TestAngleSchedule:
     def test_equal_priors_first_angle_is_diagonal(self):
         sched = angle_schedule(Priors(0.5), math.pi / 8, 3)
-        assert sched.angle(1) == math.pi / 4
+        assert len(sched) == 3
+        assert sched.phis[0] == math.pi / 4
 
     def test_frozen_first_angle(self):
         sched = angle_schedule(Priors(0.6), math.pi / 8, 1)
-        assert sched.angle(1) == pytest.approx(PHI1_06_PI8, abs=1e-15)
-        assert sched.angle(1) == pytest.approx(0.5 * math.atan(5.0), abs=1e-15)
+        assert sched.phis[0] == pytest.approx(PHI1_06_PI8, abs=1e-15)
+        assert sched.phis[0] == pytest.approx(0.5 * math.atan(5.0), abs=1e-15)
 
     def test_decreases_toward_state_angle(self):
         theta = QubitPair.from_overlap(0.8).theta
@@ -275,23 +276,7 @@ class TestAngleSchedule:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sched = angle_schedule(Priors(q0), theta, 5)
-        assert sched.angle(1) == math.pi / 4
-
-    def test_flip_rule(self):
-        sched = angle_schedule(Priors(0.6), 0.3, 2)
-        assert sched.flipped(2) == pytest.approx(math.pi / 2 - sched.angle(2), abs=0)
-        assert sched.effective_angle(2, 0) == sched.angle(2)
-        assert sched.effective_angle(2, 1) == sched.flipped(2)
-        with pytest.raises(ValueError):
-            sched.effective_angle(1, 2)
-
-    def test_index_bounds(self):
-        sched = angle_schedule(Priors(0.6), 0.3, 2)
-        assert len(sched) == 2
-        with pytest.raises(ValueError):
-            sched.angle(0)
-        with pytest.raises(ValueError):
-            sched.angle(3)
+        assert sched.phis[0] == math.pi / 4
 
     def test_validation(self):
         with pytest.raises(ValueError):

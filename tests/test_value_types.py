@@ -14,10 +14,8 @@ from qsdr import (
     ControlLaw,
     EvolveResult,
     LawFamily,
-    OutcomeSequence,
     PcState,
     Priors,
-    ProductVector,
     QubitPair,
     evolve_pc,
 )
@@ -44,8 +42,6 @@ SIGNATURES = {
     LawFamily: "beta=None, t_floor=None, u_max=None",
     PcState: "e0, e1, t",
     EvolveResult: "final, times, p0, p1, pc",
-    OutcomeSequence: "bits",
-    ProductVector: "outcome, angles",
     SweepSpec: "command, schemes, *, gamma_sq_min=None, gamma_sq_max=None, points=None, "
                "spacing=None, q0, T=None, seed, trials=None, format, u_max=None, t_floor=None, "
                "beta=None, psi=None, theta=None, copies=None",
@@ -59,11 +55,6 @@ EQUAL = {
     ControlLaw: lambda: (ControlLaw.constant(0.3), ControlLaw((0.0,), (0.3,))),
     LawFamily: lambda: (LawFamily(beta=0.8), LawFamily(0.8, None)),
     PcState: lambda: (PcState(0.1, 0.3, 1.0), PcState(t=1.0, e1=0.3, e0=0.1)),
-    OutcomeSequence: lambda: (OutcomeSequence((0, 1)), OutcomeSequence(bits=(0, 1))),
-    ProductVector: lambda: (
-        ProductVector(OutcomeSequence((0, 1)), (0.1, 0.2)),
-        ProductVector(angles=(0.1, 0.2), outcome=OutcomeSequence((0, 1))),
-    ),
     SweepSpec: lambda: (spec(), SweepSpec(format="csv", seed=0, q0=0.5, spacing="log", points=2,
                                           gamma_sq_max=1.0, gamma_sq_min=0.1,
                                           schemes=("kennedy",), command="fig3")),
@@ -77,8 +68,6 @@ OTHER = {
     ControlLaw: lambda: ControlLaw((0.0, 0.5), (0.3,), (Priors(0.7), 1.0)),
     LawFamily: lambda: LawFamily(0.9),
     PcState: lambda: PcState(0.1, 0.3, 2.0),
-    OutcomeSequence: lambda: OutcomeSequence((0, 0)),
-    ProductVector: lambda: ProductVector(OutcomeSequence((0, 1)), (0.1, 0.3)),
     SweepSpec: lambda: spec(T=2.0),
 }
 
@@ -96,11 +85,6 @@ REPRS = {
         evolve_result,
         "EvolveResult(final=PcState(e0=0.1, e1=0.3, t=1.0), times=array([0., 1.]), "
         "p0=array([1., 0.]), p1=array([0., 1.]), pc=array([0., 1.]))",
-    ),
-    OutcomeSequence: (lambda: OutcomeSequence((0, 1, 1)), "OutcomeSequence(bits=(0, 1, 1))"),
-    ProductVector: (
-        lambda: ProductVector(OutcomeSequence((0, 1)), (0.1, 0.2)),
-        "ProductVector(outcome=OutcomeSequence(bits=(0, 1)), angles=(0.1, 0.2))",
     ),
     SweepSpec: (
         lambda: spec(trials=50),
@@ -213,10 +197,6 @@ def test_checks_run_at_construction():
         LawFamily(0.5, u_max=2.0)
     with pytest.raises(ValueError, match=r"^e1 must lie in \[0, 1\], got 1\.5$"):
         PcState(0.0, 1.5, 1.0)
-    with pytest.raises(ValueError, match="^outcome bits must be 0 or 1"):
-        OutcomeSequence((0, 2))
-    with pytest.raises(ValueError, match="^one angle per measured copy required$"):
-        ProductVector(OutcomeSequence((0, 1)), (0.1,))
     with pytest.raises(ValueError, match="^T must be finite, got inf$"):
         spec(T=math.inf)
     with pytest.raises(ValueError, match=r"^points must be >= 2, got 1$"):
