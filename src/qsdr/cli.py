@@ -24,6 +24,7 @@ Exit codes: 0 success, 2 invalid spec or I/O failure, 3 solver failure,
 from __future__ import annotations
 
 import contextlib
+import gc
 import math
 import os
 import sys
@@ -315,16 +316,29 @@ def _betas(ax: _Axis, names) -> dict[str, np.ndarray]:
     return dict(zip(names, solve_jointly(*(OPTIMIZERS[name](ax) for name in names))))
 
 
+def _psi(ax: _Axis) -> np.ndarray:
+    # The law runs on the envelope amplitude psi = sqrt(gamma_sq/T); a quotient
+    # past the float range is inf, which the optimal law refuses.
+    with np.errstate(over="ignore"):
+        return np.sqrt(ax.g / ax.spec.T)
+
+
 def _dolinar_ode_pe(ax: _Axis) -> np.ndarray:
-    # The law runs on the envelope amplitude psi = sqrt(gamma_sq/T).
-    return evolve_pe(ax.priors, np.sqrt(ax.g / ax.spec.T), _law_family(ax.spec), ax.spec.T)
+    return evolve_pe(ax.priors, _psi(ax), _law_family(ax.spec), ax.spec.T)
+
+
+def _helstrom_pe(ax: _Axis) -> np.ndarray:
+    # From gamma_sq itself: the overlap exp(-2*gamma_sq) rounds away 1 - overlap**2.
+    # 4*gamma_sq = inf (from 4.5e307 on) gives the limits x2 = 0, w = 1.
+    with np.errstate(over="ignore"):
+        return _helstrom_error(ax.priors, np.exp(-4.0 * ax.g), -np.expm1(-4.0 * ax.g))
 
 
 def _dolinar_mc_pe(ax: _Axis) -> np.ndarray:
     # Each point is its own seeded run; its error frequency is counted, not
     # taken as 1 - estimate.
     spec, pe = ax.spec, []
-    for psi, seed in zip(np.sqrt(ax.g / spec.T).tolist(), _row_seeds(spec.seed, spec.points)):
+    for psi, seed in zip(_psi(ax).tolist(), _row_seeds(spec.seed, spec.points)):
         law = _dolinar_law(spec, ax.priors, psi)
         chunks = telegraph_chunks(ax.priors, psi, law, spec.T, spec.trials, seed)
         misses = sum(int(np.count_nonzero(tr.z_final != tr.a)) for _, tr in chunks)
@@ -340,10 +354,7 @@ def _dolinar_mc_pe(ax: _Axis) -> np.ndarray:
 # records.  Entries look library functions up as module globals at call
 # time, so a wrapper set on a qsdr.cli attribute sees every call.
 SCHEMES = {
-    # From gamma_sq itself: the overlap exp(-2*gamma_sq) rounds away 1 - overlap**2.
-    "helstrom": {
-        "pe": lambda ax: _helstrom_error(ax.priors, np.exp(-4.0 * ax.g), -np.expm1(-4.0 * ax.g))
-    },
+    "helstrom": {"pe": _helstrom_pe},
     # Nulls the likelier hypothesis; fig3's reference line.
     "kennedy": {"pe": lambda ax: kennedy_error(ax.ranked, ax.g), "beta_sq": lambda ax: ax.g},
     "improved_kennedy": {
@@ -640,6 +651,18 @@ def _resolve(command: str, args: dict[str, str], cfg: dict[str, str]):
 
 
 def main(argv=None) -> int:
+    """Run one command, ``argv`` or else ``sys.argv[1:]``, and return its exit
+    code: 0 success, 2 invalid spec or I/O failure, 3 solver failure, 4
+    singular control request.
+
+    The first call in a process freezes every object then alive
+    (``gc.freeze()``), numpy's and this package's import heap above all, so
+    that neither the run's own garbage collections nor interpreter shutdown
+    walk them again.  Objects an embedding caller holds at that first call
+    are therefore never cyclically collected; later calls freeze nothing.
+    """
+    if not gc.get_freeze_count():
+        gc.freeze()
     try:
         command, args = _split(sys.argv[1:] if argv is None else list(argv))
         if args is None:

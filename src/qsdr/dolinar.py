@@ -76,6 +76,18 @@ class RatePair(NamedTuple):
     mu: float
 
 
+# The largest amplitude whose optimal-law rate scale k = 4*psi**2 is a float.
+_PSI_MAX = math.sqrt(np.finfo(float).max / 4.0)
+
+
+def _rate_scale(psi):
+    """``k = 4*psi**2`` of the optimal law at amplitude ``psi`` (a float or an
+    array), refusing an amplitude where it overflows."""
+    _reject(psi > _PSI_MAX, psi, "4*psi**2 overflows: psi**2 (gamma_sq/T in a sweep) must be "
+            "at most 4.494e+307, psi at most 6.704e+153")
+    return 4.0 * psi * psi
+
+
 def feedback_amplitude(priors: Priors, psi: float, t: float) -> float:
     """Optimal feedback magnitude ``psi / R(t)`` at time ``t``.
 
@@ -88,7 +100,7 @@ def feedback_amplitude(priors: Priors, psi: float, t: float) -> float:
         raise ValueError(f"psi must be >= 0, got {psi}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    r2 = _margin_sq(priors, -np.expm1(-4.0 * psi * psi * t))
+    r2 = _margin_sq(priors, -np.expm1(-_rate_scale(psi) * t))
     if r2 <= 0.0:
         raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
     return psi / math.sqrt(r2)
@@ -119,7 +131,7 @@ def helstrom_trajectory(priors: Priors, psi: float, t: float) -> float:
         raise ValueError(f"psi must be >= 0, got {psi}")
     if t < 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    return float(0.5 * (1.0 + np.sqrt(_margin_sq(priors, -np.expm1(-4.0 * psi * psi * t)))))
+    return float(0.5 * (1.0 + np.sqrt(_margin_sq(priors, -np.expm1(-_rate_scale(psi) * t)))))
 
 
 class ControlLaw(Record):
@@ -252,8 +264,9 @@ class LawFamily(Record):
             return np.full(psi.shape, math.inf), np.full(psi.shape, float(self.beta))
         t0, u_max = self.t_floor or 0.0, self.u_max
         _reject(psi < 0.0, psi, "psi must be >= 0")
-        k = 4.0 * psi * psi
-        r2 = _margin_sq(priors, -np.expm1(-k * t0))
+        k = _rate_scale(psi)
+        with np.errstate(over="ignore"):  # k*t0 = inf takes the margin's limit 1
+            r2 = _margin_sq(priors, -np.expm1(-k * t0))
         live = r2 > 0.0
         value = np.where(live, psi / np.sqrt(np.where(live, r2, 1.0)), math.inf)
         switch = np.where(live, t0, 0.0)
@@ -518,7 +531,7 @@ def _segment_table(control: ControlLaw, psi: float, T: float):
 def _curve(priors: Priors, psi, a):
     """``k = 4*psi**2`` of the optimal law of ``priors`` on segments starting
     at ``a``; the first start where ``R = 0``, so the law diverges, raises."""
-    k = 4.0 * psi * psi
+    k = _rate_scale(psi)
     for t in np.asarray(a)[_margin_sq(priors, -np.expm1(-k * a)) <= 0.0][:1]:
         raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
     return k
@@ -534,17 +547,20 @@ def _walk(priors: Priors, psi, edges, values, curve: Priors | None, h: np.ndarra
     :class:`SingularControlError`, errors out of [0, 1] :class:`PcState`'s."""
     e = np.repeat(np.array(_initial_errors(priors))[:, None], h.size, axis=1)
     edges = [np.minimum(x, h) for x in (*edges, math.inf)]
-    for a, b, value in zip(edges, edges[1:], values):
-        # A slot cut to nothing gets zero rates, so its value may be inf.
-        lam, mu = (np.where(b > a, r, 0.0) for r in rates(psi, value))
-        e = _relax_constant(e, lam, mu, a, b)
-    a, psi = np.broadcast_arrays(edges[len(values)], psi)
-    tail = np.flatnonzero(a < h)
-    if tail.size:
-        k = _curve(curve, psi[tail], a[tail])
-        on = psi[tail] > 0.0  # a law for psi = 0 is 0, and so are its rates
-        i = tail[on]
-        e[:, i] = _relax_optimal(e[:, i], curve, k[on], a[i], h[i])
+    # A rate times a time past the float range (gamma_sq from 4.5e307 on) is
+    # inf, and the kernels' exponentials take their limits.
+    with np.errstate(over="ignore"):
+        for a, b, value in zip(edges, edges[1:], values):
+            # A slot cut to nothing gets zero rates, so its value may be inf.
+            lam, mu = (np.where(b > a, r, 0.0) for r in rates(psi, value))
+            e = _relax_constant(e, lam, mu, a, b)
+        a, psi = np.broadcast_arrays(edges[len(values)], psi)
+        tail = np.flatnonzero(a < h)
+        if tail.size:
+            k = _curve(curve, psi[tail], a[tail])
+            on = psi[tail] > 0.0  # a law for psi = 0 is 0, and so are its rates
+            i = tail[on]
+            e[:, i] = _relax_optimal(e[:, i], curve, k[on], a[i], h[i])
     for i in np.flatnonzero(~((e >= -1e-8) & (e <= 1.0 + 1e-8)).all(axis=0))[:1]:
         PcState(float(e[0, i]), float(e[1, i]), float(h[i]))  # raises its range error
     return e
@@ -768,7 +784,7 @@ def verify_control_identity(
         raise ValueError("t_grid must be non-empty")
     if t.min() < 0.0:
         raise ValueError("t_grid must be non-negative")
-    r_sq = _margin_sq(priors, -np.expm1(-4.0 * psi * psi * t))
+    r_sq = _margin_sq(priors, -np.expm1(-_rate_scale(psi) * t))
     if np.any(r_sq <= 0.0):
         raise SingularControlError("t_grid touches a point where R(t) = 0")
     R = np.sqrt(r_sq)

@@ -282,7 +282,10 @@ def beta_ik_problem(priors: Priors, gamma) -> Problem:
     if priors.q1 == 0.0:
         return _answer(_out(gamma))
     log_odds = _log_odds(priors)
-    lo = np.log(2.0 * gamma) - log_odds - 4.0 * gamma * gamma - 1.0
+    # From gamma = 32 on the optimal excess e**u, below 2*gamma*exp(-4*gamma**2), underflows
+    # whatever gamma is, so those lanes solve at 32, where 4*gamma**2 cannot overflow.
+    g = np.minimum(gamma, 32.0)
+    lo = np.log(2.0 * g) - log_odds - 4.0 * g * g - 1.0
 
     def finish(u):
         beta = gamma + np.exp(u)
@@ -291,7 +294,7 @@ def beta_ik_problem(priors: Priors, gamma) -> Problem:
                                beta, gamma)
         return _out(beta)
 
-    return Problem(lambda u: _ik_log_residual(log_odds, gamma, u), lo, -np.log(gamma), finish)
+    return Problem(lambda u: _ik_log_residual(log_odds, g, u), lo, -np.log(g), finish)
 
 
 def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) -> float:
@@ -311,7 +314,8 @@ def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) 
     gamma, b = psi * root_t, beta * root_t
     h = np.hypot(gamma, b)  # sqrt(s), without squaring gamma or b
     g, u = gamma / h, b / h
-    x = 2.0 * h * h
+    hx = np.minimum(h, 32.0)  # past 32, w is 0 (x*exp(-x) underflows) and 2*h*h may overflow
+    x = 2.0 * hx * hx
     with np.errstate(divide="ignore", invalid="ignore"):  # the branch where x = 0
         w = np.where(x > 0.0, x * np.exp(-x) / -np.expm1(-x), 1.0)
     gu = g * u

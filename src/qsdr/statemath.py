@@ -276,7 +276,8 @@ def kennedy_error(priors: Priors, gamma_sq: float) -> float:
     ``1 - kennedy_pc`` without the cancellation (only hypothesis 1 is ever
     mistaken, when no photon arrives)."""
     _reject(gamma_sq < 0.0, gamma_sq, "gamma_sq must be >= 0")
-    return _out(priors.q1 * np.exp(-4.0 * gamma_sq))
+    with np.errstate(over="ignore"):  # 4*gamma_sq = inf from 4.5e307 on: exp gives its limit 0
+        return _out(priors.q1 * np.exp(-4.0 * gamma_sq))
 
 
 def improved_kennedy_pc(priors: Priors, gamma: float, beta: float) -> float:
@@ -300,7 +301,8 @@ def improved_kennedy_error(priors: Priors, gamma: float, beta: float) -> float:
     ``1 - improved_kennedy_pc`` without the cancellation."""
     _reject(gamma < 0.0, gamma, "gamma must be >= 0")
     d0, d1 = gamma - beta, gamma + beta
-    return _out(-priors.q0 * np.expm1(-d0 * d0) + priors.q1 * np.exp(-d1 * d1))
+    with np.errstate(over="ignore"):  # a square past the float range takes its limit
+        return _out(-priors.q0 * np.expm1(-d0 * d0) + priors.q1 * np.exp(-d1 * d1))
 
 
 def simplified_dolinar_pc(priors: Priors, psi: float, beta: float, T: float) -> float:
@@ -326,7 +328,13 @@ def simplified_dolinar_error(priors: Priors, psi: float, beta: float, T: float) 
     without the cancellation (``1/2 - psi*beta/s = D``)."""
     _reject(psi < 0.0, psi, "psi must be >= 0")
     _reject(T < 0.0, T, "T must be >= 0")
-    s = psi * psi + beta * beta
-    # s = 0 only at psi = beta = 0, where the limit of D is 0.
-    d = (psi - beta) ** 2 / (2.0 * np.where(s > 0.0, s, math.inf))
-    return _out(-d * np.expm1(-2.0 * s * T) + priors.q1 * np.exp(-2.0 * s * T))
+    # Where s or 2*s*T overflows, E is its limit 0.
+    with np.errstate(over="ignore"):
+        s = psi * psi + beta * beta
+        # s = 0 only at psi = beta = 0, where the limit of D is 0.  Where s is inf, D,
+        # which depends on beta/psi alone, is formed from ratios to hypot(psi, beta).
+        big = np.isinf(s)
+        h = np.where(big, np.hypot(psi, beta), 1.0)
+        d = np.where(big, 0.5 * (psi / h - beta / h) ** 2,
+                     (psi - beta) ** 2 / (2.0 * np.where(s > 0.0, s, math.inf)))
+        return _out(-d * np.expm1(-2.0 * s * T) + priors.q1 * np.exp(-2.0 * s * T))

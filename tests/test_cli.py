@@ -1287,6 +1287,36 @@ class TestWholeDomain:
     def test_extreme_caps_exit_with_a_documented_code(self, args, code, tmp_path):
         assert main(args + ["-o", str(tmp_path / "o.csv")]) == code
 
+    @pytest.mark.parametrize("command", ["fig1", "fig3"])
+    def test_top_of_the_float_range_reads_gamma_and_no_error(self, command, tmp_path):
+        # Where 4*gamma**2 overflows the optimal displacement is gamma to float
+        # precision and every error is 0; no RuntimeWarning on the way.
+        out = tmp_path / "o.csv"
+        assert main([command, "--gamma-sq-min", "1e300", "--gamma-sq-max", "1e308",
+                     "-o", str(out)]) == 0
+        header, rows = read_rows(out)
+        for row in rows:
+            assert row[1:] == ([row[0]] * 3 if command == "fig3" else ["0"] * 4)
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--psi", "1e154",
+              "--T", "1e-300"], 2),
+            (["fig1", "--schemes", "dolinar_ode", "--T", "1e-310"], 2),
+            # The largest psi whose 4*psi**2 is a float.
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.7",
+              "--psi", "6.703903964971298e+153", "--T", "1e-300", "--trials", "50"], 0),
+        ],
+    )
+    def test_law_past_its_rate_scale_exits_2_naming_the_limit(self, args, code, tmp_path,
+                                                               capsys):
+        assert main(args + ["-o", str(tmp_path / "o.csv")]) == code
+        if code:
+            assert capsys.readouterr().err.startswith(
+                "qsdr: invalid spec: 4*psi**2 overflows: psi**2 (gamma_sq/T in a sweep) "
+                "must be at most 4.494e+307, psi at most 6.704e+153, got ")
+
     @pytest.mark.parametrize("psi", ["1e-9", "3e-9"])
     def test_weak_capped_signal_estimate_agrees_with_the_analytic_value(self, psi, tmp_path):
         # Below psi = 1e-8 the click times keep their digits only where the
@@ -1413,6 +1443,7 @@ def domain_argv(draw):
 # The cap's switch of a lane below the cap would overflow: only capped lanes get one.
 @example(argv=["fig1", "--q0", "0.7", "--T", "1e12", "--u-max", "1", "--gamma-sq-min", "1e-300",
                "--gamma-sq-max", "1e-299", "--points", "3", "--schemes", "dolinar_ode"])
+@example(argv=["fig3", "--gamma-sq-min", "1e300", "--gamma-sq-max", "1e308"])
 def test_every_run_in_the_domain_exits_with_a_documented_code(argv, tmp_path_factory):
     # ... and prints no numpy RuntimeWarning on the way.  Exit 2 may come
     # from the run, never from the spec: every generated argv resolves.
@@ -1433,6 +1464,8 @@ def test_every_run_in_the_domain_exits_with_a_documented_code(argv, tmp_path_fac
 @settings(max_examples=150, deadline=None)
 @given(priors=edge_priors(), ends=st.lists(log_uniform(1e-20, 1e6), min_size=2, max_size=2,
                                            unique=True), T=log_uniform(1e-3, 1e3))
+# The top of the float range, where 4*gamma_sq overflows (psi**2 = gamma_sq/T stays below it).
+@example(priors=Priors(0.7), ends=[1e300, 1e308], T=1e3)
 def test_every_column_lies_between_the_bound_and_guessing(priors, ends, T, tmp_path_factory):
     # pe_helstrom <= pe <= min(q0, q1) to 1e-12 relative for every analytic column
     # and the uncapped optimal law (laws the user sets may rightly do worse than
@@ -1490,20 +1523,21 @@ class TestNoNumericalIntegration:
 
 class TestNoScipy:
     """No CLI path imports scipy (only the RK45 oracle needs it), argparse or
-    locale, and neither the import nor a run loads dataclasses or copy."""
+    locale, and neither the import nor a run loads dataclasses or copy.  The
+    first run, not the import, freezes the import heap, and only once."""
 
     # json is imported after qsdr.cli, which loads it only for JSON output.
     SCRIPT = (
-        "import sys\n"
+        "import gc, sys\n"
         "BANNED = ('scipy', 'argparse', 'gettext', 'locale', 'dataclasses', 'copy')\n"
         "banned = lambda: sorted(m for m in sys.modules if m.split('.')[0] in BANNED)\n"
         "import qsdr.cli\n"
         "report = {'numpy.random': 'numpy.random' in sys.modules, 'json': 'json' in sys.modules,\n"
-        "          'import': banned(), 'runs': []}\n"
+        "          'import': banned(), 'frozen': gc.get_freeze_count(), 'runs': []}\n"
         "import json\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    rc = qsdr.cli.main(argv)\n"
-        "    report['runs'].append([argv, rc, banned()])\n"
+        "    report['runs'].append([argv, rc, banned(), gc.get_freeze_count()])\n"
         "print(json.dumps(report))\n"
     )
 
@@ -1536,9 +1570,14 @@ class TestNoScipy:
         assert not report["json"]
         assert report["import"] == []
         # Nor does the option parsing load argparse, or locale through gettext.
-        for argv, rc, banned in report["runs"]:
+        for argv, rc, banned, _ in report["runs"]:
             assert rc == 0, argv
             assert banned == [], (argv, banned[:5])
+        # The import freezes nothing; the first run freezes, the later ones add nothing.
+        assert report["frozen"] == 0
+        frozen = [run[3] for run in report["runs"]]
+        assert frozen[0] > 0
+        assert frozen == [frozen[0]] * len(frozen)
 
 
 class TestMemory:

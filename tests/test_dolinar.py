@@ -78,6 +78,10 @@ class TestFeedbackAmplitude:
             feedback_amplitude(Priors(0.7), -1.0, 0.5)
         with pytest.raises(ValueError):
             feedback_amplitude(Priors(0.7), 1.0, -0.5)
+        # Past 6.7e153, 4*psi**2 overflows.
+        with pytest.raises(ValueError, match=r"4\*psi\*\*2 overflows.*got 1e\+154$"):
+            feedback_amplitude(Priors(0.7), 1e154, 0.0)
+        assert feedback_amplitude(Priors(0.7), 6.7e153, 0.0) == pytest.approx(6.7e153 / 0.4)
 
 
 class TestRates:
@@ -520,6 +524,9 @@ class TestEvolvePe:
             evolve_pe(Priors(0.7), np.array([-1.0]), family, 1.0)
         with pytest.raises(ValueError, match="T"):
             evolve_pe(Priors(0.7), np.array([1.0]), family, 0.0)
+        # The optimal law's k = 4*psi**2 overflows on the second lane.
+        with pytest.raises(ValueError, match=r"must be at most 4\.494e\+307.*got 1e\+154$"):
+            evolve_pe(Priors(0.7), np.array([1.0, 1e154, 2e154]), LawFamily(), 1e-300)
 
     def test_an_error_out_of_range_is_refused(self, monkeypatch):
         # The range check of PcState, on the first point whose errors leave [0, 1].

@@ -362,10 +362,12 @@ class TestOptimalBetaIk:
             -math.log(5e-324) - math.log(3.0) + 8.0 * g_sq, rel=1e-12
         )
 
-    def test_excess_below_float_spacing_returns_gamma(self):
-        # beta - gamma ~ 2*gamma*(q1/q0)*exp(-4*gamma**2) vanishes next to gamma.
-        g = math.sqrt(400.0)
-        assert optimal_beta_ik(Priors(1.0 - 1e-6), g) == g
+    @pytest.mark.parametrize("q0", [0.5, 0.7, 1.0 - 1e-6])
+    def test_excess_below_float_spacing_returns_gamma(self, q0):
+        # beta - gamma ~ 2*gamma*(q1/q0)*exp(-4*gamma**2) vanishes next to gamma, up to
+        # gamma_sq = 1.7e308, where 4*gamma**2 overflows, with no warning.
+        g = np.array([20.0, 31.0, 33.0, 1e100, 6.7e153, 1.3e154])
+        assert np.array_equal(optimal_beta_ik(Priors(q0), g), g)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -423,6 +425,12 @@ class TestOptimalBetaSd:
             - simplified_dolinar_pc(pr, 1.0, beta - h, 1.0)
         ) / (2.0 * h)
         assert abs(deriv) < 1e-6
+
+    @pytest.mark.parametrize("q0", [0.5, 0.7, 1.0 - 1e-6])
+    def test_top_of_the_float_range_returns_gamma(self, q0):
+        # Up to gamma_sq = 1.7e308, where 8*gamma**2 at the bracket's end overflows.
+        g = np.array([31.0, 33.0, 1e100, 6.7e153, 1.3e154])
+        assert np.array_equal(optimal_beta_sd(Priors(q0), g, 1.0), g)
 
     def test_envelope_excess_shrinks_with_horizon(self):
         pr = Priors(0.5)

@@ -493,6 +493,16 @@ class TestSimplifiedDolinarError:
             simplified_dolinar_error(Priors(0.5), 1.0, 0.5, -1.0)
 
 
+def test_errors_vanish_at_the_top_of_the_float_range():
+    # Where 4*gamma_sq or 2*s*T overflows each error takes its limit 0, with no warning.
+    pr, g = Priors(0.7), np.array([1e100, 6.7e153, 1.3e154])
+    assert not kennedy_error(pr, g * g).any()
+    assert not improved_kennedy_error(pr, g, g).any()
+    assert not simplified_dolinar_error(pr, g, g, 1.0).any()
+    # Off the optimum D = (psi - beta)**2/(2*s) remains, s = psi**2 + beta**2 = inf or not.
+    assert simplified_dolinar_error(pr, 1.3e154, 0.5e154, 1.0) == pytest.approx(0.64 / 3.88)
+
+
 class TestArrays:
     """Each closed form maps arrays lane by lane, and floats to floats."""
 
