@@ -35,8 +35,8 @@ import numpy as np
 
 from . import __version__
 from ._record import Record
+from ._streams import seed_words
 from .dolinar import (
-    ControlLaw,
     LawFamily,
     SingularControlError,
     TelegraphResult,
@@ -60,6 +60,7 @@ from .statemath import (
     Priors,
     QubitPair,
     _helstrom_error,
+    _reject,
     coherent_overlap,  # not called here; perfbench/spans.py traces it
     helstrom_bound,  # not called here; perfbench/spans.py traces it
     improved_kennedy_error,
@@ -182,9 +183,14 @@ class SweepSpec(Record):
         return Priors(self.q0)
 
     def axis(self) -> np.ndarray:
-        if self.spacing == "log":
-            return np.geomspace(self.gamma_sq_min, self.gamma_sq_max, self.points)
-        return np.linspace(self.gamma_sq_min, self.gamma_sq_max, self.points)
+        if self.spacing == "linear":
+            return np.linspace(self.gamma_sq_min, self.gamma_sq_max, self.points)
+        # geomspace forms each point as a power, then sets both ends exactly.
+        with np.errstate(over="ignore"):
+            g = np.geomspace(self.gamma_sq_min, self.gamma_sq_max, self.points)
+        _reject(np.isinf(g), g, "log spacing rounds a gamma_sq point past the float range "
+                "(1.798e+308); linear spacing does not")
+        return g
 
     def public_dict(self) -> dict:
         """Spec fields for embedding in output files (None entries dropped)."""
@@ -252,19 +258,15 @@ def _law_family(spec: SweepSpec) -> LawFamily:
     return LawFamily(spec.beta, spec.t_floor, spec.u_max)
 
 
-def _dolinar_law(spec: SweepSpec, priors: Priors, psi: float) -> ControlLaw:
-    return _law_family(spec).law(priors, psi)
-
-
-def _row_seeds(seed: int, n: int) -> list[int]:
-    # Independent per-row seeds, reproducible from the master seed alone.
-    return [int(s) for s in np.random.SeedSequence(seed).generate_state(n, np.uint64)]
+def _telegraph(spec: SweepSpec, priors: Priors, psi: float, seed: int):
+    # One dolinar_mc run: its law and the chunks its sampler streams.
+    law = _law_family(spec).law(priors, psi)
+    return law, telegraph_chunks(priors, psi, law, spec.T, spec.trials, seed)
 
 
 def _simulate_dolinar_mc(spec: SweepSpec, export):
     priors = spec.priors
-    law = _dolinar_law(spec, priors, spec.psi)
-    chunks = telegraph_chunks(priors, spec.psi, law, spec.T, spec.trials, spec.seed)
+    law, chunks = _telegraph(spec, priors, spec.psi, spec.seed)
     result = TelegraphResult.from_chunks(chunks if export is None else export(chunks))
     analytic = evolve_pc(priors, spec.psi, law, spec.T, sample_times=()).final.pc(priors)
     return result.estimate, result.stderr, analytic
@@ -276,9 +278,7 @@ def _simulate_multicopy(spec: SweepSpec, export):
     if spec.copies is None:
         raise ValueError("multicopy requires --copies")
     priors = spec.priors
-    estimate, stderr = simulate_adaptive(
-        priors, spec.theta, spec.copies, spec.trials, spec.seed
-    )
+    estimate, stderr = simulate_adaptive(priors, spec.theta, spec.copies, spec.trials, spec.seed)
     return estimate, stderr, exact_adaptive_pc(priors, spec.theta, spec.copies)
 
 
@@ -338,12 +338,16 @@ def _dolinar_mc_pe(ax: _Axis) -> np.ndarray:
     # Each point is its own seeded run; its error frequency is counted, not
     # taken as 1 - estimate.
     spec, pe = ax.spec, []
-    for psi, seed in zip(_psi(ax).tolist(), _row_seeds(spec.seed, spec.points)):
-        law = _dolinar_law(spec, ax.priors, psi)
-        chunks = telegraph_chunks(ax.priors, psi, law, spec.T, spec.trials, seed)
-        misses = sum(int(np.count_nonzero(tr.z_final != tr.a)) for _, tr in chunks)
-        pe.append(misses / spec.trials)
+    for psi, seed in zip(_psi(ax).tolist(), seed_words(spec.seed, spec.points).tolist()):
+        chunks = _telegraph(spec, ax.priors, psi, seed)[1]
+        pe.append(sum(int(np.count_nonzero(tr.z_final != tr.a)) for _, tr in chunks) / spec.trials)
     return np.array(pe)
+
+
+def _envelope_intensity(ax: _Axis) -> np.ndarray:
+    # The feedback field's intensity b**2/T; inf past the float range.
+    with np.errstate(over="ignore"):
+        return ax.beta["simplified_dolinar"] ** 2 / ax.spec.T
 
 
 # One entry per scheme, in canonical column order (selections keep this
@@ -363,12 +367,11 @@ SCHEMES = {
         ),
         "beta_sq": lambda ax: ax.beta["improved_kennedy"] ** 2,
     },
-    # Its beta_sq is the envelope intensity b**2/T of the feedback field.
     "simplified_dolinar": {
         "pe": lambda ax: simplified_dolinar_error(
             ax.ranked, ax.gamma, ax.beta["simplified_dolinar"], 1.0
         ),
-        "beta_sq": lambda ax: ax.beta["simplified_dolinar"] ** 2 / ax.spec.T,
+        "beta_sq": _envelope_intensity,
     },
     "dolinar_ode": {"pe": _dolinar_ode_pe},
     "dolinar_mc": {"pe": _dolinar_mc_pe, "simulate": _simulate_dolinar_mc},
@@ -439,12 +442,7 @@ def cmd_simulate(
     with _trajectory_export(trajectories_path, spec) as export:
         estimate, stderr, analytic = SCHEMES[scheme]["simulate"](spec, export)
         diff = abs(estimate - analytic)
-        if diff == 0.0:
-            z = 0.0
-        elif stderr > 0.0:
-            z = diff / stderr
-        else:
-            z = math.inf
+        z = diff / stderr if stderr > 0.0 else (math.inf if diff else 0.0)
         row = {
             "scheme": scheme,
             "estimate": estimate,

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._record import Record
-from ._streams import TrialStreams
+from ._streams import binomial, trial_chunks
 from .statemath import Priors, _margin_sq, _reject
 
 __all__ = [
@@ -96,10 +96,8 @@ def feedback_amplitude(priors: Priors, psi: float, t: float) -> float:
     ``psi / |q0 - q1|`` and falls toward ``psi``.  Only at exactly equal priors does it diverge,
     at t = 0 and where ``4*psi**2*t`` underflows: there it raises :class:`SingularControlError`.
     """
-    if psi < 0.0:
-        raise ValueError(f"psi must be >= 0, got {psi}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _reject(psi < 0.0, psi, "psi must be >= 0")
+    _reject(t < 0.0, t, "t must be >= 0")
     r2 = _margin_sq(priors, -np.expm1(-_rate_scale(psi) * t))
     if r2 <= 0.0:
         raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
@@ -127,10 +125,8 @@ def helstrom_trajectory(priors: Priors, psi: float, t: float) -> float:
     ``R(t)`` (:func:`feedback_amplitude`): the best possible success probability at
     time ``t``.  The optimally controlled receiver's P_c(t) rides this curve exactly.
     """
-    if psi < 0.0:
-        raise ValueError(f"psi must be >= 0, got {psi}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    _reject(psi < 0.0, psi, "psi must be >= 0")
+    _reject(t < 0.0, t, "t must be >= 0")
     return float(0.5 * (1.0 + np.sqrt(_margin_sq(priors, -np.expm1(-_rate_scale(psi) * t)))))
 
 
@@ -275,11 +271,16 @@ class LawFamily(Record):
             flat = over & ((u_max <= psi) | (psi == 0.0))
             switch[flat] = math.inf
             i = np.flatnonzero(over & ~flat)
-            # An underflowed k takes the limit 1/(4*u_max**2) of q0*q1 = 1/4; for
-            # other priors u_max < 1e-154 then, and both times exceed 1e307.
+            # An underflowed k takes the limit 1/(4*u_max**2) of q0*q1 = 1/4; for other priors
+            # u_max < 1e-154 then, and both times exceed 1e307.  So does a law diverging at its
+            # floor (q0 = q1) where (psi/u_max)**2 underflows; past 3.2e161 so does the limit.
             with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
                 fall = (_log_c(priors) - np.log1p(-(psi[i] / u_max) ** 2)) / k[i]
-            switch[i] = np.maximum(switch[i], np.where(k[i] > 0.0, fall, 0.25 / u_max / u_max))
+            limit = (k[i] <= 0.0) | ~live[i] & (fall <= 0.0)
+            fall[limit] = 0.25 / u_max / u_max
+            _reject(limit & (fall <= 0.0), u_max, "a cap on a law diverging at t = 0 must be "
+                    "at most 3.2e+161: the time it holds, 1/(4*u_max**2), underflows")
+            switch[i] = np.maximum(switch[i], fall)
             value[over] = u_max
         return switch, value
 
@@ -364,16 +365,12 @@ class TelegraphResult(NamedTuple):
             trials += len(tr.a)
             if keep_trajectories:
                 kept.append(tr)
-        p = hits / trials
-        trajectories = None
-        if keep_trajectories:
-            a, z, offsets, times = zip(*kept)
-            counts = np.concatenate([np.diff(o) for o in offsets])
-            offsets = np.concatenate(([0], np.cumsum(counts)))
-            trajectories = Trajectories(
-                np.concatenate(a), np.concatenate(z), offsets, np.concatenate(times)
-            )
-        return cls(p, math.sqrt(p * (1.0 - p) / trials), trajectories)
+        if not keep_trajectories:
+            return cls(*binomial(hits, trials), None)
+        a, z, offsets, times = zip(*kept)
+        offsets = np.concatenate(([0], np.cumsum(np.concatenate([np.diff(o) for o in offsets]))))
+        joined = Trajectories(np.concatenate(a), np.concatenate(z), offsets, np.concatenate(times))
+        return cls(*binomial(hits, trials), joined)
 
 
 def _initial_errors(priors: Priors) -> tuple[float, float]:
@@ -384,10 +381,8 @@ def _initial_errors(priors: Priors) -> tuple[float, float]:
 
 def _sample_times(psi: float, T: float, sample_times) -> np.ndarray:
     # Validation shared by both evolution routes.
-    if psi < 0.0:
-        raise ValueError(f"psi must be >= 0, got {psi}")
-    if T <= 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
+    _reject(psi < 0.0, psi, "psi must be >= 0")
+    _reject(T <= 0.0, T, "T must be > 0")
     if sample_times is None:
         return np.linspace(0.0, T, 201)
     times = np.asarray(sample_times, dtype=float)
@@ -441,6 +436,7 @@ def evolve_pe(priors: Priors, psi, family: LawFamily, T: float) -> np.ndarray:
     _reject(psi < 0.0, psi, "psi must be >= 0")
     _reject(T <= 0.0, T, "T must be > 0")
     switch, value = family.slots(priors, psi)
+    _reject(np.isinf(psi), psi, "psi**2 (gamma_sq/T in a sweep) must be at most 1.798e+308")
     e = _walk(priors, psi, (0.0, switch), (value,), priors, np.full(psi.shape, T, dtype=float))
     return priors.q0 * e[0] + priors.q1 * e[1]
 
@@ -500,10 +496,8 @@ def segmented_pc(priors: Priors, psi: float, T: float, n: int, *, midpoint: bool
     Slot-start sampling is floored at ``T * 1e-9`` so the equal-priors
     divergence at t = 0 turns into one large but finite first-slot value.
     """
-    if T <= 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
-    if n < 1:
-        raise ValueError(f"slot count must be >= 1, got {n}")
+    _reject(T <= 0.0, T, "T must be > 0")
+    _reject(n < 1, n, "slot count must be >= 1")
     h = T / n
     shift = 0.5 if midpoint else 0.0
     values = [feedback_amplitude(priors, psi, max((i + shift) * h, T * 1e-9)) for i in range(n)]
@@ -552,8 +546,12 @@ def _walk(priors: Priors, psi, edges, values, curve: Priors | None, h: np.ndarra
     with np.errstate(over="ignore"):
         for a, b, value in zip(edges, edges[1:], values):
             # A slot cut to nothing gets zero rates, so its value may be inf.
-            lam, mu = (np.where(b > a, r, 0.0) for r in rates(psi, value))
-            e = _relax_constant(e, lam, mu, a, b)
+            # Where its rates pass the float range, psi and the value in units of their
+            # hypot w, and the time in units of 1/w**2, give the same relaxation.
+            on = b > a
+            w = np.where(on & np.isinf(sum(rates(psi, value))), np.hypot(psi, value), 1.0)
+            lam, mu = (np.where(on, r, 0.0) for r in rates(psi / w, value / w))
+            e = _relax_constant(e, lam, mu, (b - a) * w * w)
         a, psi = np.broadcast_arrays(edges[len(values)], psi)
         tail = np.flatnonzero(a < h)
         if tail.size:
@@ -566,17 +564,17 @@ def _walk(priors: Priors, psi, edges, values, curve: Priors | None, h: np.ndarra
     return e
 
 
-# The two segment kernels: errors ``e`` at the segment's start ``a`` carried
-# to ``t``.  Both conditionals obey ``e' = lam - (lam + mu) * e``.  All
+# The two segment kernels: errors ``e`` at a segment's start carried to its
+# end.  Both conditionals obey ``e' = lam - (lam + mu) * e``.  All
 # arguments broadcast, so one call serves many times or many laws.
 
 
-def _relax_constant(e, lam, mu, a, t):
-    """Constant segment with rates ``lam``, ``mu``: relaxes toward ``lam /
-    (lam + mu)``.  ``lam = mu = 0`` leaves ``e`` as it is, and so does a
-    segment of length 0 (``e*1 - x*(-0.0) = e``)."""
+def _relax_constant(e, lam, mu, dt):
+    """Constant segment of length ``dt`` with rates ``lam``, ``mu``: relaxes
+    toward ``lam / (lam + mu)``.  ``lam = mu = 0`` leaves ``e`` as it is, and
+    so does a segment of length 0 (``e*1 - x*(-0.0) = e``)."""
     tot = lam + mu
-    d = -tot * (t - a)
+    d = -tot * dt
     # tot = 0 only where lam = mu = 0; lam/1 is then the 0 the limit takes.
     return e * np.exp(d) - lam / np.where(tot != 0.0, tot, 1.0) * np.expm1(d)
 
@@ -620,7 +618,10 @@ class _Segments:
         self.edges = np.array([*starts, T])
         self.last = len(starts) - 1
         self.rate = np.zeros((2, len(starts)))
-        self.rate[:, : len(values)] = rates(psi, np.array(values))
+        with np.errstate(over="ignore"):
+            self.rate[:, : len(values)] = rates(psi, np.array(values))
+        _reject(np.isinf(self.rate[:, : len(values)]), values, "a click rate (psi +- u0)**2 past "
+                "the float range cannot be sampled: psi + |u0| must be at most 1.341e+154")
         steps = self.rate * np.diff(self.edges)
         self.curved = None
         if curve is not None:
@@ -632,8 +633,10 @@ class _Segments:
 
     def _f(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
         priors, k = self.curved
-        r = np.sqrt(_margin_sq(priors, -np.expm1(-k * t)))
-        return b * k * t + 0.5 * np.log(r) + (2 * b - 1) * np.log1p(r)
+        # k*t past the float range (psi**2*T from 4.5e307 on) is inf: R = 1 and F_1 = inf.
+        with np.errstate(over="ignore"):
+            r = np.sqrt(_margin_sq(priors, -np.expm1(-k * t)))
+            return b * k * t + 0.5 * np.log(r) + (2 * b - 1) * np.log1p(r)
 
     def _f_inverse(self, f: np.ndarray, b: np.ndarray) -> np.ndarray:
         priors, k = self.curved
@@ -697,38 +700,25 @@ def telegraph_chunks(
     nothing is solved numerically; an optimal-law segment must be built for
     this ``psi``.
 
-    Trial i reads the counter-based uniforms of ``(seed, i)`` (see
-    :mod:`qsdr._streams`): draw 0 picks the symbol, draw ``d >= 1`` is the
-    d-th gap ``-log1p(-u)``, and the first gap reaching past T ends the
-    trial.  A chunk's trials advance together, one array step per gap, so
-    results do not depend on chunking.  Yields ``(i0, records)`` for each
-    chunk of trials ``i0, i0 + 1, ...``, in order, where ``records`` (see
-    :class:`Trajectories`) indexes the chunk's trials from 0.  Nothing is
-    kept across chunks, so memory does not grow with ``trials``.  The
-    arguments are checked when the first chunk is requested.
+    The trials and their draws are those of :func:`qsdr._streams.trial_chunks`:
+    draw ``d >= 1`` is the d-th gap ``-log1p(-u)``, and the first gap reaching
+    past T ends the trial.  Yields ``(i0, records)`` per chunk of trials ``i0,
+    i0 + 1, ...``, in order, ``records`` (see :class:`Trajectories`) indexing
+    them from 0; nothing is kept across chunks.  The arguments are checked when
+    the first chunk is requested.
     """
-    if psi < 0.0:
-        raise ValueError(f"psi must be >= 0, got {psi}")
-    if T <= 0.0:
-        raise ValueError(f"T must be > 0, got {T}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _reject(psi < 0.0, psi, "psi must be >= 0")
+    _reject(T <= 0.0, T, "T must be > 0")
+    chunks = trial_chunks(seed, trials, priors.q0)
     hazard = _Segments(control, psi, T)
     end = hazard.lam[:, -1]
-    streams = TrialStreams(seed)
-    for i0, u in streams.chunks(trials):
-        n = len(u)
-        a = (u[:, 0] >= priors.q0).astype(np.intp)
+    for i0, a, draws in chunks:
+        n = len(a)
         # The live trials: their index, branch (1 while the bit is wrong) and last click.
         live, b, t = np.arange(n), a ^ priors.start_bit, np.zeros(n)
         rows, taus = [], []  # (trial, time) of each gap step's clicks
-        d = 0
         while live.size:
-            d += 1
-            j, w = divmod(d, 4)
-            if w == 0:
-                u = streams.block(i0, j, n)
-            y = hazard.at(t, b) - np.log1p(-u[live, w])
+            y = hazard.at(t, b) - np.log1p(-next(draws)[live])
             go = y < end[b]
             live, b, y = live[go], b[go], y[go]
             # Rounding may not move a click past T or back onto the last one.
@@ -745,15 +735,8 @@ def telegraph_chunks(
         yield i0, Trajectories(a, priors.start_bit ^ (clicks & 1), offsets, times)
 
 
-def simulate_telegraph(
-    priors: Priors,
-    psi: float,
-    control: ControlLaw,
-    T: float,
-    trials: int,
-    seed: int,
-    keep_trajectories: bool = False,
-) -> TelegraphResult:
+def simulate_telegraph(priors: Priors, psi: float, control: ControlLaw, T: float, trials: int,
+                       seed: int, keep_trajectories: bool = False) -> TelegraphResult:
     """Frequency of trials ending on the true symbol, its binomial standard
     error and, on request, the click records of all trials: the reduction
     (:meth:`TelegraphResult.from_chunks`) of :func:`telegraph_chunks`.

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._streams import TrialStreams
+from ._streams import binomial, trial_chunks
 from .statemath import Priors, angle_schedule, helstrom_bound
 
 __all__ = [
@@ -101,31 +101,19 @@ def simulate_adaptive(
     Returns the frequency of correct final decisions and its binomial
     standard error.
 
-    Trial i reads the counter-based uniforms of ``(seed, i)`` (see
-    :mod:`qsdr._streams`): draw 0 picks the symbol, draw k the outcome of
-    copy k.  All trials of a chunk advance together, one array step per
-    copy, so the estimate is reproducible bit for bit however the trials
-    are chunked, and memory does not grow with ``trials``.
+    The trials and their draws are those of :func:`qsdr._streams.trial_chunks`:
+    draw k is the outcome of copy k, one array step per copy for a chunk's
+    trials, so memory grows with neither ``trials`` nor ``n``.
     """
     # p0[k, 2*a + z] = P[outcome 0 at copy k+1 | symbol a, previous bit z].
     p0 = _outcome0_table(priors, theta, n).transpose(1, 0, 2).reshape(n, 4)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     hits = 0
-    streams = TrialStreams(seed)
-    # Only the current Philox block of each trial is held, so a chunk's
-    # memory does not grow with n either.
-    for i0, u in streams.chunks(trials):
-        a = (u[:, 0] >= priors.q0).astype(np.intp)
+    for _, a, draws in trial_chunks(seed, trials, priors.q0):
         z = priors.start_bit  # then each copy's outcome, a boolean column
-        for d in range(1, n + 1):
-            j, w = divmod(d, 4)
-            if w == 0:
-                u = streams.block(i0, j, len(a))
-            z = u[:, w] >= p0[d - 1, 2 * a + z]
+        for p in p0:
+            z = next(draws) >= p[2 * a + z]
         hits += int(np.count_nonzero(z == a))
-    p = hits / trials
-    return McEstimate(p, math.sqrt(p * (1.0 - p) / trials))
+    return McEstimate(*binomial(hits, trials))
 
 
 def measurement_vectors(priors: Priors, theta: float, n: int) -> np.ndarray:

@@ -331,10 +331,10 @@ def simplified_dolinar_error(priors: Priors, psi: float, beta: float, T: float) 
     # Where s or 2*s*T overflows, E is its limit 0.
     with np.errstate(over="ignore"):
         s = psi * psi + beta * beta
-        # s = 0 only at psi = beta = 0, where the limit of D is 0.  Where s is inf, D,
-        # which depends on beta/psi alone, is formed from ratios to hypot(psi, beta).
-        big = np.isinf(s)
+        # s = 0 only at psi = beta = 0, where the limit of D is 0.  Where 2*s is inf, D,
+        # which depends on beta/psi alone, is formed from ratios to h = hypot(psi, beta),
+        # whose squares sum to 1.
+        big = np.isinf(2.0 * s)
         h = np.where(big, np.hypot(psi, beta), 1.0)
-        d = np.where(big, 0.5 * (psi / h - beta / h) ** 2,
-                     (psi - beta) ** 2 / (2.0 * np.where(s > 0.0, s, math.inf)))
+        d = (psi / h - beta / h) ** 2 / np.where(big, 2.0, np.where(s > 0.0, 2.0 * s, math.inf))
         return _out(-d * np.expm1(-2.0 * s * T) + priors.q1 * np.exp(-2.0 * s * T))

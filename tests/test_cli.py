@@ -12,6 +12,7 @@ import warnings
 from decimal import Decimal
 from itertools import chain
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -579,7 +580,7 @@ class TestSimulate:
             spec, simulate_telegraph(pr, 1.0, law, 1.0, 60, 4, keep_trajectories=True).trajectories
         )
         # TELEGRAPH_LAWS holds laws the options cannot spell (ten slots).
-        monkeypatch.setattr(cli, "_dolinar_law", lambda spec, priors, psi: law)
+        monkeypatch.setattr(cli, "_law_family", lambda spec: SimpleNamespace(law=lambda pr, psi: law))
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
         assert main(args + ["-o", str(tmp_path / f"o.{fmt}"), "--trajectories", str(traj)]) == 0
         assert traj.read_bytes() == want
@@ -1493,6 +1494,102 @@ def test_every_column_lies_between_the_bound_and_guessing(priors, ends, T, tmp_p
         tiny = 16 * 2.0**-1074
         assert np.all(pe >= helstrom * (1.0 - 1e-12) - tiny), scheme
         assert np.all(pe <= guess * (1.0 + 1e-12) + tiny), scheme
+
+
+class TestPastTheFloatRange:
+    """Argvs whose rates, intensities or axis points pass the float range.  Each
+    writes the right number or its float limit, or exits 2 naming the limit; none
+    prints a RuntimeWarning or the nan range error."""
+
+    @staticmethod
+    def run(argv, out):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(argv + ["-o", str(out)])
+
+    def test_equal_priors_capped_past_the_rates_reads_the_bound(self, tmp_path):
+        # The cap holds for about 1/(4*u_max**2): rates of 1e320 over 2.5e-321.  At
+        # equal priors that slot keeps pe = 1/2, and the optimal law then rides the bound.
+        out = tmp_path / "o.csv"
+        assert self.run(["fig1", "--q0", "0.5", "--schemes", "dolinar_ode", "--u-max", "1e160"],
+                        out) == 0
+        _, rows = read_rows(out)
+        spec = resolved(["fig1", "--q0", "0.5", "--schemes", "helstrom"])
+        bound = cli.cmd_fig1(spec, str(tmp_path / "h.csv"))["helstrom_pe"]
+        assert np.allclose([float(row[1]) for row in rows], bound, rtol=1e-11, atol=0.0)
+
+    def test_constant_envelope_past_the_rates_relaxes_to_one_half(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert self.run(["fig1", "--q0", "0.7", "--schemes", "dolinar_ode", "--beta", "1e160"],
+                        out) == 0
+        _, rows = read_rows(out)
+        assert {row[1] for row in rows} == {"0.5"}
+        # The value simplified_dolinar_error gives such an envelope.
+        assert qsdr.simplified_dolinar_error(Priors(0.7), 0.1, 1e160, 1.0) == 0.5
+
+    def test_sampler_refuses_rates_past_the_float_range(self, tmp_path, capsys):
+        assert self.run(["simulate", "--scheme", "dolinar_mc", "--q0", "0.5",
+                         "--u-max", "1e160", "--trials", "50"], tmp_path / "o.csv") == 2
+        assert capsys.readouterr().err == (
+            "qsdr: invalid spec: a click rate (psi +- u0)**2 past the float range cannot be "
+            "sampled: psi + |u0| must be at most 1.341e+154, got 1e+160\n")
+
+    def test_cap_holding_for_less_than_a_float_time_exits_2(self, tmp_path, capsys):
+        assert self.run(["fig1", "--q0", "0.5", "--schemes", "dolinar_ode", "--u-max", "1e200"],
+                        tmp_path / "o.csv") == 2
+        assert capsys.readouterr().err == (
+            "qsdr: invalid spec: a cap on a law diverging at t = 0 must be at most 3.2e+161: "
+            "the time it holds, 1/(4*u_max**2), underflows, got 1e+200\n")
+
+    def test_cap_that_never_binds_keeps_the_bytes(self, tmp_path):
+        argv = ["fig1", "--q0", "0.7", "--schemes", "dolinar_ode"]
+        capped, plain = tmp_path / "capped.csv", tmp_path / "plain.csv"
+        assert self.run(argv + ["--u-max", "1e160"], capped) == 0
+        assert self.run(argv, plain) == 0
+        assert capped.read_bytes() == plain.read_bytes()
+
+    def test_constant_envelope_on_an_amplitude_past_the_float_range_exits_2(
+        self, tmp_path, capsys
+    ):
+        assert self.run(["fig1", "--q0", "0.7", "--schemes", "dolinar_ode", "--beta", "1",
+                         "--T", "1e-10", "--gamma-sq-max", "1e300"], tmp_path / "o.csv") == 2
+        assert capsys.readouterr().err == ("qsdr: invalid spec: psi**2 (gamma_sq/T in a sweep) "
+                                           "must be at most 1.798e+308, got inf\n")
+
+    def test_sampler_hazard_past_the_float_range(self, tmp_path):
+        # psi**2*T = 1e310: the mismatched branch's integrated rate at T is inf.
+        out = tmp_path / "o.csv"
+        assert self.run(["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--psi", "1e150",
+                         "--T", "1e10", "--trials", "50"], out) == 0
+        assert out.read_bytes() == SIM_HEADER + b"dolinar_mc,1,0,50,0,1,0\n"
+
+    @pytest.mark.parametrize("fmt,cells", [("csv", ["1e+305", "inf", "inf"]),
+                                           ("json", [1e305, None, None])])
+    def test_envelope_intensity_past_the_float_range_is_its_limit(self, fmt, cells, tmp_path):
+        out = tmp_path / f"o.{fmt}"
+        assert self.run(["fig3", "--gamma-sq-min", "1e300", "--gamma-sq-max", "1.79e308",
+                         "--T", "1e-5", "--points", "3", "--format", fmt], out) == 0
+        if fmt == "csv":
+            _, rows = read_rows(out)
+            assert [row[3] for row in rows] == cells
+        else:
+            rows = json.loads(out.read_text())["rows"]
+            assert [row["simplified_dolinar_beta_sq"] for row in rows] == cells
+
+    @pytest.mark.parametrize("command", ["fig1", "fig3"])
+    def test_log_axis_up_to_the_float_maximum(self, command, tmp_path):
+        out = tmp_path / "o.csv"
+        assert self.run([command, "--gamma-sq-min", "1", "--gamma-sq-max",
+                         "1.7976931348623157e308", "--points", "3"], out) == 0
+        _, rows = read_rows(out)
+        assert [row[0] for row in rows] == ["1", "1.34078079299e+154", "1.79769313486e+308"]
+
+    def test_log_axis_rounding_a_point_past_the_float_range_exits_2(self, tmp_path, capsys):
+        assert self.run(["fig1", "--gamma-sq-min", "1.7976931348623155e308", "--gamma-sq-max",
+                         "1.7976931348623157e308", "--points", "3"], tmp_path / "o.csv") == 2
+        assert capsys.readouterr().err == (
+            "qsdr: invalid spec: log spacing rounds a gamma_sq point past the float range "
+            "(1.798e+308); linear spacing does not, got inf\n")
 
 
 class TestNoNumericalIntegration:

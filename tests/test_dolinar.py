@@ -751,6 +751,17 @@ class TestSimulateTelegraph:
         for x, y in zip(a.trajectories, b.trajectories, strict=True):
             assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("law", [
+        ControlLaw.constant(-1e160),
+        # Constant slots before an optimal-law segment, one of them past the float range.
+        ControlLaw((0.0, 0.5, 0.8), (1.0, 1e160), (Priors(0.7), 1.0)),
+    ])
+    def test_rates_past_the_float_range_are_refused(self, law):
+        # The analytic evolution relaxes such a slot at once; the sampler cannot draw it.
+        with pytest.raises(ValueError, match=r"must be at most 1.341e\+154, got -?1e\+160$"):
+            simulate_telegraph(Priors(0.7), 1.0, law, 1.0, 10, seed=1)
+        assert 0.0 <= evolve_pc(Priors(0.7), 1.0, law, 1.0, sample_times=()).final.e0 <= 1.0
+
     def test_trials_are_independent_of_batch_size(self):
         pr = Priors(0.7)
         law = ControlLaw.constant(1.0)

@@ -1,5 +1,7 @@
 """Counter-based trial streams: layout, boundaries, independence of chunking."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from qsdr import (
     simulate_adaptive,
     simulate_telegraph,
 )
-from qsdr._streams import TrialStreams
+from qsdr._streams import TrialStreams, trial_chunks
 from qsdr.dolinar import _Segments
 from qsdr.multicopy import _outcome0_table
 
@@ -61,21 +63,54 @@ class TestLayout:
 
     def test_chunk_and_block_boundaries(self, monkeypatch):
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(5))
-        seed = 3
-        streams = TrialStreams(seed)
-        chunks = list(streams.chunks(12))
-        assert [i0 for i0, _ in chunks] == [0, 5, 10]
-        assert [u.shape for _, u in chunks] == [(5, 4), (5, 4), (2, 4)]
-        # Each chunk's first block, then later blocks walked as the samplers do.
-        walked = [
-            np.hstack([u, *(streams.block(i0, j, len(u)) for j in (1, 2))]) for i0, u in chunks
-        ]
-        u = np.vstack(walked)
+        seed, q0 = 3, 0.5
+        chunks = [(i0, a, [next(draws) for _ in range(11)])
+                  for i0, a, draws in trial_chunks(seed, 12, q0)]
+        assert [i0 for i0, _, _ in chunks] == [0, 5, 10]
+        assert [len(a) for _, a, _ in chunks] == [5, 5, 2]
+        symbols = np.concatenate([a for _, a, _ in chunks])
+        # Column d - 1 of a chunk's draws is draw d of its trials.
+        u = np.vstack([np.column_stack(columns) for _, _, columns in chunks])
         for i in (0, 4, 5, 9, 10, 11):  # both sides of each chunk edge
-            for d in (0, 3, 4, 7, 8, 11):  # both sides of each block edge
-                assert u[i, d] == reference_draw(seed, i, d)
+            assert symbols[i] == (reference_draw(seed, i, 0) >= q0)
+            for d in (1, 3, 4, 7, 8, 11):  # both sides of each block edge
+                assert u[i, d - 1] == reference_draw(seed, i, d)
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", 1)  # at least one trial a chunk
-        assert [len(u) for _, u in TrialStreams(seed).chunks(3)] == [1, 1, 1]
+        assert [len(a) for _, a, _ in trial_chunks(seed, 3, q0)] == [1, 1, 1]
+
+    def test_reading_draw_four_releases_block_zero(self, monkeypatch):
+        # Only the current block of each trial is held, so a chunk's memory
+        # does not grow with the draws it reads.
+        fetched = []
+        block = TrialStreams.block
+
+        def spy(self, i0, j, m):
+            u = block(self, i0, j, m)
+            fetched.append(weakref.ref(u))
+            return u
+
+        monkeypatch.setattr(TrialStreams, "block", spy)
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(3))
+        chunks = trial_chunks(7, 6, 0.5)
+        _, _, draws = next(chunks)
+        for _ in range(3):
+            next(draws)
+        assert len(fetched) == 1 and fetched[0]() is not None
+        next(draws)  # draw 4: block 1 is fetched and block 0 let go
+        assert len(fetched) == 2 and fetched[0]() is None and fetched[1]() is not None
+        # The next chunk lets the last one's block go before it fetches its own,
+        # though the caller still holds the last chunk's draws.
+        next(chunks)
+        assert len(fetched) == 3 and fetched[1]() is None and fetched[2]() is not None
+
+    def test_zero_trials_are_refused_alike(self):
+        message = "trials must be >= 1, got 0"
+        with pytest.raises(ValueError, match=message):
+            trial_chunks(1, 0, 0.5)
+        with pytest.raises(ValueError, match=message):
+            simulate_adaptive(Priors(0.6), 0.3, 4, 0, seed=1)
+        with pytest.raises(ValueError, match=message):
+            simulate_telegraph(Priors(0.6), 1.0, ControlLaw.constant(1.0), 1.0, 0, seed=1)
 
     def test_trial_depends_only_on_seed_and_index(self):
         a = all_draws(5, 2000, 6)
