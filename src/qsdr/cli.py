@@ -183,14 +183,16 @@ class SweepSpec(Record):
         return Priors(self.q0)
 
     def axis(self) -> np.ndarray:
-        if self.spacing == "linear":
-            return np.linspace(self.gamma_sq_min, self.gamma_sq_max, self.points)
-        # geomspace forms each point as a power, then sets both ends exactly.
+        lo, hi = self.gamma_sq_min, self.gamma_sq_max
+        # Each forms its points as steps or powers, then sets both ends exactly; near
+        # the float maximum the last step may overflow before its end is set.
         with np.errstate(over="ignore"):
-            g = np.geomspace(self.gamma_sq_min, self.gamma_sq_max, self.points)
+            g = (np.linspace if self.spacing == "linear" else np.geomspace)(lo, hi, self.points)
         _reject(np.isinf(g), g, "log spacing rounds a gamma_sq point past the float range "
                 "(1.798e+308); linear spacing does not")
-        return g
+        # Rounding can put a power below the point before it (so below lo, the
+        # first) or above hi, the last; only such points move.
+        return np.minimum(np.maximum.accumulate(g), hi)
 
     def public_dict(self) -> dict:
         """Spec fields for embedding in output files (None entries dropped)."""
@@ -238,8 +240,9 @@ def _write_json(path: str, spec: SweepSpec, key: str, records: list) -> None:
 
 
 def _json_value(v):
-    # The CSV's 12-digit rounding; strict JSON has no infinity, so a
-    # non-finite float (z_score at zero standard error) is written as null.
+    # The CSV's 12-digit rounding; strict JSON has no infinity, so a non-finite
+    # float (an intensity past the float range, or the z_score of an analytic
+    # value of exactly 0 or 1 that the estimate misses) is written as null.
     if not isinstance(v, float):
         return v
     return _sig12(v) if math.isfinite(v) else None
@@ -441,8 +444,12 @@ def cmd_simulate(
             raise ValueError(f"--trajectories names the --output file {output!r}")
     with _trajectory_export(trajectories_path, spec) as export:
         estimate, stderr, analytic = SCHEMES[scheme]["simulate"](spec, export)
+        # z under the null hypothesis that the analytic value is the success
+        # probability: the binomial standard error at that value, not the sample's.
+        # An analytic value rounded just past 0 or 1 counts as that end.
         diff = abs(estimate - analytic)
-        z = diff / stderr if stderr > 0.0 else (math.inf if diff else 0.0)
+        null_se = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / spec.trials)
+        z = diff / null_se if null_se > 0.0 else (math.inf if diff else 0.0)
         row = {
             "scheme": scheme,
             "estimate": estimate,

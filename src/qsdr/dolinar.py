@@ -18,11 +18,9 @@ integrable in effect but must be handled explicitly (cap or floor, below).
 This module provides the feedback law, closed-form evolution of the
 correct-decision probability across a structured law's segments (one
 lane-wise walk, whose lanes are one law's sample times or a sweep's points),
-an RK45 integration of the general asymmetric form (for opaque laws, and as
-the oracle of the closed forms), a seeded telegraph Monte Carlo of the click
-process (streamed chunk by chunk, or reduced to one result), the
-piecewise-constant (segmented) approximation, and a residual check of the
-algebraic identity that certifies the optimal law.
+a seeded telegraph Monte Carlo of the click process (streamed chunk by
+chunk, or reduced to one result) and the piecewise-constant (segmented)
+approximation.  Nothing is integrated numerically.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +38,6 @@ from .statemath import Priors, _margin_sq, _reject
 
 __all__ = [
     "SingularControlError",
-    "IntegrationError",
     "RatePair",
     "ControlLaw",
     "LawFamily",
@@ -53,20 +50,14 @@ __all__ = [
     "helstrom_trajectory",
     "evolve_pc",
     "evolve_pe",
-    "evolve_pc_general",
     "segmented_pc",
     "simulate_telegraph",
     "telegraph_chunks",
-    "verify_control_identity",
 ]
 
 
 class SingularControlError(ValueError):
     """Optimal feedback queried where it diverges (equal priors at t = 0)."""
-
-
-class IntegrationError(RuntimeError):
-    """ODE solver failed to reach the horizon."""
 
 
 class RatePair(NamedTuple):
@@ -165,9 +156,6 @@ class ControlLaw(Record):
                 return values[i] if i >= 0 else values[0]  # t < 0: first slot
         priors, psi = self.optimal
         return feedback_amplitude(priors, psi, t)
-
-    def u1(self, t: float) -> float:
-        return -self.u0(t)
 
     @classmethod
     def dolinar_optimal(
@@ -380,7 +368,7 @@ def _initial_errors(priors: Priors) -> tuple[float, float]:
 
 
 def _sample_times(psi: float, T: float, sample_times) -> np.ndarray:
-    # Validation shared by both evolution routes.
+    # The sample times of an evolution to T, validated with its psi and T.
     _reject(psi < 0.0, psi, "psi must be >= 0")
     _reject(T <= 0.0, T, "T must be > 0")
     if sample_times is None:
@@ -413,8 +401,7 @@ def evolve_pc(
 
     For equal priors the exact optimal law must carry a cap or time floor,
     otherwise :class:`SingularControlError` is raised.  An optimal-law
-    segment must be built for this ``psi``; :func:`evolve_pc_general`
-    integrates any other law.
+    segment must be built for this ``psi``.
     """
     times = _sample_times(psi, T, sample_times)
     starts, values, curve = _segment_table(control, psi, T)
@@ -442,47 +429,11 @@ def evolve_pe(priors: Priors, psi, family: LawFamily, T: float) -> np.ndarray:
 
 
 def solve_ivp(*args, **kwargs):
-    """``scipy.integrate.solve_ivp``, imported on first call because no CLI
-    path integrates; a module attribute so that tracers and tests can patch it."""
+    """``scipy.integrate.solve_ivp``, imported on first call.  Nothing in qsdr
+    calls it: it is kept only so that ``perfbench/spans.py`` installs its
+    tracer, and goes when ROADMAP item 1 retires that hook."""
     from scipy.integrate import solve_ivp
     return solve_ivp(*args, **kwargs)
-
-
-def evolve_pc_general(
-    priors: Priors,
-    psi: float,
-    u0: Callable[[float], float],
-    u1: Callable[[float], float],
-    T: float,
-    tol: float = 1e-10,
-    sample_times=None,
-) -> EvolveResult:
-    """RK45 evolution of any law, without the symmetry ``u1 = -u0``.
-
-    The two conditionals then see different displaced fields:
-
-        p0' = mu - (lam + mu) * p0,   lam = (psi - u0)**2,  mu = (psi - u1)**2
-        p1' = mu~ - (lam~ + mu~) * p1, lam~ = (psi + u1)**2, mu~ = (psi + u0)**2
-
-    (rates of the incoming field ``-psi`` written with signs absorbed).  One
-    adaptive solve for ``e = 1 - p`` over [0, T], at local tolerance ``tol``
-    and sampled through dense output, serves opaque callables and is the
-    oracle of :func:`evolve_pc` (pass ``law.u0``, ``law.u1``).
-    """
-    times = _sample_times(psi, T, sample_times)
-
-    def rhs(t: float, e: np.ndarray):
-        a0, a1 = u0(t), u1(t)
-        lam, mu, lam_m, mu_m = (psi - a0) ** 2, (psi - a1) ** 2, (psi + a1) ** 2, (psi + a0) ** 2
-        return (lam - (lam + mu) * e[0], lam_m - (lam_m + mu_m) * e[1])
-
-    sol = solve_ivp(
-        rhs, (0.0, T), _initial_errors(priors), method="RK45",
-        rtol=max(tol, 1e-13), atol=max(tol * 1e-2, 1e-14), dense_output=True,
-    )
-    if not sol.success:
-        raise IntegrationError(f"integration stalled at t={float(sol.t[-1])!r}: {sol.message}")
-    return _result(priors, T, times, sol.sol(np.append(times, T)))
 
 
 def segmented_pc(priors: Priors, psi: float, T: float, n: int, *, midpoint: bool = False) -> float:
@@ -517,7 +468,7 @@ def _segment_table(control: ControlLaw, psi: float, T: float):
     if law_psi != psi:
         raise ValueError(
             f"optimal law built for psi={law_psi}, not {psi}; "
-            "evolve_pc_general(..., law.u0, law.u1, ...) integrates it"
+            "LawFamily(...).law(priors, psi) builds the law of this signal"
         )
     return starts, values, priors
 
@@ -745,33 +696,3 @@ def simulate_telegraph(priors: Priors, psi: float, control: ControlLaw, T: float
     """
     chunks = telegraph_chunks(priors, psi, control, T, trials, seed)
     return TelegraphResult.from_chunks(chunks, keep_trajectories)
-
-
-def verify_control_identity(
-    priors: Priors, psi: float, t_grid: np.ndarray
-) -> float:
-    """Largest residual of the optimal-control consistency identity.
-
-    Substituting the optimal law into the success-probability ODE must
-    reproduce the derivative of the running Helstrom bound:
-
-        psi**2 * (1 - R**2) / R
-            = psi**2 + u**2 + 2*psi*u - (psi**2 + u**2) * (1 + R)
-
-    with ``u = psi / R``.  The identity is algebraic, so the residual on
-    any grid avoiding ``R = 0`` is pure floating-point noise; a large value
-    means the law and the ODE no longer describe the same receiver.
-    """
-    t = np.asarray(t_grid, dtype=float)
-    if t.size == 0:
-        raise ValueError("t_grid must be non-empty")
-    if t.min() < 0.0:
-        raise ValueError("t_grid must be non-negative")
-    r_sq = _margin_sq(priors, -np.expm1(-_rate_scale(psi) * t))
-    if np.any(r_sq <= 0.0):
-        raise SingularControlError("t_grid touches a point where R(t) = 0")
-    R = np.sqrt(r_sq)
-    u = psi / R
-    lhs = psi * psi * (1.0 - r_sq) / R
-    rhs = psi * psi + u * u + 2.0 * psi * u - (psi * psi + u * u) * (1.0 + R)
-    return float(np.max(np.abs(lhs - rhs)))

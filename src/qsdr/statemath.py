@@ -337,4 +337,6 @@ def simplified_dolinar_error(priors: Priors, psi: float, beta: float, T: float) 
         big = np.isinf(2.0 * s)
         h = np.where(big, np.hypot(psi, beta), 1.0)
         d = (psi / h - beta / h) ** 2 / np.where(big, 2.0, np.where(s > 0.0, 2.0 * s, math.inf))
-        return _out(-d * np.expm1(-2.0 * s * T) + priors.q1 * np.exp(-2.0 * s * T))
+        # At T = 0 nothing is observed, so E = 1 even where s is inf.
+        x = -2.0 * np.where(T > 0.0, s, 0.0) * T
+        return _out(-d * np.expm1(x) + priors.q1 * np.exp(x))

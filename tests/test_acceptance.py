@@ -17,7 +17,6 @@ from qsdr import (
     Priors,
     QubitPair,
     coherent_overlap,
-    evolve_pc_general,
     exact_adaptive_pc,
     feedback_amplitude,
     helstrom_bound,
@@ -34,9 +33,9 @@ from qsdr import (
     ik_displacement_residual,
     simplified_dolinar_pc,
     simulate_telegraph,
-    verify_control_identity,
 )
 from qsdr.cli import main
+from oracles import rk45, verify_control_identity
 
 SEG_DEV = {
     1: 0.15131129123685349,
@@ -116,7 +115,7 @@ def test_04_feedback_receiver_attains_the_bound():
     law = ControlLaw.dolinar_optimal(pr, 1.0)
     times = np.linspace(0.0, 1.0, 52)
     # RK45 on the law as opaque callables: a route independent of the closed form.
-    res = evolve_pc_general(pr, 1.0, law.u0, law.u1, 1.0, tol=1e-12, sample_times=times)
+    res = rk45(pr, 1.0, law, 1.0, sample_times=times)
     interior = max(
         abs(pc - helstrom_trajectory(pr, 1.0, float(t)))
         for t, pc in zip(times[1:-1], res.pc[1:-1])
@@ -154,7 +153,7 @@ def test_06_constant_control_closed_form():
         q0 = float(rng.uniform(0.5, 0.95))
         pr = Priors(q0)
         law = ControlLaw.constant(beta)
-        ode = evolve_pc_general(pr, 1.0, law.u0, law.u1, T, tol=1e-12).final.pc(pr)
+        ode = rk45(pr, 1.0, law, T).final.pc(pr)
         closed = simplified_dolinar_pc(pr, 1.0, beta, T)
         worst = max(worst, abs(ode - closed))
     _check(
@@ -308,7 +307,7 @@ def test_12_segmented_bridge():
         h = 1.0 / n
         vals = [feedback_amplitude(pr, 1.0, max(i * h, 1e-9)) for i in range(n)]
         law = ControlLaw.piecewise_constant(vals, 1.0)
-        ode = evolve_pc_general(pr, 1.0, law.u0, law.u1, 1.0, tol=1e-12).final.pc(pr)
+        ode = rk45(pr, 1.0, law, 1.0).final.pc(pr)
         ode_gap = max(ode_gap, abs(ode - segmented_pc(pr, 1.0, 1.0, n)))
     ok = (
         all(b < a for a, b in zip(ordered, ordered[1:]))

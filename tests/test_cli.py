@@ -26,6 +26,7 @@ import qsdr.cli as cli
 import qsdr.rootfind as rootfind_mod
 from qsdr import BracketError, Priors, SingularControlError, simulate_telegraph
 from qsdr.cli import main
+from oracles import rk45
 from test_streams import TELEGRAPH_LAWS, budget
 
 FIG1_HEADER = b"gamma_sq,helstrom_pe,kennedy_pe,improved_kennedy_pe,simplified_dolinar_pe\n"
@@ -191,10 +192,10 @@ JSON_SHA256 = {
     "constant": (["fig1", "--q0", "0.7", "--schemes", "dolinar_ode", "--beta", "1.2"],
                  {"o": "6896680c5e4836ee2b55c77af0e5719d83198107b507c829e6edbcd2764a21b3"}),
     "telegraph": ([*TELEGRAPH_ARGV, "--seed", "1"],
-                  {"o": "33f46e21c98df620a46517ef3b9477e770cae30996a3395b998211064abb8c73",
+                  {"o": "fe1f4b53961cba8e735cc657384ef6ea25d3ce12289efb86d63f0c3b8dbb9c03",
                    "t": "4e862a405e4a5366a1263d0461856b0aeaba1631b710c9f7d3f7adcf28f2a177"}),
     "multicopy": ([*MULTICOPY_ARGV, "--seed", "1"],
-                  {"o": "de67a7a6a7c0fd0daab544b25fef3ed2f39db46fd7826679e25e575d8a600ed8"}),
+                  {"o": "2bf31bba8e7e19fbad638f0e54555abe5bc1a5cf19b6514334149bf85d11a5a1"}),
 }
 # The dolinar_ode column under each law shape of TestEvolvePe.SWEEPS, as the
 # per-point laws wrote it: (argv beyond LAW_SHAPE_AXIS, sha256).
@@ -218,25 +219,25 @@ LAW_SHAPE_SHA256 = {
 SAMPLER_ARGV = ["simulate", "--scheme", "dolinar_mc", "--trials", "2000", "--seed", "3"]
 SAMPLER_SHA256 = {
     "optimal_from_0": ([*SAMPLER_ARGV, "--q0", "0.7"],
-                       {"o": "2b3a7e06d774e4e3dbcc3ba91a143f75c2b5e4b37b5cf60e3704c42e92f504ec",
+                       {"o": "d3b4feaa6432e5ada03764e4fe9915d6321279a5f9372d318b3fc9bd17e05a65",
                         "t": "e1244fdce535c8a28f22d1c2e4b22f9254ebbb05a5e02ab1adda21c57dee0132"}),
     "time_floor": ([*SAMPLER_ARGV, "--q0", "0.6", "--t-floor", "0.5", "--u-max", "2"],
-                   {"o": "b127c401bbc6d2c4e373d0bd2b8e01c87ea5e196cf21846ba58b30e4a16ac03f",
+                   {"o": "ae510680b0e50d90a3e2631aa246f625e1d660b400ff8aad6de2393db7038343",
                     "t": "7d131a9743ecfdbc0025a0ee4f2205fb7c9c987e7a89cc700e9a71e1af2b35bf"}),
     "constant": ([*SAMPLER_ARGV, "--q0", "0.7", "--beta", "1.2"],
-                 {"o": "914b1179e3f9cbf32ecc3867a58f5d00d61b0cc4296bfbcf8cbb29ac0a601e9b",
+                 {"o": "800aa65e02527a6011a48ce08b84b1ebbbf4486b5ac612ccc4ea9f895ee9ab74",
                   "t": "fc069629bf15ad432470c65bff28b39ede9d0f539ae3f4c3065f8421cfc4169c"}),
     "q1_zero": ([*SAMPLER_ARGV, "--q0", "1", "--t-floor", "0.2"],
                 {"o": "641e4c635e388ac4973c8696f8a80d69e558070b8fc05a555b5e8e945f740cd6",
                  "t": "7b88afdb2707394e10a514f9261f66829f336889f52e85e27b8861e9e0de0c1c"}),
     "cap_below_psi": ([*SAMPLER_ARGV, "--q0", "0.2", "--T", "3", "--psi", "1.5",
                        "--u-max", "1.2"],
-                      {"o": "1752e3c5bbd19b55265f02d9064a8deec9d517294d3b472afde645e38211423f",
+                      {"o": "ac54e35c167fa1b7faa20fe8397b60e241d97689828f4b1b40c86d56f325f6b8",
                        "t": "82456b16e46dba7f3f02c0c5e42e26f34e8f56848e4f93d82a11624f52ceb9c8"}),
     # Start bit 1: q0 < 1/2.
     "multicopy_start_1": (["simulate", "--scheme", "multicopy", "--q0", "0.3", "--chi", "0.9",
                            "--copies", "7", "--trials", "5000", "--seed", "2"],
-                          {"o": "e6fc28a40f89840c14f43e8a2eb8d60b8ada9e3f34ef24e0d663d76703c6d06b"}),
+                          {"o": "4e7b496ea11b288b296d22462949cf9126cd7530653cc5791931a5623777b2b9"}),
 }
 
 
@@ -493,7 +494,7 @@ class TestSimulate:
         _, (cells,) = read_rows(out)
         pr = qsdr.Priors(0.5)
         law = qsdr.ControlLaw.dolinar_optimal(pr, 1.0, t_floor=0.2)
-        ode = qsdr.evolve_pc_general(pr, 1.0, law.u0, law.u1, 1.0, tol=1e-12).final.pc(pr)
+        ode = rk45(pr, 1.0, law, 1.0).final.pc(pr)
         assert abs(float(cells[5]) - ode) < 1e-9
         assert abs(ode - qsdr.helstrom_trajectory(pr, 1.0, 1.0)) > 1e-3
 
@@ -505,6 +506,28 @@ class TestSimulate:
         assert main(argv) == 0
         _, (cells,) = read_rows(out)
         assert (cells[1], cells[2], cells[5], cells[6]) == ("1", "0", "1", "0")
+
+    def test_z_score_divides_by_the_null_standard_error(self, tmp_path):
+        # The benchmark's telegraph run at seed 9 sees few errors: its own standard
+        # error 3.835e-4 would give z = 4.38, the binomial one at the analytic value 3.50.
+        out = tmp_path / "s.json"
+        assert main([*TELEGRAPH_ARGV, "--seed", "9", "--format", "json", "-o", str(out)]) == 0
+        (row,) = json.loads(out.read_text())["rows"]
+        p, n = row["analytic"], row["trials"]
+        assert row["stderr"] == 0.000383490384495  # the sample's own
+        assert abs(row["z_score"] - 3.50) < 5e-3
+        null_se = math.sqrt(p * (1.0 - p) / n)
+        assert row["z_score"] == pytest.approx(abs(row["estimate"] - p) / null_se, rel=1e-6)
+
+    # An analytic value of 1 is TestJsonFormat's and test_exact_agreement_scores_zero's.
+    @pytest.mark.parametrize("estimate,z", [(0.01, math.inf), (0.0, 0.0)])
+    def test_z_score_is_infinite_only_where_a_certain_analytic_value_is_missed(
+        self, estimate, z, tmp_path, monkeypatch
+    ):
+        monkeypatch.setitem(cli.SCHEMES["multicopy"], "simulate",
+                            lambda spec, export: (estimate, 0.01, 0.0))
+        row = cli.cmd_simulate(resolved(MULTICOPY_ARGS), str(tmp_path / "s.csv"))
+        assert row["z_score"] == z
 
     def test_dolinar_reruns_identically(self, tmp_path):
         args = [
@@ -632,31 +655,29 @@ class TestJsonFormat:
                 assert float(cell) == rec[col]  # same 12-digit rounding
 
 
-    def test_infinite_z_score_is_strict_json_null(self, tmp_path):
-        # Every trial right against an analytic value below one: zero
-        # standard error and an infinite z_score.
-        base = [
-            "simulate",
-            "--scheme", "multicopy",
-            "--q0", "0.7",
-            "--theta", "0.2",
-            "--copies", "20",
-            "--trials", "20",
-            "--seed", "1",
-        ]
-        json_p, csv_p = tmp_path / "o.json", tmp_path / "o.csv"
-        assert main(base + ["--format", "json", "-o", str(json_p)]) == 0
-        assert main(base + ["-o", str(csv_p)]) == 0
-
+    def test_infinite_z_score_is_strict_json_null(self, tmp_path, monkeypatch):
         def reject(name):
             raise ValueError(f"non-standard JSON constant {name}")
 
-        (row,) = json.loads(json_p.read_text(), parse_constant=reject)["rows"]
-        assert row["stderr"] == 0.0 and row["estimate"] == 1.0
+        # Every trial right against an analytic value just below one: the sample's
+        # standard error is 0, but z divides by the null's and stays small.
+        argv = ["simulate", "--scheme", "multicopy", "--q0", "0.7", "--chi", "0.1",
+                "--copies", "5", "--trials", "1000", "--format", "json"]
+        out = tmp_path / "o.json"
+        assert main([*argv, "-o", str(out)]) == 0
+        (row,) = json.loads(out.read_text(), parse_constant=reject)["rows"]
+        assert row["stderr"] == 0.0 and row["estimate"] == 1.0 and row["analytic"] < 1.0
+        assert 0.0 < row["z_score"] < 1e-3
+        # z is infinite only where a certain analytic value is missed: CSV inf, JSON null.
+        monkeypatch.setitem(cli.SCHEMES["multicopy"], "simulate",
+                            lambda spec, export: (0.99, 0.01, 1.0))
+        csv_p = tmp_path / "o.csv"
+        assert main([*argv, "-o", str(out)]) == 0
+        assert main([*argv[:-2], "-o", str(csv_p)]) == 0
+        (row,) = json.loads(out.read_text(), parse_constant=reject)["rows"]
         assert row["z_score"] is None
         assert csv_p.read_bytes().startswith(SIM_HEADER)
         assert read_rows(csv_p)[1][0][6] == "inf"
-
 
     def test_unserializable_record_leaves_no_file(self, tmp_path):
         spec = cli.SweepSpec("fig3", ("kennedy",), gamma_sq_min=0.1, gamma_sq_max=1.0, points=2,
@@ -1591,9 +1612,36 @@ class TestPastTheFloatRange:
             "qsdr: invalid spec: log spacing rounds a gamma_sq point past the float range "
             "(1.798e+308); linear spacing does not, got inf\n")
 
+    def test_log_axis_near_the_float_maximum_keeps_its_points_in_range(self, tmp_path):
+        # geomspace rounds the middle power to 1.7976931348620926e308, below the minimum.
+        lo, hi = 1.7976931348621359e308, 1.7976931348623157e308
+        argv = ["fig1", "--schemes", "helstrom", "--gamma-sq-min", repr(lo),
+                "--gamma-sq-max", repr(hi), "--points", "3"]
+        assert resolved(argv).axis().tolist() == [lo, lo, hi]
+        assert self.run(argv, tmp_path / "o.csv") == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(lo=log_uniform(1e-300, 1.79e308), ratio=log_uniform(1e-16, 1e300),
+       points=st.integers(2, 60), spacing=st.sampled_from(["log", "linear"]))
+@example(lo=1e9, ratio=1e300, points=13, spacing="linear")  # the last step overflows
+def test_every_axis_point_lies_in_range_and_never_decreases(lo, ratio, points, spacing):
+    hi = max(min(lo * (1.0 + ratio), 1.7976931348623157e308), math.nextafter(lo, math.inf))
+    spec = cli.SweepSpec("fig1", ("helstrom",), gamma_sq_min=lo, gamma_sq_max=hi, points=points,
+                         spacing=spacing, q0=0.5, seed=0, format="csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            g = spec.axis()
+        except ValueError as exc:  # a power rounded past the float range: exit 2
+            assert "past the float range" in str(exc) and spacing == "log"
+            return
+    assert g[0] == lo and g[-1] == hi and len(g) == points
+    assert (np.diff(g) >= 0.0).all() and g.min() >= lo and g.max() <= hi
+
 
 class TestNoNumericalIntegration:
-    """Every CLI path computes P_c in closed form; RK45 is only the oracle."""
+    """Every CLI path computes P_c in closed form; RK45 is only the tests' oracle."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -1619,7 +1667,7 @@ class TestNoNumericalIntegration:
 
 
 class TestNoScipy:
-    """No CLI path imports scipy (only the RK45 oracle needs it), argparse or
+    """No CLI path imports scipy (only the tests' RK45 oracle needs it), argparse or
     locale, and neither the import nor a run loads dataclasses or copy.  The
     first run, not the import, freezes the import heap, and only once."""
 

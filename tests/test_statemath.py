@@ -486,6 +486,17 @@ class TestSimplifiedDolinarError:
     def test_fully_degenerate(self):
         assert simplified_dolinar_error(Priors(0.6), 0.0, 0.0, 1.0) == 0.4
 
+    def test_nothing_observed_at_t_zero_where_s_overflows(self):
+        # At T = 0, E = 1 and the error is q1 even where psi**2 + beta**2 is inf.
+        pr = Priors(0.7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert simplified_dolinar_error(pr, 1e160, 0.1, 0.0) == pr.q1
+            assert simplified_dolinar_error(pr, np.array([1e160, 1.0]), 0.1, 0.0).tolist() == [
+                pr.q1, pr.q1]
+            assert simplified_dolinar_pc(pr, 1e160, 0.1, 0.0) == pr.q0
+            assert simplified_dolinar_pc(pr, np.array([1e160]), 0.1, 0.0).tolist() == [pr.q0]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             simplified_dolinar_error(Priors(0.5), -1.0, 0.5, 1.0)
