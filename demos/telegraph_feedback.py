@@ -12,6 +12,7 @@ approach the bound from below.
 """
 
 import argparse
+from collections import Counter
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from qsdr import (
     evolve_pc,
     helstrom_trajectory,
     simulate_telegraph,
+    telegraph_chunks,
 )
 
 
@@ -43,15 +45,16 @@ def main() -> None:
     print(f"instantaneous bound at T: {bound[-1]:.10f}")
     print(f"largest gap along the trajectory: {np.max(np.abs(res.pc - bound)):.2e}\n")
 
-    mc = simulate_telegraph(
-        pr, args.psi, law, args.T, args.trials, args.seed, keep_trajectories=True
-    )
-    clicks = np.diff(mc.trajectories.offsets)
+    mc = simulate_telegraph(pr, args.psi, law, args.T, args.trials, args.seed)
+    # The same trials' click records come chunk by chunk; only their counts are kept.
+    counts = Counter()
+    for _, tr in telegraph_chunks(pr, args.psi, law, args.T, args.trials, args.seed):
+        counts.update(np.diff(tr.offsets).tolist())
     z = abs(mc.estimate - bound[-1]) / max(mc.stderr, 1e-300)
     print(f"telegraph Monte Carlo: {mc.estimate:.5f} +- {mc.stderr:.5f} (z = {z:.2f})")
-    print(f"mean clicks per trial: {clicks.mean():.3f}, max {clicks.max()}")
-    counts = np.bincount(clicks, minlength=4)
-    for k in range(min(len(counts), 5)):
+    mean = sum(k * n for k, n in counts.items()) / args.trials
+    print(f"mean clicks per trial: {mean:.3f}, max {max(counts)}")
+    for k in range(min(max(counts) + 1, 5)):
         print(f"  {k} clicks: {counts[k] / args.trials:7.2%}")
 
     # Equal priors: uncapped feedback diverges at t = 0, so cap it.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,10 +38,17 @@ def seed_words(seed: int, n: int) -> np.ndarray:
     return np.random.SeedSequence(seed).generate_state(n, np.uint64)
 
 
-def binomial(hits: int, trials: int) -> tuple[float, float]:
+class McEstimate(NamedTuple):
+    """The answer of a seeded run: a frequency and its binomial standard error."""
+
+    estimate: float
+    stderr: float
+
+
+def binomial(hits: int, trials: int) -> McEstimate:
     """The frequency of ``hits`` in ``trials`` and its binomial standard error."""
     p = hits / trials
-    return p, math.sqrt(p * (1.0 - p) / trials)
+    return McEstimate(p, math.sqrt(p * (1.0 - p) / trials))
 
 
 class TrialStreams:

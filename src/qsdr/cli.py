@@ -35,11 +35,11 @@ import numpy as np
 
 from . import __version__
 from ._record import Record
-from ._streams import seed_words
+from ._streams import binomial, seed_words
 from .dolinar import (
     LawFamily,
     SingularControlError,
-    TelegraphResult,
+    _hits,
     evolve_pc,
     evolve_pe,
     telegraph_chunks,
@@ -270,9 +270,9 @@ def _telegraph(spec: SweepSpec, priors: Priors, psi: float, seed: int):
 def _simulate_dolinar_mc(spec: SweepSpec, export):
     priors = spec.priors
     law, chunks = _telegraph(spec, priors, spec.psi, spec.seed)
-    result = TelegraphResult.from_chunks(chunks if export is None else export(chunks))
+    estimate, stderr = binomial(_hits(export(chunks)), spec.trials)
     analytic = evolve_pc(priors, spec.psi, law, spec.T, sample_times=()).final.pc(priors)
-    return result.estimate, result.stderr, analytic
+    return estimate, stderr, analytic
 
 
 def _simulate_multicopy(spec: SweepSpec, export):
@@ -338,12 +338,11 @@ def _helstrom_pe(ax: _Axis) -> np.ndarray:
 
 
 def _dolinar_mc_pe(ax: _Axis) -> np.ndarray:
-    # Each point is its own seeded run; its error frequency is counted, not
-    # taken as 1 - estimate.
+    # Each point is its own seeded run; its error frequency is the exact
+    # quotient of the error count, not 1 - estimate.
     spec, pe = ax.spec, []
     for psi, seed in zip(_psi(ax).tolist(), seed_words(spec.seed, spec.points).tolist()):
-        chunks = _telegraph(spec, ax.priors, psi, seed)[1]
-        pe.append(sum(int(np.count_nonzero(tr.z_final != tr.a)) for _, tr in chunks) / spec.trials)
+        pe.append((spec.trials - _hits(_telegraph(spec, ax.priors, psi, seed)[1])) / spec.trials)
     return np.array(pe)
 
 
@@ -356,10 +355,10 @@ def _envelope_intensity(ax: _Axis) -> np.ndarray:
 # One entry per scheme, in canonical column order (selections keep this
 # order, not the flag order).  "pe" (fig1) and "beta_sq" (fig3) map the
 # _Axis to the column's values, all points in one call; "simulate" maps
-# (spec, export) to (estimate, stderr, analytic), where export, if not None
-# (dolinar_mc only), passes the sampler's chunks on and writes their click
-# records.  Entries look library functions up as module globals at call
-# time, so a wrapper set on a qsdr.cli attribute sees every call.
+# (spec, export) to (estimate, stderr, analytic), where export passes the
+# sampler's chunks on and, given --trajectories (dolinar_mc only), writes
+# their click records.  Entries look library functions up as module globals
+# at call time, so a wrapper set on a qsdr.cli attribute sees every call.
 SCHEMES = {
     "helstrom": {"pe": _helstrom_pe},
     # Nulls the likelier hypothesis; fig3's reference line.
@@ -466,10 +465,10 @@ def cmd_simulate(
 @contextlib.contextmanager
 def _trajectory_export(path: str | None, spec: SweepSpec):
     """Open the trajectory file before the run starts and yield the filter
-    that streams the sampler's chunks into it (None without a path).  A run
-    that fails removes the partial file."""
+    that streams the sampler's chunks into it (without a path, the identity).
+    A run that fails removes the partial file."""
     if path is None:
-        yield None
+        yield lambda chunks: chunks
         return
     fh = open(path, "w", newline="")
     try:
@@ -563,8 +562,10 @@ def _usage(command: str | None) -> str:
 
 
 def _is_flag(token: str) -> bool:
-    # '-' alone and negative numbers ('-1', '-.5') are values, not flags.
-    return len(token) > 1 and token[0] == "-" and not (token[1].isdigit() or token[1] == ".")
+    # '-' alone and tokens that start like a number are values, not flags; so
+    # is every token float() reads ('-1', '-.5', '-inf', '-nan').
+    number = token[1:2].isdigit() or token[1:2] == "." or token[1:4].lower() in ("inf", "nan")
+    return len(token) > 1 and token[0] == "-" and not number
 
 
 def _split(argv: list[str]) -> tuple[str | None, dict[str, str] | None]:

@@ -19,7 +19,7 @@ This module provides the feedback law, closed-form evolution of the
 correct-decision probability across a structured law's segments (one
 lane-wise walk, whose lanes are one law's sample times or a sweep's points),
 a seeded telegraph Monte Carlo of the click process (streamed chunk by
-chunk, or reduced to one result) and the piecewise-constant (segmented)
+chunk, or reduced to its estimate) and the piecewise-constant (segmented)
 approximation.  Nothing is integrated numerically.
 """
 
@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import Record
-from ._streams import binomial, trial_chunks
+from ._streams import McEstimate, binomial, trial_chunks
 from .statemath import Priors, _margin_sq, _reject
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "PcState",
     "EvolveResult",
     "Trajectories",
-    "TelegraphResult",
     "feedback_amplitude",
     "rates",
     "helstrom_trajectory",
@@ -129,7 +128,7 @@ class ControlLaw(Record):
     ``optimal = (priors, psi)`` is set, a last segment follows on which
     ``u0 = feedback_amplitude(priors, psi, t)``.  A cap or time floor is a
     constant prefix slot.  On each segment the integrated click rate, which
-    :func:`simulate_telegraph` inverts, and the success probability, which
+    :func:`telegraph_chunks` inverts, and the success probability, which
     :func:`evolve_pc` propagates, are closed forms; the rates need not be
     monotone.  A law is its segments, so equal laws compare equal however
     they were built.
@@ -319,8 +318,7 @@ class EvolveResult(Record):
 
 
 class Trajectories(NamedTuple):
-    """Click records of a run's trials (or of one chunk of them), one
-    column each.
+    """Click records of one chunk of a run's trials, one column each.
 
     Trial ``i`` drew the symbol ``a[i]``, started on ``Priors.start_bit``,
     clicked at ``times[offsets[i]:offsets[i + 1]]`` (strictly increasing,
@@ -332,33 +330,6 @@ class Trajectories(NamedTuple):
     z_final: np.ndarray
     offsets: np.ndarray
     times: np.ndarray
-
-
-class TelegraphResult(NamedTuple):
-    estimate: float
-    stderr: float
-    trajectories: Trajectories | None
-
-    @classmethod
-    def from_chunks(
-        cls, chunks: Iterable[tuple[int, Trajectories]], keep_trajectories: bool = False
-    ) -> "TelegraphResult":
-        """Reduce the chunks of :func:`telegraph_chunks`: the frequency of
-        trials ending on the true symbol, its binomial standard error and,
-        on request, the chunks' records joined into one."""
-        hits = trials = 0
-        kept = []
-        for _, tr in chunks:
-            hits += int(np.count_nonzero(tr.z_final == tr.a))
-            trials += len(tr.a)
-            if keep_trajectories:
-                kept.append(tr)
-        if not keep_trajectories:
-            return cls(*binomial(hits, trials), None)
-        a, z, offsets, times = zip(*kept)
-        offsets = np.concatenate(([0], np.cumsum(np.concatenate([np.diff(o) for o in offsets]))))
-        joined = Trajectories(np.concatenate(a), np.concatenate(z), offsets, np.concatenate(times))
-        return cls(*binomial(hits, trials), joined)
 
 
 def _initial_errors(priors: Priors) -> tuple[float, float]:
@@ -686,13 +657,15 @@ def telegraph_chunks(
         yield i0, Trajectories(a, priors.start_bit ^ (clicks & 1), offsets, times)
 
 
+def _hits(chunks: Iterable[tuple[int, Trajectories]]) -> int:
+    # The trials of telegraph_chunks' chunks that end on their true symbol.
+    return sum(int(np.count_nonzero(tr.z_final == tr.a)) for _, tr in chunks)
+
+
 def simulate_telegraph(priors: Priors, psi: float, control: ControlLaw, T: float, trials: int,
-                       seed: int, keep_trajectories: bool = False) -> TelegraphResult:
-    """Frequency of trials ending on the true symbol, its binomial standard
-    error and, on request, the click records of all trials: the reduction
-    (:meth:`TelegraphResult.from_chunks`) of :func:`telegraph_chunks`.
-    Memory does not grow with ``trials`` unless trajectories are kept;
-    iterate :func:`telegraph_chunks` to handle the records chunk by chunk.
+                       seed: int) -> McEstimate:
+    """Frequency of trials ending on the true symbol and its binomial standard
+    error, counted chunk by chunk over :func:`telegraph_chunks`, so memory does
+    not grow with ``trials``; iterate that generator for the click records.
     """
-    chunks = telegraph_chunks(priors, psi, control, T, trials, seed)
-    return TelegraphResult.from_chunks(chunks, keep_trajectories)
+    return binomial(_hits(telegraph_chunks(priors, psi, control, T, trials, seed)), trials)

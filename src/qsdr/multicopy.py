@@ -20,16 +20,14 @@ provides
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
-from ._streams import binomial, trial_chunks
+from ._streams import McEstimate, binomial, trial_chunks
 from .statemath import Priors, angle_schedule, helstrom_bound
 
 __all__ = [
     "MAX_VECTOR_COPIES",
-    "McEstimate",
     "exact_adaptive_pc",
     "simulate_adaptive",
     "measurement_vectors",
@@ -39,11 +37,6 @@ __all__ = [
 # measurement_vectors holds all 2**n vectors of 2**n components; this cap
 # keeps the array (4**n doubles) at desk scale.
 MAX_VECTOR_COPIES = 10
-
-
-class McEstimate(NamedTuple):
-    estimate: float
-    stderr: float
 
 
 def _effective_angles(priors: Priors, theta: float, n: int) -> np.ndarray:
@@ -113,7 +106,7 @@ def simulate_adaptive(
         for p in p0:
             z = next(draws) >= p[2 * a + z]
         hits += int(np.count_nonzero(z == a))
-    return McEstimate(*binomial(hits, trials))
+    return binomial(hits, trials)
 
 
 def measurement_vectors(priors: Priors, theta: float, n: int) -> np.ndarray:

@@ -24,10 +24,18 @@ import qsdr
 import qsdr._streams as streams_mod
 import qsdr.cli as cli
 import qsdr.rootfind as rootfind_mod
-from qsdr import BracketError, Priors, SingularControlError, simulate_telegraph
+from qsdr import (
+    BracketError,
+    ControlLaw,
+    Priors,
+    SingularControlError,
+    simulate_adaptive,
+    simulate_telegraph,
+    telegraph_chunks,
+)
 from qsdr.cli import main
 from oracles import rk45
-from test_streams import TELEGRAPH_LAWS, budget
+from test_streams import TELEGRAPH_LAWS, budget, one_chunk
 
 FIG1_HEADER = b"gamma_sq,helstrom_pe,kennedy_pe,improved_kennedy_pe,simplified_dolinar_pe\n"
 FIG3_HEADER = b"gamma_sq,kennedy_beta_sq,improved_kennedy_beta_sq,simplified_dolinar_beta_sq\n"
@@ -196,6 +204,9 @@ JSON_SHA256 = {
                    "t": "4e862a405e4a5366a1263d0461856b0aeaba1631b710c9f7d3f7adcf28f2a177"}),
     "multicopy": ([*MULTICOPY_ARGV, "--seed", "1"],
                   {"o": "2bf31bba8e7e19fbad638f0e54555abe5bc1a5cf19b6514334149bf85d11a5a1"}),
+    "fig1_dolinar_mc": (["fig1", "--q0", "0.5", "--u-max", "8", "--schemes", "dolinar_mc",
+                         "--points", "5", "--trials", "2000", "--seed", "3"],
+                        {"o": "157e5abbb03cc36c7870223d60e7fa044fa7cf9e50bc3ec3986b660aafb2dd32"}),
 }
 # The dolinar_ode column under each law shape of TestEvolvePe.SWEEPS, as the
 # per-point laws wrote it: (argv beyond LAW_SHAPE_AXIS, sha256).
@@ -238,6 +249,10 @@ SAMPLER_SHA256 = {
     "multicopy_start_1": (["simulate", "--scheme", "multicopy", "--q0", "0.3", "--chi", "0.9",
                            "--copies", "7", "--trials", "5000", "--seed", "2"],
                           {"o": "4e7b496ea11b288b296d22462949cf9126cd7530653cc5791931a5623777b2b9"}),
+    # A fig1 column of seeded runs, one per row, beside an analytic one.
+    "fig1_dolinar_mc": (["fig1", "--q0", "0.7", "--schemes", "helstrom,dolinar_mc",
+                         "--points", "5", "--trials", "2000", "--seed", "3"],
+                        {"o": "86d35627d86792ec662ce3f6c1a7f30a3015fe82b0e4c071fbe9ff10a8e17fcf"}),
 }
 
 
@@ -543,6 +558,44 @@ class TestSimulate:
         assert main(args + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "argv,library",
+        [
+            (["--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8", "--psi", "0.8",
+              "--trials", "300", "--seed", "13"],
+             lambda: simulate_telegraph(
+                 Priors(0.5), 0.8, ControlLaw.dolinar_optimal(Priors(0.5), 0.8, u_max=8.0),
+                 1.0, 300, 13)),
+            (["--scheme", "dolinar_mc", "--q0", "0.3", "--beta", "-0.5", "--T", "2",
+              "--trials", "200", "--seed", "5"],
+             lambda: simulate_telegraph(Priors(0.3), 1.0, ControlLaw.constant(-0.5), 2.0, 200, 5)),
+            (["--scheme", "multicopy", "--q0", "0.6", "--theta", "0.3", "--copies", "5",
+              "--trials", "700", "--seed", "8"],
+             lambda: simulate_adaptive(Priors(0.6), 0.3, 5, 700, 8)),
+        ],
+        ids=["telegraph", "constant", "multicopy"],
+    )
+    def test_row_is_the_library_estimate(self, argv, library, tmp_path):
+        # Full floats, in-process: the CLI's run is the library's.
+        row = cli.cmd_simulate(resolved(["simulate", *argv]), str(tmp_path / "s.csv"))
+        assert (row["estimate"], row["stderr"]) == library()
+
+    def test_fig1_dolinar_mc_rows_count_their_runs_errors(self, tmp_path):
+        # Row i is its own run, seeded by the i-th word of the run's seed.
+        trials, points = 400, 4
+        spec = resolved(["fig1", "--q0", "0.7", "--u-max", "3", "--schemes", "dolinar_mc",
+                         "--points", str(points), "--trials", str(trials), "--seed", "11"])
+        table = cli.cmd_fig1(spec, str(tmp_path / "f.csv"))
+        pr = Priors(0.7)
+        seeds = streams_mod.seed_words(11, points).tolist()
+        rows = zip(table["gamma_sq"].tolist(), table["dolinar_mc_pe"].tolist(), seeds, strict=True)
+        for g, pe, seed in rows:
+            psi = math.sqrt(g)
+            law = ControlLaw.dolinar_optimal(pr, psi, u_max=3.0)
+            chunks = telegraph_chunks(pr, psi, law, 1.0, trials, seed)
+            hits = sum(int(np.count_nonzero(tr.z_final == tr.a)) for _, tr in chunks)
+            assert pe == (trials - hits) / trials
+
     def test_trajectory_export(self, tmp_path):
         out, traj = tmp_path / "s.csv", tmp_path / "t.csv"
         args = [
@@ -599,9 +652,8 @@ class TestSimulate:
         traj = tmp_path / f"t.{fmt}"
         spec, _, _ = cli._resolve(*cli._split(args + ["-o", "o", "--trajectories", str(traj)]), {})
         pr = Priors(q0)
-        want = render_trajectories(
-            spec, simulate_telegraph(pr, 1.0, law, 1.0, 60, 4, keep_trajectories=True).trajectories
-        )
+        # 60 trials are one chunk at the default size.
+        want = render_trajectories(spec, one_chunk(pr, 1.0, law, 1.0, 60, seed=4))
         # TELEGRAPH_LAWS holds laws the options cannot spell (ten slots).
         monkeypatch.setattr(cli, "_law_family", lambda spec: SimpleNamespace(law=lambda pr, psi: law))
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
@@ -1013,6 +1065,11 @@ class TestGrammar:
         "argv,message",
         [
             (["fig1", "--seed", "-1"], "seed must be a non-negative integer, got -1"),
+            # What float() reads is a value, not a flag.
+            (["simulate", "--scheme", "dolinar_mc", "--beta", "-inf"],
+             "beta must be finite, got -inf"),
+            (["simulate", "--scheme", "dolinar_mc", "--beta", "-nan"],
+             "beta must be finite, got nan"),
             (["fig1", "--points"], "option --points needs a value"),
             (["fig1", "--points", "--q0", "0.3"], "option --points needs a value"),
             (["fig1", "--psi", "0.5"], "fig1 has no option --psi"),

@@ -15,6 +15,7 @@ from qsdr import (
     ControlLaw,
     EvolveResult,
     LawFamily,
+    McEstimate,
     PcState,
     Priors,
     SingularControlError,
@@ -37,6 +38,7 @@ from qsdr.statemath import _margin_sq
 import oracles
 from oracles import IntegrationError, evolve_pc_general, rk45, verify_control_identity
 from test_cli import log_uniform
+from test_streams import one_chunk, same_records, trial_slice
 
 HEL_TRAJ_711 = 0.99613880702215365   # frozen: q0=0.7, psi=1, t=1
 HELSTROM_HALF_02 = 0.87103606155021455
@@ -736,12 +738,10 @@ class TestSimulateTelegraph:
     def test_same_seed_reproduces_everything(self):
         pr = Priors(0.7)
         law = ControlLaw.dolinar_optimal(pr, 1.0)
-        a = simulate_telegraph(pr, 1.0, law, 1.0, 200, seed=5, keep_trajectories=True)
-        b = simulate_telegraph(pr, 1.0, law, 1.0, 200, seed=5, keep_trajectories=True)
-        assert a.estimate == b.estimate
-        assert a.stderr == b.stderr
-        for x, y in zip(a.trajectories, b.trajectories, strict=True):
-            assert np.array_equal(x, y)
+        a = simulate_telegraph(pr, 1.0, law, 1.0, 200, seed=5)
+        assert simulate_telegraph(pr, 1.0, law, 1.0, 200, seed=5) == a
+        assert same_records(one_chunk(pr, 1.0, law, 1.0, 200, seed=5),
+                            one_chunk(pr, 1.0, law, 1.0, 200, seed=5))
 
     @pytest.mark.parametrize("law", [
         ControlLaw.constant(-1e160),
@@ -757,29 +757,25 @@ class TestSimulateTelegraph:
     def test_trials_are_independent_of_batch_size(self):
         pr = Priors(0.7)
         law = ControlLaw.constant(1.0)
-        small = simulate_telegraph(pr, 1.0, law, 1.0, 4, seed=9, keep_trajectories=True)
-        large = simulate_telegraph(pr, 1.0, law, 1.0, 9, seed=9, keep_trajectories=True)
-        lt, st = large.trajectories, small.trajectories
-        assert np.array_equal(lt.a[:4], st.a)
-        assert np.array_equal(lt.z_final[:4], st.z_final)
-        assert np.array_equal(lt.offsets[:5], st.offsets)
-        assert np.array_equal(lt.times[: lt.offsets[4]], st.times)
+        small = one_chunk(pr, 1.0, law, 1.0, 4, seed=9)
+        large = one_chunk(pr, 1.0, law, 1.0, 9, seed=9)
+        assert same_records(trial_slice(large, 0, 4), small)
 
     def test_trajectory_bookkeeping(self):
         pr = Priors(0.7)
         law = ControlLaw.constant(1.0)
-        res = simulate_telegraph(pr, 1.0, law, 1.0, 50, seed=3, keep_trajectories=True)
-        tr = res.trajectories
+        tr = one_chunk(pr, 1.0, law, 1.0, 50, seed=3)
         counts = np.diff(tr.offsets)
         assert len(tr.a) == len(tr.z_final) == len(counts) == 50
         assert tr.offsets[0] == 0 and tr.offsets[-1] == len(tr.times)
         assert np.array_equal(tr.z_final, pr.start_bit ^ (counts & 1))
         assert np.all((0.0 < tr.times) & (tr.times <= 1.0))
-        assert res.estimate == np.count_nonzero(tr.z_final == tr.a) / 50
+        estimate = simulate_telegraph(pr, 1.0, law, 1.0, 50, seed=3).estimate
+        assert estimate == np.count_nonzero(tr.z_final == tr.a) / 50
 
-    def test_trajectories_omitted_by_default(self):
+    def test_answer_is_a_binomial_estimate(self):
         res = simulate_telegraph(Priors(0.7), 1.0, ControlLaw.constant(1.0), 1.0, 5, seed=1)
-        assert res.trajectories is None
+        assert type(res) is McEstimate
         assert res.stderr == pytest.approx(
             math.sqrt(res.estimate * (1.0 - res.estimate) / 5), abs=1e-15
         )
@@ -834,8 +830,7 @@ class TestSimulateTelegraph:
             raise AssertionError("sampler evaluated the law")
 
         monkeypatch.setattr(ControlLaw, "u0", refuse)
-        res = simulate_telegraph(pr, 1.0, law, 1.0, 500, seed=3, keep_trajectories=True)
-        assert len(res.trajectories.times) > 0
+        assert len(one_chunk(pr, 1.0, law, 1.0, 500, seed=3).times) > 0
 
     def test_optimal_segment_must_match_the_signal(self):
         law = ControlLaw.dolinar_optimal(Priors(0.7), 1.0)
@@ -1013,8 +1008,7 @@ def test_structured_hazard_agrees_with_the_scalar_law(law, cut, seed):
         got = np.diff(hazard.at(np.array([t0, t1]), np.array([b, b])))[0]
         want = integrated_rate(law, psi, b, t0, t1)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
-    res = simulate_telegraph(Priors(0.5), psi, law, T, 20, seed, keep_trajectories=True)
-    tr = res.trajectories
+    tr = one_chunk(Priors(0.5), psi, law, T, 20, seed)
     assert np.all((0.0 < tr.times) & (tr.times <= T))
     for lo, hi in zip(tr.offsets[:-1], tr.offsets[1:]):
         assert np.all(np.diff(tr.times[lo:hi]) > 0.0)

@@ -13,6 +13,7 @@ from qsdr import (
     feedback_amplitude,
     simulate_adaptive,
     simulate_telegraph,
+    telegraph_chunks,
 )
 from qsdr._streams import TrialStreams, trial_chunks
 from qsdr.dolinar import _Segments
@@ -134,7 +135,7 @@ def loop_adaptive(priors, theta, n, trials, seed):
 
 
 def loop_telegraph(priors, psi, law, T, trials, seed, draws=200):
-    """Scalar per-trial replay of simulate_telegraph on the same draws.
+    """Scalar per-trial replay of telegraph_chunks on the same draws.
 
     Draw 0 picks the symbol; draw d >= 1 is the d-th Exp(1) gap of the
     integrated rate of the current branch, and the first gap that reaches
@@ -159,6 +160,21 @@ def loop_telegraph(priors, psi, law, T, trials, seed, draws=200):
         finals.append(z)
         offsets.append(len(times))
     return Trajectories(*map(np.array, (symbols, finals, offsets, times)))
+
+
+def one_chunk(priors, psi, law, T, trials, seed):
+    """The click records of a run short enough to be one chunk at the default size."""
+    ((i0, tr),) = telegraph_chunks(priors, psi, law, T, trials, seed)
+    assert i0 == 0 and len(tr.a) == trials
+    return tr
+
+
+def trial_slice(tr, i0, m):
+    """Trials ``i0 .. i0+m-1`` of the records ``tr``, offsets counted from ``i0``."""
+    lo, hi = tr.offsets[i0], tr.offsets[i0 + m]
+    return Trajectories(
+        tr.a[i0:i0 + m], tr.z_final[i0:i0 + m], tr.offsets[i0:i0 + m + 1] - lo, tr.times[lo:hi]
+    )
 
 
 def same_records(x, y):
@@ -206,44 +222,48 @@ class TestSamplersUseTheLayout:
     def test_telegraph_is_independent_of_chunking(self, rows, monkeypatch):
         pr = Priors(0.5)
         law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0)
-        want = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6, keep_trajectories=True)
-        # simulate_telegraph fetches one block (four draws) per trial at a time.
+        want = one_chunk(pr, 1.0, law, 1.0, 40, seed=6)
+        estimate = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6)
+        # telegraph_chunks fetches one block (four draws) per trial at a time.
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
-        got = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6, keep_trajectories=True)
-        assert got[:2] == want[:2]
-        assert same_records(got.trajectories, want.trajectories)
+        chunks = list(telegraph_chunks(pr, 1.0, law, 1.0, 40, seed=6))
+        assert [i0 for i0, _ in chunks] == list(range(0, 40, rows or 40))
+        assert sum(len(tr.a) for _, tr in chunks) == 40
+        for i0, tr in chunks:
+            assert same_records(tr, trial_slice(want, i0, len(tr.a)))
+        assert simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6) == estimate
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     @pytest.mark.parametrize("q0,law", TELEGRAPH_LAWS)
     def test_telegraph_records_are_consistent(self, q0, law, rows, monkeypatch):
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
         pr = Priors(q0)
-        tr = simulate_telegraph(pr, 1.0, law, 1.0, 60, seed=2, keep_trajectories=True).trajectories
-        counts = np.diff(tr.offsets)
-        assert tr.offsets[0] == 0 and tr.offsets[-1] == len(tr.times) and np.all(counts >= 0)
-        assert len(tr.a) == len(tr.z_final) == len(counts) == 60
-        assert np.isin(tr.a, (0, 1)).all() and np.isin(tr.z_final, (0, 1)).all()
-        assert np.all((0.0 < tr.times) & (tr.times <= 1.0))
-        # Strictly increasing within a trial: only a trial's first click may drop.
-        first = np.zeros(len(tr.times), dtype=bool)
-        first[tr.offsets[:-1][counts > 0]] = True
-        assert np.all(np.diff(tr.times)[~first[1:]] > 0.0)
-        assert np.array_equal(tr.z_final, pr.start_bit ^ (counts & 1))
+        chunks = list(telegraph_chunks(pr, 1.0, law, 1.0, 60, seed=2))
+        assert sum(len(tr.a) for _, tr in chunks) == 60
+        for _, tr in chunks:
+            counts = np.diff(tr.offsets)
+            assert tr.offsets[0] == 0 and tr.offsets[-1] == len(tr.times) and np.all(counts >= 0)
+            assert len(tr.a) == len(tr.z_final) == len(counts)
+            assert np.isin(tr.a, (0, 1)).all() and np.isin(tr.z_final, (0, 1)).all()
+            assert np.all((0.0 < tr.times) & (tr.times <= 1.0))
+            # Strictly increasing within a trial: only a trial's first click may drop.
+            first = np.zeros(len(tr.times), dtype=bool)
+            first[tr.offsets[:-1][counts > 0]] = True
+            assert np.all(np.diff(tr.times)[~first[1:]] > 0.0)
+            assert np.array_equal(tr.z_final, pr.start_bit ^ (counts & 1))
 
     @pytest.mark.parametrize("q0,law", TELEGRAPH_LAWS)
     def test_telegraph_matches_scalar_replay(self, q0, law):
         pr = Priors(q0)
-        res = simulate_telegraph(pr, 1.0, law, 1.0, 300, seed=12, keep_trajectories=True)
         replay = loop_telegraph(pr, 1.0, law, 1.0, 300, seed=12)
-        assert same_records(res.trajectories, replay)
-        assert res.estimate == np.count_nonzero(replay.z_final == replay.a) / 300
+        assert same_records(one_chunk(pr, 1.0, law, 1.0, 300, seed=12), replay)
+        estimate = simulate_telegraph(pr, 1.0, law, 1.0, 300, seed=12).estimate
+        assert estimate == np.count_nonzero(replay.z_final == replay.a) / 300
         # Some trial crosses a block edge (its fourth gap).
         assert np.diff(replay.offsets).max() >= 3
 
     def test_telegraph_symbol_is_the_first_draw(self):
         pr = Priors(0.6)
-        res = simulate_telegraph(
-            pr, 1.0, ControlLaw.constant(1.0), 1.0, 300, seed=9, keep_trajectories=True
-        )
+        tr = one_chunk(pr, 1.0, ControlLaw.constant(1.0), 1.0, 300, seed=9)
         first = all_draws(9, 300, 1)[:, 0]
-        assert res.trajectories.a.tolist() == [0 if u < pr.q0 else 1 for u in first]
+        assert tr.a.tolist() == [0 if u < pr.q0 else 1 for u in first]
