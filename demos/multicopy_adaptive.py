@@ -9,6 +9,7 @@ and walks the copy-by-copy posterior recursion.
 """
 
 import argparse
+import math
 
 import numpy as np
 
@@ -21,6 +22,15 @@ from qsdr import (
     posterior_update,
     simulate_adaptive,
 )
+
+
+def null_z(estimate: float, p: float, trials: int) -> float:
+    """The estimate's distance from ``p`` in binomial standard errors at ``p``:
+    the z of the hypothesis that ``p`` is the success probability, as
+    ``qsdr simulate`` scores it.  A ``p`` of exactly 0 or 1 gives 0 or inf."""
+    diff = abs(estimate - p)
+    se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    return diff / se if se > 0.0 else (math.inf if diff else 0.0)
 
 
 def main() -> None:
@@ -45,7 +55,7 @@ def main() -> None:
     n = args.copies
     res = simulate_adaptive(pr, theta, n, trials=args.trials, seed=args.seed)
     bound = multicopy_bound(pr, args.chi, n)
-    z = abs(res.estimate - bound) / max(res.stderr, 1e-300)
+    z = null_z(res.estimate, bound, args.trials)
     print(
         f"\nMonte Carlo at n = {n}: {res.estimate:.5f} +- {res.stderr:.5f}"
         f"  (bound {bound:.5f}, z = {z:.2f})"

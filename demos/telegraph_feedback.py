@@ -12,6 +12,7 @@ approach the bound from below.
 """
 
 import argparse
+import math
 from collections import Counter
 
 import numpy as np
@@ -21,9 +22,17 @@ from qsdr import (
     Priors,
     evolve_pc,
     helstrom_trajectory,
-    simulate_telegraph,
     telegraph_chunks,
 )
+
+
+def null_z(estimate: float, p: float, trials: int) -> float:
+    """The estimate's distance from ``p`` in binomial standard errors at ``p``:
+    the z of the hypothesis that ``p`` is the success probability, as
+    ``qsdr simulate`` scores it.  A ``p`` of exactly 0 or 1 gives 0 or inf."""
+    diff = abs(estimate - p)
+    se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    return diff / se if se > 0.0 else (math.inf if diff else 0.0)
 
 
 def main() -> None:
@@ -45,13 +54,16 @@ def main() -> None:
     print(f"instantaneous bound at T: {bound[-1]:.10f}")
     print(f"largest gap along the trajectory: {np.max(np.abs(res.pc - bound)):.2e}\n")
 
-    mc = simulate_telegraph(pr, args.psi, law, args.T, args.trials, args.seed)
-    # The same trials' click records come chunk by chunk; only their counts are kept.
-    counts = Counter()
+    # One pass over the click records, chunk by chunk: the trials that end on their
+    # symbol and each trial's click count are all that is kept.
+    hits, counts = 0, Counter()
     for _, tr in telegraph_chunks(pr, args.psi, law, args.T, args.trials, args.seed):
+        hits += int(np.count_nonzero(tr.z_final == tr.a))
         counts.update(np.diff(tr.offsets).tolist())
-    z = abs(mc.estimate - bound[-1]) / max(mc.stderr, 1e-300)
-    print(f"telegraph Monte Carlo: {mc.estimate:.5f} +- {mc.stderr:.5f} (z = {z:.2f})")
+    estimate = hits / args.trials
+    stderr = math.sqrt(estimate * (1.0 - estimate) / args.trials)
+    z = null_z(estimate, bound[-1], args.trials)
+    print(f"telegraph Monte Carlo: {estimate:.5f} +- {stderr:.5f} (z = {z:.2f})")
     mean = sum(k * n for k, n in counts.items()) / args.trials
     print(f"mean clicks per trial: {mean:.3f}, max {max(counts)}")
     for k in range(min(max(counts) + 1, 5)):

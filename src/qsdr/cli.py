@@ -79,6 +79,7 @@ EXIT_OK = 0
 EXIT_INVALID_SPEC = 2
 EXIT_SOLVER_FAILURE = 3
 EXIT_SINGULAR_CONTROL = 4
+_heap_frozen = False  # set by main's first call: gc.get_freeze_count() walks the frozen heap
 
 DEFAULTS = {
     "gamma_sq_min": 0.01,
@@ -667,8 +668,10 @@ def main(argv=None) -> int:
     walk them again.  Objects an embedding caller holds at that first call
     are therefore never cyclically collected; later calls freeze nothing.
     """
-    if not gc.get_freeze_count():
+    global _heap_frozen
+    if not _heap_frozen:
         gc.freeze()
+        _heap_frozen = True
     try:
         command, args = _split(sys.argv[1:] if argv is None else list(argv))
         if args is None:

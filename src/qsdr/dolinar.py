@@ -532,7 +532,7 @@ class _Segments:
 
         F_0 = ln(R)/2 - ln(1 + R),    F_1 = k*t + ln(R)/2 + ln(1 + R),
 
-    which invert in closed form through ``sqrt(R)``.
+    which invert in closed form through ``sqrt(R)``; each method takes one branch ``b``.
     """
 
     def __init__(self, control: ControlLaw, psi: float, T: float) -> None:
@@ -553,57 +553,53 @@ class _Segments:
         self.lam = np.zeros((2, len(self.edges)))
         np.cumsum(steps, axis=1, out=self.lam[:, 1:])
 
-    def _f(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _f(self, t: np.ndarray, b) -> np.ndarray:
         priors, k = self.curved
         # k*t past the float range (psi**2*T from 4.5e307 on) is inf: R = 1 and F_1 = inf.
         with np.errstate(over="ignore"):
             r = np.sqrt(_margin_sq(priors, -np.expm1(-k * t)))
             return b * k * t + 0.5 * np.log(r) + (2 * b - 1) * np.log1p(r)
 
-    def _f_inverse(self, f: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def _f_inverse(self, f: np.ndarray, b: int) -> np.ndarray:
         priors, k = self.curved
         lnc, c = _log_c(priors), 4.0 * priors.q0 * priors.q1
-        m, x, kt = b == 0, np.empty_like(f), np.empty_like(f)
-        # Matched: e**F = x/(1 + x*x), x = sqrt(R); s = sqrt(1 - 4e**2F)
-        # gives x = 2e**F/(1 + s) and 1 - R*R = 4s/(1 + s)**2.
-        s = np.sqrt(-np.expm1(2.0 * f[m] + 2.0 * math.log(2.0)))
-        x[m] = 2.0 * np.exp(f[m]) / (1.0 + s)
-        # Where 4e**2F rounds to 1 (R = 1), s = 0 and kt = inf: a time past T, clamped to T.
-        with np.errstate(divide="ignore"):
-            kt[m] = lnc - np.log(4.0 * s) + 2.0 * np.log1p(s)
-        # Mismatched: c * e**-F = w = (1 - x*x) / x.
-        w = np.exp(lnc - f[~m])
-        x1 = x[~m] = 2.0 / (w + np.sqrt(w * w + 4.0))
-        kt[~m] = f[~m] - np.log(x1) - np.log1p(x1 * x1)
+        if b:  # Mismatched: c * e**-F = w = (1 - x*x) / x.
+            w = np.exp(lnc - f)
+            x = 2.0 / (w + np.sqrt(w * w + 4.0))
+            kt = f - np.log(x) - np.log1p(x * x)
+        else:
+            # Matched: e**F = x/(1 + x*x), x = sqrt(R); s = sqrt(1 - 4e**2F)
+            # gives x = 2e**F/(1 + s) and 1 - R*R = 4s/(1 + s)**2.
+            s = np.sqrt(-np.expm1(2.0 * f + 2.0 * math.log(2.0)))
+            x = 2.0 * np.exp(f) / (1.0 + s)
+            # Where 4e**2F rounds to 1 (R = 1), s = 0 and kt = inf: a time past T, clamped to T.
+            with np.errstate(divide="ignore"):
+                kt = lnc - np.log(4.0 * s) + 2.0 * np.log1p(s)
         # Below R = x*x = 1/2 those differences of O(1) logs lose kt (to about eps), and ln c
         # loses (q0 - q1)**2 = 1 - c; the margin inverted, c*(1 - e**-kt) = R*R - R(0)**2, does not.
         small = x * x < 0.5
         kt[small] = -np.log1p((_margin_sq(priors, 0.0) - x[small] ** 4) / c)
         return kt / k
 
-    def at(self, t: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Integrated rate of branch ``b[r]`` from 0 to ``t[r]`` (in [0, T])."""
+    def at(self, t: np.ndarray, b: int) -> np.ndarray:
+        """Integrated rate of branch ``b`` from 0 to each ``t[r]`` (in [0, T])."""
         i = np.minimum(np.searchsorted(self.edges, t, "right") - 1, self.last)
-        y = self.lam[b, i] + self.rate[b, i] * (t - self.edges[i])
+        y = self.lam[b][i] + self.rate[b][i] * (t - self.edges[i])
         if self.curved:
             on = i == self.last
-            y[on] += self._f(t[on], b[on]) - self.f0[b[on]]
+            y[on] += self._f(t[on], b) - self.f0[b]
         return y
 
-    def inverse(self, y: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Times at which ``at`` reaches ``y[r] < lam[b[r], -1]``."""
-        i = np.where(
-            b == 1,
-            np.searchsorted(self.lam[1], y, "right"),
-            np.searchsorted(self.lam[0], y, "right"),
-        ) - 1
-        dy = y - self.lam[b, i]
+    def inverse(self, y: np.ndarray, b: int) -> np.ndarray:
+        """Times at which branch ``b``'s ``at`` reaches each ``y[r] < lam[b, -1]``."""
+        i = np.searchsorted(self.lam[b], y, "right") - 1
+        dy = y - self.lam[b][i]
         # The optimal-law segment's table rate is 0; its times come below.
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = self.edges[i] + dy / self.rate[b, i]
+            t = self.edges[i] + dy / self.rate[b][i]
         if self.curved:
             on = i == self.last
-            t[on] = self._f_inverse(self.f0[b[on]] + dy[on], b[on])
+            t[on] = self._f_inverse(self.f0[b] + dy[on], b)
         # The closed forms may round below their segment's start.
         return np.maximum(t, self.edges[i])
 
@@ -624,36 +620,37 @@ def telegraph_chunks(
 
     The trials and their draws are those of :func:`qsdr._streams.trial_chunks`:
     draw ``d >= 1`` is the d-th gap ``-log1p(-u)``, and the first gap reaching
-    past T ends the trial.  Yields ``(i0, records)`` per chunk of trials ``i0,
-    i0 + 1, ...``, in order, ``records`` (see :class:`Trajectories`) indexing
-    them from 0; nothing is kept across chunks.  The arguments are checked when
-    the first chunk is requested.
+    past T ends the trial.  A chunk's live trials step in two groups, one per
+    branch; a click moves a group's survivors to the other.  A trial live at
+    step ``s`` has clicked ``s`` times: that click fills slot ``offsets[trial] + s``.
+    Yields ``(i0, records)`` per chunk of trials ``i0, i0 + 1, ...``, in order,
+    ``records`` (see :class:`Trajectories`) indexing them from 0; nothing is
+    kept across chunks.  The arguments are checked when the first chunk is requested.
     """
     _reject(psi < 0.0, psi, "psi must be >= 0")
     _reject(T <= 0.0, T, "T must be > 0")
     chunks = trial_chunks(seed, trials, priors.q0)
     hazard = _Segments(control, psi, T)
-    end = hazard.lam[:, -1]
     for i0, a, draws in chunks:
-        n = len(a)
-        # The live trials: their index, branch (1 while the bit is wrong) and last click.
-        live, b, t = np.arange(n), a ^ priors.start_bit, np.zeros(n)
-        rows, taus = [], []  # (trial, time) of each gap step's clicks
-        while live.size:
-            y = hazard.at(t, b) - np.log1p(-next(draws)[live])
-            go = y < end[b]
-            live, b, y = live[go], b[go], y[go]
-            # Rounding may not move a click past T or back onto the last one.
-            t = np.minimum(np.maximum(hazard.inverse(y, b), np.nextafter(t[go], T)), T)
-            b ^= 1
-            rows.append(live)
-            taus.append(t)
-        # Steps come in time order, so a stable sort by trial keeps each
-        # trial's clicks in time order.
-        trial = np.concatenate(rows)
-        clicks = np.bincount(trial, minlength=n)
+        # Each branch's live trials (branch 1 while the bit is wrong) and their last clicks.
+        live = [np.flatnonzero(a == priors.start_bit), np.flatnonzero(a != priors.start_bit)]
+        t, clicks, steps, s = [np.zeros(x.size) for x in live], np.zeros(len(a), np.intp), [], 0
+        while live[0].size or live[1].size:
+            u = next(draws)
+            for b in (0, 1):
+                if live[b].size:
+                    y = (hazard.at(t[b], b) if s else 0.0) - np.log1p(-u[live[b]])  # at(0) = 0.0
+                    go = y < hazard.lam[b, -1]
+                    clicks[live[b][~go]] = s
+                    # Rounding may not move a click past T or back onto the last one.
+                    tau = np.maximum(hazard.inverse(y[go], b), np.nextafter(t[b][go], T))
+                    live[b], t[b] = live[b][go], np.minimum(tau, T)
+                    steps.append((s, live[b], t[b]))
+            live, t, s = live[::-1], t[::-1], s + 1  # a click flips each group's branch
         offsets = np.concatenate(([0], np.cumsum(clicks)))
-        times = np.concatenate(taus)[np.argsort(trial, kind="stable")]
+        times = np.empty(offsets[-1])
+        for s, trial, tau in steps:
+            times[offsets[trial] + s] = tau
         yield i0, Trajectories(a, priors.start_bit ^ (clicks & 1), offsets, times)
 
 

@@ -224,11 +224,15 @@ LAW_SHAPE_SHA256 = {
     "constant": (["--q0", "0.7", "--beta", "1.2"],
                  "8e571387384236817db08c4f45014cc95455d6721a8f2f4b0076e37b272b6826"),
 }
-# The CSV files of sampler runs beyond the benchmark's, as the chunk-wide
-# sampler arrays wrote them: {name: (argv, {file: sha256})}, files as in
-# JSON_SHA256.  The dolinar_mc runs cross the law shapes of LAW_SHAPE_SHA256.
+# The CSV files of sampler runs, as the chunk-wide sampler arrays wrote them:
+# {name: (argv, {file: sha256})}, files as in JSON_SHA256.  The first is the
+# benchmark's telegraph run, in the CSV it writes; the dolinar_mc runs cross
+# the law shapes of LAW_SHAPE_SHA256.
 SAMPLER_ARGV = ["simulate", "--scheme", "dolinar_mc", "--trials", "2000", "--seed", "3"]
 SAMPLER_SHA256 = {
+    "telegraph": ([*TELEGRAPH_ARGV, "--seed", "1"],
+                  {"o": "7f62e5f4156324240033e9aa940f076d15f5a7bddbaf77850eac46b90de72eaf",
+                   "t": "c403b817bc5c46f0f213c52e29db99c656ac209d17c9286761365a05d15d54d8"}),
     "optimal_from_0": ([*SAMPLER_ARGV, "--q0", "0.7"],
                        {"o": "d3b4feaa6432e5ada03764e4fe9915d6321279a5f9372d318b3fc9bd17e05a65",
                         "t": "e1244fdce535c8a28f22d1c2e4b22f9254ebbb05a5e02ab1adda21c57dee0132"}),
@@ -1780,6 +1784,17 @@ class TestNoScipy:
         frozen = [run[3] for run in report["runs"]]
         assert frozen[0] > 0
         assert frozen == [frozen[0]] * len(frozen)
+
+    def test_later_runs_do_not_count_the_frozen_heap(self, monkeypatch, tmp_path):
+        # gc.get_freeze_count() walks every frozen object (some 21k after the first
+        # run), so a run after the first may neither freeze nor count.
+        def refuse():
+            raise AssertionError("the frozen heap was frozen or counted again")
+
+        monkeypatch.setattr(cli, "_heap_frozen", True)
+        monkeypatch.setattr(cli.gc, "freeze", refuse)
+        monkeypatch.setattr(cli.gc, "get_freeze_count", refuse)
+        assert main(["fig3", "--points", "2", "-o", str(tmp_path / "o.csv")]) == 0
 
 
 class TestMemory:

@@ -1,6 +1,8 @@
 """Every demo script runs to completion on a small problem, with scipy
 unimportable: qsdr and its demos run on numpy alone."""
 
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -38,3 +40,23 @@ def test_demo_runs(script):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+@pytest.mark.parametrize("script,argv", [
+    ("telegraph_feedback.py", ["--q0", "0.9", "--psi", "2.5", "--trials", "500"]),
+    ("multicopy_adaptive.py", ["--chi", "0.3", "--trials", "500"]),
+])
+def test_demo_scores_z_under_the_null(script, argv):
+    # Every trial of these runs ends right, so the sample's own standard error is 0;
+    # the binomial one at the analytic value is not, and z stays small.
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / script), *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "1.00000 +- 0.00000" in proc.stdout
+    (z,) = re.findall(r"z = ([^)]*)\)", proc.stdout)
+    assert math.isfinite(float(z)) and float(z) < 4.0

@@ -911,8 +911,7 @@ class TestHazard:
         hazard = _Segments(law, psi, T)
         ts = np.linspace(0.0, T, 11)
         for b in (0, 1):
-            bs = np.full(ts.size, b)
-            lam = hazard.at(ts, bs)
+            lam = hazard.at(ts, b)
             want = [integrated_rate(law, psi, b, 0.0, float(t)) for t in ts]
             assert lam == pytest.approx(want, rel=1e-11, abs=1e-13)
             assert lam[-1] == hazard.lam[b, -1]
@@ -920,14 +919,14 @@ class TestHazard:
                 continue  # the branch never clicks
             # Lambda -> t -> Lambda over the reachable range.
             ys = lam[-1] * np.linspace(0.0, 1.0, 11)[:-1]
-            back = hazard.at(hazard.inverse(ys, bs[:-1]), bs[:-1])
+            back = hazard.at(hazard.inverse(ys, b), b)
             assert back == pytest.approx(ys, rel=1e-12, abs=1e-13)
             # t -> Lambda -> t wherever the branch clicks at all.
             sign = -1.0 if b == 0 else 1.0
             for t, y in zip(ts[:-1], lam[:-1]):
                 rate = (psi + sign * law.u0(float(t))) ** 2
                 if rate > 1e-6:
-                    t_back = hazard.inverse(np.array([y]), np.array([b]))[0]
+                    t_back = hazard.inverse(np.array([y]), b)[0]
                     assert abs(t_back - t) * rate <= 1e-12 * max(1.0, y)
 
     def test_matched_inverse_at_its_limit_is_past_any_horizon(self):
@@ -935,7 +934,7 @@ class TestHazard:
         # time, and it comes without a RuntimeWarning (the test config makes one fail).
         segment = SimpleNamespace(curved=(Priors(0.7), 4.0))  # c = 0.84
         f = np.array([-math.log(2.0)])
-        assert _Segments._f_inverse(segment, f, np.array([0])).tolist() == [math.inf]
+        assert _Segments._f_inverse(segment, f, 0).tolist() == [math.inf]
 
     @pytest.mark.parametrize("k", [27, 30, 40, 52])
     def test_inverse_keeps_early_times_where_4_q0_q1_rounds_to_1(self, k):
@@ -947,7 +946,7 @@ class TestHazard:
         r = np.sqrt(_margin_sq(priors, -np.expm1(-4.0 * t)))
         for b in (0, 1):
             f = _Segments._f(segment, t, b)
-            back = _Segments._f_inverse(segment, f, np.full(t.size, b))
+            back = _Segments._f_inverse(segment, f, b)
             rate = (1.0 + (2 * b - 1) / r) ** 2
             assert np.all(np.abs(back - t) * rate <= 8 * 2.0**-52 * np.maximum(1.0, np.abs(f)))
 
@@ -965,7 +964,7 @@ class TestHazard:
         if not _margin_sq(priors, -math.expm1(-kt)) > 0.0:
             return  # the margin is 0 there: no click time to invert
         f = _Segments._f(segment, t, b)
-        (got,) = _Segments._f_inverse(segment, f, np.array([b]))
+        (got,) = _Segments._f_inverse(segment, f, b)
         with mpmath.workdps(50):
             e, w = mpmath.exp(mpf(f[0])), mpmath.exp(mpf(lnc) - mpf(f[0]))
             if b == 0 and 4 * e * e >= 1:
@@ -1005,7 +1004,7 @@ def test_structured_hazard_agrees_with_the_scalar_law(law, cut, seed):
         return
     t0, t1 = cut * T / 2.0, T
     for b in (0, 1):
-        got = np.diff(hazard.at(np.array([t0, t1]), np.array([b, b])))[0]
+        got = np.diff(hazard.at(np.array([t0, t1]), b))[0]
         want = integrated_rate(law, psi, b, t0, t1)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
     tr = one_chunk(Priors(0.5), psi, law, T, 20, seed)

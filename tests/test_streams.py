@@ -147,9 +147,9 @@ def loop_telegraph(priors, psi, law, T, trials, seed, draws=200):
         a = 0 if row[0] < priors.q0 else 1
         z, t = priors.start_bit, 0.0
         for u in row[1:]:
-            b = np.array([z ^ a])
+            b = z ^ a
             y = hazard.at(np.array([t]), b) - np.log1p(-u)
-            if y[0] >= hazard.lam[b[0], -1]:
+            if y[0] >= hazard.lam[b, -1]:
                 break
             t = float(min(max(hazard.inverse(y, b)[0], np.nextafter(t, T)), T))
             times.append(t)
@@ -261,6 +261,21 @@ class TestSamplersUseTheLayout:
         assert estimate == np.count_nonzero(replay.z_final == replay.a) / 300
         # Some trial crosses a block edge (its fourth gap).
         assert np.diff(replay.offsets).max() >= 3
+
+    def test_click_slots_under_uneven_groups(self, monkeypatch):
+        # A trial live at gap step s has clicked s times, so its click goes to slot
+        # offsets[trial] + s.  Here trials click 6.4 times on average and up to 16, so
+        # their gaps run through blocks 1-4 (15 clicks read draw 16), and in 7-trial
+        # chunks a chunk's two branch groups run dry at different steps.
+        pr, law = Priors(0.6), ControlLaw.constant(3.0)
+        replay = loop_telegraph(pr, 1.0, law, 1.0, 300, seed=12)
+        clicks = np.diff(replay.offsets)
+        assert clicks.max() >= 15 and clicks.mean() > 6.0
+        monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(7))
+        chunks = list(telegraph_chunks(pr, 1.0, law, 1.0, 300, seed=12))
+        assert [i0 for i0, _ in chunks] == list(range(0, 300, 7))
+        for i0, tr in chunks:
+            assert same_records(tr, trial_slice(replay, i0, len(tr.a)))
 
     def test_telegraph_symbol_is_the_first_draw(self):
         pr = Priors(0.6)
