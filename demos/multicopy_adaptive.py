@@ -9,7 +9,6 @@ and walks the copy-by-copy posterior recursion.
 """
 
 import argparse
-import math
 
 import numpy as np
 
@@ -19,18 +18,10 @@ from qsdr import (
     exact_adaptive_pc,
     measurement_vectors,
     multicopy_bound,
+    null_z,
     posterior_update,
     simulate_adaptive,
 )
-
-
-def null_z(estimate: float, p: float, trials: int) -> float:
-    """The estimate's distance from ``p`` in binomial standard errors at ``p``:
-    the z of the hypothesis that ``p`` is the success probability, as
-    ``qsdr simulate`` scores it.  A ``p`` of exactly 0 or 1 gives 0 or inf."""
-    diff = abs(estimate - p)
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return diff / se if se > 0.0 else (math.inf if diff else 0.0)
 
 
 def main() -> None:

@@ -12,7 +12,6 @@ approach the bound from below.
 """
 
 import argparse
-import math
 from collections import Counter
 
 import numpy as np
@@ -20,19 +19,12 @@ import numpy as np
 from qsdr import (
     ControlLaw,
     Priors,
+    binomial,
     evolve_pc,
     helstrom_trajectory,
+    null_z,
     telegraph_chunks,
 )
-
-
-def null_z(estimate: float, p: float, trials: int) -> float:
-    """The estimate's distance from ``p`` in binomial standard errors at ``p``:
-    the z of the hypothesis that ``p`` is the success probability, as
-    ``qsdr simulate`` scores it.  A ``p`` of exactly 0 or 1 gives 0 or inf."""
-    diff = abs(estimate - p)
-    se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return diff / se if se > 0.0 else (math.inf if diff else 0.0)
 
 
 def main() -> None:
@@ -60,10 +52,9 @@ def main() -> None:
     for _, tr in telegraph_chunks(pr, args.psi, law, args.T, args.trials, args.seed):
         hits += int(np.count_nonzero(tr.z_final == tr.a))
         counts.update(np.diff(tr.offsets).tolist())
-    estimate = hits / args.trials
-    stderr = math.sqrt(estimate * (1.0 - estimate) / args.trials)
-    z = null_z(estimate, bound[-1], args.trials)
-    print(f"telegraph Monte Carlo: {estimate:.5f} +- {stderr:.5f} (z = {z:.2f})")
+    mc = binomial(hits, args.trials)
+    z = null_z(mc.estimate, bound[-1], args.trials)
+    print(f"telegraph Monte Carlo: {mc.estimate:.5f} +- {mc.stderr:.5f} (z = {z:.2f})")
     mean = sum(k * n for k, n in counts.items()) / args.trials
     print(f"mean clicks per trial: {mean:.3f}, max {max(counts)}")
     for k in range(min(max(counts) + 1, 5)):

@@ -51,6 +51,16 @@ def binomial(hits: int, trials: int) -> McEstimate:
     return McEstimate(p, math.sqrt(p * (1.0 - p) / trials))
 
 
+def null_z(estimate: float, p: float, trials: int) -> float:
+    """The distance of ``estimate`` from ``p`` in binomial standard errors at ``p``:
+    the z of the hypothesis that ``p`` is the success probability, not the sample's
+    own stderr.  A ``p`` rounded just past 0 or 1 counts as that end, where an equal
+    estimate gives 0 and any other inf."""
+    diff = abs(estimate - p)
+    se = math.sqrt(max(p * (1.0 - p), 0.0) / trials)
+    return diff / se if se > 0.0 else (math.inf if diff else 0.0)
+
+
 class TrialStreams:
     """Uniform draws of every trial of one seeded run."""
 

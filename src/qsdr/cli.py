@@ -35,7 +35,7 @@ import numpy as np
 
 from . import __version__
 from ._record import Record
-from ._streams import binomial, seed_words
+from ._streams import binomial, null_z, seed_words
 from .dolinar import (
     LawFamily,
     SingularControlError,
@@ -444,12 +444,6 @@ def cmd_simulate(
             raise ValueError(f"--trajectories names the --output file {output!r}")
     with _trajectory_export(trajectories_path, spec) as export:
         estimate, stderr, analytic = SCHEMES[scheme]["simulate"](spec, export)
-        # z under the null hypothesis that the analytic value is the success
-        # probability: the binomial standard error at that value, not the sample's.
-        # An analytic value rounded just past 0 or 1 counts as that end.
-        diff = abs(estimate - analytic)
-        null_se = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / spec.trials)
-        z = diff / null_se if null_se > 0.0 else (math.inf if diff else 0.0)
         row = {
             "scheme": scheme,
             "estimate": estimate,
@@ -457,7 +451,7 @@ def cmd_simulate(
             "trials": spec.trials,
             "seed": spec.seed,
             "analytic": analytic,
-            "z_score": z,
+            "z_score": null_z(estimate, analytic, spec.trials),
         }
         _write_rows(output, spec, list(row), [[v] for v in row.values()])
     return row

@@ -71,15 +71,17 @@ def exact_adaptive_pc(priors: Priors, theta: float, n: int) -> float:
     the strategy itself rather than the closed form, so agreement with
     :func:`qsdr.statemath.multicopy_bound` is a genuine two-route check.
     """
-    table = _outcome0_table(priors, theta, n).tolist()
+    table = _outcome0_table(priors, theta, n)
     total = 0.0
     for a, qa in ((0, priors.q0), (1, priors.q1)):
         # w[z]: probability that the provisional bit is z, given symbol a.
         w = [0.0, 0.0]
         w[priors.start_bit] = 1.0
-        for p0 in table[a]:
-            zero = w[0] * p0[0] + w[1] * p0[1]
-            w = [zero, w[0] + w[1] - zero]
+        # A slice of floats at a time: lists of the whole table take several times its memory.
+        for k in range(0, n, 4096):
+            for p0 in table[a, k:k + 4096].tolist():
+                zero = w[0] * p0[0] + w[1] * p0[1]
+                w = [zero, w[0] + w[1] - zero]
         total += qa * w[a]
     return float(total)
 
@@ -96,7 +98,8 @@ def simulate_adaptive(
 
     The trials and their draws are those of :func:`qsdr._streams.trial_chunks`:
     draw k is the outcome of copy k, one array step per copy for a chunk's
-    trials, so memory grows with neither ``trials`` nor ``n``.
+    trials, so memory does not grow with ``trials``.  It grows with ``n`` by
+    the outcome table, about 80 bytes per copy while it is formed.
     """
     # p0[k, 2*a + z] = P[outcome 0 at copy k+1 | symbol a, previous bit z].
     p0 = _outcome0_table(priors, theta, n).transpose(1, 0, 2).reshape(n, 4)

@@ -2,9 +2,10 @@
 
 Generic utilities (Brent's root finder, lane-wise over arrays of brackets
 in numpy so that no scipy is imported and one call solves a whole sweep,
-and a golden-section maximizer) plus the two displacement optimizations,
-each a Brent solve of its stationarity residual on an analytic bracket
-that provably holds the maximum, for a float or an array of signals:
+and a golden-section maximizer that nothing in qsdr calls) plus the two
+displacement optimizations, each a Brent solve of its stationarity residual
+on an analytic bracket that provably holds the maximum, for a float or an
+array of signals:
 
 * ``optimal_beta_ik``: displacement of the optimized Kennedy receiver
   (:func:`qsdr.statemath.improved_kennedy_pc`), whose residual is strictly
@@ -28,7 +29,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .statemath import Priors, _out, _reject, improved_kennedy_pc, simplified_dolinar_error
+from .statemath import Priors, _out, _reject, improved_kennedy_error, kennedy_error, simplified_dolinar_error
+from .statemath import improved_kennedy_pc  # not called here; perfbench/spans.py counts it
 from .statemath import simplified_dolinar_pc  # not called here; perfbench/spans.py counts it
 
 __all__ = [
@@ -216,9 +218,12 @@ def solve_jointly(*problems: Problem) -> list:
     return [p.finish(roots[s].reshape(p.lo.shape)) for p, s in zip(problems, lanes)]
 
 
-def _no_worse_than_kennedy(worse, root, gamma) -> None:
-    # An optimum that does worse than the Kennedy point b = gamma means the solve went wrong.
-    worse = np.asarray(worse)
+def _no_worse_than_kennedy(priors: Priors, error, root, gamma) -> None:
+    # An optimum that errs more often than the Kennedy point b = gamma, where both
+    # receivers are the nulling one, means the solve went wrong.  A gamma**2 past the
+    # float range gives the Kennedy error's limit 0.
+    with np.errstate(over="ignore"):
+        worse = np.asarray(error > kennedy_error(priors, gamma * gamma) + 1e-12)
     if worse.any():
         i, lane = _lane(worse)
         raise ConvergenceError(f"{lane}stationary point {root.flat[i]} does not improve "
@@ -289,9 +294,7 @@ def beta_ik_problem(priors: Priors, gamma) -> Problem:
 
     def finish(u):
         beta = gamma + np.exp(u)
-        nulling = improved_kennedy_pc(priors, gamma, gamma)
-        _no_worse_than_kennedy(improved_kennedy_pc(priors, gamma, beta) < nulling - 1e-12,
-                               beta, gamma)
+        _no_worse_than_kennedy(priors, improved_kennedy_error(priors, gamma, beta), beta, gamma)
         return _out(beta)
 
     return Problem(lambda u: _ik_log_residual(log_odds, g, u), lo, -np.log(g), finish)
@@ -367,9 +370,7 @@ def beta_sd_problem(priors: Priors, psi, T: float) -> Problem:
     hi = np.maximum(math.sqrt(3.0) * gamma, math.sqrt(2.0))
 
     def finish(b):
-        kennedy = simplified_dolinar_error(priors, gamma, gamma, 1.0)
-        _no_worse_than_kennedy(simplified_dolinar_error(priors, gamma, b, 1.0) > kennedy + 1e-12,
-                               b, gamma)
+        _no_worse_than_kennedy(priors, simplified_dolinar_error(priors, gamma, b, 1.0), b, gamma)
         return _out(b / root_t)
 
     return Problem(lambda b: sd_displacement_residual(priors, gamma, 1.0, b), gamma, hi, finish)

@@ -538,6 +538,12 @@ class TestSimulate:
         null_se = math.sqrt(p * (1.0 - p) / n)
         assert row["z_score"] == pytest.approx(abs(row["estimate"] - p) / null_se, rel=1e-6)
 
+    @pytest.mark.parametrize("argv", [TELEGRAPH_ARGV, MULTICOPY_ARGV], ids=["dolinar_mc", "multicopy"])
+    def test_z_score_is_qsdr_null_z(self, argv, tmp_path):
+        row = cli.cmd_simulate(resolved([*argv, "--seed", "9"]), str(tmp_path / "s.csv"))
+        z = qsdr.null_z(row["estimate"], row["analytic"], row["trials"])
+        assert row["z_score"] == z and 0.0 < z < math.inf
+
     # An analytic value of 1 is TestJsonFormat's and test_exact_agreement_scores_zero's.
     @pytest.mark.parametrize("estimate,z", [(0.01, math.inf), (0.0, 0.0)])
     def test_z_score_is_infinite_only_where_a_certain_analytic_value_is_missed(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -123,6 +124,35 @@ class TestExactAdaptivePc:
             assert exact_adaptive_pc(Priors(0.6), 0.3, n) == pytest.approx(
                 multicopy_bound(Priors(0.6), chi, n), abs=1e-12
             )
+
+    @pytest.mark.parametrize("n", [1, 4096, 4097, 10000])
+    @pytest.mark.parametrize("q0", [0.3, 0.7])
+    def test_slices_are_the_row_by_row_recursion(self, q0, n):
+        # The same recursion straight from the array, one row at a time: taking the
+        # table a slice at a time leaves every operand and every rounding as it is.
+        pr = Priors(q0)
+        table = _outcome0_table(pr, 0.2, n)
+        total = 0.0
+        for a, qa in ((0, pr.q0), (1, pr.q1)):
+            w = [0.0, 0.0]
+            w[pr.start_bit] = 1.0
+            for k in range(n):
+                zero = w[0] * float(table[a, k, 0]) + w[1] * float(table[a, k, 1])
+                w = [zero, w[0] + w[1] - zero]
+            total += qa * w[a]
+        assert exact_adaptive_pc(pr, 0.2, n) == total
+
+    def test_memory_is_the_outcome_table(self):
+        # The table takes about 80 bytes per copy while it is formed; nested lists of
+        # the whole table would take about 290.
+        n = 10**5
+        tracemalloc.start()
+        try:
+            exact_adaptive_pc(Priors(0.7), 0.2, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * n
 
 
 class TestSimulateAdaptive:

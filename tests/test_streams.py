@@ -1,16 +1,21 @@
 """Counter-based trial streams: layout, boundaries, independence of chunking."""
 
+import math
 import weakref
 
 import numpy as np
 import pytest
 
+import qsdr
 import qsdr._streams as streams_mod
 from qsdr import (
     ControlLaw,
+    McEstimate,
     Priors,
     Trajectories,
+    binomial,
     feedback_amplitude,
+    null_z,
     simulate_adaptive,
     simulate_telegraph,
     telegraph_chunks,
@@ -282,3 +287,41 @@ class TestSamplersUseTheLayout:
         tr = one_chunk(pr, 1.0, ControlLaw.constant(1.0), 1.0, 300, seed=9)
         first = all_draws(9, 300, 1)[:, 0]
         assert tr.a.tolist() == [0 if u < pr.q0 else 1 for u in first]
+
+
+class TestAnswerAndScore:
+    def test_the_package_exports_the_streams_own(self):
+        assert qsdr.binomial is streams_mod.binomial and qsdr.null_z is streams_mod.null_z
+        assert {"McEstimate", "binomial", "null_z"} <= set(qsdr.__all__)
+
+    def test_binomial_is_the_samplers_answer(self):
+        pr = Priors(0.6)
+        res = simulate_adaptive(pr, 0.3, 4, 1500, seed=4)
+        assert type(res) is McEstimate
+        assert res == binomial(loop_adaptive(pr, 0.3, 4, 1500, seed=4), 1500)
+        law = ControlLaw.dolinar_optimal(pr, 1.0)
+        tr = one_chunk(pr, 1.0, law, 1.0, 300, seed=12)
+        hits = int(np.count_nonzero(tr.z_final == tr.a))
+        res = simulate_telegraph(pr, 1.0, law, 1.0, 300, seed=12)
+        assert type(res) is McEstimate and res == binomial(hits, 300)
+        assert binomial(3, 4) == (0.75, math.sqrt(0.75 * 0.25 / 4))
+
+    def test_null_z_divides_by_the_standard_error_at_p(self):
+        # The sample's own standard error at 0.52 would give 4.0032.
+        assert null_z(0.52, 0.5, 10_000) == pytest.approx(4.0, rel=1e-12)
+        assert null_z(0.48, 0.5, 10_000) == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.0, 1.0])
+    def test_null_z_at_a_certain_p(self, p):
+        assert null_z(p, p, 100) == 0.0
+        assert null_z(abs(p - 0.01), p, 100) == math.inf
+        assert null_z(math.nextafter(p, 0.5), p, 1) == math.inf
+
+    @pytest.mark.parametrize("p", [-5e-324, 1.0 + 2.0**-52])
+    def test_null_z_past_the_ends_counts_as_the_end(self, p):
+        assert null_z(p, p, 10) == 0.0
+        assert null_z(round(p), p, 10) == math.inf
+
+    @pytest.mark.parametrize("p", [5e-324, 1e-300, 0.3, 0.5, 1.0 - 2.0**-53])
+    def test_null_z_without_a_difference_is_0(self, p):
+        assert null_z(p, p, 7) == 0.0
