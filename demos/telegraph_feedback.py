@@ -41,7 +41,7 @@ def main() -> None:
     law = ControlLaw.dolinar_optimal(pr, args.psi)
     times = np.linspace(0.0, args.T, 101)
     res = evolve_pc(pr, args.psi, law, args.T, sample_times=times)
-    bound = np.array([helstrom_trajectory(pr, args.psi, float(t)) for t in times])
+    bound = helstrom_trajectory(pr, args.psi, times)
     print(f"closed form under the exact law: final P_c = {res.final.pc(pr):.10f}")
     print(f"instantaneous bound at T: {bound[-1]:.10f}")
     print(f"largest gap along the trajectory: {np.max(np.abs(res.pc - bound)):.2e}\n")

@@ -34,7 +34,7 @@ import numpy as np
 
 from ._record import Record
 from ._streams import McEstimate, binomial, trial_chunks
-from .statemath import Priors, _margin_sq, _reject
+from .statemath import Priors, _margin_sq, _out, _reject
 
 __all__ = [
     "SingularControlError",
@@ -78,20 +78,33 @@ def _rate_scale(psi):
     return 4.0 * psi * psi
 
 
+def _law_margin_sq(priors: Priors, k, t):
+    """``R(t)**2 = 1 - 4*q0*q1*exp(-k*t)`` of the optimal law, ``k = 4*psi**2``: the
+    Helstrom margin of ``statemath._margin_sq``, so every route agrees bit for bit."""
+    with np.errstate(over="ignore"):  # k*t = inf takes the margin's limit 1
+        return _margin_sq(priors, -np.expm1(-k * t))
+
+
+def _refuse_divergence(priors: Priors, r2, t) -> None:
+    """Raise :class:`SingularControlError` at the first ``t`` whose ``R(t)**2 = r2`` is 0."""
+    for t in np.broadcast_to(t, np.shape(r2))[r2 <= 0.0][:1]:
+        raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
+
+
 def feedback_amplitude(priors: Priors, psi: float, t: float) -> float:
     """Optimal feedback magnitude ``psi / R(t)`` at time ``t``.
 
-    ``R(t) = sqrt(1 - 4*q0*q1*exp(-4*psi**2*t))`` is the running Helstrom margin (from
-    ``statemath._margin_sq`` by numpy, so every route agrees bit for bit); the law starts at
-    ``psi / |q0 - q1|`` and falls toward ``psi``.  Only at exactly equal priors does it diverge,
-    at t = 0 and where ``4*psi**2*t`` underflows: there it raises :class:`SingularControlError`.
+    ``R(t) = sqrt(1 - 4*q0*q1*exp(-4*psi**2*t))`` is the running Helstrom margin; the law
+    starts at ``psi / |q0 - q1|`` and falls toward ``psi``.  ``psi`` and ``t`` are floats or
+    arrays, as in :mod:`qsdr.statemath`'s closed forms.  Only at exactly equal priors does it
+    diverge, at t = 0 and where ``4*psi**2*t`` underflows: there it raises
+    :class:`SingularControlError`, naming the first such ``t``.
     """
     _reject(psi < 0.0, psi, "psi must be >= 0")
     _reject(t < 0.0, t, "t must be >= 0")
-    r2 = _margin_sq(priors, -np.expm1(-_rate_scale(psi) * t))
-    if r2 <= 0.0:
-        raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
-    return psi / math.sqrt(r2)
+    r2 = _law_margin_sq(priors, _rate_scale(psi), t)
+    _refuse_divergence(priors, r2, t)
+    return _out(psi / np.sqrt(r2))
 
 
 def _log_c(priors: Priors) -> float:
@@ -114,10 +127,11 @@ def helstrom_trajectory(priors: Priors, psi: float, t: float) -> float:
     ``exp(-2*psi**2*t)``, so this is ``(1 + R(t)) / 2`` with the law's own margin
     ``R(t)`` (:func:`feedback_amplitude`): the best possible success probability at
     time ``t``.  The optimally controlled receiver's P_c(t) rides this curve exactly.
+    ``psi`` and ``t`` are floats or arrays, as in :func:`feedback_amplitude`.
     """
     _reject(psi < 0.0, psi, "psi must be >= 0")
     _reject(t < 0.0, t, "t must be >= 0")
-    return float(0.5 * (1.0 + np.sqrt(_margin_sq(priors, -np.expm1(-_rate_scale(psi) * t)))))
+    return _out(0.5 * (1.0 + np.sqrt(_law_margin_sq(priors, _rate_scale(psi), t))))
 
 
 class ControlLaw(Record):
@@ -248,8 +262,7 @@ class LawFamily(Record):
         t0, u_max = self.t_floor or 0.0, self.u_max
         _reject(psi < 0.0, psi, "psi must be >= 0")
         k = _rate_scale(psi)
-        with np.errstate(over="ignore"):  # k*t0 = inf takes the margin's limit 1
-            r2 = _margin_sq(priors, -np.expm1(-k * t0))
+        r2 = _law_margin_sq(priors, k, t0)
         live = r2 > 0.0
         value = np.where(live, psi / np.sqrt(np.where(live, r2, 1.0)), math.inf)
         switch = np.where(live, t0, 0.0)
@@ -420,9 +433,8 @@ def segmented_pc(priors: Priors, psi: float, T: float, n: int, *, midpoint: bool
     """
     _reject(T <= 0.0, T, "T must be > 0")
     _reject(n < 1, n, "slot count must be >= 1")
-    h = T / n
-    shift = 0.5 if midpoint else 0.0
-    values = [feedback_amplitude(priors, psi, max((i + shift) * h, T * 1e-9)) for i in range(n)]
+    t = (np.arange(n) + (0.5 if midpoint else 0.0)) * (T / n)
+    values = feedback_amplitude(priors, psi, np.maximum(t, T * 1e-9))
     law = ControlLaw.piecewise_constant(values, T)
     return evolve_pc(priors, psi, law, T, sample_times=()).final.pc(priors)
 
@@ -448,8 +460,7 @@ def _curve(priors: Priors, psi, a):
     """``k = 4*psi**2`` of the optimal law of ``priors`` on segments starting
     at ``a``; the first start where ``R = 0``, so the law diverges, raises."""
     k = _rate_scale(psi)
-    for t in np.asarray(a)[_margin_sq(priors, -np.expm1(-k * a)) <= 0.0][:1]:
-        raise SingularControlError(f"optimal feedback diverges at t={t} for q0={priors.q0}")
+    _refuse_divergence(priors, _law_margin_sq(priors, k, a), a)
     return k
 
 
@@ -512,7 +523,7 @@ def _relax_optimal(e, priors, k, a, t):
         e_t*R_t = e_a*g*R_a + x_a*x_t*(1 - g) / (2*(R_a + R_t)*(1 + R_a)*(1 + R_t)).
     """
     h = -k * (t - a)
-    ra, rt = (np.sqrt(_margin_sq(priors, -np.expm1(-k * s))) for s in (a, t))
+    ra, rt = (np.sqrt(_law_margin_sq(priors, k, s)) for s in (a, t))
     gain = -0.5 * np.exp(2.0 * _log_c(priors) - k * (a + t)) * np.expm1(h)
     return (e * np.exp(h) * ra + gain / ((ra + rt) * (1.0 + ra) * (1.0 + rt))) / rt
 
@@ -557,7 +568,7 @@ class _Segments:
         priors, k = self.curved
         # k*t past the float range (psi**2*T from 4.5e307 on) is inf: R = 1 and F_1 = inf.
         with np.errstate(over="ignore"):
-            r = np.sqrt(_margin_sq(priors, -np.expm1(-k * t)))
+            r = np.sqrt(_law_margin_sq(priors, k, t))
             return b * k * t + 0.5 * np.log(r) + (2 * b - 1) * np.log1p(r)
 
     def _f_inverse(self, f: np.ndarray, b: int) -> np.ndarray:

@@ -5,8 +5,9 @@ The strategy measures one copy at a time with the angles of
 provisional decision flips, and its final provisional bit matches the
 collective (entangled) optimum: the n-copy Helstrom bound.  The strategy's
 truth table, the detector angle of each copy after each provisional bit,
-is one ``(n, 2)`` array, and every route below reads it.  This module
-provides
+is one ``(n, 2)`` array, and every route below reads it; the exact
+evaluation and the simulation both read one ``(n, 4)`` table of outcome
+probabilities formed from it.  This module provides
 
 * exact evaluation of the strategy's success probability by a two-state
   recursion over the provisional bit (the independent check against the
@@ -46,18 +47,16 @@ def _effective_angles(priors: Priors, theta: float, n: int) -> np.ndarray:
     while the provisional bit z is 0 and at ``pi/2 - phi_k`` while it is 1;
     before copy 1 the provisional bit is ``Priors.start_bit``.
     """
-    if n < 1:
-        raise ValueError(f"copy count must be >= 1, got {n}")
-    phis = np.array(angle_schedule(priors, theta, n).phis)
+    phis = angle_schedule(priors, theta, n)
     return np.stack((phis, math.pi / 2 - phis), axis=1)
 
 
 def _outcome0_table(priors: Priors, theta: float, n: int) -> np.ndarray:
-    # table[a, k - 1, z] = P[outcome 0 at copy k | symbol a, previous bit z].  The
+    # table[k - 1, 2*a + z] = P[outcome 0 at copy k | symbol a, previous bit z].  The
     # states cos(theta)|x> +- sin(theta)|y> meet the detector basis
     # {(cos phi, sin phi), (sin phi, -cos phi)} at angle theta -+ phi.
     phi = _effective_angles(priors, theta, n)
-    return np.cos(np.stack((theta - phi, theta + phi))) ** 2
+    return np.cos(np.concatenate((theta - phi, theta + phi), axis=1)) ** 2
 
 
 def exact_adaptive_pc(priors: Priors, theta: float, n: int) -> float:
@@ -79,7 +78,7 @@ def exact_adaptive_pc(priors: Priors, theta: float, n: int) -> float:
         w[priors.start_bit] = 1.0
         # A slice of floats at a time: lists of the whole table take several times its memory.
         for k in range(0, n, 4096):
-            for p0 in table[a, k:k + 4096].tolist():
+            for p0 in table[k:k + 4096, 2 * a:2 * a + 2].tolist():
                 zero = w[0] * p0[0] + w[1] * p0[1]
                 w = [zero, w[0] + w[1] - zero]
         total += qa * w[a]
@@ -101,8 +100,7 @@ def simulate_adaptive(
     trials, so memory does not grow with ``trials``.  It grows with ``n`` by
     the outcome table, about 80 bytes per copy while it is formed.
     """
-    # p0[k, 2*a + z] = P[outcome 0 at copy k+1 | symbol a, previous bit z].
-    p0 = _outcome0_table(priors, theta, n).transpose(1, 0, 2).reshape(n, 4)
+    p0 = _outcome0_table(priors, theta, n)
     hits = 0
     for _, a, draws in trial_chunks(seed, trials, priors.q0):
         z = priors.start_bit  # then each copy's outcome, a boolean column

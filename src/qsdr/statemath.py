@@ -23,6 +23,8 @@ closed forms of the BPSK receivers and the bounds take a float or an array
 for each signal argument (``gamma_sq``, ``gamma``, ``psi``, ``beta``,
 ``overlap``), broadcast them, and return a float for scalar arguments and
 an array otherwise; one sweep is then one call.  ``Priors`` stays scalar.
+:func:`angle_schedule` returns the n angles of the adaptive strategy as one
+float64 array.
 Probabilities returned are probabilities of a *correct* decision, except
 the ``*_error`` functions: error probabilities in forms that keep their
 digits where ``1 - P_c`` would cancel.
@@ -39,7 +41,6 @@ from ._record import Record
 __all__ = [
     "Priors",
     "QubitPair",
-    "AngleSchedule",
     "helstrom_bound",
     "helstrom_error",
     "coherent_overlap",
@@ -128,30 +129,6 @@ class QubitPair(Record):
         return cls(0.5 * math.acos(chi))
 
 
-class AngleSchedule(Record):
-    """Measurement angles ``phi_1 .. phi_n`` for the adaptive local strategy.
-
-    ``phis[k - 1]`` is the angle used at copy ``k`` while the previous
-    provisional decision is 0; when it is 1 the strategy uses
-    ``pi/2 - phi_k``, and before copy 1 the previous bit is
-    ``Priors.start_bit``.  ``qsdr.multicopy._effective_angles`` holds that
-    truth table as one array.
-    """
-
-    __slots__ = ("phis",)
-
-    def __init__(self, phis: tuple[float, ...]) -> None:
-        if len(phis) == 0:
-            raise ValueError("schedule must contain at least one angle")
-        for p in phis:
-            if not 0.0 < p < math.pi / 2:
-                raise ValueError(f"angles must lie in (0, pi/2), got {p}")
-        self._set(phis)
-
-    def __len__(self) -> int:
-        return len(self.phis)
-
-
 def _out(x):
     """A 0-d result as a float, an array as it is."""
     return float(x) if np.ndim(x) == 0 else x
@@ -231,8 +208,9 @@ def multicopy_bound(priors: Priors, chi: float, n: int) -> float:
     return helstrom_bound(priors, chi**n)
 
 
-def angle_schedule(priors: Priors, theta: float, n: int) -> AngleSchedule:
-    """Measurement angles that let local adaptive measurements reach the bound.
+def angle_schedule(priors: Priors, theta: float, n: int) -> np.ndarray:
+    """Measurement angles that let local adaptive measurements reach the bound,
+    as one float64 array: ``phis[k - 1]`` is copy ``k``'s.
 
     At copy ``k`` (while the running provisional decision is 0) the detector
     is rotated to::
@@ -240,22 +218,23 @@ def angle_schedule(priors: Priors, theta: float, n: int) -> AngleSchedule:
         phi_k = arctan2( tan(2*theta), sqrt(1 - 4*q0*q1*chi**(2*(k-1))) ) / 2
 
     with ``chi = cos(2*theta)``.  When the previous outcome is 1 the
-    strategy uses ``pi/2 - phi_k`` instead (see :class:`AngleSchedule`).
-    For equal priors the k = 1 margin vanishes and ``arctan2`` takes the
-    limit ``phi_1 = pi/4``.
+    strategy uses ``pi/2 - phi_k`` instead, and before copy 1 the previous
+    bit is ``Priors.start_bit``; ``qsdr.multicopy._effective_angles`` holds
+    that truth table.  For equal priors the k = 1 margin vanishes and
+    ``arctan2`` takes the limit ``phi_1 = pi/4``.
 
-    The sequence decreases monotonically toward ``theta``: later copies ride
-    on sharper posteriors and measure closer to the states themselves.
+    The sequence decreases monotonically toward ``theta``, within (0, pi/4]:
+    later copies ride on sharper posteriors and measure closer to the states
+    themselves.
     """
     if n < 1:
-        raise ValueError(f"schedule length must be >= 1, got {n}")
+        raise ValueError(f"copy count must be >= 1, got {n}")
     if not 0.0 < theta <= math.pi / 4 + _RANGE_TOL:
         raise ValueError(f"theta must lie in (0, pi/4], got {theta}")
     # w = 1 - chi**(2*(k - 1)) of the copies before copy k; theta within the slack is pi/4.
     two_theta = 2.0 * min(theta, math.pi / 4)
     w = -np.expm1(2.0 * np.arange(n, dtype=float) * math.log(math.cos(two_theta)))
-    phis = 0.5 * np.arctan2(math.tan(two_theta), np.sqrt(_margin_sq(priors, w)))
-    return AngleSchedule(tuple(phis.tolist()))
+    return 0.5 * np.arctan2(math.tan(two_theta), np.sqrt(_margin_sq(priors, w)))
 
 
 def kennedy_pc(priors: Priors, gamma_sq: float) -> float:

@@ -38,10 +38,17 @@ from qsdr.statemath import _margin_sq
 import oracles
 from oracles import IntegrationError, evolve_pc_general, rk45, verify_control_identity
 from test_cli import log_uniform
+from test_multicopy import hex_digest
 from test_streams import one_chunk, same_records, trial_slice
 
 HEL_TRAJ_711 = 0.99613880702215365   # frozen: q0=0.7, psi=1, t=1
 HELSTROM_HALF_02 = 0.87103606155021455
+
+# sha256 (test_multicopy.hex_digest) of feedback_amplitude and helstrom_trajectory, one
+# scalar call per point of LAW_GRID, recorded when both took only a float t.
+LAW_GRID = [(q0, psi) for q0 in (0.0, 0.3, 0.5, 0.5 + 2**-30, 0.7, 1.0) for psi in (1e-3, 0.8, 3.0)]
+LAW_TIMES = np.geomspace(1e-9, 20.0, 31).tolist()
+LAW_SHA256 = "b394666feffa667f996611b6f6b6a5ce3ddd43b3fd22760036b1ab72fc528e4d"
 
 # Frozen slot-count convergence study: q0=0.7, psi=1, T=1, deviation of the
 # segmented receiver from the continuous optimum.
@@ -59,8 +66,44 @@ class TestFeedbackAmplitude:
         assert feedback_amplitude(Priors(0.7), 1.0, 0.0) == pytest.approx(2.5, abs=1e-12)
 
     def test_balanced_priors_diverge_at_start(self):
-        with pytest.raises(SingularControlError):
+        with pytest.raises(SingularControlError,
+                           match=r"^optimal feedback diverges at t=0\.0 for q0=0\.5$"):
             feedback_amplitude(Priors(0.5), 1.0, 0.0)
+
+    def test_values_keep_their_bits(self):
+        rows = []
+        for q0, psi in LAW_GRID:
+            rows.append([feedback_amplitude(Priors(q0), psi, t) for t in LAW_TIMES])
+            rows.append([helstrom_trajectory(Priors(q0), psi, t) for t in LAW_TIMES])
+        assert hex_digest(rows) == LAW_SHA256
+
+    @pytest.mark.parametrize("q0", [0.0, 0.3, 0.5, 0.5 + 2**-30, 0.7, 1.0])
+    def test_array_call_is_the_scalar_calls(self, q0):
+        # Lane by lane and bit for bit, also where k*t passes the float range (the margin
+        # takes its limit 1 without a warning); psi and t broadcast.
+        pr = Priors(q0)
+        # Equal priors diverge where 4*psi**2*t underflows (the next test).
+        psi = [1e-3, 0.8, 3.0, 6.7e153] if q0 == 0.5 else [1e-160, 1e-3, 0.8, 3.0, 6.7e153]
+        t = np.geomspace(1e-300, 1e308, 61)
+        for f in (feedback_amplitude, helstrom_trajectory):
+            got = f(pr, np.array(psi)[:, None], t)
+            want = [[f(pr, p, x) for x in t.tolist()] for p in psi]
+            assert got.shape == (len(psi), 61)
+            assert [[x.hex() for x in row] for row in got.tolist()] == \
+                [[x.hex() for x in row] for row in want]
+            assert f(pr, np.array(psi), 2.0).tolist() == [f(pr, p, 2.0) for p in psi]
+
+    def test_diverging_lane_names_the_first_t(self):
+        # Equal priors diverge at t = 0 and wherever 4*psi**2*t underflows: at psi = 1e-160
+        # below t of about 6e-5, so the second lane is the first to diverge.
+        pr, t = Priors(0.5), np.array([1e300, 1e-5, 0.0, 1e-10])
+        with pytest.raises(SingularControlError,
+                           match=r"^optimal feedback diverges at t=1e-05 for q0=0\.5$"):
+            feedback_amplitude(pr, 1e-160, t)
+        with pytest.raises(SingularControlError, match=r"at t=0\.0 for q0=0\.5$"):
+            feedback_amplitude(pr, np.array([1.0, 2.0]), np.array([[0.5], [0.0]]))
+        # The bound does not diverge: it is the blind guess 1/2 on those lanes.
+        assert helstrom_trajectory(pr, 1e-160, t).tolist()[1:] == [0.5, 0.5, 0.5]
 
     def test_decreases_toward_signal_amplitude(self):
         ts = np.linspace(0.0, 6.0, 40)

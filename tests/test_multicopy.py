@@ -1,5 +1,6 @@
 """Finite-copy adaptive measurement: exact evaluation, sampling, geometry."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -23,6 +24,21 @@ from qsdr.multicopy import _outcome0_table
 MULTICOPY_06_08_2 = 0.8894817068874994   # frozen: q0=0.6, chi=0.8, n=2
 COS2_PI8 = 0.85355339059327373           # frozen: cos^2(pi/8)
 
+# Priors x angles x copy counts over which the strategy's floats are pinned bit for bit:
+# both ends of q0, equal priors, nearly identical and nearly orthogonal states, and a
+# copy count past exact_adaptive_pc's 4096-row slices.
+COPY_GRID = [(q0, theta, n) for q0 in (0.0, 0.3, 0.5, 0.7, 1.0)
+             for theta in (1e-3, 0.2, 0.785) for n in (1, 3, 20, 4097)]
+# sha256 over COPY_GRID of exact_adaptive_pc and simulate_adaptive(..., 300, 17)'s
+# estimate and stderr, recorded before the outcome table took its (n, 4) layout.
+ADAPTIVE_SHA256 = "79a6125dd69776505d4b05833cc6b30058ea7db0121f74f4a37ee171a93f5098"
+
+
+def hex_digest(rows) -> str:
+    """sha256 of rows of floats, each float written exactly (``float.hex``)."""
+    text = "\n".join(",".join(float.hex(x) for x in row) for row in rows)
+    return hashlib.sha256(text.encode()).hexdigest()
+
 
 def _enum_reference(priors: Priors, theta: float, n: int) -> float:
     """Slow branch-by-branch average, deliberately unlike the library's path.
@@ -30,7 +46,7 @@ def _enum_reference(priors: Priors, theta: float, n: int) -> float:
     Only the schedule's angles come from the library; the flip rule and the
     outcome probabilities are written out here.
     """
-    phis = angle_schedule(priors, theta, n).phis
+    phis = angle_schedule(priors, theta, n).tolist()
     total = 0.0
     for bits in itertools.product((0, 1), repeat=n):
         for a, p_branch in ((0, priors.q0), (1, priors.q1)):
@@ -47,22 +63,36 @@ def _enum_reference(priors: Priors, theta: float, n: int) -> float:
 
 class TestOutcomeTable:
     def test_layout(self):
+        # table[k - 1, 2*a + z]: one C-ordered row per copy, read as it is formed.
         table = _outcome0_table(Priors(0.6), 0.3, 4)
-        assert table.shape == (2, 4, 2)
+        assert table.shape == (4, 4) and table.dtype == np.float64
+        assert table.flags.c_contiguous and table.base is None
         assert np.all((0.0 <= table) & (table <= 1.0))
+
+    @pytest.mark.parametrize("q0", [0.3, 0.5, 0.7])
+    def test_entries_are_the_detector_geometry(self, q0):
+        # Symbol a meets copy k's detector, at phi_k or pi/2 - phi_k after bit z, at
+        # angle theta -+ phi.
+        pr, theta, n = Priors(q0), 0.3, 6
+        phis = angle_schedule(pr, theta, n).tolist()
+        table = _outcome0_table(pr, theta, n)
+        for k, a, z in itertools.product(range(n), (0, 1), (0, 1)):
+            phi = phis[k] if z == 0 else math.pi / 2 - phis[k]
+            delta = theta - phi if a == 0 else theta + phi
+            assert table[k, 2 * a + z] == pytest.approx(math.cos(delta) ** 2, abs=1e-15)
 
     def test_aligned_detector_is_deterministic(self):
         # phi_1 = theta = pi/4: a=0 hits delta = 0 exactly; a=1 leaves
         # cos(pi/2)^2 ~ 1e-33 of slop.  The flipped angle is pi/4 as well.
         table = _outcome0_table(Priors(0.5), math.pi / 4, 1)
-        assert table[0, 0, 0] == 1.0 and table[0, 0, 1] == 1.0
-        assert table[1, 0] == pytest.approx([0.0, 0.0], abs=1e-30)
+        assert table[0, 0] == 1.0 and table[0, 1] == 1.0
+        assert table[0, 2:] == pytest.approx([0.0, 0.0], abs=1e-30)
 
     def test_frozen_value(self):
         # Equal priors: phi_1 = pi/4, so symbol 0 meets the detector at -pi/8.
         table = _outcome0_table(Priors(0.5), math.pi / 8, 1)
-        assert table[0, 0, 0] == pytest.approx(COS2_PI8, abs=1e-15)
-        assert table[1, 0, 0] == pytest.approx(1.0 - COS2_PI8, abs=1e-15)
+        assert table[0, 0] == pytest.approx(COS2_PI8, abs=1e-15)
+        assert table[0, 2] == pytest.approx(1.0 - COS2_PI8, abs=1e-15)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="copy count must be >= 1"):
@@ -137,7 +167,7 @@ class TestExactAdaptivePc:
             w = [0.0, 0.0]
             w[pr.start_bit] = 1.0
             for k in range(n):
-                zero = w[0] * float(table[a, k, 0]) + w[1] * float(table[a, k, 1])
+                zero = w[0] * float(table[k, 2 * a]) + w[1] * float(table[k, 2 * a + 1])
                 w = [zero, w[0] + w[1] - zero]
             total += qa * w[a]
         assert exact_adaptive_pc(pr, 0.2, n) == total
@@ -190,6 +220,14 @@ class TestSimulateAdaptive:
             simulate_adaptive(Priors(0.6), 0.3, 1, trials=0, seed=0)
 
 
+def test_exact_and_simulated_values_keep_their_bits():
+    rows = []
+    for q0, theta, n in COPY_GRID:
+        mc = simulate_adaptive(Priors(q0), theta, n, 300, 17)
+        rows.append((exact_adaptive_pc(Priors(q0), theta, n), mc.estimate, mc.stderr))
+    assert hex_digest(rows) == ADAPTIVE_SHA256
+
+
 class TestMeasurementVectors:
     @pytest.mark.parametrize("q0", [0.3, 0.5, 0.65])
     @pytest.mark.parametrize("n", range(1, 5))
@@ -225,7 +263,7 @@ class TestMeasurementVectors:
     def test_rows_are_kron_products_of_the_branch(self):
         # Row 0b101 of 3 copies: outcomes 1, 0, 1 from start bit 0.
         pr, theta = Priors(0.6), 0.3
-        phis = angle_schedule(pr, theta, 3).phis
+        phis = angle_schedule(pr, theta, 3).tolist()
         angles = (phis[0], math.pi / 2 - phis[1], phis[2])
         factors = [
             np.array([math.sin(x), -math.cos(x)]) if b else np.array([math.cos(x), math.sin(x)])

@@ -16,7 +16,6 @@ import pytest
 
 import qsdr.cli as cli
 from qsdr import (
-    AngleSchedule,
     Priors,
     QubitPair,
     angle_schedule,
@@ -37,6 +36,7 @@ from qsdr import (
     simplified_dolinar_pc,
 )
 from test_cli import edge_priors, log_uniform
+from test_multicopy import COPY_GRID, hex_digest
 
 OVERLAP_AT_02 = 0.6703200460356393        # exp(-0.4), frozen
 HELSTROM_HALF_02 = 0.87103606155021455    # helstrom, q0=0.5, overlap exp(-0.4)
@@ -249,21 +249,33 @@ class TestMulticopyBound:
             multicopy_bound(Priors(0.5), 0.5, -1)
 
 
+# sha256 (test_multicopy.hex_digest) of angle_schedule's angles over COPY_GRID, recorded
+# when it returned them as a tuple of Python floats.
+SCHEDULE_SHA256 = "af598d715024172f46959e514fdc25907dcb7062006366c8cf5e5eb61c5fccc2"
+
+
 class TestAngleSchedule:
+    def test_one_float64_array(self):
+        phis = angle_schedule(Priors(0.6), 0.3, 5)
+        assert type(phis) is np.ndarray and phis.dtype == np.float64 and phis.shape == (5,)
+
+    def test_same_bits_as_the_former_tuple(self):
+        rows = [angle_schedule(Priors(q0), theta, n).tolist() for q0, theta, n in COPY_GRID]
+        assert hex_digest(rows) == SCHEDULE_SHA256
+
     def test_equal_priors_first_angle_is_diagonal(self):
         sched = angle_schedule(Priors(0.5), math.pi / 8, 3)
         assert len(sched) == 3
-        assert sched.phis[0] == math.pi / 4
+        assert sched[0] == math.pi / 4
 
     def test_frozen_first_angle(self):
         sched = angle_schedule(Priors(0.6), math.pi / 8, 1)
-        assert sched.phis[0] == pytest.approx(PHI1_06_PI8, abs=1e-15)
-        assert sched.phis[0] == pytest.approx(0.5 * math.atan(5.0), abs=1e-15)
+        assert sched[0] == pytest.approx(PHI1_06_PI8, abs=1e-15)
+        assert sched[0] == pytest.approx(0.5 * math.atan(5.0), abs=1e-15)
 
     def test_decreases_toward_state_angle(self):
         theta = QubitPair.from_overlap(0.8).theta
-        sched = angle_schedule(Priors(0.6), theta, 60)
-        phis = sched.phis
+        phis = angle_schedule(Priors(0.6), theta, 60).tolist()
         assert all(b <= a + 1e-15 for a, b in zip(phis, phis[1:]))
         assert all(p >= theta - 1e-12 for p in phis)
         assert phis[-1] == pytest.approx(theta, abs=1e-9)
@@ -276,19 +288,15 @@ class TestAngleSchedule:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sched = angle_schedule(Priors(q0), theta, 5)
-        assert sched.phis[0] == math.pi / 4
+        assert sched[0] == math.pi / 4
 
     def test_validation(self):
         with pytest.raises(ValueError):
             angle_schedule(Priors(0.6), 0.0, 1)
         with pytest.raises(ValueError):
             angle_schedule(Priors(0.6), math.pi / 4 + 1e-6, 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^copy count must be >= 1, got 0$"):
             angle_schedule(Priors(0.6), 0.3, 0)
-        with pytest.raises(ValueError):
-            AngleSchedule((0.3, math.pi / 2))
-        with pytest.raises(ValueError):
-            AngleSchedule(())
 
 
 class TestKennedy:

@@ -128,13 +128,13 @@ class TestLayout:
 
 def loop_adaptive(priors, theta, n, trials, seed):
     """Scalar per-trial reference of simulate_adaptive on the same draws."""
-    table = _outcome0_table(priors, theta, n)
+    table = _outcome0_table(priors, theta, n).tolist()
     hits = 0
     for row in all_draws(seed, trials, n + 1).tolist():
         a = 0 if row[0] < priors.q0 else 1
         z = priors.start_bit
-        for k, p0 in enumerate(table[a], start=1):
-            z = 0 if row[k] < p0[z] else 1
+        for k, p0 in enumerate(table, start=1):
+            z = 0 if row[k] < p0[2 * a + z] else 1
         hits += z == a
     return hits
 

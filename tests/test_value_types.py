@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from qsdr import (
-    AngleSchedule,
     ControlLaw,
     EvolveResult,
     LawFamily,
@@ -37,7 +36,6 @@ def evolve_result():
 SIGNATURES = {
     Priors: "q0, q1=None",
     QubitPair: "theta",
-    AngleSchedule: "phis",
     ControlLaw: "starts, values, optimal=None",
     LawFamily: "beta=None, t_floor=None, u_max=None",
     PcState: "e0, e1, t",
@@ -51,7 +49,6 @@ SIGNATURES = {
 EQUAL = {
     Priors: lambda: (Priors(0.7), Priors(0.7, 1 - 0.7)),
     QubitPair: lambda: (QubitPair.from_overlap(1.0), QubitPair(theta=0.0)),
-    AngleSchedule: lambda: (AngleSchedule((0.3, 0.5)), AngleSchedule(phis=tuple([0.3, 0.5]))),
     ControlLaw: lambda: (ControlLaw.constant(0.3), ControlLaw((0.0,), (0.3,))),
     LawFamily: lambda: (LawFamily(beta=0.8), LawFamily(0.8, None)),
     PcState: lambda: (PcState(0.1, 0.3, 1.0), PcState(t=1.0, e1=0.3, e0=0.1)),
@@ -64,7 +61,6 @@ EQUAL = {
 OTHER = {
     Priors: lambda: Priors(0.6),
     QubitPair: lambda: QubitPair(0.1),
-    AngleSchedule: lambda: AngleSchedule((0.3,)),
     ControlLaw: lambda: ControlLaw((0.0, 0.5), (0.3,), (Priors(0.7), 1.0)),
     LawFamily: lambda: LawFamily(0.9),
     PcState: lambda: PcState(0.1, 0.3, 2.0),
@@ -74,7 +70,6 @@ OTHER = {
 REPRS = {
     Priors: (lambda: Priors(0.75), "Priors(q0=0.75, q1=0.25)"),
     QubitPair: (lambda: QubitPair(0.2), "QubitPair(theta=0.2)"),
-    AngleSchedule: (lambda: AngleSchedule((0.3, 0.5)), "AngleSchedule(phis=(0.3, 0.5))"),
     ControlLaw: (
         lambda: ControlLaw((0.0, 0.5), (2.0,), (Priors(0.5), 1.0)),
         "ControlLaw(starts=(0.0, 0.5), values=(2.0,), optimal=(Priors(q0=0.5, q1=0.5), 1.0))",
@@ -189,8 +184,6 @@ def test_checks_run_at_construction():
         Priors(0.5, 0.6)
     with pytest.raises(ValueError, match=r"^theta must lie in \[0, pi/4\], got -0\.1$"):
         QubitPair(-0.1)
-    with pytest.raises(ValueError, match="^schedule must contain at least one angle$"):
-        AngleSchedule(())
     with pytest.raises(ValueError, match=r"^1 segment\(s\) need as many starts rising from 0"):
         ControlLaw((0.5,), (1.0,))
     with pytest.raises(ValueError, match="^beta sets a constant law; it takes no t_floor or u_max$"):
