@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._record import Record
-from ._streams import McEstimate, binomial, trial_chunks
+from ._streams import UNIT, McEstimate, binomial, trial_chunks
 from .statemath import Priors, _margin_sq, _out, _reject
 
 __all__ = [
@@ -630,7 +630,8 @@ def telegraph_chunks(
     this ``psi``.
 
     The trials and their draws are those of :func:`qsdr._streams.trial_chunks`:
-    draw ``d >= 1`` is the d-th gap ``-log1p(-u)``, and the first gap reaching
+    draw ``d >= 1`` is the d-th gap ``-log1p(-u)``, with ``u = k * 2**-53`` formed
+    from its 53-bit word ``k`` for live trials only, and the first gap reaching
     past T ends the trial.  A chunk's live trials step in two groups, one per
     branch; a click moves a group's survivors to the other.  A trial live at
     step ``s`` has clicked ``s`` times: that click fills slot ``offsets[trial] + s``.
@@ -647,10 +648,11 @@ def telegraph_chunks(
         live = [np.flatnonzero(a == priors.start_bit), np.flatnonzero(a != priors.start_bit)]
         t, clicks, steps, s = [np.zeros(x.size) for x in live], np.zeros(len(a), np.intp), [], 0
         while live[0].size or live[1].size:
-            u = next(draws)
+            k = next(draws)
             for b in (0, 1):
                 if live[b].size:
-                    y = (hazard.at(t[b], b) if s else 0.0) - np.log1p(-u[live[b]])  # at(0) = 0.0
+                    # at(0) = 0.0; the gaps -log1p(-u) of the live trials, -u = k * -2**-53.
+                    y = (hazard.at(t[b], b) if s else 0.0) - np.log1p(k[live[b]] * -UNIT)
                     go = y < hazard.lam[b, -1]
                     clicks[live[b][~go]] = s
                     # Rounding may not move a click past T or back onto the last one.

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from ._streams import McEstimate, binomial, trial_chunks
+from ._streams import McEstimate, binomial, thresholds, trial_chunks
 from .statemath import Priors, angle_schedule, helstrom_bound
 
 __all__ = [
@@ -54,9 +54,14 @@ def _effective_angles(priors: Priors, theta: float, n: int) -> np.ndarray:
 def _outcome0_table(priors: Priors, theta: float, n: int) -> np.ndarray:
     # table[k - 1, 2*a + z] = P[outcome 0 at copy k | symbol a, previous bit z].  The
     # states cos(theta)|x> +- sin(theta)|y> meet the detector basis
-    # {(cos phi, sin phi), (sin phi, -cos phi)} at angle theta -+ phi.
+    # {(cos phi, sin phi), (sin phi, -cos phi)} at angle theta -+ phi.  Formed in
+    # one array: the angle table and the result are all that is held.
     phi = _effective_angles(priors, theta, n)
-    return np.cos(np.concatenate((theta - phi, theta + phi), axis=1)) ** 2
+    table = np.empty((n, 4))
+    np.subtract(theta, phi, out=table[:, :2])
+    np.add(theta, phi, out=table[:, 2:])
+    np.cos(table, out=table)
+    return np.square(table, out=table)
 
 
 def exact_adaptive_pc(priors: Priors, theta: float, n: int) -> float:
@@ -97,15 +102,19 @@ def simulate_adaptive(
 
     The trials and their draws are those of :func:`qsdr._streams.trial_chunks`:
     draw k is the outcome of copy k, one array step per copy for a chunk's
-    trials, so memory does not grow with ``trials``.  It grows with ``n`` by
-    the outcome table, about 80 bytes per copy while it is formed.
+    trials, so memory does not grow with ``trials``.  Each step compares the
+    draws' 53-bit words with the uint64 thresholds of the outcome table (see
+    :func:`qsdr._streams.thresholds`), which gives exactly the outcomes of
+    comparing the uniforms with the probabilities.  Memory grows with ``n``
+    by the table and its thresholds, 64 bytes per copy while they are formed.
     """
-    p0 = _outcome0_table(priors, theta, n)
+    table = thresholds(_outcome0_table(priors, theta, n))
     hits = 0
     for _, a, draws in trial_chunks(seed, trials, priors.q0):
+        a2 = 2 * a
         z = priors.start_bit  # then each copy's outcome, a boolean column
-        for p in p0:
-            z = next(draws) >= p[2 * a + z]
+        for row in table:
+            z = next(draws) >= row.take(a2 + z)
         hits += int(np.count_nonzero(z == a))
     return binomial(hits, trials)
 

@@ -173,8 +173,9 @@ class TestExactAdaptivePc:
         assert exact_adaptive_pc(pr, 0.2, n) == total
 
     def test_memory_is_the_outcome_table(self):
-        # The table takes about 80 bytes per copy while it is formed; nested lists of
-        # the whole table would take about 290.
+        # The table takes about 49 bytes per copy while it is formed (the 16-byte angle
+        # table beside the 32-byte result); nested lists of the whole table would take
+        # about 290.
         n = 10**5
         tracemalloc.start()
         try:
@@ -182,7 +183,7 @@ class TestExactAdaptivePc:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 120 * n
+        assert peak < 56 * n
 
 
 class TestSimulateAdaptive:
@@ -212,6 +213,17 @@ class TestSimulateAdaptive:
         res = simulate_adaptive(pr, theta, 2, trials=20000, seed=11)
         exact = exact_adaptive_pc(pr, theta, 2)
         assert abs(res.estimate - exact) < 4.0 * max(res.stderr, 1e-12)
+
+    def test_memory_is_the_outcome_table_and_its_thresholds(self):
+        # The table (32 bytes per copy) and its uint64 thresholds (32 more), formed in place.
+        n = 10**5
+        tracemalloc.start()
+        try:
+            simulate_adaptive(Priors(0.7), 0.2, n, trials=3, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 72 * n
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,10 +1,13 @@
 """Counter-based trial streams: layout, boundaries, independence of chunking."""
 
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qsdr
 import qsdr._streams as streams_mod
@@ -20,7 +23,7 @@ from qsdr import (
     simulate_telegraph,
     telegraph_chunks,
 )
-from qsdr._streams import TrialStreams, trial_chunks
+from qsdr._streams import TrialStreams, thresholds, trial_chunks
 from qsdr.dolinar import _Segments
 from qsdr.multicopy import _outcome0_table
 
@@ -44,7 +47,7 @@ def reference_draw(seed, i, d):
     """Draw d of trial i: word d mod 4 at counter (i+1, d div 4), top 53 bits."""
     key = [int(w) for w in np.random.SeedSequence(seed).generate_state(2, np.uint64)]
     word = philox4x64_10([i + 1, d // 4, 0, 0], key)[d % 4]
-    return (word >> 11) * 2.0**-53
+    return word >> 11
 
 
 def budget(rows):
@@ -53,19 +56,27 @@ def budget(rows):
 
 
 def all_draws(seed, trials, draws):
-    """Draws 0 .. draws-1 of trials 0 .. trials-1, one block of four at a time."""
+    """Draws 0 .. draws-1 of trials 0 .. trials-1 as 53-bit words, one block of four
+    at a time."""
     streams = TrialStreams(seed)
     blocks = [streams.block(0, j, trials) for j in range(-(-draws // 4))]
     return np.hstack(blocks)[:, :draws]
 
 
+def uniforms(seed, trials, draws):
+    """The same draws as the doubles ``Generator.random`` makes of them: the scalar
+    replays compare these with probabilities, the samplers their words with thresholds."""
+    return all_draws(seed, trials, draws) * 2.0**-53
+
+
 class TestLayout:
     def test_known_answers(self):
         seed = 20240917
-        u = all_draws(seed, 3, 9)
+        k = all_draws(seed, 3, 9)
+        assert k.dtype == np.uint64
         for i in range(3):
             for d in range(9):
-                assert u[i, d] == reference_draw(seed, i, d)
+                assert int(k[i, d]) == reference_draw(seed, i, d)
 
     def test_chunk_and_block_boundaries(self, monkeypatch):
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(5))
@@ -76,11 +87,11 @@ class TestLayout:
         assert [len(a) for _, a, _ in chunks] == [5, 5, 2]
         symbols = np.concatenate([a for _, a, _ in chunks])
         # Column d - 1 of a chunk's draws is draw d of its trials.
-        u = np.vstack([np.column_stack(columns) for _, _, columns in chunks])
+        k = np.vstack([np.column_stack(columns) for _, _, columns in chunks])
         for i in (0, 4, 5, 9, 10, 11):  # both sides of each chunk edge
-            assert symbols[i] == (reference_draw(seed, i, 0) >= q0)
+            assert symbols[i] == (reference_draw(seed, i, 0) * 2.0**-53 >= q0)
             for d in (1, 3, 4, 7, 8, 11):  # both sides of each block edge
-                assert u[i, d - 1] == reference_draw(seed, i, d)
+                assert int(k[i, d - 1]) == reference_draw(seed, i, d)
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", 1)  # at least one trial a chunk
         assert [len(a) for _, a, _ in trial_chunks(seed, 3, q0)] == [1, 1, 1]
 
@@ -123,14 +134,64 @@ class TestLayout:
         b = all_draws(5, 1500, 6)
         assert np.array_equal(a[:1500], b)
         assert not np.array_equal(a, all_draws(6, 2000, 6))
-        assert np.all((0.0 <= a) & (a < 1.0))
+        assert a.dtype == np.uint64 and np.all(a < 2**53)
+
+    def test_a_block_is_one_array_of_words(self):
+        # The words are shifted where Philox writes them: a fetch holds nothing beside them.
+        m = 10**5
+        streams = TrialStreams(1)
+        streams.block(0, 0, 1)
+        tracemalloc.start()
+        try:
+            k = streams.block(0, 1, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k.shape == (m, 4) and k.dtype == np.uint64
+        assert 32 * m <= peak < 32 * m + 4096
+
+
+# Where k * 2**-53 >= p could part from an integer compare: no mass, the least
+# subnormal, one word's width, both sides of 1/2, the last word below 1, and certainty.
+THRESHOLD_EDGES = [0.0, 5e-324, 2.0**-53, math.nextafter(0.5, 0.0), 0.5, 1.0 - 2.0**-53, 1.0]
+
+
+class TestThresholds:
+    @given(st.floats(0.0, 1.0))
+    @settings(max_examples=500, deadline=None)
+    @example(THRESHOLD_EDGES[0])
+    @example(THRESHOLD_EDGES[1])
+    @example(THRESHOLD_EDGES[2])
+    @example(THRESHOLD_EDGES[3])
+    @example(THRESHOLD_EDGES[4])
+    @example(THRESHOLD_EDGES[5])
+    @example(THRESHOLD_EDGES[6])
+    def test_word_reaches_threshold_as_its_uniform_reaches_p(self, p):
+        K = thresholds(np.array([p]))
+        assert K.dtype == np.uint64
+        K = int(K[0])
+        for k in {0, K - 1, K, K + 1, 2**53 - 1}:
+            if 0 <= k < 2**53:
+                assert bool(np.uint64(k) >= np.uint64(K)) == (k * 2.0**-53 >= p)
+
+    def test_thresholds_of_the_edges(self):
+        t = np.array(THRESHOLD_EDGES)
+        assert thresholds(t).tolist() == [0, 1, 1, 2**52, 2**52, 2**53 - 1, 2**53]
+        assert t[-1] == 2.0**53  # scaled in place
+
+    @pytest.mark.parametrize("q0,symbol", [(0.0, 1), (1.0, 0), (0, 1), (1, 0)])
+    def test_certain_symbols(self, q0, symbol):
+        # Every word reaches ceil(0 * 2**53) = 0, and none reaches 2**53; Priors keeps
+        # an int q0 as given.
+        for _, a, _ in trial_chunks(5, 3000, q0):
+            assert np.all(a == symbol)
 
 
 def loop_adaptive(priors, theta, n, trials, seed):
     """Scalar per-trial reference of simulate_adaptive on the same draws."""
     table = _outcome0_table(priors, theta, n).tolist()
     hits = 0
-    for row in all_draws(seed, trials, n + 1).tolist():
+    for row in uniforms(seed, trials, n + 1).tolist():
         a = 0 if row[0] < priors.q0 else 1
         z = priors.start_bit
         for k, p0 in enumerate(table, start=1):
@@ -148,7 +209,7 @@ def loop_telegraph(priors, psi, law, T, trials, seed, draws=200):
     """
     hazard = _Segments(law, psi, T)
     symbols, finals, offsets, times = [], [], [0], []
-    for row in all_draws(seed, trials, draws):
+    for row in uniforms(seed, trials, draws):
         a = 0 if row[0] < priors.q0 else 1
         z, t = priors.start_bit, 0.0
         for u in row[1:]:
@@ -285,7 +346,7 @@ class TestSamplersUseTheLayout:
     def test_telegraph_symbol_is_the_first_draw(self):
         pr = Priors(0.6)
         tr = one_chunk(pr, 1.0, ControlLaw.constant(1.0), 1.0, 300, seed=9)
-        first = all_draws(9, 300, 1)[:, 0]
+        first = uniforms(9, 300, 1)[:, 0]
         assert tr.a.tolist() == [0 if u < pr.q0 else 1 for u in first]
 
 
