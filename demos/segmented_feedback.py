@@ -13,7 +13,7 @@ slotted receiver converges to.
 import argparse
 
 from qsdr import (
-    ControlLaw,
+    LawFamily,
     Priors,
     evolve_pc,
     helstrom_trajectory,
@@ -40,7 +40,7 @@ def main() -> None:
 
     # The continuous law, floored like the slots at T * 1e-9 so that equal
     # priors have a finite first value, evolved in closed form.
-    law = ControlLaw.dolinar_optimal(pr, args.psi, t_floor=args.T * 1e-9)
+    law = LawFamily(t_floor=args.T * 1e-9).law(pr, args.psi)
     pc = evolve_pc(pr, args.psi, law, args.T, sample_times=()).final.pc(pr)
     print(f"\ncontinuous law in closed form: P_c = {pc:.12f}")
     print(f"difference from the bound {abs(hel - pc):.2e}")

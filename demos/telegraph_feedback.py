@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 
 from qsdr import (
-    ControlLaw,
+    LawFamily,
     Priors,
     binomial,
     evolve_pc,
@@ -38,7 +38,7 @@ def main() -> None:
     args = ap.parse_args()
 
     pr = Priors(args.q0)
-    law = ControlLaw.dolinar_optimal(pr, args.psi)
+    law = LawFamily().law(pr, args.psi)
     times = np.linspace(0.0, args.T, 101)
     res = evolve_pc(pr, args.psi, law, args.T, sample_times=times)
     bound = helstrom_trajectory(pr, args.psi, times)
@@ -65,7 +65,7 @@ def main() -> None:
     hel = helstrom_trajectory(pr5, args.psi, args.T)
     print(f"\nequal priors, capped feedback (bound {hel:.10f}):")
     for u_max in (5.0, 20.0, 100.0):
-        capped = ControlLaw.dolinar_optimal(pr5, args.psi, u_max=u_max)
+        capped = LawFamily(u_max=u_max).law(pr5, args.psi)
         pc = evolve_pc(pr5, args.psi, capped, args.T).final.pc(pr5)
         print(f"  u_max = {u_max:5.0f}: P_c = {pc:.10f}  (gap {hel - pc:.2e})")
 

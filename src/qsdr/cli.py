@@ -298,26 +298,22 @@ class _Axis(NamedTuple):
     beta: dict  # each selected optimizer's name -> its displacements
 
 
-def _axis(spec: SweepSpec) -> _Axis:
-    # The selected optimizers' displacements come from one solve for all of them.
-    g = spec.axis()
-    priors = spec.priors
-    axis = _Axis(spec, priors, priors.dominant(), g, np.sqrt(g), {})
-    return axis._replace(beta=_betas(axis, [name for name in OPTIMIZERS if name in spec.schemes]))
-
-
 # The optimized receivers' displacement solves, in photon-number units
-# (at T = 1), which are all the errors depend on.  They need q0 >= q1; pe
-# and |beta|**2 ignore the labels.
+# (at T = 1), which are all the errors depend on, from (ranked, gamma).  They
+# need q0 >= q1; pe and |beta|**2 ignore the labels.
 OPTIMIZERS = {
-    "improved_kennedy": lambda ax: beta_ik_problem(ax.ranked, ax.gamma),
-    "simplified_dolinar": lambda ax: beta_sd_problem(ax.ranked, ax.gamma, 1.0),
+    "improved_kennedy": beta_ik_problem,
+    "simplified_dolinar": lambda ranked, gamma: beta_sd_problem(ranked, gamma, 1.0),
 }
 
 
-def _betas(ax: _Axis, names) -> dict[str, np.ndarray]:
-    # The named optimizers' displacements, all in one Brent solve.
-    return dict(zip(names, solve_jointly(*(OPTIMIZERS[name](ax) for name in names))))
+def _axis(spec: SweepSpec) -> _Axis:
+    # The selected optimizers' displacements come from one Brent solve for all of them.
+    g, priors = spec.axis(), spec.priors
+    ranked, gamma = priors.dominant(), np.sqrt(g)
+    names = [name for name in OPTIMIZERS if name in spec.schemes]
+    beta = solve_jointly(*(OPTIMIZERS[name](ranked, gamma) for name in names))
+    return _Axis(spec, priors, ranked, g, gamma, dict(zip(names, beta)))
 
 
 def _psi(ax: _Axis) -> np.ndarray:

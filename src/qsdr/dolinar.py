@@ -38,7 +38,6 @@ from .statemath import Priors, _margin_sq, _out, _reject
 
 __all__ = [
     "SingularControlError",
-    "RatePair",
     "ControlLaw",
     "LawFamily",
     "PcState",
@@ -57,13 +56,6 @@ __all__ = [
 
 class SingularControlError(ValueError):
     """Optimal feedback queried where it diverges (equal priors at t = 0)."""
-
-
-class RatePair(NamedTuple):
-    """Photon rates of the matched (lam) and mismatched (mu) branch."""
-
-    lam: float
-    mu: float
 
 
 # The largest amplitude whose optimal-law rate scale k = 4*psi**2 is a float.
@@ -113,11 +105,11 @@ def _log_c(priors: Priors) -> float:
     return math.log(c) if c else -math.inf
 
 
-def rates(psi: float, u: float) -> RatePair:
-    """Click rates of the displaced field: ``((psi - u)**2, (psi + u)**2)``."""
+def rates(psi: float, u: float) -> tuple[float, float]:
+    """Click rates ``(lam, mu)`` of the displaced field: ``((psi - u)**2, (psi + u)**2)``."""
     d = psi - u
     s = psi + u
-    return RatePair(d * d, s * s)
+    return d * d, s * s
 
 
 def helstrom_trajectory(priors: Priors, psi: float, t: float) -> float:
@@ -171,26 +163,6 @@ class ControlLaw(Record):
         return feedback_amplitude(priors, psi, t)
 
     @classmethod
-    def dolinar_optimal(
-        cls,
-        priors: Priors,
-        psi: float,
-        *,
-        t_floor: float | None = None,
-        u_max: float | None = None,
-    ) -> "ControlLaw":
-        """Exact optimal law, optionally regularized near t = 0.
-
-        ``t_floor`` freezes the law below that time at its ``t_floor``
-        value; ``u_max`` clamps the magnitude.  Either one tames the equal-
-        priors divergence; with neither, evaluation at the singular point
-        raises :class:`SingularControlError`.  Both become one constant
-        slot; this is ``LawFamily(t_floor=t_floor, u_max=u_max).law(priors,
-        psi)``.
-        """
-        return LawFamily(t_floor=t_floor, u_max=u_max).law(priors, psi)
-
-    @classmethod
     def constant(cls, beta: float) -> "ControlLaw":
         """Constant envelope (the simplified receiver's law)."""
         return cls((0.0,), (beta,))
@@ -216,8 +188,10 @@ class LawFamily(Record):
     that is set, else the optimal law ``psi / R(t)``, capped at ``u_max``
     and frozen below ``t_floor`` where those are set.  A constant envelope
     takes neither, so ``beta`` with ``t_floor`` or ``u_max`` is refused.
-    :func:`evolve_pe` takes it whole, so no law is built per point;
-    :meth:`law` builds the law of one point."""
+    Either regularizer tames the equal-priors divergence at t = 0; with
+    neither, evaluating or evolving the law there raises
+    :class:`SingularControlError`.  :func:`evolve_pe` takes it whole, so no
+    law is built per point; :meth:`law` builds the law of one point."""
 
     __slots__ = ("beta", "t_floor", "u_max")
 

@@ -64,9 +64,9 @@ class Priors(Record):
     """Prior probabilities ``q0``, ``q1`` of the two hypotheses.
 
     ``Priors(q0)`` fills in ``q1 = 1 - q0``.  Passing both values checks
-    that they sum to one within 1e-15.  The convention ``q0 >= q1`` used by
-    some optimizers is not forced here; call :meth:`dominant` to obtain the
-    relabeled pair when an operation requires it.
+    that they sum to one within 1e-15.  Both are stored as floats.  The
+    convention ``q0 >= q1`` used by some optimizers is not forced here; call
+    :meth:`dominant` to obtain the relabeled pair when an operation requires it.
     """
 
     __slots__ = ("q0", "q1")
@@ -78,7 +78,7 @@ class Priors(Record):
             q1 = 1.0 - q0
         elif abs(q0 + q1 - 1.0) > _SUM_TOL:
             raise ValueError(f"priors must sum to 1 within {_SUM_TOL}, got q0+q1={q0 + q1!r}")
-        self._set(q0, q1)
+        self._set(float(q0), float(q1))
 
     @property
     def max_prior(self) -> float:
@@ -198,14 +198,18 @@ def multicopy_bound(priors: Priors, chi: float, n: int) -> float:
 
     ``n`` copies of states with single-copy overlap ``chi`` form a pure pair
     with overlap ``chi**n``, so the bound is ``helstrom_bound(priors,
-    chi**n)``.  ``n = 0`` yields the no-measurement guess ``max(q0, q1)``.
-    Non-decreasing in ``n`` and approaches 1 as ``n`` grows when
-    ``chi < 1``.
+    chi**n)``; its margin takes ``1 - chi**(2*n)`` from ``chi`` itself, so it
+    keeps its digits as ``chi`` nears 1.  ``n = 0`` yields the no-measurement
+    guess ``max(q0, q1)``.  Non-decreasing in ``n`` and approaches 1 as ``n``
+    grows when ``chi < 1``.
     """
     if n < 0:
         raise ValueError(f"copy count must be >= 0, got {n}")
     chi = _clip_unit(chi, "chi")
-    return helstrom_bound(priors, chi**n)
+    # w = 1 - chi**(2*n): 1 at chi = 0, where ln 0 = -inf, and 0 at n = 0, where 0*ln 0 is nan.
+    with np.errstate(divide="ignore"):
+        w = -np.expm1(2.0 * n * np.log(chi)) if n else 0.0 * chi
+    return _out(0.5 * (1.0 + np.sqrt(_margin_sq(priors, w))))
 
 
 def angle_schedule(priors: Priors, theta: float, n: int) -> np.ndarray:

@@ -14,6 +14,7 @@ import numpy as np
 
 from qsdr import (
     ControlLaw,
+    LawFamily,
     Priors,
     QubitPair,
     coherent_overlap,
@@ -112,7 +113,7 @@ def test_03_posterior_recursion_reproduces_bound():
 def test_04_feedback_receiver_attains_the_bound():
     start = time.perf_counter()
     pr = Priors(0.7)
-    law = ControlLaw.dolinar_optimal(pr, 1.0)
+    law = LawFamily().law(pr, 1.0)
     times = np.linspace(0.0, 1.0, 52)
     # RK45 on the law as opaque callables: a route independent of the closed form.
     res = rk45(pr, 1.0, law, 1.0, sample_times=times)
@@ -167,7 +168,7 @@ def test_06_constant_control_closed_form():
 def test_07_telegraph_monte_carlo_consistency():
     start = time.perf_counter()
     pr7 = Priors(0.7)
-    law = ControlLaw.dolinar_optimal(pr7, 1.0)
+    law = LawFamily().law(pr7, 1.0)
     res_a = simulate_telegraph(pr7, 1.0, law, 1.0, 100000, seed=1)
     dev_a = abs(res_a.estimate - 0.99614)
     ok_a = dev_a <= 3.0 * res_a.stderr and res_a.stderr < 5e-4

@@ -27,10 +27,12 @@ import qsdr.rootfind as rootfind_mod
 from qsdr import (
     BracketError,
     ControlLaw,
+    LawFamily,
     Priors,
     SingularControlError,
     simulate_adaptive,
     simulate_telegraph,
+    solve_jointly,
     telegraph_chunks,
 )
 from qsdr.cli import main
@@ -339,11 +341,17 @@ class TestColumnwiseSweep:
         spec = resolved([*argv, "--points", "300"])
         kind = "pe" if spec.command == "fig1" else "beta_sq"
         table = cli._sweep(spec, str(tmp_path / "o.csv"), kind)
-        axis, names = cli._axis(spec), [s for s in cli.OPTIMIZERS if s in spec.schemes]
-        points = [axis._replace(g=axis.g[i:i + 1], gamma=axis.gamma[i:i + 1])
-                  for i in range(300)]
-        # Each point's displacements from its own solve.
-        points = [point._replace(beta=cli._betas(point, names)) for point in points]
+        axis = cli._axis(spec)
+        names = list(axis.beta)
+        assert names == [s for s in cli.OPTIMIZERS if s in spec.schemes]
+
+        def point(i):
+            # The axis cut to point i, with its displacements from its own solve.
+            gamma = axis.gamma[i:i + 1]
+            beta = solve_jointly(*(cli.OPTIMIZERS[name](axis.ranked, gamma) for name in names))
+            return axis._replace(g=axis.g[i:i + 1], gamma=gamma, beta=dict(zip(names, beta)))
+
+        points = [point(i) for i in range(300)]
         assert len(table) == len(spec.schemes) + 1
         for scheme in spec.schemes:
             column = cli.SCHEMES[scheme][kind]
@@ -512,7 +520,7 @@ class TestSimulate:
         assert main(argv) == 0
         _, (cells,) = read_rows(out)
         pr = qsdr.Priors(0.5)
-        law = qsdr.ControlLaw.dolinar_optimal(pr, 1.0, t_floor=0.2)
+        law = qsdr.LawFamily(t_floor=0.2).law(pr, 1.0)
         ode = rk45(pr, 1.0, law, 1.0).final.pc(pr)
         assert abs(float(cells[5]) - ode) < 1e-9
         assert abs(ode - qsdr.helstrom_trajectory(pr, 1.0, 1.0)) > 1e-3
@@ -574,7 +582,7 @@ class TestSimulate:
             (["--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8", "--psi", "0.8",
               "--trials", "300", "--seed", "13"],
              lambda: simulate_telegraph(
-                 Priors(0.5), 0.8, ControlLaw.dolinar_optimal(Priors(0.5), 0.8, u_max=8.0),
+                 Priors(0.5), 0.8, LawFamily(u_max=8.0).law(Priors(0.5), 0.8),
                  1.0, 300, 13)),
             (["--scheme", "dolinar_mc", "--q0", "0.3", "--beta", "-0.5", "--T", "2",
               "--trials", "200", "--seed", "5"],
@@ -601,7 +609,7 @@ class TestSimulate:
         rows = zip(table["gamma_sq"].tolist(), table["dolinar_mc_pe"].tolist(), seeds, strict=True)
         for g, pe, seed in rows:
             psi = math.sqrt(g)
-            law = ControlLaw.dolinar_optimal(pr, psi, u_max=3.0)
+            law = LawFamily(u_max=3.0).law(pr, psi)
             chunks = telegraph_chunks(pr, psi, law, 1.0, trials, seed)
             hits = sum(int(np.count_nonzero(tr.z_final == tr.a)) for _, tr in chunks)
             assert pe == (trials - hits) / trials

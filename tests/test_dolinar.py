@@ -31,6 +31,7 @@ from qsdr import (
     segmented_pc,
     simplified_dolinar_pc,
     simulate_telegraph,
+    telegraph_chunks,
 )
 import qsdr.dolinar as dolinar_mod
 from qsdr.dolinar import _Segments
@@ -130,9 +131,8 @@ class TestRates:
     def test_no_feedback(self):
         assert rates(1.0, 0.0) == (1.0, 1.0)
 
-    def test_named_fields(self):
-        rp = rates(2.0, 0.5)
-        assert rp.lam == 2.25 and rp.mu == 6.25
+    def test_plain_pair(self):
+        assert type(rates(2.0, 0.5)) is tuple and rates(2.0, 0.5) == (2.25, 6.25)
 
 
 class TestHelstromTrajectory:
@@ -187,51 +187,51 @@ class TestControlLaw:
             ControlLaw.piecewise_constant([1.0], 0.0)
 
     def test_optimal_law_unequal_priors(self):
-        law = ControlLaw.dolinar_optimal(Priors(0.7), 1.0)
+        law = LawFamily().law(Priors(0.7), 1.0)
         assert law == ControlLaw((0.0,), (), (Priors(0.7), 1.0))
         assert law.u0(0.0) == pytest.approx(2.5, abs=1e-12)
 
     def test_optimal_law_balanced_priors_needs_regularization(self):
-        law = ControlLaw.dolinar_optimal(Priors(0.5), 1.0)
+        law = LawFamily().law(Priors(0.5), 1.0)
         with pytest.raises(SingularControlError):
             law.u0(0.0)
 
     def test_time_floor(self):
-        law = ControlLaw.dolinar_optimal(Priors(0.5), 1.0, t_floor=1e-6)
+        law = LawFamily(t_floor=1e-6).law(Priors(0.5), 1.0)
         frozen = feedback_amplitude(Priors(0.5), 1.0, 1e-6)
         assert law.u0(0.0) == frozen
         assert law.u0(1e-7) == frozen
         assert law.u0(2e-6) == feedback_amplitude(Priors(0.5), 1.0, 2e-6)
 
     def test_cap(self):
-        law = ControlLaw.dolinar_optimal(Priors(0.5), 1.0, u_max=10.0)
+        law = LawFamily(u_max=10.0).law(Priors(0.5), 1.0)
         assert law.values == (10.0,) and law.optimal == (Priors(0.5), 1.0)
         assert law.u0(0.0) == 10.0
-        law7 = ControlLaw.dolinar_optimal(Priors(0.7), 1.0, u_max=2.0)
+        law7 = LawFamily(u_max=2.0).law(Priors(0.7), 1.0)
         assert law7.u0(0.0) == 2.0  # clamps the 2.5 start value
         assert law7.u0(3.0) == feedback_amplitude(Priors(0.7), 1.0, 3.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            ControlLaw.dolinar_optimal(Priors(0.5), 1.0, t_floor=-1.0)
+            LawFamily(t_floor=-1.0).law(Priors(0.5), 1.0)
         with pytest.raises(ValueError):
-            ControlLaw.dolinar_optimal(Priors(0.5), 1.0, u_max=0.0)
+            LawFamily(u_max=0.0).law(Priors(0.5), 1.0)
         with pytest.raises(ValueError):
-            ControlLaw.dolinar_optimal(Priors(0.5), -1.0, u_max=2.0)
+            LawFamily(u_max=2.0).law(Priors(0.5), -1.0)
 
     def test_cap_and_floor_are_a_constant_prefix_slot(self):
         pr = Priors(0.5)
-        capped = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0)
+        capped = LawFamily(u_max=8.0).law(pr, 1.0)
         (t_cap,) = capped.starts[1:]
         assert capped.values == (8.0,) and capped.optimal == (pr, 1.0)
         assert feedback_amplitude(pr, 1.0, t_cap) == pytest.approx(8.0, rel=1e-12)
-        assert ControlLaw.dolinar_optimal(pr, 1.0, t_floor=0.05).starts[1:] == (0.05,)
+        assert LawFamily(t_floor=0.05).law(pr, 1.0).starts[1:] == (0.05,)
         # The cap outlasts a short floor, so one slot covers both.
-        both = ControlLaw.dolinar_optimal(pr, 1.0, u_max=4.0, t_floor=0.01)
+        both = LawFamily(u_max=4.0, t_floor=0.01).law(pr, 1.0)
         assert both.values == (4.0,) and both.starts[1] > 0.01
-        assert ControlLaw.dolinar_optimal(Priors(0.7), 1.0).starts[1:] == ()
+        assert LawFamily().law(Priors(0.7), 1.0).starts[1:] == ()
         # u_max below psi binds everywhere: a constant law throughout.
-        assert ControlLaw.dolinar_optimal(Priors(0.7), 3.0, u_max=2.0) == ControlLaw.constant(2.0)
+        assert LawFamily(u_max=2.0).law(Priors(0.7), 3.0) == ControlLaw.constant(2.0)
 
     @pytest.mark.parametrize(
         "q0,psi,t_floor,u_max",
@@ -240,7 +240,7 @@ class TestControlLaw:
     )
     def test_u0_is_the_clamped_floored_law(self, q0, psi, t_floor, u_max):
         pr = Priors(q0)
-        law = ControlLaw.dolinar_optimal(pr, psi, t_floor=t_floor, u_max=u_max)
+        law = LawFamily(t_floor=t_floor, u_max=u_max).law(pr, psi)
 
         def want(t):
             try:
@@ -293,7 +293,7 @@ class TestEvolvePc:
 
     def test_optimal_law_rides_the_bound(self):
         pr = Priors(0.7)
-        law = ControlLaw.dolinar_optimal(pr, 1.0)
+        law = LawFamily().law(pr, 1.0)
         times = np.linspace(0.0, 1.0, 52)
         for res in (evolve_pc(pr, 1.0, law, 1.0, times), rk45(pr, 1.0, law, 1.0, times)):
             for t, pc in zip(res.times[1:-1], res.pc[1:-1]):
@@ -331,17 +331,22 @@ class TestEvolvePc:
 
     def test_uncapped_balanced_law_is_rejected_at_start(self):
         pr = Priors(0.5)
-        law = ControlLaw.dolinar_optimal(pr, 1.0)
+        law = LawFamily().law(pr, 1.0)
         with pytest.raises(SingularControlError):
             evolve_pc(pr, 1.0, law, 1.0)
 
     def test_optimal_segment_must_match_the_signal(self):
-        # The closed form needs the signal's psi; RK45 integrates the mismatch.
+        # The closed form and the sampler need the signal's psi; RK45 integrates the mismatch.
         pr = Priors(0.7)
-        law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=2.0)
-        with pytest.raises(ValueError, match=r"LawFamily\(\.\.\.\)\.law\(priors, psi\)"):
-            evolve_pc(pr, 2.0, law, 1.0)
-        assert 0.5 < rk45(pr, 2.0, law, 1.0).final.pc(pr) < 1.0
+        message = (r"^optimal law built for psi=1\.0, not 2\.0; LawFamily\(\.\.\.\)\.law\(priors, "
+                   r"psi\) builds the law of this signal$")
+        for law in (LawFamily().law(pr, 1.0), LawFamily(u_max=2.0).law(pr, 1.0)):
+            with pytest.raises(ValueError, match=message):
+                evolve_pc(pr, 2.0, law, 1.0)
+            chunks = telegraph_chunks(pr, 2.0, law, 1.0, 10, seed=0)  # checked at the first chunk
+            with pytest.raises(ValueError, match=message):
+                next(chunks)
+            assert 0.5 < rk45(pr, 2.0, law, 1.0).final.pc(pr) < 1.0
         # Before the optimal segment starts the law is a constant slot, fit for any signal.
         (switch,) = law.starts[1:]
         got = evolve_pc(pr, 2.0, law, 0.5 * switch).final.pc(pr)
@@ -376,7 +381,7 @@ class TestEvolvePc:
 
         monkeypatch.setattr(dolinar_mod, "solve_ivp", refuse)
         pr = Priors(0.5)
-        law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0, t_floor=0.01)
+        law = LawFamily(u_max=8.0, t_floor=0.01).law(pr, 1.0)
         assert evolve_pc(pr, 1.0, law, 1.0).final.pc(pr) > 0.99
         assert segmented_pc(pr, 1.0, 1.0, 10) > 0.99
 
@@ -463,10 +468,10 @@ def oracle_laws():
                 pr = Priors(q0)
                 laws = {
                     "constant": ControlLaw.constant(1.0),
-                    "cap": ControlLaw.dolinar_optimal(pr, psi, u_max=2.0 * psi),
-                    "floor": ControlLaw.dolinar_optimal(pr, psi, t_floor=0.05),
-                    "cap_floor": ControlLaw.dolinar_optimal(pr, psi, u_max=3.0 * psi, t_floor=0.02),
-                    "exact": ControlLaw.dolinar_optimal(pr, psi),
+                    "cap": LawFamily(u_max=2.0 * psi).law(pr, psi),
+                    "floor": LawFamily(t_floor=0.05).law(pr, psi),
+                    "cap_floor": LawFamily(u_max=3.0 * psi, t_floor=0.02).law(pr, psi),
+                    "exact": LawFamily().law(pr, psi),
                     "ten_slots": ControlLaw.piecewise_constant(
                         [feedback_amplitude(pr, psi, (0.1 * i or 0.02) * T) for i in range(10)], T
                     ),
@@ -526,7 +531,6 @@ class TestEvolvePe:
 
         for name in ("feedback_amplitude", "_segment_table"):
             monkeypatch.setattr(dolinar_mod, name, refuse)
-        monkeypatch.setattr(ControlLaw, "dolinar_optimal", refuse)
         monkeypatch.setattr(LawFamily, "law", refuse)
         psi = np.sqrt(np.geomspace(1e-6, 30.0, 50))
         for q0, T, kw in self.SWEEPS:
@@ -769,7 +773,7 @@ class TestCappedConvergence:
         hel = helstrom_trajectory(pr, 1.0, 1.0)
         finals = []
         for u_max in (5.0, 20.0, 100.0):
-            law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=u_max)
+            law = LawFamily(u_max=u_max).law(pr, 1.0)
             finals.append(evolve_pc(pr, 1.0, law, 1.0).final.pc(pr))
         assert all(b >= a for a, b in zip(finals, finals[1:]))
         gaps = [hel - f for f in finals]
@@ -780,7 +784,7 @@ class TestCappedConvergence:
 class TestSimulateTelegraph:
     def test_same_seed_reproduces_everything(self):
         pr = Priors(0.7)
-        law = ControlLaw.dolinar_optimal(pr, 1.0)
+        law = LawFamily().law(pr, 1.0)
         a = simulate_telegraph(pr, 1.0, law, 1.0, 200, seed=5)
         assert simulate_telegraph(pr, 1.0, law, 1.0, 200, seed=5) == a
         assert same_records(one_chunk(pr, 1.0, law, 1.0, 200, seed=5),
@@ -825,7 +829,7 @@ class TestSimulateTelegraph:
 
     def test_capped_law_agrees_with_ode(self):
         pr = Priors(0.5)
-        law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=10.0)
+        law = LawFamily(u_max=10.0).law(pr, 1.0)
         res = simulate_telegraph(pr, 1.0, law, 1.0, 4000, seed=17)
         want = rk45(pr, 1.0, law, 1.0).final.pc(pr)
         assert abs(res.estimate - want) < 4.0 * max(res.stderr, 1e-12)
@@ -844,8 +848,8 @@ class TestSimulateTelegraph:
     @pytest.mark.parametrize(
         "law,seed",
         [
-            (ControlLaw.dolinar_optimal(Priors(0.5), 1.0, t_floor=0.02), 41),
-            (ControlLaw.dolinar_optimal(Priors(0.5), 1.0, u_max=6.0, t_floor=0.05), 43),
+            (LawFamily(t_floor=0.02).law(Priors(0.5), 1.0), 41),
+            (LawFamily(u_max=6.0, t_floor=0.05).law(Priors(0.5), 1.0), 43),
             (ControlLaw.piecewise_constant(
                 [feedback_amplitude(Priors(0.5), 1.0, max(0.1 * i, 0.02)) for i in range(10)],
                 1.0,
@@ -863,11 +867,11 @@ class TestSimulateTelegraph:
         # The CLI maps this to exit 4 (test_cli.py::TestExitCodes).
         pr = Priors(0.5)
         with pytest.raises(SingularControlError):
-            simulate_telegraph(pr, 1.0, ControlLaw.dolinar_optimal(pr, 1.0), 1.0, 10, seed=0)
+            simulate_telegraph(pr, 1.0, LawFamily().law(pr, 1.0), 1.0, 10, seed=0)
 
     def test_law_is_never_evaluated_per_trial(self, monkeypatch):
         pr = Priors(0.5)
-        law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0)
+        law = LawFamily(u_max=8.0).law(pr, 1.0)
 
         def refuse(self, t):
             raise AssertionError("sampler evaluated the law")
@@ -876,7 +880,7 @@ class TestSimulateTelegraph:
         assert len(one_chunk(pr, 1.0, law, 1.0, 500, seed=3).times) > 0
 
     def test_optimal_segment_must_match_the_signal(self):
-        law = ControlLaw.dolinar_optimal(Priors(0.7), 1.0)
+        law = LawFamily().law(Priors(0.7), 1.0)
         with pytest.raises(ValueError, match="psi"):
             simulate_telegraph(Priors(0.7), 2.0, law, 1.0, 5, seed=0)
 
@@ -945,7 +949,7 @@ class TestHazard:
     @pytest.mark.parametrize("q0,psi,kw", list(regularized_laws()))
     def test_matches_quad_and_inverts(self, q0, psi, kw):
         pr, T = Priors(q0), 1.0
-        law = ControlLaw.dolinar_optimal(pr, psi, **kw)
+        law = LawFamily(**kw).law(pr, psi)
         if psi == 0.0 and q0 == 0.5 and "u_max" not in kw:
             # Singular everywhere: no floor helps without a signal.
             with pytest.raises(SingularControlError):
@@ -1032,7 +1036,7 @@ def telegraph_laws(draw):
     q0 = draw(st.floats(0.0, 1.0))
     u_max = draw(st.none() | st.floats(0.05, 30.0))
     t_floor = draw(st.none() | st.just(0.0) | st.floats(1e-4, 0.5))
-    return ControlLaw.dolinar_optimal(Priors(q0), psi, t_floor=t_floor, u_max=u_max), psi, T
+    return LawFamily(t_floor=t_floor, u_max=u_max).law(Priors(q0), psi), psi, T
 
 
 @settings(max_examples=60, deadline=None)

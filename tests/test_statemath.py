@@ -71,6 +71,11 @@ class TestPriors:
         assert Priors(0.49).start_bit == 1
         assert Priors(0.2).max_prior == 0.8
 
+    def test_stores_floats(self):
+        for pr in (Priors(0), Priors(1), Priors(0, 1), Priors(1).swapped()):
+            assert type(pr.q0) is float and type(pr.q1) is float
+        assert Priors(1) == Priors(1.0) and hash(Priors(1)) == hash(Priors(1.0))
+
     def test_swapped_and_dominant(self):
         pr = Priors(0.3)
         assert pr.swapped().q0 == 0.7
@@ -230,11 +235,27 @@ class TestMulticopyBound:
         assert multicopy_bound(Priors(0.5), 0.6, 1) == pytest.approx(0.9, abs=1e-15)
 
     def test_reduces_to_single_state_bound(self):
+        # The bound forms 1 - chi**(2*n) from chi itself, helstrom_bound from the rounded
+        # chi**n: the two agree to rounding.
         for q0 in (0.5, 0.65, 0.9):
             pr = Priors(q0)
             for chi in (0.2, 0.55, 0.95):
                 for n in range(0, 9):
-                    assert multicopy_bound(pr, chi, n) == helstrom_bound(pr, chi**n)
+                    want = helstrom_bound(pr, chi**n)
+                    assert multicopy_bound(pr, chi, n) == pytest.approx(want, rel=EPS, abs=0)
+
+    @pytest.mark.parametrize("q0", [0.3, 0.5, 0.5 + 2**-20, 0.6, 0.7, 0.9])
+    def test_keeps_its_digits_against_mpmath(self, q0):
+        # Near chi = 1, (1 - x)*(1 + x) of the rounded x = chi**n was off by up to 722 ulps
+        # (q0 = 0.5, chi = 1 - 1e-9, n = 20); -expm1(2*n*ln(chi)) stays within one.
+        pr = Priors(q0)
+        for chi in (0.0, 1e-3, 0.3, 0.8, 0.99, 1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1 - 1e-15, 1.0):
+            for n in (0, 1, 3, 20, 100, 1000):
+                with mpmath.workdps(50):
+                    q0m, q1m, x = mpf(pr.q0), mpf(pr.q1), mpf(chi) ** n
+                    want = (1 + mpmath.sqrt(1 - 4 * q0m * q1m * x * x)) / 2
+                    err = abs(mpf(multicopy_bound(pr, chi, n)) - want) / want
+                assert err <= EPS, (chi, n)
 
     def test_monotone_in_copies(self):
         pr = Priors(0.7)

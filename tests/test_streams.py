@@ -13,6 +13,7 @@ import qsdr
 import qsdr._streams as streams_mod
 from qsdr import (
     ControlLaw,
+    LawFamily,
     McEstimate,
     Priors,
     Trajectories,
@@ -251,8 +252,8 @@ def same_records(x, y):
 
 
 TELEGRAPH_LAWS = [
-    pytest.param(0.5, ControlLaw.dolinar_optimal(Priors(0.5), 1.0, u_max=8.0), id="capped"),
-    pytest.param(0.7, ControlLaw.dolinar_optimal(Priors(0.7), 1.0), id="exact"),
+    pytest.param(0.5, LawFamily(u_max=8.0).law(Priors(0.5), 1.0), id="capped"),
+    pytest.param(0.7, LawFamily().law(Priors(0.7), 1.0), id="exact"),
     pytest.param(0.3, ControlLaw.constant(-0.5), id="constant"),
     pytest.param(
         0.5,
@@ -287,7 +288,7 @@ class TestSamplersUseTheLayout:
     @pytest.mark.parametrize("rows", [1, 7, None])
     def test_telegraph_is_independent_of_chunking(self, rows, monkeypatch):
         pr = Priors(0.5)
-        law = ControlLaw.dolinar_optimal(pr, 1.0, u_max=8.0)
+        law = LawFamily(u_max=8.0).law(pr, 1.0)
         want = one_chunk(pr, 1.0, law, 1.0, 40, seed=6)
         estimate = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6)
         # telegraph_chunks fetches one block (four draws) per trial at a time.
@@ -360,7 +361,7 @@ class TestAnswerAndScore:
         res = simulate_adaptive(pr, 0.3, 4, 1500, seed=4)
         assert type(res) is McEstimate
         assert res == binomial(loop_adaptive(pr, 0.3, 4, 1500, seed=4), 1500)
-        law = ControlLaw.dolinar_optimal(pr, 1.0)
+        law = LawFamily().law(pr, 1.0)
         tr = one_chunk(pr, 1.0, law, 1.0, 300, seed=12)
         hits = int(np.count_nonzero(tr.z_final == tr.a))
         res = simulate_telegraph(pr, 1.0, law, 1.0, 300, seed=12)
