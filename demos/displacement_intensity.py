@@ -27,8 +27,8 @@ def main() -> None:
     g_sqs = np.geomspace(0.05, 2.0, args.points)
     g = np.sqrt(g_sqs)
     ik_sq = optimal_beta_ik(pr, g) ** 2  # one solve over the whole axis
-    sd_sq = optimal_beta_sd(pr, g, 1.0) ** 2
-    print(f"optimal displacement intensity at q0 = {args.q0} (T = 1)")
+    sd_sq = optimal_beta_sd(pr, g) ** 2
+    print(f"optimal displacement intensity at q0 = {args.q0} (in photons)")
     print(f"{'gamma_sq':>9} {'nulling':>10} {'opt displ':>10} {'feedback':>10}")
     for g_sq, ik, sd in zip(g_sqs, ik_sq, sd_sq):
         print(f"{g_sq:9.4f} {g_sq:10.5f} {ik:10.5f} {sd:10.5f}")

@@ -37,8 +37,7 @@ def sweep(q0: float, points: int) -> dict[str, np.ndarray]:
         "helstrom": helstrom_error(pr, coherent_overlap(g_sqs)),
         "kennedy": kennedy_error(pr, g_sqs),
         "improved_kennedy": improved_kennedy_error(pr, g, optimal_beta_ik(pr, g)),
-        # T = 1, so psi = gamma
-        "simplified_dolinar": simplified_dolinar_error(pr, g, optimal_beta_sd(pr, g, 1.0), 1.0),
+        "simplified_dolinar": simplified_dolinar_error(pr, g, optimal_beta_sd(pr, g)),
     }
 
 

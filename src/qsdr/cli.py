@@ -298,13 +298,10 @@ class _Axis(NamedTuple):
     beta: dict  # each selected optimizer's name -> its displacements
 
 
-# The optimized receivers' displacement solves, in photon-number units
-# (at T = 1), which are all the errors depend on, from (ranked, gamma).  They
-# need q0 >= q1; pe and |beta|**2 ignore the labels.
-OPTIMIZERS = {
-    "improved_kennedy": beta_ik_problem,
-    "simplified_dolinar": lambda ranked, gamma: beta_sd_problem(ranked, gamma, 1.0),
-}
+# The optimized receivers' displacement solves, in photon-number units,
+# which are all the errors depend on, from (ranked, gamma).  They need
+# q0 >= q1; pe and |beta|**2 ignore the labels.
+OPTIMIZERS = {"improved_kennedy": beta_ik_problem, "simplified_dolinar": beta_sd_problem}
 
 
 def _axis(spec: SweepSpec) -> _Axis:
@@ -367,9 +364,7 @@ SCHEMES = {
         "beta_sq": lambda ax: ax.beta["improved_kennedy"] ** 2,
     },
     "simplified_dolinar": {
-        "pe": lambda ax: simplified_dolinar_error(
-            ax.ranked, ax.gamma, ax.beta["simplified_dolinar"], 1.0
-        ),
+        "pe": lambda ax: simplified_dolinar_error(ax.ranked, ax.gamma, ax.beta["simplified_dolinar"]),
         "beta_sq": _envelope_intensity,
     },
     "dolinar_ode": {"pe": _dolinar_ode_pe},
@@ -632,6 +627,8 @@ def _resolve(command: str, args: dict[str, str], cfg: dict[str, str]):
     if chi is not None:
         if theta is not None:
             raise ValueError("give either --theta or --chi, not both")
+        if not math.isfinite(chi):
+            raise ValueError(f"chi must be finite, got {chi}")
         if not chi < 1.0:
             raise ValueError(f"chi must be < 1 (at 1 the states are identical), got {chi}")
         theta = QubitPair.from_overlap(chi).theta

@@ -300,21 +300,18 @@ def beta_ik_problem(priors: Priors, gamma) -> Problem:
     return Problem(lambda u: _ik_log_residual(log_odds, g, u), lo, -np.log(g), finish)
 
 
-def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) -> float:
+def sd_displacement_residual(priors: Priors, gamma: float, b: float) -> float:
     """Stationarity residual of the simplified Dolinar envelope magnitude.
 
-    In the units ``gamma = psi*sqrt(T)``, ``b = beta*sqrt(T)`` and with ``s``,
-    ``A``, ``B`` and ``c`` as in :func:`optimal_beta_sd`, it is ``-G'(b)``
-    divided by the positive ``gamma*B/s``, so it has the sign of
-    ``-dP_c/dbeta``: ``(b**2 - gamma**2)/s - 2*w*(b/gamma)*A`` with ``w =
+    With ``s``, ``A``, ``B`` and ``c`` as in :func:`optimal_beta_sd`, it is
+    ``-G'(b)`` divided by the positive ``gamma*B/s``, so it has the sign of
+    ``-dP_c/db``: ``(b**2 - gamma**2)/s - 2*w*(b/gamma)*A`` with ``w =
     2*s/(exp(2*s) - 1)`` in ``(0, 1]``.  It is evaluated in the ratios ``g =
     gamma/sqrt(s)`` and ``u = b/sqrt(s)``, as ``(u - g)*(u + g)`` and ``A =
     g*u - c``, or ``q1 - (u - g)**2/2`` where ``g*u >= 1/4``, so that nothing
     cancels, overflows or underflows; at ``b = gamma`` it is exactly
-    ``-2*w*q1``.  Requires ``psi > 0``.
+    ``-2*w*q1``.  Requires ``gamma > 0``.
     """
-    root_t = np.sqrt(T)
-    gamma, b = psi * root_t, beta * root_t
     h = np.hypot(gamma, b)  # sqrt(s), without squaring gamma or b
     g, u = gamma / h, b / h
     hx = np.minimum(h, 32.0)  # past 32, w is 0 (x*exp(-x) underflows) and 2*h*h may overflow
@@ -326,11 +323,12 @@ def sd_displacement_residual(priors: Priors, psi: float, T: float, beta: float) 
     return _out((u - g) * (u + g) - 2.0 * w * (b / gamma) * a)
 
 
-def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
+def optimal_beta_sd(priors: Priors, gamma: float) -> float:
     """Envelope magnitude maximizing the simplified Dolinar receiver.
 
-    ``P_c`` depends only on ``gamma = psi*sqrt(T)`` and ``b = beta*sqrt(T)``,
-    so the solve runs in those units (``T = 1``) and returns ``b/sqrt(T)``.
+    Both the signal ``gamma`` and the envelope ``b`` are in photon-number
+    units: a pulse of amplitude ``psi`` and duration ``T`` has ``gamma =
+    psi*sqrt(T)``, and its optimal envelope amplitude is ``b/sqrt(T)``.
     With ``s = gamma**2 + b**2`` and ``c = q0 - 1/2 >= 0``, the gain over
     guessing is ``G = P_c - q0 = A*B``, ``A = gamma*b/s - c``, ``B = 1 -
     exp(-2*s)``, so ``A' = gamma*(gamma**2 - b**2)/s**2`` and ``B' =
@@ -350,27 +348,24 @@ def optimal_beta_sd(priors: Priors, psi: float, T: float) -> float:
     residual at ``gamma`` is zero and ``gamma`` is returned: the true excess,
     about ``8*q1*gamma**3*exp(-4*gamma**2)``, is far below one ulp.  With
     ``q1 = 0``, ``G = -(b - gamma)**2*B/(2*s)`` peaks at ``gamma``, which is
-    returned.  Requires ``psi > 0``, ``T > 0`` and ``q0 >= q1``.  An array
-    of ``psi`` is one lane-wise solve.
+    returned.  Requires ``gamma > 0`` and ``q0 >= q1``.  An array of
+    ``gamma`` is one lane-wise solve.
     """
-    return solve_jointly(beta_sd_problem(priors, psi, T))[0]
+    return solve_jointly(beta_sd_problem(priors, gamma))[0]
 
 
-def beta_sd_problem(priors: Priors, psi, T: float) -> Problem:
+def beta_sd_problem(priors: Priors, gamma) -> Problem:
     """:func:`optimal_beta_sd` as a :class:`Problem` for :func:`solve_jointly`."""
-    psi = np.asarray(psi, dtype=float)
-    _reject(psi <= 0.0, psi, "psi must be > 0")
-    _reject(T <= 0.0, T, "T must be > 0")
+    gamma = np.asarray(gamma, dtype=float)
+    _reject(gamma <= 0.0, gamma, "gamma must be > 0")
     if priors.q0 < priors.q1:
         raise ValueError("optimal_beta_sd requires q0 >= q1; swap the labels first")
     if priors.q1 == 0.0:
-        return _answer(_out(psi))
-    root_t = np.sqrt(T)
-    gamma = psi * root_t
+        return _answer(_out(gamma))
     hi = np.maximum(math.sqrt(3.0) * gamma, math.sqrt(2.0))
 
     def finish(b):
-        _no_worse_than_kennedy(priors, simplified_dolinar_error(priors, gamma, b, 1.0), b, gamma)
-        return _out(b / root_t)
+        _no_worse_than_kennedy(priors, simplified_dolinar_error(priors, gamma, b), b, gamma)
+        return _out(b)
 
-    return Problem(lambda b: sd_displacement_residual(priors, gamma, 1.0, b), gamma, hi, finish)
+    return Problem(lambda b: sd_displacement_residual(priors, gamma, b), gamma, hi, finish)

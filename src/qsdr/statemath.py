@@ -13,14 +13,17 @@ Conventions
 * A pair of pure qubit states is parameterized by a half-angle ``theta``;
   the pair overlap is ``chi = cos(2*theta)``, so ``theta = pi/4`` means
   orthogonal states and ``theta -> 0`` identical ones.
-* A BPSK source is parameterized by the envelope amplitude ``psi`` and the
-  pulse duration ``T``; the mean photon number of a pulse is
-  ``gamma_sq = psi**2 * T`` and the overlap of the two coherent states is
-  ``exp(-2*gamma_sq)``.
+* A BPSK pulse of envelope amplitude ``psi`` and duration ``T`` has mean
+  photon number ``gamma_sq = psi**2 * T`` and photon-number amplitude
+  ``gamma = psi*sqrt(T)``; the overlap of its two coherent states is
+  ``exp(-2*gamma_sq)``.  The closed forms here take photon-number units
+  (``gamma_sq``, ``gamma`` and a displacement ``beta`` or ``b`` on the
+  scale of ``gamma``); only ``qsdr.dolinar``'s time-domain routes take
+  ``psi`` and ``T``.
 
 All routines are pure functions, safe to call from any thread.  The
 closed forms of the BPSK receivers and the bounds take a float or an array
-for each signal argument (``gamma_sq``, ``gamma``, ``psi``, ``beta``,
+for each signal argument (``gamma_sq``, ``gamma``, ``beta``, ``b``,
 ``overlap``), broadcast them, and return a float for scalar arguments and
 an array otherwise; one sweep is then one call.  ``Priors`` stays scalar.
 :func:`angle_schedule` returns the n angles of the adaptive strategy as one
@@ -288,38 +291,35 @@ def improved_kennedy_error(priors: Priors, gamma: float, beta: float) -> float:
         return _out(-priors.q0 * np.expm1(-d0 * d0) + priors.q1 * np.exp(-d1 * d1))
 
 
-def simplified_dolinar_pc(priors: Priors, psi: float, beta: float, T: float) -> float:
+def simplified_dolinar_pc(priors: Priors, gamma: float, b: float) -> float:
     """Success probability of the constant-envelope feedback receiver.
 
-    The receiver adds a local field of fixed magnitude ``beta`` whose sign
-    flips at every photon click, starting aligned with the likelier
-    hypothesis.  With ``s = psi**2 + beta**2``::
+    The receiver adds a local field of fixed magnitude ``b`` (in the units of
+    ``gamma``) whose sign flips at every photon click, starting aligned with
+    the likelier hypothesis.  With ``s = gamma**2 + b**2``::
 
-        P_c(T) = 1/2 + psi*beta/s + (q0 - 1/2 - psi*beta/s) * exp(-2*s*T)
+        P_c = 1/2 + gamma*b/s + (q0 - 1/2 - gamma*b/s) * exp(-2*s)
 
-    ``beta = psi`` reproduces :func:`kennedy_pc` at ``gamma_sq = psi**2*T``;
-    ``T = 0`` returns ``q0`` (no light observed yet); ``psi = beta = 0``
-    degenerates to ``q0``.
+    ``b = gamma`` reproduces :func:`kennedy_pc` at ``gamma_sq = gamma**2``;
+    ``gamma = b = 0`` returns ``q0`` (no light observed).
     """
-    return 1.0 - simplified_dolinar_error(priors, psi, beta, T)
+    return 1.0 - simplified_dolinar_error(priors, gamma, b)
 
 
-def simplified_dolinar_error(priors: Priors, psi: float, beta: float, T: float) -> float:
+def simplified_dolinar_error(priors: Priors, gamma: float, b: float) -> float:
     """Error probability ``D*(1 - E) + q1*E`` of the constant-envelope
-    feedback receiver, with ``s = psi**2 + beta**2``, ``D = (psi -
-    beta)**2/(2*s)`` and ``E = exp(-2*s*T)``: ``1 - simplified_dolinar_pc``
-    without the cancellation (``1/2 - psi*beta/s = D``)."""
-    _reject(psi < 0.0, psi, "psi must be >= 0")
-    _reject(T < 0.0, T, "T must be >= 0")
-    # Where s or 2*s*T overflows, E is its limit 0.
+    feedback receiver, with ``s = gamma**2 + b**2``, ``D = (gamma -
+    b)**2/(2*s)`` and ``E = exp(-2*s)``: ``1 - simplified_dolinar_pc``
+    without the cancellation (``1/2 - gamma*b/s = D``)."""
+    _reject(gamma < 0.0, gamma, "gamma must be >= 0")
+    # Where s or 2*s overflows, E is its limit 0.
     with np.errstate(over="ignore"):
-        s = psi * psi + beta * beta
-        # s = 0 only at psi = beta = 0, where the limit of D is 0.  Where 2*s is inf, D,
-        # which depends on beta/psi alone, is formed from ratios to h = hypot(psi, beta),
+        s = gamma * gamma + b * b
+        # s = 0 only at gamma = b = 0, where the limit of D is 0.  Where 2*s is inf, D,
+        # which depends on b/gamma alone, is formed from ratios to h = hypot(gamma, b),
         # whose squares sum to 1.
         big = np.isinf(2.0 * s)
-        h = np.where(big, np.hypot(psi, beta), 1.0)
-        d = (psi / h - beta / h) ** 2 / np.where(big, 2.0, np.where(s > 0.0, 2.0 * s, math.inf))
-        # At T = 0 nothing is observed, so E = 1 even where s is inf.
-        x = -2.0 * np.where(T > 0.0, s, 0.0) * T
+        h = np.where(big, np.hypot(gamma, b), 1.0)
+        d = (gamma / h - b / h) ** 2 / np.where(big, 2.0, np.where(s > 0.0, 2.0 * s, math.inf))
+        x = -2.0 * s
         return _out(-d * np.expm1(x) + priors.q1 * np.exp(x))

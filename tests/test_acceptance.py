@@ -155,7 +155,7 @@ def test_06_constant_control_closed_form():
         pr = Priors(q0)
         law = ControlLaw.constant(beta)
         ode = rk45(pr, 1.0, law, T).final.pc(pr)
-        closed = simplified_dolinar_pc(pr, 1.0, beta, T)
+        closed = simplified_dolinar_pc(pr, math.sqrt(T), beta * math.sqrt(T))
         worst = max(worst, abs(ode - closed))
     _check(
         6,
@@ -206,14 +206,14 @@ def test_08_optimal_displacements():
         ok &= resid < 1e-10 and fd < 1e-6 and grid_err <= grid[1] - grid[0]
         details.append(f"ik(q0={q0}) resid {resid:.1e} fd {fd:.1e}")
         # optimized constant feedback envelope
-        beta = optimal_beta_sd(pr, 1.0, 1.0)
-        resid = abs(sd_displacement_residual(pr, 1.0, 1.0, beta))
+        beta = optimal_beta_sd(pr, 1.0)
+        resid = abs(sd_displacement_residual(pr, 1.0, beta))
         fd = abs(
-            simplified_dolinar_pc(pr, 1.0, beta + h, 1.0)
-            - simplified_dolinar_pc(pr, 1.0, beta - h, 1.0)
+            simplified_dolinar_pc(pr, 1.0, beta + h)
+            - simplified_dolinar_pc(pr, 1.0, beta - h)
         ) / (2.0 * h)
         grid = np.linspace(1.5e-3, 15.0, 10001)
-        vals = [simplified_dolinar_pc(pr, 1.0, float(b), 1.0) for b in grid]
+        vals = [simplified_dolinar_pc(pr, 1.0, float(b)) for b in grid]
         grid_err = abs(float(grid[int(np.argmax(vals))]) - beta)
         ok &= resid < 1e-10 and fd < 1e-6 and grid_err <= grid[1] - grid[0]
         details.append(f"sd(q0={q0}) resid {resid:.1e} fd {fd:.1e}")
@@ -232,7 +232,7 @@ def test_09_receiver_ordering():
         g_sq = float(g_sq)
         g = math.sqrt(g_sq)
         pe_h = 1.0 - helstrom_bound(pr, coherent_overlap(g_sq))
-        pe_sd = 1.0 - simplified_dolinar_pc(pr, g, optimal_beta_sd(pr, g, 1.0), 1.0)
+        pe_sd = 1.0 - simplified_dolinar_pc(pr, g, optimal_beta_sd(pr, g))
         pe_ik = 1.0 - improved_kennedy_pc(pr, g, optimal_beta_ik(pr, g))
         pe_k = 1.0 - kennedy_pc(pr, g_sq)
         worst = max(worst, pe_h - pe_sd, pe_sd - pe_ik, pe_ik - pe_k)
@@ -284,7 +284,7 @@ def test_11_displacement_trend_with_signal_strength():
     for g_sq in (0.05, 0.2, 1.0, 2.0):
         g = math.sqrt(g_sq)
         ik_excess.append(abs(optimal_beta_ik(pr, g) - g))
-        sd_excess.append(abs(optimal_beta_sd(pr, g, 1.0) - g))
+        sd_excess.append(abs(optimal_beta_sd(pr, g) - g))
     ok = all(b < a for a, b in zip(ik_excess, ik_excess[1:])) and all(
         b < a for a, b in zip(sd_excess, sd_excess[1:])
     )

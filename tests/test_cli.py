@@ -857,6 +857,10 @@ class TestResolution:
               "--psi", "nan"], "psi"),
             (["fig3", "--points", "2", "--T", "inf"], "T"),
             (["fig1", "--points", "2", "--gamma-sq-max", "inf"], "gamma_sq_max"),
+            (["simulate", "--scheme", "multicopy", "--chi=nan", "--copies", "2",
+              "--trials", "5"], "chi"),
+            (["simulate", "--scheme", "multicopy", "--chi=-inf", "--copies", "2",
+              "--trials", "5"], "chi"),
         ],
     )
     def test_non_finite_value_is_rejected(self, args, field, tmp_path, capsys):
@@ -1621,7 +1625,7 @@ class TestPastTheFloatRange:
         _, rows = read_rows(out)
         assert {row[1] for row in rows} == {"0.5"}
         # The value simplified_dolinar_error gives such an envelope.
-        assert qsdr.simplified_dolinar_error(Priors(0.7), 0.1, 1e160, 1.0) == 0.5
+        assert qsdr.simplified_dolinar_error(Priors(0.7), 0.1, 1e160) == 0.5
 
     def test_sampler_refuses_rates_past_the_float_range(self, tmp_path, capsys):
         assert self.run(["simulate", "--scheme", "dolinar_mc", "--q0", "0.5",

@@ -1,5 +1,6 @@
 """Every demo script runs to completion on a small problem, with scipy
-unimportable: qsdr and its demos run on numpy alone."""
+unimportable: qsdr and its demos run on numpy alone.  The children run with
+``-W error`` and must write nothing to stderr, so a warning fails the demo."""
 
 import math
 import re
@@ -32,13 +33,15 @@ WITHOUT_SCIPY = (
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMOS.glob("*.py")))
 def test_demo_runs(script):
     proc = subprocess.run(
-        [sys.executable, "-c", WITHOUT_SCIPY, str(DEMOS / script), *SMALL.get(script, [])],
+        [sys.executable, "-W", "error", "-c", WITHOUT_SCIPY, str(DEMOS / script),
+         *SMALL.get(script, [])],
         capture_output=True,
         text=True,
         env=child_env(),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert proc.stdout.strip()
 
 
@@ -50,13 +53,14 @@ def test_demo_scores_z_under_the_null(script, argv):
     # Every trial of these runs ends right, so the sample's own standard error is 0;
     # the binomial one at the analytic value is not, and z stays small.
     proc = subprocess.run(
-        [sys.executable, str(DEMOS / script), *argv],
+        [sys.executable, "-W", "error", str(DEMOS / script), *argv],
         capture_output=True,
         text=True,
         env=child_env(),
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
     assert "1.00000 +- 0.00000" in proc.stdout
     (z,) = re.findall(r"z = ([^)]*)\)", proc.stdout)
     assert math.isfinite(float(z)) and float(z) < 4.0

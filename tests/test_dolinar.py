@@ -29,6 +29,7 @@ from qsdr import (
     kennedy_pc,
     rates,
     segmented_pc,
+    simplified_dolinar_error,
     simplified_dolinar_pc,
     simulate_telegraph,
     telegraph_chunks,
@@ -287,7 +288,7 @@ class TestEvolvePc:
         law = ControlLaw.constant(0.6)
         for q0 in (0.5, 0.7):
             pr = Priors(q0)
-            want = simplified_dolinar_pc(pr, 1.0, 0.6, 1.0)
+            want = simplified_dolinar_pc(pr, 1.0, 0.6)
             for res in (evolve_pc(pr, 1.0, law, 1.0), rk45(pr, 1.0, law, 1.0)):
                 assert res.final.pc(pr) == pytest.approx(want, abs=1e-10)
 
@@ -524,6 +525,19 @@ class TestEvolvePe:
             shapes.update(law_shape(family, law, T) for law in laws)
         assert shapes == {"uncapped", "switch inside T", "switch past T",
                           "cap at or below psi", "time floor", "constant"}
+
+    @pytest.mark.parametrize("q0", [0.5, 0.7, 0.99, 1.0 - 1e-6])
+    @pytest.mark.parametrize("T", [1e-3, 0.2, 1.0, 30.0, 1e3])
+    def test_constant_envelope_is_the_closed_form_in_photon_units(self, q0, T):
+        # Amplitude psi and envelope beta over a horizon T are gamma = psi*sqrt(T) and
+        # b = beta*sqrt(T); exp(-x) magnifies the rounding of x = 2*(psi**2 + beta**2)*T by x.
+        pr, rt, eps = Priors(q0), math.sqrt(T), math.ulp(1.0)
+        for psi in (1e-3, 0.1, 1.0, 3.0):
+            for beta in (0.0, psi / 2.0, psi, 2.0 * psi + 0.1):
+                (want,) = evolve_pe(pr, np.array([psi]), LawFamily(beta=beta), T)
+                got = simplified_dolinar_error(pr, psi * rt, beta * rt)
+                tol = 8.0 * eps * (1.0 + 2.0 * (psi**2 + beta**2) * T)
+                assert abs(got - want) <= tol * want, (psi, beta)
 
     def test_law_family_never_builds_a_law_per_point(self, monkeypatch):
         def refuse(*args, **kwargs):

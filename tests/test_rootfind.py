@@ -141,13 +141,12 @@ class TestSolveBracketed:
 
     @pytest.mark.parametrize("q0", [0.5, 0.7, 0.9, 1.0 - 1e-6])
     def test_optimizers_match_scipy_on_the_sweep_axis(self, q0):
-        # fig1/fig3's log axis, one solve per optimizer; the sd solve at
-        # T = 1, where psi**2 = gamma_sq.
+        # fig1/fig3's log axis, one solve per optimizer.
         pr = Priors(q0)
         g = np.sqrt(np.geomspace(0.01, 4.0, 300))
         with solves_checked_against_scipy() as roots:
             optimal_beta_ik(pr, g)
-            optimal_beta_sd(pr, g, 1.0)
+            optimal_beta_sd(pr, g)
         assert [np.shape(r) for r in roots] == [(300,), (300,)]
 
     @pytest.mark.parametrize("q0", [0.5, 0.6, 0.8, 0.99, 1.0 - 1e-9])
@@ -155,7 +154,7 @@ class TestSolveBracketed:
         # 400 lanes from 1e-6 to 40 photons: some stop at an end, the rest
         # after different numbers of steps, while finished lanes stay frozen.
         with solves_checked_against_scipy() as roots:
-            optimal_beta_sd(Priors(q0), np.sqrt(np.geomspace(1e-6, 40.0, 400)), 1.0)
+            optimal_beta_sd(Priors(q0), np.sqrt(np.geomspace(1e-6, 40.0, 400)))
         assert np.shape(roots[0]) == (400,)
 
     def test_lanes_match_scipy_bitwise(self):
@@ -216,9 +215,8 @@ class TestSolveJointly:
     @pytest.mark.parametrize("q0", [0.5, 0.7, 0.999999, 1.0])
     def test_joint_answers_equal_the_single_ones_in_one_solve(self, q0, monkeypatch):
         pr = Priors(q0)
-        psi = np.sqrt(np.geomspace(1e-6, 40.0, 200) / 2.0)
-        gamma = psi * math.sqrt(2.0)
-        alone = [optimal_beta_ik(pr, gamma), optimal_beta_sd(pr, psi, 2.0)]
+        gamma = np.sqrt(np.geomspace(1e-6, 40.0, 200))
+        alone = [optimal_beta_ik(pr, gamma), optimal_beta_sd(pr, gamma)]
         solve, lanes = rootfind.solve_bracketed, []
 
         def counted(f, lo, hi):
@@ -226,32 +224,32 @@ class TestSolveJointly:
             return solve(f, lo, hi)
 
         monkeypatch.setattr(rootfind, "solve_bracketed", counted)
-        joint = solve_jointly(beta_ik_problem(pr, gamma), beta_sd_problem(pr, psi, 2.0))
+        joint = solve_jointly(beta_ik_problem(pr, gamma), beta_sd_problem(pr, gamma))
         assert [x.tolist() for x in joint] == [x.tolist() for x in alone]
         # With q1 = 0 both answers are known without a solve.
         assert lanes == ([] if q0 == 1.0 else [(400,)])
 
     def test_scalars_and_no_problems(self):
         pr = Priors(0.7)
-        ik, sd = solve_jointly(beta_ik_problem(pr, 0.5), beta_sd_problem(pr, 0.5, 1.0))
+        ik, sd = solve_jointly(beta_ik_problem(pr, 0.5), beta_sd_problem(pr, 0.5))
         assert type(ik) is float and ik == optimal_beta_ik(pr, 0.5)
-        assert type(sd) is float and sd == optimal_beta_sd(pr, 0.5, 1.0)
+        assert type(sd) is float and sd == optimal_beta_sd(pr, 0.5)
         assert solve_jointly() == []
 
     def test_each_half_keeps_its_checks(self, monkeypatch):
         with pytest.raises(ValueError, match="gamma must be > 0"):
             beta_ik_problem(Priors(0.7), np.array([1.0, -1.0]))
         with pytest.raises(ValueError, match="requires q0 >= q1"):
-            beta_sd_problem(Priors(0.3), 1.0, 1.0)
+            beta_sd_problem(Priors(0.3), 1.0)
         # A root worse than the Kennedy point fails either half, naming its lane.
         monkeypatch.setattr(rootfind, "solve_bracketed", lambda f, lo, hi: lo + 10.0)
         pr = Priors(0.7)
-        for problem in (beta_sd_problem(pr, 1.0, 1.0), beta_ik_problem(pr, 1.0)):
+        for problem in (beta_sd_problem(pr, 1.0), beta_ik_problem(pr, 1.0)):
             with pytest.raises(ConvergenceError, match="^stationary point .* does not improve "
                                                        "on the Kennedy point 1.0$"):
                 solve_jointly(problem)
         psi = np.array([0.5, 1.0])
-        for problem in (beta_sd_problem(pr, psi, 1.0), beta_ik_problem(pr, psi)):
+        for problem in (beta_sd_problem(pr, psi), beta_ik_problem(pr, psi)):
             with pytest.raises(ConvergenceError, match="^lane 0: .* Kennedy point 0.5$"):
                 solve_jointly(problem)
 
@@ -378,51 +376,51 @@ class TestOptimalBetaIk:
 
 class TestOptimalBetaSd:
     def test_frozen_values(self):
-        assert optimal_beta_sd(Priors(0.5), 1.0, 1.0) == pytest.approx(
+        assert optimal_beta_sd(Priors(0.5), 1.0) == pytest.approx(
             BETA_SD_5, abs=1e-10
         )
-        assert optimal_beta_sd(Priors(0.7), 1.0, 1.0) == pytest.approx(
+        assert optimal_beta_sd(Priors(0.7), 1.0) == pytest.approx(
             BETA_SD_7, abs=1e-10
         )
 
     def test_probability_at_frozen_optimum(self):
-        b5 = optimal_beta_sd(Priors(0.5), 1.0, 1.0)
-        assert simplified_dolinar_pc(Priors(0.5), 1.0, b5, 1.0) == pytest.approx(
+        b5 = optimal_beta_sd(Priors(0.5), 1.0)
+        assert simplified_dolinar_pc(Priors(0.5), 1.0, b5) == pytest.approx(
             SD_AT_OPT_5, abs=1e-12
         )
-        b7 = optimal_beta_sd(Priors(0.7), 1.0, 1.0)
-        assert simplified_dolinar_pc(Priors(0.7), 1.0, b7, 1.0) == pytest.approx(
+        b7 = optimal_beta_sd(Priors(0.7), 1.0)
+        assert simplified_dolinar_pc(Priors(0.7), 1.0, b7) == pytest.approx(
             SD_AT_OPT_7, abs=1e-12
         )
 
     def test_exceeds_matched_envelope_even_when_balanced(self):
-        # the optimum sits strictly above beta = psi even at equal priors
-        beta = optimal_beta_sd(Priors(0.5), 1.0, 1.0)
+        # the optimum sits strictly above b = gamma even at equal priors
+        beta = optimal_beta_sd(Priors(0.5), 1.0)
         assert beta > 1.0
 
     @pytest.mark.parametrize("q0", [0.5, 0.7])
     @pytest.mark.parametrize("psi,T", [(1.0, 1.0), (math.sqrt(0.2), 1.0), (1.0, 0.3)])
     def test_stationary_and_above_kennedy(self, q0, psi, T):
-        pr = Priors(q0)
-        beta = optimal_beta_sd(pr, psi, T)
-        assert abs(sd_displacement_residual(pr, psi, T, beta)) < 1e-10
-        assert simplified_dolinar_pc(pr, psi, beta, T) > kennedy_pc(pr, psi * psi * T)
+        pr, g = Priors(q0), psi * math.sqrt(T)
+        b = optimal_beta_sd(pr, g)
+        assert abs(sd_displacement_residual(pr, g, b)) < 1e-10
+        assert simplified_dolinar_pc(pr, g, b) > kennedy_pc(pr, psi * psi * T)
 
     def test_matches_grid_argmax(self):
         pr = Priors(0.5)
-        beta = optimal_beta_sd(pr, 1.0, 1.0)
+        beta = optimal_beta_sd(pr, 1.0)
         grid = np.linspace(1e-4, 15.0, 10001)
-        vals = np.array([simplified_dolinar_pc(pr, 1.0, float(b), 1.0) for b in grid])
+        vals = np.array([simplified_dolinar_pc(pr, 1.0, float(b)) for b in grid])
         spacing = grid[1] - grid[0]
         assert abs(grid[int(np.argmax(vals))] - beta) <= spacing
 
     def test_finite_difference_stationarity(self):
         pr = Priors(0.7)
-        beta = optimal_beta_sd(pr, 1.0, 1.0)
+        beta = optimal_beta_sd(pr, 1.0)
         h = 1e-6
         deriv = (
-            simplified_dolinar_pc(pr, 1.0, beta + h, 1.0)
-            - simplified_dolinar_pc(pr, 1.0, beta - h, 1.0)
+            simplified_dolinar_pc(pr, 1.0, beta + h)
+            - simplified_dolinar_pc(pr, 1.0, beta - h)
         ) / (2.0 * h)
         assert abs(deriv) < 1e-6
 
@@ -430,21 +428,20 @@ class TestOptimalBetaSd:
     def test_top_of_the_float_range_returns_gamma(self, q0):
         # Up to gamma_sq = 1.7e308, where 8*gamma**2 at the bracket's end overflows.
         g = np.array([31.0, 33.0, 1e100, 6.7e153, 1.3e154])
-        assert np.array_equal(optimal_beta_sd(Priors(q0), g, 1.0), g)
+        assert np.array_equal(optimal_beta_sd(Priors(q0), g), g)
 
     def test_envelope_excess_shrinks_with_horizon(self):
         pr = Priors(0.5)
-        short = abs(optimal_beta_sd(pr, 1.0, 1.0) - 1.0)
-        long = abs(optimal_beta_sd(pr, 1.0, 4.0) - 1.0)
+        # psi = 1 over T = 1 and T = 4: gamma = 1 and 2, the envelope amplitude b/sqrt(T).
+        short = abs(optimal_beta_sd(pr, 1.0) - 1.0)
+        long = abs(optimal_beta_sd(pr, 2.0) / 2.0 - 1.0)
         assert long < short
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            optimal_beta_sd(Priors(0.5), 0.0, 1.0)
+            optimal_beta_sd(Priors(0.5), 0.0)
         with pytest.raises(ValueError):
-            optimal_beta_sd(Priors(0.5), 1.0, 0.0)
-        with pytest.raises(ValueError):
-            optimal_beta_sd(Priors(0.3), 1.0, 1.0)
+            optimal_beta_sd(Priors(0.3), 1.0)
 
 
 class TestStationarityMatchesIndependentMaximum:
@@ -467,7 +464,7 @@ class TestStationarityMatchesIndependentMaximum:
         s = psi * psi + betas * betas
         pc = 0.5 + psi * betas / s + (q0 - 0.5 - psi * betas / s) * np.exp(-2.0 * s * T)
         b_grid = betas[int(np.argmax(pc))]
-        assert abs(b_grid - optimal_beta_sd(Priors(q0), psi, T)) < 2e-5
+        assert abs(b_grid - optimal_beta_sd(Priors(q0), psi * math.sqrt(T)) / math.sqrt(T)) < 2e-5
 
 
 class TestWeakSignalGapShape:
@@ -562,9 +559,9 @@ class TestOptimizersAgainstMpmath:
     @pytest.mark.parametrize("T", [0.2, 1.0, 4.0])
     def test_simplified_dolinar(self, q0, T):
         for g_sq in np.geomspace(1e-3, 100.0, 20):
-            psi = math.sqrt(float(g_sq) / T)
+            psi, rt = math.sqrt(float(g_sq) / T), math.sqrt(T)
             want, _ = _sd_max_mp(q0, psi, T)
-            assert abs(mpf(optimal_beta_sd(Priors(q0), psi, T)) - want) <= mpf(1e-14) * want
+            assert abs(mpf(optimal_beta_sd(Priors(q0), psi * rt) / rt) - want) <= mpf(1e-14) * want
 
     @pytest.mark.parametrize("gamma", [1e-200, 1e-150, 13.0, 13.6, 14.0, 20.0, 40.0])
     @pytest.mark.parametrize("T", [1e-12, 1.0, 1e12])
@@ -572,9 +569,10 @@ class TestOptimizersAgainstMpmath:
         # At 1e-200, 2*s underflows to 0 near gamma and w takes its limit 1;
         # past gamma ~ 13.6 the residual at gamma rounds to 0 and gamma is
         # returned, within an ulp of the optimum.
-        psi = gamma / math.sqrt(T)
+        rt = math.sqrt(T)
+        psi = gamma / rt
         want, _ = _sd_max_mp(1.0 - 1e-9, psi, T)
-        got = optimal_beta_sd(Priors(1.0 - 1e-9), psi, T)
+        got = optimal_beta_sd(Priors(1.0 - 1e-9), psi * rt) / rt
         assert abs(mpf(got) - want) <= mpf(1e-14) * want
 
 
@@ -587,13 +585,13 @@ class TestOptimizersAgainstMpmath:
 def test_sd_bracket_holds_the_one_maximum_over_the_domain(q0, gamma_sq, T):
     pr = Priors(q0)
     psi = math.sqrt(gamma_sq / T)
-    gamma = psi * math.sqrt(T)  # the solver's units, T = 1
+    gamma = psi * math.sqrt(T)  # photon-number units
     hi = max(math.sqrt(3.0) * gamma, math.sqrt(2.0))
-    assert sd_displacement_residual(pr, gamma, 1.0, gamma) <= 0.0
-    assert sd_displacement_residual(pr, gamma, 1.0, hi) > 0.0
+    assert sd_displacement_residual(pr, gamma, gamma) <= 0.0
+    assert sd_displacement_residual(pr, gamma, hi) > 0.0
     want, sign_changes = _sd_max_mp(q0, psi, T)
     assert sign_changes == 1
-    assert abs(mpf(optimal_beta_sd(pr, psi, T)) - want) <= mpf(1e-14) * want
+    assert abs(mpf(optimal_beta_sd(pr, gamma) / math.sqrt(T)) - want) <= mpf(1e-14) * want
 
 
 @settings(max_examples=200, deadline=None)
@@ -607,11 +605,11 @@ def test_optimizers_return_and_beat_kennedy_over_the_domain(q0, gamma_sq, T):
     # Brent on its own residual bit for bit.
     pr = Priors(q0)
     g = np.sqrt(gamma_sq)
-    psi = np.sqrt(np.array(gamma_sq) / T)
+    g_sd = np.sqrt(np.array(gamma_sq) / T) * math.sqrt(T)  # psi*sqrt(T)
     with solves_checked_against_scipy():
         beta_ik = optimal_beta_ik(pr, g)
-        beta_sd = optimal_beta_sd(pr, psi, T)
+        beta_sd = optimal_beta_sd(pr, g_sd)
     assert np.all(improved_kennedy_pc(pr, g, beta_ik) >= improved_kennedy_pc(pr, g, g) - 1e-12)
     assert np.all(
-        simplified_dolinar_pc(pr, psi, beta_sd, T) >= simplified_dolinar_pc(pr, psi, psi, T) - 1e-12
+        simplified_dolinar_pc(pr, g_sd, beta_sd) >= simplified_dolinar_pc(pr, g_sd, g_sd) - 1e-12
     )

@@ -433,31 +433,33 @@ class TestImprovedKennedyError:
 
 class TestSimplifiedDolinar:
     def test_matched_envelope_recovers_kennedy(self):
-        # beta = psi kills the aligned click rate, exactly the nulling receiver
+        # b = gamma kills the aligned click rate, exactly the nulling receiver
         for q0 in (0.5, 0.7):
             for psi in (0.5, 1.0):
                 for T in (0.2, 1.0, 3.0):
-                    got = simplified_dolinar_pc(Priors(q0), psi, psi, T)
+                    g = psi * math.sqrt(T)
+                    got = simplified_dolinar_pc(Priors(q0), g, g)
                     want = kennedy_pc(Priors(q0), psi * psi * T)
                     assert got == pytest.approx(want, abs=1e-14)
 
     def test_frozen_value(self):
-        assert simplified_dolinar_pc(Priors(0.5), 1.0, 1.0, 0.2) == pytest.approx(
+        assert simplified_dolinar_pc(Priors(0.5), math.sqrt(0.2), math.sqrt(0.2)) == pytest.approx(
             KENNEDY_HALF_02, abs=1e-15
         )
 
     def test_zero_horizon_returns_prior(self):
+        # A pulse of duration 0 has gamma = b = 0: no light observed.
         for q0 in (0.3, 0.5, 0.7):
-            assert simplified_dolinar_pc(Priors(q0), 1.0, 0.8, 0.0) == pytest.approx(
+            assert simplified_dolinar_pc(Priors(q0), 0.0, 0.0) == pytest.approx(
                 q0, abs=1e-15
             )
 
     def test_zero_feedback_is_coin_flip(self):
         for T in (0.1, 1.0, 10.0):
-            assert simplified_dolinar_pc(Priors(0.5), 1.0, 0.0, T) == 0.5
+            assert simplified_dolinar_pc(Priors(0.5), math.sqrt(T), 0.0) == 0.5
 
     def test_fully_degenerate(self):
-        assert simplified_dolinar_pc(Priors(0.6), 0.0, 0.0, 1.0) == 0.6
+        assert simplified_dolinar_pc(Priors(0.6), 0.0, 0.0) == 0.6
 
     def test_never_beats_helstrom(self):
         for q0 in (0.5, 0.7):
@@ -465,21 +467,20 @@ class TestSimplifiedDolinar:
             for T in (0.3, 1.0):
                 cap = helstrom_bound(pr, coherent_overlap(T))  # psi = 1
                 for beta in np.linspace(0.0, 4.0, 81):
-                    assert simplified_dolinar_pc(pr, 1.0, float(beta), T) <= cap + 1e-12
+                    rt = math.sqrt(T)
+                    assert simplified_dolinar_pc(pr, rt, float(beta) * rt) <= cap + 1e-12
 
     def test_best_envelope_at_least_kennedy(self):
         pr = Priors(0.5)
         grid = [
-            simplified_dolinar_pc(pr, 1.0, float(b), 1.0)
+            simplified_dolinar_pc(pr, 1.0, float(b))
             for b in np.linspace(0.0, 4.0, 401)
         ]
         assert max(grid) >= kennedy_pc(pr, 1.0) - 1e-15
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simplified_dolinar_pc(Priors(0.5), -1.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            simplified_dolinar_pc(Priors(0.5), 1.0, 0.5, -1.0)
+            simplified_dolinar_pc(Priors(0.5), -1.0, 0.5)
 
 
 class TestSimplifiedDolinarError:
@@ -488,10 +489,11 @@ class TestSimplifiedDolinarError:
             for psi, beta, T in ((1.0, 1.0, 0.2), (1.0, 0.8, 0.0), (1.0, 0.0, 1.0),
                                  (0.5, 1.3, 3.0), (0.0, 0.0, 1.0), (0.0, 0.7, 1.0)):
                 pr = Priors(q0)
-                s = psi * psi + beta * beta
-                drift = psi * beta / s if s > 0.0 else 0.0
-                pc = 0.5 + drift + (q0 - 0.5 - drift) * math.exp(-2.0 * s * T)
-                pe = simplified_dolinar_error(pr, psi, beta, T)
+                g, b = psi * math.sqrt(T), beta * math.sqrt(T)
+                s = g * g + b * b
+                drift = g * b / s if s > 0.0 else 0.0
+                pc = 0.5 + drift + (q0 - 0.5 - drift) * math.exp(-2.0 * s)
+                pe = simplified_dolinar_error(pr, g, b)
                 assert pe + pc == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("q0", [0.5, 0.7, 0.99, 1.0 - 1e-6])
@@ -499,10 +501,10 @@ class TestSimplifiedDolinarError:
     @pytest.mark.parametrize("T", [0.2, 1.0, 30.0])
     def test_keeps_its_digits_against_mpmath(self, q0, gamma_sq, T):
         # 1 - simplified_dolinar_pc rounds to 0 at the optimum from gamma_sq ~ 9.
-        pr = Priors(q0)
+        pr, rt = Priors(q0), math.sqrt(T)
         psi = math.sqrt(gamma_sq / T)
-        for beta in (0.0, 0.5 * psi, psi, optimal_beta_sd(pr, psi, T), psi + 0.1, 2.0 * psi):
-            got = simplified_dolinar_error(pr, psi, beta, T)
+        for beta in (0.0, 0.5 * psi, psi, optimal_beta_sd(pr, psi * rt) / rt, psi + 0.1, 2.0 * psi):
+            got = simplified_dolinar_error(pr, psi * rt, beta * rt)
             with mpmath.workdps(50):
                 q1m, pm, bm, tm = map(mpmath.mpf, (pr.q1, psi, beta, T))
                 s = pm * pm + bm * bm
@@ -513,34 +515,21 @@ class TestSimplifiedDolinarError:
             assert abs(got - want) <= max(tol * want, 2.0**-1074), beta
 
     def test_fully_degenerate(self):
-        assert simplified_dolinar_error(Priors(0.6), 0.0, 0.0, 1.0) == 0.4
-
-    def test_nothing_observed_at_t_zero_where_s_overflows(self):
-        # At T = 0, E = 1 and the error is q1 even where psi**2 + beta**2 is inf.
-        pr = Priors(0.7)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert simplified_dolinar_error(pr, 1e160, 0.1, 0.0) == pr.q1
-            assert simplified_dolinar_error(pr, np.array([1e160, 1.0]), 0.1, 0.0).tolist() == [
-                pr.q1, pr.q1]
-            assert simplified_dolinar_pc(pr, 1e160, 0.1, 0.0) == pr.q0
-            assert simplified_dolinar_pc(pr, np.array([1e160]), 0.1, 0.0).tolist() == [pr.q0]
+        assert simplified_dolinar_error(Priors(0.6), 0.0, 0.0) == 0.4
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            simplified_dolinar_error(Priors(0.5), -1.0, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            simplified_dolinar_error(Priors(0.5), 1.0, 0.5, -1.0)
+            simplified_dolinar_error(Priors(0.5), -1.0, 0.5)
 
 
 def test_errors_vanish_at_the_top_of_the_float_range():
-    # Where 4*gamma_sq or 2*s*T overflows each error takes its limit 0, with no warning.
+    # Where 4*gamma_sq or 2*s overflows each error takes its limit 0, with no warning.
     pr, g = Priors(0.7), np.array([1e100, 6.7e153, 1.3e154])
     assert not kennedy_error(pr, g * g).any()
     assert not improved_kennedy_error(pr, g, g).any()
-    assert not simplified_dolinar_error(pr, g, g, 1.0).any()
-    # Off the optimum D = (psi - beta)**2/(2*s) remains, s = psi**2 + beta**2 = inf or not.
-    assert simplified_dolinar_error(pr, 1.3e154, 0.5e154, 1.0) == pytest.approx(0.64 / 3.88)
+    assert not simplified_dolinar_error(pr, g, g).any()
+    # Off the optimum D = (gamma - b)**2/(2*s) remains, s = gamma**2 + b**2 = inf or not.
+    assert simplified_dolinar_error(pr, 1.3e154, 0.5e154) == pytest.approx(0.64 / 3.88)
 
 
 class TestArrays:
@@ -553,6 +542,7 @@ class TestArrays:
         g_sq, pr = self.G_SQ, self.PR
         g = np.sqrt(g_sq)
         beta = 1.3 * g + 0.1
+        rt = math.sqrt(0.7)  # the photon-number units of a pulse of duration 0.7
         return {
             "coherent_overlap": (coherent_overlap, (g_sq,)),
             "helstrom_bound": (lambda x: helstrom_bound(pr, x), (np.exp(-2.0 * g_sq),)),
@@ -561,13 +551,13 @@ class TestArrays:
             "improved_kennedy_error": (lambda a, b: improved_kennedy_error(pr, a, b), (g, beta)),
             "improved_kennedy_pc": (lambda a, b: improved_kennedy_pc(pr, a, b), (g, beta)),
             "simplified_dolinar_error": (
-                lambda a, b: simplified_dolinar_error(pr, a, b, 0.7), (g, beta)),
+                lambda a, b: simplified_dolinar_error(pr, a * rt, b * rt), (g, beta)),
             "ik_displacement_residual": (
                 lambda a, b: ik_displacement_residual(pr, a, b), (g, beta)),
             "sd_displacement_residual": (
-                lambda a, b: sd_displacement_residual(pr, a, 0.7, b), (g, beta)),
+                lambda a, b: sd_displacement_residual(pr, a * rt, b * rt), (g, beta)),
             "optimal_beta_ik": (lambda a: optimal_beta_ik(pr, a), (g,)),
-            "optimal_beta_sd": (lambda a: optimal_beta_sd(pr, a, 0.7), (g,)),
+            "optimal_beta_sd": (lambda a: optimal_beta_sd(pr, a * rt) / rt, (g,)),
         }
 
     @pytest.mark.parametrize("name", [
@@ -591,5 +581,5 @@ class TestArrays:
             helstrom_error(Priors(0.5), np.array([0.5, 1.5]))
         with pytest.raises(ValueError, match=r"overlap must lie in \[0, 1\], got nan"):
             helstrom_error(Priors(0.5), math.nan)
-        with pytest.raises(ValueError, match=r"psi must be > 0, got 0\.0"):
-            optimal_beta_sd(Priors(0.5), np.array([1.0, 0.0]), 1.0)
+        with pytest.raises(ValueError, match=r"gamma must be > 0, got 0\.0"):
+            optimal_beta_sd(Priors(0.5), np.array([1.0, 0.0]))
