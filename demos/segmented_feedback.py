@@ -28,20 +28,22 @@ def main() -> None:
     ap.add_argument("--T", type=float, default=1.0)
     args = ap.parse_args()
 
-    pr = Priors(args.q0)
+    # The library works on the unit pulse: amplitude psi over T seconds is the mean
+    # photon number psi**2*T.  The bound takes the seconds themselves.
+    pr, gamma_sq = Priors(args.q0), args.psi * args.psi * args.T
     hel = helstrom_trajectory(pr, args.psi, args.T)
     print(f"continuous optimum at T = {args.T}: P_c = {hel:.12f}\n")
 
     print(f"{'slots':>6} {'slot-start P_c':>16} {'gap':>10} {'midpoint gap':>13}")
     for n in (1, 3, 10, 30, 100, 300, 1000):
-        pc = segmented_pc(pr, args.psi, args.T, n)
-        pc_mid = segmented_pc(pr, args.psi, args.T, n, midpoint=True)
+        pc = segmented_pc(pr, gamma_sq, n)
+        pc_mid = segmented_pc(pr, gamma_sq, n, midpoint=True)
         print(f"{n:6d} {pc:16.12f} {hel - pc:10.2e} {hel - pc_mid:13.2e}")
 
-    # The continuous law, floored like the slots at T * 1e-9 so that equal
-    # priors have a finite first value, evolved in closed form.
-    law = LawFamily(t_floor=args.T * 1e-9).law(pr, args.psi)
-    pc = evolve_pc(pr, args.psi, law, args.T, sample_times=()).final.pc(pr)
+    # The continuous law, floored like the slots at 1e-9 of the pulse so that
+    # equal priors have a finite first value, evolved in closed form.
+    law = LawFamily(t_floor=1e-9).law(pr, gamma_sq)
+    pc = evolve_pc(pr, gamma_sq, law, sample_times=()).final.pc(pr)
     print(f"\ncontinuous law in closed form: P_c = {pc:.12f}")
     print(f"difference from the bound {abs(hel - pc):.2e}")
 

@@ -12,6 +12,7 @@ approach the bound from below.
 """
 
 import argparse
+import math
 from collections import Counter
 
 import numpy as np
@@ -37,10 +38,13 @@ def main() -> None:
     ap.add_argument("--plot", action="store_true")
     args = ap.parse_args()
 
-    pr = Priors(args.q0)
-    law = LawFamily().law(pr, args.psi)
+    # The library works on the unit pulse: amplitude psi over T seconds is the mean
+    # photon number psi**2*T, a feedback field u is u*sqrt(T) and a time t is t/T.
+    # The bound takes the seconds themselves.
+    pr, gamma_sq = Priors(args.q0), args.psi * args.psi * args.T
+    law = LawFamily().law(pr, gamma_sq)
     times = np.linspace(0.0, args.T, 101)
-    res = evolve_pc(pr, args.psi, law, args.T, sample_times=times)
+    res = evolve_pc(pr, gamma_sq, law, sample_times=times / args.T)
     bound = helstrom_trajectory(pr, args.psi, times)
     print(f"closed form under the exact law: final P_c = {res.final.pc(pr):.10f}")
     print(f"instantaneous bound at T: {bound[-1]:.10f}")
@@ -49,7 +53,7 @@ def main() -> None:
     # One pass over the click records, chunk by chunk: the trials that end on their
     # symbol and each trial's click count are all that is kept.
     hits, counts = 0, Counter()
-    for _, tr in telegraph_chunks(pr, args.psi, law, args.T, args.trials, args.seed):
+    for _, tr in telegraph_chunks(pr, gamma_sq, law, args.trials, args.seed):
         hits += int(np.count_nonzero(tr.z_final == tr.a))
         counts.update(np.diff(tr.offsets).tolist())
     mc = binomial(hits, args.trials)
@@ -65,8 +69,8 @@ def main() -> None:
     hel = helstrom_trajectory(pr5, args.psi, args.T)
     print(f"\nequal priors, capped feedback (bound {hel:.10f}):")
     for u_max in (5.0, 20.0, 100.0):
-        capped = LawFamily(u_max=u_max).law(pr5, args.psi)
-        pc = evolve_pc(pr5, args.psi, capped, args.T).final.pc(pr5)
+        capped = LawFamily(u_max=u_max * math.sqrt(args.T)).law(pr5, gamma_sq)
+        pc = evolve_pc(pr5, gamma_sq, capped).final.pc(pr5)
         print(f"  u_max = {u_max:5.0f}: P_c = {pc:.10f}  (gap {hel - pc:.2e})")
 
     if args.plot:

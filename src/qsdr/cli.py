@@ -37,6 +37,7 @@ from . import __version__
 from ._record import Record
 from ._streams import binomial, null_z, seed_words
 from .dolinar import (
+    _FLOAT_MAX,
     LawFamily,
     SingularControlError,
     _hits,
@@ -259,20 +260,31 @@ def _write_rows(path: str, spec: SweepSpec, header: list[str], columns: list[lis
 
 
 def _law_family(spec: SweepSpec) -> LawFamily:
-    return LawFamily(spec.beta, spec.t_floor, spec.u_max)
+    # The law on the unit pulse qsdr.dolinar runs: an amplitude per sqrt(s) (beta, u_max)
+    # times sqrt(T), a time (t_floor) over T; each run of a law reads T.  A cap may
+    # underflow to 0, the zero law; a value past the float range is held at its edge,
+    # where every law has its limit.  The values given are checked first, so that a
+    # refusal names them.
+    _reject(spec.u_max is not None and spec.u_max <= 0.0, spec.u_max, "u_max must be > 0")
+    _reject(spec.t_floor is not None and spec.t_floor < 0.0, spec.t_floor, "t_floor must be >= 0")
+    T, held = spec.T or 1.0, lambda x: max(-_FLOAT_MAX, min(x, _FLOAT_MAX))
+    return LawFamily(None if spec.beta is None else held(spec.beta * math.sqrt(T)),
+                     None if spec.t_floor is None else held(spec.t_floor / T),
+                     None if spec.u_max is None else held(spec.u_max * math.sqrt(T)))
 
 
-def _telegraph(spec: SweepSpec, priors: Priors, psi: float, seed: int):
+def _telegraph(spec: SweepSpec, priors: Priors, gamma_sq: float, seed: int):
     # One dolinar_mc run: its law and the chunks its sampler streams.
-    law = _law_family(spec).law(priors, psi)
-    return law, telegraph_chunks(priors, psi, law, spec.T, spec.trials, seed)
+    law = _law_family(spec).law(priors, gamma_sq)
+    return law, telegraph_chunks(priors, gamma_sq, law, spec.trials, seed)
 
 
 def _simulate_dolinar_mc(spec: SweepSpec, export):
-    priors = spec.priors
-    law, chunks = _telegraph(spec, priors, spec.psi, spec.seed)
+    # The photon number psi**2*T, held where 4*gamma_sq reaches the float maximum.
+    priors, gamma_sq = spec.priors, min(spec.psi * (spec.psi * spec.T), _FLOAT_MAX / 4.0)
+    law, chunks = _telegraph(spec, priors, gamma_sq, spec.seed)
     estimate, stderr = binomial(_hits(export(chunks)), spec.trials)
-    analytic = evolve_pc(priors, spec.psi, law, spec.T, sample_times=()).final.pc(priors)
+    analytic = evolve_pc(priors, gamma_sq, law, sample_times=()).final.pc(priors)
     return estimate, stderr, analytic
 
 
@@ -313,15 +325,8 @@ def _axis(spec: SweepSpec) -> _Axis:
     return _Axis(spec, priors, ranked, g, gamma, dict(zip(names, beta)))
 
 
-def _psi(ax: _Axis) -> np.ndarray:
-    # The law runs on the envelope amplitude psi = sqrt(gamma_sq/T); a quotient
-    # past the float range is inf, which the optimal law refuses.
-    with np.errstate(over="ignore"):
-        return np.sqrt(ax.g / ax.spec.T)
-
-
 def _dolinar_ode_pe(ax: _Axis) -> np.ndarray:
-    return evolve_pe(ax.priors, _psi(ax), _law_family(ax.spec), ax.spec.T)
+    return evolve_pe(ax.priors, ax.g, _law_family(ax.spec))
 
 
 def _helstrom_pe(ax: _Axis) -> np.ndarray:
@@ -335,8 +340,8 @@ def _dolinar_mc_pe(ax: _Axis) -> np.ndarray:
     # Each point is its own seeded run; its error frequency is the exact
     # quotient of the error count, not 1 - estimate.
     spec, pe = ax.spec, []
-    for psi, seed in zip(_psi(ax).tolist(), seed_words(spec.seed, spec.points).tolist()):
-        pe.append((spec.trials - _hits(_telegraph(spec, ax.priors, psi, seed)[1])) / spec.trials)
+    for g, seed in zip(ax.g.tolist(), seed_words(spec.seed, spec.points).tolist()):
+        pe.append((spec.trials - _hits(_telegraph(spec, ax.priors, g, seed)[1])) / spec.trials)
     return np.array(pe)
 
 
@@ -474,7 +479,8 @@ def _stream_trajectories(fh, spec: SweepSpec, chunks):
     """Write each chunk's click records, then pass the chunk on.
 
     A batch of trials is one template, filled by one ``%`` call with the
-    batch's click times: ``'%.12g' % t`` is ``f"{t:.12g}"``, and ``'%r'`` of
+    batch's click times, in seconds: the sampler's fractions of the pulse
+    times T.  ``'%.12g' % t`` is ``f"{t:.12g}"``, and ``'%r'`` of
     the 12-digit float is what ``json.dumps`` writes.  A trial's line after
     its number is built once per key ``4*clicks + 2*a + z_final``.  The JSON
     document is the one :func:`_write_json` writes, framing included.
@@ -498,7 +504,7 @@ def _stream_trajectories(fh, spec: SweepSpec, chunks):
     fh.write(head)
     lead, lines = "", {}
     for i0, tr in chunks:
-        edges = tr.offsets.tolist()
+        edges, seconds = tr.offsets.tolist(), tr.times * spec.T
         keys = (4 * np.diff(tr.offsets) + 2 * tr.a + tr.z_final).tolist()
         for k in set(keys).difference(lines):
             lines[k] = line(k >> 1 & 1, k & 1, k >> 2)
@@ -507,7 +513,7 @@ def _stream_trajectories(fh, spec: SweepSpec, chunks):
             text = sep.join(
                 [f"{opener}{i}{lines[k]}" for i, k in zip(range(i0 + lo, i0 + hi), keys[lo:hi])]
             )
-            fh.write(lead + text % values(tr.times[edges[lo]:edges[hi]].tolist()))
+            fh.write(lead + text % values(seconds[edges[lo]:edges[hi]].tolist()))
             lead = sep
         yield i0, tr
     fh.write(tail)

@@ -11,14 +11,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from qsdr.dolinar import (
-    EvolveResult,
-    SingularControlError,
-    _initial_errors,
-    _rate_scale,
-    _result,
-    _sample_times,
-)
+from qsdr.dolinar import EvolveResult, PcState, SingularControlError, _initial_errors, _rate_scale
 from qsdr.statemath import Priors, _margin_sq
 
 
@@ -28,25 +21,30 @@ class IntegrationError(RuntimeError):
 
 def evolve_pc_general(
     priors: Priors,
-    psi: float,
+    gamma_sq: float,
     u0: Callable[[float], float],
     u1: Callable[[float], float],
-    T: float,
     tol: float = 1e-10,
     sample_times=None,
 ) -> EvolveResult:
-    """RK45 evolution of any law, without the symmetry ``u1 = -u0``.
+    """RK45 evolution of any law over the unit pulse of mean photon number
+    ``gamma_sq``, without the symmetry ``u1 = -u0``.
 
-    The two conditionals then see different displaced fields:
+    With ``psi = sqrt(gamma_sq)`` the two conditionals see different displaced fields:
 
         p0' = mu - (lam + mu) * p0,   lam = (psi - u0)**2,  mu = (psi - u1)**2
         p1' = mu~ - (lam~ + mu~) * p1, lam~ = (psi + u1)**2, mu~ = (psi + u0)**2
 
     (rates of the incoming field ``-psi`` written with signs absorbed).  One
-    adaptive solve for ``e = 1 - p`` over [0, T], at local tolerance ``tol``
-    and sampled through dense output, with ``evolve_pc``'s validation.
+    adaptive solve for ``e = 1 - p`` over [0, 1], at local tolerance ``tol``
+    and sampled through dense output, validated as ``evolve_pc`` validates.
     """
-    times = _sample_times(psi, T, sample_times)
+    if gamma_sq < 0.0:
+        raise ValueError(f"gamma_sq must be >= 0, got {gamma_sq}")
+    times = np.linspace(0.0, 1.0, 201) if sample_times is None else np.asarray(sample_times, float)
+    if times.size and not (times.min() >= 0.0 and times.max() <= 1.0):
+        raise ValueError("sample times must lie within [0, 1]")
+    psi = np.sqrt(gamma_sq)
 
     def rhs(t: float, e: np.ndarray):
         a0, a1 = u0(t), u1(t)
@@ -54,19 +52,22 @@ def evolve_pc_general(
         return (lam - (lam + mu) * e[0], lam_m - (lam_m + mu_m) * e[1])
 
     sol = solve_ivp(
-        rhs, (0.0, T), _initial_errors(priors), method="RK45",
+        rhs, (0.0, 1.0), _initial_errors(priors), method="RK45",
         rtol=max(tol, 1e-13), atol=max(tol * 1e-2, 1e-14), dense_output=True,
     )
     if not sol.success:
         raise IntegrationError(f"integration stalled at t={float(sol.t[-1])!r}: {sol.message}")
-    return _result(priors, T, times, sol.sol(np.append(times, T)))
+    e = sol.sol(np.append(times, 1.0))  # then the errors at the end of the pulse
+    p0s, p1s = 1.0 - e[:, :-1]
+    final = PcState(float(e[0, -1]), float(e[1, -1]), 1.0)
+    return EvolveResult(final, times, p0s, p1s, priors.q0 * p0s + priors.q1 * p1s)
 
 
-def rk45(priors: Priors, psi: float, law, T: float, sample_times=None) -> EvolveResult:
+def rk45(priors: Priors, gamma_sq: float, law, sample_times=None) -> EvolveResult:
     """The RK45 oracle of ``evolve_pc``: the symmetric law ``law`` as two
     opaque callables, at local tolerance 1e-12."""
     return evolve_pc_general(
-        priors, psi, law.u0, lambda t: -law.u0(t), T, tol=1e-12, sample_times=sample_times
+        priors, gamma_sq, law.u0, lambda t: -law.u0(t), tol=1e-12, sample_times=sample_times
     )
 
 

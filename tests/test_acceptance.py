@@ -116,7 +116,7 @@ def test_04_feedback_receiver_attains_the_bound():
     law = LawFamily().law(pr, 1.0)
     times = np.linspace(0.0, 1.0, 52)
     # RK45 on the law as opaque callables: a route independent of the closed form.
-    res = rk45(pr, 1.0, law, 1.0, sample_times=times)
+    res = rk45(pr, 1.0, law, sample_times=times)
     interior = max(
         abs(pc - helstrom_trajectory(pr, 1.0, float(t)))
         for t, pc in zip(times[1:-1], res.pc[1:-1])
@@ -153,8 +153,9 @@ def test_06_constant_control_closed_form():
         T = float(rng.uniform(0.1, 2.0))
         q0 = float(rng.uniform(0.5, 0.95))
         pr = Priors(q0)
-        law = ControlLaw.constant(beta)
-        ode = rk45(pr, 1.0, law, T).final.pc(pr)
+        # Amplitude 1 and envelope beta over T seconds, on the unit pulse.
+        law = ControlLaw.constant(beta * math.sqrt(T))
+        ode = rk45(pr, T, law).final.pc(pr)
         closed = simplified_dolinar_pc(pr, math.sqrt(T), beta * math.sqrt(T))
         worst = max(worst, abs(ode - closed))
     _check(
@@ -169,12 +170,12 @@ def test_07_telegraph_monte_carlo_consistency():
     start = time.perf_counter()
     pr7 = Priors(0.7)
     law = LawFamily().law(pr7, 1.0)
-    res_a = simulate_telegraph(pr7, 1.0, law, 1.0, 100000, seed=1)
+    res_a = simulate_telegraph(pr7, 1.0, law, 100000, seed=1)
     dev_a = abs(res_a.estimate - 0.99614)
     ok_a = dev_a <= 3.0 * res_a.stderr and res_a.stderr < 5e-4
 
     pr5 = Priors(0.5)
-    res_b = simulate_telegraph(pr5, 1.0, ControlLaw.constant(1.0), 0.2, 100000, seed=2)
+    res_b = simulate_telegraph(pr5, 0.2, ControlLaw.constant(math.sqrt(0.2)), 100000, seed=2)
     dev_b = abs(res_b.estimate - 0.775336)
     ok_b = dev_b <= 3.0 * res_b.stderr
     elapsed = time.perf_counter() - start
@@ -300,16 +301,16 @@ def test_11_displacement_trend_with_signal_strength():
 def test_12_segmented_bridge():
     pr = Priors(0.7)
     hel = helstrom_trajectory(pr, 1.0, 1.0)
-    devs = {n: hel - segmented_pc(pr, 1.0, 1.0, n) for n in (1, 10, 100, 1000)}
+    devs = {n: hel - segmented_pc(pr, 1.0, n) for n in (1, 10, 100, 1000)}
     ordered = [devs[n] for n in (1, 10, 100, 1000)]
     pinned = max(abs(devs[n] - SEG_DEV[n]) for n in devs)
     ode_gap = 0.0
     for n in (1, 10, 100):
         h = 1.0 / n
         vals = [feedback_amplitude(pr, 1.0, max(i * h, 1e-9)) for i in range(n)]
-        law = ControlLaw.piecewise_constant(vals, 1.0)
-        ode = rk45(pr, 1.0, law, 1.0).final.pc(pr)
-        ode_gap = max(ode_gap, abs(ode - segmented_pc(pr, 1.0, 1.0, n)))
+        law = ControlLaw.piecewise_constant(vals)
+        ode = rk45(pr, 1.0, law).final.pc(pr)
+        ode_gap = max(ode_gap, abs(ode - segmented_pc(pr, 1.0, n)))
     ok = (
         all(b < a for a, b in zip(ordered, ordered[1:]))
         and pinned <= 1e-12

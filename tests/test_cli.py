@@ -225,6 +225,11 @@ LAW_SHAPE_SHA256 = {
                 "ef3173d15e470a8eae183d4a49592e72977199195ac7e19f846e23c3f588481b"),
     "constant": (["--q0", "0.7", "--beta", "1.2"],
                  "8e571387384236817db08c4f45014cc95455d6721a8f2f4b0076e37b272b6826"),
+    # A floor, a cap and an envelope given per second over a pulse of T = 2.5.
+    "time_floor_T": (["--T", "2.5", "--q0", "0.6", "--t-floor", "0.5", "--u-max", "2"],
+                     "1376ce5dfdd1de25031ada1e8893fda81476e381dad16acfbdf0460386f59d64"),
+    "constant_T": (["--T", "2.5", "--q0", "0.7", "--beta", "1.2"],
+                   "1cc0c1a5078a6317b4e9b6ea337b7ef85c331eabb85ee746b64e21c4e5209cd9"),
 }
 # The CSV files of sampler runs, as the chunk-wide sampler arrays wrote them:
 # {name: (argv, {file: sha256})}, files as in JSON_SHA256.  The first is the
@@ -251,6 +256,13 @@ SAMPLER_SHA256 = {
                        "--u-max", "1.2"],
                       {"o": "ac54e35c167fa1b7faa20fe8397b60e241d97689828f4b1b40c86d56f325f6b8",
                        "t": "82456b16e46dba7f3f02c0c5e42e26f34e8f56848e4f93d82a11624f52ceb9c8"}),
+    "time_floor_T": ([*SAMPLER_ARGV, "--T", "2.5", "--q0", "0.6", "--t-floor", "0.5",
+                      "--u-max", "2"],
+                     {"o": "815f9124d6023e79e8d2294c1ef9dd929e50d6565450aae5d9bbfbac9ca819ab",
+                      "t": "d62b8b4898c58a1a148683b46494696394427d689f328a281117aacbe944b938"}),
+    "constant_T": ([*SAMPLER_ARGV, "--T", "2.5", "--q0", "0.7", "--beta", "1.2"],
+                   {"o": "21f6baf6f18a9caec73a748fb105223cdaac37a9aefbb32c096f6a9c883fced6",
+                    "t": "386464b2d8bc9ab764f776b49d7bb22d2e99826cfd69300f7099a7b49dfbee58"}),
     # Start bit 1: q0 < 1/2.
     "multicopy_start_1": (["simulate", "--scheme", "multicopy", "--q0", "0.3", "--chi", "0.9",
                            "--copies", "7", "--trials", "5000", "--seed", "2"],
@@ -403,6 +415,19 @@ class TestPhotonNumberUnits:
             assert main([*self.AXIS, "--schemes", ANALYTIC_FIG1, "--T", T, "-o", str(out)]) == 0
             assert self._analytic_digest(out) == self.ANALYTIC_SHA256, T
 
+    @pytest.mark.parametrize(
+        "axis", [["--gamma-sq-min", "1e307", "--gamma-sq-max", "1.7e308", "--points", "4"], []],
+        ids=["top_of_the_float_range", "default"])
+    def test_dolinar_ode_column_does_not_depend_on_T(self, axis, tmp_path):
+        # The uncapped law's column is a function of gamma_sq alone, so is its domain.
+        written = []
+        for T in ("0.5", "1", "10"):
+            out = tmp_path / f"{T}.csv"
+            assert main(["fig1", "--q0", "0.7", "--schemes", "helstrom,dolinar_ode", *axis,
+                         "--T", T, "-o", str(out)]) == 0, T
+            written.append(out.read_bytes())
+        assert written[1:] == written[:1] * 2
+
     def test_simplified_dolinar_never_errs_more_than_nulling(self, tmp_path):
         # At q0 = 1e-300 the error is below 1e-300; a psi - beta a few ulps
         # from gamma - b once wrote 4.2e-33 on the last row.
@@ -521,7 +546,7 @@ class TestSimulate:
         _, (cells,) = read_rows(out)
         pr = qsdr.Priors(0.5)
         law = qsdr.LawFamily(t_floor=0.2).law(pr, 1.0)
-        ode = rk45(pr, 1.0, law, 1.0).final.pc(pr)
+        ode = rk45(pr, 1.0, law).final.pc(pr)
         assert abs(float(cells[5]) - ode) < 1e-9
         assert abs(ode - qsdr.helstrom_trajectory(pr, 1.0, 1.0)) > 1e-3
 
@@ -582,11 +607,12 @@ class TestSimulate:
             (["--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "8", "--psi", "0.8",
               "--trials", "300", "--seed", "13"],
              lambda: simulate_telegraph(
-                 Priors(0.5), 0.8, LawFamily(u_max=8.0).law(Priors(0.5), 0.8),
-                 1.0, 300, 13)),
+                 Priors(0.5), 0.8 * 0.8, LawFamily(u_max=8.0).law(Priors(0.5), 0.8 * 0.8),
+                 300, 13)),
             (["--scheme", "dolinar_mc", "--q0", "0.3", "--beta", "-0.5", "--T", "2",
               "--trials", "200", "--seed", "5"],
-             lambda: simulate_telegraph(Priors(0.3), 1.0, ControlLaw.constant(-0.5), 2.0, 200, 5)),
+             lambda: simulate_telegraph(Priors(0.3), 2.0, ControlLaw.constant(-0.5 * math.sqrt(2.0)),
+                                        200, 5)),
             (["--scheme", "multicopy", "--q0", "0.6", "--theta", "0.3", "--copies", "5",
               "--trials", "700", "--seed", "8"],
              lambda: simulate_adaptive(Priors(0.6), 0.3, 5, 700, 8)),
@@ -608,9 +634,8 @@ class TestSimulate:
         seeds = streams_mod.seed_words(11, points).tolist()
         rows = zip(table["gamma_sq"].tolist(), table["dolinar_mc_pe"].tolist(), seeds, strict=True)
         for g, pe, seed in rows:
-            psi = math.sqrt(g)
-            law = LawFamily(u_max=3.0).law(pr, psi)
-            chunks = telegraph_chunks(pr, psi, law, 1.0, trials, seed)
+            law = LawFamily(u_max=3.0).law(pr, g)
+            chunks = telegraph_chunks(pr, g, law, trials, seed)
             hits = sum(int(np.count_nonzero(tr.z_final == tr.a)) for _, tr in chunks)
             assert pe == (trials - hits) / trials
 
@@ -671,7 +696,7 @@ class TestSimulate:
         spec, _, _ = cli._resolve(*cli._split(args + ["-o", "o", "--trajectories", str(traj)]), {})
         pr = Priors(q0)
         # 60 trials are one chunk at the default size.
-        want = render_trajectories(spec, one_chunk(pr, 1.0, law, 1.0, 60, seed=4))
+        want = render_trajectories(spec, one_chunk(pr, 1.0, law, 60, seed=4))
         # TELEGRAPH_LAWS holds laws the options cannot spell (ten slots).
         monkeypatch.setattr(cli, "_law_family", lambda spec: SimpleNamespace(law=lambda pr, psi: law))
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
@@ -816,8 +841,7 @@ class TestResolution:
         assert constant["spec"]["beta"] == 1.2 and "beta" not in optimal["spec"]
         pr, law = Priors(0.7), qsdr.ControlLaw.constant(1.2)
         for row in constant["rows"]:
-            psi = math.sqrt(row["gamma_sq"])
-            pe = qsdr.evolve_pc(pr, psi, law, 1.0, sample_times=()).final.pe(pr)
+            pe = qsdr.evolve_pc(pr, row["gamma_sq"], law, sample_times=()).final.pe(pr)
             assert row["dolinar_ode_pe"] == float(f"{pe:.12g}")
         assert constant["rows"] != optimal["rows"]
 
@@ -1374,15 +1398,21 @@ class TestWholeDomain:
             (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "1e-300",
               "--trials", "50"], 0),
             (["fig1", "--schemes", "dolinar_ode", "--q0", "0.5", "--u-max", "1e-300"], 0),
-            # psi**2 underflows: the switch time is finite, the law beyond it is not.
+            # psi**2*T underflows: a pulse of no photons, on which the cap is the law.
             (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--psi", "1e-200",
-              "--u-max", "1", "--trials", "50"], 4),
+              "--u-max", "1", "--trials", "50"], 0),
             # (psi/u_max)**2 lies below the float spacing of 1, 4*psi**2 is normal:
             # the law falls to the cap at t = 1/4 and is finite from there on.
             (["fig1", "--q0", "0.5", "--schemes", "helstrom,dolinar_ode", "--u-max", "1",
               "--gamma-sq-min", "1e-18", "--gamma-sq-max", "1", "--points", "3"], 0),
             (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--psi", "1e-9",
               "--u-max", "1", "--trials", "50"], 0),
+            # A cap of 1e-200 per sqrt(s) over T = 1e-300 s: 0 to float precision.
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.5", "--u-max", "1e-200",
+              "--T", "1e-300", "--trials", "100"], 0),
+            # A floor of 0.5 s past a pulse of 1e-310 s: 5e309 pulse lengths.
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--t-floor", "0.5",
+              "--T", "1e-310", "--trials", "100"], 0),
         ],
     )
     def test_extreme_caps_exit_with_a_documented_code(self, args, code, tmp_path):
@@ -1402,21 +1432,25 @@ class TestWholeDomain:
     @pytest.mark.parametrize(
         "args,code",
         [
+            # Amplitudes whose 4*psi**2 passes the float range, over pulses whose photon
+            # number psi**2*T does not: the law runs on that number alone.
             (["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--psi", "1e154",
-              "--T", "1e-300"], 2),
-            (["fig1", "--schemes", "dolinar_ode", "--T", "1e-310"], 2),
-            # The largest psi whose 4*psi**2 is a float.
+              "--T", "1e-300"], 0),
+            (["simulate", "--scheme", "dolinar_mc", "--q0", "0.7", "--psi", "1e200",
+              "--T", "1e-300", "--trials", "50"], 0),
             (["simulate", "--scheme", "dolinar_mc", "--q0", "0.7",
               "--psi", "6.703903964971298e+153", "--T", "1e-300", "--trials", "50"], 0),
+            (["fig1", "--schemes", "dolinar_ode", "--q0", "0.7", "--T", "1e-310"], 0),
+            # A floor of 0.5 s covers the whole pulse.
+            (["fig1", "--schemes", "dolinar_ode", "--q0", "0.7", "--t-floor", "0.5",
+              "--T", "1e-310"], 0),
+            # Equal priors make the uncapped law singular at any T.
+            (["fig1", "--schemes", "dolinar_ode", "--T", "1e-310"], 4),
         ],
     )
-    def test_law_past_its_rate_scale_exits_2_naming_the_limit(self, args, code, tmp_path,
-                                                               capsys):
+    def test_law_past_its_rate_scale_in_seconds_answers(self, args, code, tmp_path, capsys):
         assert main(args + ["-o", str(tmp_path / "o.csv")]) == code
-        if code:
-            assert capsys.readouterr().err.startswith(
-                "qsdr: invalid spec: 4*psi**2 overflows: psi**2 (gamma_sq/T in a sweep) "
-                "must be at most 4.494e+307, psi at most 6.704e+153, got ")
+        assert "psi**2" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("psi", ["1e-9", "3e-9"])
     def test_weak_capped_signal_estimate_agrees_with_the_analytic_value(self, psi, tmp_path):
@@ -1631,8 +1665,8 @@ class TestPastTheFloatRange:
         assert self.run(["simulate", "--scheme", "dolinar_mc", "--q0", "0.5",
                          "--u-max", "1e160", "--trials", "50"], tmp_path / "o.csv") == 2
         assert capsys.readouterr().err == (
-            "qsdr: invalid spec: a click rate (psi +- u0)**2 past the float range cannot be "
-            "sampled: psi + |u0| must be at most 1.341e+154, got 1e+160\n")
+            "qsdr: invalid spec: a click rate (gamma +- u0)**2 past the float range cannot be "
+            "sampled: gamma + |u0| must be at most 1.341e+154, got 1e+160\n")
 
     def test_cap_holding_for_less_than_a_float_time_exits_2(self, tmp_path, capsys):
         assert self.run(["fig1", "--q0", "0.5", "--schemes", "dolinar_ode", "--u-max", "1e200"],
@@ -1648,13 +1682,15 @@ class TestPastTheFloatRange:
         assert self.run(argv, plain) == 0
         assert capped.read_bytes() == plain.read_bytes()
 
-    def test_constant_envelope_on_an_amplitude_past_the_float_range_exits_2(
-        self, tmp_path, capsys
-    ):
+    def test_constant_envelope_on_an_amplitude_past_the_float_range_answers(self, tmp_path):
+        # psi**2 = gamma_sq/T would pass the float range; gamma_sq = 1e300 does not, and
+        # an envelope of 1e-5 on the unit pulse leaves both rates near gamma_sq: the
+        # error relaxes to 1/2.
+        out = tmp_path / "o.csv"
         assert self.run(["fig1", "--q0", "0.7", "--schemes", "dolinar_ode", "--beta", "1",
-                         "--T", "1e-10", "--gamma-sq-max", "1e300"], tmp_path / "o.csv") == 2
-        assert capsys.readouterr().err == ("qsdr: invalid spec: psi**2 (gamma_sq/T in a sweep) "
-                                           "must be at most 1.798e+308, got inf\n")
+                         "--T", "1e-10", "--gamma-sq-max", "1e300"], out) == 0
+        _, rows = read_rows(out)
+        assert rows[-1] == ["1e+300", "0.5"]
 
     def test_sampler_hazard_past_the_float_range(self, tmp_path):
         # psi**2*T = 1e310: the mismatched branch's integrated rate at T is inf.

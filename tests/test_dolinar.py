@@ -1,5 +1,6 @@
 """Continuous feedback receiver: control laws, ODE, telegraph sampling."""
 
+import inspect
 import math
 from types import SimpleNamespace
 
@@ -125,6 +126,19 @@ class TestFeedbackAmplitude:
         assert feedback_amplitude(Priors(0.7), 6.7e153, 0.0) == pytest.approx(6.7e153 / 0.4)
 
 
+def test_no_public_callable_takes_a_horizon():
+    # Seconds are the CLI's: every route works on the unit pulse, in photon-number units.
+    checked = 0
+    for name in dolinar_mod.__all__:
+        obj = getattr(dolinar_mod, name)
+        for attr, f in (vars(obj) if isinstance(obj, type) else {name: obj}).items():
+            f = getattr(f, "__func__", f)  # a classmethod's function
+            if inspect.isfunction(f) and (attr == "__init__" or not attr.startswith("_")):
+                assert "T" not in inspect.signature(f).parameters, (name, attr)
+                checked += 1
+    assert checked >= 19  # 8 functions and the 11 public methods of 4 classes
+
+
 class TestRates:
     def test_matched_field_is_dark(self):
         assert rates(1.0, 1.0) == (0.0, 4.0)
@@ -174,7 +188,7 @@ class TestControlLaw:
         assert law.starts[1:] == ()
 
     def test_piecewise_slots_are_left_closed(self):
-        law = ControlLaw.piecewise_constant([2.0, 3.0], 1.0)
+        law = ControlLaw.piecewise_constant([2.0, 3.0])
         assert law.starts[1:] == (0.5,)
         assert law.u0(0.0) == 2.0
         assert law.u0(0.49) == 2.0
@@ -183,9 +197,7 @@ class TestControlLaw:
 
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
-            ControlLaw.piecewise_constant([], 1.0)
-        with pytest.raises(ValueError):
-            ControlLaw.piecewise_constant([1.0], 0.0)
+            ControlLaw.piecewise_constant([])
 
     def test_optimal_law_unequal_priors(self):
         law = LawFamily().law(Priors(0.7), 1.0)
@@ -216,7 +228,7 @@ class TestControlLaw:
         with pytest.raises(ValueError):
             LawFamily(t_floor=-1.0).law(Priors(0.5), 1.0)
         with pytest.raises(ValueError):
-            LawFamily(u_max=0.0).law(Priors(0.5), 1.0)
+            LawFamily(u_max=-1.0).law(Priors(0.5), 1.0)
         with pytest.raises(ValueError):
             LawFamily(u_max=2.0).law(Priors(0.5), -1.0)
 
@@ -231,8 +243,10 @@ class TestControlLaw:
         both = LawFamily(u_max=4.0, t_floor=0.01).law(pr, 1.0)
         assert both.values == (4.0,) and both.starts[1] > 0.01
         assert LawFamily().law(Priors(0.7), 1.0).starts[1:] == ()
-        # u_max below psi binds everywhere: a constant law throughout.
-        assert LawFamily(u_max=2.0).law(Priors(0.7), 3.0) == ControlLaw.constant(2.0)
+        # u_max below gamma binds everywhere: a constant law throughout.
+        assert LawFamily(u_max=2.0).law(Priors(0.7), 9.0) == ControlLaw.constant(2.0)
+        # A cap of 0 (one given per second that underflows on the unit pulse) is the zero law.
+        assert LawFamily(u_max=0.0).law(pr, 1.0) == ControlLaw.constant(0.0)
 
     @pytest.mark.parametrize(
         "q0,psi,t_floor,u_max",
@@ -241,7 +255,7 @@ class TestControlLaw:
     )
     def test_u0_is_the_clamped_floored_law(self, q0, psi, t_floor, u_max):
         pr = Priors(q0)
-        law = LawFamily(t_floor=t_floor, u_max=u_max).law(pr, psi)
+        law = LawFamily(t_floor=t_floor, u_max=u_max).law(pr, psi * psi)
 
         def want(t):
             try:
@@ -271,7 +285,7 @@ class TestStateTypes:
         assert st.pe(Priors(0.7)) == pytest.approx(0.7 * 0.1 + 0.3 * 0.3, abs=1e-15)
 
     def test_evolve_result_is_immutable(self):
-        res = evolve_pc(Priors(0.7), 1.0, ControlLaw.constant(0.8), 1.0, sample_times=(0.5,))
+        res = evolve_pc(Priors(0.7), 1.0, ControlLaw.constant(0.8), sample_times=(0.5,))
         with pytest.raises(AttributeError):
             res.final = res.final
 
@@ -289,26 +303,26 @@ class TestEvolvePc:
         for q0 in (0.5, 0.7):
             pr = Priors(q0)
             want = simplified_dolinar_pc(pr, 1.0, 0.6)
-            for res in (evolve_pc(pr, 1.0, law, 1.0), rk45(pr, 1.0, law, 1.0)):
+            for res in (evolve_pc(pr, 1.0, law), rk45(pr, 1.0, law)):
                 assert res.final.pc(pr) == pytest.approx(want, abs=1e-10)
 
     def test_optimal_law_rides_the_bound(self):
         pr = Priors(0.7)
         law = LawFamily().law(pr, 1.0)
         times = np.linspace(0.0, 1.0, 52)
-        for res in (evolve_pc(pr, 1.0, law, 1.0, times), rk45(pr, 1.0, law, 1.0, times)):
+        for res in (evolve_pc(pr, 1.0, law, times), rk45(pr, 1.0, law, times)):
             for t, pc in zip(res.times[1:-1], res.pc[1:-1]):
                 assert abs(pc - helstrom_trajectory(pr, 1.0, float(t))) < 1e-6
             assert res.final.pc(pr) == pytest.approx(HEL_TRAJ_711, abs=1e-8)
 
     def test_zero_control_learns_nothing_at_equal_priors(self):
         pr = Priors(0.5)
-        res = evolve_pc(pr, 1.0, ControlLaw.constant(0.0), 1.0)
+        res = evolve_pc(pr, 1.0, ControlLaw.constant(0.0))
         assert np.max(np.abs(res.pc - 0.5)) < 1e-9
 
     def test_returns_requested_samples(self):
         times = np.array([0.0, 0.25, 1.0])
-        res = evolve_pc(Priors(0.7), 1.0, ControlLaw.constant(0.5), 1.0, sample_times=times)
+        res = evolve_pc(Priors(0.7), 1.0, ControlLaw.constant(0.5), sample_times=times)
         assert isinstance(res, EvolveResult)
         assert np.array_equal(res.times, times)
         assert res.pc.shape == (3,)
@@ -320,38 +334,39 @@ class TestEvolvePc:
                 Priors(0.7),
                 1.0,
                 ControlLaw.constant(0.5),
-                1.0,
                 sample_times=np.array([0.0, 1.5]),
             )
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            evolve_pc(Priors(0.7), -1.0, ControlLaw.constant(0.5), 1.0)
-        with pytest.raises(ValueError):
-            evolve_pc(Priors(0.7), 1.0, ControlLaw.constant(0.5), 0.0)
+        with pytest.raises(ValueError, match=r"^gamma_sq must be >= 0, got -1\.0$"):
+            evolve_pc(Priors(0.7), -1.0, ControlLaw.constant(0.5))
 
     def test_uncapped_balanced_law_is_rejected_at_start(self):
         pr = Priors(0.5)
         law = LawFamily().law(pr, 1.0)
         with pytest.raises(SingularControlError):
-            evolve_pc(pr, 1.0, law, 1.0)
+            evolve_pc(pr, 1.0, law)
 
     def test_optimal_segment_must_match_the_signal(self):
-        # The closed form and the sampler need the signal's psi; RK45 integrates the mismatch.
+        # The closed form and the sampler need the signal's gamma_sq; RK45 integrates the
+        # mismatch.
         pr = Priors(0.7)
-        message = (r"^optimal law built for psi=1\.0, not 2\.0; LawFamily\(\.\.\.\)\.law\(priors, "
-                   r"psi\) builds the law of this signal$")
+        message = (r"^optimal law built for gamma_sq=1\.0, not 4\.0; LawFamily\(\.\.\.\)\.law\("
+                   r"priors, gamma_sq\) builds the law of this signal$")
         for law in (LawFamily().law(pr, 1.0), LawFamily(u_max=2.0).law(pr, 1.0)):
             with pytest.raises(ValueError, match=message):
-                evolve_pc(pr, 2.0, law, 1.0)
-            chunks = telegraph_chunks(pr, 2.0, law, 1.0, 10, seed=0)  # checked at the first chunk
+                evolve_pc(pr, 4.0, law)
+            chunks = telegraph_chunks(pr, 4.0, law, 10, seed=0)  # checked at the first chunk
             with pytest.raises(ValueError, match=message):
                 next(chunks)
-            assert 0.5 < rk45(pr, 2.0, law, 1.0).final.pc(pr) < 1.0
-        # Before the optimal segment starts the law is a constant slot, fit for any signal.
+            assert 0.5 < rk45(pr, 4.0, law).final.pc(pr) < 1.0
+        # A law whose optimal segment starts past the pulse is a constant slot on it, fit
+        # for any signal: gamma/R falls to the cap 0.2 at tau = ln(1.12)/0.04 = 2.8.
+        law = LawFamily(u_max=0.2).law(pr, 0.01)
         (switch,) = law.starts[1:]
-        got = evolve_pc(pr, 2.0, law, 0.5 * switch).final.pc(pr)
-        assert got == pytest.approx(rk45(pr, 2.0, law, 0.5 * switch).final.pc(pr), abs=1e-12)
+        assert switch > 1.0
+        got = evolve_pc(pr, 0.09, law).final.pc(pr)
+        assert got == pytest.approx(rk45(pr, 0.09, law).final.pc(pr), abs=1e-12)
 
     @pytest.mark.parametrize(
         "q0,law",
@@ -361,20 +376,22 @@ class TestEvolvePc:
             (0.6, {"t_floor": 0.3, "u_max": 2.0}),
             (0.7, {"beta": 1.2}),
             (1.0, {"t_floor": 0.2}),  # q1 = 0: the optimal segment is a constant
-            (0.7, ControlLaw.piecewise_constant([2.0, 0.5, 1.5, 1.0], 0.8)),
+            (0.7, ControlLaw((0.0, 0.2, 0.4, 0.6), (2.0, 0.5, 1.5, 1.0))),
         ],
         ids=["capped", "floored", "capped_and_floored", "constant", "q1_zero", "four_slots"],
     )
     def test_each_sample_is_the_evolution_to_its_time(self, q0, law):
-        # Bit for bit, at the law's own edges too.
-        pr, T = Priors(q0), 1.0
+        # Bit for bit, at the law's own edges too: a sample is its own walk to its time,
+        # whatever else is sampled, and the one at the end of the pulse is the final state.
+        pr = Priors(q0)
         if isinstance(law, dict):
             law = LawFamily(**law).law(pr, 1.0)
-        times = np.union1d(np.linspace(0.0, T, 41)[1:], [s for s in law.starts if 0.0 < s < T])
-        res = evolve_pc(pr, 1.0, law, T, times)
+        times = np.union1d(np.linspace(0.0, 1.0, 41)[1:], [s for s in law.starts if 0.0 < s < 1.0])
+        res = evolve_pc(pr, 1.0, law, times)
         for t, p0, p1 in zip(times.tolist(), res.p0.tolist(), res.p1.tolist()):
-            final = evolve_pc(pr, 1.0, law, t, sample_times=()).final
-            assert (p0, p1) == (1.0 - final.e0, 1.0 - final.e1), t
+            alone = evolve_pc(pr, 1.0, law, sample_times=[t])
+            assert (p0, p1) == (alone.p0[0], alone.p1[0]), t
+        assert (res.p0[-1], res.p1[-1]) == (1.0 - res.final.e0, 1.0 - res.final.e1)
 
     def test_never_integrates_numerically(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -383,28 +400,32 @@ class TestEvolvePc:
         monkeypatch.setattr(dolinar_mod, "solve_ivp", refuse)
         pr = Priors(0.5)
         law = LawFamily(u_max=8.0, t_floor=0.01).law(pr, 1.0)
-        assert evolve_pc(pr, 1.0, law, 1.0).final.pc(pr) > 0.99
-        assert segmented_pc(pr, 1.0, 1.0, 10) > 0.99
+        assert evolve_pc(pr, 1.0, law).final.pc(pr) > 0.99
+        assert segmented_pc(pr, 1.0, 10) > 0.99
 
 
-def reference_pe(priors, psi, law, T):
-    """Error probability at T by the integrating factor, with mpmath at 50 digits.
+def reference_pe(priors, gamma_sq, law):
+    """Error probability at the end of the unit pulse of mean photon number
+    ``gamma_sq`` by the integrating factor, with mpmath at 50 digits.
 
     Both conditionals obey ``e' = lam - (lam + mu) * e``, so with ``Lambda`` the
     integral of ``lam + mu`` from 0, ``pe(T) = exp(-Lambda(T)) * (pe(0) +
-    integral of lam * exp(Lambda) over [0, T])``.  The integral is taken by
+    integral of lam * exp(Lambda) over [0, T])``, T = 1.  The integral is taken by
     ``mpmath.quad`` segment by segment, each integrand scaled to order one
     (quad's tolerance is absolute).  ``Lambda`` is linear on a constant slot;
     on the optimal-law segment it is ``ln(exp(k*t) * R)``, which
     ``test_integrating_factor`` checks against quad.
     """
     with mpmath.workdps(50):
-        psi, T = mpf(psi), mpf(T)
+        # A constant slot's rates take the amplitude the library holds, sqrt(gamma_sq)
+        # rounded to a float; the optimal law's own segment is exact in gamma_sq.
+        psi, exact, T = mpf(math.sqrt(gamma_sq)), mpmath.sqrt(mpf(gamma_sq)), mpf(1)
         edges = [mpf(s) for s in law.starts if s < T] + [T]
         slots = len(law.values)
         if law.optimal is not None:
-            opt, law_psi = law.optimal
-            c, k, law_psi = 4 * mpf(opt.q0) * mpf(opt.q1), 4 * mpf(law_psi) ** 2, mpf(law_psi)
+            opt, law_gamma_sq = law.optimal
+            c, k = 4 * mpf(opt.q0) * mpf(opt.q1), 4 * mpf(law_gamma_sq)
+            law_psi = mpmath.sqrt(mpf(law_gamma_sq))
 
         def x(t):
             return c * mpmath.exp(-k * t)
@@ -420,7 +441,7 @@ def reference_pe(priors, psi, law, T):
                 xs = x(s)
                 r = mpmath.sqrt(1 - xs)
                 # psi - law_psi/R, free of cancellation as R -> 1.
-                d = psi - law_psi + law_psi * xs / ((1 + r) * r)
+                d = exact - law_psi + law_psi * xs / ((1 + r) * r)
                 return d * d * (xb / xs) * (r / rb)
 
             return f
@@ -442,7 +463,7 @@ def reference_pe(priors, psi, law, T):
         return (q0 * e0 + q1 * e1) * decay + (q0 + q1) * gained
 
 
-def floored_reference_pe(psi, law, T):
+def floored_reference_pe(gamma_sq, law):
     """:func:`reference_pe` at equal priors for a floor so short that
     ``1 - exp(-k*t)`` rounds to 0 at 50 digits: ``R**2 = -expm1(-k*t)``.
 
@@ -452,8 +473,8 @@ def floored_reference_pe(psi, law, T):
     geometric grid so that it resolves the ``1/sqrt(t)`` rise after the floor.
     """
     with mpmath.workdps(50):
-        p, u, a, T = mpf(psi), mpf(law.values[0]), mpf(law.starts[1]), mpf(T)
-        k = 4 * p * p
+        g, u, a, T = mpf(gamma_sq), mpf(law.values[0]), mpf(law.starts[1]), mpf(1)
+        p, k = mpmath.sqrt(g), 4 * g
         R = lambda t: mpmath.sqrt(-mpmath.expm1(-k * t))
         s = 2 * (p * p + u * u)
         pe_a = mpmath.exp(-s * a) / 2 - (p - u) ** 2 / s * mpmath.expm1(-s * a)
@@ -462,28 +483,37 @@ def floored_reference_pe(psi, law, T):
         return pe_a * mpmath.exp(-k * (T - a)) * R(a) / R(T) + mpmath.quad(f, cuts)
 
 
+def on_the_unit_pulse(kw: dict, T: float) -> dict:
+    """LawFamily options given per second over a pulse of T seconds, on the unit
+    pulse: an amplitude times sqrt(T), a time over T."""
+    return {k: v / T if k == "t_floor" else v * math.sqrt(T) for k, v in kw.items()}
+
+
 def oracle_laws():
+    # Amplitude psi over T seconds is gamma_sq = psi**2*T; the laws are given per second.
     for q0 in (0.3, 0.5, 0.7, 0.99):
         for psi in (0.3, 1.0, 3.0, 5.0):
             for T in (0.5, 1.0, 3.0):
-                pr = Priors(q0)
+                pr, g = Priors(q0), psi * psi * T
+                gamma = math.sqrt(g)
+                family = lambda **kw: LawFamily(**on_the_unit_pulse(kw, T)).law(pr, g)
                 laws = {
-                    "constant": ControlLaw.constant(1.0),
-                    "cap": LawFamily(u_max=2.0 * psi).law(pr, psi),
-                    "floor": LawFamily(t_floor=0.05).law(pr, psi),
-                    "cap_floor": LawFamily(u_max=3.0 * psi, t_floor=0.02).law(pr, psi),
-                    "exact": LawFamily().law(pr, psi),
+                    "constant": ControlLaw.constant(math.sqrt(T)),
+                    "cap": family(u_max=2.0 * psi),
+                    "floor": family(t_floor=0.05),
+                    "cap_floor": family(u_max=3.0 * psi, t_floor=0.02),
+                    "exact": family(),
                     "ten_slots": ControlLaw.piecewise_constant(
-                        [feedback_amplitude(pr, psi, (0.1 * i or 0.02) * T) for i in range(10)], T
+                        [feedback_amplitude(pr, gamma, 0.1 * i or 0.02) for i in range(10)]
                     ),
                 }
                 if q0 == 0.5:
                     del laws["exact"]  # singular at t = 0
                 for name, law in laws.items():
-                    yield pytest.param(pr, psi, law, T, id=f"q0={q0}-psi={psi}-T={T}-{name}")
+                    yield pytest.param(pr, g, law, id=f"q0={q0}-psi={psi}-T={T}-{name}")
 
 
-def law_shape(family: LawFamily, law: ControlLaw, T: float) -> str:
+def law_shape(family: LawFamily, law: ControlLaw) -> str:
     """Which of the shapes of ``family``'s laws ``law`` has."""
     if family.beta is not None:
         return "constant"
@@ -493,13 +523,14 @@ def law_shape(family: LawFamily, law: ControlLaw, T: float) -> str:
         return "uncapped"
     if family.u_max is None:
         return "time floor"
-    return "switch inside T" if law.starts[1] < T else "switch past T"
+    return "switch inside T" if law.starts[1] < 1.0 else "switch past T"
 
 
 class TestEvolvePe:
     """The batched evolution of a sweep equals evolve_pc point by point."""
 
-    # Sweeps whose points together cross every law shape; psi spans 1e-3 to 5.5.
+    # Sweeps whose points together cross every law shape, (q0, T, law per second);
+    # gamma_sq spans 1e-6 to 30.
     SWEEPS = [
         (0.7, 1.0, {}),
         (0.7, 1.0, {"u_max": 1.5}),
@@ -515,14 +546,14 @@ class TestEvolvePe:
         shapes = set()
         for q0, T, kw in self.SWEEPS:
             pr = Priors(q0)
-            psi = np.sqrt(np.geomspace(1e-6, 30.0, 300) / T)
-            family = LawFamily(**kw)
-            laws = [family.law(pr, p) for p in psi.tolist()]
-            want = [evolve_pc(pr, p, law, T, sample_times=()).final.pe(pr)
-                    for p, law in zip(psi.tolist(), laws)]
-            got = evolve_pe(pr, psi, family, T)
+            g = np.geomspace(1e-6, 30.0, 300)
+            family = LawFamily(**on_the_unit_pulse(kw, T))
+            laws = [family.law(pr, x) for x in g.tolist()]
+            want = [evolve_pc(pr, x, law, sample_times=()).final.pe(pr)
+                    for x, law in zip(g.tolist(), laws)]
+            got = evolve_pe(pr, g, family)
             assert got.tolist() == want, (q0, T, kw)
-            shapes.update(law_shape(family, law, T) for law in laws)
+            shapes.update(law_shape(family, law) for law in laws)
         assert shapes == {"uncapped", "switch inside T", "switch past T",
                           "cap at or below psi", "time floor", "constant"}
 
@@ -534,7 +565,7 @@ class TestEvolvePe:
         pr, rt, eps = Priors(q0), math.sqrt(T), math.ulp(1.0)
         for psi in (1e-3, 0.1, 1.0, 3.0):
             for beta in (0.0, psi / 2.0, psi, 2.0 * psi + 0.1):
-                (want,) = evolve_pe(pr, np.array([psi]), LawFamily(beta=beta), T)
+                (want,) = evolve_pe(pr, np.array([psi * psi * T]), LawFamily(beta=beta * rt))
                 got = simplified_dolinar_error(pr, psi * rt, beta * rt)
                 tol = 8.0 * eps * (1.0 + 2.0 * (psi**2 + beta**2) * T)
                 assert abs(got - want) <= tol * want, (psi, beta)
@@ -543,51 +574,56 @@ class TestEvolvePe:
         def refuse(*args, **kwargs):
             raise AssertionError("per-point law")
 
-        for name in ("feedback_amplitude", "_segment_table"):
+        for name in ("feedback_amplitude", "_amplitude", "_segment_table"):
             monkeypatch.setattr(dolinar_mod, name, refuse)
         monkeypatch.setattr(LawFamily, "law", refuse)
-        psi = np.sqrt(np.geomspace(1e-6, 30.0, 50))
+        g = np.geomspace(1e-6, 30.0, 50)
         for q0, T, kw in self.SWEEPS:
-            assert evolve_pe(Priors(q0), psi, LawFamily(**kw), T).shape == (50,)
+            assert evolve_pe(Priors(q0), g, LawFamily(**on_the_unit_pulse(kw, T))).shape == (50,)
 
     def test_uncapped_balanced_law_is_singular(self):
         pr = Priors(0.5)
-        psi = np.array([0.5, 1.0])
+        g = np.array([0.25, 1.0])
         with pytest.raises(SingularControlError):  # a floor of 0 is no floor
-            evolve_pe(pr, psi, LawFamily(t_floor=0.0), 1.0)
-        # A floor of 1e-300 regularizes: R**2 is 4*psi**2*1e-300 > 0 there.
+            evolve_pe(pr, g, LawFamily(t_floor=0.0))
+        # A floor of 1e-300 regularizes: R**2 is 4*gamma_sq*1e-300 > 0 there.
         family = LawFamily(t_floor=1e-300)
-        pe = evolve_pe(pr, psi, family, 1.0)
-        helstrom = np.array([helstrom_error(pr, coherent_overlap(p * p)) for p in psi.tolist()])
+        pe = evolve_pe(pr, g, family)
+        helstrom = np.array([helstrom_error(pr, coherent_overlap(x)) for x in g.tolist()])
         assert np.all((pe >= helstrom * (1.0 - 1e-12)) & (pe <= 0.5))
-        want = floored_reference_pe(1.0, family.law(pr, 1.0), 1.0)
+        want = floored_reference_pe(1.0, family.law(pr, 1.0))
         assert abs(pe[1] - want) <= 1e-12 * want
 
     def test_weak_capped_signal_matches_mpmath(self):
-        # (psi/u_max)**2 = 1e-18 lies below the float spacing of 1: the cap's
+        # (gamma/u_max)**2 = 1e-18 lies below the float spacing of 1: the cap's
         # switch is 1/4 only if the margin keeps its digits.
         pr, family = Priors(0.5), LawFamily(u_max=1.0)
-        law = family.law(pr, 1e-9)
+        law = family.law(pr, 1e-18)
         assert law.starts[1] == pytest.approx(0.25, rel=1e-15)
-        (got,) = evolve_pe(pr, np.array([1e-9]), family, 1.0)
-        want = reference_pe(pr, 1e-9, law, 1.0)
+        (got,) = evolve_pe(pr, np.array([1e-18]), family)
+        want = reference_pe(pr, 1e-18, law)
         assert abs(got - want) <= 1e-12 * want
 
     def test_validation(self):
         family = LawFamily(beta=0.5)
-        with pytest.raises(ValueError, match="psi"):
-            evolve_pe(Priors(0.7), np.array([-1.0]), family, 1.0)
-        with pytest.raises(ValueError, match="T"):
-            evolve_pe(Priors(0.7), np.array([1.0]), family, 0.0)
-        # The optimal law's k = 4*psi**2 overflows on the second lane.
-        with pytest.raises(ValueError, match=r"must be at most 4\.494e\+307.*got 1e\+154$"):
-            evolve_pe(Priors(0.7), np.array([1.0, 1e154, 2e154]), LawFamily(), 1e-300)
+        with pytest.raises(ValueError, match=r"^gamma_sq must be >= 0, got -1\.0$"):
+            evolve_pe(Priors(0.7), np.array([-1.0]), family)
+        with pytest.raises(ValueError, match=r"^gamma_sq must be at most 1\.798e\+308, got inf$"):
+            evolve_pe(Priors(0.7), np.array([1.0, math.inf]), LawFamily())
+
+    def test_rate_scale_past_the_float_range_takes_the_limits(self):
+        # 4*gamma_sq overflows from 4.5e307 on: R = 1 and the error is 0 there, as
+        # the Helstrom error is, whatever the law's constant slot did before.
+        g = np.array([4.4e307, 4.5e307, 1.7e308, 1.7976931348623157e308])
+        for family in (LawFamily(), LawFamily(t_floor=0.5), LawFamily(u_max=1e160)):
+            assert evolve_pe(Priors(0.7), g, family).tolist() == [0.0] * 4
+        assert evolve_pe(Priors(0.5), g, LawFamily(u_max=1e160)).tolist() == [0.0] * 4
 
     def test_an_error_out_of_range_is_refused(self, monkeypatch):
         # The range check of PcState, on the first point whose errors leave [0, 1].
         monkeypatch.setattr(dolinar_mod, "_relax_constant", lambda e, *args: e + 2.0)
         with pytest.raises(ValueError, match=r"^e0 must lie in \[0, 1\], got 2\.0$"):
-            evolve_pe(Priors(0.7), np.array([0.5, 1.0]), LawFamily(beta=0.5), 1.0)
+            evolve_pe(Priors(0.7), np.array([0.25, 1.0]), LawFamily(beta=0.5))
 
 
 class TestLawFamily:
@@ -601,7 +637,7 @@ class TestLawFamily:
             LawFamily(**kw)
 
     @pytest.mark.parametrize("kw,message", [({"t_floor": -1.0}, "t_floor must be >= 0"),
-                                            ({"u_max": 0.0}, "u_max must be > 0")])
+                                            ({"u_max": -1.0}, "u_max must be >= 0")])
     def test_bad_cap_or_floor_is_refused_when_built(self, kw, message):
         with pytest.raises(ValueError, match=message):
             LawFamily(**kw)
@@ -660,35 +696,35 @@ class TestMarginAgainstMpmath:
     @settings(max_examples=300, deadline=None)
     @given(near_half(), st.lists(log_uniform(1e-20, 150.0), min_size=1, max_size=8))
     def test_uncapped_evolve_pe_rides_the_bound(self, priors, gamma_sqs):
-        # The error at T = 1 is the Helstrom error at gamma_sq = psi**2.  The exponents,
-        # of size k*T = 4*psi**2, carry roundings that exp turns into relative errors:
-        # up to 2*k*T ulps (3.5*psi**2 seen, 6.9e-14 near gamma_sq = 130), and a few more.
-        psi = np.sqrt(gamma_sqs)
-        pe = evolve_pe(priors, psi, LawFamily(), 1.0)
-        for got, p in zip(pe.tolist(), psi.tolist()):
+        # The error at the end of the pulse is the Helstrom error at the gamma_sq given.
+        # Its exponent 4*gamma_sq is exact, and each exponential is of one of them, so
+        # none magnifies a rounding by the size of its exponent.
+        pe = evolve_pe(priors, np.array(gamma_sqs), LawFamily())
+        for got, gamma_sq in zip(pe.tolist(), gamma_sqs):
             with mpmath.workdps(50):
-                q0, q1, g = mpf(priors.q0), mpf(priors.q1), mpf(p) ** 2
+                q0, q1, g = mpf(priors.q0), mpf(priors.q1), mpf(gamma_sq)
                 r = mpmath.sqrt((q0 - q1) ** 2 + 4 * q0 * q1 * -mpmath.expm1(-4 * g))
                 want = 4 * q0 * q1 * mpmath.exp(-4 * g) / (2 * (1 + r))
-            assert ulps(got, want) <= 16.0 + 8.0 * p * p
+            assert ulps(got, want) <= 4.0
 
     @settings(max_examples=300, deadline=None)
     @given(capped_weak_and_strong())
     def test_switch_time_within_4_ulp(self, case):
         priors, psi, u_max = case
-        (switch,), (value,) = LawFamily(u_max=u_max).slots(priors, np.array([psi]))
+        g = psi * psi
+        (switch,), (value,) = LawFamily(u_max=u_max).slots(priors, np.array([g]))
         assert value == u_max
         with mpmath.workdps(50):
-            c, x = 4 * mpf(priors.q0) * mpf(priors.q1), mpf(psi) / mpf(u_max)
-            want = (mpmath.log(c) - mpmath.log1p(-x * x)) / (4 * mpf(psi) ** 2)
+            c, x = 4 * mpf(priors.q0) * mpf(priors.q1), mpmath.sqrt(mpf(g)) / mpf(u_max)
+            want = (mpmath.log(c) - mpmath.log1p(-x * x)) / (4 * mpf(g))
             assert ulps(switch, want) <= 4.0
 
 
 class TestClosedFormAgainstMpmath:
-    @pytest.mark.parametrize("priors,psi,law,T", list(oracle_laws()))
-    def test_error_probability(self, priors, psi, law, T):
-        got = evolve_pc(priors, psi, law, T, sample_times=()).final.pe(priors)
-        want = reference_pe(priors, psi, law, T)
+    @pytest.mark.parametrize("priors,gamma_sq,law", list(oracle_laws()))
+    def test_error_probability(self, priors, gamma_sq, law):
+        got = evolve_pc(priors, gamma_sq, law, sample_times=()).final.pe(priors)
+        want = reference_pe(priors, gamma_sq, law)
         assert abs(got - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("q0", [0.3, 0.5, 0.99])
@@ -707,53 +743,52 @@ class TestEvolvePcGeneral:
     def test_reduces_to_symmetric_form(self):
         pr = Priors(0.7)
         times = np.linspace(0.0, 1.0, 11)
-        sym = evolve_pc(pr, 1.0, ControlLaw.constant(0.8), 1.0, sample_times=times)
+        sym = evolve_pc(pr, 1.0, ControlLaw.constant(0.8), sample_times=times)
         gen = evolve_pc_general(
-            pr, 1.0, lambda t: 0.8, lambda t: -0.8, 1.0, tol=1e-12, sample_times=times
+            pr, 1.0, lambda t: 0.8, lambda t: -0.8, tol=1e-12, sample_times=times
         )
         assert gen.final.pc(pr) == pytest.approx(sym.final.pc(pr), abs=1e-12)
         assert np.max(np.abs(gen.pc - sym.pc)) < 1e-12
 
     def test_rejects_sample_times_outside_horizon(self):
-        # Dense output would silently extrapolate past T.
+        # Dense output would silently extrapolate past the end of the pulse.
         for times in ([0.5, 1.0, 3.0], [-0.1, 0.5]):
             with pytest.raises(ValueError, match="within"):
                 evolve_pc_general(
-                    Priors(0.7), 1.0, lambda t: 0.8, lambda t: -0.8, 1.0,
-                    sample_times=times,
+                    Priors(0.7), 1.0, lambda t: 0.8, lambda t: -0.8, sample_times=times,
                 )
 
     def test_a_stalled_integration_raises(self, monkeypatch):
         stalled = SimpleNamespace(success=False, t=np.array([0.0, 0.25]), message="step too small")
         monkeypatch.setattr(oracles, "solve_ivp", lambda *args, **kwargs: stalled)
         with pytest.raises(IntegrationError, match=r"^integration stalled at t=0\.25: step too small$"):
-            evolve_pc_general(Priors(0.7), 1.0, lambda t: 0.8, lambda t: -0.8, 1.0)
+            evolve_pc_general(Priors(0.7), 1.0, lambda t: 0.8, lambda t: -0.8)
 
 
 class TestSegmentedPc:
     def test_single_slot_equals_constant_law(self):
         pr = Priors(0.7)
         u = feedback_amplitude(pr, 1.0, 1e-9)
-        res = rk45(pr, 1.0, ControlLaw.constant(u), 1.0)
-        assert segmented_pc(pr, 1.0, 1.0, 1) == pytest.approx(
+        res = rk45(pr, 1.0, ControlLaw.constant(u))
+        assert segmented_pc(pr, 1.0, 1) == pytest.approx(
             res.final.pc(pr), abs=1e-10
         )
 
     def test_matches_piecewise_ode(self):
         pr = Priors(0.7)
-        n, T = 4, 1.0
-        h = T / n
-        vals = [feedback_amplitude(pr, 1.0, max(i * h, T * 1e-9)) for i in range(n)]
-        law = ControlLaw.piecewise_constant(vals, T)
-        res = rk45(pr, 1.0, law, T)
-        assert segmented_pc(pr, 1.0, T, n) == pytest.approx(
+        n = 4
+        h = 1.0 / n
+        vals = [feedback_amplitude(pr, 1.0, max(i * h, 1e-9)) for i in range(n)]
+        law = ControlLaw.piecewise_constant(vals)
+        res = rk45(pr, 1.0, law)
+        assert segmented_pc(pr, 1.0, n) == pytest.approx(
             res.final.pc(pr), abs=1e-9
         )
 
     def test_frozen_convergence_study(self):
         pr = Priors(0.7)
         hel = helstrom_trajectory(pr, 1.0, 1.0)
-        devs = {n: hel - segmented_pc(pr, 1.0, 1.0, n) for n in SEG_DEV}
+        devs = {n: hel - segmented_pc(pr, 1.0, n) for n in SEG_DEV}
         for n, frozen in SEG_DEV.items():
             assert abs(devs[n] - frozen) < 1e-12
         ordered = [devs[n] for n in sorted(devs)]
@@ -763,22 +798,20 @@ class TestSegmentedPc:
         pr = Priors(0.7)
         hel = helstrom_trajectory(pr, 1.0, 1.0)
         for n in (1, 10, 100):
-            dev_start = hel - segmented_pc(pr, 1.0, 1.0, n)
-            dev_mid = hel - segmented_pc(pr, 1.0, 1.0, n, midpoint=True)
+            dev_start = hel - segmented_pc(pr, 1.0, n)
+            dev_mid = hel - segmented_pc(pr, 1.0, n, midpoint=True)
             assert 0.0 < dev_mid < dev_start
 
     def test_balanced_priors_survive_the_floor(self):
         # slot-start sampling at t=0 would diverge; the floor keeps it finite
-        pc = segmented_pc(Priors(0.5), 1.0, 1.0, 100)
+        pc = segmented_pc(Priors(0.5), 1.0, 100)
         assert 0.5 < pc < helstrom_trajectory(Priors(0.5), 1.0, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            segmented_pc(Priors(0.7), 1.0, 1.0, 0)
+            segmented_pc(Priors(0.7), 1.0, 0)
         with pytest.raises(ValueError):
-            segmented_pc(Priors(0.7), 1.0, 0.0, 1)
-        with pytest.raises(ValueError):
-            segmented_pc(Priors(0.7), -1.0, 1.0, 1)
+            segmented_pc(Priors(0.7), -1.0, 1)
 
 
 class TestCappedConvergence:
@@ -788,7 +821,7 @@ class TestCappedConvergence:
         finals = []
         for u_max in (5.0, 20.0, 100.0):
             law = LawFamily(u_max=u_max).law(pr, 1.0)
-            finals.append(evolve_pc(pr, 1.0, law, 1.0).final.pc(pr))
+            finals.append(evolve_pc(pr, 1.0, law).final.pc(pr))
         assert all(b >= a for a, b in zip(finals, finals[1:]))
         gaps = [hel - f for f in finals]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
@@ -799,10 +832,10 @@ class TestSimulateTelegraph:
     def test_same_seed_reproduces_everything(self):
         pr = Priors(0.7)
         law = LawFamily().law(pr, 1.0)
-        a = simulate_telegraph(pr, 1.0, law, 1.0, 200, seed=5)
-        assert simulate_telegraph(pr, 1.0, law, 1.0, 200, seed=5) == a
-        assert same_records(one_chunk(pr, 1.0, law, 1.0, 200, seed=5),
-                            one_chunk(pr, 1.0, law, 1.0, 200, seed=5))
+        a = simulate_telegraph(pr, 1.0, law, 200, seed=5)
+        assert simulate_telegraph(pr, 1.0, law, 200, seed=5) == a
+        assert same_records(one_chunk(pr, 1.0, law, 200, seed=5),
+                            one_chunk(pr, 1.0, law, 200, seed=5))
 
     @pytest.mark.parametrize("law", [
         ControlLaw.constant(-1e160),
@@ -812,30 +845,30 @@ class TestSimulateTelegraph:
     def test_rates_past_the_float_range_are_refused(self, law):
         # The analytic evolution relaxes such a slot at once; the sampler cannot draw it.
         with pytest.raises(ValueError, match=r"must be at most 1.341e\+154, got -?1e\+160$"):
-            simulate_telegraph(Priors(0.7), 1.0, law, 1.0, 10, seed=1)
-        assert 0.0 <= evolve_pc(Priors(0.7), 1.0, law, 1.0, sample_times=()).final.e0 <= 1.0
+            simulate_telegraph(Priors(0.7), 1.0, law, 10, seed=1)
+        assert 0.0 <= evolve_pc(Priors(0.7), 1.0, law, sample_times=()).final.e0 <= 1.0
 
     def test_trials_are_independent_of_batch_size(self):
         pr = Priors(0.7)
         law = ControlLaw.constant(1.0)
-        small = one_chunk(pr, 1.0, law, 1.0, 4, seed=9)
-        large = one_chunk(pr, 1.0, law, 1.0, 9, seed=9)
+        small = one_chunk(pr, 1.0, law, 4, seed=9)
+        large = one_chunk(pr, 1.0, law, 9, seed=9)
         assert same_records(trial_slice(large, 0, 4), small)
 
     def test_trajectory_bookkeeping(self):
         pr = Priors(0.7)
         law = ControlLaw.constant(1.0)
-        tr = one_chunk(pr, 1.0, law, 1.0, 50, seed=3)
+        tr = one_chunk(pr, 1.0, law, 50, seed=3)
         counts = np.diff(tr.offsets)
         assert len(tr.a) == len(tr.z_final) == len(counts) == 50
         assert tr.offsets[0] == 0 and tr.offsets[-1] == len(tr.times)
         assert np.array_equal(tr.z_final, pr.start_bit ^ (counts & 1))
         assert np.all((0.0 < tr.times) & (tr.times <= 1.0))
-        estimate = simulate_telegraph(pr, 1.0, law, 1.0, 50, seed=3).estimate
+        estimate = simulate_telegraph(pr, 1.0, law, 50, seed=3).estimate
         assert estimate == np.count_nonzero(tr.z_final == tr.a) / 50
 
     def test_answer_is_a_binomial_estimate(self):
-        res = simulate_telegraph(Priors(0.7), 1.0, ControlLaw.constant(1.0), 1.0, 5, seed=1)
+        res = simulate_telegraph(Priors(0.7), 1.0, ControlLaw.constant(1.0), 5, seed=1)
         assert type(res) is McEstimate
         assert res.stderr == pytest.approx(
             math.sqrt(res.estimate * (1.0 - res.estimate) / 5), abs=1e-15
@@ -844,19 +877,19 @@ class TestSimulateTelegraph:
     def test_capped_law_agrees_with_ode(self):
         pr = Priors(0.5)
         law = LawFamily(u_max=10.0).law(pr, 1.0)
-        res = simulate_telegraph(pr, 1.0, law, 1.0, 4000, seed=17)
-        want = rk45(pr, 1.0, law, 1.0).final.pc(pr)
+        res = simulate_telegraph(pr, 1.0, law, 4000, seed=17)
+        want = rk45(pr, 1.0, law).final.pc(pr)
         assert abs(res.estimate - want) < 4.0 * max(res.stderr, 1e-12)
 
     def test_matched_envelope_agrees_with_nulling_form(self):
         pr = Priors(0.5)
-        res = simulate_telegraph(pr, 1.0, ControlLaw.constant(1.0), 1.0, 4000, seed=23)
+        res = simulate_telegraph(pr, 1.0, ControlLaw.constant(1.0), 4000, seed=23)
         want = kennedy_pc(pr, 1.0)
         assert abs(res.estimate - want) < 4.0 * max(res.stderr, 1e-12)
 
     def test_zero_control_is_a_coin_flip(self):
         pr = Priors(0.5)
-        res = simulate_telegraph(pr, 1.0, ControlLaw.constant(0.0), 1.0, 2000, seed=29)
+        res = simulate_telegraph(pr, 1.0, ControlLaw.constant(0.0), 2000, seed=29)
         assert abs(res.estimate - 0.5) < 4.0 * res.stderr
 
     @pytest.mark.parametrize(
@@ -865,23 +898,22 @@ class TestSimulateTelegraph:
             (LawFamily(t_floor=0.02).law(Priors(0.5), 1.0), 41),
             (LawFamily(u_max=6.0, t_floor=0.05).law(Priors(0.5), 1.0), 43),
             (ControlLaw.piecewise_constant(
-                [feedback_amplitude(Priors(0.5), 1.0, max(0.1 * i, 0.02)) for i in range(10)],
-                1.0,
+                [feedback_amplitude(Priors(0.5), 1.0, max(0.1 * i, 0.02)) for i in range(10)]
             ), 47),
         ],
         ids=["floored", "capped_and_floored", "ten_slots"],
     )
     def test_regularized_and_slotted_laws_agree_with_ode(self, law, seed):
         pr = Priors(0.5)
-        res = simulate_telegraph(pr, 1.0, law, 1.0, 4000, seed=seed)
-        want = rk45(pr, 1.0, law, 1.0).final.pc(pr)
+        res = simulate_telegraph(pr, 1.0, law, 4000, seed=seed)
+        want = rk45(pr, 1.0, law).final.pc(pr)
         assert abs(res.estimate - want) < 4.0 * max(res.stderr, 1e-12)
 
     def test_uncapped_balanced_law_is_singular(self):
         # The CLI maps this to exit 4 (test_cli.py::TestExitCodes).
         pr = Priors(0.5)
         with pytest.raises(SingularControlError):
-            simulate_telegraph(pr, 1.0, LawFamily().law(pr, 1.0), 1.0, 10, seed=0)
+            simulate_telegraph(pr, 1.0, LawFamily().law(pr, 1.0), 10, seed=0)
 
     def test_law_is_never_evaluated_per_trial(self, monkeypatch):
         pr = Priors(0.5)
@@ -891,21 +923,19 @@ class TestSimulateTelegraph:
             raise AssertionError("sampler evaluated the law")
 
         monkeypatch.setattr(ControlLaw, "u0", refuse)
-        assert len(one_chunk(pr, 1.0, law, 1.0, 500, seed=3).times) > 0
+        assert len(one_chunk(pr, 1.0, law, 500, seed=3).times) > 0
 
     def test_optimal_segment_must_match_the_signal(self):
         law = LawFamily().law(Priors(0.7), 1.0)
-        with pytest.raises(ValueError, match="psi"):
-            simulate_telegraph(Priors(0.7), 2.0, law, 1.0, 5, seed=0)
+        with pytest.raises(ValueError, match="gamma_sq"):
+            simulate_telegraph(Priors(0.7), 4.0, law, 5, seed=0)
 
     def test_validation(self):
         law = ControlLaw.constant(1.0)
         with pytest.raises(ValueError):
-            simulate_telegraph(Priors(0.7), 1.0, law, 1.0, 0, seed=0)
+            simulate_telegraph(Priors(0.7), 1.0, law, 0, seed=0)
         with pytest.raises(ValueError):
-            simulate_telegraph(Priors(0.7), 1.0, law, 0.0, 5, seed=0)
-        with pytest.raises(ValueError):
-            simulate_telegraph(Priors(0.7), -1.0, law, 1.0, 5, seed=0)
+            simulate_telegraph(Priors(0.7), -1.0, law, 5, seed=0)
 
 
 class TestControlIdentity:
@@ -962,15 +992,15 @@ class TestHazard:
 
     @pytest.mark.parametrize("q0,psi,kw", list(regularized_laws()))
     def test_matches_quad_and_inverts(self, q0, psi, kw):
-        pr, T = Priors(q0), 1.0
-        law = LawFamily(**kw).law(pr, psi)
+        pr = Priors(q0)
+        law = LawFamily(**kw).law(pr, psi * psi)
         if psi == 0.0 and q0 == 0.5 and "u_max" not in kw:
             # Singular everywhere: no floor helps without a signal.
             with pytest.raises(SingularControlError):
-                _Segments(law, psi, T)
+                _Segments(law, psi * psi)
             return
-        hazard = _Segments(law, psi, T)
-        ts = np.linspace(0.0, T, 11)
+        hazard = _Segments(law, psi * psi)
+        ts = np.linspace(0.0, 1.0, 11)
         for b in (0, 1):
             lam = hazard.at(ts, b)
             want = [integrated_rate(law, psi, b, 0.0, float(t)) for t in ts]
@@ -1041,34 +1071,41 @@ class TestHazard:
 
 @st.composite
 def telegraph_laws(draw):
-    """(law, psi, T) across the documented domain: exact, capped, floored, slotted."""
+    """(law, gamma_sq) across the documented domain: exact, capped, floored,
+    slotted; an amplitude psi and a law given per second over T seconds, on the
+    unit pulse, and slots spanning another time than the pulse."""
     psi = draw(st.floats(0.0, 3.0))
     T = draw(st.floats(0.05, 2.0))
+    gamma_sq = psi * psi * T
     if draw(st.booleans()):
         values = draw(st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8))
-        return ControlLaw.piecewise_constant(values, draw(st.floats(0.05, 2.0))), psi, T
+        h = draw(st.floats(0.05, 2.0)) / T / len(values)
+        law = ControlLaw(tuple(i * h for i in range(len(values))),
+                         tuple(v * math.sqrt(T) for v in values))
+        return law, gamma_sq
     q0 = draw(st.floats(0.0, 1.0))
     u_max = draw(st.none() | st.floats(0.05, 30.0))
     t_floor = draw(st.none() | st.just(0.0) | st.floats(1e-4, 0.5))
-    return LawFamily(t_floor=t_floor, u_max=u_max).law(Priors(q0), psi), psi, T
+    kw = {k: v for k, v in (("t_floor", t_floor), ("u_max", u_max)) if v is not None}
+    return LawFamily(**on_the_unit_pulse(kw, T)).law(Priors(q0), gamma_sq), gamma_sq
 
 
 @settings(max_examples=60, deadline=None)
 @given(law=telegraph_laws(), cut=st.floats(0.0, 1.0), seed=st.integers(0, 2**32))
 def test_structured_hazard_agrees_with_the_scalar_law(law, cut, seed):
-    law, psi, T = law
+    law, gamma_sq = law
     try:
-        hazard = _Segments(law, psi, T)
+        hazard = _Segments(law, gamma_sq)
     except SingularControlError:
         with pytest.raises(SingularControlError):
             law.u0(0.0)
         return
-    t0, t1 = cut * T / 2.0, T
+    t0, t1 = cut / 2.0, 1.0
     for b in (0, 1):
         got = np.diff(hazard.at(np.array([t0, t1]), b))[0]
-        want = integrated_rate(law, psi, b, t0, t1)
+        want = integrated_rate(law, math.sqrt(gamma_sq), b, t0, t1)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-11)
-    tr = one_chunk(Priors(0.5), psi, law, T, 20, seed)
-    assert np.all((0.0 < tr.times) & (tr.times <= T))
+    tr = one_chunk(Priors(0.5), gamma_sq, law, 20, seed)
+    assert np.all((0.0 < tr.times) & (tr.times <= 1.0))
     for lo, hi in zip(tr.offsets[:-1], tr.offsets[1:]):
         assert np.all(np.diff(tr.times[lo:hi]) > 0.0)

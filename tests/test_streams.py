@@ -128,7 +128,7 @@ class TestLayout:
         with pytest.raises(ValueError, match=message):
             simulate_adaptive(Priors(0.6), 0.3, 4, 0, seed=1)
         with pytest.raises(ValueError, match=message):
-            simulate_telegraph(Priors(0.6), 1.0, ControlLaw.constant(1.0), 1.0, 0, seed=1)
+            simulate_telegraph(Priors(0.6), 1.0, ControlLaw.constant(1.0), 0, seed=1)
 
     def test_trial_depends_only_on_seed_and_index(self):
         a = all_draws(5, 2000, 6)
@@ -201,14 +201,14 @@ def loop_adaptive(priors, theta, n, trials, seed):
     return hits
 
 
-def loop_telegraph(priors, psi, law, T, trials, seed, draws=200):
+def loop_telegraph(priors, gamma_sq, law, trials, seed, draws=200):
     """Scalar per-trial replay of telegraph_chunks on the same draws.
 
     Draw 0 picks the symbol; draw d >= 1 is the d-th Exp(1) gap of the
     integrated rate of the current branch, and the first gap that reaches
-    past T ends the trial.  Returns the click records as arrays.
+    past the end of the pulse ends the trial.  Returns the click records as arrays.
     """
-    hazard = _Segments(law, psi, T)
+    hazard = _Segments(law, gamma_sq)
     symbols, finals, offsets, times = [], [], [0], []
     for row in uniforms(seed, trials, draws):
         a = 0 if row[0] < priors.q0 else 1
@@ -218,7 +218,7 @@ def loop_telegraph(priors, psi, law, T, trials, seed, draws=200):
             y = hazard.at(np.array([t]), b) - np.log1p(-u)
             if y[0] >= hazard.lam[b, -1]:
                 break
-            t = float(min(max(hazard.inverse(y, b)[0], np.nextafter(t, T)), T))
+            t = float(min(max(hazard.inverse(y, b)[0], np.nextafter(t, 1.0)), 1.0))
             times.append(t)
             z ^= 1
         else:
@@ -229,9 +229,9 @@ def loop_telegraph(priors, psi, law, T, trials, seed, draws=200):
     return Trajectories(*map(np.array, (symbols, finals, offsets, times)))
 
 
-def one_chunk(priors, psi, law, T, trials, seed):
+def one_chunk(priors, gamma_sq, law, trials, seed):
     """The click records of a run short enough to be one chunk at the default size."""
-    ((i0, tr),) = telegraph_chunks(priors, psi, law, T, trials, seed)
+    ((i0, tr),) = telegraph_chunks(priors, gamma_sq, law, trials, seed)
     assert i0 == 0 and len(tr.a) == trials
     return tr
 
@@ -258,7 +258,7 @@ TELEGRAPH_LAWS = [
     pytest.param(
         0.5,
         ControlLaw.piecewise_constant(
-            [feedback_amplitude(Priors(0.5), 1.0, max(0.1 * i, 0.02)) for i in range(10)], 1.0
+            [feedback_amplitude(Priors(0.5), 1.0, max(0.1 * i, 0.02)) for i in range(10)]
         ),
         id="ten_slots",
     ),
@@ -289,23 +289,23 @@ class TestSamplersUseTheLayout:
     def test_telegraph_is_independent_of_chunking(self, rows, monkeypatch):
         pr = Priors(0.5)
         law = LawFamily(u_max=8.0).law(pr, 1.0)
-        want = one_chunk(pr, 1.0, law, 1.0, 40, seed=6)
-        estimate = simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6)
+        want = one_chunk(pr, 1.0, law, 40, seed=6)
+        estimate = simulate_telegraph(pr, 1.0, law, 40, seed=6)
         # telegraph_chunks fetches one block (four draws) per trial at a time.
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
-        chunks = list(telegraph_chunks(pr, 1.0, law, 1.0, 40, seed=6))
+        chunks = list(telegraph_chunks(pr, 1.0, law, 40, seed=6))
         assert [i0 for i0, _ in chunks] == list(range(0, 40, rows or 40))
         assert sum(len(tr.a) for _, tr in chunks) == 40
         for i0, tr in chunks:
             assert same_records(tr, trial_slice(want, i0, len(tr.a)))
-        assert simulate_telegraph(pr, 1.0, law, 1.0, 40, seed=6) == estimate
+        assert simulate_telegraph(pr, 1.0, law, 40, seed=6) == estimate
 
     @pytest.mark.parametrize("rows", [1, 7, None])
     @pytest.mark.parametrize("q0,law", TELEGRAPH_LAWS)
     def test_telegraph_records_are_consistent(self, q0, law, rows, monkeypatch):
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(rows))
         pr = Priors(q0)
-        chunks = list(telegraph_chunks(pr, 1.0, law, 1.0, 60, seed=2))
+        chunks = list(telegraph_chunks(pr, 1.0, law, 60, seed=2))
         assert sum(len(tr.a) for _, tr in chunks) == 60
         for _, tr in chunks:
             counts = np.diff(tr.offsets)
@@ -322,9 +322,9 @@ class TestSamplersUseTheLayout:
     @pytest.mark.parametrize("q0,law", TELEGRAPH_LAWS)
     def test_telegraph_matches_scalar_replay(self, q0, law):
         pr = Priors(q0)
-        replay = loop_telegraph(pr, 1.0, law, 1.0, 300, seed=12)
-        assert same_records(one_chunk(pr, 1.0, law, 1.0, 300, seed=12), replay)
-        estimate = simulate_telegraph(pr, 1.0, law, 1.0, 300, seed=12).estimate
+        replay = loop_telegraph(pr, 1.0, law, 300, seed=12)
+        assert same_records(one_chunk(pr, 1.0, law, 300, seed=12), replay)
+        estimate = simulate_telegraph(pr, 1.0, law, 300, seed=12).estimate
         assert estimate == np.count_nonzero(replay.z_final == replay.a) / 300
         # Some trial crosses a block edge (its fourth gap).
         assert np.diff(replay.offsets).max() >= 3
@@ -335,18 +335,18 @@ class TestSamplersUseTheLayout:
         # their gaps run through blocks 1-4 (15 clicks read draw 16), and in 7-trial
         # chunks a chunk's two branch groups run dry at different steps.
         pr, law = Priors(0.6), ControlLaw.constant(3.0)
-        replay = loop_telegraph(pr, 1.0, law, 1.0, 300, seed=12)
+        replay = loop_telegraph(pr, 1.0, law, 300, seed=12)
         clicks = np.diff(replay.offsets)
         assert clicks.max() >= 15 and clicks.mean() > 6.0
         monkeypatch.setattr(streams_mod, "CHUNK_UNIFORMS", budget(7))
-        chunks = list(telegraph_chunks(pr, 1.0, law, 1.0, 300, seed=12))
+        chunks = list(telegraph_chunks(pr, 1.0, law, 300, seed=12))
         assert [i0 for i0, _ in chunks] == list(range(0, 300, 7))
         for i0, tr in chunks:
             assert same_records(tr, trial_slice(replay, i0, len(tr.a)))
 
     def test_telegraph_symbol_is_the_first_draw(self):
         pr = Priors(0.6)
-        tr = one_chunk(pr, 1.0, ControlLaw.constant(1.0), 1.0, 300, seed=9)
+        tr = one_chunk(pr, 1.0, ControlLaw.constant(1.0), 300, seed=9)
         first = uniforms(9, 300, 1)[:, 0]
         assert tr.a.tolist() == [0 if u < pr.q0 else 1 for u in first]
 
@@ -362,9 +362,9 @@ class TestAnswerAndScore:
         assert type(res) is McEstimate
         assert res == binomial(loop_adaptive(pr, 0.3, 4, 1500, seed=4), 1500)
         law = LawFamily().law(pr, 1.0)
-        tr = one_chunk(pr, 1.0, law, 1.0, 300, seed=12)
+        tr = one_chunk(pr, 1.0, law, 300, seed=12)
         hits = int(np.count_nonzero(tr.z_final == tr.a))
-        res = simulate_telegraph(pr, 1.0, law, 1.0, 300, seed=12)
+        res = simulate_telegraph(pr, 1.0, law, 300, seed=12)
         assert type(res) is McEstimate and res == binomial(hits, 300)
         assert binomial(3, 4) == (0.75, math.sqrt(0.75 * 0.25 / 4))
 

@@ -150,8 +150,8 @@ def test_evolve_result_compares_by_field_and_does_not_hash():
 
 def test_evolve_results_of_equal_runs_compare_equal():
     # Two runs build equal arrays, not the same ones; numpy's == is element-wise.
-    def run(T):
-        return evolve_pc(Priors(0.7), 1.0, ControlLaw.constant(0.8), T)
+    def run(gamma_sq):
+        return evolve_pc(Priors(0.7), gamma_sq, ControlLaw.constant(0.8))
 
     a, b = run(1.0), run(1.0)
     assert a.times is not b.times
