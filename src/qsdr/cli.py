@@ -280,7 +280,7 @@ def _telegraph(spec: SweepSpec, priors: Priors, gamma_sq: float, seed: int):
 
 
 def _simulate_dolinar_mc(spec: SweepSpec, export):
-    # The photon number psi**2*T, held where 4*gamma_sq reaches the float maximum.
+    # psi**2*T, held at 4.5e307: a slot's rate (2*gamma)**2 at R = 1 stays a float there.
     priors, gamma_sq = spec.priors, min(spec.psi * (spec.psi * spec.T), _FLOAT_MAX / 4.0)
     law, chunks = _telegraph(spec, priors, gamma_sq, spec.seed)
     estimate, stderr = binomial(_hits(export(chunks)), spec.trials)
